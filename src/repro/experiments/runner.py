@@ -42,8 +42,15 @@ from ..topology.validate import check_topology
 from ..traffic.base import TrafficProcess, per_host_interval_ps
 from ..traffic.registry import make_workload
 
+#: memoised topologies and routing tables, capped FIFO: a long-lived
+#: worker fed a resilience campaign would otherwise keep one graph and
+#: table set per failure set forever.  The caps sit well above any
+#: committed experiment's per-process working set (Figs 7-12 use 9
+#: table sets, the full tournament 20), so those never evict.
 _GRAPH_CACHE: Dict[Tuple, NetworkGraph] = {}
+_GRAPH_CACHE_MAX = 32
 _TABLE_CACHE: Dict[Tuple, RoutingTables] = {}
+_TABLE_CACHE_MAX = 32
 #: memoised pregenerated schedules (batch-inject path): a schedule is a
 #: pure function of (topology, workload spec, interval, seed, horizon),
 #: so paired runs sharing a seed -- policy/scheme comparisons on
@@ -52,6 +59,13 @@ _TABLE_CACHE: Dict[Tuple, RoutingTables] = {}
 #: (engines copy what they need); capped FIFO to bound memory.
 _SCHEDULE_CACHE: Dict[Tuple, list] = {}
 _SCHEDULE_CACHE_MAX = 8
+
+
+def _memoise(cache: Dict, cap: int, key: Tuple, value: Any) -> None:
+    """Insert, evicting the oldest entry once ``cap`` are held."""
+    if len(cache) >= cap:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
 
 
 def _freeze_kwargs(kwargs: Mapping[str, Any]) -> Tuple:
@@ -73,7 +87,7 @@ def get_graph(topology: str, topology_kwargs: Mapping[str, Any]
     if g is None:
         g = build_topology(topology, **dict(topology_kwargs))
         check_topology(g)
-        _GRAPH_CACHE[key] = g
+        _memoise(_GRAPH_CACHE, _GRAPH_CACHE_MAX, key, g)
     return g
 
 
@@ -86,7 +100,7 @@ def get_tables(g: NetworkGraph, topology_key: Tuple, scheme: str,
     if t is None:
         t = compute_tables(g, scheme, root, max_routes_per_pair,
                            sort_by_itbs)
-        _TABLE_CACHE[key] = t
+        _memoise(_TABLE_CACHE, _TABLE_CACHE_MAX, key, t)
     return t
 
 
@@ -283,9 +297,8 @@ def _run_simulation(config: SimConfig, collect_links: bool,
         if schedule is None:
             schedule = traffic.pregenerate(t_end)
             if skey is not None:
-                if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
-                    _SCHEDULE_CACHE.pop(next(iter(_SCHEDULE_CACHE)))
-                _SCHEDULE_CACHE[skey] = schedule
+                _memoise(_SCHEDULE_CACHE, _SCHEDULE_CACHE_MAX, skey,
+                         schedule)
         else:
             traffic.adopt_schedule(schedule)
         network.prime_schedule(schedule)

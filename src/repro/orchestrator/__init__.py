@@ -1,20 +1,21 @@
-"""Parallel sweep orchestrator: worker pool, result store, campaigns.
+"""Parallel sweep orchestrator: lease scheduler, result store, campaigns.
 
-Five layers, composable and individually testable:
+Layers, composable and individually testable:
 
-* :mod:`~repro.orchestrator.pool` -- fault-tolerant multiprocessing
-  worker pool (per-task timeout, bounded retry of crashed/hung
-  workers, inline degradation at ``workers=1``);
+* :mod:`~repro.orchestrator.lease` -- the one lease scheduler (pending
+  queue, per-attempt timeout, bounded retry with backoff, attempt
+  tags) that every pool is, over inline, local or remote *slots*;
+* :mod:`~repro.orchestrator.pool` -- :class:`WorkerPool`: that
+  scheduler over forked local workers (inline at ``workers=1``);
+* :mod:`~repro.orchestrator.fabric` -- :class:`FabricWorker`, the
+  session loop both local and remote workers run, and
+  :class:`FabricPool`: the scheduler over TCP slots speaking the
+  length-prefixed JSON frames of :mod:`~repro.orchestrator.wire`;
 * :mod:`~repro.orchestrator.store` -- content-addressed on-disk result
   store keyed by a canonical hash of the full point description,
   giving checkpoint/resume, a stable results-artifact format, and a
   concurrent-writer discipline safe for many processes (atomic
   ``meta.json``, sharded objects, ``compact()`` + ``index.json``);
-* :mod:`~repro.orchestrator.fabric` -- the distributed campaign
-  fabric: :class:`FabricWorker` remote work-queue processes and the
-  pool-compatible :class:`FabricPool` coordinator (lease-based handout
-  with timeout-driven re-lease over a length-prefixed JSON TCP
-  protocol);
 * :mod:`~repro.orchestrator.serve` -- ``repro serve``:
   :class:`ReproServer`, a long-running HTTP service that accepts
   campaign specs, reuses the warm cache across requests and streams

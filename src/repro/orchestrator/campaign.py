@@ -8,10 +8,11 @@ benchmark runner).  It composes the two lower layers:
 * every task is first looked up in the :class:`~.store.ResultStore`
   (when one is attached) -- an already-completed point costs one file
   read and **zero** ``run_simulation`` calls;
-* the misses are fanned out through the
-  :class:`~.pool.WorkerPool` (inline when ``workers=1``) and each
-  result is persisted the moment it arrives, so an interrupted or
-  crashed campaign resumes from exactly where it stopped.
+* the misses are fanned out through the pool -- one lease scheduler
+  (:mod:`~.lease`) over inline, forked-local or remote TCP slots --
+  and each result is persisted the moment it arrives, so an
+  interrupted or crashed campaign resumes from exactly where it
+  stopped.
 
 :class:`Campaign` expresses one named artefact (a figure panel, a
 table) as an explicit point list and streams per-point progress --
@@ -125,10 +126,11 @@ class Executor:
     with store lookups; ``store=None`` disables caching entirely.
 
     ``fabric="host:port,..."`` (or, equivalently, passing that string
-    as ``workers``) swaps the local process pool for a
-    :class:`~repro.orchestrator.fabric.FabricPool` leasing tasks to
-    remote fabric workers; ``timeout_s`` then becomes the lease
-    timeout and ``retries``/``retry_backoff_s`` the re-lease budget.
+    as ``workers``) leases to remote fabric workers
+    (:class:`~repro.orchestrator.fabric.FabricPool`) instead of forked
+    local ones (:class:`~repro.orchestrator.pool.WorkerPool`);
+    ``timeout_s``, ``retries`` and ``retry_backoff_s`` mean the same
+    either way -- both are one scheduler.
     ``tls_ca`` (fabric only) pins every worker connection to the given
     PEM CA bundle -- workers must serve the matching certificate
     (``repro fabric worker --tls ...``).  Everything above this class

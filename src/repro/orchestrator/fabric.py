@@ -1,71 +1,48 @@
-"""Distributed campaign fabric: remote work-queue workers + coordinator.
+"""Fabric workers: the processes a lease is handed to, local or remote.
 
-Scales the orchestrator from one box to a fleet.  Two halves, speaking
-the length-prefixed JSON frames of :mod:`~repro.orchestrator.wire`:
+Both ends speak the frames of :mod:`~repro.orchestrator.wire`; who is
+leased what, and what happens when a lease is lost, is
+:mod:`~repro.orchestrator.lease`'s business.
 
-* :class:`FabricWorker` -- a long-running process (``repro fabric
-  worker --listen host:port``) that accepts one coordinator session at
-  a time and executes tasks sequentially, exactly like an inline
-  :class:`~repro.orchestrator.pool.WorkerPool` worker: resolve the
-  ``"module:callable"`` function, call it on the JSON payload, frame
-  the JSON result back.  Nothing about a task is fabric-specific, so
-  sweeps, tournaments and resilience campaigns run unchanged.
-* :class:`FabricPool` -- the coordinator.  It is interface-compatible
-  with :class:`~repro.orchestrator.pool.WorkerPool` (``run(tasks,
-  on_result)`` returning input-ordered :class:`TaskResult`\\ s), which
-  is what lets :class:`~repro.orchestrator.campaign.Executor` swap it
-  in behind ``fabric="host:port,..."`` with zero changes above.
+* **Worker side.**  :func:`serve_session` is the one session loop:
+  hello, then ``task`` -> ``execute`` -> ``result`` until the
+  coordinator says ``shutdown`` or goes away.  :class:`FabricWorker`
+  (``repro fabric worker --listen host:port``) runs it on each TCP
+  connection it accepts, a local worker on one end of a ``socketpair``.
+* **Coordinator side.**  A slot is one worker session as the scheduler
+  sees it: :class:`LocalSlot` forks its worker (no port is opened),
+  :class:`FabricPool`'s slots dial ``host:port``, optionally through a
+  pinned-CA TLS handshake.  Either way the worker's hello is checked
+  for wire format and code version before a task is sent.
 
-**Lease discipline.**  One thread per worker address pulls the next
-ready attempt off a shared queue and *leases* it to its worker.  A
-lease ends in exactly one of four ways:
-
-1. a ``result`` frame with the lease's attempt tag -> the outcome
-   (``ok`` finishes the task; ``err`` is a deterministic Python
-   exception and fails immediately, never retried -- same contract as
-   the local pool);
-2. the lease timeout (``lease_timeout_s``, the Executor's
-   ``timeout_s``) expires -> the connection is abandoned (a late
-   result on it can never be read, and the attempt tag would be
-   dropped anyway) and the task is re-leased with the pool's
-   exponential retry backoff;
-3. the connection dies mid-task (worker SIGKILLed, machine lost) ->
-   re-leased the same way, counting an attempt like a crashed local
-   worker;
-4. the task could not be *delivered* (connect refused, send failed) ->
-   re-queued without consuming an attempt: it provably never started.
-
-A worker whose address stays unreachable for ``connect_attempts``
-consecutive tries is declared dead and its thread exits; when every
-worker is dead the remaining tasks fail loudly rather than hang.
-Results stream back as they complete -- ``on_result`` fires under the
-pool lock in completion order, so progress reporting and incremental
-store writes behave exactly as with local workers.
-
-Determinism: task execution is ``_resolve(fn)(payload)`` in a single
-worker process, the same call the inline pool makes, and the caller
-reassembles results by ``task_id`` in input order -- so a campaign
-sharded across N fabric workers is bit-identical to sequential
-execution no matter how leases interleave.
+**A local worker lives as long as one ``run()``**: forked once per
+slot on the caller's thread, it serves every lease that slot is
+granted and keeps its graph/table memo caches across them.  It is
+replaced (a fork under the scheduler lock) only when a lease on it is
+lost: the child died -- EOF on the socket, ``worker died with exit
+code N`` -- or outlived the lease timeout and was killed.  A dead
+child can corrupt nothing shared: all it owns is its end of a socket.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
-import random
 import socket
 import ssl
 import threading
-import time
-import traceback
-from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .pool import Task, TaskResult, _resolve, retry_delay_s
+from .lease import LeasePool, Lost, Task, execute, task_frame
 from .wire import (WIRE_FORMAT, FrameError, format_addr, parse_addrs,
                    recv_frame, send_frame)
 
-__all__ = ["FabricPool", "FabricWorker", "worker_main"]
+__all__ = ["FabricPool", "FabricWorker", "LocalSlot", "serve_session",
+           "worker_main"]
+
+#: seconds a local worker gets to exit after its shutdown frame
+#: before it is killed
+_EXIT_WAIT_S = 1.0
 
 
 def _code_version() -> str:
@@ -73,9 +50,50 @@ def _code_version() -> str:
     return __version__
 
 
+def _close_quietly(sock: Optional[socket.socket]) -> None:
+    if sock is not None:
+        try:
+            sock.close()
+        except OSError:
+            pass
+
+
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
+
+def serve_session(conn: socket.socket) -> bool:
+    """Serve one coordinator session on ``conn``, then close it.
+
+    Returns True when the coordinator asked the worker to stop
+    accepting further sessions.
+    """
+    conn.settimeout(None)
+    try:
+        send_frame(conn, {"type": "hello", "pid": os.getpid(),
+                          "version": _code_version(),
+                          "wire": WIRE_FORMAT})
+        while True:
+            try:
+                msg = recv_frame(conn)
+            except FrameError:
+                return False
+            if msg is None:
+                return False           # coordinator went away
+            kind = msg.get("type")
+            if kind == "ping":
+                send_frame(conn, {"type": "pong"})
+            elif kind == "task":
+                send_frame(conn, execute(msg))
+            elif kind == "shutdown":
+                return bool(msg.get("stop_server"))
+            # unknown frame types are ignored: a newer coordinator
+            # may probe with messages an older worker predates
+    except OSError:
+        return False                   # session over
+    finally:
+        _close_quietly(conn)
+
 
 class FabricWorker:
     """Serves tasks to one coordinator at a time over TCP.
@@ -134,11 +152,7 @@ class FabricWorker:
 
     def close(self) -> None:
         self._stop.set()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+        _close_quietly(self._sock)
 
     def serve_forever(self) -> None:
         """Accept coordinator sessions until stopped."""
@@ -163,59 +177,13 @@ class FabricWorker:
                     except (OSError, ssl.SSLError):
                         # failed handshake (plaintext probe, wrong CA):
                         # not a session -- drop it and keep serving
-                        try:
-                            conn.close()
-                        except OSError:
-                            pass
+                        _close_quietly(conn)
                         continue
                 served += 1
-                self._serve_session(conn)
+                if serve_session(conn):
+                    self._stop.set()
         finally:
             self.close()
-
-    def _serve_session(self, conn: socket.socket) -> None:
-        conn.settimeout(None)
-        try:
-            send_frame(conn, {"type": "hello", "pid": os.getpid(),
-                              "version": _code_version(),
-                              "wire": WIRE_FORMAT})
-            while True:
-                try:
-                    msg = recv_frame(conn)
-                except FrameError:
-                    return
-                if msg is None:
-                    return             # coordinator went away
-                kind = msg.get("type")
-                if kind == "ping":
-                    send_frame(conn, {"type": "pong"})
-                elif kind == "task":
-                    send_frame(conn, self._execute(msg))
-                elif kind == "shutdown":
-                    if msg.get("stop_server"):
-                        self._stop.set()
-                    return
-                # unknown frame types are ignored: a newer coordinator
-                # may probe with messages an older worker predates
-        except OSError:
-            pass                       # session over; back to accept()
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    @staticmethod
-    def _execute(msg: Dict) -> Dict:
-        t0 = time.monotonic()
-        try:
-            value = _resolve(msg["fn"])(msg["payload"])
-            status, out = "ok", value
-        except BaseException:
-            status, out = "err", traceback.format_exc()
-        return {"type": "result", "task_id": msg["task_id"],
-                "attempt": msg["attempt"], "status": status,
-                "value": out, "elapsed_s": time.monotonic() - t0}
 
 
 def worker_main(bind: str = "127.0.0.1:0",
@@ -232,43 +200,176 @@ def worker_main(bind: str = "127.0.0.1:0",
     worker.serve_forever()
 
 
+def _local_worker(conn: socket.socket, coordinator_end: socket.socket
+                  ) -> None:
+    """Entry point of a forked local worker: one session, then exit."""
+    coordinator_end.close()
+    try:
+        serve_session(conn)
+    except KeyboardInterrupt:
+        pass                           # ^C reaches the whole process group
+
+
 # ----------------------------------------------------------------------
 # coordinator side
 # ----------------------------------------------------------------------
 
-class _FabricState:
-    """Shared run() state: the lease queue and completion ledger."""
+class _FrameSlot:
+    """One worker session, coordinator side: hello check, ``task``
+    out, ``result`` in.  Subclasses supply the connection."""
 
-    def __init__(self, tasks: Sequence[Task], n_workers: int):
-        self.cond = threading.Condition()
-        #: (task, attempt, not_before) -- identical shape to the local
-        #: pool's pending deque, so the backoff semantics transfer
-        self.pending = deque((t, 1, 0.0) for t in tasks)
-        self.done: Dict[str, TaskResult] = {}
-        self.total = len(tasks)
-        self.alive = n_workers
+    def __init__(self, name: str):
+        self.name = name
+        #: the live session; reopen() and close() drop it
+        self._conn: Optional[socket.socket] = None
+        #: a task is out on it, unanswered
+        self._busy = False
 
-    def finished(self) -> bool:
-        return len(self.done) >= self.total
+    def _lost_text(self) -> str:
+        """Why the session ended mid-task."""
+        return f"{self.name} lost mid-task"
+
+    def _check_hello(self) -> None:
+        """The worker speaks first; refuse one we must not lease to."""
+        hello = recv_frame(self._conn)
+        if hello is None or hello.get("type") != "hello":
+            raise FrameError(f"{self.name} sent no hello")
+        if hello.get("wire") != WIRE_FORMAT:
+            raise FrameError(f"{self.name} speaks wire format "
+                             f"{hello.get('wire')}, coordinator "
+                             f"{WIRE_FORMAT}")
+        if hello.get("version") != _code_version():
+            # results are content-addressed by code version; a
+            # mismatched worker would silently compute under
+            # different sources
+            raise FrameError(f"{self.name} runs repro "
+                             f"{hello.get('version')}, coordinator "
+                             f"{_code_version()}")
+
+    def lease(self, task: Task, attempt: int,
+              timeout_s: Optional[float]) -> Dict[str, Any]:
+        conn = self._conn
+        self._busy = True
+        try:
+            send_frame(conn, task_frame(task, attempt))
+        except OSError as exc:
+            raise Lost(f"{self.name} refused the task: {exc}",
+                       consumed=False) from exc
+        conn.settimeout(timeout_s)
+        try:
+            reply = recv_frame(conn)
+        except socket.timeout:
+            # the worker may still be computing the stale attempt;
+            # reopen() abandons the whole session
+            raise Lost(f"timed out after {timeout_s}s on {self.name}")
+        except (OSError, FrameError):
+            reply = None
+        if reply is None:
+            raise Lost(self._lost_text())
+        conn.settimeout(None)
+        self._busy = False
+        return reply
+
+    def _drop(self) -> None:
+        conn, self._conn, self._busy = self._conn, None, False
+        _close_quietly(conn)
+
+    def reopen(self) -> None:
+        """Abandon the session; the next lease starts a new one."""
+        self._drop()
+
+    def close(self) -> None:
+        if self._conn is not None:
+            try:
+                send_frame(self._conn, {"type": "shutdown"})
+                # close() alone would not wake a thread blocked in recv
+                self._conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._drop()
 
 
-class FabricPool:
-    """Lease tasks across remote fabric workers (drop-in pool).
+class _TcpSlot(_FrameSlot):
+    """A remote worker, dialled when first leased to."""
+
+    def __init__(self, addr: Tuple[str, int],
+                 tls: Optional[ssl.SSLContext]):
+        super().__init__(f"worker {format_addr(addr)}")
+        self._addr = addr
+        self._tls = tls
+
+    def lease(self, task: Task, attempt: int,
+              timeout_s: Optional[float]) -> Dict[str, Any]:
+        if self._conn is None:
+            try:
+                # 5 s caps the dial, the TLS handshake and the hello
+                self._conn = socket.create_connection(self._addr,
+                                                      timeout=5.0)
+                if self._tls is not None:
+                    self._conn = self._tls.wrap_socket(self._conn)
+                self._check_hello()
+                self._conn.settimeout(None)
+            except (OSError, FrameError) as exc:   # ssl.SSLError too
+                raise Lost(f"{self.name} unreachable: {exc}",
+                           consumed=False) from exc
+        return super().lease(task, attempt, timeout_s)
+
+
+class LocalSlot(_FrameSlot):
+    """A forked child serving the other end of a ``socketpair``."""
+
+    def __init__(self):
+        super().__init__("local worker")
+        self._fork()
+
+    def _fork(self) -> None:
+        self._conn, theirs = socket.socketpair()
+        self._proc = mp.get_context("fork").Process(
+            target=_local_worker, args=(theirs, self._conn), daemon=True)
+        self._proc.start()
+        theirs.close()
+        self._check_hello()
+
+    def _reap(self, wait_s: float) -> None:
+        self._drop()
+        self._proc.join(timeout=wait_s)
+        if self._proc.is_alive():
+            self._proc.kill()
+            self._proc.join()
+
+    def _lost_text(self) -> str:
+        self._proc.join(timeout=5.0)
+        return f"worker died with exit code {self._proc.exitcode}"
+
+    def reopen(self) -> None:
+        """Replace the worker: whatever the old child is still doing
+        (a hung task, say) dies with it."""
+        self._reap(0.0)
+        self._fork()
+
+    def close(self) -> None:
+        # mid-task the child cannot read the shutdown frame: kill it
+        wait_s = 0.0 if self._busy else _EXIT_WAIT_S
+        super().close()
+        self._reap(wait_s)
+
+
+class FabricPool(LeasePool):
+    """The scheduler over remote fabric workers.
 
     ``addrs`` is ``"host:port,..."`` or a list of ``(host, port)``
     tuples.  ``lease_timeout_s`` bounds one attempt on one worker
     (``None`` = unbounded: worker *death* is still detected promptly
     via connection loss, only a live-but-hung worker can then stall
-    the campaign, mirroring the local pool without ``timeout_s``).
-    ``retries``/``retry_backoff_s``/``retry_jitter`` follow
-    :class:`~repro.orchestrator.pool.WorkerPool` exactly.
+    the campaign).  An address that refuses ``connect_attempts`` dials
+    or deliveries in a row, ``connect_backoff_s`` longer apart each
+    time, is given up on.
 
     ``tls_ca`` (a PEM bundle path) turns every dial into a TLS
     handshake verified against exactly that bundle (CA pinning --
-    hostname checks are off because workers are addressed by IP; the
-    pinned CA is the identity).  A worker presenting a certificate the
-    bundle does not vouch for fails the handshake, which counts as a
-    dial failure like any refused connection.
+    hostname checks are off because workers are addressed by IP).  A
+    worker whose certificate the bundle does not vouch for fails the
+    handshake, which counts as a dial failure like a refused connection.
     """
 
     def __init__(self, addrs, lease_timeout_s: Optional[float] = None,
@@ -282,14 +383,8 @@ class FabricPool:
         self.addrs: List[Tuple[str, int]] = list(addrs)
         if not self.addrs:
             raise ValueError("fabric needs at least one worker address")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if lease_timeout_s is not None and lease_timeout_s <= 0:
-            raise ValueError("lease_timeout_s must be positive")
-        self.lease_timeout_s = lease_timeout_s
-        self.retries = retries
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_jitter = retry_jitter
+        super().__init__(lease_timeout_s, retries, retry_backoff_s,
+                         retry_jitter)
         self.connect_attempts = max(1, connect_attempts)
         self.connect_backoff_s = connect_backoff_s
         self._tls: Optional[ssl.SSLContext] = None
@@ -298,272 +393,15 @@ class FabricPool:
             self._tls.check_hostname = False   # workers addressed by IP
             self._tls.verify_mode = ssl.CERT_REQUIRED
             self._tls.load_verify_locations(cafile=tls_ca)
-        self._rng = random.Random()
 
     @property
     def workers(self) -> int:
         """Fleet size (drives the Executor's wave dispatch width)."""
         return len(self.addrs)
 
-    # -- public API -----------------------------------------------------
-
-    def run(self, tasks: Sequence[Task],
-            on_result: Optional[Callable[[TaskResult], None]] = None
-            ) -> List[TaskResult]:
-        """Execute every task on the fleet; results in input order."""
-        ids = [t.task_id for t in tasks]
-        if len(set(ids)) != len(ids):
-            raise ValueError("task ids must be unique within one run() call")
-        if not tasks:
-            return []
-        state = _FabricState(tasks, len(self.addrs))
-        threads = [
-            threading.Thread(target=self._worker_loop,
-                             args=(addr, state, on_result),
-                             name=f"fabric-{format_addr(addr)}",
-                             daemon=True)
-            for addr in self.addrs
-        ]
-        for t in threads:
-            t.start()
-        with state.cond:
-            while not state.finished() and state.alive > 0:
-                state.cond.wait(timeout=0.2)
-            if not state.finished():
-                # every worker is gone; whatever is still pending can
-                # never run -- fail loudly instead of hanging
-                while state.pending:
-                    task, attempt, _nb = state.pending.popleft()
-                    self._finish_locked(
-                        state, on_result,
-                        TaskResult(task.task_id, None,
-                                   "no reachable fabric workers "
-                                   f"(fleet: {self.describe_fleet()})",
-                                   attempt, 0.0))
-            state.cond.notify_all()
-        for t in threads:
-            t.join(timeout=10.0)
-        return [state.done[t.task_id] for t in tasks]
-
     def describe_fleet(self) -> str:
         return ",".join(format_addr(a) for a in self.addrs)
 
-    # -- completion / re-lease bookkeeping (under state.cond) -----------
-
-    def _finish_locked(self, state: _FabricState, on_result,
-                       res: TaskResult) -> None:
-        if res.task_id in state.done:
-            return                     # a duplicate outcome; first wins
-        state.done[res.task_id] = res
-        if on_result:
-            # called under the lock: completion handling (store writes,
-            # progress lines, executor stats) is serialised exactly as
-            # on the single-threaded local-pool path
-            on_result(res)
-        state.cond.notify_all()
-
-    def _release_locked(self, state: _FabricState, on_result, task: Task,
-                       attempt: int, started: float, reason: str,
-                       consume_attempt: bool = True) -> None:
-        """Return a leased task to the queue, or fail it out."""
-        if not consume_attempt:
-            state.pending.append((task, attempt, 0.0))
-        elif attempt <= self.retries:
-            not_before = time.monotonic() + retry_delay_s(
-                self.retry_backoff_s, self.retry_jitter, attempt, self._rng)
-            state.pending.append((task, attempt + 1, not_before))
-        else:
-            self._finish_locked(
-                state, on_result,
-                TaskResult(task.task_id, None,
-                           f"{reason} (after {attempt} attempts)",
-                           attempt, time.monotonic() - started))
-        state.cond.notify_all()
-
-    @staticmethod
-    def _next_ready_locked(state: _FabricState) -> Optional[tuple]:
-        now = time.monotonic()
-        for i, entry in enumerate(state.pending):
-            if entry[2] <= now:
-                del state.pending[i]
-                return entry
-        return None
-
-    # -- per-worker lease thread ----------------------------------------
-
-    def _connect(self, addr: Tuple[str, int]) -> socket.socket:
-        """Dial a worker and validate its hello (5 s handshake cap)."""
-        sock = socket.create_connection(addr, timeout=5.0)
-        if self._tls is not None:
-            try:
-                sock = self._tls.wrap_socket(sock)
-            except (OSError, ssl.SSLError):
-                sock.close()
-                raise
-        try:
-            hello = recv_frame(sock)
-            if hello is None or hello.get("type") != "hello":
-                raise FrameError(f"worker {format_addr(addr)} sent no hello")
-            if hello.get("wire") != WIRE_FORMAT:
-                raise FrameError(
-                    f"worker {format_addr(addr)} speaks wire format "
-                    f"{hello.get('wire')}, coordinator {WIRE_FORMAT}")
-            if hello.get("version") != _code_version():
-                # results are content-addressed by code version; a
-                # mismatched worker would silently compute under
-                # different sources
-                raise FrameError(
-                    f"worker {format_addr(addr)} runs repro "
-                    f"{hello.get('version')}, coordinator "
-                    f"{_code_version()}")
-            sock.settimeout(None)
-            return sock
-        except BaseException:
-            sock.close()
-            raise
-
-    def _worker_loop(self, addr: Tuple[str, int], state: _FabricState,
-                     on_result) -> None:
-        conn: Optional[socket.socket] = None
-        dial_failures = 0
-        try:
-            while True:
-                # -- claim the next ready attempt ----------------------
-                with state.cond:
-                    entry = self._next_ready_locked(state)
-                    while entry is None:
-                        if state.finished():
-                            return
-                        # leased-elsewhere or backing off: wake when
-                        # notified, or poll for backoff expiry
-                        state.cond.wait(timeout=0.1)
-                        entry = self._next_ready_locked(state)
-                task, attempt, _nb = entry
-                started = time.monotonic()
-
-                # -- ensure a live session -----------------------------
-                if conn is None:
-                    try:
-                        conn = self._connect(addr)
-                        dial_failures = 0
-                    except (OSError, FrameError):
-                        dial_failures += 1
-                        with state.cond:
-                            # never started: no attempt consumed
-                            self._release_locked(state, on_result, task,
-                                                 attempt, started, "",
-                                                 consume_attempt=False)
-                            if dial_failures >= self.connect_attempts:
-                                state.alive -= 1
-                                state.cond.notify_all()
-                                return
-                        time.sleep(self.connect_backoff_s * dial_failures)
-                        continue
-
-                # -- hand out the lease --------------------------------
-                try:
-                    send_frame(conn, {"type": "task",
-                                      "task_id": task.task_id,
-                                      "attempt": attempt,
-                                      "fn": task.fn,
-                                      "payload": dict(task.payload)})
-                except OSError:
-                    self._drop_conn(conn)
-                    conn = None
-                    # an accept-then-die worker must not spin forever:
-                    # failed delivery counts against the dial budget too
-                    dial_failures += 1
-                    with state.cond:
-                        # undeliverable: the task never reached the
-                        # worker, so the attempt is not consumed
-                        self._release_locked(state, on_result, task,
-                                             attempt, started, "",
-                                             consume_attempt=False)
-                        if dial_failures >= self.connect_attempts:
-                            state.alive -= 1
-                            state.cond.notify_all()
-                            return
-                    time.sleep(self.connect_backoff_s * dial_failures)
-                    continue
-
-                # -- await the outcome ---------------------------------
-                conn.settimeout(self.lease_timeout_s)
-                try:
-                    msg = recv_frame(conn)
-                except socket.timeout:
-                    # lease expired: abandon the whole session -- the
-                    # worker may still be computing the stale attempt,
-                    # and a fresh dial will queue behind it
-                    self._drop_conn(conn)
-                    conn = None
-                    with state.cond:
-                        self._release_locked(
-                            state, on_result, task, attempt, started,
-                            f"lease expired after {self.lease_timeout_s}s "
-                            f"on {format_addr(addr)}")
-                    continue
-                except (OSError, FrameError):
-                    msg = None         # connection died mid-task
-                finally:
-                    if conn is not None:
-                        try:
-                            conn.settimeout(None)
-                        except OSError:
-                            pass
-
-                if msg is None:
-                    self._drop_conn(conn)
-                    conn = None
-                    with state.cond:
-                        self._release_locked(
-                            state, on_result, task, attempt, started,
-                            f"worker {format_addr(addr)} lost mid-task")
-                    continue
-
-                # -- validate + record the result ----------------------
-                if (msg.get("type") != "result"
-                        or msg.get("task_id") != task.task_id
-                        or msg.get("attempt") != attempt):
-                    # protocol desync (e.g. a stale result from a lease
-                    # this coordinator never made): drop the session and
-                    # re-lease; the attempt tag makes this safe
-                    self._drop_conn(conn)
-                    conn = None
-                    with state.cond:
-                        self._release_locked(
-                            state, on_result, task, attempt, started,
-                            f"worker {format_addr(addr)} answered out of "
-                            "protocol")
-                    continue
-
-                dial_failures = 0      # the worker is demonstrably live
-                elapsed = msg.get("elapsed_s")
-                if not isinstance(elapsed, (int, float)):
-                    elapsed = time.monotonic() - started
-                if msg.get("status") == "ok":
-                    res = TaskResult(task.task_id, msg.get("value"), None,
-                                     attempt, float(elapsed))
-                else:
-                    # a clean Python exception on the worker is
-                    # deterministic: report, never retry (pool contract)
-                    res = TaskResult(task.task_id, None,
-                                     str(msg.get("value")), attempt,
-                                     float(elapsed))
-                with state.cond:
-                    self._finish_locked(state, on_result, res)
-        finally:
-            if conn is not None:
-                try:
-                    send_frame(conn, {"type": "shutdown"})
-                except OSError:
-                    pass
-                self._drop_conn(conn)
-
-    @staticmethod
-    def _drop_conn(conn: Optional[socket.socket]) -> None:
-        if conn is None:
-            return
-        try:
-            conn.close()
-        except OSError:
-            pass
+    def _open_slots(self, n_tasks: int) -> List[_TcpSlot]:
+        # every address, however few the tasks: any of them may be down
+        return [_TcpSlot(addr, self._tls) for addr in self.addrs]

@@ -23,11 +23,11 @@ c -> w     ``shutdown``  ``stop_server`` (bool): end the session; when
                          set, stop accepting new sessions too
 ========== ============= =============================================
 
-Every result frame echoes the lease's ``attempt`` tag; the coordinator
-drops mismatches, so a stale flush from an abandoned lease can never
-be attributed to a newer attempt of the same task (the same discipline
-the local :class:`~repro.orchestrator.pool.WorkerPool` applies to its
-result queue).
+Every result frame echoes the lease's ``attempt`` tag; the scheduler
+(:mod:`~repro.orchestrator.lease`) drops mismatches, so a stale flush
+from an abandoned lease can never be attributed to a newer attempt of
+the same task.  Local workers speak these frames too, over a
+``socketpair``.
 """
 
 from __future__ import annotations

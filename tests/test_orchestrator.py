@@ -4,19 +4,29 @@ campaign resume and parallel-vs-sequential determinism.
 The crash/timeout task functions live at module level so worker
 processes (forked children) can resolve them by ``module:callable``
 path exactly like the real simulation tasks.
+
+Fault tests that must hold for every process-backed slot kind are
+written once, in mixin classes, and run against two forked local
+workers and against two forked ``FabricWorker`` processes over TCP.
 """
 
+import multiprocessing as mp
 import os
+import random
+import signal
 import time
 from collections import deque
 
 import pytest
 
+import repro.orchestrator.lease as lease_mod
 import repro.orchestrator.pool as pool_mod
 from repro.experiments.sweep import sweep_rates
-from repro.orchestrator import (Campaign, CampaignError, Executor, Point,
+from repro.orchestrator import (Campaign, CampaignError, Executor,
+                                FabricPool, FabricWorker, Point,
                                 ProgressReporter, ResultStore, Task,
                                 WorkerPool)
+from repro.orchestrator.lease import LeasePool, retry_delay_s
 from repro.units import ns
 from tests.conftest import small_config
 
@@ -46,9 +56,19 @@ def crash_once_task(payload):
     return {"recovered": True}
 
 
+def interrupt_once_task(payload):
+    # a ^C landing inside the first attempt; the retry runs clean
+    flag = payload["flag"]
+    if not os.path.exists(flag):
+        with open(flag, "w") as fh:
+            fh.write("attempt 1\n")
+        raise KeyboardInterrupt
+    return {"recovered": True}
+
+
 def sleep_task(payload):
     time.sleep(payload["seconds"])
-    return {"slept": True}
+    return {"slept": True, "pid": os.getpid()}
 
 
 def hang_once_task(payload):
@@ -87,6 +107,12 @@ class TestWorkerPoolInline:
                  on_result=lambda r: seen.append(r.task_id))
         assert seen == ["0", "1", "2"]
 
+    def test_keyboard_interrupt_reaches_the_caller(self, tmp_path):
+        pool = WorkerPool(workers=1)
+        with pytest.raises(KeyboardInterrupt):
+            pool.run([Task("t", f"{_HERE}:interrupt_once_task",
+                           {"flag": str(tmp_path / "flag")})])
+
     def test_duplicate_ids_rejected(self):
         pool = WorkerPool(workers=1)
         with pytest.raises(ValueError, match="unique"):
@@ -94,7 +120,118 @@ class TestWorkerPoolInline:
                       Task("a", f"{_HERE}:double_task", {"x": 2})])
 
 
-class TestWorkerPoolParallel:
+class _LocalSlots:
+    """Pools of two forked local workers."""
+
+    @pytest.fixture
+    def make_pool(self):
+        return lambda **kwargs: WorkerPool(workers=2, **kwargs)
+
+
+class _TcpSlots:
+    """Pools dialling two forked ``FabricWorker`` processes."""
+
+    @pytest.fixture
+    def make_pool(self):
+        ctx = mp.get_context("fork")
+        procs = []
+
+        def make(timeout_s=None, **kwargs):
+            addrs = []
+            for _ in range(2):
+                worker = FabricWorker()
+                addrs.append(worker.listen())
+                proc = ctx.Process(target=worker.serve_forever, daemon=True)
+                proc.start()
+                worker._sock.close()   # parent's copy; the child serves
+                procs.append(proc)
+            return FabricPool(",".join(addrs), lease_timeout_s=timeout_s,
+                              **kwargs)
+
+        yield make
+        for proc in procs:
+            if proc.is_alive():
+                os.kill(proc.pid, signal.SIGKILL)
+            proc.join(timeout=5.0)
+
+
+class _SlotFaults:
+    """What every process-backed slot kind must survive."""
+
+    def test_clean_exception_not_retried(self, make_pool):
+        pool = make_pool(retries=3)
+        results = pool.run([Task("t", f"{_HERE}:boom_task", {})])
+        assert not results[0].ok
+        assert results[0].attempts == 1
+        assert "ValueError: boom" in results[0].error
+
+    def test_crashed_worker_recovers_on_retry(self, make_pool, tmp_path):
+        pool = make_pool(retries=1)
+        flag = str(tmp_path / "flag")
+        results = pool.run([Task("t", f"{_HERE}:crash_once_task",
+                                 {"flag": flag})])
+        assert results[0].ok
+        assert results[0].value == {"recovered": True}
+        assert results[0].attempts == 2
+
+    def test_interrupted_worker_task_is_leased_again(self, make_pool,
+                                                     tmp_path):
+        """KeyboardInterrupt inside a task takes the worker down like
+        any crash; it is not framed back as the point's own failure."""
+        pool = make_pool(retries=1)
+        flag = str(tmp_path / "flag")
+        results = pool.run([Task("t", f"{_HERE}:interrupt_once_task",
+                                 {"flag": flag})])
+        assert results[0].ok and results[0].attempts == 2
+
+    def test_sigkilled_worker_loses_no_points(self, make_pool):
+        """A worker SIGKILLed mid-task loses nothing: its lease dies
+        with its socket and exactly that task runs again."""
+        pool = make_pool(retries=1)
+        # the first result comes from the quick task, while the other
+        # worker is still inside the long one
+        seconds = [0.05, 1.0, 0.05, 0.05, 0.05, 0.05]
+        tasks = [Task(str(i), f"{_HERE}:sleep_task", {"seconds": sec})
+                 for i, sec in enumerate(seconds)]
+        killed = []
+
+        def kill_the_other(res):
+            if not killed:
+                killed.extend(p.pid for p in mp.active_children()
+                              if p.pid != res.value["pid"])
+                os.kill(killed[0], signal.SIGKILL)
+
+        results = pool.run(tasks, on_result=kill_the_other)
+        assert killed
+        assert all(r.ok and r.value["slept"] for r in results)
+        assert [r.attempts for r in results] == [1, 2, 1, 1, 1, 1]
+
+    def test_duplicate_ids_rejected(self, make_pool):
+        with pytest.raises(ValueError, match="unique"):
+            make_pool().run([Task("a", f"{_HERE}:double_task", {"x": 1}),
+                             Task("a", f"{_HERE}:double_task", {"x": 2})])
+
+    def test_empty_run(self, make_pool):
+        assert make_pool().run([]) == []
+
+
+class _LeaseTimeout:
+    def test_timed_out_task_result_comes_from_the_retry(self, make_pool,
+                                                        tmp_path):
+        """End to end: attempt 1 hangs past the timeout and its worker
+        is abandoned; the reported value must be attempt 2's."""
+        pool = make_pool(timeout_s=0.5, retries=1)
+        flag = str(tmp_path / "flag")
+        t0 = time.monotonic()
+        results = pool.run([Task("t", f"{_HERE}:hang_once_task",
+                                 {"flag": flag})])
+        assert time.monotonic() - t0 < 30
+        assert results[0].ok
+        assert results[0].value == {"attempt": 2}
+        assert results[0].attempts == 2
+
+
+class TestWorkerPoolParallel(_LocalSlots, _SlotFaults):
     def test_results_in_input_order(self):
         pool = WorkerPool(workers=3)
         tasks = [Task(str(i), f"{_HERE}:double_task", {"x": i})
@@ -103,28 +240,12 @@ class TestWorkerPoolParallel:
         assert [r.value["value"] for r in results] == \
             [2 * i for i in range(7)]
 
-    def test_clean_exception_not_retried(self):
-        pool = WorkerPool(workers=2, retries=3)
-        results = pool.run([Task("t", f"{_HERE}:boom_task", {})])
-        assert not results[0].ok
-        assert results[0].attempts == 1
-        assert "ValueError: boom" in results[0].error
-
     def test_crashed_worker_retried_then_fails(self):
         pool = WorkerPool(workers=2, retries=1)
         results = pool.run([Task("t", f"{_HERE}:crash_task", {})])
         assert not results[0].ok
         assert results[0].attempts == 2
         assert "exit code 5" in results[0].error
-
-    def test_crashed_worker_recovers_on_retry(self, tmp_path):
-        pool = WorkerPool(workers=2, retries=1)
-        flag = str(tmp_path / "flag")
-        results = pool.run([Task("t", f"{_HERE}:crash_once_task",
-                                 {"flag": flag})])
-        assert results[0].ok
-        assert results[0].value == {"recovered": True}
-        assert results[0].attempts == 2
 
     def test_crash_does_not_poison_other_tasks(self, tmp_path):
         pool = WorkerPool(workers=2, retries=0)
@@ -144,98 +265,139 @@ class TestWorkerPoolParallel:
         assert not results[0].ok
         assert "timed out" in results[0].error
 
+    def test_run_leaves_no_child_behind(self):
+        """Returning or raising, run() reaps every worker it forked --
+        including one still busy when the run is abandoned."""
+        before = set(mp.active_children())
+        pool = WorkerPool(workers=2)
+        pool.run([Task(str(i), f"{_HERE}:double_task", {"x": i})
+                  for i in range(4)])
+        assert set(mp.active_children()) == before
 
-class TestStaleResultAttribution:
-    """Queue entries are attempt-tagged: a result flushed by a
-    terminated earlier attempt must never be credited to a live retry
-    of the same task (regression for the untagged-tuple race)."""
+        def interrupt(_res):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            pool.run([Task("quick", f"{_HERE}:double_task", {"x": 1}),
+                      Task("busy", f"{_HERE}:sleep_task", {"seconds": 60})],
+                     on_result=interrupt)
+        assert set(mp.active_children()) == before
+
+
+class TestTcpSlots(_TcpSlots, _SlotFaults, _LeaseTimeout):
+    pass
+
+
+class _ScriptedPool(LeasePool):
+    """The scheduler over one slot that answers from a script: each
+    entry maps the leased (task id, attempt) to the echoed pair."""
+
+    name = "scripted worker"
+
+    def __init__(self, script, **kwargs):
+        super().__init__(**kwargs)
+        self.script = list(script)
+        self.reopened = 0
+
+    def _open_slots(self, n_tasks):
+        return [self]
+
+    def lease(self, task, attempt, timeout_s):
+        task_id, attempt = self.script.pop(0)(task.task_id, attempt)
+        return {"type": "result", "task_id": task_id, "attempt": attempt,
+                "status": "ok", "value": {"leases_left": len(self.script)}}
+
+    def reopen(self):
+        self.reopened += 1
+
+    def close(self):
+        pass
+
+
+class TestStaleResultAttribution(_LocalSlots, _LeaseTimeout):
+    """Replies are attempt-tagged: a result belonging to an abandoned
+    earlier attempt, or to another task altogether, must never be
+    credited to the lease in flight (regression for the untagged-tuple
+    race)."""
 
     def test_claim_accepts_matching_attempt(self):
-        active = {"t": ("proc", "task", 2, 0.0)}
-        rec = WorkerPool._claim(active, "t", 2)
-        assert rec == ("proc", "task", 2, 0.0)
-        assert "t" not in active        # claimed records leave the map
+        pool = _ScriptedPool([lambda tid, att: (tid, att)])
+        (res,) = pool.run([Task("t", "unused:fn")])
+        assert res.ok and res.attempts == 1
+        assert pool.reopened == 0
 
     def test_claim_drops_stale_attempt(self):
-        # attempt 1 was timed out and terminated, but its result hit
-        # the queue first; attempt 2 is the live one
-        active = {"t": ("proc", "task", 2, 0.0)}
-        assert WorkerPool._claim(active, "t", 1) is None
-        assert "t" in active            # the live attempt stays in flight
+        # the first answer carries the tag of an attempt since
+        # abandoned: the session is dropped and the task leased again
+        pool = _ScriptedPool([lambda tid, att: (tid, att - 1),
+                              lambda tid, att: (tid, att)], retries=1)
+        (res,) = pool.run([Task("t", "unused:fn")])
+        assert res.ok and res.attempts == 2
+        assert res.value == {"leases_left": 0}   # the retry's own answer
+        assert pool.reopened == 1
 
     def test_claim_drops_unknown_task(self):
-        assert WorkerPool._claim({}, "ghost", 1) is None
-
-    def test_timed_out_task_result_comes_from_the_retry(self, tmp_path):
-        """End to end: attempt 1 hangs past the timeout and is killed;
-        the reported value must be attempt 2's."""
-        pool = WorkerPool(workers=2, timeout_s=0.5, retries=1)
-        flag = str(tmp_path / "flag")
-        results = pool.run([Task("t", f"{_HERE}:hang_once_task",
-                                 {"flag": flag})])
-        assert results[0].ok
-        assert results[0].value == {"attempt": 2}
-        assert results[0].attempts == 2
+        pool = _ScriptedPool([lambda tid, att: ("ghost", att)], retries=0)
+        (res,) = pool.run([Task("t", "unused:fn")])
+        assert not res.ok and res.value is None
+        assert "out of protocol" in res.error
 
 
 class TestBackoffIdleSleep:
-    """With every pending attempt backing off and nothing active, the
-    supervisor sleeps until the earliest not_before instead of
-    spinning on the result queue at 20 Hz."""
+    """A slot with nothing ready to lease waits until notified or until
+    the earliest not_before -- it never polls at a fixed rate."""
 
     def test_backoff_wait_helper(self):
         now = 100.0
         pending = deque([("t1", 2, 103.5), ("t2", 2, 101.25)])
-        assert WorkerPool._backoff_wait_s(pending, now) == \
-            pytest.approx(1.25)
-        assert WorkerPool._backoff_wait_s(deque(), now) == 0.0
-        # an already-expired backoff never produces a negative sleep
-        assert WorkerPool._backoff_wait_s(
-            deque([("t", 2, 99.0)]), now) == 0.0
+        assert lease_mod.idle_wait_s(pending, now) == pytest.approx(1.25)
+        # nothing backing off: wait for a notification, however long
+        assert lease_mod.idle_wait_s(deque(), now) is None
+        # an already-expired backoff never produces a negative wait
+        assert lease_mod.idle_wait_s(deque([("t", 2, 99.0)]), now) == 0.0
 
     def test_idle_backoff_sleeps_instead_of_polling(self, tmp_path,
                                                     monkeypatch):
-        """The sole pending task is backing off and nothing is active:
-        the supervisor must cover the window with sleep, not with
-        dozens of 50 ms queue polls."""
-        sleeps = []
-        real_sleep = time.sleep
+        """The sole pending task is backing off: the scheduler must
+        cover the window with one wait, not with dozens of 50 ms
+        polls."""
+        waits = []
+        real = lease_mod.idle_wait_s
 
-        def recording_sleep(seconds):
-            sleeps.append(seconds)
-            real_sleep(seconds)
+        def recording(pending, now):
+            waits.append(real(pending, now))
+            return waits[-1]
 
-        monkeypatch.setattr(pool_mod.time, "sleep", recording_sleep)
+        monkeypatch.setattr(lease_mod, "idle_wait_s", recording)
         pool = WorkerPool(workers=2, retries=1, retry_backoff_s=0.6,
                           retry_jitter=0.0)
         flag = str(tmp_path / "flag")
         results = pool.run([Task("t", f"{_HERE}:crash_once_task",
                                  {"flag": flag})])
         assert results[0].ok and results[0].attempts == 2
-        # one sleep spanning (most of) the 0.6 s backoff window
-        assert any(s > 0.4 for s in sleeps)
+        # one wait spanning (most of) the 0.6 s backoff window
+        assert any(w > 0.4 for w in waits)
+        assert len(waits) < 5
 
 
 class TestRetryBackoff:
     def test_zero_backoff_means_no_delay(self):
-        pool = WorkerPool(workers=2)
-        assert pool._retry_delay_s(1) == 0.0
-        assert pool._retry_delay_s(5) == 0.0
+        rng = random.Random(1)
+        assert retry_delay_s(0.0, 0.5, 1, rng) == 0.0
+        assert retry_delay_s(0.0, 0.5, 5, rng) == 0.0
 
     def test_delay_doubles_and_jitter_is_bounded(self):
-        pool = WorkerPool(workers=2, retry_backoff_s=0.5,
-                          retry_jitter=0.5)
+        rng = random.Random(1)
         for attempt in (1, 2, 3):
             base = 0.5 * 2 ** (attempt - 1)
             for _ in range(20):
-                d = pool._retry_delay_s(attempt)
+                d = retry_delay_s(0.5, 0.5, attempt, rng)
                 assert base <= d <= base * 1.5
 
     def test_no_jitter_is_deterministic(self):
-        pool = WorkerPool(workers=2, retry_backoff_s=1.0,
-                          retry_jitter=0.0)
-        assert pool._retry_delay_s(1) == 1.0
-        assert pool._retry_delay_s(3) == 4.0
+        rng = random.Random(1)
+        assert retry_delay_s(1.0, 0.0, 1, rng) == 1.0
+        assert retry_delay_s(1.0, 0.0, 3, rng) == 4.0
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError, match="retry_backoff_s"):

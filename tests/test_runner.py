@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import SimConfig
+from repro.experiments import runner
 from repro.experiments.runner import (_freeze_kwargs, _GRAPH_CACHE,
                                       _TABLE_CACHE, clear_caches,
                                       get_graph, get_tables,
@@ -123,6 +124,29 @@ class TestCaches:
         assert _GRAPH_CACHE and _TABLE_CACHE
         clear_caches()
         assert not _GRAPH_CACHE and not _TABLE_CACHE
+
+    def test_caches_are_capped_and_evicted_entries_rebuild_identically(
+            self):
+        clear_caches()
+        kwargs = [{"rows": n, "cols": 2, "hosts_per_switch": 1}
+                  for n in range(2, runner._GRAPH_CACHE_MAX + 3)]
+        graphs = [get_graph("torus", kw) for kw in kwargs]
+        assert len(_GRAPH_CACHE) == runner._GRAPH_CACHE_MAX
+        again = get_graph("torus", kwargs[0])   # the oldest was evicted
+        assert again is not graphs[0]
+        assert again.links == graphs[0].links
+        assert get_graph("torus", kwargs[-1]) is graphs[-1]
+
+        g = get_graph("torus", {"rows": 3, "cols": 3,
+                                "hosts_per_switch": 1})
+        key = ("torus", (("cols", 3), ("hosts_per_switch", 1), ("rows", 3)))
+        caps = range(1, runner._TABLE_CACHE_MAX + 2)
+        tables = [get_tables(g, key, "itb", max_routes_per_pair=cap)
+                  for cap in caps]
+        assert len(_TABLE_CACHE) == runner._TABLE_CACHE_MAX
+        again = get_tables(g, key, "itb", max_routes_per_pair=caps[0])
+        assert again is not tables[0]
+        assert again.routes == tables[0].routes
 
     def test_freeze_kwargs_nested_values_hashable(self):
         # nested dict/list topology kwargs used to raise
