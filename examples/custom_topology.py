@@ -5,7 +5,9 @@ Demonstrates the full public API on a network that is *not* one of the
 paper's: a 3x3 mesh-with-wraparound-row ("partial torus") of 4-port
 workgroup switches, 2 hosts each.  The walk-through:
 
-1. build and validate the custom :class:`NetworkGraph`;
+1. build and validate the custom :class:`NetworkGraph`, and register
+   its builder so ``SimConfig(topology="partial-torus")`` (and, in this
+   process, ``repro run --topology partial-torus``) can name it;
 2. compute up*/down* and ITB routing tables and compare their quality;
 3. show that naive minimal source routing (no ITBs) deadlocks on this
    cyclic topology -- and that the watchdog catches it;
@@ -18,7 +20,8 @@ from repro import (DeadlockError, NetworkGraph, SimConfig, check_topology,
                    compute_tables, route_statistics, run_simulation)
 from repro.routing.routes import SourceRoute
 from repro.routing.table import RoutingTables
-from repro.topology import BUILDERS
+from repro.registry import Kwarg
+from repro.topology import TOPOLOGIES, Topology
 from repro.units import ns
 
 
@@ -62,8 +65,12 @@ def main() -> None:
           f"{sorted(set(g.degree(s) for s in g.switches()))}, "
           f"{g.num_hosts} hosts\n")
 
-    # registering makes the topology usable from SimConfig by name
-    BUILDERS["partial-torus"] = build_partial_torus
+    # registering makes the topology usable from SimConfig by name;
+    # declaring the kwarg lets --hosts-per-switch reach the builder
+    TOPOLOGIES.register(Topology(
+        "partial-torus", "3x3 grid whose rows wrap and columns do not",
+        build_partial_torus,
+        (Kwarg("hosts_per_switch", int, 2, "hosts per switch"),)))
 
     print("=== route quality ===")
     for scheme in ("updown", "itb"):

@@ -93,9 +93,8 @@ from typing import List, Optional
 
 from .config import SimConfig
 from .experiments.profiles import BENCH, PAPER, TEST, Profile
-from .experiments.registry import EXPERIMENTS, run_experiment
-from .experiments.report import (render_figure, render_hotspot_table,
-                                 render_link_map)
+from .experiments.registry import EXPERIMENTS
+from .experiments.report import grid_shape, render_link_map
 from .experiments.runner import get_graph, get_tables, run_simulation
 from .experiments.sweep import sweep_rates
 from .orchestrator import (DEFAULT_CACHE_DIR, Executor, ProgressReporter,
@@ -103,38 +102,63 @@ from .orchestrator import (DEFAULT_CACHE_DIR, Executor, ProgressReporter,
 from .resilience import (render_recovery_table, render_resilience_table,
                          run_recovery, run_resilience)
 from .routing.analysis import route_statistics
-from .routing.schemes import (available_schemes, describe_schemes,
-                              supported_schemes)
-from .sim.engines import available_engines
+from .routing.policies import POLICIES
+from .routing.schemes import SCHEMES
+from .sim.engines import ENGINES
+from .topology import TOPOLOGIES
 from .traffic.defaults import DEFAULT_ARRIVAL, DEFAULT_PATTERN
-from .traffic.registry import (arrival_cli_kwargs, available_arrivals,
-                               available_patterns, describe_arrivals,
-                               describe_patterns, get_pattern_spec,
-                               pattern_cli_kwargs, supported_patterns)
+from .traffic.registry import ARRIVALS, PATTERNS
 from .units import ns
 
 PROFILES = {"bench": BENCH, "paper": PAPER, "test": TEST}
 
-#: grid shapes for per-switch heat maps of known topologies
-GRIDS = {"torus": (8, 8), "torus-express": (8, 8)}
+#: flags that size a topology; each reaches the builder of whichever
+#: topology declares a kwarg of that name
+TOPOLOGY_FLAGS = ("rows", "cols", "hosts_per_switch")
+
+
+def _cli_topologies() -> List[str]:
+    """Topologies buildable from flags alone: those with no required
+    kwarg (``mutated`` needs a base and is reached through
+    ``SimConfig``, not the command line)."""
+    return [name for name, spec in TOPOLOGIES.items()
+            if not any(k.required for k in spec.kwargs)]
+
+
+def _topology_kwargs(name: str, args: argparse.Namespace) -> dict:
+    """The given ``TOPOLOGY_FLAGS`` that topology ``name`` declares."""
+    declared = {k.name for k in TOPOLOGIES.get(name).kwargs}
+    return {flag: getattr(args, flag) for flag in TOPOLOGY_FLAGS
+            if flag in declared and getattr(args, flag) is not None}
+
+
+def _add_topology_flags(p: argparse.ArgumentParser, rows: Optional[int],
+                        cols: Optional[int],
+                        hosts_per_switch: Optional[int], why: str) -> None:
+    """The ``TOPOLOGY_FLAGS`` with a command's defaults."""
+    p.add_argument("--rows", type=int, default=rows,
+                   help="grid rows, for the topologies declaring them "
+                        f"(see 'repro info'; {why})")
+    p.add_argument("--cols", type=int, default=cols,
+                   help="grid columns, likewise")
+    p.add_argument("--hosts-per-switch", type=int, default=hosts_per_switch,
+                   help="hosts per switch, likewise")
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", default="torus",
-                   choices=["torus", "torus-express", "cplant", "irregular", "mesh"])
-    p.add_argument("--routing", default="itb",
-                   choices=list(available_schemes()))
-    p.add_argument("--policy", default="rr",
-                   choices=["sp", "rr", "random", "adaptive"])
+                   choices=_cli_topologies())
+    p.add_argument("--routing", default="itb", choices=SCHEMES.names())
+    p.add_argument("--policy", default="rr", choices=POLICIES.names())
     p.add_argument("--traffic", default=DEFAULT_PATTERN,
-                   choices=list(available_patterns()),
+                   choices=PATTERNS.names(),
                    help="destination pattern; see 'repro traffic'")
     p.add_argument("--traffic-arg", action="append", default=[],
                    metavar="KEY=VALUE",
                    help="pattern keyword argument (repeatable); declared "
                         "kwargs are listed by 'repro traffic'")
     p.add_argument("--arrival", default=DEFAULT_ARRIVAL,
-                   choices=list(available_arrivals()),
+                   choices=ARRIVALS.names(),
                    help="arrival process; see 'repro traffic'")
     p.add_argument("--arrival-arg", action="append", default=[],
                    metavar="KEY=VALUE",
@@ -151,15 +175,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--warmup-ns", type=float, default=100_000)
     p.add_argument("--measure-ns", type=float, default=400_000)
-    p.add_argument("--engine", default="packet",
-                   choices=list(available_engines()))
-    p.add_argument("--rows", type=int, default=None,
-                   help="grid rows (torus/torus-express/mesh; "
-                        "default: the paper's size)")
-    p.add_argument("--cols", type=int, default=None,
-                   help="grid columns (torus/torus-express/mesh)")
-    p.add_argument("--hosts-per-switch", type=int, default=None,
-                   help="hosts per switch (torus/torus-express/mesh)")
+    p.add_argument("--engine", default="packet", choices=ENGINES.names())
+    _add_topology_flags(p, None, None, None, "default: the paper's size")
 
 
 def _add_exec_options(p: argparse.ArgumentParser) -> None:
@@ -207,24 +224,17 @@ def _make_executor(args: argparse.Namespace,
 
 
 def _config_from(args: argparse.Namespace, rate: float) -> SimConfig:
-    traffic_kwargs = pattern_cli_kwargs(args.traffic, args.traffic_arg)
-    arrival_kwargs = arrival_cli_kwargs(args.arrival, args.arrival_arg)
-    declared = {k.name for k in get_pattern_spec(args.traffic).kwargs}
+    traffic_kwargs = PATTERNS.parse_kwargs(args.traffic, args.traffic_arg)
+    arrival_kwargs = ARRIVALS.parse_kwargs(args.arrival, args.arrival_arg)
+    declared = {k.name for k in PATTERNS.get(args.traffic).kwargs}
     for key, value in (("hotspot", args.hotspot),
                        ("fraction", args.hotspot_fraction),
                        ("radius", args.radius)):
         if value is not None and key in declared:
             traffic_kwargs.setdefault(key, value)
-    topology_kwargs = {}
-    if args.topology in ("torus", "torus-express", "mesh"):
-        if args.rows is not None:
-            topology_kwargs["rows"] = args.rows
-        if args.cols is not None:
-            topology_kwargs["cols"] = args.cols
-        if args.hosts_per_switch is not None:
-            topology_kwargs["hosts_per_switch"] = args.hosts_per_switch
     return SimConfig(
-        topology=args.topology, topology_kwargs=topology_kwargs,
+        topology=args.topology,
+        topology_kwargs=_topology_kwargs(args.topology, args),
         routing=args.routing, policy=args.policy,
         traffic=args.traffic, traffic_kwargs=traffic_kwargs,
         arrival=args.arrival, arrival_kwargs=arrival_kwargs,
@@ -234,14 +244,22 @@ def _config_from(args: argparse.Namespace, rate: float) -> SimConfig:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    spec = TOPOLOGIES.get(args.topology)
     g = get_graph(args.topology, {})
     print(f"{g.name}: {g.num_switches} switches, {g.num_hosts} hosts, "
           f"{g.num_links} inter-switch cables")
+    print(f"  {spec.description}; kwargs: {_kwarg_line(spec.kwargs)}")
     degrees = sorted({g.degree(s) for s in g.switches()})
     diameter = max(max(r) for r in g.all_pairs_distances())
     print(f"switch degrees {degrees}, diameter {diameter}")
-    print(f"traffic patterns: {', '.join(supported_patterns(g))}")
-    for scheme in supported_schemes(g):
+    print(f"topologies: {', '.join(TOPOLOGIES.names())}")
+    print(f"traffic patterns: {', '.join(PATTERNS.supported(g))}")
+    for name, policy in POLICIES.items():
+        print(f"policy {name:9s} {policy.description}")
+    for name, engine in ENGINES.items():
+        print(f"engine {name:9s} "
+              f"{', '.join(sorted(engine.capabilities())) or '-'}")
+    for scheme in SCHEMES.supported(g):
         st = route_statistics(g, get_tables(g, (args.topology, ()), scheme))
         print(f"{scheme:7s}: {st.fraction_minimal:6.1%} minimal, "
               f"avg distance {st.avg_distance_sp:.2f}, "
@@ -269,7 +287,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         res = LinkMapResult("run", cfg.label(), cfg.label(),
                             cfg.injection_rate, summary.link_utilization,
                             summary)
-        print(render_link_map(res, GRIDS.get(args.topology)))
+        print(render_link_map(res, grid_shape(cfg)))
     if recorder is not None and recorder.report is not None:
         print(f"  perf: {recorder.report.oneline()}")
     if args.profile:
@@ -298,37 +316,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     profile: Profile = PROFILES[args.profile]
-    exp = EXPERIMENTS.get(args.exp_id)
-    if exp is None:
-        print(f"unknown experiment {args.exp_id!r}; try: "
-              + " ".join(sorted(EXPERIMENTS)), file=sys.stderr)
+    try:
+        exp = EXPERIMENTS.get(args.exp_id)
+    except ValueError as e:  # names what is available
+        print(e, file=sys.stderr)
         return 2
     executor = _make_executor(args)
-    result = run_experiment(args.exp_id, profile, executor=executor)
-    if exp.kind == "latency-panel":
-        print(render_figure(result))
-        if args.plot:
-            from .experiments.plot import render_curves
-            print()
-            print(render_curves(result.series, title=result.title))
-    elif exp.kind == "link-map":
-        for panel in result:
-            print(render_link_map(panel, (8, 8)
-                                  if "torus" in exp.description.lower()
-                                  else None))
-            print()
-    elif exp.kind == "resilience-table":
-        print(render_resilience_table(result))
-    elif exp.kind == "recovery-table":
-        print(render_recovery_table(result))
-    elif exp.kind == "tournament-table":
-        from .experiments.tournament import render_tournament
-        print(render_tournament(result))
-    elif exp.kind == "stability-table":
-        from .experiments.adversary import render_stability_table
-        print(render_stability_table(result))
-    else:
-        print(render_hotspot_table(result))
+    result = exp.fn(profile, executor=executor)
+    print(exp.render(result))
+    if args.plot and exp.plot is not None:
+        print()
+        print(exp.plot(result))
     if executor is not None:
         print(f"points: {executor.stats.oneline()}", file=sys.stderr)
     return 0
@@ -336,15 +334,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_resilience(args: argparse.Namespace) -> int:
     profile: Profile = PROFILES[args.profile]
-    topology_kwargs = {}
-    if args.topology in ("torus", "torus-express", "mesh"):
-        topology_kwargs = {"rows": args.rows, "cols": args.cols,
-                           "hosts_per_switch": args.hosts_per_switch}
     ks = tuple(int(k) for k in args.ks.split(","))
     executor = _make_executor(args)
-    report = run_resilience(args.topology, profile, seed=args.seed,
-                            ks=ks, topology_kwargs=topology_kwargs,
-                            executor=executor)
+    report = run_resilience(
+        args.topology, profile, seed=args.seed, ks=ks,
+        topology_kwargs=_topology_kwargs(args.topology, args),
+        executor=executor)
     print(render_resilience_table(report))
     if executor is not None:
         print(f"points: {executor.stats.oneline()}", file=sys.stderr)
@@ -353,15 +348,12 @@ def cmd_resilience(args: argparse.Namespace) -> int:
 
 def cmd_recovery(args: argparse.Namespace) -> int:
     profile: Profile = PROFILES[args.profile]
-    topology_kwargs = {}
-    if args.topology in ("torus", "torus-express", "mesh"):
-        topology_kwargs = {"rows": args.rows, "cols": args.cols,
-                           "hosts_per_switch": args.hosts_per_switch}
     rates = tuple(float(r) for r in args.rates.split(","))
     executor = _make_executor(args)
-    report = run_recovery(args.topology, profile, seed=args.seed,
-                          rates=rates, topology_kwargs=topology_kwargs,
-                          executor=executor)
+    report = run_recovery(
+        args.topology, profile, seed=args.seed, rates=rates,
+        topology_kwargs=_topology_kwargs(args.topology, args),
+        executor=executor)
     print(render_recovery_table(report))
     if executor is not None:
         print(f"points: {executor.stats.oneline()}", file=sys.stderr)
@@ -377,7 +369,7 @@ def cmd_recovery(args: argparse.Namespace) -> int:
 
 
 def cmd_schemes(_args: argparse.Namespace) -> int:
-    for name, s in describe_schemes():
+    for name, s in SCHEMES.items():
         caps = [s.discipline,
                 "deadlock-free" if s.deadlock_free else "NOT deadlock-free",
                 "multipath" if s.multipath else "single-path"]
@@ -388,18 +380,12 @@ def cmd_schemes(_args: argparse.Namespace) -> int:
 
 
 def _kwarg_line(kwargs) -> str:
-    from .traffic.registry import REQUIRED
-    parts = []
-    for k in kwargs:
-        default = ("=<required>" if k.default is REQUIRED
-                   else f"={k.default}")
-        parts.append(f"{k.name}:{k.type.__name__}{default}")
-    return ", ".join(parts)
+    return ", ".join(k.describe() for k in kwargs) or "none"
 
 
 def cmd_traffic(_args: argparse.Namespace) -> int:
     print("destination patterns")
-    for name, spec in describe_patterns():
+    for name, spec in PATTERNS.items():
         caps = []
         if spec.provides_arrivals:
             caps.append("self-timed")
@@ -409,7 +395,7 @@ def cmd_traffic(_args: argparse.Namespace) -> int:
         print(f"  {'':12s} topologies: {spec.topology_note}"
               + (f"; {'; '.join(caps)}" if caps else ""))
     print("arrival processes")
-    for name, spec in describe_arrivals():
+    for name, spec in ARRIVALS.items():
         line = f"  {name:12s} {spec.description}"
         print(line)
         if spec.kwargs:
@@ -424,13 +410,11 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     schemes = (None if args.schemes == "all"
                else [s.strip() for s in args.schemes.split(",")])
     entries = default_entries(schemes)
-    topo_kwargs = {"rows": args.rows, "cols": args.cols,
-                   "hosts_per_switch": args.hosts_per_switch}
     topologies = []
     for name in (t.strip() for t in args.topologies.split(",")):
-        kwargs = dict(topo_kwargs) if name in ("torus", "torus-express",
-                                               "mesh") else {}
-        label = (f"{name} {args.rows}x{args.cols}" if kwargs else name)
+        kwargs = _topology_kwargs(name, args)
+        label = (f"{name} {args.rows}x{args.cols}" if "rows" in kwargs
+                 else name)
         topologies.append(TopologySpec(name, kwargs, label))
     patterns = tuple(p.strip() for p in args.patterns.split(","))
     executor = _make_executor(args)
@@ -576,8 +560,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
-    for exp_id in sorted(EXPERIMENTS):
-        exp = EXPERIMENTS[exp_id]
+    for exp_id, exp in EXPERIMENTS.items():
         print(f"{exp_id:8s} {exp.kind:14s} {exp.description}")
     return 0
 
@@ -589,8 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="topology + routing-table statistics")
-    p.add_argument("topology",
-                   choices=["torus", "torus-express", "cplant", "irregular", "mesh"])
+    p.add_argument("topology", choices=_cli_topologies())
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("run", help="one simulation run")
@@ -623,13 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resilience",
                        help="graceful degradation under link failures")
     p.add_argument("--topology", default="torus",
-                   choices=["torus", "torus-express", "cplant",
-                            "irregular", "mesh"])
-    p.add_argument("--rows", type=int, default=4,
-                   help="grid rows (scaled down by default: the "
-                        "study runs 8 saturation searches)")
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--hosts-per-switch", type=int, default=2)
+                   choices=_cli_topologies())
+    _add_topology_flags(p, 4, 4, 2, "scaled down by default: the study "
+                                    "runs 8 saturation searches")
     p.add_argument("--ks", default="1,2,4",
                    help="comma-separated link-failure counts")
     p.add_argument("--seed", type=int, default=1,
@@ -643,11 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reliable-delivery recovery from a mid-run "
                             "link failure")
     p.add_argument("--topology", default="torus",
-                   choices=["torus", "torus-express", "cplant",
-                            "irregular", "mesh"])
-    p.add_argument("--rows", type=int, default=4)
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--hosts-per-switch", type=int, default=2)
+                   choices=_cli_topologies())
+    _add_topology_flags(p, 4, 4, 2, "scaled down by default")
     p.add_argument("--rates", default="0.01,0.02,0.03",
                    help="comma-separated offered loads")
     p.add_argument("--seed", type=int, default=1,
@@ -668,12 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "registered scheme); see 'repro schemes'")
     p.add_argument("--topologies", default="torus,mesh",
                    help="comma-separated topology names")
-    p.add_argument("--rows", type=int, default=4,
-                   help="grid rows for torus/torus-express/mesh "
-                        "(scaled down by default: each cell is a full "
-                        "saturation search)")
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--hosts-per-switch", type=int, default=2)
+    _add_topology_flags(p, 4, 4, 2, "scaled down by default: each cell "
+                                    "is a full saturation search")
     p.add_argument("--patterns", default="uniform",
                    help="comma-separated traffic patterns")
     p.add_argument("--failures", type=int, default=0,

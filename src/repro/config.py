@@ -115,14 +115,18 @@ PAPER_PARAMS = MyrinetParams()
 class SimConfig:
     """Full description of one simulation run.
 
-    ``topology`` names a builder registered in :mod:`repro.topology`
-    (``"torus"``, ``"torus-express"``, ``"cplant"``, ``"irregular"``) and
+    Every by-name field names an entry of a
+    :class:`repro.registry.Registry`, and :meth:`validate` checks it
+    against that registry; ``repro info``, ``repro schemes`` and
+    ``repro traffic`` list what is registered.  ``topology`` names a
+    builder in :data:`repro.topology.TOPOLOGIES` (the paper's are
+    ``"torus"``, ``"torus-express"`` and ``"cplant"``) and
     ``topology_kwargs`` are forwarded to it.  ``routing`` names a scheme
-    registered in :mod:`repro.routing.schemes` (``"updown"`` and
-    ``"itb"`` are the paper's; ``"updown-opt"``, ``"outflank"`` and
-    ``"dor"`` are extension rivals) and ``policy`` the path selection
-    among alternatives (``"sp"``, ``"rr"``, ``"random"``,
-    ``"adaptive"``; single-path schemes ignore it).
+    in :data:`repro.routing.schemes.SCHEMES` (``"updown"`` and ``"itb"``
+    are the paper's, the rest extension rivals) and ``policy`` the path
+    selection among alternatives, from
+    :data:`repro.routing.policies.POLICIES` (``"sp"`` and ``"rr"`` are
+    the paper's; single-path schemes ignore it).
 
     ``traffic`` names a destination pattern and ``arrival`` an arrival
     process, both registered in :mod:`repro.traffic.registry`;
@@ -135,12 +139,14 @@ class SimConfig:
     mean rate (the arrival process redistributes the firings in time but
     preserves the mean) so the per-switch aggregate equals this value.
 
-    ``engine`` names a backend registered in :mod:`repro.sim.engines`:
-    ``"packet"`` (the fast wormhole model used for all paper-scale runs)
-    or ``"flit"`` (explicit slack buffers and stop&go; orders of
-    magnitude slower, for validation on small networks).  Both expose
-    the same :class:`~repro.sim.base.NetworkModel` surface, including
-    link statistics, ITB pool accounting and tracing.
+    ``engine`` names a backend in :data:`repro.sim.engines.ENGINES`:
+    ``"packet"`` (the event-driven wormhole model, the default),
+    ``"flit"`` (explicit slack buffers and stop&go; orders of magnitude
+    slower, for validation on small networks) or ``"array"`` (batch
+    ticks over flat arrays; fastest, optimistic under contention).  All
+    expose the same :class:`~repro.sim.base.NetworkModel` surface and
+    declare which capabilities (link statistics, ITB pool accounting,
+    tracing, ...) they support.
     """
 
     topology: str = "torus"
@@ -162,7 +168,7 @@ class SimConfig:
     measure_ps: int = ns(400_000)
     #: optional hard cap on generated messages (0 = unlimited)
     max_messages: int = 0
-    #: simulation fidelity: "packet" (fast) or "flit" (validation)
+    #: simulation backend (see the class docstring)
     engine: str = "packet"
 
     def validate(self) -> None:
@@ -174,25 +180,21 @@ class SimConfig:
             raise ValueError("message_bytes must be positive")
         if self.warmup_ps < 0 or self.measure_ps <= 0:
             raise ValueError("warmup must be >= 0 and measure window > 0")
-        # imported lazily: repro.routing imports this module at load time
-        from .routing.schemes import available_schemes
-        if self.routing not in available_schemes():
-            raise ValueError(
-                f"unknown routing scheme {self.routing!r}; available: "
-                f"{', '.join(available_schemes())}")
-        # imported lazily: repro.traffic imports the sim core, which
-        # imports this module at load time
+        # every by-name field is checked against its registry, so a
+        # name registered at runtime validates with no edit here.
+        # Imported lazily: repro.routing, repro.traffic and repro.sim
+        # all import this module at load time.
+        from .routing.policies import POLICIES
+        from .routing.schemes import SCHEMES
+        from .sim.engines import ENGINES
+        from .topology import TOPOLOGIES
         from .traffic.registry import validate_workload
+        TOPOLOGIES.get(self.topology)
+        SCHEMES.get(self.routing)
+        POLICIES.get(self.policy)
         validate_workload(self.traffic, self.traffic_kwargs,
                           self.arrival, self.arrival_kwargs)
-        if self.policy not in ("sp", "rr", "random", "adaptive"):
-            raise ValueError(f"unknown selection policy {self.policy!r}")
-        # imported lazily: repro.sim imports this module at load time
-        from .sim.engines import available_engines
-        if self.engine not in available_engines():
-            raise ValueError(
-                f"unknown engine {self.engine!r}; available: "
-                f"{', '.join(available_engines())}")
+        ENGINES.get(self.engine)
 
     def label(self) -> str:
         """Short human-readable label (used in reports and benches).

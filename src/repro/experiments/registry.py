@@ -1,19 +1,27 @@
 """Experiment index: id -> callable, mirroring DESIGN.md's table.
 
 ``run_experiment("fig7a", profile)`` regenerates one paper artefact.
-The registry is what `benchmarks/` and `examples/` iterate over, and
-the docstring of each callable carries the paper's reported numbers.
+:data:`EXPERIMENTS` (a :class:`repro.registry.Registry`) is what
+`benchmarks/` and `examples/` iterate over, the docstring of each
+callable carries the paper's reported numbers, and each entry carries
+the renderer of its result, so ``repro experiment <id>`` prints any
+registered artefact without knowing its kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Optional
 
 from . import adversary, figures, tables, tournament
+from ..registry import Registry
 from ..resilience import campaign as resilience_campaign
 from ..resilience import recovery as resilience_recovery
+from ..resilience.report import (render_recovery_table,
+                                 render_resilience_table)
+from .plot import render_curves
 from .profiles import Profile
+from .report import render_figure, render_hotspot_table, render_link_maps
 
 
 @dataclass(frozen=True)
@@ -21,19 +29,39 @@ class Experiment:
     """One reproducible paper artefact."""
 
     exp_id: str
-    kind: str  # "latency-panel" | "link-map" | "hotspot-table"
-               # | "resilience-table" | "recovery-table"
-               # | "tournament-table" | "stability-table"
+    kind: str  # a key of _RENDERERS for the shipped artefacts
     description: str
-    fn: Callable[[Profile], Any]
+    fn: Callable[..., Any]
+    #: text report of ``fn``'s result
+    render: Callable[[Any], str]
+    #: ASCII plot of the result (``--plot``); None when it has no curves
+    plot: Optional[Callable[[Any], str]] = None
 
 
-EXPERIMENTS: Dict[str, Experiment] = {}
+EXPERIMENTS: Registry[Experiment] = Registry("experiment")
+
+
+def _plot_panel(fig: figures.FigureResult) -> str:
+    return render_curves(fig.series, title=fig.title)
+
+
+#: how each kind of shipped artefact prints: kind -> (render, plot)
+_RENDERERS = {
+    "latency-panel": (render_figure, _plot_panel),
+    "link-map": (render_link_maps, None),
+    "hotspot-table": (render_hotspot_table, None),
+    "resilience-table": (render_resilience_table, None),
+    "recovery-table": (render_recovery_table, None),
+    "tournament-table": (tournament.render_tournament, None),
+    "stability-table": (adversary.render_stability_table, None),
+}
 
 
 def _register(exp_id: str, kind: str, description: str,
-              fn: Callable[[Profile], Any]) -> None:
-    EXPERIMENTS[exp_id] = Experiment(exp_id, kind, description, fn)
+              fn: Callable[..., Any]) -> None:
+    EXPERIMENTS.register(
+        Experiment(exp_id, kind, description, fn, *_RENDERERS[kind]),
+        exp_id)
 
 
 _register("fig7a", "latency-panel",
@@ -89,9 +117,4 @@ def run_experiment(exp_id: str, profile: Profile,
     and the on-disk result store; ``None`` keeps the plain sequential
     path.  Every registered callable accepts the keyword.
     """
-    try:
-        exp = EXPERIMENTS[exp_id]
-    except KeyError:
-        raise ValueError(f"unknown experiment {exp_id!r}; "
-                         f"available: {sorted(EXPERIMENTS)}") from None
-    return exp.fn(profile, executor=executor)
+    return EXPERIMENTS.get(exp_id).fn(profile, executor=executor)

@@ -9,11 +9,13 @@ each switch), which makes the paper's "hot around the root" vs
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import SimConfig
 from .figures import FigureResult, LinkMapResult
+from .runner import get_graph
 from .tables import HotspotTable, PAPER_TABLE_AVERAGES
 
 
@@ -70,6 +72,19 @@ def render_link_map(res: LinkMapResult,
                            for c in range(cols))
             lines.append("   " + row)
     return "\n".join(lines)
+
+
+def grid_shape(config: SimConfig) -> Optional[Tuple[int, int]]:
+    """(rows, cols) of the configured topology, None when it is no grid."""
+    grid = get_graph(config.topology, config.topology_kwargs).grid
+    return (grid.rows, grid.cols) if grid is not None else None
+
+
+def render_link_maps(panels: Sequence[LinkMapResult]) -> str:
+    """Every panel of a link-utilisation figure, each with the heat
+    map of its own topology's grid."""
+    return "\n\n".join(render_link_map(p, grid_shape(p.summary.config))
+                       for p in panels) + "\n"
 
 
 def render_hotspot_table(tab: HotspotTable) -> str:

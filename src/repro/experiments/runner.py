@@ -111,6 +111,15 @@ def clear_caches() -> None:
     _SCHEDULE_CACHE.clear()
 
 
+def _coerce(value: Any, cls: type) -> Any:
+    """``True`` -> defaults, mapping -> ``from_dict``, instance -> as-is."""
+    if value is True:
+        return cls()
+    if isinstance(value, Mapping):
+        return cls.from_dict(dict(value))
+    return value
+
+
 def run_simulation(config: SimConfig, collect_links: bool = False,
                    root: int = 0, sort_by_itbs: bool = False,
                    watchdog_ps: Optional[int] = None,
@@ -121,7 +130,6 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
                    fault_plan: Optional[Any] = None,
                    reliable: Optional[Any] = None,
                    reconfig: Optional[Any] = None,
-                   recovery_threshold: float = 0.9,
                    collect_percentiles: bool = False,
                    check_invariants: bool = False) -> RunSummary:
     """Execute one simulation run described by ``config``.
@@ -151,8 +159,8 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
     the online reconfiguration manager that recomputes and hot-swaps
     the routing tables after each fault; with a fault plan present the
     summary additionally reports ``time_to_recover_ns``, the first
-    post-fault window whose accepted traffic is back within
-    ``recovery_threshold`` of the pre-fault mean.
+    post-fault window whose accepted traffic is back within 90 % of
+    the pre-fault mean (:mod:`repro.metrics.recovery`).
 
     ``check_invariants`` audits the runtime invariant suite
     (:func:`repro.sim.invariants.audit`: message conservation, channel
@@ -167,235 +175,208 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
     Neither affects the simulation itself or its summary.
     """
     with profile_to(profile_path):
-        return _run_simulation(config, collect_links, root, sort_by_itbs,
-                               watchdog_ps, tables, graph, perf,
-                               fault_plan, reliable, reconfig,
-                               recovery_threshold, collect_percentiles,
-                               check_invariants)
-
-
-def _coerce(value: Any, cls: type) -> Any:
-    """``True`` -> defaults, mapping -> ``from_dict``, instance -> as-is."""
-    if value is True:
-        return cls()
-    if isinstance(value, Mapping):
-        return cls.from_dict(dict(value))
-    return value
-
-
-def _run_simulation(config: SimConfig, collect_links: bool,
-                    root: int, sort_by_itbs: bool,
-                    watchdog_ps: Optional[int],
-                    tables: Optional[RoutingTables],
-                    graph: Optional[NetworkGraph],
-                    perf: Optional[PerfRecorder],
-                    fault_plan: Optional[Any] = None,
-                    reliable: Optional[Any] = None,
-                    reconfig: Optional[Any] = None,
-                    recovery_threshold: float = 0.9,
-                    collect_percentiles: bool = False,
-                    check_invariants: bool = False) -> RunSummary:
-    t_start = _now()
-    config.validate()
-    if graph is not None:
-        g = graph
-        topo_key = None          # anonymous graph: schedules not memoised
-        if tables is None:
-            tables = compute_tables(g, config.routing, root,
+        t_start = _now()
+        config.validate()
+        if graph is not None:
+            g = graph
+            topo_key = None          # anonymous graph: schedules not memoised
+            if tables is None:
+                tables = compute_tables(g, config.routing, root,
+                                        config.params.max_routes_per_pair,
+                                        sort_by_itbs)
+        else:
+            topo_key = (config.topology,
+                        _freeze_kwargs(config.topology_kwargs))
+            g = get_graph(config.topology, config.topology_kwargs)
+            if tables is None:
+                tables = get_tables(g, topo_key, config.routing, root,
                                     config.params.max_routes_per_pair,
                                     sort_by_itbs)
-    else:
-        topo_key = (config.topology, _freeze_kwargs(config.topology_kwargs))
-        g = get_graph(config.topology, config.topology_kwargs)
-        if tables is None:
-            tables = get_tables(g, topo_key, config.routing, root,
-                                config.params.max_routes_per_pair,
-                                sort_by_itbs)
 
-    sim = Simulator()
-    policy = make_policy(config.policy, seed=config.seed)
-    network = make_network(config.engine, sim, g, tables, policy,
-                           config.params,
-                           message_bytes=config.message_bytes)
-    collector = LatencyCollector(keep_samples=collect_percentiles)
-    caps = network.capabilities()
-    transport = None
-    if reliable:
-        transport = ReliableTransport(network,
-                                      _coerce(reliable, ReliableParams))
-        # the collector sees unique messages at message latency, not
-        # per-attempt deliveries (duplicates are suppressed upstream)
-        transport.add_message_callback(collector.on_delivered)
-    elif (CAP_BATCH_DELIVERY in caps and not policy.needs_feedback
-          and fault_plan is None):
-        # batch engines report delivery cohorts straight into the
-        # collector; per-packet callbacks stay off the hot path
-        network.delivery_sink = collector
-    else:
-        network.add_delivery_callback(collector.on_delivered)
-    # adaptive policies learn from delivery latencies; stateless ones
-    # declare needs_feedback=False and skip the per-delivery call
-    if policy.needs_feedback:
-        network.add_delivery_callback(policy.feedback)
-    manager = None
-    if reconfig:
-        manager = ReconfigurationManager(
-            network, _coerce(reconfig, ReconfigParams),
-            max_routes_per_pair=config.params.max_routes_per_pair,
-            sort_by_itbs=sort_by_itbs)
+        sim = Simulator()
+        policy = make_policy(config.policy, seed=config.seed)
+        network = make_network(config.engine, sim, g, tables, policy,
+                               config.params,
+                               message_bytes=config.message_bytes)
+        collector = LatencyCollector(keep_samples=collect_percentiles)
+        caps = network.capabilities()
+        transport = None
+        if reliable:
+            transport = ReliableTransport(network,
+                                          _coerce(reliable, ReliableParams))
+            # the collector sees unique messages at message latency, not
+            # per-attempt deliveries (duplicates are suppressed upstream)
+            transport.add_message_callback(collector.on_delivered)
+        elif (CAP_BATCH_DELIVERY in caps and not policy.needs_feedback
+              and fault_plan is None):
+            # batch engines report delivery cohorts straight into the
+            # collector; per-packet callbacks stay off the hot path
+            network.delivery_sink = collector
+        else:
+            network.add_delivery_callback(collector.on_delivered)
+        # adaptive policies learn from delivery latencies; stateless ones
+        # declare needs_feedback=False and skip the per-delivery call
+        if policy.needs_feedback:
+            network.add_delivery_callback(policy.feedback)
+        manager = None
+        if reconfig:
+            manager = ReconfigurationManager(
+                network, _coerce(reconfig, ReconfigParams),
+                max_routes_per_pair=config.params.max_routes_per_pair,
+                sort_by_itbs=sort_by_itbs)
 
-    interval = per_host_interval_ps(config.injection_rate,
-                                    config.message_bytes, g)
-    pattern, arrivals = make_workload(g, config.traffic,
-                                      config.traffic_kwargs,
-                                      config.arrival, config.arrival_kwargs,
-                                      interval)
-    # permutations may silence some hosts (e.g. the 32 palindromic ids
-    # under bit-reversal): the load actually offered to the network is
-    # proportionally lower than the nominal per-host rate
-    effective_rate = (config.injection_rate
-                      * len(pattern.active_hosts()) / g.num_hosts)
-    traffic = TrafficProcess(sim,
-                             transport if transport is not None else network,
-                             pattern, arrivals, seed=config.seed,
-                             max_messages=config.max_messages)
+        interval = per_host_interval_ps(config.injection_rate,
+                                        config.message_bytes, g)
+        pattern, arrivals = make_workload(
+            g, config.traffic, config.traffic_kwargs,
+            config.arrival, config.arrival_kwargs, interval)
+        # permutations may silence some hosts (e.g. the 32 palindromic ids
+        # under bit-reversal): the load actually offered to the network is
+        # proportionally lower than the nominal per-host rate
+        effective_rate = (config.injection_rate
+                          * len(pattern.active_hosts()) / g.num_hosts)
+        traffic = TrafficProcess(
+            sim, transport if transport is not None else network,
+            pattern, arrivals, seed=config.seed,
+            max_messages=config.max_messages)
 
-    if watchdog_ps is None:
-        # generous: many times the zero-load service time of a message
-        watchdog_ps = 200 * (config.message_bytes
-                             * config.params.flit_cycle_ps
-                             + 20 * config.params.routing_delay_ps)
-    network.install_watchdog(watchdog_ps)
+        if watchdog_ps is None:
+            # generous: many times the zero-load service time of a message
+            watchdog_ps = 200 * (config.message_bytes
+                                 * config.params.flit_cycle_ps
+                                 + 20 * config.params.routing_delay_ps)
+        network.install_watchdog(watchdog_ps)
 
-    if fault_plan is not None:
-        if isinstance(fault_plan, Mapping):
-            fault_plan = FaultPlan.from_dict(fault_plan)
-        network.install_fault_plan(fault_plan)
+        if fault_plan is not None:
+            if isinstance(fault_plan, Mapping):
+                fault_plan = FaultPlan.from_dict(fault_plan)
+            network.install_fault_plan(fault_plan)
 
-    tracker = None
-    if fault_plan:
-        tracker = RecoveryTracker(max(1, config.measure_ps // 20))
+        tracker = None
+        if fault_plan:
+            tracker = RecoveryTracker(max(1, config.measure_ps // 20))
+            if transport is not None:
+                transport.add_message_callback(tracker.on_delivered)
+            else:
+                network.add_delivery_callback(tracker.on_delivered)
+
+        t_setup_done = _now()
+        if (CAP_BATCH_INJECT in caps and transport is None
+                and not config.max_messages):
+            # batch engines take the whole deterministic schedule up front
+            # (identical RNG streams, see TrafficProcess.pregenerate) so no
+            # per-message generation events hit the heap
+            t_end = config.warmup_ps + config.measure_ps
+            skey = None
+            if topo_key is not None:
+                skey = (topo_key, config.traffic,
+                        _freeze_kwargs(config.traffic_kwargs),
+                        config.arrival, _freeze_kwargs(config.arrival_kwargs),
+                        interval, config.seed, t_end)
+            schedule = _SCHEDULE_CACHE.get(skey) if skey is not None else None
+            if schedule is None:
+                schedule = traffic.pregenerate(t_end)
+                if skey is not None:
+                    _memoise(_SCHEDULE_CACHE, _SCHEDULE_CACHE_MAX, skey,
+                             schedule)
+            else:
+                traffic.adopt_schedule(schedule)
+            network.prime_schedule(schedule)
+        else:
+            traffic.start()
+        sim.run_until(config.warmup_ps)
+        # engine first: batch engines flush work at or before the warm-up
+        # boundary into the collector, which the reset below then discards
+        network.reset_stats()
+        collector.reset()
+        if check_invariants:
+            # warm-up boundary: conservation laws, occupancy bounds and
+            # ITB byte-accounting must hold exactly here (CAP_INVARIANTS)
+            audit_invariants(network).raise_if_failed()
+        if tracker is not None:
+            tracker.start(config.warmup_ps)
+        delivered_before = network.delivered
+        generated_before = network.generated
+        dropped_before = network.dropped
+        unroutable_before = network.dropped_unroutable
+        transport_before = transport.stats() if transport is not None else None
+        reconfig_before = (manager.reconfigurations
+                           if manager is not None else 0)
+        backlog_before = network.in_flight
+        sim.run_until(config.warmup_ps + config.measure_ps)
+        network.finalize()
+        if check_invariants:
+            # measurement boundary; with traffic stopped and the fabric
+            # drained the stricter quiescent-state laws apply too
+            audit_invariants(network,
+                             drained=network.in_flight == 0
+                             and sim.pending_events == 0).raise_if_failed()
+        t_sim_done = _now()
+        backlog_growth = network.in_flight - backlog_before
+
+        if perf is not None:
+            perf.record(wall_s=t_sim_done - t_start,
+                        setup_wall_s=t_setup_done - t_start,
+                        sim_wall_s=t_sim_done - t_setup_done,
+                        events=sim.events,
+                        messages_delivered=network.delivered,
+                        sim_time_ps=sim.now)
+
+        links = None
+        if collect_links:
+            links = collect_link_stats(network, config.measure_ps,
+                                       config.params)
+
+        dropped = network.dropped - dropped_before
+        unroutable = network.dropped_unroutable - unroutable_before
         if transport is not None:
-            transport.add_message_callback(tracker.on_delivered)
+            ts = transport.stats()
+            tdelta = {k: ts[k] - transport_before[k] for k in ts}
+            messages_generated = tdelta["messages"]
+            messages_delivered = tdelta["delivered"]
         else:
-            network.add_delivery_callback(tracker.on_delivered)
+            tdelta = {"retransmissions": 0, "duplicates": 0,
+                      "permanent_losses": 0, "recovered": 0}
+            messages_generated = network.generated - generated_before
+            messages_delivered = network.delivered - delivered_before
 
-    t_setup_done = _now()
-    if (CAP_BATCH_INJECT in caps and transport is None
-            and not config.max_messages):
-        # batch engines take the whole deterministic schedule up front
-        # (identical RNG streams, see TrafficProcess.pregenerate) so no
-        # per-message generation events hit the heap
-        t_end = config.warmup_ps + config.measure_ps
-        skey = None
-        if topo_key is not None:
-            skey = (topo_key, config.traffic,
-                    _freeze_kwargs(config.traffic_kwargs),
-                    config.arrival, _freeze_kwargs(config.arrival_kwargs),
-                    interval, config.seed, t_end)
-        schedule = _SCHEDULE_CACHE.get(skey) if skey is not None else None
-        if schedule is None:
-            schedule = traffic.pregenerate(t_end)
-            if skey is not None:
-                _memoise(_SCHEDULE_CACHE, _SCHEDULE_CACHE_MAX, skey,
-                         schedule)
-        else:
-            traffic.adopt_schedule(schedule)
-        network.prime_schedule(schedule)
-    else:
-        traffic.start()
-    sim.run_until(config.warmup_ps)
-    # engine first: batch engines flush work at or before the warm-up
-    # boundary into the collector, which the reset below then discards
-    network.reset_stats()
-    collector.reset()
-    if check_invariants:
-        # warm-up boundary: conservation laws, occupancy bounds and
-        # ITB byte-accounting must hold exactly here (CAP_INVARIANTS)
-        audit_invariants(network).raise_if_failed()
-    if tracker is not None:
-        tracker.start(config.warmup_ps)
-    delivered_before = network.delivered
-    generated_before = network.generated
-    dropped_before = network.dropped
-    unroutable_before = network.dropped_unroutable
-    transport_before = transport.stats() if transport is not None else None
-    reconfig_before = manager.reconfigurations if manager is not None else 0
-    backlog_before = network.in_flight
-    sim.run_until(config.warmup_ps + config.measure_ps)
-    network.finalize()
-    if check_invariants:
-        # measurement boundary; with traffic stopped and the fabric
-        # drained the stricter quiescent-state laws apply too
-        audit_invariants(network,
-                         drained=network.in_flight == 0
-                         and sim.pending_events == 0).raise_if_failed()
-    t_sim_done = _now()
-    backlog_growth = network.in_flight - backlog_before
+        time_to_recover_ns = None
+        if tracker is not None:
+            ttr = tracker.time_to_recover_ps(
+                fault_plan.first_t_ps, config.warmup_ps + config.measure_ps)
+            if ttr is not None:
+                time_to_recover_ns = ttr / 1_000
 
-    if perf is not None:
-        perf.record(wall_s=t_sim_done - t_start,
-                    setup_wall_s=t_setup_done - t_start,
-                    sim_wall_s=t_sim_done - t_setup_done,
-                    events=sim.events,
-                    messages_delivered=network.delivered,
-                    sim_time_ps=sim.now)
-
-    links = None
-    if collect_links:
-        links = collect_link_stats(network, config.measure_ps, config.params)
-
-    dropped = network.dropped - dropped_before
-    unroutable = network.dropped_unroutable - unroutable_before
-    if transport is not None:
-        ts = transport.stats()
-        tdelta = {k: ts[k] - transport_before[k] for k in ts}
-        messages_generated = tdelta["messages"]
-        messages_delivered = tdelta["delivered"]
-    else:
-        tdelta = {"retransmissions": 0, "duplicates": 0,
-                  "permanent_losses": 0, "recovered": 0}
-        messages_generated = network.generated - generated_before
-        messages_delivered = network.delivered - delivered_before
-
-    time_to_recover_ns = None
-    if tracker is not None:
-        ttr = tracker.time_to_recover_ps(
-            fault_plan.first_t_ps, config.warmup_ps + config.measure_ps,
-            recovery_threshold)
-        if ttr is not None:
-            time_to_recover_ns = ttr / 1_000
-
-    # engines without a finite-pool model have no ITB statistics to
-    # report; zeros are the true values for an unbounded pool
-    itb = (network.itb_stats() if CAP_ITB_POOL in caps
-           else NO_ITB_STATS)
-    return RunSummary(
-        config=config,
-        offered_flits_ns_switch=effective_rate,
-        accepted_flits_ns_switch=collector.accepted_flits_ns_switch(
-            config.measure_ps, g.num_switches),
-        messages_delivered=messages_delivered,
-        messages_generated=messages_generated,
-        messages_dropped=dropped,
-        dropped_in_flight=dropped - unroutable,
-        dropped_unroutable=unroutable,
-        retransmissions=tdelta["retransmissions"],
-        duplicate_deliveries=tdelta["duplicates"],
-        permanent_losses=tdelta["permanent_losses"],
-        recovered_messages=tdelta["recovered"],
-        reconfigurations=(manager.reconfigurations - reconfig_before
-                          if manager is not None else 0),
-        time_to_recover_ns=time_to_recover_ns,
-        avg_latency_ns=collector.avg_latency_ns(),
-        avg_network_latency_ns=collector.avg_network_latency_ns(),
-        max_latency_ns=(collector.max_latency_ps / 1_000
-                        if collector.messages else None),
-        avg_itbs_per_message=collector.avg_itbs_per_message(),
-        itb_overflow_count=itb.overflow_count,
-        itb_peak_bytes=itb.peak_bytes,
-        link_utilization=links,
-        backlog_growth=backlog_growth,
-        p99_latency_ns=(collector.percentile_ns(0.99)
-                        if collect_percentiles else None),
-    )
+        # engines without a finite-pool model have no ITB statistics to
+        # report; zeros are the true values for an unbounded pool
+        itb = (network.itb_stats() if CAP_ITB_POOL in caps
+               else NO_ITB_STATS)
+        return RunSummary(
+            config=config,
+            offered_flits_ns_switch=effective_rate,
+            accepted_flits_ns_switch=collector.accepted_flits_ns_switch(
+                config.measure_ps, g.num_switches),
+            messages_delivered=messages_delivered,
+            messages_generated=messages_generated,
+            messages_dropped=dropped,
+            dropped_in_flight=dropped - unroutable,
+            dropped_unroutable=unroutable,
+            retransmissions=tdelta["retransmissions"],
+            duplicate_deliveries=tdelta["duplicates"],
+            permanent_losses=tdelta["permanent_losses"],
+            recovered_messages=tdelta["recovered"],
+            reconfigurations=(manager.reconfigurations - reconfig_before
+                              if manager is not None else 0),
+            time_to_recover_ns=time_to_recover_ns,
+            avg_latency_ns=collector.avg_latency_ns(),
+            avg_network_latency_ns=collector.avg_network_latency_ns(),
+            max_latency_ns=(collector.max_latency_ps / 1_000
+                            if collector.messages else None),
+            avg_itbs_per_message=collector.avg_itbs_per_message(),
+            itb_overflow_count=itb.overflow_count,
+            itb_peak_bytes=itb.peak_bytes,
+            link_utilization=links,
+            backlog_growth=backlog_growth,
+            p99_latency_ns=(collector.percentile_ns(0.99)
+                            if collect_percentiles else None),
+        )

@@ -19,8 +19,9 @@ The pipeline mirrors Section 2--3 of the paper:
 7. :mod:`analysis` computes the route-quality statistics quoted in the
    paper (fraction of minimal paths, average distance, ITBs per message).
 
-Schemes are **pluggable**: :mod:`schemes` keeps a registry (mirroring
-:mod:`repro.sim.engines`) where each scheme declares its builder and
+Schemes are **pluggable**: :mod:`schemes` keeps a registry
+(:data:`SCHEMES`, a :class:`repro.registry.Registry`, as is
+:data:`POLICIES`) where each scheme declares its builder and
 capabilities -- supported topologies, deadlock-freedom, legality
 discipline.  Besides the paper's ``"updown"`` / ``"itb"``, the
 extension schemes register here: :mod:`angara` (``"updown-opt"``,
@@ -41,13 +42,14 @@ from .simple_routes import compute_simple_routes
 from .minimal import enumerate_minimal_paths
 from .itb import build_itb_routes, split_path_at_violations
 from .table import RoutingTables, compute_tables
-from .schemes import (Scheme, available_schemes, get_scheme, list_schemes,
-                      make_tables, register_scheme, scheme_label,
-                      supported_schemes, unregister_scheme)
+from .schemes import (SCHEMES, Scheme, available_schemes, get_scheme,
+                      list_schemes, make_tables, register_scheme,
+                      scheme_label, supported_schemes, unregister_scheme)
 from . import angara as _angara    # noqa: F401  (registers "updown-opt")
 from . import dor as _dor          # noqa: F401  (registers "dor")
 from . import outflank as _outflank  # noqa: F401  (registers "outflank")
-from .policies import make_policy, PathSelectionPolicy
+from .policies import (POLICIES, PathSelectionPolicy, PolicySpec,
+                       make_policy)
 from .analysis import route_statistics, RouteStats
 
 __all__ = [
@@ -63,6 +65,7 @@ __all__ = [
     "split_path_at_violations",
     "RoutingTables",
     "compute_tables",
+    "SCHEMES",
     "Scheme",
     "available_schemes",
     "get_scheme",
@@ -72,6 +75,8 @@ __all__ = [
     "scheme_label",
     "supported_schemes",
     "unregister_scheme",
+    "POLICIES",
+    "PolicySpec",
     "make_policy",
     "PathSelectionPolicy",
     "route_statistics",

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Sequence, Tuple
 
+from ..registry import Registry
 from .routes import SourceRoute
 
 
@@ -196,15 +198,34 @@ class AdaptivePolicy(PathSelectionPolicy):
                    else (1 - self.alpha) * ewma[i] + self.alpha * lat)
 
 
+@dataclass(frozen=True)
+class PolicySpec:
+    """One registered path-selection policy."""
+
+    name: str
+    #: one-line description (shown by ``repro info``)
+    description: str
+    #: builder: ``build(seed) -> PathSelectionPolicy``
+    build: Callable[[int], PathSelectionPolicy]
+
+
+#: the selection-policy registry (``SimConfig.policy`` names an entry)
+POLICIES: Registry[PolicySpec] = Registry("selection policy")
+
+POLICIES.register(PolicySpec(
+    "sp", "single path: always the first alternative (ITB-SP)",
+    lambda seed: SinglePathPolicy()))
+POLICIES.register(PolicySpec(
+    "rr", "round-robin over the alternatives per host pair (ITB-RR)",
+    lambda seed: RoundRobinPolicy()))
+POLICIES.register(PolicySpec(
+    "random", "uniformly random alternative per packet (extension)",
+    RandomPolicy))
+POLICIES.register(PolicySpec(
+    "adaptive", "lowest latency EWMA per pair, epsilon-greedy (extension)",
+    AdaptivePolicy))
+
+
 def make_policy(name: str, seed: int = 0) -> PathSelectionPolicy:
-    """Instantiate a policy by its config name
-    (``sp``/``rr``/``random``/``adaptive``)."""
-    if name == "sp":
-        return SinglePathPolicy()
-    if name == "rr":
-        return RoundRobinPolicy()
-    if name == "random":
-        return RandomPolicy(seed)
-    if name == "adaptive":
-        return AdaptivePolicy(seed)
-    raise ValueError(f"unknown path selection policy {name!r}")
+    """Instantiate the policy registered under ``name``."""
+    return POLICIES.get(name).build(seed)

@@ -1,9 +1,10 @@
 """Routing-scheme registry: table builders selected by name.
 
-Mirrors :mod:`repro.sim.engines`: every routing scheme registers itself
-under a short name together with a **capability declaration** --
-which graphs it supports, whether its tables are deadlock-free by
-construction, and which legality *discipline* its routes obey -- and
+:data:`SCHEMES` is a :class:`repro.registry.Registry`: every routing
+scheme registers itself under a short name together with a
+**capability declaration** -- which graphs it supports, whether its
+tables are deadlock-free by construction, and which legality
+*discipline* its routes obey -- and
 everything outside :mod:`repro.routing` (config validation, the
 experiment runner, the CLI, the tournament) dispatches through this
 registry instead of hard-coding scheme names.  Registering a fifth
@@ -43,8 +44,9 @@ argument its routes are checked against by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
+from ..registry import Registry
 from ..topology.graph import NetworkGraph
 from .itb import build_itb_routes
 from .routes import SourceRoute
@@ -89,50 +91,18 @@ class Scheme:
                 f"{self.discipline!r}; known: {', '.join(DISCIPLINES)}")
 
 
-_SCHEMES: Dict[str, Scheme] = {}
-
-
-def register_scheme(scheme: Scheme) -> Scheme:
-    """Register ``scheme``; rejects duplicate names."""
-    if scheme.name in _SCHEMES:
-        raise ValueError(f"scheme {scheme.name!r} is already registered")
-    _SCHEMES[scheme.name] = scheme
-    return scheme
-
-
-def unregister_scheme(name: str) -> None:
-    """Remove a registered scheme (tests register throwaway schemes)."""
-    _SCHEMES.pop(name, None)
-
-
-def available_schemes() -> Tuple[str, ...]:
-    """Registered scheme names, sorted."""
-    return tuple(sorted(_SCHEMES))
-
-
-#: alias matching the engine registry's naming
-list_schemes = available_schemes
-
-
-def get_scheme(name: str) -> Scheme:
-    """The scheme registered under ``name``."""
-    try:
-        return _SCHEMES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown routing scheme {name!r}; available: "
-            f"{', '.join(available_schemes()) or 'none'}") from None
+#: the routing-scheme registry; the names below are bindings to it
+SCHEMES: Registry[Scheme] = Registry("routing scheme")
+register_scheme = SCHEMES.register
+unregister_scheme = SCHEMES.unregister
+available_schemes = list_schemes = SCHEMES.names
+get_scheme = SCHEMES.get
+supported_schemes = SCHEMES.supported
 
 
 def scheme_label(name: str, policy: str) -> str:
     """Display label of a (scheme, policy) combination."""
     return get_scheme(name).label(policy)
-
-
-def supported_schemes(g: NetworkGraph) -> Tuple[str, ...]:
-    """Names of every registered scheme that can route ``g``, sorted."""
-    return tuple(name for name in available_schemes()
-                 if _SCHEMES[name].supports(g))
 
 
 def make_tables(g: NetworkGraph, scheme: str, root: int = 0,
@@ -222,8 +192,8 @@ def check_discipline(tables: RoutingTables, g: NetworkGraph) -> None:
     :class:`RoutingTables` directly) fall back to the up*/down* check,
     the discipline of every paper scheme.
     """
-    scheme = _SCHEMES.get(tables.scheme)
-    discipline = scheme.discipline if scheme is not None else "updown"
+    discipline = (SCHEMES.get(tables.scheme).discipline
+                  if tables.scheme in SCHEMES else "updown")
     _DISCIPLINE_CHECKS[discipline](tables, g)
 
 
@@ -282,11 +252,3 @@ register_scheme(Scheme(
     deadlock_free=True,
     multipath=True,
 ))
-
-
-def describe_schemes(g: Optional[NetworkGraph] = None
-                     ) -> Sequence[Tuple[str, Scheme]]:
-    """(name, scheme) pairs, sorted; filtered to ``g``'s supported set
-    when a graph is given.  Convenience for CLI/doc rendering."""
-    names = supported_schemes(g) if g is not None else available_schemes()
-    return [(name, _SCHEMES[name]) for name in names]

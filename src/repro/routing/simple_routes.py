@@ -3,20 +3,25 @@
 The paper's UP/DOWN baseline uses the routes produced by the
 ``simple_routes`` program shipped with GM (Section 4.5): one valid
 up*/down* path per source-destination pair, selected so as to *balance
-traffic* across links via link weights -- possibly choosing a
-non-minimal up*/down* path over an available minimal one when the
-minimal one is hot.
+traffic* across links via link weights.
 
-Our implementation follows that description:
+Our implementation:
 
-1. for every ordered switch pair, enumerate candidate legal up*/down*
-   paths with length up to the shortest legal distance plus
-   ``length_slack`` (bounded enumeration, see
+1. for every ordered switch pair, enumerate the legal up*/down* paths
+   of the shortest legal length (bounded enumeration, see
    :func:`repro.routing.updown.enumerate_legal_paths`);
 2. process pairs in a deterministic order and greedily pick, per pair,
-   the candidate minimising ``(total link weight, length, path)``;
+   the candidate minimising ``(total link weight, path)``;
 3. add one unit of weight to every link of the chosen path (each pair
    carries the same offered load under the paper's traffic model).
+
+The chosen path is therefore always a shortest *legal* path -- which
+is non-minimal in the graph wherever the up*/down* rule forbids every
+minimal path -- and link weights only break ties among those.  The
+paper notes that the original program "may select a non-minimal
+up*/down* path" over a legal minimal one for balance; this
+reimplementation never does, and still reproduces the minimal-path
+fractions the paper reports (see :func:`compute_simple_routes`).
 
 The greedy weighted selection reproduces the two properties the paper
 relies on: routes concentrate around the spanning-tree root (the
@@ -26,16 +31,14 @@ allows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..topology.graph import NetworkGraph
 from .updown import UpDownOrientation, enumerate_legal_paths, legal_shortest_distances
 
 
 def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
-                          length_slack: int = 1,
                           max_candidates: int = 32,
-                          prefer_minimal: bool = True,
                           ) -> Dict[Tuple[int, int], Tuple[int, ...]]:
     """One balanced legal up*/down* path per ordered switch pair.
 
@@ -43,18 +46,12 @@ def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
     pair of distinct switches (plus the trivial ``(s, s) -> (s,)``
     entries, which hosts sharing a switch use).
 
-    With ``prefer_minimal`` (default) the shortest legal candidates win
-    and the link weights only break ties among them; this reproduces the
-    minimal-path fractions the paper reports for simple_routes (80 % on
-    the 8x8 torus, 94 % on the express torus -- exactly the fraction of
-    pairs that have a legal minimal path at all).  ``prefer_minimal=
-    False`` puts accumulated weight first, allowing longer paths purely
-    for balance (the behaviour the paper alludes to with "it may happen
-    that the simple_routes program selects a non-minimal up*/down*
-    path"); the ablation benches compare both.
+    Only shortest legal candidates compete and the link weights break
+    ties among them; this reproduces the minimal-path fractions the
+    paper reports for simple_routes (80 % on the 8x8 torus, 94 % on the
+    express torus -- exactly the fraction of pairs that have a legal
+    minimal path at all).
     """
-    if length_slack < 0:
-        raise ValueError("length_slack must be >= 0")
     weight = [0] * g.num_links
     routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
@@ -68,19 +65,9 @@ def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
                    key=lambda p: ((p[0] + p[1]) % g.num_switches, p[0], p[1]))
 
     for src, dst in pairs:
-        # shortest legal candidates first (the bounded DFS with slack
-        # may otherwise hit its cap on slack-length paths only), then
-        # longer ones for balancing diversity
-        shortest = enumerate_legal_paths(g, ud, src, dst,
-                                         legal_dist[src][dst],
-                                         max_paths=max_candidates)
-        cands = list(shortest)
-        if length_slack > 0:
-            seen = set(cands)
-            extra = enumerate_legal_paths(
-                g, ud, src, dst, legal_dist[src][dst] + length_slack,
-                max_paths=max_candidates)
-            cands.extend(p for p in extra if p not in seen)
+        cands = enumerate_legal_paths(g, ud, src, dst,
+                                      legal_dist[src][dst],
+                                      max_paths=max_candidates)
         if not cands:  # cannot happen on a connected graph
             raise RuntimeError(f"no legal up*/down* path {src}->{dst}")
         best = None
@@ -89,8 +76,7 @@ def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
             w = 0
             for a, b in zip(path, path[1:]):
                 w += weight[g.link_between(a, b)]  # type: ignore[index]
-            key = ((len(path), w, path) if prefer_minimal
-                   else (w, len(path), path))
+            key = (w, path)
             if best_key is None or key < best_key:
                 best_key = key
                 best = path

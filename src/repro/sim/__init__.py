@@ -41,8 +41,8 @@ from .base import (ALL_CAPABILITIES, CAP_BATCH_DELIVERY, CAP_BATCH_INJECT,
                    UnsupportedCapability)
 from .engine import Simulator, DeadlockError
 from .faults import FaultPlan, LinkFault
-from .engines import (available_engines, engine_capabilities, get_engine,
-                      make_network, register, unregister)
+from .engines import (ENGINES, available_engines, engine_capabilities,
+                      get_engine, make_network, register, unregister)
 from .nic import MessageSequencer
 from .packet import Packet
 from .network import WormholeNetwork
@@ -61,7 +61,7 @@ __all__ = ["Simulator", "DeadlockError", "Packet", "NetworkModel",
            "FaultPlan", "LinkFault", "MessageSequencer",
            "ReliableParams", "ReliableTransport", "ReconfigParams",
            "ReconfigurationManager",
-           "register", "unregister", "available_engines",
+           "ENGINES", "register", "unregister", "available_engines",
            "engine_capabilities", "get_engine", "make_network",
            "WormholeNetwork", "FlitLevelNetwork", "ArrayNetwork",
            "PacketTracer", "TraceEvent", "format_trace"]

@@ -1,10 +1,11 @@
 """Engine registry: simulation backends selected by name.
 
 Every :class:`~repro.sim.base.NetworkModel` backend registers itself
-under a short name (``"packet"``, ``"flit"``), and everything outside
-:mod:`repro.sim` -- the experiment runner, the CLI, config validation --
-dispatches through this registry instead of importing concrete engine
-classes.  Registering a third engine is one decorator::
+under a short name (``"packet"``, ``"flit"``, ``"array"``) in
+:data:`ENGINES`, a :class:`repro.registry.Registry`, and everything
+outside :mod:`repro.sim` -- the experiment runner, the CLI, config
+validation -- dispatches through this registry instead of importing
+concrete engine classes.  Registering another engine is one decorator::
 
     from repro.sim.base import NetworkModel, CAP_LINK_STATS
     from repro.sim.engines import register
@@ -19,16 +20,23 @@ after which ``SimConfig(engine="analytic")`` just works.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type
+from typing import Type
 
 from ..config import MyrinetParams
+from ..registry import Registry
 from ..routing.policies import PathSelectionPolicy
 from ..routing.table import RoutingTables
 from ..topology.graph import NetworkGraph
 from .base import NetworkModel
 from .engine import Simulator
 
-_ENGINES: Dict[str, Type[NetworkModel]] = {}
+#: the engine registry (the spec of an engine is its class);
+#: ``_ENGINES`` and the names below are bindings to it
+ENGINES: Registry[Type[NetworkModel]] = Registry("engine")
+_ENGINES = ENGINES
+unregister = ENGINES.unregister
+available_engines = ENGINES.names
+get_engine = ENGINES.get
 
 
 def register(name: str):
@@ -38,32 +46,10 @@ def register(name: str):
             raise TypeError(
                 f"engine {name!r} must be a NetworkModel subclass, "
                 f"got {cls!r}")
-        if name in _ENGINES:
-            raise ValueError(f"engine {name!r} is already registered")
+        ENGINES.register(cls, name)
         cls.name = name
-        _ENGINES[name] = cls
         return cls
     return deco
-
-
-def unregister(name: str) -> None:
-    """Remove a registered engine (tests register throwaway backends)."""
-    _ENGINES.pop(name, None)
-
-
-def available_engines() -> Tuple[str, ...]:
-    """Registered engine names, sorted."""
-    return tuple(sorted(_ENGINES))
-
-
-def get_engine(name: str) -> Type[NetworkModel]:
-    """The backend class registered under ``name``."""
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; available: "
-            f"{', '.join(available_engines()) or 'none'}") from None
 
 
 def engine_capabilities(name: str) -> frozenset:

@@ -12,13 +12,17 @@ switches with 8 hosts attached to each switch:
 :func:`build_irregular` generates the random irregular topologies of the
 authors' earlier ITB papers, used here for extension studies.
 
-All builders return a :class:`~repro.topology.graph.NetworkGraph`.
+All builders return a :class:`~repro.topology.graph.NetworkGraph` and
+are registered by name in :data:`TOPOLOGIES` (a
+:class:`repro.registry.Registry`); :func:`build` dispatches through it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from dataclasses import dataclass
+from typing import Any, Callable, Tuple
 
+from ..registry import REQUIRED, Kwarg, Registry
 from .graph import GridGeometry, Host, Link, NetworkGraph
 from .torus import build_torus
 from .express import build_torus_express
@@ -28,18 +32,62 @@ from .mesh import build_mesh
 from .mutated import build_mutated
 from .validate import check_topology
 
-#: registry used by :class:`repro.config.SimConfig` (``topology=`` field)
-BUILDERS: Dict[str, Callable[..., NetworkGraph]] = {
-    "torus": build_torus,
-    "torus-express": build_torus_express,
-    "cplant": build_cplant,
-    "irregular": build_irregular,
-    "mesh": build_mesh,
-    # a base topology plus a failure set, JSON-describable so failure
-    # configs survive the orchestrator's process boundary (see
-    # repro.topology.mutated)
-    "mutated": build_mutated,
-}
+
+@dataclass(frozen=True)
+class Topology:
+    """One registered topology builder and the kwargs it takes."""
+
+    name: str
+    #: one-line description (shown by ``repro info``)
+    description: str
+    #: builder: ``build(**kwargs) -> NetworkGraph``
+    build: Callable[..., NetworkGraph]
+    #: the builder's keyword arguments (pinned to its signature by
+    #: ``tests/test_registry.py``); the CLI maps ``--rows``/``--cols``/
+    #: ``--hosts-per-switch`` onto whichever of them a topology declares
+    kwargs: Tuple[Kwarg, ...] = ()
+
+
+#: the topology registry (``SimConfig.topology`` names an entry);
+#: ``BUILDERS`` is the same object under its historical name
+TOPOLOGIES: Registry[Topology] = Registry("topology")
+BUILDERS = TOPOLOGIES
+
+_HOSTS = Kwarg("hosts_per_switch", int, 8, "hosts attached to each switch")
+_PORTS = Kwarg("switch_ports", int, 16, "ports per switch")
+_GRID = (Kwarg("rows", int, 8, "grid rows"),
+         Kwarg("cols", int, 8, "grid columns"), _HOSTS, _PORTS)
+
+TOPOLOGIES.register(Topology(
+    "torus", "2-D torus (paper Fig. 4; 8x8, 512 hosts)",
+    build_torus, _GRID))
+TOPOLOGIES.register(Topology(
+    "torus-express", "2-D torus plus express channels to second-order "
+    "neighbours", build_torus_express, _GRID))
+TOPOLOGIES.register(Topology(
+    "cplant", "Sandia CPLANT (50 switches, 400 hosts)",
+    build_cplant, (_HOSTS, _PORTS)))
+TOPOLOGIES.register(Topology(
+    "irregular", "random irregular network of the earlier ITB papers",
+    build_irregular,
+    (Kwarg("num_switches", int, 16, "switch count"), _HOSTS, _PORTS,
+     Kwarg("max_switch_links", int, 4, "inter-switch cables per switch"),
+     Kwarg("seed", int, 1, "wiring seed"))))
+TOPOLOGIES.register(Topology(
+    "mesh", "2-D mesh (no wraparound; dimension-order routing applies)",
+    build_mesh, _GRID))
+# a base topology plus a failure set, JSON-describable so failure
+# configs survive the orchestrator's process boundary (see
+# repro.topology.mutated)
+TOPOLOGIES.register(Topology(
+    "mutated", "a registered base topology minus failed links/switch",
+    build_mutated,
+    (Kwarg("base", str, REQUIRED, "registered base topology"),
+     Kwarg("base_kwargs", dict, None, "kwargs of the base builder"),
+     Kwarg("failed_links", list, (), "link ids of the base graph"),
+     Kwarg("failed_switch", int, None, "switch id to remove"),
+     Kwarg("require_connected", bool, True,
+           "reject failure sets that partition the fabric"))))
 
 
 def build(name: str, **kwargs: Any) -> NetworkGraph:
@@ -49,13 +97,7 @@ def build(name: str, **kwargs: Any) -> NetworkGraph:
     >>> g.num_switches
     16
     """
-    try:
-        builder = BUILDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown topology {name!r}; available: {sorted(BUILDERS)}"
-        ) from None
-    return builder(**kwargs)
+    return TOPOLOGIES.get(name).build(**kwargs)
 
 
 __all__ = [
@@ -71,4 +113,6 @@ __all__ = [
     "build_mutated",
     "check_topology",
     "BUILDERS",
+    "TOPOLOGIES",
+    "Topology",
 ]

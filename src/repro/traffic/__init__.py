@@ -3,8 +3,8 @@
 Every workload is the composition of a **destination pattern** (where
 messages go) and an **arrival process** (when they fire); any pattern
 composes with any process, and both sides dispatch through the
-capability-declaring registry in :mod:`repro.traffic.registry` -- the
-traffic twin of :mod:`repro.routing.schemes`.
+capability-declaring registries in :mod:`repro.traffic.registry`
+(:data:`PATTERNS`, :data:`ARRIVALS`).
 
 Destination patterns (Section 4.2 + extensions):
 
@@ -33,14 +33,12 @@ from __future__ import annotations
 
 from .base import (ArrivalProcess, DestinationPattern, TrafficPattern,
                    TrafficProcess, per_host_interval_ps)
-from .registry import (DEFAULT_ARRIVAL, DEFAULT_PATTERN, ArrivalSpec, Kwarg,
-                       PatternSpec, arrival_cli_kwargs, available_arrivals,
-                       available_patterns, describe_arrivals,
-                       describe_patterns, get_arrival_spec, get_pattern_spec,
-                       make_arrival, make_pattern, make_workload,
-                       parse_workload, pattern_cli_kwargs, register_arrival,
-                       register_pattern, supported_patterns,
-                       unregister_arrival, unregister_pattern,
+from .registry import (ARRIVALS, DEFAULT_ARRIVAL, DEFAULT_PATTERN, PATTERNS,
+                       ArrivalSpec, Kwarg, PatternSpec, available_arrivals,
+                       available_patterns, get_pattern_spec, make_arrival,
+                       make_pattern, make_workload, parse_workload,
+                       register_arrival, register_pattern,
+                       supported_patterns, unregister_pattern,
                        validate_workload, workload_label)
 from .arrivals import (AdversarialArrivals, ConstantArrivals, OnOffArrivals,
                        PoissonArrivals, PoissonBurstArrivals)
@@ -51,10 +49,6 @@ from .local import LocalTraffic
 from .permutation import ComplementTraffic, TransposeTraffic
 from .collective import AllReduceTraffic, AllToAllTraffic, IncastTraffic
 from .trace import TraceReplay, parse_trace_csv
-
-#: legacy view of the registry (pattern name -> builder); kept for
-#: back-compat, new code should use the registry API
-PATTERNS = {name: spec.build for name, spec in describe_patterns()}
 
 __all__ = [
     "ArrivalProcess",
@@ -69,11 +63,6 @@ __all__ = [
     "DEFAULT_PATTERN",
     "available_arrivals",
     "available_patterns",
-    "arrival_cli_kwargs",
-    "pattern_cli_kwargs",
-    "describe_arrivals",
-    "describe_patterns",
-    "get_arrival_spec",
     "get_pattern_spec",
     "make_arrival",
     "make_pattern",
@@ -82,7 +71,6 @@ __all__ = [
     "register_arrival",
     "register_pattern",
     "supported_patterns",
-    "unregister_arrival",
     "unregister_pattern",
     "validate_workload",
     "workload_label",
@@ -103,4 +91,5 @@ __all__ = [
     "PoissonBurstArrivals",
     "AdversarialArrivals",
     "PATTERNS",
+    "ARRIVALS",
 ]

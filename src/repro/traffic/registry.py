@@ -1,10 +1,11 @@
 """Traffic registry: patterns and arrival processes selected by name.
 
-Mirrors :mod:`repro.routing.schemes`: every destination pattern and
-every arrival process registers itself under a short name together with
-a **capability declaration** -- which graphs it supports (power-of-two
-host counts for bit-reversal, grid geometry where it matters), which
-keyword arguments it takes (name, type, default, help), and a
+:data:`PATTERNS` and :data:`ARRIVALS` are
+:class:`repro.registry.Registry` instances: every destination pattern
+and every arrival process registers itself under a short name together
+with a **capability declaration** -- which graphs it supports
+(power-of-two host counts for bit-reversal), which keyword arguments
+it takes (name, type, default, help), and a
 kwargs-aware display label -- and everything outside
 :mod:`repro.traffic` (config validation, the CLI, the experiment
 runner, the tournament) dispatches through this registry instead of
@@ -41,66 +42,23 @@ be paired with the default arrival name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Mapping, Optional, Tuple
 
+from ..registry import REQUIRED, Kwarg, Registry  # noqa: F401  (re-exported)
 from ..topology.graph import NetworkGraph
 from .base import ArrivalProcess, TrafficPattern
-from .defaults import DEFAULT_ARRIVAL, DEFAULT_PATTERN
-
-#: sentinel default for kwargs a caller must supply
-REQUIRED = object()
+from .defaults import DEFAULT_ARRIVAL, DEFAULT_PATTERN  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Kwarg:
-    """One declared keyword argument of a pattern or arrival process."""
-
-    name: str
-    #: value type: int, float, str or bool (int does not accept bool)
-    type: type
-    #: default value, or :data:`REQUIRED` when the caller must supply it
-    default: Any = REQUIRED
-    help: str = ""
-
-    @property
-    def required(self) -> bool:
-        return self.default is REQUIRED
-
-    def check(self, value: Any) -> None:
-        """Raise :class:`ValueError` unless ``value`` fits the type."""
-        ok = (isinstance(value, self.type)
-              and not (self.type is not bool and isinstance(value, bool)))
-        if self.type is float and isinstance(value, int) \
-                and not isinstance(value, bool):
-            ok = True
-        if not ok:
-            raise ValueError(
-                f"traffic kwarg {self.name!r} wants {self.type.__name__}, "
-                f"got {type(value).__name__} ({value!r})")
-
-    def parse(self, text: str) -> Any:
-        """Typed value from a CLI ``key=value`` string."""
-        if self.type is bool:
-            low = text.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"kwarg {self.name!r}: not a boolean: {text!r}")
-        try:
-            return self.type(text)
-        except ValueError:
-            raise ValueError(
-                f"kwarg {self.name!r}: not a valid "
-                f"{self.type.__name__}: {text!r}") from None
-
-
-def _default_label(name: str, kwargs: Mapping[str, Any]) -> str:
+def _label(spec: Any, kwargs: Mapping[str, Any]) -> str:
+    """Display label of a pattern/arrival spec under resolved kwargs:
+    its own ``label`` function, else ``name(k=v,...)``."""
+    if spec.label is not None:
+        return spec.label(kwargs)
     if not kwargs:
-        return name
+        return spec.name
     inner = ",".join(f"{k}={kwargs[k]}" for k in sorted(kwargs))
-    return f"{name}({inner})"
+    return f"{spec.name}({inner})"
 
 
 @dataclass(frozen=True)
@@ -124,11 +82,6 @@ class PatternSpec:
     #: replay) and must not be composed with a real arrival process
     provides_arrivals: bool = False
 
-    def label_for(self, kwargs: Mapping[str, Any]) -> str:
-        if self.label is not None:
-            return self.label(kwargs)
-        return _default_label(self.name, kwargs)
-
 
 @dataclass(frozen=True)
 class ArrivalSpec:
@@ -141,105 +94,17 @@ class ArrivalSpec:
     kwargs: Tuple[Kwarg, ...] = ()
     label: Optional[Callable[[Mapping[str, Any]], str]] = None
 
-    def label_for(self, kwargs: Mapping[str, Any]) -> str:
-        if self.label is not None:
-            return self.label(kwargs)
-        return _default_label(self.name, kwargs)
 
-
-_PATTERNS: Dict[str, PatternSpec] = {}
-_ARRIVALS: Dict[str, ArrivalSpec] = {}
-
-
-def register_pattern(spec: PatternSpec) -> PatternSpec:
-    """Register ``spec``; rejects duplicate names."""
-    if spec.name in _PATTERNS:
-        raise ValueError(f"traffic pattern {spec.name!r} is already "
-                         "registered")
-    _PATTERNS[spec.name] = spec
-    return spec
-
-
-def register_arrival(spec: ArrivalSpec) -> ArrivalSpec:
-    """Register ``spec``; rejects duplicate names."""
-    if spec.name in _ARRIVALS:
-        raise ValueError(f"arrival process {spec.name!r} is already "
-                         "registered")
-    _ARRIVALS[spec.name] = spec
-    return spec
-
-
-def unregister_pattern(name: str) -> None:
-    """Remove a registered pattern (tests register throwaway ones)."""
-    _PATTERNS.pop(name, None)
-
-
-def unregister_arrival(name: str) -> None:
-    """Remove a registered arrival process."""
-    _ARRIVALS.pop(name, None)
-
-
-def available_patterns() -> Tuple[str, ...]:
-    """Registered destination-pattern names, sorted."""
-    return tuple(sorted(_PATTERNS))
-
-
-def available_arrivals() -> Tuple[str, ...]:
-    """Registered arrival-process names, sorted."""
-    return tuple(sorted(_ARRIVALS))
-
-
-def get_pattern_spec(name: str) -> PatternSpec:
-    try:
-        return _PATTERNS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown traffic pattern {name!r}; available: "
-            f"{', '.join(available_patterns()) or 'none'}") from None
-
-
-def get_arrival_spec(name: str) -> ArrivalSpec:
-    try:
-        return _ARRIVALS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown arrival process {name!r}; available: "
-            f"{', '.join(available_arrivals()) or 'none'}") from None
-
-
-def supported_patterns(g: NetworkGraph) -> Tuple[str, ...]:
-    """Names of every registered pattern defined on ``g``, sorted."""
-    return tuple(name for name in available_patterns()
-                 if _PATTERNS[name].supports(g))
-
-
-def describe_patterns() -> Sequence[Tuple[str, PatternSpec]]:
-    """(name, spec) pairs, sorted -- for CLI/doc rendering."""
-    return [(name, _PATTERNS[name]) for name in available_patterns()]
-
-
-def describe_arrivals() -> Sequence[Tuple[str, ArrivalSpec]]:
-    """(name, spec) pairs, sorted -- for CLI/doc rendering."""
-    return [(name, _ARRIVALS[name]) for name in available_arrivals()]
-
-
-# -- kwargs validation -------------------------------------------------------
-
-
-def _check_kwargs(kind: str, name: str, declared: Tuple[Kwarg, ...],
-                  kwargs: Mapping[str, Any]) -> None:
-    by_name = {k.name: k for k in declared}
-    unknown = set(kwargs) - set(by_name)
-    if unknown:
-        raise ValueError(
-            f"{kind} {name!r} got unknown kwargs {sorted(unknown)}; "
-            f"declared: {sorted(by_name) or 'none'}")
-    for k in declared:
-        if k.name in kwargs:
-            k.check(kwargs[k.name])
-        elif k.required:
-            raise ValueError(
-                f"{kind} {name!r} requires kwarg {k.name!r} ({k.help})")
+#: the two traffic registries; the names below are bindings to them
+PATTERNS: Registry[PatternSpec] = Registry("traffic pattern")
+ARRIVALS: Registry[ArrivalSpec] = Registry("arrival process")
+register_pattern = PATTERNS.register
+register_arrival = ARRIVALS.register
+unregister_pattern = PATTERNS.unregister
+available_patterns = PATTERNS.names
+available_arrivals = ARRIVALS.names
+get_pattern_spec = PATTERNS.get
+supported_patterns = PATTERNS.supported
 
 
 def validate_workload(traffic: str, traffic_kwargs: Mapping[str, Any],
@@ -253,13 +118,10 @@ def validate_workload(traffic: str, traffic_kwargs: Mapping[str, Any],
     :meth:`repro.config.SimConfig.validate` calls -- adding a pattern
     or process needs no config edits.
     """
-    pspec = get_pattern_spec(traffic)
-    aspec = get_arrival_spec(arrival)
-    _check_kwargs("traffic pattern", traffic, pspec.kwargs,
-                  dict(traffic_kwargs))
-    _check_kwargs("arrival process", arrival, aspec.kwargs,
-                  dict(arrival_kwargs or {}))
-    if pspec.provides_arrivals and arrival != DEFAULT_ARRIVAL:
+    PATTERNS.check_kwargs(traffic, dict(traffic_kwargs))
+    ARRIVALS.check_kwargs(arrival, dict(arrival_kwargs or {}))
+    if PATTERNS.get(traffic).provides_arrivals \
+            and arrival != DEFAULT_ARRIVAL:
         raise ValueError(
             f"pattern {traffic!r} carries its own message timing and "
             f"cannot be composed with arrival process {arrival!r}")
@@ -277,8 +139,8 @@ def make_pattern(name: str, graph: NetworkGraph,
     declared contract rather than surfacing as ``TypeError`` deep in a
     builder.
     """
-    spec = get_pattern_spec(name)
-    _check_kwargs("traffic pattern", name, spec.kwargs, kwargs)
+    PATTERNS.check_kwargs(name, kwargs)
+    spec = PATTERNS.get(name)
     if not spec.supports(graph):
         raise ValueError(
             f"traffic pattern {name!r} is not defined on topology "
@@ -289,9 +151,8 @@ def make_pattern(name: str, graph: NetworkGraph,
 def make_arrival(name: str, interval_ps: int,
                  **kwargs: Any) -> ArrivalProcess:
     """Instantiate a registered arrival process by config name."""
-    spec = get_arrival_spec(name)
-    _check_kwargs("arrival process", name, spec.kwargs, kwargs)
-    return spec.build(interval_ps, **kwargs)
+    ARRIVALS.check_kwargs(name, kwargs)
+    return ARRIVALS.get(name).build(interval_ps, **kwargs)
 
 
 def make_workload(graph: NetworkGraph, traffic: str,
@@ -307,7 +168,7 @@ def make_workload(graph: NetworkGraph, traffic: str,
     """
     validate_workload(traffic, traffic_kwargs, arrival, arrival_kwargs)
     pattern = make_pattern(traffic, graph, **dict(traffic_kwargs))
-    if get_pattern_spec(traffic).provides_arrivals:
+    if PATTERNS.get(traffic).provides_arrivals:
         if not isinstance(pattern, ArrivalProcess):
             raise TypeError(
                 f"pattern {traffic!r} declares provides_arrivals but "
@@ -331,49 +192,19 @@ def parse_workload(spec: str) -> Tuple[str, str]:
         traffic, _, arrival = spec.partition("+")
     else:
         traffic, arrival = spec, DEFAULT_ARRIVAL
-    get_pattern_spec(traffic)
-    get_arrival_spec(arrival)
+    PATTERNS.get(traffic)
+    ARRIVALS.get(arrival)
     return traffic, arrival
-
-
-def parse_cli_kwargs(kind: str, name: str, declared: Tuple[Kwarg, ...],
-                     pairs: Sequence[str]) -> Dict[str, Any]:
-    """Typed kwargs from CLI ``key=value`` strings against a declaration."""
-    by_name = {k.name: k for k in declared}
-    out: Dict[str, Any] = {}
-    for pair in pairs:
-        key, sep, text = pair.partition("=")
-        if not sep:
-            raise ValueError(
-                f"{kind} argument {pair!r} is not of the form key=value")
-        if key not in by_name:
-            raise ValueError(
-                f"{kind} {name!r} declares no kwarg {key!r}; "
-                f"declared: {sorted(by_name) or 'none'}")
-        out[key] = by_name[key].parse(text)
-    return out
-
-
-def pattern_cli_kwargs(name: str, pairs: Sequence[str]) -> Dict[str, Any]:
-    """Typed traffic kwargs from repeated ``--traffic-arg key=value``."""
-    return parse_cli_kwargs("traffic pattern", name,
-                            get_pattern_spec(name).kwargs, pairs)
-
-
-def arrival_cli_kwargs(name: str, pairs: Sequence[str]) -> Dict[str, Any]:
-    """Typed arrival kwargs from repeated ``--arrival-arg key=value``."""
-    return parse_cli_kwargs("arrival process", name,
-                            get_arrival_spec(name).kwargs, pairs)
 
 
 def workload_label(traffic: str, traffic_kwargs: Mapping[str, Any] = (),
                    arrival: str = DEFAULT_ARRIVAL,
                    arrival_kwargs: Mapping[str, Any] = ()) -> str:
     """Human-readable label of a workload, e.g. ``hotspot(...)+onoff``."""
-    label = get_pattern_spec(traffic).label_for(dict(traffic_kwargs or {}))
+    label = _label(PATTERNS.get(traffic), dict(traffic_kwargs or {}))
     if arrival != DEFAULT_ARRIVAL:
-        label += "+" + get_arrival_spec(arrival).label_for(
-            dict(arrival_kwargs or {}))
+        label += "+" + _label(ARRIVALS.get(arrival),
+                              dict(arrival_kwargs or {}))
     return label
 
 

@@ -105,6 +105,23 @@ class TestCommands:
         assert "link utilisation" in out
         assert "hottest" in out
 
+    @pytest.mark.parametrize("topology", ["torus", "mesh"])
+    def test_links_heat_map_has_the_fabric_shape(self, topology, capsys):
+        """The per-switch map follows --rows/--cols (it used to be a
+        fixed 8x8, and absent for the mesh)."""
+        rc = main(["run", "--topology", topology, "--rows", "4",
+                   "--cols", "4", "--hosts-per-switch", "2", "--links",
+                   "--rate", "0.01", "--warmup-ns", "20000",
+                   "--measure-ns", "60000"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, ln in enumerate(lines)
+                     if "per switch" in ln) + 1
+        rows = [ln.split() for ln in lines[start:]
+                if ln.startswith("   ") and "->" not in ln]
+        assert [len(r) for r in rows] == [4, 4, 4, 4]
+        assert all(any(float(v) > 0 for v in r) for r in rows)
+
     def test_run_hotspot_options(self, capsys):
         rc = main(["run", "--topology", "irregular", "--traffic", "hotspot",
                    "--hotspot", "3", "--hotspot-fraction", "0.2",

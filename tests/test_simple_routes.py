@@ -93,13 +93,9 @@ def test_root_congestion_structure():
 
 
 def test_length_slack_zero(g44, ud44):
-    routes = compute_simple_routes(g44, ud44, length_slack=0)
+    # every route is a shortest *legal* path: weights only break ties
+    routes = compute_simple_routes(g44, ud44)
     for src in g44.switches():
         legal = legal_shortest_distances(g44, ud44, src)
         for dst in g44.switches():
             assert len(routes[(src, dst)]) - 1 == legal[dst]
-
-
-def test_negative_slack_rejected(g44, ud44):
-    with pytest.raises(ValueError):
-        compute_simple_routes(g44, ud44, length_slack=-1)
