@@ -13,18 +13,13 @@ it to exploit.
 """
 
 from repro.config import SimConfig
-from repro.experiments.runner import get_graph, run_simulation
 from repro.experiments.sweep import sweep_rates
-from repro.routing.dor import compute_dor_tables
 
 MESH_KW = {"rows": 8, "cols": 8, "hosts_per_switch": 8}
 RATES = [0.006, 0.010, 0.014, 0.018, 0.022, 0.027, 0.032]
 
 
 def test_mesh_three_way_comparison(benchmark, profile):
-    g = get_graph("mesh", MESH_KW)
-    dor_tables = compute_dor_tables(g, 8, 8, wrap=False)
-
     def sweep():
         out = {}
         base = SimConfig(topology="mesh", topology_kwargs=MESH_KW,
@@ -37,8 +32,7 @@ def test_mesh_three_way_comparison(benchmark, profile):
         out["ITB-RR"] = sweep_rates(
             base.with_overrides(routing="itb", policy="rr"), RATES)
         out["DOR"] = sweep_rates(
-            base.with_overrides(routing="itb", policy="sp"), RATES,
-            tables=dor_tables)
+            base.with_overrides(routing="dor", policy="sp"), RATES)
         return out
 
     curves = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -32,8 +32,6 @@ import time
 from repro.config import SimConfig
 from repro.experiments.profiles import PAPER
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.experiments.report import (render_figure, render_hotspot_table,
-                                      render_link_map)
 from repro.experiments.runner import clear_caches, run_simulation
 from repro.orchestrator import (DEFAULT_CACHE_DIR, Executor,
                                 ProgressReporter, ResultStore)
@@ -41,7 +39,22 @@ from repro.perf import PerfRecorder
 from repro.sim import available_engines
 from repro.units import ns
 
-GRIDS = {"fig8": (8, 8), "fig9": (8, 8), "fig11": (8, 8)}
+#: experiment kind -> the digest of its result kept in
+#: ``paper_results.json`` (the text report is the experiment's own
+#: ``render``); kinds without an entry are reported as text only
+JSON_DIGESTS = {
+    "latency-panel": lambda fig: {
+        "measured": fig.measured_throughput(),
+        "paper": fig.paper_throughput},
+    "link-map": lambda panels: {
+        panel.fig_id + ":" + panel.label: panel.utilization.summary()
+        for panel in panels},
+    "hotspot-table": lambda tab: {
+        "averages": {f"{f}:{lab}": v
+                     for (f, lab), v in tab.averages().items()},
+        "gains": {f"{f}:{lab}": v
+                  for (f, lab), v in tab.improvement_factors().items()}},
+}
 
 #: validation-size network used for cross-engine checks (DESIGN.md
 #: Section 5): small enough that the flit engine finishes in seconds
@@ -254,29 +267,10 @@ def main() -> None:
             result = run_experiment(exp_id, PAPER, executor=executor)
             elapsed = time.time() - t0
 
-            if exp.kind == "latency-panel":
-                txt.write(render_figure(result) + "\n\n")
-                summary[exp_id] = {
-                    "measured": result.measured_throughput(),
-                    "paper": result.paper_throughput,
-                }
-            elif exp.kind == "link-map":
-                for panel in result:
-                    txt.write(render_link_map(panel, GRIDS.get(exp_id))
-                              + "\n\n")
-                summary[exp_id] = {
-                    panel.fig_id + ":" + panel.label:
-                        panel.utilization.summary()
-                    for panel in result
-                }
-            else:  # hotspot-table
-                txt.write(render_hotspot_table(result) + "\n\n")
-                summary[exp_id] = {
-                    "averages": {f"{f}:{lab}": v for (f, lab), v
-                                 in result.averages().items()},
-                    "gains": {f"{f}:{lab}": v for (f, lab), v
-                              in result.improvement_factors().items()},
-                }
+            txt.write(exp.render(result) + "\n\n")
+            digest = JSON_DIGESTS.get(exp.kind)
+            if digest is not None:
+                summary[exp_id] = digest(result)
             txt.flush()
             with open(json_path, "w") as jf:
                 json.dump(summary, jf, indent=2)

@@ -32,7 +32,7 @@ from .perf import PerfRecorder, PerfReport, profile_to
 from .routing import (RoutingTables, SourceRoute, compute_tables,
                       make_policy, route_statistics)
 from .experiments.compare import ComparisonResult, compare_configs
-from .orchestrator import (Campaign, CampaignError, Executor, Point,
+from .orchestrator import (CampaignError, Executor, Point,
                            ProgressReporter, ResultStore, WorkerPool)
 from .sim import (DeadlockError, FlitLevelNetwork, ItbStats,
                   LinkChannelStats, NetworkModel, Packet, PacketTracer,
@@ -93,7 +93,6 @@ __all__ = [
     "FlitLevelNetwork",
     "ComparisonResult",
     "compare_configs",
-    "Campaign",
     "CampaignError",
     "Executor",
     "Point",

@@ -208,19 +208,17 @@ def _add_exec_options(p: argparse.ArgumentParser) -> None:
                         "certificate via --tls)")
 
 
-def _make_executor(args: argparse.Namespace,
-                   progress: bool = True) -> Optional[Executor]:
-    """Executor from CLI flags; None when the plain path suffices."""
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    fabric = getattr(args, "fabric", None)
-    if args.workers <= 1 and store is None and fabric is None:
-        return None
-    reporter = ProgressReporter() if progress else None
-    return Executor(workers=args.workers, store=store,
-                    timeout_s=args.task_timeout, retries=args.retries,
-                    retry_backoff_s=args.retry_backoff,
-                    reporter=reporter, fabric=fabric,
-                    tls_ca=getattr(args, "tls_ca", None))
+def _executor_kwargs(args: argparse.Namespace) -> dict:
+    """:class:`Executor` keyword arguments from ``_add_exec_options``."""
+    return dict(workers=args.workers,
+                store=None if args.no_cache else ResultStore(args.cache_dir),
+                timeout_s=args.task_timeout, retries=args.retries,
+                retry_backoff_s=args.retry_backoff,
+                fabric=args.fabric, tls_ca=args.tls_ca)
+
+
+def _make_executor(args: argparse.Namespace) -> Executor:
+    return Executor(reporter=ProgressReporter(), **_executor_kwargs(args))
 
 
 def _config_from(args: argparse.Namespace, rate: float) -> SimConfig:
@@ -309,8 +307,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"{r.accepted_flits_ns_switch:9.4f} {lat} "
               f"{'yes' if r.saturated else 'no':>4s}")
     print(f"throughput (knee): {curve.throughput():.4f} flits/ns/switch")
-    if executor is not None:
-        print(f"points: {executor.stats.oneline()}")
+    print(f"points: {executor.stats.oneline()}")
     return 0
 
 
@@ -327,8 +324,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.plot and exp.plot is not None:
         print()
         print(exp.plot(result))
-    if executor is not None:
-        print(f"points: {executor.stats.oneline()}", file=sys.stderr)
+    print(f"points: {executor.stats.oneline()}", file=sys.stderr)
     return 0
 
 
@@ -341,8 +337,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         topology_kwargs=_topology_kwargs(args.topology, args),
         executor=executor)
     print(render_resilience_table(report))
-    if executor is not None:
-        print(f"points: {executor.stats.oneline()}", file=sys.stderr)
+    print(f"points: {executor.stats.oneline()}", file=sys.stderr)
     return 0
 
 
@@ -355,8 +350,7 @@ def cmd_recovery(args: argparse.Namespace) -> int:
         topology_kwargs=_topology_kwargs(args.topology, args),
         executor=executor)
     print(render_recovery_table(report))
-    if executor is not None:
-        print(f"points: {executor.stats.oneline()}", file=sys.stderr)
+    print(f"points: {executor.stats.oneline()}", file=sys.stderr)
     if args.strict:
         lost = sum(c.permanent_losses for c in report.cells
                    if c.mode == "reconfigure")
@@ -423,8 +417,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
                             start_rate=args.start_rate,
                             executor=executor)
     print(render_tournament(report))
-    if executor is not None:
-        print(f"points: {executor.stats.oneline()}", file=sys.stderr)
+    print(f"points: {executor.stats.oneline()}", file=sys.stderr)
     if args.json:
         import json
         with open(args.json, "w") as f:
@@ -548,14 +541,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .orchestrator.serve import serve_main
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    serve_main(args.host, args.port, store,
-               workers=args.workers, fabric=args.fabric,
-               timeout_s=args.task_timeout, retries=args.retries,
-               retry_backoff_s=args.retry_backoff,
+    serve_main(args.host, args.port,
                announce=lambda addr: print(
                    f"repro serve listening on http://{addr} "
-                   f"(POST /campaign)", flush=True))
+                   f"(POST /campaign)", flush=True),
+               **_executor_kwargs(args))
     return 0
 
 

@@ -33,11 +33,11 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimConfig
-from ..metrics.saturation import find_saturation
 from ..routing.schemes import scheme_label
 from ..traffic.base import per_host_interval_ps
 from .profiles import Profile
 from .runner import get_graph, run_simulation
+from .sweep import cell_payload, resolve_executor, search_saturation
 
 #: fn-path of :func:`adversary_cell_task` for the orchestrator
 ADVERSARY_TASK_FN = "repro.experiments.adversary:adversary_cell_task"
@@ -106,21 +106,14 @@ def _scheme_payload(routing: str, policy: str, topology: str,
                     topology_kwargs: Dict[str, Any], profile: Profile,
                     seed: int, burst: int, start_rate: float,
                     fractions: Sequence[float]) -> dict:
-    """JSON-safe description of one scheme's search + probes."""
-    return {
-        "topology": topology,
-        "topology_kwargs": dict(topology_kwargs),
-        "routing": routing,
-        "policy": policy,
-        "seed": seed,
-        "burst": burst,
-        "start_rate": start_rate,
-        "fractions": list(fractions),
-        "sat_warmup_ps": profile.sat_warmup_ps,
-        "sat_measure_ps": profile.sat_measure_ps,
-        "growth": profile.sat_growth,
-        "refine_steps": profile.sat_refine_steps,
-    }
+    """One scheme's search + probes (orchestrator task payload)."""
+    return cell_payload(
+        SimConfig(topology=topology,
+                  topology_kwargs=dict(topology_kwargs),
+                  routing=routing, policy=policy,
+                  warmup_ps=profile.sat_warmup_ps,
+                  measure_ps=profile.sat_measure_ps, seed=seed),
+        profile, start_rate, burst=burst, fractions=list(fractions))
 
 
 def adversary_cell_task(payload: dict) -> dict:
@@ -131,36 +124,23 @@ def adversary_cell_task(payload: dict) -> dict:
     rate shrinks, so fixed profile windows would cover less and less
     of the steady state at the low-load fractions.
     """
-    topo = payload["topology"]
-    topo_kwargs = payload["topology_kwargs"]
+    base = SimConfig.from_dict(payload["base"])
     burst = payload["burst"]
-    g = get_graph(topo, topo_kwargs)
+    g = get_graph(base.topology, base.topology_kwargs)
 
-    def cfg_at(rate: float, **overrides: Any) -> SimConfig:
-        return SimConfig(
-            topology=topo, topology_kwargs=topo_kwargs,
-            routing=payload["routing"], policy=payload["policy"],
-            injection_rate=rate,
-            warmup_ps=payload["sat_warmup_ps"],
-            measure_ps=payload["sat_measure_ps"],
-            seed=payload["seed"]).with_overrides(**overrides)
-
-    sat = find_saturation(
-        lambda rate: run_simulation(cfg_at(rate)),
-        payload["start_rate"], growth=payload["growth"],
-        refine_steps=payload["refine_steps"])
+    sat = search_saturation(base, payload["search"])
 
     probes = []
     if sat.last_stable_rate == sat.last_stable_rate:  # not NaN
         for fraction in payload["fractions"]:
             rate = fraction * sat.last_stable_rate
-            cycle_ps = burst * per_host_interval_ps(rate, 512, g)
-            s = run_simulation(cfg_at(
-                rate, arrival="adversarial",
+            cycle_ps = burst * per_host_interval_ps(
+                rate, base.message_bytes, g)
+            s = run_simulation(base.with_overrides(
+                injection_rate=rate, arrival="adversarial",
                 arrival_kwargs={"burst": burst},
-                warmup_ps=max(payload["sat_warmup_ps"],
-                              WARMUP_CYCLES * cycle_ps),
-                measure_ps=max(payload["sat_measure_ps"],
+                warmup_ps=max(base.warmup_ps, WARMUP_CYCLES * cycle_ps),
+                measure_ps=max(base.measure_ps,
                                MEASURE_CYCLES * cycle_ps)))
             probes.append({
                 "fraction": fraction,
@@ -194,13 +174,10 @@ def run_adversary_study(schemes: Sequence[Tuple[str, str]],
     payloads = [_scheme_payload(r, p, topology, topology_kwargs, profile,
                                 seed, burst, start_rate, fractions)
                 for r, p in schemes]
-    if executor is not None:
-        results = executor.run_tasks(
-            ADVERSARY_TASK_FN, payloads,
-            labels=[f"adversary {scheme_label(r, p)} {topology_label}"
-                    for r, p in schemes])
-    else:
-        results = [adversary_cell_task(p) for p in payloads]
+    results = resolve_executor(executor).run_tasks(
+        ADVERSARY_TASK_FN, payloads,
+        labels=[f"adversary {scheme_label(r, p)} {topology_label}"
+                for r, p in schemes])
 
     saturation: Dict[str, float] = {}
     stable_rate: Dict[str, float] = {}

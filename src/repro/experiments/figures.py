@@ -20,8 +20,7 @@ from ..config import SimConfig
 from ..metrics.linkstats import LinkUtilization
 from ..metrics.summary import RunSummary
 from .profiles import Profile
-from .runner import run_simulation
-from .sweep import SweepResult, sweep_rates
+from .sweep import SweepResult, resolve_executor, sweep_rates
 
 #: the three configurations every latency panel compares
 ROUTINGS: Tuple[Tuple[str, str], ...] = (
@@ -66,8 +65,7 @@ def _latency_panel(fig_id: str, title: str, topology: str, traffic: str,
     ``thin=False`` keeps the full grid even under the bench profile --
     used where the panel's conclusion is a *ratio* of knees and grid
     clipping would distort it (Figure 12's modest local-traffic gains).
-    ``executor`` routes the sweeps through the parallel orchestrator
-    and its result store (see :mod:`repro.orchestrator`).
+    ``executor`` is handed to :func:`~.sweep.sweep_rates`.
     """
     series = []
     grid = profile.thin(list(rates)) if thin else list(rates)
@@ -137,17 +135,14 @@ def _link_map_config(topology: str, traffic: str, routing: str,
 
 def _link_map_panels(panels: Sequence[Tuple[str, str, SimConfig]],
                      executor=None) -> List[LinkMapResult]:
-    """Run link-utilisation snapshots, batched through the executor.
+    """Run link-utilisation snapshots as one batch of points.
 
-    The panels of one figure are independent runs, so with an executor
-    they execute concurrently (and re-render from the store for free).
+    The panels of one figure are independent runs, so a parallel
+    executor runs them concurrently, and one with a store re-renders
+    them for free.
     """
-    configs = [cfg for _, _, cfg in panels]
-    if executor is not None:
-        summaries = executor.run_configs(configs, collect_links=True)
-    else:
-        summaries = [run_simulation(cfg, collect_links=True)
-                     for cfg in configs]
+    summaries = resolve_executor(executor).run_configs(
+        [cfg for _, _, cfg in panels], collect_links=True)
     out = []
     for (fig_id, title, cfg), summary in zip(panels, summaries):
         assert summary.link_utilization is not None

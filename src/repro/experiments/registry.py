@@ -112,9 +112,9 @@ def run_experiment(exp_id: str, profile: Profile,
                    executor: Any = None) -> Any:
     """Run one registered experiment under ``profile``.
 
-    ``executor`` (a :class:`repro.orchestrator.Executor`) routes every
-    simulation point of the artefact through the parallel worker pool
-    and the on-disk result store; ``None`` keeps the plain sequential
-    path.  Every registered callable accepts the keyword.
+    Every simulation point of the artefact runs through ``executor``
+    (a :class:`repro.orchestrator.Executor`: its workers, its result
+    store); ``None`` is :func:`~.sweep.resolve_executor`'s plain one.
+    Every registered callable accepts the keyword.
     """
     return EXPERIMENTS.get(exp_id).fn(profile, executor=executor)

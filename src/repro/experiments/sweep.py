@@ -9,10 +9,12 @@ bend vertical there -- but their latency is window-dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..config import SimConfig
+from ..metrics.saturation import SaturationResult, find_saturation
 from ..metrics.summary import RunSummary
+from .profiles import Profile
 from .runner import run_simulation
 
 
@@ -59,6 +61,43 @@ class SweepResult:
         return None
 
 
+def resolve_executor(executor):
+    """The one place ``executor=None`` gets its meaning: a plain
+    :class:`repro.orchestrator.Executor` -- the caller's own thread, no
+    result store, no progress lines.  Every study runs its points and
+    cells through the executor this returns."""
+    if executor is None:
+        # function-level: repro.orchestrator imports this package
+        from ..orchestrator import Executor
+        executor = Executor()
+    return executor
+
+
+def cell_payload(base: SimConfig, profile: Profile, start_rate: float,
+                 **extras: Any) -> Dict[str, Any]:
+    """The one shape of a study cell's task payload.
+
+    ``base`` travels whole, so no :class:`SimConfig` field can be left
+    behind on the way to a worker; ``search`` holds the keyword
+    arguments of :func:`search_saturation`; ``extras`` are the study's
+    own JSON-safe values.
+    """
+    return {"base": base.to_dict(),
+            "search": {"start_rate": start_rate,
+                       "growth": profile.sat_growth,
+                       "refine_steps": profile.sat_refine_steps},
+            **extras}
+
+
+def search_saturation(base: SimConfig, search: Mapping[str, Any],
+                      **runner_kwargs: Any) -> SaturationResult:
+    """Saturation search over ``base`` with only the rate varied."""
+    return find_saturation(
+        lambda rate: run_simulation(
+            base.with_overrides(injection_rate=rate), **runner_kwargs),
+        **search)
+
+
 def sweep_rates(base: SimConfig, rates: Sequence[float],
                 stop_after_saturation: int = 1,
                 executor=None,
@@ -70,46 +109,25 @@ def sweep_rates(base: SimConfig, rates: Sequence[float],
     network is full of contending packets), preserving the curve's
     vertical bend without paying for points that carry no information.
 
-    ``executor`` (a :class:`repro.orchestrator.Executor`) routes the
-    points through the parallel orchestrator and its result store.  To
-    preserve the early-stop semantics in parallel mode, rate points are
-    dispatched in **ascending waves** of the executor's worker count:
-    the kept prefix of the curve is identical to the sequential path's,
-    a wave's surplus post-saturation points are merely simulated (and
-    cached) without being reported.  Callers passing live ``graph=`` or
-    ``tables=`` objects fall back to sequential execution -- those
-    cannot cross the process/disk boundary.
+    The points run through ``executor`` (a
+    :class:`repro.orchestrator.Executor`; ``None`` means
+    :func:`resolve_executor`'s plain one) in **ascending waves** of its
+    worker count, so the kept prefix of the curve is the same at any
+    width: a wave's surplus post-saturation points are merely simulated
+    (and cached) without being reported, and one worker stops exactly
+    at the early-stop point.  ``runner_kwargs`` must be plain data;
+    live ``graph=`` / ``tables=`` objects go to
+    :func:`~repro.experiments.runner.run_simulation` directly.
     """
+    executor = resolve_executor(executor)
     ordered = sorted(rates)
-    if executor is not None and all(
-            runner_kwargs.get(k) is None for k in ("graph", "tables")):
-        return _sweep_rates_executor(base, ordered, stop_after_saturation,
-                                     executor, runner_kwargs)
-    sat_seen = 0
-    runs: List[RunSummary] = []
-    for rate in ordered:
-        cfg = base.with_overrides(injection_rate=rate)
-        summary = run_simulation(cfg, **runner_kwargs)
-        runs.append(summary)
-        if summary.saturated:
-            sat_seen += 1
-            if sat_seen > stop_after_saturation:
-                break
-    return SweepResult(base.label(), runs)
-
-
-def _sweep_rates_executor(base: SimConfig, ordered: Sequence[float],
-                          stop_after_saturation: int, executor,
-                          runner_kwargs: dict) -> SweepResult:
-    """Wave-parallel sweep with sequential-identical early stop."""
     wave = max(1, executor.workers)
     sat_seen = 0
     runs: List[RunSummary] = []
     for start in range(0, len(ordered), wave):
         batch = ordered[start:start + wave]
         configs = [base.with_overrides(injection_rate=r) for r in batch]
-        summaries = executor.run_configs(configs, **runner_kwargs)
-        for summary in summaries:
+        for summary in executor.run_configs(configs, **runner_kwargs):
             runs.append(summary)
             if summary.saturated:
                 sat_seen += 1

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..config import SimConfig
-from ..metrics.saturation import find_saturation
 from .figures import ROUTINGS
 from .profiles import Profile
-from .runner import get_graph, run_simulation
+from .runner import get_graph
+from .sweep import cell_payload, resolve_executor, search_saturation
 
 
 @dataclass(frozen=True)
@@ -72,20 +72,15 @@ def pick_hotspots(topology: str, count: int, seed: int = 7,
 def _cell_payload(topology: str, fraction: float, location: int,
                   routing: str, policy: str, profile: Profile,
                   start_rate: float, seed: int = 1) -> dict:
-    """JSON-safe description of one table cell's saturation search."""
-    return {
-        "topology": topology,
-        "fraction": fraction,
-        "location": location,
-        "routing": routing,
-        "policy": policy,
-        "start_rate": start_rate,
-        "seed": seed,
-        "sat_warmup_ps": profile.sat_warmup_ps,
-        "sat_measure_ps": profile.sat_measure_ps,
-        "growth": profile.sat_growth,
-        "refine_steps": profile.sat_refine_steps,
-    }
+    """One table cell's saturation search (orchestrator task payload)."""
+    return cell_payload(
+        SimConfig(topology=topology, routing=routing, policy=policy,
+                  traffic="hotspot",
+                  traffic_kwargs={"hotspot": location,
+                                  "fraction": fraction},
+                  warmup_ps=profile.sat_warmup_ps,
+                  measure_ps=profile.sat_measure_ps, seed=seed),
+        profile, start_rate)
 
 
 def saturation_cell_task(payload: dict) -> dict:
@@ -96,20 +91,8 @@ def saturation_cell_task(payload: dict) -> dict:
     other, so the orchestrator dispatches one task per cell.  The
     result is JSON-safe so it can live in the result store.
     """
-    def run_at(rate: float):
-        cfg = SimConfig(
-            topology=payload["topology"], routing=payload["routing"],
-            policy=payload["policy"], traffic="hotspot",
-            traffic_kwargs={"hotspot": payload["location"],
-                            "fraction": payload["fraction"]},
-            injection_rate=rate,
-            warmup_ps=payload["sat_warmup_ps"],
-            measure_ps=payload["sat_measure_ps"],
-            seed=payload["seed"])
-        return run_simulation(cfg)
-    sat = find_saturation(run_at, payload["start_rate"],
-                          growth=payload["growth"],
-                          refine_steps=payload["refine_steps"])
+    sat = search_saturation(SimConfig.from_dict(payload["base"]),
+                            payload["search"])
     return {"throughput": sat.throughput,
             "last_stable_rate": sat.last_stable_rate,
             "first_saturated_rate": sat.first_saturated_rate,
@@ -127,11 +110,9 @@ def _hotspot_table(table_id: str, title: str, topology: str,
                    executor=None) -> HotspotTable:
     """Fill one table, cell by cell.
 
-    With an ``executor`` every (fraction, location, routing) cell runs
-    as an independent saturation-search task -- fanned out across
-    workers and checkpointed in the result store; the sequential path
-    executes the exact same task function inline, so both produce
-    bit-identical cells.
+    Every (fraction, location, routing) cell is an independent
+    saturation-search task of the executor -- fanned out across its
+    workers and checkpointed in its result store, when it has them.
     """
     locations = tuple(pick_hotspots(topology, profile.hotspot_locations,
                                     seed))
@@ -141,13 +122,10 @@ def _hotspot_table(table_id: str, title: str, topology: str,
              for frac in fractions
              for loc in locations
              for (routing, policy), label in _labels()]
-    if executor is not None:
-        results = executor.run_tasks(
-            SATURATION_TASK_FN, [p for _, _, _, p in specs],
-            labels=[f"{table_id} {label} hotspot={loc} @ {frac:.0%}"
-                    for frac, loc, label, _ in specs])
-    else:
-        results = [saturation_cell_task(p) for _, _, _, p in specs]
+    results = resolve_executor(executor).run_tasks(
+        SATURATION_TASK_FN, [p for _, _, _, p in specs],
+        labels=[f"{table_id} {label} hotspot={loc} @ {frac:.0%}"
+                for frac, loc, label, _ in specs])
     cells: Dict[Tuple[float, int, str], float] = {
         (frac, loc, label): r["throughput"]
         for (frac, loc, label, _), r in zip(specs, results)}

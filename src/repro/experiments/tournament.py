@@ -20,7 +20,7 @@ Cells where the scheme's capability declaration rejects the topology
 (e.g. dimension-order routing on an irregular network) are marked
 unsupported up front and never dispatched.  Supported cells are
 independent orchestrator tasks: parallel, checkpointed in the result
-store, restartable; the inline path runs the same task function.
+store, restartable.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimConfig
-from ..metrics.saturation import find_saturation, knee_from_runs
+from ..metrics.saturation import knee_from_runs
 from ..routing.schemes import available_schemes, get_scheme, scheme_label
 from ..traffic.registry import get_pattern_spec, parse_workload
 from .profiles import Profile
 from .runner import get_graph, run_simulation
+from .sweep import cell_payload, resolve_executor, search_saturation
 
 #: fn-path of :func:`tournament_cell_task` for the orchestrator
 TOURNAMENT_TASK_FN = "repro.experiments.tournament:tournament_cell_task"
@@ -144,31 +145,21 @@ def default_entries(schemes: Optional[Sequence[str]] = None
 def _cell_payload(entry: SchemeEntry, topo: TopologySpec, pattern: str,
                   profile: Profile, start_rate: float, seed: int,
                   failed_links: Tuple[int, ...]) -> dict:
-    """JSON-safe description of one cell (orchestrator task payload).
+    """One cell's searches and probe (orchestrator task payload).
 
     ``pattern`` is a workload spec (``"uniform"``, ``"uniform+onoff"``);
     kwargs come from the registry declarations' defaults, so the
     tournament needs no per-pattern plumbing.
     """
     traffic, arrival = parse_workload(pattern)
-    return {
-        "topology": topo.name,
-        "topology_kwargs": dict(topo.kwargs),
-        "routing": entry.routing,
-        "policy": entry.policy,
-        "traffic": traffic,
-        "traffic_kwargs": {},
-        "arrival": arrival,
-        "arrival_kwargs": {},
-        "seed": seed,
-        "start_rate": start_rate,
-        "failed_links": list(failed_links),
-        "sat_warmup_ps": profile.sat_warmup_ps,
-        "sat_measure_ps": profile.sat_measure_ps,
-        "growth": profile.sat_growth,
-        "refine_steps": profile.sat_refine_steps,
-        "knee_threshold": KNEE_THRESHOLD,
-    }
+    return cell_payload(
+        SimConfig(topology=topo.name, topology_kwargs=dict(topo.kwargs),
+                  routing=entry.routing, policy=entry.policy,
+                  traffic=traffic, arrival=arrival,
+                  warmup_ps=profile.sat_warmup_ps,
+                  measure_ps=profile.sat_measure_ps, seed=seed),
+        profile, start_rate,
+        failed_links=list(failed_links), knee_threshold=KNEE_THRESHOLD)
 
 
 def tournament_cell_task(payload: dict) -> dict:
@@ -178,46 +169,28 @@ def tournament_cell_task(payload: dict) -> dict:
     (its probe runs *are* a latency-vs-load curve), then one extra run
     at a stable rate collects per-message samples for the p99.
     """
-    def cfg_at(rate: float, topology: str,
-               topology_kwargs: dict) -> SimConfig:
-        return SimConfig(
-            topology=topology, topology_kwargs=topology_kwargs,
-            routing=payload["routing"], policy=payload["policy"],
-            traffic=payload["traffic"],
-            traffic_kwargs=payload["traffic_kwargs"],
-            arrival=payload["arrival"],
-            arrival_kwargs=payload["arrival_kwargs"],
-            injection_rate=rate,
-            warmup_ps=payload["sat_warmup_ps"],
-            measure_ps=payload["sat_measure_ps"],
-            seed=payload["seed"])
-
-    topo = payload["topology"]
-    topo_kwargs = payload["topology_kwargs"]
-    sat = find_saturation(
-        lambda rate: run_simulation(cfg_at(rate, topo, topo_kwargs)),
-        payload["start_rate"], growth=payload["growth"],
-        refine_steps=payload["refine_steps"])
+    base = SimConfig.from_dict(payload["base"])
+    search = payload["search"]
+    sat = search_saturation(base, search)
     knee = knee_from_runs(sat.runs, payload["knee_threshold"])
 
     if math.isfinite(sat.last_stable_rate) and sat.last_stable_rate > 0:
         probe_rate = 0.8 * sat.last_stable_rate
     else:
-        probe_rate = payload["start_rate"]
-    probe = run_simulation(cfg_at(probe_rate, topo, topo_kwargs),
+        probe_rate = search["start_rate"]
+    probe = run_simulation(base.with_overrides(injection_rate=probe_rate),
                            collect_percentiles=True)
 
     degraded_throughput = None
     if payload["failed_links"]:
-        mutated_kwargs = {"base": topo, "base_kwargs": dict(topo_kwargs),
-                          "failed_links": list(payload["failed_links"])}
+        broken = base.with_overrides(
+            topology="mutated",
+            topology_kwargs={"base": base.topology,
+                             "base_kwargs": dict(base.topology_kwargs),
+                             "failed_links": list(payload["failed_links"])})
         try:
-            degraded = find_saturation(
-                lambda rate: run_simulation(
-                    cfg_at(rate, "mutated", mutated_kwargs)),
-                payload["start_rate"], growth=payload["growth"],
-                refine_steps=payload["refine_steps"])
-            degraded_throughput = degraded.throughput
+            degraded_throughput = search_saturation(broken,
+                                                    search).throughput
         except ValueError:
             # the scheme cannot route the broken fabric (grid-bound
             # schemes lose their geometry when links die): report "no
@@ -283,13 +256,10 @@ def run_tournament(entries: Sequence[SchemeEntry],
                     e, topo, pattern, profile, start_rate, seed,
                     failure_sets[topo.label])))
 
-    if executor is not None:
-        results = executor.run_tasks(
-            TOURNAMENT_TASK_FN, [p for *_, p in specs],
-            labels=[f"tournament {e.label} {t.label} {pat}"
-                    for e, t, pat, _ in specs])
-    else:
-        results = [tournament_cell_task(p) for *_, p in specs]
+    results = resolve_executor(executor).run_tasks(
+        TOURNAMENT_TASK_FN, [p for *_, p in specs],
+        labels=[f"tournament {e.label} {t.label} {pat}"
+                for e, t, pat, _ in specs])
 
     by_key: Dict[Tuple[str, str, str], TournamentCell] = {}
     for (e, topo, pattern, _), r in zip(specs, results):

@@ -22,15 +22,15 @@ Layers, composable and individually testable:
   NDJSON progress;
 * :mod:`~repro.orchestrator.campaign` -- the :class:`Executor` front
   door (store-first, then whichever pool: inline, local processes or
-  fabric) plus :class:`Campaign` progress streaming; this is what
-  ``sweep_rates(..., executor=)``, the experiment registry, the CLI
-  and ``benchmarks/run_paper_profile.py`` route through.
+  fabric) with :class:`ProgressReporter` streaming; the one way
+  ``sweep_rates``, every registered experiment, the CLI and
+  ``benchmarks/run_paper_profile.py`` run their points.
 """
 
 from __future__ import annotations
 
-from .campaign import (Campaign, CampaignError, Executor, ExecutorStats,
-                       Point, ProgressReporter)
+from .campaign import (CampaignError, Executor, ExecutorStats, Point,
+                       ProgressReporter)
 from .fabric import FabricPool, FabricWorker
 from .pool import Task, TaskResult, WorkerPool
 from .serve import ReproServer
@@ -38,7 +38,6 @@ from .store import (CompactStats, DEFAULT_CACHE_DIR, ResultStore,
                     StoreInfo)
 
 __all__ = [
-    "Campaign",
     "CampaignError",
     "CompactStats",
     "DEFAULT_CACHE_DIR",

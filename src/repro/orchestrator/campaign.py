@@ -1,9 +1,10 @@
 """Campaign layer: whole figures/tables as lists of cached points.
 
-The :class:`Executor` is the single entry point the rest of the code
-base routes bulk simulation through (``sweep_rates(...,
-executor=...)``, the experiment registry, the CLI and the paper-profile
-benchmark runner).  It composes the two lower layers:
+The :class:`Executor` is the one way a study runs: ``sweep_rates``,
+every figure/table function and every study take one (``None`` is
+resolved, in :func:`repro.experiments.sweep.resolve_executor`, to a
+plain ``Executor()``), the CLI and the paper-profile benchmark runner
+build theirs from flags.  It composes the two lower layers:
 
 * every task is first looked up in the :class:`~.store.ResultStore`
   (when one is attached) -- an already-completed point costs one file
@@ -14,16 +15,13 @@ benchmark runner).  It composes the two lower layers:
   interrupted or crashed campaign resumes from exactly where it
   stopped.
 
-:class:`Campaign` expresses one named artefact (a figure panel, a
-table) as an explicit point list and streams per-point progress --
-completed/total, cache hits, ETA -- through a
-:class:`ProgressReporter`.
+Per-point progress -- completed/total, cache hits, ETA -- streams
+through a :class:`ProgressReporter`.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     TextIO)
@@ -34,11 +32,11 @@ from .fabric import FabricPool
 from .pool import POINT_TASK_FN, Task, TaskResult, WorkerPool
 from .store import ResultStore
 
-__all__ = ["Campaign", "CampaignError", "Executor", "ExecutorStats",
+__all__ = ["CampaignError", "Executor", "ExecutorStats",
            "Point", "ProgressReporter"]
 
 #: runner kwargs that carry live objects and cannot cross a process
-#: or disk boundary -- callers holding these must run sequentially
+#: or disk boundary -- callers holding these call run_simulation()
 UNSERIALIZABLE_RUNNER_KWARGS = ("graph", "tables")
 
 
@@ -110,7 +108,12 @@ class ProgressReporter:
         if status == "done":
             self._sim_time += elapsed_s
             self._sim_count += 1
-        eta = self.eta_s()
+        self.emit(label, status, elapsed_s, self.eta_s())
+
+    def emit(self, label: str, status: str, elapsed_s: float,
+             eta: Optional[float]) -> None:
+        """Output one finished point; the only part a subclass with
+        another output format overrides."""
         eta_txt = f"  eta {eta:.0f}s" if eta is not None else ""
         took = f" {elapsed_s:.1f}s" if status == "done" else ""
         self.stream.write(
@@ -238,8 +241,8 @@ class Executor:
                 if p.runner_kwargs.get(k) is not None:
                     raise ValueError(
                         f"runner kwarg {k!r} holds a live object and cannot "
-                        "be executed through the orchestrator; run these "
-                        "points sequentially via run_simulation()")
+                        "be executed through the orchestrator; call "
+                        "run_simulation() on these points directly")
         values = self.run_tasks(POINT_TASK_FN,
                                 [p.payload() for p in points],
                                 labels=[p.describe() for p in points])
@@ -252,32 +255,3 @@ class Executor:
                         runner_kwargs=runner_kwargs)
                   for i, cfg in enumerate(configs)]
         return self.run_points(points)
-
-
-@dataclass(frozen=True)
-class Campaign:
-    """A named list of simulation points (one figure/table artefact)."""
-
-    name: str
-    points: List[Point]
-
-    @classmethod
-    def from_sweep(cls, name: str, base: SimConfig,
-                   rates: Sequence[float],
-                   **runner_kwargs: Any) -> "Campaign":
-        """A latency-vs-traffic curve as a campaign (ascending rates)."""
-        points = [Point(point_id=f"{name}:{rate:.6g}",
-                        config=base.with_overrides(injection_rate=rate),
-                        runner_kwargs=runner_kwargs)
-                  for rate in sorted(rates)]
-        return cls(name, points)
-
-    def run(self, executor: Executor) -> Dict[str, RunSummary]:
-        """Execute every point; returns ``point_id -> RunSummary``."""
-        t0 = time.monotonic()
-        summaries = executor.run_points(self.points)
-        if executor.reporter:
-            executor.reporter.stream.write(
-                f"{self.name}: {executor.stats.oneline()} "
-                f"in {time.monotonic() - t0:.1f}s\n")
-        return {p.point_id: s for p, s in zip(self.points, summaries)}

@@ -48,7 +48,6 @@ from typing import Any, Dict, List, Optional
 
 from ..config import SimConfig
 from .campaign import CampaignError, Executor, Point, ProgressReporter
-from .store import ResultStore
 
 __all__ = ["ReproServer", "points_from_spec", "serve_main"]
 
@@ -95,23 +94,18 @@ class _NdjsonReporter(ProgressReporter):
     orchestrator learns about them.
     """
 
-    def __init__(self, emit):
+    def __init__(self, send):
         super().__init__(stream=None)
-        self._emit = emit
+        self._send = send
 
-    def point_done(self, label: str, status: str,
-                   elapsed_s: float = 0.0) -> None:
-        self.completed += 1
-        if status == "done":
-            self._sim_time += elapsed_s
-            self._sim_count += 1
-        eta = self.eta_s()
+    def emit(self, label: str, status: str, elapsed_s: float,
+             eta: Optional[float]) -> None:
         event = {"event": "point", "completed": self.completed,
                  "total": self.total, "label": label, "status": status,
                  "elapsed_s": round(elapsed_s, 4)}
         if eta is not None:
             event["eta_s"] = round(eta, 1)
-        self._emit(event)
+        self._send(event)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -190,26 +184,20 @@ class _Handler(BaseHTTPRequestHandler):
 class ReproServer(ThreadingHTTPServer):
     """The ``repro serve`` HTTP front end.
 
-    One instance owns one (optional) result store and one execution
-    recipe; each request builds a private :class:`Executor` around
-    them, so concurrent campaigns share the warm cache without sharing
-    any mutable orchestration state.
+    One instance owns one execution recipe -- ``executor_kwargs``, the
+    keyword arguments of :class:`Executor` (``store=``, ``workers=``,
+    ``fabric=``, ``tls_ca=``, ...) -- and each request builds a private
+    :class:`Executor` from it, so concurrent campaigns share the warm
+    cache without sharing any mutable orchestration state.
     """
 
     daemon_threads = True
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 store: Optional[ResultStore] = None,
-                 workers: int = 1, fabric: Optional[str] = None,
-                 timeout_s: Optional[float] = None, retries: int = 1,
-                 retry_backoff_s: float = 0.0, verbose: bool = False):
+                 verbose: bool = False, **executor_kwargs: Any):
+        self.executor_kwargs = executor_kwargs
+        self.make_executor(None)   # a misspelt keyword fails here
         super().__init__((host, port), _Handler)
-        self.store = store
-        self.workers = workers
-        self.fabric = fabric
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.retry_backoff_s = retry_backoff_s
         self.verbose = verbose
 
     @property
@@ -217,20 +205,20 @@ class ReproServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"{host}:{port}"
 
-    def make_executor(self, reporter: ProgressReporter) -> Executor:
-        return Executor(workers=self.workers, store=self.store,
-                        timeout_s=self.timeout_s, retries=self.retries,
-                        retry_backoff_s=self.retry_backoff_s,
-                        reporter=reporter, fabric=self.fabric)
+    def make_executor(self, reporter: Optional[ProgressReporter]
+                      ) -> Executor:
+        return Executor(reporter=reporter, **self.executor_kwargs)
 
     def health(self) -> Dict[str, Any]:
-        return {"ok": True, "fabric": self.fabric,
-                "workers": self.workers, "store": self.cache_info()}
+        return {"ok": True, "fabric": self.executor_kwargs.get("fabric"),
+                "workers": self.executor_kwargs.get("workers", 1),
+                "store": self.cache_info()}
 
     def cache_info(self) -> Dict[str, Any]:
-        if self.store is None:
+        store = self.executor_kwargs.get("store")
+        if store is None:
             return {"enabled": False}
-        info = self.store.info()
+        info = store.info()
         return {"enabled": True, "root": info.root,
                 "entries": info.entries, "total_bytes": info.total_bytes}
 
@@ -243,16 +231,10 @@ class ReproServer(ThreadingHTTPServer):
         return thread
 
 
-def serve_main(host: str, port: int, store: Optional[ResultStore],
-               workers: int = 1, fabric: Optional[str] = None,
-               timeout_s: Optional[float] = None, retries: int = 1,
-               retry_backoff_s: float = 0.0,
-               announce=None) -> None:
+def serve_main(host: str, port: int, announce=None,
+               **executor_kwargs: Any) -> None:
     """Run the server until interrupted (CLI entry point)."""
-    server = ReproServer(host, port, store=store, workers=workers,
-                         fabric=fabric, timeout_s=timeout_s,
-                         retries=retries, retry_backoff_s=retry_backoff_s,
-                         verbose=True)
+    server = ReproServer(host, port, verbose=True, **executor_kwargs)
     if announce:
         announce(server.address)
     try:

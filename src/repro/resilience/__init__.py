@@ -26,14 +26,14 @@ Dynamic mid-run faults (a cable dying under live traffic) live in
 from .campaign import (RESILIENCE_TASK_FN, ResilienceCell,
                        ResilienceReport, resilience_cell_task,
                        run_resilience)
-from .recovery import (RECOVERY_TASK_FN, RecoveryCell, RecoveryReport,
-                       recovery_cell_task, run_recovery, torus_recovery)
+from .recovery import (RecoveryCell, RecoveryReport, run_recovery,
+                       torus_recovery)
 from .report import render_recovery_table, render_resilience_table
 from .sampling import sample_failed_links, sample_failed_switch
 
 __all__ = ["ResilienceCell", "ResilienceReport", "RESILIENCE_TASK_FN",
            "resilience_cell_task", "run_resilience",
-           "RecoveryCell", "RecoveryReport", "RECOVERY_TASK_FN",
-           "recovery_cell_task", "run_recovery", "torus_recovery",
+           "RecoveryCell", "RecoveryReport", "run_recovery",
+           "torus_recovery",
            "render_resilience_table", "render_recovery_table",
            "sample_failed_links", "sample_failed_switch"]

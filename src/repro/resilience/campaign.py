@@ -12,10 +12,9 @@ reconfiguration would perform), and measures each scheme twice:
 * one fixed-rate probe run with link statistics for the route-quality
   and utilisation-concentration metrics.
 
-Cells are independent, so with an :class:`repro.orchestrator.Executor`
-each ``(k, scheme)`` cell is one orchestrator task -- parallel,
-checkpointed in the result store, and restartable.  The inline path
-runs the same task function, producing bit-identical cells.
+Cells are independent, so each ``(k, scheme)`` cell is one task of the
+:class:`repro.orchestrator.Executor` -- parallel, checkpointed in the
+result store, and restartable.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from ..canon import freeze
 from ..config import SimConfig
 from ..experiments.profiles import Profile
 from ..experiments.runner import get_graph, get_tables, run_simulation
-from ..metrics.saturation import find_saturation
+from ..experiments.sweep import (cell_payload, resolve_executor,
+                                 search_saturation)
 from ..routing.analysis import route_statistics
 from ..routing.schemes import scheme_label
 from ..traffic.defaults import DEFAULT_PATTERN
@@ -93,27 +93,19 @@ def _cell_payload(topology: str, topology_kwargs: Dict[str, Any],
                   failed_links: Tuple[int, ...], routing: str,
                   policy: str, profile: Profile, start_rate: float,
                   probe_rate: float, seed: int, root: int) -> dict:
-    """JSON-safe description of one cell (orchestrator task payload)."""
+    """One cell's search and probe (orchestrator task payload)."""
     if failed_links:
         topo = "mutated"
         topo_kwargs = _mutated_kwargs(topology, topology_kwargs,
                                       failed_links)
     else:
         topo, topo_kwargs = topology, dict(topology_kwargs)
-    return {
-        "topology": topo,
-        "topology_kwargs": topo_kwargs,
-        "routing": routing,
-        "policy": policy,
-        "seed": seed,
-        "root": root,
-        "start_rate": start_rate,
-        "probe_rate": probe_rate,
-        "sat_warmup_ps": profile.sat_warmup_ps,
-        "sat_measure_ps": profile.sat_measure_ps,
-        "growth": profile.sat_growth,
-        "refine_steps": profile.sat_refine_steps,
-    }
+    return cell_payload(
+        SimConfig(topology=topo, topology_kwargs=topo_kwargs,
+                  routing=routing, policy=policy, traffic=DEFAULT_PATTERN,
+                  warmup_ps=profile.sat_warmup_ps,
+                  measure_ps=profile.sat_measure_ps, seed=seed),
+        profile, start_rate, probe_rate=probe_rate, root=root)
 
 
 def resilience_cell_task(payload: dict) -> dict:
@@ -122,26 +114,14 @@ def resilience_cell_task(payload: dict) -> dict:
     JSON in, JSON out, so cells flow through the worker pool and the
     content-addressed result store like any other campaign point.
     """
+    base = SimConfig.from_dict(payload["base"])
     root = payload["root"]
 
-    def cfg_at(rate: float) -> SimConfig:
-        return SimConfig(
-            topology=payload["topology"],
-            topology_kwargs=payload["topology_kwargs"],
-            routing=payload["routing"], policy=payload["policy"],
-            traffic=DEFAULT_PATTERN, injection_rate=rate,
-            warmup_ps=payload["sat_warmup_ps"],
-            measure_ps=payload["sat_measure_ps"],
-            seed=payload["seed"])
+    sat = search_saturation(base, payload["search"], root=root)
 
-    sat = find_saturation(lambda rate: run_simulation(cfg_at(rate),
-                                                      root=root),
-                          payload["start_rate"],
-                          growth=payload["growth"],
-                          refine_steps=payload["refine_steps"])
-
-    probe = run_simulation(cfg_at(payload["probe_rate"]),
-                           collect_links=True, root=root)
+    probe = run_simulation(
+        base.with_overrides(injection_rate=payload["probe_rate"]),
+        collect_links=True, root=root)
     links = probe.link_utilization
     total = float(links.utilization.sum())
     at_root = float(sum(
@@ -149,10 +129,9 @@ def resilience_cell_task(payload: dict) -> dict:
                                      links.channel_ends)
         if root in (a, b)))
 
-    g = get_graph(payload["topology"], payload["topology_kwargs"])
-    tables = get_tables(g, (payload["topology"],
-                            freeze(payload["topology_kwargs"])),
-                        payload["routing"], root)
+    g = get_graph(base.topology, base.topology_kwargs)
+    tables = get_tables(g, (base.topology, freeze(base.topology_kwargs)),
+                        base.routing, root)
     stats = route_statistics(g, tables)
 
     return {
@@ -191,13 +170,10 @@ def run_resilience(topology: str, profile: Profile, seed: int = 1,
                 topology, topology_kwargs, failure_sets[k], routing,
                 policy, profile, start_rate, probe_rate, seed, root)))
 
-    if executor is not None:
-        results = executor.run_tasks(
-            RESILIENCE_TASK_FN, [p for *_, p in specs],
-            labels=[f"resilience {label} k={k}"
-                    for k, _, _, label, _ in specs])
-    else:
-        results = [resilience_cell_task(p) for *_, p in specs]
+    results = resolve_executor(executor).run_tasks(
+        RESILIENCE_TASK_FN, [p for *_, p in specs],
+        labels=[f"resilience {label} k={k}"
+                for k, _, _, label, _ in specs])
 
     cells_by_key: Dict[Tuple[int, str], ResilienceCell] = {}
     base_throughput: Dict[str, float] = {}

@@ -15,27 +15,25 @@ Reliable delivery is on everywhere -- the policies differ only in what
 the NICs route with afterwards -- so the table isolates what table
 recomputation buys on top of retransmission.
 
-Cells are JSON-in/JSON-out tasks (:func:`recovery_cell_task`) so the
-campaign flows through the orchestrator's worker pool and result store
-exactly like the degradation study.
+Each cell is one plain simulation point (a config plus JSON-safe
+runner kwargs carrying the fault plan and the two protocol parameter
+sets), so the matrix is a point list for the orchestrator's executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..config import SimConfig
 from ..experiments.profiles import Profile
-from ..experiments.runner import get_graph, run_simulation
+from ..experiments.runner import get_graph
+from ..experiments.sweep import resolve_executor
 from ..sim.faults import FaultPlan
 from ..sim.reliable import ReconfigParams, ReliableParams
 from ..traffic.defaults import DEFAULT_PATTERN
 from .campaign import SCHEMES
 from .sampling import sample_failed_links
-
-#: fn-path of :func:`recovery_cell_task` for the orchestrator
-RECOVERY_TASK_FN = "repro.resilience.recovery:recovery_cell_task"
 
 #: offered loads of the goodput-vs-load columns, flits/ns/switch
 DEFAULT_RATES: Tuple[float, ...] = (0.01, 0.02, 0.03)
@@ -86,58 +84,6 @@ class RecoveryReport:
     cells: Tuple[RecoveryCell, ...]
 
 
-def _cell_payload(topology: str, topology_kwargs: Dict[str, Any],
-                  routing: str, policy: str, mode: str, rate: float,
-                  profile: Profile, seed: int, root: int,
-                  fault_plan: FaultPlan, reliable: ReliableParams,
-                  detection_latency_ps: int) -> dict:
-    """JSON-safe description of one cell (orchestrator task payload)."""
-    return {
-        "topology": topology,
-        "topology_kwargs": dict(topology_kwargs),
-        "routing": routing,
-        "policy": policy,
-        "seed": seed,
-        "root": root,
-        "rate": rate,
-        "warmup_ps": profile.warmup_ps,
-        "measure_ps": profile.measure_ps,
-        "fault_plan": fault_plan.to_dict(),
-        "reliable": reliable.to_dict(),
-        "reconfig": ReconfigParams(
-            policy=mode,
-            detection_latency_ps=detection_latency_ps).to_dict(),
-    }
-
-
-def recovery_cell_task(payload: dict) -> dict:
-    """Worker function: one recovery run, summarised to plain JSON."""
-    cfg = SimConfig(
-        topology=payload["topology"],
-        topology_kwargs=payload["topology_kwargs"],
-        routing=payload["routing"], policy=payload["policy"],
-        traffic=DEFAULT_PATTERN, injection_rate=payload["rate"],
-        warmup_ps=payload["warmup_ps"],
-        measure_ps=payload["measure_ps"],
-        seed=payload["seed"])
-    s = run_simulation(cfg, root=payload["root"],
-                       fault_plan=payload["fault_plan"],
-                       reliable=payload["reliable"],
-                       reconfig=payload["reconfig"])
-    return {
-        "goodput": s.accepted_flits_ns_switch,
-        "messages_generated": s.messages_generated,
-        "messages_delivered": s.messages_delivered,
-        "retransmissions": s.retransmissions,
-        "duplicate_deliveries": s.duplicate_deliveries,
-        "permanent_losses": s.permanent_losses,
-        "dropped_in_flight": s.dropped_in_flight,
-        "dropped_unroutable": s.dropped_unroutable,
-        "reconfigurations": s.reconfigurations,
-        "time_to_recover_ns": s.time_to_recover_ns,
-    }
-
-
 def run_recovery(topology: str, profile: Profile, seed: int = 1,
                  rates: Tuple[float, ...] = DEFAULT_RATES,
                  topology_kwargs: Optional[Dict[str, Any]] = None,
@@ -161,42 +107,48 @@ def run_recovery(topology: str, profile: Profile, seed: int = 1,
     if detection_latency_ps is None:
         detection_latency_ps = ReconfigParams().detection_latency_ps
 
-    specs: List[Tuple[str, str, str, str, float, dict]] = []
-    for routing, policy, label in SCHEMES:
-        for mode in ("blacklist", "reconfigure"):
-            for rate in rates:
-                specs.append((routing, policy, label, mode, rate,
-                              _cell_payload(topology, topology_kwargs,
-                                            routing, policy, mode, rate,
-                                            profile, seed, root,
-                                            fault_plan, reliable,
-                                            detection_latency_ps)))
+    # function-level: repro.orchestrator imports repro.experiments,
+    # which imports this package
+    from ..orchestrator import Point
 
-    if executor is not None:
-        results = executor.run_tasks(
-            RECOVERY_TASK_FN, [p for *_, p in specs],
-            labels=[f"recovery {label} {mode} rate={rate}"
-                    for _, _, label, mode, rate, _ in specs])
-    else:
-        results = [recovery_cell_task(p) for *_, p in specs]
+    runner_kwargs = {
+        mode: {"root": root, "fault_plan": fault_plan.to_dict(),
+               "reliable": reliable.to_dict(),
+               "reconfig": ReconfigParams(
+                   policy=mode,
+                   detection_latency_ps=detection_latency_ps).to_dict()}
+        for mode in ("blacklist", "reconfigure")}
+    specs = [(routing, policy, label, mode, rate)
+             for routing, policy, label in SCHEMES
+             for mode in runner_kwargs
+             for rate in rates]
+    summaries = resolve_executor(executor).run_points([
+        Point(f"recovery {label} {mode} rate={rate}",
+              SimConfig(topology=topology, topology_kwargs=topology_kwargs,
+                        routing=routing, policy=policy,
+                        traffic=DEFAULT_PATTERN, injection_rate=rate,
+                        warmup_ps=profile.warmup_ps,
+                        measure_ps=profile.measure_ps, seed=seed),
+              runner_kwargs[mode])
+        for routing, policy, label, mode, rate in specs])
 
     cells = []
-    for (routing, policy, label, mode, rate, _), r in zip(specs, results):
-        gen = r["messages_generated"]
-        dlv = r["messages_delivered"]
+    for (routing, policy, label, mode, rate), s in zip(specs, summaries):
+        gen = s.messages_generated
+        dlv = s.messages_delivered
         cells.append(RecoveryCell(
             label=label, routing=routing, policy=policy, mode=mode,
-            rate=rate, goodput=r["goodput"],
+            rate=rate, goodput=s.accepted_flits_ns_switch,
             messages_generated=gen, messages_delivered=dlv,
-            retransmissions_per_message=(r["retransmissions"] / gen
+            retransmissions_per_message=(s.retransmissions / gen
                                          if gen else 0.0),
-            duplicate_rate=(r["duplicate_deliveries"] / dlv
+            duplicate_rate=(s.duplicate_deliveries / dlv
                             if dlv else 0.0),
-            permanent_losses=r["permanent_losses"],
-            dropped_in_flight=r["dropped_in_flight"],
-            dropped_unroutable=r["dropped_unroutable"],
-            reconfigurations=r["reconfigurations"],
-            time_to_recover_ns=r["time_to_recover_ns"]))
+            permanent_losses=s.permanent_losses,
+            dropped_in_flight=s.dropped_in_flight,
+            dropped_unroutable=s.dropped_unroutable,
+            reconfigurations=s.reconfigurations,
+            time_to_recover_ns=s.time_to_recover_ns))
     return RecoveryReport(topology, topology_kwargs, seed, failed_link,
                           fault_ps / 1_000, detection_latency_ps / 1_000,
                           tuple(cells))

@@ -201,9 +201,12 @@ class TestOrchestratorCommands:
 
     def test_sweep_no_cache_sequential(self, capsys):
         assert main(self.SWEEP + ["--no-cache"]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "throughput (knee)" in out
-        assert "points:" not in out  # plain path, no orchestrator
+        assert "points: 2 simulated, 0 from cache" in out
+        # one worker: each rate is its own wave, reported as it lands
+        assert "[1/1] ITB-RR @ 0.005 (torus/uniform): done" in err
+        assert "[2/2] ITB-RR @ 0.01 (torus/uniform): done" in err
 
     def test_sweep_repeat_served_from_cache(self, tmp_path, capsys):
         cache = ["--cache-dir", str(tmp_path / "cache")]

@@ -373,6 +373,36 @@ class TestFabricTls:
         out = ex.run_configs([small_config()])
         assert out[0].messages_delivered > 0
 
+    def test_serve_threads_tls_ca(self, tls_worker):
+        """``repro serve --fabric ... --tls-ca PEM`` builds its
+        executors from the same flags-to-keywords code as every other
+        verb, so the served campaign dials the TLS worker over TLS."""
+        import http.client
+        import json
+
+        from repro.cli import _executor_kwargs, build_parser
+        from repro.orchestrator import ReproServer
+
+        args = build_parser().parse_args(
+            ["serve", "--no-cache", "--fabric", tls_worker,
+             "--tls-ca", CERT_A])
+        srv = ReproServer(**_executor_kwargs(args))
+        srv.start_background()
+        try:
+            conn = http.client.HTTPConnection(*srv.server_address[:2],
+                                              timeout=120)
+            conn.request("POST", "/campaign", json.dumps(
+                {"points": [{"config": small_config().to_dict()}]}))
+            events = [json.loads(line) for line in
+                      conn.getresponse().read().decode().splitlines()]
+            conn.close()
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        assert events[-1]["event"] == "done", events[-1]
+        assert events[-1]["stats"] == {"simulated": 1, "cached": 0,
+                                       "failed": 0}
+
     def test_executor_rejects_tls_without_fabric(self):
         with pytest.raises(ValueError, match="fabric"):
             Executor(workers=2, tls_ca=CERT_A)

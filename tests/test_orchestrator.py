@@ -22,9 +22,8 @@ import pytest
 import repro.orchestrator.lease as lease_mod
 import repro.orchestrator.pool as pool_mod
 from repro.experiments.sweep import sweep_rates
-from repro.orchestrator import (Campaign, CampaignError, Executor,
-                                FabricPool, FabricWorker, Point,
-                                ProgressReporter, ResultStore, Task,
+from repro.orchestrator import (CampaignError, Executor, FabricPool,
+                                FabricWorker, Point, ResultStore, Task,
                                 WorkerPool)
 from repro.orchestrator.lease import LeasePool, retry_delay_s
 from repro.units import ns
@@ -532,26 +531,3 @@ class TestDeterminism:
                           executor=ex)
         assert [r.to_dict() for r in par.runs] == \
             [r.to_dict() for r in seq.runs]
-
-
-class TestCampaign:
-    def test_from_sweep_runs_and_reports(self, tmp_path, capsys):
-        import io
-        stream = io.StringIO()
-        ex = Executor(workers=1, store=ResultStore(tmp_path),
-                      reporter=ProgressReporter(stream))
-        camp = Campaign.from_sweep("demo", small_config(), [0.01, 0.005])
-        results = camp.run(ex)
-        assert set(results) == {"demo:0.005", "demo:0.01"}
-        assert results["demo:0.01"].messages_delivered > 0
-        out = stream.getvalue()
-        assert "[1/2]" in out and "[2/2]" in out
-        assert "demo:" in out
-
-    def test_rerun_is_all_cache_hits(self, tmp_path):
-        store = ResultStore(tmp_path)
-        camp = Campaign.from_sweep("demo", small_config(), [0.01, 0.005])
-        camp.run(Executor(workers=1, store=store))
-        ex = Executor(workers=1, store=store)
-        camp.run(ex)
-        assert ex.stats.cached == 2 and ex.stats.simulated == 0

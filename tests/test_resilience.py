@@ -6,11 +6,15 @@ import json
 
 import pytest
 
+from repro.config import SimConfig
 from repro.experiments.profiles import TEST
+from repro.experiments.runner import run_simulation
 from repro.orchestrator import Executor
-from repro.resilience import (render_resilience_table, run_resilience,
-                              sample_failed_links, sample_failed_switch)
+from repro.resilience import (render_resilience_table, run_recovery,
+                              run_resilience, sample_failed_links,
+                              sample_failed_switch)
 from repro.resilience.campaign import _cell_payload, resilience_cell_task
+from repro.sim.faults import FaultPlan
 from repro.topology import build_torus
 from repro.topology.mutate import without_links
 from repro.topology.validate import check_topology
@@ -61,14 +65,14 @@ class TestCellTask:
                                 start_rate=0.005, probe_rate=0.01,
                                 seed=1, root=0)
         assert json.loads(json.dumps(payload)) == payload
-        assert payload["topology"] == "mutated"
+        assert payload["base"]["topology"] == "mutated"
 
     def test_healthy_payload_uses_base_topology(self):
         payload = _cell_payload("torus", {"rows": 3, "cols": 3},
                                 (), "updown", "sp", TEST,
                                 start_rate=0.005, probe_rate=0.01,
                                 seed=1, root=0)
-        assert payload["topology"] == "torus"
+        assert payload["base"]["topology"] == "torus"
 
     def test_task_result_shape(self):
         payload = _cell_payload("torus", {"rows": 3, "cols": 3,
@@ -122,3 +126,45 @@ class TestCampaign:
         assert "UP/DOWN" in text and "ITB-RR" in text
         assert "k=1" in text
         assert "100.0%" in text  # baseline retention
+
+
+class TestRecoveryCampaign:
+    """The recovery matrix is a list of plain simulation points."""
+
+    KW = {"rows": 4, "cols": 4, "hosts_per_switch": 2}
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_recovery("torus", TEST, seed=1, rates=(0.01,),
+                            topology_kwargs=self.KW)
+
+    def test_cells_cover_schemes_and_policies(self, report):
+        assert [(c.label, c.mode) for c in report.cells] == [
+            ("UP/DOWN", "blacklist"), ("UP/DOWN", "reconfigure"),
+            ("ITB-RR", "blacklist"), ("ITB-RR", "reconfigure")]
+        for cell in report.cells:
+            assert cell.messages_delivered > 0
+            if cell.mode == "reconfigure":
+                assert cell.reconfigurations >= 1
+                assert cell.permanent_losses == 0
+
+    def test_cell_is_the_direct_run(self, report):
+        cell = report.cells[-1]          # ITB-RR, reconfigure
+        s = run_simulation(
+            SimConfig(topology="torus", topology_kwargs=self.KW,
+                      routing="itb", policy="rr", injection_rate=0.01,
+                      warmup_ps=TEST.warmup_ps,
+                      measure_ps=TEST.measure_ps, seed=1),
+            fault_plan=FaultPlan.at(
+                (int(report.fault_ns * 1_000), report.failed_link)),
+            reliable=True, reconfig=True)
+        assert cell.goodput == s.accepted_flits_ns_switch
+        assert cell.time_to_recover_ns == s.time_to_recover_ns
+        assert cell.retransmissions_per_message == \
+            s.retransmissions / s.messages_generated
+
+    def test_parallel_run_matches_inline(self, report):
+        par = run_recovery("torus", TEST, seed=1, rates=(0.01,),
+                           topology_kwargs=self.KW,
+                           executor=Executor(workers=2))
+        assert par == report

@@ -1,13 +1,25 @@
 """Sweeps, profiles, the experiment registry and tables machinery."""
 
+import dataclasses
+import json
+
 import pytest
 
+import repro.orchestrator.pool as pool_mod
+from repro.config import SimConfig
+from repro.experiments import adversary, tables, tournament
 from repro.experiments.profiles import BENCH, PAPER, TEST, Profile
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.experiments.sweep import sweep_rates
+from repro.experiments.runner import run_simulation
+from repro.experiments.sweep import (cell_payload, search_saturation,
+                                     sweep_rates)
 from repro.experiments.tables import pick_hotspots
+from repro.orchestrator import CampaignError, Executor
+from repro.resilience import campaign as resilience
 from repro.units import ns
 from tests.conftest import small_config
+
+T33 = {"rows": 3, "cols": 3, "hosts_per_switch": 2}
 
 
 class TestSweep:
@@ -44,6 +56,95 @@ class TestSweep:
         res = sweep_rates(base, [0.5, 0.9])
         assert all(r.saturated for r in res.runs)
         assert res.throughput() == max(res.accepted)
+
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_equals_direct_run_simulation_calls(self, workers):
+        """The one path against the real reference: the curve is the
+        list of direct runs, cut by the early-stop rule, at any width."""
+        base = small_config(warmup_ps=ns(10_000), measure_ps=ns(40_000))
+        rates = [0.5, 0.004, 0.3, 0.4, 0.6]
+        expected, sat_seen = [], 0
+        for rate in sorted(rates):
+            summary = run_simulation(
+                base.with_overrides(injection_rate=rate))
+            expected.append(summary.to_dict())
+            sat_seen += summary.saturated
+            if sat_seen > 1:
+                break
+        assert 2 <= len(expected) < len(rates)  # the stop actually fired
+        executor = Executor(workers=workers) if workers else None
+        res = sweep_rates(base, rates, stop_after_saturation=1,
+                          executor=executor)
+        assert [r.to_dict() for r in res.runs] == expected
+
+    def test_failing_point_names_itself(self):
+        bad = small_config(traffic_kwargs={"nonsense": 1})
+        with pytest.raises(CampaignError) as err:
+            sweep_rates(bad, [0.004])
+        text = str(err.value)
+        assert "1 of 1 points failed" in text
+        assert "ITB-RR @ 0.004 (torus/uniform)" in text
+        with pytest.raises(Exception) as direct:
+            run_simulation(bad.with_overrides(injection_rate=0.004))
+        assert f"{type(direct.value).__name__}: {direct.value}" in text
+
+    def test_keyboard_interrupt_reaches_the_caller(self, monkeypatch):
+        def interrupted(config, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(pool_mod, "run_simulation", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            sweep_rates(small_config(), [0.004])
+
+    def test_live_objects_are_refused(self, torus44):
+        with pytest.raises(ValueError, match="run_simulation"):
+            sweep_rates(small_config(), [0.004], graph=torus44)
+
+
+class TestCellPayload:
+    """Every study cell ships its whole ``SimConfig``."""
+
+    PAYLOADS = {
+        "tables": lambda: tables._cell_payload(
+            "torus", 0.05, 3, "itb", "rr", TEST, start_rate=0.006),
+        "tournament": lambda: tournament._cell_payload(
+            tournament.default_entries(["itb"])[0],
+            tournament.TopologySpec("torus", T33, "torus 3x3"),
+            "uniform+onoff", TEST, start_rate=0.005, seed=1,
+            failed_links=(2,)),
+        "adversary": lambda: adversary._scheme_payload(
+            "itb", "rr", "torus", T33, TEST, seed=1, burst=4,
+            start_rate=0.005, fractions=(0.5,)),
+        "resilience": lambda: resilience._cell_payload(
+            "torus", T33, (1, 5), "itb", "rr", TEST, start_rate=0.005,
+            probe_rate=0.01, seed=1, root=0),
+    }
+
+    @pytest.mark.parametrize("study", sorted(PAYLOADS))
+    def test_base_is_a_whole_simconfig(self, study):
+        payload = self.PAYLOADS[study]()
+        assert json.loads(json.dumps(payload)) == payload
+        base = SimConfig.from_dict(payload["base"])
+        base.validate()
+        assert payload["base"] == base.to_dict()
+        assert set(payload["base"]) == \
+            {f.name for f in dataclasses.fields(SimConfig)}
+        assert base.measure_ps == TEST.sat_measure_ps
+        assert set(payload["search"]) == \
+            {"start_rate", "growth", "refine_steps"}
+
+    def test_search_runs_the_config_it_was_given(self):
+        """engine / message_bytes / params are no longer dropped on
+        the way into a cell."""
+        cfg = small_config(engine="array", message_bytes=256,
+                           warmup_ps=ns(10_000), measure_ps=ns(40_000))
+        payload = cell_payload(cfg, TEST, 0.3, extra=1)
+        assert payload["base"] == cfg.to_dict() and payload["extra"] == 1
+        sat = search_saturation(SimConfig.from_dict(payload["base"]),
+                                payload["search"])
+        for run in sat.runs:
+            assert run.config == cfg.with_overrides(
+                injection_rate=run.config.injection_rate)
 
 
 class TestProfiles:
