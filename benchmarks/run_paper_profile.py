@@ -77,6 +77,9 @@ _PAPER_SCALE_CFG = dict(
 #: engine's hot-loop throughput is tracked over time.  ``flit-paper``
 #: runs a reduced window (the flit engine is ~3 orders slower than the
 #: array engine; a full 350 us horizon would dominate the whole bench).
+#: ``array-updown`` is there for its ``cold_wall_s``: the array loop is
+#: negligible, so the point times the ``simple_routes`` table build the
+#: other (all-ITB) points never run.
 #: Cross-engine comparisons use ``messages_per_s`` -- events/s counts
 #: heap events, which batch engines deliberately collapse.
 BENCH_CORE_CONFIGS = [
@@ -86,6 +89,10 @@ BENCH_CORE_CONFIGS = [
     ("array-paper", dict(
         engine="array", warmup_ps=ns(50_000), measure_ps=ns(300_000),
         **_PAPER_SCALE_CFG)),
+    ("array-updown", dict(
+        engine="array", warmup_ps=ns(50_000), measure_ps=ns(300_000),
+        **{**_PAPER_SCALE_CFG, "routing": "updown", "policy": "sp",
+           "injection_rate": 0.01})),   # below the UP/DOWN knee
     ("flit-paper", dict(
         engine="flit", warmup_ps=ns(10_000), measure_ps=ns(50_000),
         **_PAPER_SCALE_CFG)),

@@ -14,7 +14,13 @@ committed baseline and exits non-zero when:
   the event-loop hot path but is meaningless across engines (batch
   engines collapse thousands of events into one tick), so messages/s
   -- simulated messages delivered per wall-clock second -- is gated
-  with it as the cross-engine-honest axis.
+  with it as the cross-engine-honest axis;
+* any point's ``cold_wall_s`` -- its first, cache-cold run, i.e. graph
+  + routing-table construction + the loop -- exceeds **2x** the
+  baseline (plus 50 ms of grace for the ~10 ms validation points).
+  Loose on purpose: the figure is single-shot and noisy, but table
+  construction sliding back from per-destination to per-pair
+  enumeration costs 4x on the ``updown`` point.
 
 The throughput gate is deliberately loose: both axes are
 machine-dependent and CI runners are noisy, so only a large, consistent
@@ -36,6 +42,9 @@ import sys
 #: throughput axes gated per point (fractional-drop tolerance applies
 #: to each independently)
 GATED_METRICS = ("events_per_s", "messages_per_s")
+#: cold (first-run) wall clock may grow to FACTOR x baseline + GRACE_S
+COLD_WALL_FACTOR = 2.0
+COLD_WALL_GRACE_S = 0.05
 
 
 def load_points(path: str) -> dict:
@@ -55,7 +64,8 @@ def load_points(path: str) -> dict:
                  f"--bench-core-out")
     points = {}
     for i, p in enumerate(data["points"]):
-        missing = [k for k in ("name",) + GATED_METRICS if k not in p]
+        missing = [k for k in ("name", "cold_wall_s") + GATED_METRICS
+                   if k not in p]
         if missing:
             sys.exit(f"error: {path}: points[{i}] is missing "
                      f"{', '.join(missing)}; regenerate the file with "
@@ -94,6 +104,14 @@ def main() -> int:
                   f"{'ok' if ok else 'REGRESSED'}")
             if not ok and name not in failed:
                 failed.append(name)
+        ceiling = (base["cold_wall_s"] * COLD_WALL_FACTOR
+                   + COLD_WALL_GRACE_S)
+        ok = cur["cold_wall_s"] <= ceiling
+        print(f"{name:14s} {'cold_wall_s':14s} {cur['cold_wall_s']:12.3f} "
+              f"vs baseline {base['cold_wall_s']:12.3f} "
+              f"(ceiling {ceiling:.3f}) {'ok' if ok else 'REGRESSED'}")
+        if not ok and name not in failed:
+            failed.append(name)
     extra = sorted(set(current) - set(baseline))
     if extra:
         print(f"FAIL: points not in baseline: {', '.join(extra)}; "
@@ -102,7 +120,8 @@ def main() -> int:
 
     if failed:
         print(f"FAIL: throughput regressed beyond "
-              f"{args.tolerance:.0%} (or point missing) on: "
+              f"{args.tolerance:.0%}, cold run slower than "
+              f"{COLD_WALL_FACTOR:g}x baseline, or point missing on: "
               f"{', '.join(failed)}",
               file=sys.stderr)
     if failed or extra:

@@ -9,10 +9,13 @@ from the uniform :class:`~repro.sim.base.NetworkModel` accessors, so
 every registered engine yields real (never fabricated) numbers or a
 clear :class:`~repro.sim.base.UnsupportedCapability` error.
 
-Topology and routing-table construction dominate short runs (the
-simple_routes balancing alone walks thousands of pair candidates), so
-both are memoised per (topology, scheme, root, cap) -- a latency sweep
-then pays the cost once.  Caches are explicit and clearable for tests.
+Topology and routing-table construction dominate short runs: tables
+are built per destination (one BFS and one shortest-path DAG shared by
+every source), which at the paper's 8x8 scale still costs ~0.05 s for
+``updown`` and ~0.15 s for ``itb`` -- several times the array engine's
+whole event loop -- so both are memoised per (topology, scheme, root,
+cap) and a latency sweep pays the cost once (``repro run --perf``
+prints it as ``tables``).  Caches are explicit and clearable for tests.
 """
 
 from __future__ import annotations
@@ -180,18 +183,20 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
         if graph is not None:
             g = graph
             topo_key = None          # anonymous graph: schedules not memoised
-            if tables is None:
-                tables = compute_tables(g, config.routing, root,
-                                        config.params.max_routes_per_pair,
-                                        sort_by_itbs)
         else:
             topo_key = (config.topology,
                         _freeze_kwargs(config.topology_kwargs))
             g = get_graph(config.topology, config.topology_kwargs)
-            if tables is None:
-                tables = get_tables(g, topo_key, config.routing, root,
-                                    config.params.max_routes_per_pair,
+        t_tables = _now()
+        if tables is None:
+            cap = config.params.max_routes_per_pair
+            if topo_key is None:
+                tables = compute_tables(g, config.routing, root, cap,
+                                        sort_by_itbs)
+            else:
+                tables = get_tables(g, topo_key, config.routing, root, cap,
                                     sort_by_itbs)
+        tables_wall_s = _now() - t_tables
 
         sim = Simulator()
         policy = make_policy(config.policy, seed=config.seed)
@@ -317,6 +322,7 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
         if perf is not None:
             perf.record(wall_s=t_sim_done - t_start,
                         setup_wall_s=t_setup_done - t_start,
+                        tables_wall_s=tables_wall_s,
                         sim_wall_s=t_sim_done - t_setup_done,
                         events=sim.events,
                         messages_delivered=network.delivered,

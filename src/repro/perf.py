@@ -33,8 +33,10 @@ class PerfReport:
 
     ``sim_wall_s`` covers the event loop only (warm-up + measurement);
     ``setup_wall_s`` the topology/table/network construction that
-    preceded it (zero when served from the memo caches); ``wall_s`` the
-    whole ``run_simulation`` call.  ``events`` and
+    preceded it; ``tables_wall_s`` the part of set-up spent obtaining
+    the routing tables (a full table build when cold, ~0 on a memo hit
+    or when the caller passed tables in); ``wall_s`` the whole
+    ``run_simulation`` call.  ``events`` and
     ``messages_delivered`` count the full run, so the rates are
     loop-throughput figures, not measurement-window statistics.
     """
@@ -45,6 +47,7 @@ class PerfReport:
     events: int
     messages_delivered: int
     sim_time_ps: int
+    tables_wall_s: float = 0.0
 
     @property
     def events_per_s(self) -> float:
@@ -59,6 +62,7 @@ class PerfReport:
         return {
             "wall_s": round(self.wall_s, 6),
             "setup_wall_s": round(self.setup_wall_s, 6),
+            "tables_wall_s": round(self.tables_wall_s, 6),
             "sim_wall_s": round(self.sim_wall_s, 6),
             "events": self.events,
             "events_per_s": round(self.events_per_s, 1),
@@ -69,6 +73,7 @@ class PerfReport:
 
     def oneline(self) -> str:
         return (f"wall {self.wall_s:.3f}s (setup {self.setup_wall_s:.3f}s "
+                f"(tables {self.tables_wall_s:.3f}s) "
                 f"+ loop {self.sim_wall_s:.3f}s), "
                 f"{self.events} events ({self.events_per_s:,.0f}/s), "
                 f"{self.messages_delivered} messages "
@@ -89,12 +94,12 @@ class PerfRecorder:
 
     def record(self, *, wall_s: float, setup_wall_s: float,
                sim_wall_s: float, events: int, messages_delivered: int,
-               sim_time_ps: int) -> PerfReport:
+               sim_time_ps: int, tables_wall_s: float) -> PerfReport:
         self.report = PerfReport(
             wall_s=wall_s, setup_wall_s=setup_wall_s,
             sim_wall_s=sim_wall_s, events=events,
             messages_delivered=messages_delivered,
-            sim_time_ps=sim_time_ps)
+            sim_time_ps=sim_time_ps, tables_wall_s=tables_wall_s)
         return self.report
 
 

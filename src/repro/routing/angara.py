@@ -33,9 +33,8 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..topology.graph import NetworkGraph
-from .routes import SourceRoute
 from .schemes import Scheme, register_scheme
-from .simple_routes import compute_simple_routes
+from .simple_routes import simple_route_table
 from .spanning_tree import SpanningTree, build_spanning_tree
 from .table import RoutingTables
 from .updown import UpDownOrientation
@@ -91,10 +90,7 @@ def build_updown_opt_tables(g: NetworkGraph, root: int = 0,
     centre = select_root(g)
     tree = build_spanning_tree(g, centre)
     ud = orient_links_ordered(g, tree)
-    paths = compute_simple_routes(g, ud)
-    routes = {pair: (SourceRoute.single_leg(g, path),)
-              for pair, path in paths.items()}
-    return RoutingTables("updown-opt", centre, ud, routes)
+    return RoutingTables("updown-opt", centre, ud, simple_route_table(g, ud))
 
 
 register_scheme(Scheme(

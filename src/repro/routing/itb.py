@@ -8,11 +8,15 @@ Each resulting sub-path starts a fresh up*/down* phase, so every leg is a
 legal route and the overall scheme stays deadlock-free while the packet
 follows a minimal path end to end.
 
-:func:`split_path_at_violations` performs the split for one path;
-:func:`build_itb_routes` applies it to the (capped) set of minimal paths
-of every switch pair and assigns concrete in-transit hosts, cycling
-through the hosts of each switch so that the ITB workload is spread over
-all NICs attached to it.
+:func:`split_path_at_violations` performs the split for one path.
+:func:`build_itb_routes` builds the table per destination, not per
+pair: one BFS gives the shortest-path DAG toward the destination, one
+pass over it (:func:`repro.routing.minimal.minimal_path_links_to`)
+lists every source's capped minimal paths together with the link ids
+they cross, and each ``(path, link_ids)`` pair is cut into legs by
+slicing -- the graph is never probed again.  Concrete in-transit hosts
+are assigned by cycling through the hosts of each switch so that the
+ITB workload is spread over all NICs attached to it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from ..topology.graph import NetworkGraph
-from .minimal import enumerate_minimal_path_links, minimal_dag_successors
+from .minimal import minimal_path_links_to
 from .routes import RouteLeg, SourceRoute
 from .updown import UpDownOrientation
 
@@ -93,10 +97,13 @@ def _route_from_path_links(ud: UpDownOrientation, path: Tuple[int, ...],
     """Split one resolved ``(path, link_ids)`` pair into a route."""
     bounds = _segment_bounds(path, lids, ud.up_end)
     if len(bounds) == 1:  # already legal -- the common case
-        return SourceRoute((RouteLeg(path, lids),))
-    legs = tuple([RouteLeg(path[s:e + 1], lids[s:e]) for s, e in bounds])
-    itb_hosts = tuple([cycler.take(leg.end) for leg in legs[:-1]])
-    return SourceRoute(legs, itb_hosts)
+        route = SourceRoute((RouteLeg(path, lids),))
+    else:
+        legs = tuple([RouteLeg(path[s:e + 1], lids[s:e]) for s, e in bounds])
+        route = SourceRoute(
+            legs, tuple([cycler.take(leg.end) for leg in legs[:-1]]))
+    route._link_ids = lids  # the legs' links, concatenated: exactly these
+    return route
 
 
 def route_from_path(g: NetworkGraph, ud: UpDownOrientation,
@@ -135,10 +142,12 @@ def balance_first_alternatives(
     for pair in pairs:
         alts = routes[pair]
         if len(alts) > 1:
-            def cost(route: SourceRoute) -> Tuple[int, int]:
-                return (sum(weight[lid] for lid in route.link_ids),
-                        route.num_itbs)
-            best = min(range(len(alts)), key=lambda i: cost(alts[i]))
+            best, best_cost = 0, None
+            for i, route in enumerate(alts):
+                cost = (sum(map(weight.__getitem__, route.link_ids)),
+                        len(route.itb_hosts))
+                if best_cost is None or cost < best_cost:
+                    best, best_cost = i, cost
             if best != 0:
                 reordered = (alts[best],) + alts[:best] + alts[best + 1:]
                 out[pair] = reordered
@@ -165,17 +174,17 @@ def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
     routes: Dict[Tuple[int, int], Tuple[SourceRoute, ...]] = {}
     cycler = _ItbHostCycler(g)  # shared so ITB duty rotates over all NICs
     for dst in g.switches():
-        dist = g.shortest_distances(dst)
-        succ = minimal_dag_successors(g, dist)
+        # one BFS, one DAG and one enumeration pass per destination,
+        # shared by every source
+        paths_to_dst = minimal_path_links_to(
+            g, dst, g.shortest_distances(dst), max_routes_per_pair)
         for src in g.switches():
             if src == dst:
                 routes[(src, dst)] = (
                     SourceRoute((RouteLeg((src,), ()),)),)
                 continue
-            pls = enumerate_minimal_path_links(
-                g, src, dst, dist, max_paths=max_routes_per_pair, succ=succ)
             alts = [_route_from_path_links(ud, p, l, cycler)
-                    for p, l in pls]
+                    for p, l in paths_to_dst.get(src, ())]
             if sort_by_itbs:
                 alts.sort(key=lambda r: (r.num_itbs, r.switch_path))
             routes[(src, dst)] = tuple(alts)

@@ -2,19 +2,33 @@
 
 The in-transit buffer routing always uses minimal paths (Section 3), and
 the routing table keeps at most 10 alternatives per pair (Section 4.5).
-Shortest paths are enumerated over the shortest-path DAG toward the
-destination: an edge ``u -> v`` is on some shortest path to ``d``
-exactly when ``dist_d[v] == dist_d[u] - 1``.
+Shortest paths live on the shortest-path DAG toward the destination: an
+edge ``u -> v`` is on some shortest path to ``d`` exactly when
+``dist_d[v] == dist_d[u] - 1``.
 
-Enumeration explores neighbours in ascending switch id (deterministic)
-and stops at the alternative cap.
+Table construction works **per destination, not per pair**: one BFS
+gives ``dist_d``, :func:`minimal_dag_successors` derives the DAG once,
+and :func:`minimal_path_links_to` enumerates every source's capped
+alternatives from it in a single pass (:func:`shared_suffix_paths`:
+states in increasing distance, each state's list assembled from its
+successors' lists, so path suffixes are walked once however many
+sources share them).  The per-pair DFS
+:func:`enumerate_minimal_path_links` / :func:`enumerate_minimal_paths`
+stays as the reference enumerator the tests compare the pass against.
+
+Both explore neighbours in ascending switch id (deterministic) and stop
+at the alternative cap, so they return the same lists in the same
+order.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..topology.graph import NetworkGraph
+
+#: one enumerated path: ``(switch_path, link_ids)``
+PathLinks = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def minimal_dag_successors(g: NetworkGraph,
@@ -33,6 +47,51 @@ def minimal_dag_successors(g: NetworkGraph,
     return [[(nb, lid) for nb, lid in g.sorted_neighbors(s)
              if dist_to_dst[nb] == dist_to_dst[s] - 1]
             for s in range(g.num_switches)]
+
+
+def shared_suffix_paths(order: Iterable[Tuple[int, int]],
+                        succ: List[List[Tuple[int, int]]],
+                        paths: Dict[int, List[PathLinks]],
+                        cap: int) -> Dict[int, List[PathLinks]]:
+    """Capped path lists of every state of a DAG toward one sink.
+
+    ``paths`` arrives seeded with the sink state(s) and comes back with
+    an entry per state of ``order``: up to ``cap`` ``(switch_path,
+    link_ids)`` pairs, in the order a depth-first walk that follows
+    ``succ`` edges in list order would emit them -- the first ``cap`` of
+    ``[(s,) + p for nxt in succ[state] for p in paths[nxt]]``.
+
+    ``order`` lists ``(state, switch)`` with every state after all its
+    successors (increasing distance to the sink); ``succ[state]`` holds
+    ``(next_state, link_id)``.  Shared by the minimal DAG (a state is a
+    switch, ``succ`` is :func:`minimal_dag_successors`) and the
+    up*/down* DAG (a state is a (switch, phase) pair,
+    :func:`repro.routing.updown.legal_dag_to`).
+    """
+    for state, s in order:
+        head = (s,)
+        out: List[PathLinks] = []
+        for nxt, lid in succ[state]:
+            room = cap - len(out)
+            if room <= 0:
+                break
+            first = (lid,)
+            out.extend([(head + p, first + lids)
+                        for p, lids in paths[nxt][:room]])
+        paths[state] = out
+    return paths
+
+
+def minimal_path_links_to(g: NetworkGraph, dst: int,
+                          dist_to_dst: List[int], max_paths: int = 10,
+                          ) -> Dict[int, List[PathLinks]]:
+    """``src -> enumerate_minimal_path_links(g, src, dst, ...)`` for
+    every switch that reaches ``dst``, from one pass over the DAG."""
+    order = [(s, s) for s in sorted(range(g.num_switches),
+                                    key=dist_to_dst.__getitem__)
+             if dist_to_dst[s] > 0]
+    return shared_suffix_paths(order, minimal_dag_successors(g, dist_to_dst),
+                               {dst: [((dst,), ())]}, max_paths)
 
 
 def enumerate_minimal_path_links(g: NetworkGraph, src: int, dst: int,

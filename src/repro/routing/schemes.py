@@ -49,8 +49,7 @@ from typing import Callable, Dict, Tuple
 from ..registry import Registry
 from ..topology.graph import NetworkGraph
 from .itb import build_itb_routes
-from .routes import SourceRoute
-from .simple_routes import compute_simple_routes
+from .simple_routes import simple_route_table
 from .spanning_tree import build_spanning_tree
 from .table import RoutingTables
 from .updown import orient_links
@@ -131,13 +130,25 @@ def check_updown_discipline(tables: RoutingTables, g: NetworkGraph) -> None:
     """Assert every leg of every route is up*/down*-legal.
 
     Legs joined at in-transit hosts each start a fresh up*/down* phase,
-    so per-leg legality is the whole deadlock-freedom argument.
+    so per-leg legality is the whole deadlock-freedom argument.  The
+    direction of a hop is read from the link id the leg carries (the
+    cable the packet really crosses) and the orientation's up end;
+    :meth:`RoutingTables.validate` has already tied each id to its two
+    switches.
     """
+    del g  # legality is a function of the carried links alone
+    up_end = tables.orientation.up_end
     for (src, dst), alts in tables.routes.items():
         for route in alts:
             for leg in route.legs:
-                assert tables.orientation.path_is_legal(g, leg.switches), (
-                    f"illegal leg {leg.switches} in route {src}->{dst}")
+                gone_down = False
+                for lid, to in zip(leg.links, leg.switches[1:]):
+                    if up_end[lid] != to:
+                        gone_down = True
+                    else:
+                        assert not gone_down, (
+                            f"illegal leg {leg.switches} in route "
+                            f"{src}->{dst}")
 
 
 def check_dimension_order_discipline(tables: RoutingTables,
@@ -215,10 +226,7 @@ def build_updown_tables(g: NetworkGraph, root: int = 0,
     del max_routes_per_pair, sort_by_itbs  # single fixed path per pair
     tree = build_spanning_tree(g, root)
     ud = orient_links(g, root, tree)
-    paths = compute_simple_routes(g, ud)
-    routes = {pair: (SourceRoute.single_leg(g, path),)
-              for pair, path in paths.items()}
-    return RoutingTables("updown", root, ud, routes)
+    return RoutingTables("updown", root, ud, simple_route_table(g, ud))
 
 
 def build_itb_tables(g: NetworkGraph, root: int = 0,

@@ -5,11 +5,13 @@ The paper's UP/DOWN baseline uses the routes produced by the
 up*/down* path per source-destination pair, selected so as to *balance
 traffic* across links via link weights.
 
-Our implementation:
+Our implementation works per destination, not per pair:
 
-1. for every ordered switch pair, enumerate the legal up*/down* paths
-   of the shortest legal length (bounded enumeration, see
-   :func:`repro.routing.updown.enumerate_legal_paths`);
+1. for every destination, one backward BFS over the (switch, phase)
+   graph gives the DAG of shortest legal paths toward it, and one pass
+   over that DAG lists every source's candidates -- the legal paths of
+   the shortest legal length, capped, each with the link ids it crosses
+   (:func:`repro.routing.updown.legal_path_links_to`);
 2. process pairs in a deterministic order and greedily pick, per pair,
    the candidate minimising ``(total link weight, path)``;
 3. add one unit of weight to every link of the chosen path (each pair
@@ -34,7 +36,48 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..topology.graph import NetworkGraph
-from .updown import UpDownOrientation, enumerate_legal_paths, legal_shortest_distances
+from .minimal import PathLinks
+from .routes import RouteLeg, SourceRoute
+from .updown import UpDownOrientation, legal_path_links_to
+
+
+def simple_route_links(g: NetworkGraph, ud: UpDownOrientation,
+                       max_candidates: int = 32,
+                       ) -> Dict[Tuple[int, int], PathLinks]:
+    """:func:`compute_simple_routes` with each chosen path's link ids:
+    ``(src, dst) -> (switch_path, link_ids)``."""
+    candidates = [legal_path_links_to(g, ud, dst, max_candidates)
+                  for dst in g.switches()]
+    weight = [0] * g.num_links
+    routes: Dict[Tuple[int, int], PathLinks] = {}
+
+    # Deterministic pair order.  Interleaving by destination (rather than
+    # iterating all destinations of switch 0 first) avoids systematically
+    # biasing early, low-weight picks toward low-id sources.
+    pairs = sorted(((src, dst) for src in g.switches() for dst in g.switches()
+                    if src != dst),
+                   key=lambda p: ((p[0] + p[1]) % g.num_switches, p[0], p[1]))
+
+    for src, dst in pairs:
+        cands = candidates[dst][src]
+        if not cands:  # cannot happen on a connected graph
+            raise RuntimeError(f"no legal up*/down* path {src}->{dst}")
+        best = None
+        best_key = None
+        for cand in cands:
+            path, lids = cand
+            key = (sum(map(weight.__getitem__, lids)), path)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = cand
+        assert best is not None
+        routes[(src, dst)] = best
+        for lid in best[1]:
+            weight[lid] += 1
+
+    for s in g.switches():
+        routes[(s, s)] = ((s,), ())
+    return routes
 
 
 def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
@@ -52,39 +95,13 @@ def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
     express torus -- exactly the fraction of pairs that have a legal
     minimal path at all).
     """
-    weight = [0] * g.num_links
-    routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    return {pair: path for pair, (path, _lids)
+            in simple_route_links(g, ud, max_candidates).items()}
 
-    legal_dist = [legal_shortest_distances(g, ud, s) for s in g.switches()]
 
-    # Deterministic pair order.  Interleaving by destination (rather than
-    # iterating all destinations of switch 0 first) avoids systematically
-    # biasing early, low-weight picks toward low-id sources.
-    pairs = sorted(((src, dst) for src in g.switches() for dst in g.switches()
-                    if src != dst),
-                   key=lambda p: ((p[0] + p[1]) % g.num_switches, p[0], p[1]))
-
-    for src, dst in pairs:
-        cands = enumerate_legal_paths(g, ud, src, dst,
-                                      legal_dist[src][dst],
-                                      max_paths=max_candidates)
-        if not cands:  # cannot happen on a connected graph
-            raise RuntimeError(f"no legal up*/down* path {src}->{dst}")
-        best = None
-        best_key = None
-        for path in cands:
-            w = 0
-            for a, b in zip(path, path[1:]):
-                w += weight[g.link_between(a, b)]  # type: ignore[index]
-            key = (w, path)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = path
-        assert best is not None
-        routes[(src, dst)] = best
-        for a, b in zip(best, best[1:]):
-            weight[g.link_between(a, b)] += 1  # type: ignore[index]
-
-    for s in g.switches():
-        routes[(s, s)] = (s,)
-    return routes
+def simple_route_table(g: NetworkGraph, ud: UpDownOrientation,
+                       ) -> Dict[Tuple[int, int], Tuple[SourceRoute, ...]]:
+    """The ``simple_routes`` selection as single-leg table entries,
+    legs built from the carried link ids (no graph re-probe)."""
+    return {pair: (SourceRoute((RouteLeg(path, lids),)),)
+            for pair, (path, lids) in simple_route_links(g, ud).items()}

@@ -84,19 +84,29 @@ class RoutingTables:
         """Assert structural soundness and deadlock-discipline of every
         route.
 
-        Structural checks: endpoints match the pair key, legs chain
-        through valid links, in-transit hosts sit on the leg-boundary
+        Structural checks: endpoints match the pair key, every hop's
+        link id names the cable that joins its two switches (builders
+        carry link ids instead of re-probing the graph, so this is what
+        guards them), in-transit hosts sit on the leg-boundary
         switches.  Legality is then checked under the **discipline the
         scheme declares** in the registry (up*/down* leg legality for
         the paper's schemes, X-then-Y turn order for dimension-order
         routing) -- the deadlock-freedom argument made executable.
         """
+        ends = [link.endpoints() for link in g.links]   # (lo, hi) per id
         for (src, dst), alts in self.routes.items():
             assert alts, f"no route for pair ({src}, {dst})"
             for route in alts:
                 assert route.src == src and route.dst == dst, (
                     f"route endpoints {route.src}->{route.dst} do not match "
                     f"pair ({src}, {dst})")
+                for leg in route.legs:
+                    hops = zip(leg.links, leg.switches, leg.switches[1:])
+                    for lid, a, b in hops:
+                        assert (0 <= lid < len(ends) and ends[lid]
+                                == ((a, b) if a < b else (b, a))), (
+                            f"link {lid} does not join switches {a} and "
+                            f"{b} in route {src}->{dst}")
                 for host, (prev, nxt) in zip(route.itb_hosts,
                                              zip(route.legs, route.legs[1:])):
                     assert g.host_switch(host) == prev.end == nxt.start, (

@@ -8,25 +8,37 @@ not) gets an "up" end:
    same level.
 
 A route is *legal* when it never traverses an "up" link after a "down"
-link.  This module provides:
+link.  Legality lives on the layered graph with a node per (switch,
+phase): phase ``UP`` (no down-link taken yet; may still go up or down)
+or ``DOWN`` (a down-link has been taken; only down-links are allowed
+from here on).
 
-* :class:`UpDownOrientation` -- the orientation plus legality predicates;
-* :func:`legal_shortest_distances` -- single-source shortest *legal*
-  distances via BFS on the (switch, phase) layered graph;
-* :func:`enumerate_legal_paths` -- bounded enumeration of simple legal
-  paths, used by the ``simple_routes`` reimplementation.
+Table construction works **per destination, not per pair**:
 
-The layered graph has a node per (switch, phase) with phase ``UP`` (no
-down-link taken yet; may still go up or down) or ``DOWN`` (a down-link
-has been taken; only down-links are allowed from here on).
+* :func:`legal_distances_to` -- one backward BFS over the layered graph
+  gives ``h[s][phase]``, the shortest legal continuation of every state
+  to the destination (``h[s][UP]`` is the shortest legal distance from
+  ``s``);
+* :func:`legal_dag_to` -- keeps the edges ``state -> next`` with
+  ``h[state] == 1 + h[next]``: the DAG of *all* shortest legal paths to
+  that destination, shared by every source;
+* :func:`legal_path_links_to` -- every source's capped candidate list
+  ``(switch_path, link_ids)`` from one pass over that DAG.
+
+The per-pair machinery stays as the general reference the tests compare
+those kernels against: :func:`legal_shortest_distances` (forward BFS
+from one source) and :func:`enumerate_legal_paths` (bounded DFS for an
+arbitrary ``max_len``, with the simple-path and remaining-distance
+tests the DAG walk does not need).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..topology.graph import NetworkGraph
+from .minimal import PathLinks, shared_suffix_paths
 from .spanning_tree import SpanningTree, build_spanning_tree
 
 #: phases of the layered legality graph
@@ -150,6 +162,61 @@ def legal_distances_to(g: NetworkGraph, ud: UpDownOrientation,
                                 nxt.append((s, sphase))
         frontier = nxt
     return dist
+
+
+def legal_dag_to(g: NetworkGraph, ud: UpDownOrientation, dest: int,
+                 ) -> Tuple[List[List[int]], List[List[Tuple[int, int]]]]:
+    """Shortest-legal-path DAG toward ``dest`` over (switch, phase) states.
+
+    Returns ``(h, succ)``: ``h`` is :func:`legal_distances_to` and
+    ``succ[2 * s + phase]`` lists ``(next_state, link_id)`` with
+    ``next_state = 2 * neighbour + next_phase`` for every legal hop
+    that lies on a shortest legal continuation (``h[s][phase] == 1 +
+    h[neighbour][next_phase]``), neighbours ascending.  The phase
+    transitions are baked in from ``ud.up_end``, so a walk needs no
+    ``is_up`` call.  Every walk along ``succ`` from ``(src, UP)`` is a
+    shortest legal path to ``dest`` and vice versa; ``h`` strictly
+    decreases along it, so it is simple without an ``on_path`` test and
+    exactly ``h[src][UP]`` hops long without a bound test.
+    """
+    h = legal_distances_to(g, ud, dest)
+    up_end = ud.up_end
+    succ: List[List[Tuple[int, int]]] = []
+    for s in range(g.num_switches):
+        h_up, h_down = h[s]
+        from_up: List[Tuple[int, int]] = []
+        from_down: List[Tuple[int, int]] = []
+        for nb, lid in g.sorted_neighbors(s):
+            if up_end[lid] == nb:       # up hop: only while still UP
+                if h_up == 1 + h[nb][UP]:
+                    from_up.append((2 * nb + UP, lid))
+            else:                       # down hop: lands in DOWN
+                d = 1 + h[nb][DOWN]
+                if h_up == d:
+                    from_up.append((2 * nb + DOWN, lid))
+                if h_down == d:
+                    from_down.append((2 * nb + DOWN, lid))
+        succ.append(from_up)
+        succ.append(from_down)
+    return h, succ
+
+
+def legal_path_links_to(g: NetworkGraph, ud: UpDownOrientation, dest: int,
+                        max_paths: int = 32) -> Dict[int, List[PathLinks]]:
+    """Shortest legal ``(switch_path, link_ids)`` candidates of every
+    source toward ``dest``: for each ``src != dest`` the list
+    ``enumerate_legal_paths(g, ud, src, dest, h[src][UP], max_paths)``
+    returns (same paths, same order), from one BFS and one DAG."""
+    h, succ = legal_dag_to(g, ud, dest)
+    to_go = [d for per_phase in h for d in per_phase]   # by state
+    order = [(state, state >> 1)
+             for state in sorted(range(len(to_go)), key=to_go.__getitem__)
+             if state >> 1 != dest]     # unreachable states just stay empty
+    sink = [((dest,), ())]
+    by_state = shared_suffix_paths(
+        order, succ, {2 * dest + UP: sink, 2 * dest + DOWN: sink}, max_paths)
+    return {s: by_state[2 * s + UP] for s in range(g.num_switches)
+            if s != dest}
 
 
 def enumerate_legal_paths(g: NetworkGraph, ud: UpDownOrientation,

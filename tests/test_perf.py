@@ -38,6 +38,20 @@ class TestPerfRecorder:
         assert str(r.events) in r.oneline().replace(",", "")
         assert r.to_dict()["events"] == r.events
 
+    def test_report_names_the_table_build(self):
+        """``tables_wall_s`` is the table build inside set-up: real on a
+        cold run, ~0 on a memo hit, shown by both views."""
+        rec = PerfRecorder()
+        run_simulation(CFG, perf=rec)       # caches cleared per test
+        cold = rec.report
+        assert 0 < cold.tables_wall_s <= cold.setup_wall_s
+        run_simulation(CFG, perf=rec)       # same tables, memoised
+        warm = rec.report
+        assert warm.tables_wall_s < cold.tables_wall_s / 10
+        assert cold.to_dict()["tables_wall_s"] == round(cold.tables_wall_s, 6)
+        assert (f"setup {cold.setup_wall_s:.3f}s "
+                f"(tables {cold.tables_wall_s:.3f}s)") in cold.oneline()
+
     def test_perf_does_not_change_results(self):
         plain = run_simulation(CFG)
         with_perf = run_simulation(CFG, perf=PerfRecorder())
@@ -75,7 +89,7 @@ class TestBenchRegressionGate:
     CHECKER = REPO / "scripts" / "check_bench_regression.py"
 
     @staticmethod
-    def _bench_file(path: Path, **rates) -> Path:
+    def _bench_file(path: Path, cold_wall_s: float = 1.0, **rates) -> Path:
         """Synthetic bench JSON; a point's value is its events/s (its
         messages/s then scales with it) or an explicit
         ``(events_per_s, messages_per_s)`` pair."""
@@ -83,7 +97,8 @@ class TestBenchRegressionGate:
         for name, rate in rates.items():
             ev, msgs = rate if isinstance(rate, tuple) else (rate, rate / 5)
             points.append({"name": name, "engine": "packet",
-                           "cold_wall_s": 1.0, "best_loop_wall_s": 0.5,
+                           "cold_wall_s": cold_wall_s,
+                           "best_loop_wall_s": 0.5,
                            "events": 1000, "events_per_s": ev,
                            "messages_delivered": 10,
                            "messages_per_s": msgs})
@@ -118,6 +133,29 @@ class TestBenchRegressionGate:
         assert res.returncode == 1
         assert "REGRESSED" in res.stdout
 
+    def test_cold_wall_doubling_fails(self, tmp_path):
+        # throughput steady, but the cold (table-building) run takes
+        # 2.5x the baseline: a per-pair table build grown back
+        base = self._bench_file(tmp_path / "base.json", a=100.0)
+        cur = self._bench_file(tmp_path / "cur.json", cold_wall_s=2.5,
+                               a=100.0)
+        res = self._run(cur, base)
+        assert res.returncode == 1
+        assert "cold_wall_s" in res.stdout and "REGRESSED" in res.stdout
+
+    def test_cold_wall_noise_passes(self, tmp_path):
+        # single-shot timing: 1.8x is noise, not a regression -- and a
+        # 10 ms point may triple within the absolute grace
+        base = self._bench_file(tmp_path / "base.json", a=100.0)
+        cur = self._bench_file(tmp_path / "cur.json", cold_wall_s=1.8,
+                               a=100.0)
+        assert self._run(cur, base).returncode == 0
+        base = self._bench_file(tmp_path / "base.json", cold_wall_s=0.01,
+                                a=100.0)
+        cur = self._bench_file(tmp_path / "cur.json", cold_wall_s=0.03,
+                               a=100.0)
+        assert self._run(cur, base).returncode == 0
+
     def test_missing_point_fails(self, tmp_path):
         base = self._bench_file(tmp_path / "base.json", a=100.0, b=200.0)
         cur = self._bench_file(tmp_path / "cur.json", a=100.0)
@@ -136,7 +174,7 @@ class TestBenchRegressionGate:
         baseline = REPO / "benchmarks" / "BENCH_sim_core.json"
         data = json.loads(baseline.read_text())
         points = {p["name"]: p for p in data["points"]}
-        assert {"packet-paper", "array-paper", "flit-paper",
+        assert {"packet-paper", "array-paper", "array-updown", "flit-paper",
                 "packet-val", "flit-val", "array-val"} <= set(points)
         assert all(p["events_per_s"] > 0 for p in data["points"])
         assert all(p["messages_per_s"] > 0 for p in data["points"])

@@ -12,10 +12,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.routing.itb import build_itb_routes, split_path_at_violations
-from repro.routing.minimal import count_minimal_paths, enumerate_minimal_paths
+from repro.routing.minimal import (count_minimal_paths,
+                                   enumerate_minimal_path_links,
+                                   enumerate_minimal_paths,
+                                   minimal_path_links_to)
 from repro.routing.simple_routes import compute_simple_routes
 from repro.routing.spanning_tree import build_spanning_tree
-from repro.routing.updown import (enumerate_legal_paths,
+from repro.routing.updown import (UP, enumerate_legal_paths, legal_dag_to,
+                                  legal_path_links_to,
                                   legal_shortest_distances, orient_links)
 from repro.sim.arbiter import RoundRobinArbiter
 from repro.topology import build_irregular, check_topology
@@ -150,6 +154,56 @@ def test_minimal_count_consistent_with_enumeration(g):
         enum = enumerate_minimal_paths(g, src, dst, dist,
                                        max_paths=10_000)
         assert counts[src] == len(enum)
+
+
+# -- per-destination table kernels == per-pair reference enumerators ---------
+
+graphs16 = st.builds(
+    build_irregular,
+    num_switches=st.integers(min_value=2, max_value=16),
+    hosts_per_switch=st.just(1),
+    max_switch_links=st.integers(min_value=2, max_value=5),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+roots = st.integers(min_value=0, max_value=15)
+
+
+def _links_join(g, path, lids):
+    return (len(lids) == len(path) - 1
+            and all({g.links[lid].a, g.links[lid].b} == {a, b}
+                    for lid, a, b in zip(lids, path, path[1:])))
+
+
+@given(graphs16, roots, st.sampled_from([2, 32]))
+@SLOW
+def test_per_destination_legal_candidates_equal_per_pair_dfs(g, root_raw,
+                                                             cap):
+    """One backward BFS + one DAG per destination lists, for every
+    source, exactly what the per-pair bounded DFS lists -- same paths,
+    same order, same cap -- and carries the right link ids."""
+    ud = orient_links(g, root_raw % g.num_switches)
+    forward = [legal_shortest_distances(g, ud, s) for s in g.switches()]
+    for dst in g.switches():
+        h, _succ = legal_dag_to(g, ud, dst)
+        by_src = legal_path_links_to(g, ud, dst, cap)
+        assert sorted(by_src) == [s for s in g.switches() if s != dst]
+        for src, cands in by_src.items():
+            assert h[src][UP] == forward[src][dst]
+            assert [p for p, _lids in cands] == enumerate_legal_paths(
+                g, ud, src, dst, forward[src][dst], cap)
+            assert all(_links_join(g, p, lids) for p, lids in cands)
+
+
+@given(graphs16, st.sampled_from([1, 3, 10]))
+@SLOW
+def test_per_destination_minimal_paths_equal_per_pair_dfs(g, cap):
+    for dst in g.switches():
+        dist = g.shortest_distances(dst)
+        by_src = minimal_path_links_to(g, dst, dist, cap)
+        for src in g.switches():
+            assert by_src[src] == enumerate_minimal_path_links(
+                g, src, dst, dist, max_paths=cap)
+            assert all(_links_join(g, p, lids) for p, lids in by_src[src])
 
 
 @given(st.integers(min_value=0, max_value=511),

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.config import PAPER_PARAMS, SimConfig
-from repro.routing.routes import SourceRoute
+from repro.routing.routes import RouteLeg, SourceRoute
 from repro.routing.schemes import (Scheme, available_schemes,
                                    build_updown_tables, check_discipline,
                                    get_scheme, make_tables,
@@ -192,6 +192,17 @@ class TestDisciplineChecks:
         bad = RoutingTables("dor", good.root, good.orientation, routes)
         with pytest.raises(AssertionError, match="turns back"):
             check_discipline(bad, g)
+
+    def test_dimension_order_tables_get_the_hop_check(self, mesh44):
+        g = mesh44
+        good = compute_tables(g, "dor")
+        pair = (g.grid.switch(0, 0), g.grid.switch(1, 1))
+        (leg,) = good.routes[pair][0].legs
+        swapped = SourceRoute((RouteLeg(leg.switches, leg.links[::-1]),))
+        bad = RoutingTables("dor", good.root, good.orientation,
+                            {**good.routes, pair: (swapped,)})
+        with pytest.raises(AssertionError, match="does not join"):
+            bad.validate(g)
 
     def test_dimension_order_check_catches_reversal(self, mesh44):
         g = mesh44

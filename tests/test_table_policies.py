@@ -5,7 +5,7 @@ import pytest
 from repro.routing.policies import (RandomPolicy, RoundRobinPolicy,
                                     SinglePathPolicy, make_policy)
 from repro.routing.routes import RouteLeg, SourceRoute
-from repro.routing.table import compute_tables
+from repro.routing.table import RoutingTables, compute_tables
 from repro.topology import build_torus
 
 
@@ -34,6 +34,19 @@ class TestComputeTables:
     def test_validate_passes(self, g44, updown44, itb44):
         updown44.validate(g44)
         itb44.validate(g44)
+
+    def test_validate_checks_links_join_switches(self, g44, updown44):
+        """A leg whose ``links`` do not join its ``switches`` must not
+        validate: builders carry link ids instead of re-probing the
+        graph, so this is the check that guards them."""
+        (route,) = updown44.routes[(0, 5)]
+        (leg,) = route.legs
+        assert len(leg.links) == 2
+        swapped = SourceRoute((RouteLeg(leg.switches, leg.links[::-1]),))
+        bad = RoutingTables("updown", updown44.root, updown44.orientation,
+                            {**updown44.routes, (0, 5): (swapped,)})
+        with pytest.raises(AssertionError, match="does not join"):
+            bad.validate(g44)
 
     def test_unknown_scheme(self, g44):
         with pytest.raises(ValueError):
