@@ -15,7 +15,16 @@ every source), which at the paper's 8x8 scale still costs ~0.05 s for
 ``updown`` and ~0.15 s for ``itb`` -- several times the array engine's
 whole event loop -- so both are memoised per (topology, scheme, root,
 cap) and a latency sweep pays the cost once (``repro run --perf``
-prints it as ``tables``).  Caches are explicit and clearable for tests.
+prints it as ``tables``).  The traffic a batch engine is primed with
+is memoised too, keyed by what it is a function of -- topology,
+workload spec, interval, seed, horizon; *not* scheme, policy or engine
+-- so every curve of a figure is offered one shared
+:class:`~repro.traffic.base.Schedule` (``--perf``: ``schedule``).
+Caches are explicit and clearable for tests.
+
+A run ends by tearing itself down (``Simulator.clear`` +
+``NetworkModel.close``): the network of a finished run is freed by
+reference count when ``run_simulation`` returns.
 """
 
 from __future__ import annotations
@@ -42,7 +51,8 @@ from ..sim.reliable import (ReconfigParams, ReconfigurationManager,
 from ..topology import build as build_topology
 from ..topology.graph import NetworkGraph
 from ..topology.validate import check_topology
-from ..traffic.base import TrafficProcess, per_host_interval_ps
+from ..traffic.base import (Schedule, TrafficProcess,
+                            per_host_interval_ps)
 from ..traffic.registry import make_workload
 
 #: memoised topologies and routing tables, capped FIFO: a long-lived
@@ -55,13 +65,19 @@ _GRAPH_CACHE_MAX = 32
 _TABLE_CACHE: Dict[Tuple, RoutingTables] = {}
 _TABLE_CACHE_MAX = 32
 #: memoised pregenerated schedules (batch-inject path): a schedule is a
-#: pure function of (topology, workload spec, interval, seed, horizon),
-#: so paired runs sharing a seed -- policy/scheme comparisons on
-#: identical traffic, benchmark repeats -- reuse it instead of
-#: re-drawing ~2 RNG streams per host.  Entries are read-only
-#: (engines copy what they need); capped FIFO to bound memory.
-_SCHEDULE_CACHE: Dict[Tuple, list] = {}
-_SCHEDULE_CACHE_MAX = 8
+#: pure function of (topology, workload spec, interval, seed, horizon)
+#: -- not of the routing scheme, policy or engine -- so every run that
+#: offers the same traffic (the schemes of a curve, a panel, a campaign
+#: or a tournament row; benchmark repeats) adopts one shared, read-only
+#: :class:`~repro.traffic.base.Schedule` instead of re-drawing two RNG
+#: streams per host.  Bounded by *messages held*, oldest evicted first
+#: (all 8-12 rates of a curve must survive until the next scheme asks,
+#: whatever their sizes): 2 M messages x 16 B of columns = 32 MB; the
+#: largest committed working set, Figure 7 at 4x windows, is 27
+#: schedules of ~0.55 M messages.  A schedule over the bound by itself
+#: is not kept.
+_SCHEDULE_CACHE: Dict[Tuple, Schedule] = {}
+_SCHEDULE_CACHE_MAX_MESSAGES = 2_000_000
 
 
 def _memoise(cache: Dict, cap: int, key: Tuple, value: Any) -> None:
@@ -69,6 +85,17 @@ def _memoise(cache: Dict, cap: int, key: Tuple, value: Any) -> None:
     if len(cache) >= cap:
         cache.pop(next(iter(cache)))
     cache[key] = value
+
+
+def _memoise_schedule(key: Tuple, schedule: Schedule) -> None:
+    """Insert, evicting oldest-first down to the message bound."""
+    room = _SCHEDULE_CACHE_MAX_MESSAGES - len(schedule)
+    if room < 0:
+        return
+    held = sum(map(len, _SCHEDULE_CACHE.values()))
+    while held > room:
+        held -= len(_SCHEDULE_CACHE.pop(next(iter(_SCHEDULE_CACHE))))
+    _SCHEDULE_CACHE[key] = schedule
 
 
 def _freeze_kwargs(kwargs: Mapping[str, Any]) -> Tuple:
@@ -265,7 +292,7 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
             else:
                 network.add_delivery_callback(tracker.on_delivered)
 
-        t_setup_done = _now()
+        t_setup_done = t_loop_start = _now()
         if (CAP_BATCH_INJECT in caps and transport is None
                 and not config.max_messages):
             # batch engines take the whole deterministic schedule up front
@@ -282,10 +309,10 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
             if schedule is None:
                 schedule = traffic.pregenerate(t_end)
                 if skey is not None:
-                    _memoise(_SCHEDULE_CACHE, _SCHEDULE_CACHE_MAX, skey,
-                             schedule)
+                    _memoise_schedule(skey, schedule)
             else:
                 traffic.adopt_schedule(schedule)
+            t_loop_start = _now()
             network.prime_schedule(schedule)
         else:
             traffic.start()
@@ -323,7 +350,8 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
             perf.record(wall_s=t_sim_done - t_start,
                         setup_wall_s=t_setup_done - t_start,
                         tables_wall_s=tables_wall_s,
-                        sim_wall_s=t_sim_done - t_setup_done,
+                        schedule_wall_s=t_loop_start - t_setup_done,
+                        sim_wall_s=t_sim_done - t_loop_start,
                         events=sim.events,
                         messages_delivered=network.delivered,
                         sim_time_ps=sim.now)
@@ -357,6 +385,11 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
         # report; zeros are the true values for an unbounded pool
         itb = (network.itb_stats() if CAP_ITB_POOL in caps
                else NO_ITB_STATS)
+        # cut the sim <-> network <-> transport cycles, so the network
+        # is freed by reference count on return and dead runs do not
+        # pile up until some later full collection
+        sim.clear()
+        network.close()
         return RunSummary(
             config=config,
             offered_flits_ns_switch=effective_rate,

@@ -35,8 +35,11 @@ class PerfReport:
     ``setup_wall_s`` the topology/table/network construction that
     preceded it; ``tables_wall_s`` the part of set-up spent obtaining
     the routing tables (a full table build when cold, ~0 on a memo hit
-    or when the caller passed tables in); ``wall_s`` the whole
-    ``run_simulation`` call.  ``events`` and
+    or when the caller passed tables in); ``schedule_wall_s`` the time
+    between set-up and loop spent obtaining the traffic schedule of a
+    batch engine (``TrafficProcess.pregenerate`` when cold, ~0 on a
+    memo hit, 0 on an event-driven engine, which generates inside the
+    loop); ``wall_s`` the whole ``run_simulation`` call.  ``events`` and
     ``messages_delivered`` count the full run, so the rates are
     loop-throughput figures, not measurement-window statistics.
     """
@@ -48,6 +51,7 @@ class PerfReport:
     messages_delivered: int
     sim_time_ps: int
     tables_wall_s: float = 0.0
+    schedule_wall_s: float = 0.0
 
     @property
     def events_per_s(self) -> float:
@@ -63,6 +67,7 @@ class PerfReport:
             "wall_s": round(self.wall_s, 6),
             "setup_wall_s": round(self.setup_wall_s, 6),
             "tables_wall_s": round(self.tables_wall_s, 6),
+            "schedule_wall_s": round(self.schedule_wall_s, 6),
             "sim_wall_s": round(self.sim_wall_s, 6),
             "events": self.events,
             "events_per_s": round(self.events_per_s, 1),
@@ -74,6 +79,7 @@ class PerfReport:
     def oneline(self) -> str:
         return (f"wall {self.wall_s:.3f}s (setup {self.setup_wall_s:.3f}s "
                 f"(tables {self.tables_wall_s:.3f}s) "
+                f"+ schedule {self.schedule_wall_s:.3f}s "
                 f"+ loop {self.sim_wall_s:.3f}s), "
                 f"{self.events} events ({self.events_per_s:,.0f}/s), "
                 f"{self.messages_delivered} messages "
@@ -94,12 +100,14 @@ class PerfRecorder:
 
     def record(self, *, wall_s: float, setup_wall_s: float,
                sim_wall_s: float, events: int, messages_delivered: int,
-               sim_time_ps: int, tables_wall_s: float) -> PerfReport:
+               sim_time_ps: int, tables_wall_s: float,
+               schedule_wall_s: float) -> PerfReport:
         self.report = PerfReport(
             wall_s=wall_s, setup_wall_s=setup_wall_s,
             sim_wall_s=sim_wall_s, events=events,
             messages_delivered=messages_delivered,
-            sim_time_ps=sim_time_ps, tables_wall_s=tables_wall_s)
+            sim_time_ps=sim_time_ps, tables_wall_s=tables_wall_s,
+            schedule_wall_s=schedule_wall_s)
         return self.report
 
 

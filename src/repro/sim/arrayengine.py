@@ -66,10 +66,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heappush, heappop
-from typing import List, Optional, Tuple
+from itertools import islice
+from operator import gt
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..traffic.base import Schedule
 from .base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT, CAP_INVARIANTS,
                    CAP_LINK_STATS, LinkChannelStats, NetworkModel)
 from .engines import register
@@ -164,10 +167,10 @@ class ArrayNetwork(NetworkModel):
         self._itb_delay = p.itb_detect_ps + p.itb_dma_setup_ps
         self._routes_map = self.tables.routes
 
-        # primed schedule (three parallel lists) + cursor
-        self._sched_t: List[int] = []
-        self._sched_src: List[int] = []
-        self._sched_dst: List[int] = []
+        # primed schedule (the Schedule's columns, shared) + cursor
+        self._sched_t: Sequence[int] = ()
+        self._sched_src: Sequence[int] = ()
+        self._sched_dst: Sequence[int] = ()
         self._sched_i = 0
         #: merged heap of (t, seq, kind, slot) channel-mutating work
         self._work: list = []
@@ -233,21 +236,38 @@ class ArrayNetwork(NetworkModel):
     # -- batch interfaces --------------------------------------------------
 
     def prime_schedule(self, schedule) -> None:
-        """Load a pregenerated ``(t_ps, src, dst)`` schedule (sorted by
-        time) and start ticking at its first entry.  The schedule is
-        only read, never mutated (runs sharing a seed may share it)."""
+        """Load a pregenerated schedule (a :class:`~repro.traffic.base
+        .Schedule`, or any iterable of ``(t_ps, src, dst)`` sorted by
+        time, converted once) and start ticking at its first entry.
+        The columns are read in place, never copied or mutated (runs
+        sharing a seed share them)."""
         if self._sched_i < len(self._sched_t):
             raise RuntimeError("a primed schedule is already pending")
-        if not schedule:
+        if not isinstance(schedule, Schedule):
+            schedule = Schedule.from_triples(schedule)
+        if not len(schedule):
             return
-        ts, srcs, dsts = map(list, zip(*schedule))
-        if ts != sorted(ts):
+        ts = schedule.t
+        if any(map(gt, ts, islice(ts, 1, None))):
             raise ValueError("schedule must be sorted by time")
+        # an id outside the fabric would only surface as an IndexError
+        # deep in a drain; an entry before *now* would stamp channels
+        # busy in the past
+        n = self.graph.num_hosts
+        if not (0 <= min(min(schedule.src), min(schedule.dst))
+                and max(max(schedule.src), max(schedule.dst)) < n):
+            bad = next(e for e in schedule
+                       if not (0 <= e[1] < n and 0 <= e[2] < n))
+            raise ValueError(f"schedule entry {bad} names a host outside "
+                             f"[0, {n})")
+        if ts[0] < self.sim.now:
+            raise ValueError(f"schedule entry {next(iter(schedule))} lies "
+                             f"before the current time {self.sim.now}")
         self._sched_t = ts
-        self._sched_src = srcs
-        self._sched_dst = dsts
+        self._sched_src = schedule.src
+        self._sched_dst = schedule.dst
         self._sched_i = 0
-        self._ensure_tick(max(ts[0], self.sim.now))
+        self._ensure_tick(ts[0])
 
     # -- work bookkeeping --------------------------------------------------
 

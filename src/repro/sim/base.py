@@ -14,7 +14,10 @@ small contract for backends:
 * ``_build()``            -- construct channels / wires / NIC state;
 * ``_inject(pkt)``        -- start leg 0 of a freshly created packet;
 * ``_reset_engine_stats`` -- zero engine-specific counters at the end
-  of warm-up (the base resets nothing else).
+  of warm-up (the base resets nothing else);
+* ``_close_engine()``     -- optional: drop engine state that refers
+  back to the network, so a finished run is freed by reference count
+  (:meth:`NetworkModel.close`).
 
 Backends declare what they can measure through :meth:`capabilities`
 (:data:`CAP_LINK_STATS`, :data:`CAP_ITB_POOL`, :data:`CAP_TRACE`) and
@@ -198,6 +201,11 @@ class NetworkModel(ABC):
     def _reset_engine_stats(self) -> None:
         """Zero engine-specific statistics (end of warm-up)."""
 
+    def _close_engine(self) -> None:
+        """Drop engine state that points back at this network (queued
+        grant callbacks, child objects holding ``self``); see
+        :meth:`close`.  Default: the engine has none."""
+
     # -- capabilities ------------------------------------------------------
 
     @classmethod
@@ -234,11 +242,14 @@ class NetworkModel(ABC):
     # -- batch interfaces (engines declaring the CAP_BATCH_* caps) ---------
 
     def prime_schedule(self, schedule) -> None:
-        """Hand the engine a pregenerated traffic schedule: an iterable
-        of ``(t_ps, src_host, dst_host)`` sorted by time (requires
+        """Hand the engine a pregenerated traffic schedule: a
+        :class:`~repro.traffic.base.Schedule`, or any iterable of
+        ``(t_ps, src_host, dst_host)`` sorted by time (requires
         :data:`CAP_BATCH_INJECT`).  Entries are injected exactly as if
         ``send(src, dst)`` had been called at ``t_ps``, without one
-        event per message on the heap."""
+        event per message on the heap; an unsorted schedule, a host id
+        outside the fabric or an entry before the current time is a
+        ``ValueError`` here, not a failure mid-run."""
         self.require(CAP_BATCH_INJECT)
         raise NotImplementedError(
             f"engine {self.name!r} declares {CAP_BATCH_INJECT!r} but "
@@ -259,6 +270,24 @@ class NetworkModel(ABC):
         purely event-driven engines).  The runner calls this after the
         final ``run_until`` so batch engines account every delivery with
         ``t <= now`` before the summary is read."""
+
+    def close(self) -> None:
+        """End of the run: break every reference cycle through this
+        network, so that it -- and the per-packet state, channel arrays
+        and schedule it holds -- is freed by reference count when its
+        owner lets go, not by some later full garbage collection.
+
+        Registered callbacks are bound methods of objects that hold the
+        network (reliable transport, reconfiguration manager); the
+        engine hook drops whatever the backend itself ties back.  The
+        simulator's side of the knot (pending events, the watchdog) is
+        :meth:`~repro.sim.engine.Simulator.clear`.  Counters and
+        statistics stay readable; nothing may be sent afterwards.
+        """
+        self._delivery_callbacks.clear()
+        self._drop_callbacks.clear()
+        self._link_death_callbacks.clear()
+        self._close_engine()
 
     # -- tracer ------------------------------------------------------------
 

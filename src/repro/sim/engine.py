@@ -115,6 +115,20 @@ class Simulator:
         self._watchdog()
         self.after(self._watchdog_interval, self._watchdog_tick)
 
+    def clear(self) -> None:
+        """Drop every pending event and the watchdog (end of a run).
+
+        Heap entries and the watchdog hold bound methods of whatever
+        scheduled them -- the network, the traffic process -- and those
+        hold the simulator: a ``sim -> heap -> method -> network ->
+        sim`` cycle that only a full garbage collection would reclaim.
+        Clearing breaks it, so a finished run's network (and every slot
+        array and schedule it references) is freed by reference count
+        as soon as its owner lets go.
+        """
+        self._heap.clear()          # in place: the run loops alias it
+        self._watchdog = None
+
     @property
     def pending_events(self) -> int:
         return len(self._heap)

@@ -448,6 +448,12 @@ class FlitLevelNetwork(NetworkModel):
     def _inject(self, pkt: Packet) -> None:
         self._injectors[pkt.src_host].enqueue(pkt, 0)
 
+    def _close_engine(self) -> None:
+        # every port, injector and buffer hangs off one end of a wire
+        # and points back at this network
+        for w in self._wires:
+            w.tx.net = w.rx.net = None
+
     def _reset_engine_stats(self) -> None:
         for w in self._wires:
             w.flits_carried = 0

@@ -121,6 +121,12 @@ class WormholeNetwork(NetworkModel):
             dlv = self._new_channel(DEL, host.switch, host.id)
             self.nics.append(Nic(host.id, host.switch, inj, dlv))
 
+    def _close_engine(self) -> None:
+        # requests still queued at a saturated run's end carry bound
+        # grant callbacks of this network
+        for ch in self.channels:
+            ch.arbiter.cancel_waiting()
+
     def _new_channel(self, kind: int, src: int, dst: int,
                      link_id: int = -1) -> Channel:
         ch = Channel(len(self.channels), kind, src, dst, link_id)

@@ -26,13 +26,15 @@ rate.
 
 :func:`make_pattern` / :func:`make_arrival` /
 :func:`make_workload` build registered entries by config name, and
-:class:`TrafficProcess` drives a workload on the simulator.
+:class:`TrafficProcess` drives a workload on the simulator -- event by
+event, or drawn up front as one columnar :class:`Schedule` that every
+run offering the same traffic shares.
 """
 
 from __future__ import annotations
 
-from .base import (ArrivalProcess, DestinationPattern, TrafficPattern,
-                   TrafficProcess, per_host_interval_ps)
+from .base import (ArrivalProcess, DestinationPattern, Schedule,
+                   TrafficPattern, TrafficProcess, per_host_interval_ps)
 from .registry import (ARRIVALS, DEFAULT_ARRIVAL, DEFAULT_PATTERN, PATTERNS,
                        ArrivalSpec, Kwarg, PatternSpec, available_arrivals,
                        available_patterns, get_pattern_spec, make_arrival,
@@ -54,6 +56,7 @@ __all__ = [
     "ArrivalProcess",
     "ArrivalSpec",
     "DestinationPattern",
+    "Schedule",
     "TrafficPattern",
     "TrafficProcess",
     "Kwarg",

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from .base import ArrivalProcess
 
@@ -69,6 +69,12 @@ class ConstantArrivals(ArrivalProcess):
             self._phased.add(host)
             return now_ps + rng.randrange(self.interval_ps)
         return now_ps + self.interval_ps
+
+    def fire_times(self, host: int, now_ps: int, t_end_ps: int,
+                   rng: random.Random) -> Sequence[int]:
+        # the chain adds exactly one interval per step: phase + range
+        return range(self.next_fire_ps(host, now_ps, rng), t_end_ps + 1,
+                     self.interval_ps)
 
 
 class PoissonArrivals(ArrivalProcess):

@@ -36,13 +36,28 @@ destination draws: two runs of the same seed at different injection
 rates (or under different arrival processes) see identical per-host
 destination sequences, which is what makes paired comparisons across
 rates meaningful.
+
+It is also what lets a whole schedule be drawn in bulk
+(:meth:`TrafficProcess.pregenerate`): the event-driven path alternates
+one destination draw and one timing draw per message, but since the
+two streams never meet, drawing *all* of a host's fire times
+(:meth:`ArrivalProcess.fire_times`) and then *all* of its destinations
+(:meth:`TrafficPattern.destinations`) consumes each stream in exactly
+the same order.  An override of either bulk hook must keep that
+property -- same values, same number of draws from ``rng`` -- and is
+pinned against the scalar method by ``tests/test_properties.py`` and
+the golden listings of ``tests/test_schedule_digests.py``.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional
+from array import array
+from itertools import repeat
+from operator import floordiv, mod
+from typing import (TYPE_CHECKING, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..topology.graph import NetworkGraph
 from ..units import PS_PER_NS
@@ -79,6 +94,17 @@ class TrafficPattern(ABC):
         """
         return [h.id for h in self.graph.hosts]
 
+    def destinations(self, src_host: int, rng: random.Random,
+                     n: int) -> List[Optional[int]]:
+        """The next ``n`` destinations of ``src_host``, in draw order.
+
+        Bulk form of :meth:`destination` used by schedule
+        pregeneration; an override must return the same values and
+        leave ``rng`` in the same state as ``n`` scalar calls.
+        """
+        destination = self.destination
+        return [destination(src_host, rng) for _ in range(n)]
+
 
 #: alias making call sites that deal with both axes self-documenting
 DestinationPattern = TrafficPattern
@@ -107,6 +133,69 @@ class ArrivalProcess(ABC):
         the previous message fired.  ``None`` means the host emits no
         further messages (finite schedules, e.g. trace replay).
         """
+
+    def fire_times(self, host: int, now_ps: int, t_end_ps: int,
+                   rng: random.Random) -> Sequence[int]:
+        """Every fire time of ``host`` in ``[now_ps, t_end_ps]``,
+        ascending: the chain of :meth:`next_fire_ps` calls the
+        event-driven driver would make, each at the previous fire time.
+
+        Bulk form used by schedule pregeneration; an override must
+        return the same times and draw from ``rng`` the same number of
+        times (it may skip the chain's last, discarded call only if
+        that call draws nothing).
+        """
+        out: List[int] = []
+        t = self.next_fire_ps(host, now_ps, rng)
+        if t is None:
+            return out
+        cur = max(t, now_ps)
+        while cur <= t_end_ps:
+            out.append(cur)
+            t = self.next_fire_ps(host, cur, rng)
+            if t is None:
+                break
+            cur = max(t, cur)
+        return out
+
+
+class Schedule:
+    """One run's offered traffic: every ``(t_ps, src, dst)`` message of
+    every host, sorted by ``(t, src, dst)``, as three parallel columns.
+
+    A schedule exists independently of the routing scheme and engine
+    under test, so one instance is shared read-only by every run that
+    offers the same traffic (the runner memoises them; batch engines
+    read the columns in place).  The columns are stdlib arrays --
+    ``t`` 64-bit, ``src`` / ``dst`` 32-bit -- i.e. 16 bytes per message
+    and nothing for the garbage collector to walk.  ``len()`` and
+    iteration (as ``(t, src, dst)`` triples) make it a drop-in for the
+    list of tuples it replaces.
+    """
+
+    __slots__ = ("t", "src", "dst")
+
+    def __init__(self, t: array, src: array, dst: array) -> None:
+        if not len(t) == len(src) == len(dst):
+            raise ValueError("schedule columns differ in length")
+        self.t = t
+        self.src = src
+        self.dst = dst
+
+    @classmethod
+    def from_triples(cls, triples: Iterable[Tuple[int, int, int]]
+                     ) -> "Schedule":
+        """Columns of an iterable of ``(t_ps, src, dst)``, order kept."""
+        rows = list(triples)
+        return cls(array("q", [r[0] for r in rows]),
+                   array("i", [r[1] for r in rows]),
+                   array("i", [r[2] for r in rows]))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self) -> Iterator[Tuple[int, int, int]]:
+        return zip(self.t, self.src, self.dst)
 
 
 def per_host_interval_ps(rate_flits_ns_switch: float, message_bytes: int,
@@ -174,18 +263,19 @@ class TrafficProcess:
         """Cease generation; in-flight messages drain normally."""
         self._stopped = True
 
-    def pregenerate(self, t_end_ps: int) -> list:
-        """The full ``(t_ps, src, dst)`` schedule up to ``t_end_ps``,
-        without scheduling anything on the simulator.
+    def pregenerate(self, t_end_ps: int) -> Schedule:
+        """The full :class:`Schedule` up to ``t_end_ps``, without
+        scheduling anything on the simulator.
 
         Produces exactly the message set the event-driven path
         (:meth:`start` + ``_tick``) would generate: each host's
         destination and arrival streams are seeded identically and
-        consumed in the same order, and both streams are independent of
-        simulator state, so replaying them off-line is equivalent.  The
-        result is sorted by ``(t, src)``; batch engines
-        (:data:`~repro.sim.base.CAP_BATCH_INJECT`) consume it through
-        ``network.prime_schedule``.
+        consumed in the same order (see "RNG discipline" in the module
+        docstring), and both streams are independent of simulator
+        state, so replaying them off-line -- in bulk, all of a host's
+        times then all of its destinations -- is equivalent.  Batch
+        engines (:data:`~repro.sim.base.CAP_BATCH_INJECT`) consume the
+        result through ``network.prime_schedule``.
 
         ``max_messages`` caps generation *globally* in the event-driven
         path (the count depends on cross-host delivery interleaving),
@@ -201,30 +291,38 @@ class TrafficProcess:
         self._started = True
         now0 = self.sim.now
         seed = self.seed
-        destination = self.pattern.destination
-        next_fire = self.arrivals.next_fire_ps
-        out = []
-        append = out.append
+        destinations = self.pattern.destinations
+        fire_times = self.arrivals.fire_times
+        # one sortable int per message, (t * H + src) * H + dst: the
+        # (t, src, dst) order of the schedule is the order of the keys,
+        # so a plain int sort replaces a sort of tuples
+        hosts = self.pattern.graph.num_hosts
+        hosts_sq = hosts * hosts
+        valid = frozenset(range(hosts)) | {None}
+        keys: List[int] = []
         for host in self.pattern.active_hosts():
             dest_rng = random.Random(f"{seed}:{host}")
             arr_rng = random.Random(f"{seed}:arrival:{host}")
-            t = next_fire(host, now0, arr_rng)
-            if t is None:
-                continue
-            cur = max(t, now0)
-            while cur <= t_end_ps:
-                dst = destination(host, dest_rng)
-                if dst is not None and dst != host:
-                    append((cur, host, dst))
-                t = next_fire(host, cur, arr_rng)
-                if t is None:
-                    break
-                cur = max(t, cur)
-        out.sort()
-        self.generated = len(out)
-        return out
+            times = fire_times(host, now0, t_end_ps, arr_rng)
+            dsts = destinations(host, dest_rng, len(times))
+            if not valid.issuperset(dsts):
+                raise ValueError(
+                    f"pattern {self.pattern.name!r} sent host {host} to a "
+                    f"destination outside [0, {hosts})")
+            base = host * hosts
+            keys.extend([t * hosts_sq + base + d
+                         for t, d in zip(times, dsts)
+                         if d is not None and d != host])
+        keys.sort()
+        t_src = list(map(floordiv, keys, repeat(hosts)))
+        schedule = Schedule(
+            array("q", map(floordiv, t_src, repeat(hosts))),
+            array("i", map(mod, t_src, repeat(hosts))),
+            array("i", map(mod, keys, repeat(hosts))))
+        self.generated = len(schedule)
+        return schedule
 
-    def adopt_schedule(self, schedule: list) -> None:
+    def adopt_schedule(self, schedule: Schedule) -> None:
         """Account for a schedule this process *would* have produced.
 
         Deterministic workloads are pure functions of their

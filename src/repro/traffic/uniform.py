@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import List, Optional
 
 from ..topology.graph import NetworkGraph
 from .base import TrafficPattern
@@ -24,6 +24,22 @@ class UniformTraffic(TrafficPattern):
         # over the other n-1 hosts with a single RNG call
         d = rng.randrange(self.graph.num_hosts - 1)
         return d + 1 if d >= src_host else d
+
+    def destinations(self, src_host: int, rng: random.Random,
+                     n: int) -> List[Optional[int]]:
+        # destination() n times with the randrange draw inlined: k random
+        # bits, rejected until below the bound (CPython's _randbelow)
+        bound = self.graph.num_hosts - 1
+        k = bound.bit_length()
+        getrandbits = rng.getrandbits
+        out: List[Optional[int]] = []
+        append = out.append
+        for _ in range(n):
+            d = getrandbits(k)
+            while d >= bound:
+                d = getrandbits(k)
+            append(d + 1 if d >= src_host else d)
+        return out
 
 
 def _register() -> None:

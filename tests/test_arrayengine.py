@@ -10,7 +10,8 @@ own, independent of the cross-engine parity tests.
 * **capability honesty** -- declined capabilities raise instead of
   returning fabricated numbers;
 * **schedule memoisation** -- the runner's cross-run schedule cache is
-  observationally invisible.
+  observationally invisible, shared by every scheme of a sweep and
+  bounded by the messages it holds.
 """
 
 import random
@@ -18,7 +19,9 @@ import random
 import pytest
 
 from repro.config import PAPER_PARAMS, SimConfig
+from repro.experiments import runner
 from repro.experiments.runner import clear_caches, run_simulation
+from repro.experiments.sweep import sweep_rates
 from repro.routing.policies import make_policy
 from repro.routing.table import compute_tables
 from repro.sim import (PacketTracer, Simulator, UnsupportedCapability,
@@ -114,6 +117,47 @@ class TestPrimeSchedule:
                            make_policy("rr"), P)
         with pytest.raises(ValueError, match="sorted"):
             net.prime_schedule([(2_000, 0, 1), (1_000, 2, 3)])
+
+    def test_out_of_range_host_rejected(self, graph, tables):
+        """A host id outside the fabric fails at prime time, naming the
+        entry -- not later as a bare IndexError inside a drain."""
+        net = make_network("array", Simulator(), graph, tables,
+                           make_policy("rr"), P)
+        n = graph.num_hosts
+        for bad in ((2_000, 3, n + 67), (2_000, n, 1), (2_000, -1, 1)):
+            with pytest.raises(ValueError, match="outside") as err:
+                net.prime_schedule([(1_000, 0, 1), bad])
+            assert str(bad) in str(err.value)
+        assert net.generated == 0 and net.sim.pending_events == 0
+
+    def test_entry_in_the_past_rejected(self, graph, tables):
+        """An entry before ``sim.now`` would be admitted in the past
+        (channels stamped busy earlier than now)."""
+        sim = Simulator()
+        net = make_network("array", sim, graph, tables,
+                           make_policy("rr"), P)
+        sim.run_until(5_000)
+        with pytest.raises(ValueError, match=r"before the current time"):
+            net.prime_schedule([(4_999, 0, 1), (6_000, 2, 3)])
+        net.prime_schedule([(5_000, 0, 1), (6_000, 2, 3)])
+        sim.run_until(10 ** 9)
+        net.finalize()
+        assert net.delivered == 2
+
+    def test_columns_and_triples_are_the_same_schedule(self, graph,
+                                                       tables):
+        """A ``Schedule`` is read in place; an iterable of triples is
+        converted once -- same run either way."""
+        from repro.traffic import Schedule
+        sched = make_schedule(graph, 40, 30_000)
+        cols = Schedule.from_triples(iter(sched))
+        assert len(cols) == len(sched) and list(cols) == sched
+        assert (cols.t.typecode, cols.src.typecode,
+                cols.dst.typecode) == ("q", "i", "i")
+        assert run_primed(graph, tables, cols) == \
+            run_primed(graph, tables, sched)
+        with pytest.raises(ValueError, match="length"):
+            Schedule(cols.t, cols.src[:-1], cols.dst)
 
     def test_double_prime_rejected(self, graph, tables):
         net = make_network("array", Simulator(), graph, tables,
@@ -277,3 +321,62 @@ class TestScheduleMemoisation:
         tr2 = fresh()
         tr2.adopt_schedule(sched)
         assert tr2.generated == len(sched)
+
+
+class TestScheduleSharing:
+    """A figure draws its traffic once: the memo key has no routing
+    scheme, policy or engine in it, and it is bounded by messages held,
+    so every scheme after the first of a curve adopts."""
+
+    RATES = tuple(round(0.004 + 0.002 * i, 3) for i in range(10))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.traffic import TrafficProcess
+        counts = {"pregenerate": 0, "adopt_schedule": 0}
+        for name in counts:
+            real = getattr(TrafficProcess, name)
+
+            def counted(self, arg, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(self, arg)
+            monkeypatch.setattr(TrafficProcess, name, counted)
+        return counts
+
+    def test_three_schemes_share_a_ten_rate_grid(self, calls):
+        clear_caches()
+        base = SimConfig(**TestScheduleMemoisation.CFG)
+        for routing, policy in (("updown", "sp"), ("itb", "sp"),
+                                ("itb", "rr")):
+            sweep = sweep_rates(
+                base.with_overrides(routing=routing, policy=policy),
+                self.RATES, stop_after_saturation=len(self.RATES))
+            assert len(sweep.runs) == len(self.RATES)
+        assert calls == {"pregenerate": 10, "adopt_schedule": 20}
+        assert len(runner._SCHEDULE_CACHE) == 10
+
+    def test_memo_is_bounded_by_messages_held(self, calls, monkeypatch):
+        clear_caches()
+        base = SimConfig(**TestScheduleMemoisation.CFG)
+        run_simulation(base.with_overrides(injection_rate=self.RATES[-1]))
+        (largest,) = runner._SCHEDULE_CACHE.values()
+        bound = 2 * len(largest) + len(largest) // 2
+        monkeypatch.setattr(runner, "_SCHEDULE_CACHE_MAX_MESSAGES", bound)
+        clear_caches()
+        for rate in self.RATES:
+            run_simulation(base.with_overrides(injection_rate=rate))
+            held = sum(map(len, runner._SCHEDULE_CACHE.values()))
+            assert 0 < held <= bound
+        # oldest went first: the highest rates are the ones still held
+        assert 1 < len(runner._SCHEDULE_CACHE) < len(self.RATES)
+        run_simulation(base.with_overrides(injection_rate=self.RATES[-1]))
+        assert calls["adopt_schedule"] == 1
+        # a schedule that alone exceeds the bound is simply not kept
+        monkeypatch.setattr(runner, "_SCHEDULE_CACHE_MAX_MESSAGES",
+                            len(largest) - 1)
+        clear_caches()
+        cold = run_simulation(base.with_overrides(
+            injection_rate=self.RATES[-1]))
+        assert not runner._SCHEDULE_CACHE
+        assert cold == run_simulation(base.with_overrides(
+            injection_rate=self.RATES[-1]))

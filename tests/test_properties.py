@@ -6,8 +6,11 @@ must hold on *any* connected switch graph, not just the three evaluated
 topologies.
 """
 
+import os
 import random
+import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +25,10 @@ from repro.routing.updown import (UP, enumerate_legal_paths, legal_dag_to,
                                   legal_path_links_to,
                                   legal_shortest_distances, orient_links)
 from repro.sim.arbiter import RoundRobinArbiter
+from repro.sim.engine import Simulator
 from repro.topology import build_irregular, check_topology
+from repro.traffic import (ARRIVALS, PATTERNS, ArrivalProcess, Schedule,
+                           TrafficPattern, TrafficProcess, make_workload)
 from repro.traffic.bitreversal import reverse_bits
 
 # keep generated networks small: every property walks all pairs
@@ -247,3 +253,180 @@ def test_arbiter_no_starvation(data):
         arb.release(arb.owner)
         releases += 1
         assert releases <= 5  # 4 data keys + victim
+
+
+# -- schedules: bulk pregeneration == scalar loop == event-driven path -------
+
+#: (pattern, kwargs) -- every registered pattern but ``trace`` (which
+#: carries its own timing and has its own test), plus the tree mode
+PATTERN_CASES = [(name, {}) for name in PATTERNS.names() if name != "trace"]
+PATTERN_CASES.append(("allreduce", {"mode": "tree"}))
+
+#: 4 and 16 hosts are powers of two and of four: every pattern is defined
+workload_graphs = st.builds(
+    build_irregular,
+    num_switches=st.sampled_from([2, 8]),
+    hosts_per_switch=st.just(2),
+    max_switch_links=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+any_graphs = st.builds(
+    build_irregular,
+    num_switches=st.integers(min_value=2, max_value=12),
+    hosts_per_switch=st.just(2),
+    max_switch_links=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+intervals = st.integers(min_value=20_000, max_value=400_000)
+horizons = st.integers(min_value=0, max_value=3_000_000)
+seeds = st.integers(min_value=0, max_value=10_000)
+
+FAST = settings(max_examples=12, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+class _QuirkyPattern(TrafficPattern):
+    """Silent draws (``None``) and self-destinations, at random."""
+
+    name = "quirky"
+
+    def destination(self, src_host, rng):
+        d = rng.randrange(self.graph.num_hosts + 1)
+        return None if d == self.graph.num_hosts else d
+
+
+class _VolleyArrivals(ArrivalProcess):
+    """The (r, b)-adversary with zero intra-volley spacing: each host
+    fires ``burst`` messages at the *same instant*, so ``(t, src)`` ties
+    and the schedule order must fall back on ``dst``."""
+
+    name = "volley"
+
+    def __init__(self, interval_ps, burst=4):
+        self.interval_ps = interval_ps
+        self.burst = burst
+        self._left = {}
+
+    def next_fire_ps(self, host, now_ps, rng):
+        left = self._left.get(host)
+        if left is None:
+            self._left[host] = self.burst - 1
+            return now_ps
+        if left > 0:
+            self._left[host] = left - 1
+            return now_ps
+        self._left[host] = self.burst - 1
+        return now_ps + self.burst * self.interval_ps
+
+
+def _scalar_triples(pattern, arrivals, seed, t_end):
+    """The reference: one ``destination`` and one ``next_fire_ps`` call
+    per message, interleaved -- the loop the bulk hooks replaced."""
+    out = []
+    for host in pattern.active_hosts():
+        dest_rng = random.Random(f"{seed}:{host}")
+        arr_rng = random.Random(f"{seed}:arrival:{host}")
+        t = arrivals.next_fire_ps(host, 0, arr_rng)
+        if t is None:
+            continue
+        cur = max(t, 0)
+        while cur <= t_end:
+            dst = pattern.destination(host, dest_rng)
+            if dst is not None and dst != host:
+                out.append((cur, host, dst))
+            t = arrivals.next_fire_ps(host, cur, arr_rng)
+            if t is None:
+                break
+            cur = max(t, cur)
+    return sorted(out)
+
+
+class _RecordingNetwork:
+    """The one method ``TrafficProcess`` calls on a network."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.sent = []
+
+    def send(self, src, dst):
+        self.sent.append((self.sim.now, src, dst))
+
+
+def _check_three_ways(build, seed, t_end):
+    """``build()`` -> a fresh (pattern, arrivals) pair each time (both
+    sides keep per-host state).  The ``Schedule`` must equal the scalar
+    loop's sorted triples and the message set ``start()`` sends."""
+    schedule = TrafficProcess(Simulator(), None, *build(),
+                              seed=seed).pregenerate(t_end)
+    assert isinstance(schedule, Schedule)
+    assert (schedule.t.typecode, schedule.src.typecode,
+            schedule.dst.typecode) == ("q", "i", "i")
+    triples = list(schedule)
+    assert len(schedule) == len(triples)
+    assert triples == _scalar_triples(*build(), seed, t_end)
+    sim = Simulator()
+    net = _RecordingNetwork(sim)
+    traffic = TrafficProcess(sim, net, *build(), seed=seed)
+    traffic.start()
+    sim.run_until(t_end)
+    assert triples == sorted(net.sent)
+    assert traffic.generated == len(triples)
+    return triples
+
+
+@pytest.mark.parametrize("arrival", ARRIVALS.names())
+@pytest.mark.parametrize("traffic,kwargs", PATTERN_CASES,
+                         ids=[f"{n}{'-tree' if kw else ''}"
+                              for n, kw in PATTERN_CASES])
+@given(workload_graphs, intervals, horizons, seeds)
+@FAST
+def test_schedule_equals_scalar_loop_and_event_path(traffic, kwargs, arrival,
+                                                    g, interval, t_end,
+                                                    seed):
+    def build():
+        return make_workload(g, traffic, kwargs, arrival, {}, interval)
+    _check_three_ways(build, seed, t_end)
+
+
+@pytest.mark.parametrize("arrival", ARRIVALS.names() + ("volley",))
+@given(any_graphs, intervals, horizons, seeds)
+@FAST
+def test_schedule_skips_silent_and_self_addressed_draws(arrival, g, interval,
+                                                        t_end, seed):
+    """``destination`` -> ``None`` and ``dst == src`` draws consume the
+    stream but send nothing; with the volley process one host fires
+    several messages at one instant and the tie breaks on ``dst``."""
+    def build():
+        arrivals = (_VolleyArrivals(interval) if arrival == "volley"
+                    else ARRIVALS.get(arrival).build(interval))
+        return _QuirkyPattern(g), arrivals
+    triples = _check_three_ways(build, seed, t_end)
+    assert all(s != d for _, s, d in triples)
+    assert triples == sorted(triples)
+
+
+@given(any_graphs, st.data(), horizons)
+@FAST
+def test_schedule_of_a_finite_trace(g, data, t_end):
+    """Trace replay: finite per-host streams, hosts that never send,
+    self-addressed rows and same-instant rows of one host."""
+    n = g.num_hosts
+    rows = data.draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2_500),   # ns
+                  st.integers(min_value=0, max_value=n - 1),
+                  st.integers(min_value=0, max_value=n - 1)),
+        min_size=1, max_size=40))
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.writelines(f"{t},{s},{d}\n" for t, s, d in rows)
+
+        def build():
+            return make_workload(g, "trace", {"path": path}, "constant",
+                                 {}, 100_000)
+        triples = _check_three_ways(build, 0, t_end)
+    finally:
+        os.unlink(path)
+    expected = sorted((t * 1_000, s, d) for t, s, d in rows
+                      if s != d and t * 1_000 <= t_end)
+    assert triples == expected

@@ -1,5 +1,8 @@
 """End-to-end runner integration on small networks."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import SimConfig
@@ -81,6 +84,65 @@ class TestRunSimulation:
             injection_rate=1.0,
             warmup_ps=ns(30_000), measure_ps=ns(100_000)))
         assert s.saturated
+
+
+class TestTeardown:
+    """A finished run frees its network by reference count:
+    ``run_simulation`` cuts the sim/network/transport cycles itself
+    instead of leaving them to a later full collection."""
+
+    @pytest.fixture
+    def networks(self, monkeypatch):
+        refs = []
+        real = runner.make_network
+
+        def spy(*args, **kwargs):
+            net = real(*args, **kwargs)
+            refs.append(weakref.ref(net))
+            return net
+        monkeypatch.setattr(runner, "make_network", spy)
+        gc.collect()
+        gc.disable()
+        yield refs
+        gc.enable()
+
+    FAULTS = {"faults": [{"t_ps": ns(30_000), "link_id": 3}]}
+
+    @pytest.mark.parametrize("engine,overrides,kwargs", [
+        ("packet", {}, {}),
+        ("array", {}, {}),
+        ("flit", {"measure_ps": ns(20_000)}, {}),
+        # saturated: arbitration requests still queued at the end
+        ("packet", {"injection_rate": 0.3}, {}),
+        ("array", {"injection_rate": 0.3}, {}),
+        ("packet", {}, {"reliable": True}),
+        ("packet", {}, {"fault_plan": FAULTS}),
+        ("packet", {}, {"reliable": True, "reconfig": True,
+                        "fault_plan": FAULTS}),
+    ], ids=["packet", "array", "flit", "packet-saturated",
+            "array-saturated", "reliable", "fault-plan",
+            "reliable+reconfig+faults"])
+    def test_network_is_dead_on_return(self, networks, engine, overrides,
+                                       kwargs):
+        summary = run_simulation(small_config(engine=engine, **overrides),
+                                 **kwargs)
+        assert summary.messages_delivered > 0
+        (ref,) = networks
+        assert ref() is None
+
+    def test_simulator_clear(self):
+        from repro.sim import Simulator
+        sim = Simulator()
+        fired = []
+        sim.at(10, fired.append, 1)
+        sim.set_watchdog(5, lambda: fired.append("dog"))
+        sim.clear()
+        assert sim.pending_events == 0
+        sim.run_until(100)
+        assert fired == [] and sim.now == 100
+        sim.at(150, fired.append, 2)        # still usable afterwards
+        sim.run_until_idle()
+        assert fired == [2]
 
 
 class TestCaches:
