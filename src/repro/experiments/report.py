@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..config import SimConfig
 from .figures import FigureResult, LinkMapResult
 from .runner import get_graph
@@ -59,13 +57,12 @@ def render_link_map(res: LinkMapResult,
         lines.append(f"   {util:6.1%}  {src:3d} -> {dst:3d}")
     if grid is not None:
         rows, cols = grid
-        per_switch = np.zeros(rows * cols)
-        counts = np.zeros(rows * cols)
+        totals = [0.0] * (rows * cols)
+        counts = [0] * (rows * cols)
         for (src, _dst, _lid), util in zip(u.channel_ends, u.utilization):
-            per_switch[src] += util
+            totals[src] += util
             counts[src] += 1
-        counts[counts == 0] = 1
-        per_switch /= counts
+        per_switch = [t / (c or 1) for t, c in zip(totals, counts)]
         lines.append("mean outgoing-channel utilisation per switch (%):")
         for r in range(rows):
             row = " ".join(f"{per_switch[r * cols + c] * 100:5.1f}"

@@ -14,10 +14,10 @@ Section 4.7.1.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import fsum
 from typing import List
-
-import numpy as np
 
 from ..config import MyrinetParams
 from ..sim.base import NetworkModel
@@ -31,34 +31,37 @@ class LinkUtilization:
     #: per directed NET channel: (src switch, dst switch, link id)
     channel_ends: List[tuple]
     #: fraction of the window each directed channel spent moving flits
-    utilization: np.ndarray
+    #: (this and the two below are ``array('d')``)
+    utilization: array
     #: fraction of the window each directed channel was reserved
-    reserved: np.ndarray
+    reserved: array
     #: per physical cable: max of the two directions
-    per_link: np.ndarray
+    per_link: array
 
     def summary(self) -> dict:
         """Aggregate numbers quoted in the paper's text."""
         u = self.per_link
+        n = len(u)
         return {
-            "max": float(u.max()),
-            "mean": float(u.mean()),
-            "min": float(u.min()),
-            "frac_below_10pct": float((u < 0.10).mean()),
-            "frac_above_30pct": float((u > 0.30).mean()),
+            "max": max(u),
+            "mean": fsum(u) / n,
+            "min": min(u),
+            "frac_below_10pct": sum(x < 0.10 for x in u) / n,
+            "frac_above_30pct": sum(x > 0.30 for x in u) / n,
         }
 
-    def blocked_fraction(self) -> np.ndarray:
+    def blocked_fraction(self) -> List[float]:
         """Per directed channel: reserved but not transferring
         (wormhole stalls / flow control idling)."""
-        return self.reserved - self.utilization
+        return [r - u for r, u in zip(self.reserved, self.utilization)]
 
     def hottest(self, k: int = 5) -> List[tuple]:
         """The ``k`` hottest directed channels as
-        ``(utilisation, src, dst, link_id)``."""
-        order = np.argsort(self.utilization)[::-1][:k]
-        return [(float(self.utilization[i]), *self.channel_ends[i])
-                for i in order]
+        ``(utilisation, src, dst, link_id)``: utilisation descending,
+        exact ties by channel index ascending."""
+        u = self.utilization
+        order = sorted(range(len(u)), key=lambda i: (-u[i], i))[:k]
+        return [(u[i], *self.channel_ends[i]) for i in order]
 
     def to_dict(self) -> dict:
         """JSON-safe form (arrays become lists)."""
@@ -76,9 +79,9 @@ class LinkUtilization:
         return cls(
             window_ps=data["window_ps"],
             channel_ends=[tuple(e) for e in data["channel_ends"]],
-            utilization=np.asarray(data["utilization"], dtype=float),
-            reserved=np.asarray(data["reserved"], dtype=float),
-            per_link=np.asarray(data["per_link"], dtype=float),
+            utilization=array("d", data["utilization"]),
+            reserved=array("d", data["reserved"]),
+            per_link=array("d", data["per_link"]),
         )
 
 
@@ -94,15 +97,13 @@ def collect_link_stats(network: NetworkModel, window_ps: int,
     if window_ps <= 0:
         raise ValueError("window must be positive")
     ends = []
-    util = []
-    resv = []
-    num_links = network.graph.num_links
-    per_link = np.zeros(num_links)
+    util = array("d")
+    resv = array("d")
+    per_link = array("d", [0.0]) * network.graph.num_links
     for ch in network.link_flit_counts():
         ends.append((ch.src, ch.dst, ch.link_id))
         u = ch.flits * params.flit_cycle_ps / window_ps
         util.append(u)
         resv.append(ch.reserved_ps / window_ps)
         per_link[ch.link_id] = max(per_link[ch.link_id], u)
-    return LinkUtilization(window_ps, ends, np.array(util), np.array(resv),
-                           per_link)
+    return LinkUtilization(window_ps, ends, util, resv, per_link)

@@ -20,6 +20,7 @@ result store, and restartable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..canon import freeze
@@ -123,11 +124,11 @@ def resilience_cell_task(payload: dict) -> dict:
         base.with_overrides(injection_rate=payload["probe_rate"]),
         collect_links=True, root=root)
     links = probe.link_utilization
-    total = float(links.utilization.sum())
-    at_root = float(sum(
+    total = fsum(links.utilization)
+    at_root = fsum(
         u for u, (a, b, _lid) in zip(links.utilization,
                                      links.channel_ends)
-        if root in (a, b)))
+        if root in (a, b))
 
     g = get_graph(base.topology, base.topology_kwargs)
     tables = get_tables(g, (base.topology, freeze(base.topology_kwargs)),

@@ -31,8 +31,8 @@ class RouteLeg:
     source and target of the leg share a switch).
 
     Legs are value objects: treat them as immutable once built -- the
-    routing tables share them across runs, and the simulators stash
-    derived data (``_dir_hops``) on them.  They used to be frozen
+    routing tables share them across runs, and :meth:`dir_hops` stashes
+    its result (``_dir_hops``) on them.  They used to be frozen
     dataclasses; plain ``__slots__`` classes construct several times
     faster, which matters because a table build creates tens of
     thousands of them.
@@ -75,6 +75,24 @@ class RouteLeg:
     @property
     def end(self) -> int:
         return self.switches[-1]
+
+    def dir_hops(self, g: NetworkGraph) -> Tuple[int, ...]:
+        """Directed-channel index (``link_id << 1 | direction``, 0 for
+        a->b) of each hop, computed once, then cached.
+
+        The indices are graph-level facts, independent of any network
+        instance, so the stash is shared by every packet, engine and run
+        that uses the same cached routing tables; each engine maps them
+        onto its own channel state.
+        """
+        try:
+            return self._dir_hops
+        except AttributeError:
+            links = g.links
+            dirs = tuple((lid << 1) | (links[lid].a != frm)
+                         for lid, frm in zip(self.links, self.switches))
+            self._dir_hops = dirs
+            return dirs
 
     @staticmethod
     def from_switch_path(g: NetworkGraph, path: Tuple[int, ...]) -> "RouteLeg":
@@ -161,6 +179,27 @@ class SourceRoute:
             out = tuple(l for leg in self.legs for l in leg.links)
             self._link_ids = out
             return out
+
+    @property
+    def leg_overheads(self) -> Tuple[int, ...]:
+        """Header bytes carried during each leg (computed once, then
+        cached): at the start of leg ``k`` the header still holds the
+        route flits of legs ``k..end`` and the ITB marks of the remaining
+        boundaries; earlier flits were consumed by switches / stripped
+        by in-transit hosts."""
+        try:
+            return self._leg_overheads
+        except AttributeError:
+            legs = self.legs
+            n = len(legs)
+            remaining_hops = sum(leg.hops for leg in legs)
+            out = []
+            for k, leg in enumerate(legs):
+                out.append(remaining_hops + (n - 1 - k))
+                remaining_hops -= leg.hops
+            overheads = tuple(out)
+            self._leg_overheads = overheads
+            return overheads
 
     def iter_links(self) -> Iterator[int]:
         """All link ids crossed, in order."""

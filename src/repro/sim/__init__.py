@@ -18,7 +18,7 @@ with :func:`make_network`; two ship in-tree:
   slower, used to validate the packet-level approximation on small
   networks.
 * ``"array"`` (:mod:`arrayengine`) -- a **batched greedy-reservation
-  model** over flat numpy channel/packet arrays, processing admissions
+  model** over flat channel/packet lists, processing admissions
   and deliveries at fixed-stride ticks instead of one heap event per
   arbitration step.  Bit-identical to the packet engine when
   uncontended, an order of magnitude faster at paper scale; declares

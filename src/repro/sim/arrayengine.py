@@ -7,8 +7,7 @@ per-event heap with **batched time-stepping over flat arrays**:
 
 * every directed channel (two per cable, one injection and one delivery
   channel per NIC) is a row in three flat vectors -- ``busy_until``,
-  ``flits`` and ``reserved_ps`` (plain int lists on the scalar path,
-  snapshotted into numpy arrays by the vectorised cohort kernel);
+  ``flits`` and ``reserved_ps`` (plain int lists);
 * every in-flight packet is one slot in parallel per-slot arrays
   (an immutable info tuple plus mutable leg / injection stamps);
 * the simulator heap carries only fixed-stride *batch ticks* (default
@@ -41,17 +40,12 @@ catch-up drain before counters are read or zeroed.  Deliveries never
 touch channel state, so when no per-packet delivery callback is
 registered (the batch-sink path) they bypass the work heap entirely and
 are flushed unordered within each drain -- every accumulator they feed
-is order-free, and keeping them off the heap both halves the heap
-traffic and widens the reorder-safe admission cohort (the earliest
-channel-mutating feedback of a walk is its ITB re-injection).
+is order-free, and keeping them off the heap halves the heap traffic.
 
-Large same-instant admission cohorts (collective patterns, drained
-batches) go through a vectorised kernel: all members' walks are
-computed in parallel against a numpy snapshot of the tick-start channel
-state, members whose channel footprints are disjoint commit wholesale,
-and the few that actually contend are re-walked scalar in admission
-order -- the result is **bit-identical** to the pure scalar path (also
-pinned by a test).
+Admission is one scalar kernel (``_admit_walk``), one message at a
+time: the paper's hosts fire from random phases, so same-instant
+admission cohorts large enough to amortise a vectorised walk do not
+form (DESIGN section 15 has the measurement).
 
 Capabilities: link statistics and the two batch interfaces.  The ITB
 pool is modelled as infinite (re-injection never stalls on pool space;
@@ -64,13 +58,10 @@ returning fabricated numbers.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from heapq import heappush, heappop
 from itertools import islice
 from operator import gt
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..traffic.base import Schedule
 from .base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT, CAP_INVARIANTS,
@@ -86,37 +77,6 @@ _INJECT, _REINJECT, _DELIVER = 0, 1, 2
 _ROUTE, _SRC, _DST, _PAYLOAD, _ALT, _PID, _CREATED, _PKT = range(8)
 
 
-def _min_feedback_ps(params) -> int:
-    """Lower bound on the delay between a walk and any *heap* work item
-    it schedules (the head must cross at least one cable, one routing
-    stage and one more cable before anything new can happen); admission
-    cohorts are capped to this span so batching them cannot reorder
-    work relative to the scalar (time, seq) drain.  On the batch-sink
-    path deliveries stay off the heap, so the earliest heap feedback is
-    an ITB re-injection and the bound grows by the detection + DMA
-    overheads (see ``_gap_sink``)."""
-    return 2 * params.link_prop_ps + params.routing_delay_ps
-
-
-def _leg_overheads(route) -> Tuple[int, ...]:
-    """Per-leg header overhead (route flits + ITB marks still carried),
-    stashed on the shared route object -- same cache the packet engine's
-    :class:`~repro.sim.packet.Packet` populates."""
-    try:
-        return route._leg_overheads
-    except AttributeError:
-        legs = route.legs
-        n = len(legs)
-        remaining_hops = sum(leg.hops for leg in legs)
-        out: List[int] = []
-        for k, leg in enumerate(legs):
-            out.append(remaining_hops + (n - 1 - k))
-            remaining_hops -= leg.hops
-        overheads = tuple(out)
-        route._leg_overheads = overheads
-        return overheads
-
-
 @register("array")
 class ArrayNetwork(NetworkModel):
     """Batched greedy-reservation engine (see module docstring)."""
@@ -127,10 +87,6 @@ class ArrayNetwork(NetworkModel):
     #: simulated time between batch ticks; results are stride-invariant,
     #: the stride only trades heap events against per-tick batch size
     STRIDE_PS = 4_000_000
-    #: minimum same-window admission cohort that takes the vectorised
-    #: kernel (below it, the numpy snapshot round-trip exceeds the
-    #: scalar walk)
-    VECTOR_THRESHOLD = 32
 
     # -- construction ------------------------------------------------------
 
@@ -153,12 +109,8 @@ class ArrayNetwork(NetworkModel):
         for h in g.hosts:
             self._hsw[h.id] = g.host_switch(h.id)
         p = self.params
-        #: reorder-safe cohort spans (see _min_feedback_ps)
-        self._gap_cb = _min_feedback_ps(p)
-        self._gap_sink = (self._gap_cb + p.itb_detect_ps
-                          + p.itb_dma_setup_ps)
         # hot-path constants (params are immutable for the run; the
-        # routing tables cannot be swapped either -- install_tables
+        # routing tables cannot be swapped either -- swap_tables
         # requires the reliable-delivery capability this engine declines)
         self._fc = p.flit_cycle_ps
         self._lp = p.link_prop_ps
@@ -314,8 +266,6 @@ class ArrayNetwork(NetworkModel):
         srcs, dsts = self._sched_src, self._sched_dst
         n = len(sched_t)
         i = self._sched_i
-        threshold = self.VECTOR_THRESHOLD
-        gap = self._gap_cb if self._delivery_callbacks else self._gap_sink
         admit_walk = self._admit_walk
         walk_slot = self._walk_slot
         complete = self._complete
@@ -331,30 +281,10 @@ class ArrayNetwork(NetworkModel):
                     else:
                         walk_slot(slot, t)
                 elif t_s is not None and t_s <= T:
-                    # O(1) probe: only a cohort of >= threshold
-                    # admissions inside the reorder-safe span (bounded
-                    # by the tick, strictly by the next work item, and
-                    # by the minimum feedback delay of a walk -- so no
-                    # work produced inside it could have interleaved)
-                    # pays for the vector kernel; otherwise admit one
-                    # message and re-check the work heap, which keeps
+                    # admit one message and re-check the work heap:
                     # exact (time, seq) order with no chunk machinery
-                    probe = i + threshold - 1
-                    if (probe < n and sched_t[probe] <= T
-                            and sched_t[probe] <= t_s + gap - 1
-                            and (t_w is None or sched_t[probe] < t_w)):
-                        limit = T
-                        if t_w is not None and t_w - 1 < limit:
-                            limit = t_w - 1
-                        gap_end = t_s + gap - 1
-                        if gap_end < limit:
-                            limit = gap_end
-                        end = bisect_right(sched_t, limit, i, n)
-                        self._admit_cohort_vector(i, end)
-                        i = end
-                    else:
-                        admit_walk(t_s, srcs[i], dsts[i])
-                        i += 1
+                    admit_walk(t_s, srcs[i], dsts[i])
+                    i += 1
                 else:
                     break
         finally:
@@ -405,13 +335,8 @@ class ArrayNetwork(NetworkModel):
 
     def _admit_walk(self, t: int, src: int, dst: int) -> None:
         """Admit one primed-schedule message and walk its first leg --
-        the ``send()`` bookkeeping with route lookup inlined (the slow
-        path below handles dead-link blacklisting)."""
-        if self.dead_links:
-            slot = self._admit(t, src, dst)
-            if slot is not None:
-                self._walk_slot(slot, t)
-            return
+        the ``send()`` bookkeeping with route lookup inlined (no link
+        can be dead: the engine declines ``dynamic_faults``)."""
         hsw = self._hsw
         alts = self._routes_map[(hsw[src], hsw[dst])]
         if len(alts) == 1:
@@ -428,27 +353,7 @@ class ArrayNetwork(NetworkModel):
         self._p_injected.append(None)
         self._walk_slot(slot, t)
 
-    def _admit(self, t: int, src: int, dst: int) -> Optional[int]:
-        """Base-``send`` bookkeeping for one primed-schedule message
-        (blacklist-aware route selection; also the vector kernel's
-        admission step)."""
-        selected = self._select_route(src, dst)
-        self.generated += 1
-        pid = self._next_pid
-        self._next_pid += 1
-        if selected is None:        # only reachable with dead links
-            self.dropped += 1
-            self.dropped_unroutable += 1
-            return None
-        route, alt = selected
-        slot = len(self._p_info)
-        self._p_info.append((route, src, dst, self.message_bytes,
-                             alt, pid, t, None))
-        self._p_leg.append(0)
-        self._p_injected.append(None)
-        return slot
-
-    # -- scalar walk -------------------------------------------------------
+    # -- the walk ----------------------------------------------------------
 
     def _walk_slot(self, slot: int, t_ready: int) -> None:
         """Walk the slot's current leg in closed form: greedily reserve
@@ -468,7 +373,7 @@ class ArrayNetwork(NetworkModel):
         try:
             ovh = route._leg_overheads
         except AttributeError:
-            ovh = _leg_overheads(route)
+            ovh = route.leg_overheads
         wire = info[_PAYLOAD] + self._hdr + ovh[leg_idx]
         hold = wire * fc
 
@@ -490,7 +395,7 @@ class ArrayNetwork(NetworkModel):
         try:
             dirs = leg._dir_hops
         except AttributeError:
-            dirs = self._leg_dirs(leg)
+            dirs = leg.dir_hops(self.graph)
         for d in dirs:
             b = busy[d]
             g = b if b > a else a
@@ -529,148 +434,38 @@ class ArrayNetwork(NetworkModel):
                                   self._work_seq, _REINJECT, slot))
             self._work_seq += 1
 
-    def _leg_dirs(self, leg) -> Tuple[int, ...]:
-        """Directed-channel indices of a leg's hops -- identical encoding
-        (``link_id << 1 | direction``) and identical per-leg stash as the
-        packet engine, so cached tables share the resolution."""
-        try:
-            return leg._dir_hops
-        except AttributeError:
-            links = self.graph.links
-            dirs = tuple((lid << 1) | (links[lid].a != frm)
-                         for lid, frm in zip(leg.links, leg.switches))
-            leg._dir_hops = dirs
-            return dirs
-
-    # -- vectorised cohort admission ---------------------------------------
-
-    def _admit_cohort_vector(self, i: int, end: int) -> None:
-        """Admit schedule entries ``[i, end)`` through the numpy kernel.
-
-        Route selection (stateful policies) runs scalar in admission
-        order; the per-channel timing recurrence runs vectorised for
-        every member whose channel footprint is disjoint from the rest
-        of the cohort, against a numpy snapshot of the channel state
-        that is written back before the stragglers run.  Contending
-        members re-walk scalar in admission order afterwards -- their
-        footprints are disjoint from the committed ones by construction,
-        so the combined result is bit-identical to a fully scalar drain.
-        """
-        params = self.params
-        fc = params.flit_cycle_ps
-        lp = params.link_prop_ps
-        rd = params.routing_delay_ps
-
-        slots: List[int] = []
-        times: List[int] = []
-        dirs_list: List[Tuple[int, ...]] = []
-        wires: List[int] = []
-        srcs: List[int] = []
-        targets: List[int] = []
-        lasts: List[bool] = []
-        for j in range(i, end):
-            slot = self._admit(self._sched_t[j], self._sched_src[j],
-                               self._sched_dst[j])
-            if slot is None:
-                continue
-            info = self._p_info[slot]
-            route = info[_ROUTE]
-            slots.append(slot)
-            times.append(self._sched_t[j])
-            dirs_list.append(self._leg_dirs(route.legs[0]))
-            wires.append(info[_PAYLOAD] + self._hdr
-                         + _leg_overheads(route)[0])
-            srcs.append(info[_SRC])
-            last = len(route.legs) == 1
-            lasts.append(last)
-            targets.append(info[_DST] if last else route.itb_hosts[0])
-        m = len(slots)
-        if not m:
-            return
-
-        # full channel footprint per member; any channel touched twice
-        # within the cohort marks *all* its users as contending
-        inj = np.array(srcs, dtype=np.int64) + self._inj0
-        dlv = np.array(targets, dtype=np.int64) + self._del0
-        hop_counts = np.array([len(d) for d in dirs_list])
-        member_of_hop = np.repeat(np.arange(m), hop_counts)
-        hops = np.array([d for dirs in dirs_list for d in dirs]
-                        or [], dtype=np.int64)
-        foot = np.concatenate([inj, dlv, hops])
-        owner = np.concatenate([np.arange(m), np.arange(m), member_of_hop])
-        _, inverse, counts = np.unique(foot, return_inverse=True,
-                                       return_counts=True)
-        contended = np.zeros(m, dtype=bool)
-        np.logical_or.at(contended, owner, counts[inverse] > 1)
-
-        clean = np.flatnonzero(~contended)
-        if clean.size:
-            busy = np.array(self._busy, dtype=np.int64)
-            flits = np.array(self._flits, dtype=np.int64)
-            reserved = np.array(self._reserved, dtype=np.int64)
-            t_v = np.array(times, dtype=np.int64)[clean]
-            wire_v = np.array(wires, dtype=np.int64)[clean]
-            hold_v = wire_v * fc
-            ci = inj[clean]
-            g = np.maximum(t_v, busy[ci])
-            rel = g + hold_v
-            busy[ci] = rel
-            flits[ci] += wire_v
-            reserved[ci] += rel - g
-            inj_g = g
-            a = g + lp
-            # padded hop matrix: position p of every clean member
-            pmax = int(hop_counts[clean].max()) if clean.size else 0
-            D = np.full((clean.size, pmax), -1, dtype=np.int64)
-            for r, midx in enumerate(clean):
-                d = dirs_list[midx]
-                D[r, :len(d)] = d
-            for p in range(pmax):
-                col = D[:, p]
-                act = col >= 0
-                if not act.any():
-                    break
-                c = col[act]
-                g = np.maximum(a[act], busy[c])
-                rel = g + hold_v[act]
-                busy[c] = rel
-                flits[c] += wire_v[act]
-                reserved[c] += rel - g
-                a[act] = g + rd + lp
-            cd = dlv[clean]
-            g = np.maximum(a, busy[cd])
-            rel = g + hold_v
-            busy[cd] = rel
-            flits[cd] += wire_v
-            reserved[cd] += rel - g
-            t_head = g + rd + lp
-            t_tail = t_head + hold_v
-            reinject_at = (t_head + params.itb_detect_ps
-                           + params.itb_dma_setup_ps)
-            self._busy = busy.tolist()
-            self._flits = flits.tolist()
-            self._reserved = reserved.tolist()
-            callbacks = bool(self._delivery_callbacks)
-            for r, midx in enumerate(clean):
-                slot = slots[midx]
-                self._p_injected[slot] = int(inj_g[r])
-                if lasts[midx]:
-                    tt = int(t_tail[r])
-                    if callbacks:
-                        self._push_work(tt, _DELIVER, slot)
-                    else:
-                        self._pending_del.append((tt, slot))
-                        if self._pend_min is None or tt < self._pend_min:
-                            self._pend_min = tt
-                else:
-                    self._p_leg[slot] = 1
-                    self._itb_packets += 1
-                    self._push_work(int(reinject_at[r]), _REINJECT, slot)
-
-        for midx in np.flatnonzero(contended):
-            self._walk_slot(slots[midx], times[midx])
-
     # -- delivery ----------------------------------------------------------
+
+    def _complete(self, slot: int, t_tail: int) -> None:
+        info = self._p_info[slot]
+        pkt = info[_PKT]
+        if pkt is not None or self._delivery_callbacks:
+            if pkt is None:
+                pkt = Packet(info[_PID], info[_SRC], info[_DST],
+                             info[_PAYLOAD], info[_ROUTE], info[_CREATED],
+                             self.params, alt_index=info[_ALT])
+            pkt.injected_ps = self._p_injected[slot]
+            self._finish_delivery(pkt, t_tail)
+        else:
+            self.delivered += 1
+            self.delivered_since_check += 1
+        if self._delivery_sink is not None:
+            self._sink_lat.append(t_tail - info[_CREATED])
+            self._sink_netlat.append(t_tail - self._p_injected[slot])
+            self._sink_payload.append(info[_PAYLOAD])
+            self._sink_itbs.append(len(info[_ROUTE].itb_hosts))
+        self._p_info[slot] = None                    # free references
+
+    def _flush_sink(self) -> None:
+        if self._delivery_sink is None or not self._sink_lat:
+            return
+        self._delivery_sink.record_batch(
+            self._sink_lat, self._sink_netlat, self._sink_payload,
+            self._sink_itbs, [0] * len(self._sink_lat))
+        self._sink_lat = []
+        self._sink_netlat = []
+        self._sink_payload = []
+        self._sink_itbs = []
 
     # -- runtime invariants --------------------------------------------------
 
@@ -691,9 +486,9 @@ class ArrayNetwork(NetworkModel):
         for slot, info in enumerate(self._p_info):
             if info is None:
                 continue
-            check(0 <= self._p_leg[slot] < len(info[0].legs),
+            check(0 <= self._p_leg[slot] < len(info[_ROUTE].legs),
                   f"slot {slot}: leg index {self._p_leg[slot]} outside "
-                  f"its {len(info[0].legs)}-leg route")
+                  f"its {len(info[_ROUTE].legs)}-leg route")
         for t_tail, slot in self._pending_del:
             check(self._p_info[slot] is not None,
                   f"pending delivery references freed slot {slot}")
@@ -730,8 +525,8 @@ class ArrayNetwork(NetworkModel):
                 if info is not None]
         return {
             "blocked_worms": [
-                {"pid": self._p_info[s][5], "src": self._p_info[s][1],
-                 "dst": self._p_info[s][2], "leg": self._p_leg[s]}
+                {"pid": self._p_info[s][_PID], "src": self._p_info[s][_SRC],
+                 "dst": self._p_info[s][_DST], "leg": self._p_leg[s]}
                 for s in live[:64]],
             "channel_owners": [],
             "wait_for": [],
@@ -740,34 +535,3 @@ class ArrayNetwork(NetworkModel):
             "pending_deliveries": len(self._pending_del),
             "busy_horizon_ps": max(self._busy, default=0),
         }
-
-    def _complete(self, slot: int, t_tail: int) -> None:
-        info = self._p_info[slot]
-        pkt = info[_PKT]
-        if pkt is not None or self._delivery_callbacks:
-            if pkt is None:
-                pkt = Packet(info[_PID], info[_SRC], info[_DST],
-                             info[_PAYLOAD], info[_ROUTE], info[_CREATED],
-                             self.params, alt_index=info[_ALT])
-            pkt.injected_ps = self._p_injected[slot]
-            self._finish_delivery(pkt, t_tail)
-        else:
-            self.delivered += 1
-            self.delivered_since_check += 1
-        if self._delivery_sink is not None:
-            self._sink_lat.append(t_tail - info[_CREATED])
-            self._sink_netlat.append(t_tail - self._p_injected[slot])
-            self._sink_payload.append(info[_PAYLOAD])
-            self._sink_itbs.append(len(info[_ROUTE].itb_hosts))
-        self._p_info[slot] = None                    # free references
-
-    def _flush_sink(self) -> None:
-        if self._delivery_sink is None or not self._sink_lat:
-            return
-        self._delivery_sink.record_batch(
-            self._sink_lat, self._sink_netlat, self._sink_payload,
-            self._sink_itbs, [0] * len(self._sink_lat))
-        self._sink_lat = []
-        self._sink_netlat = []
-        self._sink_payload = []
-        self._sink_itbs = []

@@ -60,8 +60,8 @@ class _LegTransit:
         self.pkt = pkt
         self.leg_idx = leg_idx
         #: pre-resolved directed-channel index per hop of the leg (see
-        #: WormholeNetwork._leg_dir_hops; the delivery channel is
-        #: per-packet and resolved at the last hop)
+        #: RouteLeg.dir_hops; the delivery channel is per-packet and
+        #: resolved at the last hop)
         self.dirs: Tuple[int, ...] = ()
         #: channels still held and not yet scheduled for release:
         #: (channel, grant_time_ps).  A scheduled release removes its
@@ -105,7 +105,7 @@ class WormholeNetwork(NetworkModel):
         #: (link_id, 0 for a->b / 1 for b->a) -> NET channel
         self._net: Dict[Tuple[int, int], Channel] = {}
         #: NET channel by directed-hop index ``link_id << 1 | dir``
-        #: (the leg hop encoding of :meth:`_leg_dir_hops`)
+        #: (the leg hop encoding of ``RouteLeg.dir_hops``)
         self._net_by_dir: List[Channel] = []
         self.nics: List[Nic] = []
         g = self.graph
@@ -137,27 +137,6 @@ class WormholeNetwork(NetworkModel):
         """The NET channel of cable ``link_id`` leaving switch ``frm``."""
         link = self.graph.links[link_id]
         return self._net[(link_id, 0 if frm == link.a else 1)]
-
-    def _leg_dir_hops(self, leg) -> Tuple[int, ...]:
-        """Directed-hop indices (``link_id << 1 | direction``) of ``leg``.
-
-        Resolved once per leg *ever*: the tuple is stashed on the leg
-        object itself, and legs are shared by every packet, network
-        instance and run that uses the same cached routing tables -- so
-        the per-hop link/direction resolution is amortised across a
-        whole sweep, not just one run.  The indices are graph-level
-        facts (independent of any network instance), which is what makes
-        cross-instance sharing sound; each network maps them onto its
-        own channels through ``_net_by_dir``.
-        """
-        try:
-            return leg._dir_hops
-        except AttributeError:
-            links = self.graph.links
-            dirs = tuple((lid << 1) | (links[lid].a != frm)
-                         for lid, frm in zip(leg.links, leg.switches))
-            leg._dir_hops = dirs
-            return dirs
 
     # -- NetworkModel contract ---------------------------------------------
 
@@ -191,7 +170,7 @@ class WormholeNetwork(NetworkModel):
         short = (pkt.wire_bytes(leg_idx)
                  <= self.params.slack_buffer_bytes)
         transit = _LegTransit(pkt, leg_idx, pool_host, pool_bytes, short)
-        transit.dirs = self._leg_dir_hops(pkt.route.legs[leg_idx])
+        transit.dirs = pkt.route.legs[leg_idx].dir_hops(self.graph)
         self._active[pkt.pid] = transit
         if leg_idx == 0:
             host = pkt.src_host

@@ -17,7 +17,7 @@ still to be traversed plus one ITB mark per remaining in-transit host
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..config import MyrinetParams
 from ..routing.routes import SourceRoute
@@ -47,33 +47,15 @@ class Packet:
         self.injected_ps: Optional[int] = None
         self.delivered_ps: Optional[int] = None
         self.itb_overflows = 0
-        self._leg_wire_bytes = self._compute_leg_wire_bytes(params)
-
-    def _compute_leg_wire_bytes(self, params: MyrinetParams) -> Tuple[int, ...]:
-        """Bytes on the wire during each leg.
-
-        At the start of leg ``k`` the header still holds the route flits
-        of legs ``k..end`` and the ITB marks of the remaining boundaries;
-        earlier flits were consumed by switches / stripped by in-transit
-        hosts.  The per-leg header overhead depends only on the route,
-        so it is computed once and stashed on the (shared, table-cached)
-        route object; each packet just adds its payload.
-        """
-        route = self.route
+        # the per-leg header overhead depends only on the route and is
+        # stashed on the (shared, table-cached) route object; each
+        # packet just adds its payload
         try:
             overheads = route._leg_overheads
         except AttributeError:
-            legs = route.legs
-            n = len(legs)
-            remaining_hops = sum(leg.hops for leg in legs)
-            out: List[int] = []
-            for k, leg in enumerate(legs):
-                out.append(remaining_hops + (n - 1 - k))
-                remaining_hops -= leg.hops
-            overheads = tuple(out)
-            route._leg_overheads = overheads
-        base = self.payload_bytes + params.header_type_bytes
-        return tuple(base + oh for oh in overheads)
+            overheads = route.leg_overheads
+        base = payload_bytes + params.header_type_bytes
+        self._leg_wire_bytes = tuple(base + oh for oh in overheads)
 
     @property
     def num_legs(self) -> int:

@@ -3,10 +3,9 @@ own, independent of the cross-engine parity tests.
 
 * **stride invariance** -- the tick stride chops the timeline but may
   never change a computed timestamp;
-* **scalar / vector identity** -- the numpy cohort kernel is an
-  optimisation of the scalar walk, bit for bit;
 * **batch inject == event-driven send** -- a primed schedule is just
-  the ``send()`` stream without the per-message heap events;
+  the ``send()`` stream without the per-message heap events (both on
+  spaced traffic, same-instant bursts and a dense stream);
 * **capability honesty** -- declined capabilities raise instead of
   returning fabricated numbers;
 * **schedule memoisation** -- the runner's cross-run schedule cache is
@@ -46,21 +45,35 @@ def tables(graph):
     return compute_tables(graph, "itb")
 
 
-def make_schedule(graph, count, spacing_ps, seed=11, jitter=True):
-    """``count`` (t, src, dst) entries, ``spacing_ps`` apart (with some
-    same-instant bursts when ``jitter``)."""
+def make_schedule(graph, count, spacing_ps, seed=11, jitter=True, burst=1):
+    """``count`` (t, src, dst) entries in same-instant bursts
+    ``spacing_ps`` apart: 1-3 messages at random when ``jitter``, else
+    exactly ``burst``."""
     rng = random.Random(seed)
     n = graph.num_hosts
     sched, t = [], 0
     while len(sched) < count:
         t += spacing_ps
-        burst = rng.randrange(1, 4) if jitter else 1
-        for _ in range(min(burst, count - len(sched))):
+        size = rng.randrange(1, 4) if jitter else burst
+        for _ in range(min(size, count - len(sched))):
             s, d = rng.randrange(n), rng.randrange(n)
             if s == d:
                 d = (d + 1) % n
             sched.append((t, s, d))
     return sched
+
+
+#: name -> (schedule builder, register per-packet delivery callbacks?).
+#: ``bursts`` is 4 instants x 48 messages, most of them contending for
+#: a channel; ``dense`` runs the batch-sink path (no callbacks:
+#: deliveries bypass the work heap), the others the callback path.
+SCHEDULES = {
+    "spaced": (lambda g: make_schedule(g, 60, 40_000), True),
+    "jittered": (lambda g: make_schedule(g, 50, 25_000, seed=17), True),
+    "bursts": (lambda g: make_schedule(g, 192, 200_000, seed=5,
+                                       jitter=False, burst=48), True),
+    "dense": (lambda g: make_schedule(g, 120, 3_000, seed=23), False),
+}
 
 
 def run_primed(graph, tables, sched, collect=True):
@@ -178,67 +191,39 @@ class TestPrimeSchedule:
 class TestStrideInvariance:
     def test_timestamps_independent_of_stride(self, graph, tables,
                                               monkeypatch):
-        sched = make_schedule(graph, 60, 40_000)
-        results = []
-        for stride in (7_777, 250_000, 4_000_000, 10 ** 9):
-            monkeypatch.setattr(ArrayNetwork, "STRIDE_PS", stride)
-            results.append(run_primed(graph, tables, sched))
-        for other in results[1:]:
-            assert other == results[0]
-
-
-class TestScalarVectorIdentity:
-    def test_vector_kernel_matches_scalar_walk(self, graph, tables,
-                                               monkeypatch):
-        # many same-instant cohorts (all-at-once bursts) so the vector
-        # kernel actually fires when the threshold allows it
-        rng = random.Random(5)
-        n = graph.num_hosts
-        sched = []
-        for k in range(4):
-            t = (k + 1) * 200_000
-            for _ in range(48):
-                s, d = rng.randrange(n), rng.randrange(n)
-                if s == d:
-                    d = (d + 1) % n
-                sched.append((t, s, d))
-        monkeypatch.setattr(ArrayNetwork, "VECTOR_THRESHOLD", 10 ** 9)
-        scalar = run_primed(graph, tables, sched)
-        monkeypatch.setattr(ArrayNetwork, "VECTOR_THRESHOLD", 2)
-        vector = run_primed(graph, tables, sched)
-        assert vector == scalar
-
-    def test_vector_kernel_matches_scalar_on_sink_path(self, graph,
-                                                       tables,
-                                                       monkeypatch):
-        sched = make_schedule(graph, 120, 3_000, seed=23)
-        monkeypatch.setattr(ArrayNetwork, "VECTOR_THRESHOLD", 10 ** 9)
-        scalar = run_primed(graph, tables, sched, collect=False)
-        monkeypatch.setattr(ArrayNetwork, "VECTOR_THRESHOLD", 2)
-        vector = run_primed(graph, tables, sched, collect=False)
-        assert vector == scalar
+        for name, (build, collect) in SCHEDULES.items():
+            sched = build(graph)
+            results = []
+            for stride in (7_777, 250_000, 4_000_000, 10 ** 9):
+                monkeypatch.setattr(ArrayNetwork, "STRIDE_PS", stride)
+                results.append(run_primed(graph, tables, sched, collect))
+            for other in results[1:]:
+                assert other == results[0], name
 
 
 class TestBatchInjectExactness:
     def test_primed_schedule_equals_event_driven_send(self, graph,
                                                       tables):
-        sched = make_schedule(graph, 50, 25_000, seed=17)
-        primed = run_primed(graph, tables, sched)
+        for name, (build, collect) in SCHEDULES.items():
+            sched = build(graph)
+            primed = run_primed(graph, tables, sched, collect)
 
-        sim = Simulator()
-        net = make_network("array", sim, graph, tables,
-                           make_policy("rr"), P)
-        out = []
-        net.add_delivery_callback(
-            lambda p: out.append((p.pid, p.injected_ps, p.delivered_ps,
-                                  p.num_itbs)))
-        for (t, s, d) in sched:
-            sim.at(t, lambda s=s, d=d: net.send(s, d))
-        sim.run_until_idle()
-        net.finalize()
-        links = {(c.src, c.dst, c.link_id): (c.flits, c.reserved_ps)
-                 for c in net.link_flit_counts()}
-        assert (sorted(out), net.delivered, links) == primed
+            sim = Simulator()
+            net = make_network("array", sim, graph, tables,
+                               make_policy("rr"), P)
+            out = []
+            if collect:
+                net.add_delivery_callback(
+                    lambda p: out.append((p.pid, p.injected_ps,
+                                          p.delivered_ps, p.num_itbs)))
+            for (t, s, d) in sched:
+                sim.at(t, lambda s=s, d=d: net.send(s, d))
+            sim.run_until_idle()
+            net.finalize()
+            links = {(c.src, c.dst, c.link_id): (c.flits, c.reserved_ps)
+                     for c in net.link_flit_counts()}
+            assert (sorted(out), net.delivered, links) == primed, name
+            assert net.delivered == len(sched), name
 
 
 class TestUncontendedBitIdentity:

@@ -1,8 +1,28 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+def test_cli_import_is_stdlib_only():
+    """``repro`` has no runtime dependency: a fresh interpreter that
+    imports the whole CLI must not have pulled numpy in (it is a test
+    extra only)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import repro.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 class TestParser:

@@ -51,9 +51,9 @@ class TestLinkMap:
         panels = figures.fig8(TEST)
         assert [p.fig_id for p in panels] == ["fig8a", "fig8b", "fig8c"]
         for p in panels:
-            assert p.utilization.per_link.shape == (128,)  # torus cables
-            assert (p.utilization.utilization >= 0).all()
-            assert (p.utilization.utilization <= 1.0).all()
+            assert len(p.utilization.per_link) == 128  # torus cables
+            assert all(x >= 0 for x in p.utilization.utilization)
+            assert all(x <= 1.0 for x in p.utilization.utilization)
         # rendering with the torus grid works
         assert "per switch" in render_link_map(panels[0], grid=(8, 8))
 

@@ -1,11 +1,13 @@
 """Metrics: latency collector, link stats, saturation search."""
 
 import math
+from array import array
 
 import pytest
 
 from repro.config import PAPER_PARAMS, SimConfig
 from repro.metrics.collector import LatencyCollector
+from repro.metrics.linkstats import LinkUtilization
 from repro.metrics.saturation import find_saturation
 from repro.metrics.summary import RunSummary
 from repro.routing.routes import RouteLeg, SourceRoute
@@ -307,3 +309,19 @@ class TestRunSummarySaturatedFlag:
         line = s.oneline()
         assert "offered=0.0200" in line
         assert "UP/DOWN" in line
+
+
+class TestLinkUtilizationHottest:
+    def test_exact_ties_break_by_channel_index(self):
+        """Utilisation descending, then channel index ascending."""
+        util = array("d", [0.5] * 20 + [0.2] * 20)
+        ends = [(i, i + 1, i // 2) for i in range(40)]
+        lu = LinkUtilization(1000, ends, util, util, util[::2])
+        assert [e[1] for e in lu.hottest(5)] == [0, 1, 2, 3, 4]
+        assert [e[1] for e in lu.hottest(22)[18:]] == [18, 19, 20, 21]
+        # the order is a property of the values, not of their position
+        mixed = array("d", [0.2, 0.5] * 20)
+        lu = LinkUtilization(1000, ends, mixed, mixed, mixed[::2])
+        assert lu.hottest(3) == [(0.5, 1, 2, 0), (0.5, 3, 4, 1),
+                                 (0.5, 5, 6, 2)]
+        assert [e[1] for e in lu.hottest(40)[20:23]] == [0, 2, 4]
