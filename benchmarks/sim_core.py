@@ -1,0 +1,136 @@
+#!/usr/bin/env python
+"""Sim-core benchmark: the hot loop of every engine, timed.
+
+Runs the matrix behind the committed baseline
+``benchmarks/BENCH_sim_core.json`` -- a paper-sized point per engine
+plus a validation-size point per engine -- and writes the same JSON
+for ``scripts/check_bench_regression.py`` to gate (CI does both on
+every push).  Regenerate the baseline with
+``python benchmarks/sim_core.py --repeats 12 --out
+benchmarks/BENCH_sim_core.json``.
+
+This times the engines only.  Regenerating a paper artefact is
+``python -m repro experiment <id> --profile paper --workers N``; the
+whole-operation benchmark is ``benchmarks/e2e/``.
+
+Usage:  python benchmarks/sim_core.py [--repeats N] [--out FILE]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+
+from repro.config import SimConfig
+from repro.experiments.runner import clear_caches, run_simulation
+from repro.perf import PerfRecorder
+from repro.units import ns
+
+#: validation-size network used for cross-engine checks (DESIGN.md
+#: Section 5): small enough that the flit engine finishes in seconds
+_VALIDATION_CFG = dict(
+    topology="torus",
+    topology_kwargs={"rows": 4, "cols": 4, "hosts_per_switch": 2},
+    routing="itb", policy="rr", traffic="uniform",
+    injection_rate=0.02,
+    warmup_ps=ns(20_000), measure_ps=ns(120_000))
+
+#: the paper-scale workload (8x8 torus, 512 hosts, the saturation-knee
+#: offered load) shared by the ``*-paper`` benchmark points
+_PAPER_SCALE_CFG = dict(
+    topology="torus", topology_kwargs={"rows": 8, "cols": 8},
+    routing="itb", policy="rr", traffic="uniform",
+    injection_rate=0.04, seed=1)
+
+#: the benchmark matrix.  ``flit-paper`` runs a reduced window (the
+#: flit engine is ~3 orders slower than the array engine; a full
+#: 350 us horizon would dominate the whole bench).
+#: ``array-updown`` is there for its ``cold_wall_s``: the array loop is
+#: negligible, so the point times the ``simple_routes`` table build the
+#: other (all-ITB) points never run.
+#: Cross-engine comparisons use ``messages_per_s`` -- events/s counts
+#: heap events, which batch engines deliberately collapse.
+BENCH_CORE_CONFIGS = [
+    ("packet-paper", dict(
+        engine="packet", warmup_ps=ns(50_000), measure_ps=ns(300_000),
+        **_PAPER_SCALE_CFG)),
+    ("array-paper", dict(
+        engine="array", warmup_ps=ns(50_000), measure_ps=ns(300_000),
+        **_PAPER_SCALE_CFG)),
+    ("array-updown", dict(
+        engine="array", warmup_ps=ns(50_000), measure_ps=ns(300_000),
+        **{**_PAPER_SCALE_CFG, "routing": "updown", "policy": "sp",
+           "injection_rate": 0.01})),   # below the UP/DOWN knee
+    ("flit-paper", dict(
+        engine="flit", warmup_ps=ns(10_000), measure_ps=ns(50_000),
+        **_PAPER_SCALE_CFG)),
+    ("packet-val", dict(engine="packet", **_VALIDATION_CFG)),
+    ("flit-val", dict(engine="flit", **_VALIDATION_CFG)),
+    ("array-val", dict(engine="array", **_VALIDATION_CFG)),
+]
+
+
+def bench_sim_core(repeats: int = 3) -> dict:
+    """Time the benchmark matrix; best-of-``repeats`` per point.
+
+    The first repeat of each point runs with cleared memo caches, so its
+    ``cold_wall_s`` includes graph + routing-table construction -- the
+    cost every fresh worker process pays.  ``events_per_s`` comes from
+    the best repeat's event-loop wall clock, the steady-state figure the
+    CI regression gate watches.
+    """
+    points = []
+    for name, kw in BENCH_CORE_CONFIGS:
+        cfg = SimConfig(**kw)
+        clear_caches()
+        reports = []
+        for _ in range(repeats):
+            rec = PerfRecorder()
+            run_simulation(cfg, perf=rec)
+            reports.append(rec.report)
+        cold = reports[0]
+        best = min(reports, key=lambda r: r.sim_wall_s)
+        points.append({
+            "name": name,
+            "engine": cfg.engine,
+            "cold_wall_s": round(cold.wall_s, 4),
+            "best_loop_wall_s": round(best.sim_wall_s, 4),
+            "events": best.events,
+            "events_per_s": round(best.events_per_s, 1),
+            "messages_delivered": best.messages_delivered,
+            "messages_per_s": round(best.messages_per_s, 1),
+        })
+    return {"schema": 1, "repeats": repeats, "points": points}
+
+
+def render_bench_core(data: dict) -> str:
+    lines = [f"sim-core benchmark (best of {data['repeats']}, cold run "
+             "includes table build):",
+             f"  {'point':14s} {'engine':8s} {'cold [s]':>9s} "
+             f"{'loop [s]':>9s} {'events':>8s} {'events/s':>10s} "
+             f"{'msgs/s':>8s}"]
+    for p in data["points"]:
+        lines.append(f"  {p['name']:14s} {p['engine']:8s} "
+                     f"{p['cold_wall_s']:9.3f} {p['best_loop_wall_s']:9.3f} "
+                     f"{p['events']:8d} {p['events_per_s']:10,.0f} "
+                     f"{p['messages_per_s']:8,.0f}")
+    return "\n".join(lines)
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--repeats", type=int, default=3,
+                   help="repeats per point (best-of)")
+    p.add_argument("--out", default="BENCH_sim_core.json", metavar="FILE",
+                   help="where to write the benchmark JSON")
+    args = p.parse_args()
+    data = bench_sim_core(args.repeats)
+    with open(args.out, "w") as f:
+        json.dump(data, f, indent=2)
+        f.write("\n")
+    print(render_bench_core(data))
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()

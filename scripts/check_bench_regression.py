@@ -2,7 +2,7 @@
 """Gate on sim-core benchmark regressions.
 
 Compares a freshly generated ``BENCH_sim_core.json`` (see
-``benchmarks/run_paper_profile.py --bench-core-only``) against the
+``benchmarks/sim_core.py``) against the
 committed baseline and exits non-zero when:
 
 * any baseline point is **missing** from the current run (a silently
@@ -57,11 +57,10 @@ def load_points(path: str) -> dict:
         sys.exit(f"error: cannot read benchmark file {path}: {e}")
     except json.JSONDecodeError as e:
         sys.exit(f"error: {path} is not valid JSON ({e}); regenerate it "
-                 f"with benchmarks/run_paper_profile.py --bench-core-only")
+                 f"with benchmarks/sim_core.py")
     if not isinstance(data, dict) or "points" not in data:
         sys.exit(f"error: {path} has no 'points' key; expected the "
-                 f"format written by run_paper_profile.py "
-                 f"--bench-core-out")
+                 f"format written by benchmarks/sim_core.py")
     points = {}
     for i, p in enumerate(data["points"]):
         missing = [k for k in ("name", "cold_wall_s") + GATED_METRICS
@@ -69,7 +68,7 @@ def load_points(path: str) -> dict:
         if missing:
             sys.exit(f"error: {path}: points[{i}] is missing "
                      f"{', '.join(missing)}; regenerate the file with "
-                     f"run_paper_profile.py --bench-core-out")
+                     f"benchmarks/sim_core.py")
         points[p["name"]] = p
     return points
 

@@ -14,8 +14,10 @@ Commands
     A latency-vs-traffic curve over a list of injection rates.
 
 ``experiment <id>``
-    Regenerate one paper artefact (``fig7a`` ... ``table3``) under a
-    profile and print the rendered report.
+    Regenerate one registered artefact (``fig7a`` ... ``table3``, the
+    ablations; see ``list``) under a profile and print the rendered
+    report -- under the bench and paper profiles, ending with the
+    verdict on each claim the paper makes about it.
 
 ``resilience``
     Graceful-degradation table: saturation throughput vs injected
@@ -93,7 +95,7 @@ from typing import List, Optional
 
 from .config import SimConfig
 from .experiments.profiles import BENCH, PAPER, TEST, Profile
-from .experiments.registry import EXPERIMENTS
+from .experiments.registry import EXPERIMENTS, render_claims
 from .experiments.report import grid_shape, render_link_map
 from .experiments.runner import get_graph, get_tables, run_simulation
 from .experiments.sweep import sweep_rates
@@ -163,14 +165,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arrival-arg", action="append", default=[],
                    metavar="KEY=VALUE",
                    help="arrival keyword argument (repeatable)")
-    # legacy spellings of common pattern kwargs, kept for muscle memory;
-    # they fold into --traffic-arg wherever the pattern declares them
-    p.add_argument("--hotspot", type=int, default=None,
-                   help="legacy for --traffic-arg hotspot=N")
-    p.add_argument("--hotspot-fraction", type=float, default=None,
-                   help="legacy for --traffic-arg fraction=F")
-    p.add_argument("--radius", type=int, default=None,
-                   help="legacy for --traffic-arg radius=N")
     p.add_argument("--message-bytes", type=int, default=512)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--warmup-ns", type=float, default=100_000)
@@ -224,12 +218,6 @@ def _make_executor(args: argparse.Namespace) -> Executor:
 def _config_from(args: argparse.Namespace, rate: float) -> SimConfig:
     traffic_kwargs = PATTERNS.parse_kwargs(args.traffic, args.traffic_arg)
     arrival_kwargs = ARRIVALS.parse_kwargs(args.arrival, args.arrival_arg)
-    declared = {k.name for k in PATTERNS.get(args.traffic).kwargs}
-    for key, value in (("hotspot", args.hotspot),
-                       ("fraction", args.hotspot_fraction),
-                       ("radius", args.radius)):
-        if value is not None and key in declared:
-            traffic_kwargs.setdefault(key, value)
     return SimConfig(
         topology=args.topology,
         topology_kwargs=_topology_kwargs(args.topology, args),
@@ -324,6 +312,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.plot and exp.plot is not None:
         print()
         print(exp.plot(result))
+    verdicts = render_claims(exp, result, profile)
+    if verdicts is not None:
+        print()
+        print(verdicts)
     print(f"points: {executor.stats.oneline()}", file=sys.stderr)
     return 0
 
@@ -551,7 +543,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_list(_args: argparse.Namespace) -> int:
     for exp_id, exp in EXPERIMENTS.items():
-        print(f"{exp_id:8s} {exp.kind:14s} {exp.description}")
+        print(f"{exp_id:14s} {exp.kind:16s} {exp.description}")
     return 0
 
 

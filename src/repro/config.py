@@ -3,7 +3,7 @@
 :class:`MyrinetParams` carries every hardware timing constant used by the
 paper's evaluation (Sections 4.3--4.5).  The defaults reproduce the paper
 exactly; individual fields can be overridden for the sensitivity/ablation
-studies in ``benchmarks/``.
+studies in :mod:`repro.experiments.ablations`.
 
 :class:`SimConfig` describes one simulation run: topology, routing scheme,
 path-selection policy, traffic pattern, injection rate, message length and
@@ -197,7 +197,7 @@ class SimConfig:
         ENGINES.get(self.engine)
 
     def label(self) -> str:
-        """Short human-readable label (used in reports and benches).
+        """Short human-readable label (used in reports).
 
         Delegates to the scheme registry so new schemes carry their own
         labels; unregistered names (tests) fall back to the raw name.

@@ -11,11 +11,11 @@ over-reading single-run noise, and `examples/` demonstrates it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..config import SimConfig
 from ..metrics.stats import ConfidenceInterval, replication_interval
-from .runner import run_simulation
+from .sweep import resolve_executor
 
 
 @dataclass(frozen=True)
@@ -72,33 +72,31 @@ class ComparisonResult:
 
 def compare_configs(cfg_a: SimConfig, cfg_b: SimConfig,
                     seeds: Sequence[int] = (1, 2, 3, 4, 5),
-                    **runner_kwargs) -> ComparisonResult:
+                    executor=None, **runner_kwargs) -> ComparisonResult:
     """Run both configurations over ``seeds`` and compare.
 
-    Raises :class:`ValueError` when any run delivers no messages (the
-    measurement window is then too short to compare anything).
+    All runs are one batch of ``executor`` (``None`` is
+    :func:`~.sweep.resolve_executor`'s plain one), so they spread over
+    its workers and land in its result store; ``runner_kwargs`` must
+    be plain data.  Raises :class:`ValueError` when any run delivers
+    no messages (the measurement window is then too short to compare
+    anything).
     """
     if len(seeds) < 2:
         raise ValueError("need at least two seeds")
-
-    def collect(cfg: SimConfig) -> Tuple[List[float], List[float]]:
-        lats: List[float] = []
-        accs: List[float] = []
-        for seed in seeds:
-            s = run_simulation(cfg.with_overrides(seed=seed),
-                               **runner_kwargs)
-            if s.avg_latency_ns is None:
-                raise ValueError(
-                    f"{cfg.label()} seed {seed}: nothing delivered; "
-                    f"lengthen the measurement window")
-            lats.append(s.avg_latency_ns)
-            accs.append(s.accepted_flits_ns_switch)
-        return lats, accs
-
-    lat_a, acc_a = collect(cfg_a)
-    lat_b, acc_b = collect(cfg_b)
+    runs = resolve_executor(executor).run_configs(
+        [cfg.with_overrides(seed=seed)
+         for cfg in (cfg_a, cfg_b) for seed in seeds], **runner_kwargs)
+    for s in runs:
+        if s.avg_latency_ns is None:
+            raise ValueError(
+                f"{s.config.label()} seed {s.config.seed}: nothing "
+                f"delivered; lengthen the measurement window")
+    lat = [s.avg_latency_ns for s in runs]
+    acc = [s.accepted_flits_ns_switch for s in runs]
+    n = len(seeds)
     return ComparisonResult(
         cfg_a.label(), cfg_b.label(),
-        replication_interval(lat_a), replication_interval(lat_b),
-        replication_interval(acc_a), replication_interval(acc_b),
+        replication_interval(lat[:n]), replication_interval(lat[n:]),
+        replication_interval(acc[:n]), replication_interval(acc[n:]),
         tuple(seeds))

@@ -4,11 +4,14 @@ Every experiment is parameterised by a :class:`Profile` so the same code
 serves two purposes:
 
 * ``PAPER`` -- windows and repetition counts sized for stable statistics
-  at the paper's 512-host scale; used to fill EXPERIMENTS.md (minutes
-  per figure in pure Python);
+  at the paper's 512-host scale; used to fill EXPERIMENTS.md (seconds
+  to a minute per artefact in pure Python);
 * ``BENCH`` -- reduced measurement windows, subsampled rate grids and
   fewer hotspot locations; preserves orderings and rough ratios while
-  finishing in seconds, so ``pytest benchmarks/`` stays usable.
+  finishing in seconds, so tier-1 can assert every paper claim at
+  paper scale (``tests/test_paper_claims.py``).  The claims of an
+  experiment are calibrated at this profile and reported from its
+  windows up.
 
 Nothing else differs: same topologies (full 512-host networks), same
 routing tables, same timing constants.

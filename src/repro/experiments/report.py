@@ -1,10 +1,10 @@
 """ASCII rendering of figures and tables (console-friendly output).
 
-The benches and examples print these; EXPERIMENTS.md embeds them.  For
-the torus topologies the link-utilisation maps are rendered as an RxC
-grid of per-switch figures (mean utilisation of the channels leaving
-each switch), which makes the paper's "hot around the root" vs
-"balanced" contrast directly visible in a terminal.
+``repro experiment`` and the examples print these; EXPERIMENTS.md
+embeds them.  For the torus topologies the link-utilisation maps are
+rendered as an RxC grid of per-switch figures (mean utilisation of the
+channels leaving each switch), which makes the paper's "hot around the
+root" vs "balanced" contrast directly visible in a terminal.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import SimConfig
-from .figures import ROUTINGS
+from .figures import ROUTINGS, Claim, bound_claim, ratio_claim
 from .profiles import Profile
 from .runner import get_graph
 from .sweep import cell_payload, resolve_executor, search_saturation
@@ -175,4 +175,63 @@ PAPER_TABLE_AVERAGES: Dict[str, Dict[Tuple[float, str], float]] = {
                (0.05, "ITB-SP"): 0.0363, (0.05, "ITB-RR"): 0.0359},
     "table3": {(0.05, "UP/DOWN"): 0.0340, (0.05, "ITB-SP"): 0.0423,
                (0.05, "ITB-RR"): 0.0451},
+}
+
+
+# -- the paper's claims about each table (see :mod:`.figures`) ----------------
+
+def _gain(tab: HotspotTable, fraction: float, label: str, paper: str,
+          lo: Optional[float] = None, hi: Optional[float] = None) -> Claim:
+    """Bounds on ``label``'s average throughput relative to UP/DOWN's."""
+    avg = tab.averages()
+    return ratio_claim(f"{fraction:.0%} hotspot: {label} average",
+                       avg[(fraction, label)],
+                       f"UP/DOWN's (paper {paper})",
+                       avg[(fraction, "UP/DOWN")], lo, hi)
+
+
+def _table1_claims(tab: HotspotTable) -> List[Claim]:
+    avg, gains = tab.averages(), tab.improvement_factors()
+    return [
+        # ITB wins clearly at 5 % and still wins at 10 %, by less
+        _gain(tab, 0.05, "ITB-SP", "x2.13", lo=1.55),
+        _gain(tab, 0.05, "ITB-RR", "x2.19", lo=1.3),
+        _gain(tab, 0.10, "ITB-SP", "x1.40", lo=1.25),
+        _gain(tab, 0.10, "ITB-RR", "x1.48", lo=1.25),
+        *(ratio_claim(f"{label} gain at 10 %", gains[(0.10, label)],
+                      "at 5 %", gains[(0.05, label)], hi=1.1)
+          for label in ("ITB-SP", "ITB-RR")),
+        # UP/DOWN barely notices the hotspot: its root is the bigger one
+        *(bound_claim(f"{frac:.0%} hotspot: UP/DOWN average (paper 0.012; "
+                      "uniform knee 0.017)", avg[(frac, "UP/DOWN")], lo=0.012)
+          for frac in tab.fractions)]
+
+
+def _table2_claims(tab: HotspotTable) -> List[Claim]:
+    avg = tab.averages()
+    paper = {(0.03, "ITB-SP"): "x1.13", (0.03, "ITB-RR"): "x1.12",
+             (0.05, "ITB-SP"): "x1.08", (0.05, "ITB-RR"): "x1.07"}
+    return [
+        # small gains, not the x2 of uniform traffic (the saturated
+        # links are express channels at the hotspot, which ITBs cannot
+        # relieve), yet ITB never loses
+        *(_gain(tab, frac, label, factor, lo=0.95, hi=1.6)
+          for (frac, label), factor in paper.items()),
+        # a heavier hotspot costs everyone throughput
+        *(ratio_claim(f"{label} average at 5 %", avg[(0.05, label)],
+                      "at 3 %", avg[(0.03, label)], hi=1.0)
+          for label in ("UP/DOWN", "ITB-RR"))]
+
+
+def _table3_claims(tab: HotspotTable) -> List[Claim]:
+    # moderate gains from traffic balance alone (on CPLANT up*/down*
+    # is already minimal everywhere)
+    return [_gain(tab, 0.05, "ITB-SP", "x1.24", lo=0.95, hi=1.7),
+            _gain(tab, 0.05, "ITB-RR", "x1.32", lo=0.95, hi=1.7)]
+
+
+CLAIMS: Dict[str, Callable[[HotspotTable], List[Claim]]] = {
+    "table1": _table1_claims,
+    "table2": _table2_claims,
+    "table3": _table3_claims,
 }

@@ -23,8 +23,8 @@ Layers, composable and individually testable:
 * :mod:`~repro.orchestrator.campaign` -- the :class:`Executor` front
   door (store-first, then whichever pool: inline, local processes or
   fabric) with :class:`ProgressReporter` streaming; the one way
-  ``sweep_rates``, every registered experiment, the CLI and
-  ``benchmarks/run_paper_profile.py`` run their points.
+  ``sweep_rates``, every registered experiment and the CLI run their
+  points.
 """
 
 from __future__ import annotations

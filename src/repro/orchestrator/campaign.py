@@ -3,8 +3,8 @@
 The :class:`Executor` is the one way a study runs: ``sweep_rates``,
 every figure/table function and every study take one (``None`` is
 resolved, in :func:`repro.experiments.sweep.resolve_executor`, to a
-plain ``Executor()``), the CLI and the paper-profile benchmark runner
-build theirs from flags.  It composes the two lower layers:
+plain ``Executor()``), the CLI builds its from flags.  It composes
+the two lower layers:
 
 * every task is first looked up in the :class:`~.store.ResultStore`
   (when one is attached) -- an already-completed point costs one file

@@ -13,9 +13,9 @@ Three small pieces, all opt-in (zero overhead on the default path):
   trace of the wrapped block into a binary stats file (inspect with
   ``python -m pstats FILE`` or :class:`pstats.Stats`).
 
-``benchmarks/run_paper_profile.py`` builds its ``BENCH_sim_core.json``
-from these reports; ``scripts/check_bench_regression.py`` compares two
-such files in CI.
+``benchmarks/sim_core.py`` builds its ``BENCH_sim_core.json`` from
+these reports; ``scripts/check_bench_regression.py`` compares two such
+files in CI.
 """
 
 from __future__ import annotations

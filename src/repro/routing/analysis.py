@@ -9,8 +9,8 @@ Section 4.7.1 reports, for the 8x8 torus:
   (uniform traffic).
 
 :func:`route_statistics` computes all of these from a routing table so
-`benchmarks/bench_route_stats.py` and EXPERIMENTS.md can compare against
-the paper directly.
+`tests/test_analysis.py`, ``repro info`` and EXPERIMENTS.md can compare
+against the paper directly.
 """
 
 from __future__ import annotations

@@ -169,7 +169,7 @@ def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
     same minimal path" without optimising the number of in-transit hops
     (the paper reports 0.43 ITBs/message for SP; enumeration order gives
     0.36 on the 8x8 torus, while picking the fewest-ITB alternative --
-    ``sort_by_itbs=True``, studied in the ablation benches -- gives 0.22).
+    ``sort_by_itbs=True``, studied in ``tests/test_itb.py`` -- gives 0.22).
     """
     routes: Dict[Tuple[int, int], Tuple[SourceRoute, ...]] = {}
     cycler = _ItbHostCycler(g)  # shared so ITB duty rotates over all NICs

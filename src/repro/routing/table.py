@@ -125,8 +125,8 @@ def compute_tables(g: NetworkGraph, scheme: str, root: int = 0,
     This is the entry point used by the experiment runner; results are
     deterministic for a given (graph, scheme, root).  ``sort_by_itbs``
     reorders ITB alternatives so the SP policy uses the fewest in-transit
-    hops (an extension studied in the ablation benches; the paper's SP
-    does not optimise this).  Unknown schemes raise a
+    hops (an extension studied by the ``sp-selection`` experiment; the
+    paper's SP does not optimise this).  Unknown schemes raise a
     :class:`ValueError` listing the registered ones.
     """
     # imported lazily: schemes imports RoutingTables from this module

@@ -3,7 +3,7 @@
 Unit tests run on scaled-down networks (4x4 torus with 2 hosts per
 switch, tiny irregular graphs) so the whole suite stays fast; the
 paper-scale 512-host networks are exercised by the integration tests
-and the benchmarks.
+and ``test_paper_claims.py``.
 """
 
 from __future__ import annotations

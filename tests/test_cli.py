@@ -142,13 +142,6 @@ class TestCommands:
         assert [len(r) for r in rows] == [4, 4, 4, 4]
         assert all(any(float(v) > 0 for v in r) for r in rows)
 
-    def test_run_hotspot_options(self, capsys):
-        rc = main(["run", "--topology", "irregular", "--traffic", "hotspot",
-                   "--hotspot", "3", "--hotspot-fraction", "0.2",
-                   "--rate", "0.01",
-                   "--warmup-ns", "20000", "--measure-ns", "80000"])
-        assert rc == 0
-
     def test_run_traffic_and_arrival_args(self, capsys):
         rc = main(["run", "--topology", "irregular", "--traffic", "hotspot",
                    "--traffic-arg", "hotspot=3",
@@ -198,6 +191,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fig7a" in out
         assert "(paper: 0.015)" in out
+
+    def test_experiment_report_ends_with_the_claims(self, capsys):
+        """Verdicts close the report from the bench windows up; below
+        them (the test profile) a knee is noise and none is given."""
+        assert main(["experiment", "fig7a", "--profile", "test",
+                     "--no-cache"]) == 0
+        assert "-- claims" not in capsys.readouterr().out
+        assert main(["experiment", "fig7a", "--profile", "bench",
+                     "--plot", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        report, _, section = out.rpartition("\n-- claims (")
+        assert "accepted traffic" in report      # the plot comes first
+        verdicts = section.splitlines()[1:]
+        assert verdicts and all(
+            line.split()[0] in ("holds", "FAILS") for line in verdicts)
+        assert "ITB-SP" in section and "UP/DOWN" in section
 
     def test_experiment_with_plot(self, capsys):
         assert main(["experiment", "fig7a", "--profile", "test",

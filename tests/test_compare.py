@@ -42,6 +42,20 @@ class TestCompareConfigs:
         assert res.latency_verdict == "tie"
         assert res.throughput_verdict == "tie"
 
+    def test_runs_are_one_executor_batch(self, tmp_path):
+        """The seeds are cacheable points like any other study's."""
+        from repro.orchestrator import Executor, ResultStore
+        a = small_config(injection_rate=0.02)
+        b = small_config(injection_rate=0.02, policy="sp")
+        first = Executor(store=ResultStore(tmp_path))
+        res = compare_configs(a, b, seeds=(1, 2, 3), executor=first)
+        assert (first.stats.simulated, first.stats.cached) == (6, 0)
+        again = Executor(store=ResultStore(tmp_path))
+        assert compare_configs(a, b, seeds=(1, 2, 3),
+                               executor=again) == res
+        assert (again.stats.simulated, again.stats.cached) == (0, 6)
+        assert compare_configs(a, b, seeds=(1, 2, 3)) == res
+
     def test_needs_two_seeds(self):
         cfg = small_config()
         with pytest.raises(ValueError):

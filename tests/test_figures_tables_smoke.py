@@ -3,7 +3,7 @@
 These run the real 512/400-host networks, but under the tiny TEST
 profile (short windows, aggressively thinned grids) so the whole module
 finishes in well under a minute.  They verify structure and basic
-physics, not the quantitative claims (the benchmarks do that).
+physics, not the quantitative claims (``test_paper_claims.py`` does).
 """
 
 import pytest

@@ -3,8 +3,8 @@
 At an offered load above UP/DOWN's saturation point on the 8x8 torus,
 in-transit buffer routing must still deliver the full load -- the core
 claim of the paper, checked here end-to-end at paper scale (but with a
-short window, so this stays a fast test; the benchmarks measure the
-actual factors)."""
+short window, so this stays a fast test; ``test_paper_claims.py``
+checks the actual factors)."""
 
 import pytest
 

@@ -165,3 +165,45 @@ class TestBalanceFirstAlternatives:
             return max(load)
 
         assert max_load(bal) < max_load(raw)
+
+
+class TestSpSelectionNeedsBalancing:
+    """The unbalanced rows of the ``sp-selection`` study: they need
+    ``balance_sp=False`` tables, which only ``build_itb_routes``
+    exposes, so they run here on live ``tables=`` objects (paper torus,
+    ITB-SP at 0.028, bench windows).  Over seeds 1-8 the balanced fill
+    accepts 0.0278-0.0281 unsaturated; enumeration order accepts
+    0.0168-0.0199 and fewest-ITBs-first 0.0150-0.0183, both saturated
+    on all eight; ITBs/message 0.47-0.52 / 0.20-0.29 / 0.07-0.12."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from repro.config import SimConfig
+        from repro.experiments.profiles import BENCH
+        from repro.experiments.runner import run_simulation
+        from repro.routing.table import RoutingTables
+        g = build_torus()
+        ud = orient_links(g, root=0)
+        cfg = SimConfig(topology="torus", routing="itb", policy="sp",
+                        traffic="uniform", injection_rate=0.028,
+                        warmup_ps=BENCH.warmup_ps,
+                        measure_ps=BENCH.measure_ps)
+        fills = {"enumeration": dict(balance_sp=False),
+                 "fewest-itbs": dict(sort_by_itbs=True, balance_sp=False),
+                 "balanced": dict()}
+        return {name: run_simulation(cfg, tables=RoutingTables(
+                    "itb", 0, ud, build_itb_routes(g, ud, **kw)))
+                for name, kw in fills.items()}
+
+    def test_unbalanced_fills_collapse_below_the_paper_knee(self, runs):
+        balanced = runs["balanced"]
+        assert not balanced.saturated
+        for name in ("enumeration", "fewest-itbs"):
+            assert runs[name].saturated, name
+            assert balanced.accepted_flits_ns_switch >= \
+                1.3 * runs[name].accepted_flits_ns_switch, name
+
+    def test_fewest_itbs_first_does_use_fewer(self, runs):
+        itbs = {name: s.avg_itbs_per_message for name, s in runs.items()}
+        assert itbs["fewest-itbs"] < 0.5 * itbs["enumeration"] \
+            < 0.5 * itbs["balanced"]

@@ -128,8 +128,10 @@ AXES = {
         None, ["list"], DESCRIPTION,
         frozenset({"fig7a", "fig7b", "fig7c", "fig8", "fig9", "fig10a",
                    "fig10b", "fig11", "fig12a", "fig12b", "fig12c",
-                   "table1", "table2", "table3", "resilience", "recovery",
-                   "tournament", "adversary"})),
+                   "table1", "table2", "table3", "irregular", "mesh-dor",
+                   "itb-overhead", "route-cap", "root-placement",
+                   "sp-selection", "msglen", "adaptive", "link-failure",
+                   "resilience", "recovery", "tournament", "adversary"})),
 }
 
 

@@ -169,15 +169,24 @@ class TestRegistry:
     def test_all_artifacts_registered(self):
         expected = {"fig7a", "fig7b", "fig7c", "fig8", "fig9", "fig10a",
                     "fig10b", "fig11", "fig12a", "fig12b", "fig12c",
-                    "table1", "table2", "table3", "resilience", "recovery",
-                    "tournament", "adversary"}
+                    "table1", "table2", "table3", "irregular", "mesh-dor",
+                    "itb-overhead", "route-cap", "root-placement",
+                    "sp-selection", "msglen", "adaptive", "link-failure",
+                    "resilience", "recovery", "tournament", "adversary"}
         assert set(EXPERIMENTS) == expected
 
     def test_kinds(self):
         assert EXPERIMENTS["fig7a"].kind == "latency-panel"
+        assert EXPERIMENTS["mesh-dor"].kind == "latency-panel"
         assert EXPERIMENTS["fig8"].kind == "link-map"
         assert EXPERIMENTS["table1"].kind == "hotspot-table"
         assert EXPERIMENTS["recovery"].kind == "recovery-table"
+        kinds = [exp.kind for _, exp in EXPERIMENTS.items()]
+        assert set(kinds) == {
+            "latency-panel", "link-map", "hotspot-table", "point-table",
+            "resilience-table", "recovery-table", "tournament-table",
+            "stability-table"}
+        assert kinds.count("point-table") == 7
 
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
