@@ -45,8 +45,8 @@ Commands
 
 ``cache {info,clear,compact}``
     Inspect, empty or compact the orchestrator's on-disk result store
-    (``compact`` rebuilds ``index.json``, prunes corrupt records and
-    removes empty shard directories).
+    (``compact`` prunes corrupt records and removes empty shard
+    directories).
 
 ``fabric worker``
     A remote campaign worker: listens on ``--listen host:port`` and

@@ -7,7 +7,8 @@ studies in :mod:`repro.experiments.ablations`.
 
 :class:`SimConfig` describes one simulation run: topology, routing scheme,
 path-selection policy, traffic pattern, injection rate, message length and
-the warm-up / measurement windows.
+the warm-up / measurement windows.  :data:`RUN_OPTIONS` names what else
+about a run is plain data.
 """
 
 from __future__ import annotations
@@ -265,3 +266,27 @@ class SimConfig:
         if params is not None:
             d["params"] = MyrinetParams.from_dict(params)
         return cls(**d)
+
+
+#: the options of :func:`repro.experiments.runner.run_simulation` that
+#: are plain data: with a :class:`SimConfig` they describe a point in
+#: full, so they may cross a process, disk or socket boundary (a
+#: ``Point``'s ``runner_kwargs``, a store key, a ``task`` frame, a
+#: ``repro serve`` spec).  Its other keywords -- ``tables``, ``perf``,
+#: ``profile_path`` -- hold live objects or touch the local machine
+#: and exist in-process only.
+RUN_OPTIONS = ("collect_links", "collect_percentiles", "check_invariants",
+               "root", "watchdog_ps", "fault_plan", "reliable", "reconfig")
+
+
+def check_run_options(options: Any) -> None:
+    """Raise :class:`ValueError` unless ``options`` is a mapping that
+    names only :data:`RUN_OPTIONS`."""
+    if not isinstance(options, Mapping):
+        raise ValueError(f"run options must be a mapping, got {options!r}")
+    refused = sorted(set(options) - set(RUN_OPTIONS), key=str)
+    if refused:
+        raise ValueError(
+            f"not plain-data run options: {refused} (declared: "
+            f"{', '.join(RUN_OPTIONS)}); tables=, perf= and profile_path= "
+            "are in-process only -- call run_simulation() directly")

@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..config import PAPER_PARAMS, SimConfig
 from ..metrics.summary import RunSummary
+from ..orchestrator import Point
 from .figures import Claim, ratio_claim
 from .profiles import Profile
 from .runner import get_graph
@@ -46,8 +47,6 @@ class PointTable:
 
 def _point_table(exp_id: str, title: str, rows: Sequence[Row],
                  executor=None) -> PointTable:
-    # function-level: repro.orchestrator imports this package
-    from ..orchestrator import Point
     summaries = resolve_executor(executor).run_points(
         [Point(label, cfg, kwargs) for label, cfg, kwargs in rows])
     return PointTable(exp_id, title,
@@ -130,21 +129,6 @@ def root_placement(profile: Profile, executor=None) -> PointTable:
     return _point_table(
         "root-placement", "Spanning-tree root placement: 2-D torus "
         "@ 0.014, CPLANT @ 0.055", rows, executor)
-
-
-def sp_selection(profile: Profile, executor=None) -> PointTable:
-    """Which alternative SP pins; the paper only says it "will always
-    choose the same minimal path".  ``balanced`` is the default table
-    (:func:`repro.routing.itb.balance_first_alternatives`: the least
-    loaded links, ties to the fewest in-transit hops); ``sort-by-itbs``
-    is the runner's ``sort_by_itbs``, which orders the alternatives by
-    in-transit count *before* that pass.  Near the paper's ITB-SP knee."""
-    base = _config(profile, "itb", "sp", 0.028)
-    return _point_table(
-        "sp-selection", "ITB-SP @ 0.028, 2-D torus: which alternative "
-        "SP pins",
-        [("balanced", base, {}),
-         ("sort-by-itbs", base, {"sort_by_itbs": True})], executor)
 
 
 def msglen(profile: Profile, executor=None) -> PointTable:
@@ -261,19 +245,6 @@ def _root_placement_claims(tab: PointTable) -> List[Claim]:
         _over_roots(tab, "cplant ITB-RR", "latency", hi=1.1)]
 
 
-def _sp_selection_claims(tab: PointTable) -> List[Claim]:
-    a, b = tab.runs["sort-by-itbs"], tab.runs["balanced"]
-    return [
-        # the balancing pass is what makes ITB-SP competitive: the
-        # unbalanced fills collapse below 0.02 (tests/test_itb.py)
-        _sustains(tab, "balanced"),
-        # that pass already breaks its ties by in-transit count, so the
-        # sort before it changes nothing SP sees: equal on 8 of 8 seeds
-        (f"sort-by-itbs uses no more ITBs/message than balanced: "
-         f"{a.avg_itbs_per_message:.3f} vs {b.avg_itbs_per_message:.3f}",
-         a.avg_itbs_per_message <= b.avg_itbs_per_message)]
-
-
 def _msglen_claims(tab: PointTable) -> List[Claim]:
     # "qualitatively similar": larger messages amortise the per-hop
     # costs, so the saturation point shifts -- the ordering must not
@@ -314,7 +285,6 @@ CLAIMS: Dict[str, Callable[[PointTable], List[Claim]]] = {
     "itb-overhead": _itb_overhead_claims,
     "route-cap": _route_cap_claims,
     "root-placement": _root_placement_claims,
-    "sp-selection": _sp_selection_claims,
     "msglen": _msglen_claims,
     "adaptive": _adaptive_claims,
     "link-failure": _link_failure_claims,

@@ -33,14 +33,15 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimConfig
+from ..orchestrator.lease import TASKS
 from ..routing.schemes import scheme_label
 from ..traffic.base import per_host_interval_ps
 from .profiles import Profile
 from .runner import get_graph, run_simulation
 from .sweep import cell_payload, resolve_executor, search_saturation
 
-#: fn-path of :func:`adversary_cell_task` for the orchestrator
-ADVERSARY_TASK_FN = "repro.experiments.adversary:adversary_cell_task"
+#: task kind of :func:`adversary_cell_task`
+ADVERSARY_TASK_FN = "adversary-cell"
 
 #: fractions of the last stable (constant-arrivals) rate probed under
 #: the adversary
@@ -158,6 +159,9 @@ def adversary_cell_task(payload: dict) -> dict:
         "converged": sat.converged,
         "probes": probes,
     }
+
+
+TASKS.register(adversary_cell_task, ADVERSARY_TASK_FN)
 
 
 def run_adversary_study(schemes: Sequence[Tuple[str, str]],

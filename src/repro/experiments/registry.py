@@ -118,9 +118,6 @@ _register("route-cap", "point-table",
 _register("root-placement", "point-table",
           "Spanning-tree root placement, torus and CPLANT",
           ablations.root_placement)
-_register("sp-selection", "point-table",
-          "Which alternative the SP policy pins, torus",
-          ablations.sp_selection)
 _register("msglen", "point-table",
           "32 / 512 / 1024-byte messages, torus", ablations.msglen)
 _register("adaptive", "point-table",

@@ -25,6 +25,10 @@ Caches are explicit and clearable for tests.
 A run ends by tearing itself down (``Simulator.clear`` +
 ``NetworkModel.close``): the network of a finished run is freed by
 reference count when ``run_simulation`` returns.
+
+:func:`run_point_task` is the orchestrator's ``point`` task kind: the
+one door where a payload that crossed a process, disk or socket
+boundary becomes a ``run_simulation`` call.
 """
 
 from __future__ import annotations
@@ -32,11 +36,13 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..canon import freeze
-from ..config import SimConfig
+from ..config import SimConfig, check_run_options
 from ..metrics.collector import LatencyCollector
 from ..metrics.linkstats import collect_link_stats
 from ..metrics.recovery import RecoveryTracker
 from ..metrics.summary import RunSummary
+from ..orchestrator.lease import TASKS
+from ..orchestrator.pool import POINT_TASK_FN
 from ..perf import PerfRecorder, now as _now, profile_to
 from ..routing.policies import make_policy
 from ..routing.table import RoutingTables, compute_tables
@@ -122,14 +128,13 @@ def get_graph(topology: str, topology_kwargs: Mapping[str, Any]
 
 
 def get_tables(g: NetworkGraph, topology_key: Tuple, scheme: str,
-               root: int = 0, max_routes_per_pair: int = 10,
-               sort_by_itbs: bool = False) -> RoutingTables:
+               root: int = 0, max_routes_per_pair: int = 10
+               ) -> RoutingTables:
     """Compute (or fetch the cached) routing tables for a cached graph."""
-    key = (topology_key, scheme, root, max_routes_per_pair, sort_by_itbs)
+    key = (topology_key, scheme, root, max_routes_per_pair)
     t = _TABLE_CACHE.get(key)
     if t is None:
-        t = compute_tables(g, scheme, root, max_routes_per_pair,
-                           sort_by_itbs)
+        t = compute_tables(g, scheme, root, max_routes_per_pair)
         _memoise(_TABLE_CACHE, _TABLE_CACHE_MAX, key, t)
     return t
 
@@ -151,10 +156,8 @@ def _coerce(value: Any, cls: type) -> Any:
 
 
 def run_simulation(config: SimConfig, collect_links: bool = False,
-                   root: int = 0, sort_by_itbs: bool = False,
-                   watchdog_ps: Optional[int] = None,
+                   root: int = 0, watchdog_ps: Optional[int] = None,
                    tables: Optional[RoutingTables] = None,
-                   graph: Optional[NetworkGraph] = None,
                    perf: Optional[PerfRecorder] = None,
                    profile_path: Optional[str] = None,
                    fault_plan: Optional[Any] = None,
@@ -171,9 +174,10 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
     default to keep long runs lean).  ``tables`` lets callers inject
     custom routing tables (the deadlock-demonstration tests route
     *without* ITBs on purpose); by default they are derived from
-    ``config.routing``.  ``graph`` overrides the topology lookup with a
-    pre-built network (failure studies run mutated copies that have no
-    registry name); such graphs bypass the table cache.
+    ``config.routing`` with the spanning tree rooted at ``root``.  The
+    fabric is always ``config.topology``: a custom one is a
+    :data:`repro.topology.TOPOLOGIES` registration, a broken one the
+    registered ``mutated`` topology.
 
     ``fault_plan`` (a :class:`repro.sim.FaultPlan` or its ``to_dict``
     form) schedules mid-run link deaths; requires an engine declaring
@@ -203,26 +207,20 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
     and events/sec figures for the run; ``profile_path`` additionally
     dumps a :mod:`cProfile` trace of the whole call to that file.
     Neither affects the simulation itself or its summary.
+
+    ``tables``, ``perf`` and ``profile_path`` are in-process only;
+    every other option is plain data (:data:`repro.config.RUN_OPTIONS`)
+    and may travel with the config through the orchestrator.
     """
     with profile_to(profile_path):
         t_start = _now()
         config.validate()
-        if graph is not None:
-            g = graph
-            topo_key = None          # anonymous graph: schedules not memoised
-        else:
-            topo_key = (config.topology,
-                        _freeze_kwargs(config.topology_kwargs))
-            g = get_graph(config.topology, config.topology_kwargs)
+        topo_key = (config.topology, _freeze_kwargs(config.topology_kwargs))
+        g = get_graph(config.topology, config.topology_kwargs)
         t_tables = _now()
         if tables is None:
-            cap = config.params.max_routes_per_pair
-            if topo_key is None:
-                tables = compute_tables(g, config.routing, root, cap,
-                                        sort_by_itbs)
-            else:
-                tables = get_tables(g, topo_key, config.routing, root, cap,
-                                    sort_by_itbs)
+            tables = get_tables(g, topo_key, config.routing, root,
+                                config.params.max_routes_per_pair)
         tables_wall_s = _now() - t_tables
 
         sim = Simulator()
@@ -254,8 +252,7 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
         if reconfig:
             manager = ReconfigurationManager(
                 network, _coerce(reconfig, ReconfigParams),
-                max_routes_per_pair=config.params.max_routes_per_pair,
-                sort_by_itbs=sort_by_itbs)
+                max_routes_per_pair=config.params.max_routes_per_pair)
 
         interval = per_host_interval_ps(config.injection_rate,
                                         config.message_bytes, g)
@@ -299,17 +296,14 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
             # (identical RNG streams, see TrafficProcess.pregenerate) so no
             # per-message generation events hit the heap
             t_end = config.warmup_ps + config.measure_ps
-            skey = None
-            if topo_key is not None:
-                skey = (topo_key, config.traffic,
-                        _freeze_kwargs(config.traffic_kwargs),
-                        config.arrival, _freeze_kwargs(config.arrival_kwargs),
-                        interval, config.seed, t_end)
-            schedule = _SCHEDULE_CACHE.get(skey) if skey is not None else None
+            skey = (topo_key, config.traffic,
+                    _freeze_kwargs(config.traffic_kwargs),
+                    config.arrival, _freeze_kwargs(config.arrival_kwargs),
+                    interval, config.seed, t_end)
+            schedule = _SCHEDULE_CACHE.get(skey)
             if schedule is None:
                 schedule = traffic.pregenerate(t_end)
-                if skey is not None:
-                    _memoise_schedule(skey, schedule)
+                _memoise_schedule(skey, schedule)
             else:
                 traffic.adopt_schedule(schedule)
             t_loop_start = _now()
@@ -419,3 +413,20 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
             p99_latency_ns=(collector.percentile_ns(0.99)
                             if collect_percentiles else None),
         )
+
+
+def run_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker function of the ``point`` task kind: one simulation.
+
+    ``payload`` is ``{"config": SimConfig dict, "runner_kwargs":
+    plain dict}`` (:meth:`repro.orchestrator.Point.payload`); the
+    result is the ``RunSummary`` dict.  The payload may have come off
+    a socket, so the options are checked here again.
+    """
+    options = payload.get("runner_kwargs") or {}
+    check_run_options(options)
+    return run_simulation(SimConfig.from_dict(payload["config"]),
+                          **options).to_dict()
+
+
+TASKS.register(run_point_task, POINT_TASK_FN)

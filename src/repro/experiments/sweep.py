@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from ..config import SimConfig
 from ..metrics.saturation import SaturationResult, find_saturation
 from ..metrics.summary import RunSummary
+from ..orchestrator import Executor
 from .profiles import Profile
 from .runner import run_simulation
 
@@ -67,8 +68,6 @@ def resolve_executor(executor):
     result store, no progress lines.  Every study runs its points and
     cells through the executor this returns."""
     if executor is None:
-        # function-level: repro.orchestrator imports this package
-        from ..orchestrator import Executor
         executor = Executor()
     return executor
 
@@ -115,8 +114,9 @@ def sweep_rates(base: SimConfig, rates: Sequence[float],
     worker count, so the kept prefix of the curve is the same at any
     width: a wave's surplus post-saturation points are merely simulated
     (and cached) without being reported, and one worker stops exactly
-    at the early-stop point.  ``runner_kwargs`` must be plain data;
-    live ``graph=`` / ``tables=`` objects go to
+    at the early-stop point.  ``runner_kwargs`` may name only the
+    plain-data run options (:data:`repro.config.RUN_OPTIONS`); a live
+    ``tables=`` object goes to
     :func:`~repro.experiments.runner.run_simulation` directly.
     """
     executor = resolve_executor(executor)

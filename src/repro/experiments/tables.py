@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import SimConfig
+from ..orchestrator.lease import TASKS
 from .figures import ROUTINGS, Claim, bound_claim, ratio_claim
 from .profiles import Profile
 from .runner import get_graph
@@ -100,8 +101,9 @@ def saturation_cell_task(payload: dict) -> dict:
             "runs": len(sat.runs)}
 
 
-#: fn-path of :func:`saturation_cell_task` for the orchestrator
-SATURATION_TASK_FN = "repro.experiments.tables:saturation_cell_task"
+#: task kind of :func:`saturation_cell_task`
+SATURATION_TASK_FN = "saturation-cell"
+TASKS.register(saturation_cell_task, SATURATION_TASK_FN)
 
 
 def _hotspot_table(table_id: str, title: str, topology: str,

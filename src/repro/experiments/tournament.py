@@ -31,14 +31,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimConfig
 from ..metrics.saturation import knee_from_runs
+from ..orchestrator.lease import TASKS
 from ..routing.schemes import available_schemes, get_scheme, scheme_label
 from ..traffic.registry import get_pattern_spec, parse_workload
 from .profiles import Profile
 from .runner import get_graph, run_simulation
 from .sweep import cell_payload, resolve_executor, search_saturation
 
-#: fn-path of :func:`tournament_cell_task` for the orchestrator
-TOURNAMENT_TASK_FN = "repro.experiments.tournament:tournament_cell_task"
+#: task kind of :func:`tournament_cell_task`
+TOURNAMENT_TASK_FN = "tournament-cell"
 
 #: latency multiple (over zero-load) that defines the knee
 KNEE_THRESHOLD = 2.0
@@ -209,6 +210,9 @@ def tournament_cell_task(payload: dict) -> dict:
         "avg_latency_ns": probe.avg_latency_ns,
         "degraded_throughput": degraded_throughput,
     }
+
+
+TASKS.register(tournament_cell_task, TOURNAMENT_TASK_FN)
 
 
 def run_tournament(entries: Sequence[SchemeEntry],

@@ -4,7 +4,9 @@ Layers, composable and individually testable:
 
 * :mod:`~repro.orchestrator.lease` -- the one lease scheduler (pending
   queue, per-attempt timeout, bounded retry with backoff, attempt
-  tags) that every pool is, over inline, local or remote *slots*;
+  tags) that every pool is, over inline, local or remote *slots*, and
+  :data:`~repro.orchestrator.lease.TASKS`, the registry of task kinds
+  that is all a worker will run;
 * :mod:`~repro.orchestrator.pool` -- :class:`WorkerPool`: that
   scheduler over forked local workers (inline at ``workers=1``);
 * :mod:`~repro.orchestrator.fabric` -- :class:`FabricWorker`, the
@@ -15,7 +17,7 @@ Layers, composable and individually testable:
   store keyed by a canonical hash of the full point description,
   giving checkpoint/resume, a stable results-artifact format, and a
   concurrent-writer discipline safe for many processes (atomic
-  ``meta.json``, sharded objects, ``compact()`` + ``index.json``);
+  ``meta.json``, sharded objects, ``compact()``);
 * :mod:`~repro.orchestrator.serve` -- ``repro serve``:
   :class:`ReproServer`, a long-running HTTP service that accepts
   campaign specs, reuses the warm cache across requests and streams
@@ -25,6 +27,11 @@ Layers, composable and individually testable:
   fabric) with :class:`ProgressReporter` streaming; the one way
   ``sweep_rates``, every registered experiment and the CLI run their
   points.
+
+The package is a leaf: it imports :mod:`repro.config`,
+:mod:`repro.metrics`, :mod:`repro.canon` and :mod:`repro.registry`,
+never the simulator or the experiments, which import *it* and register
+their task kinds.
 """
 
 from __future__ import annotations

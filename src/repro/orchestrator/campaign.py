@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     TextIO)
 
-from ..config import SimConfig
+from ..config import SimConfig, check_run_options
 from ..metrics.summary import RunSummary
 from .fabric import FabricPool
 from .pool import POINT_TASK_FN, Task, TaskResult, WorkerPool
@@ -35,10 +35,6 @@ from .store import ResultStore
 __all__ = ["CampaignError", "Executor", "ExecutorStats",
            "Point", "ProgressReporter"]
 
-#: runner kwargs that carry live objects and cannot cross a process
-#: or disk boundary -- callers holding these call run_simulation()
-UNSERIALIZABLE_RUNNER_KWARGS = ("graph", "tables")
-
 
 class CampaignError(RuntimeError):
     """One or more points failed after all retries."""
@@ -46,11 +42,15 @@ class CampaignError(RuntimeError):
 
 @dataclass(frozen=True)
 class Point:
-    """One simulation point of a campaign."""
+    """One simulation point of a campaign: plain data throughout, so
+    ``runner_kwargs`` may name only :data:`repro.config.RUN_OPTIONS`."""
 
     point_id: str
     config: SimConfig
     runner_kwargs: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_run_options(self.runner_kwargs)
 
     def payload(self) -> Dict[str, Any]:
         return {"config": self.config.to_dict(),
@@ -176,12 +176,13 @@ class Executor:
                   labels: Optional[Sequence[str]] = None) -> List[Any]:
         """Run ``fn`` over every payload, store-first, in input order.
 
-        ``fn`` is a ``"module:callable"`` worker function; payloads and
-        results must be JSON-safe.  Raises :class:`CampaignError` if
-        any task still fails after the pool's retries.
+        ``fn`` is a task kind (a name in :data:`~.lease.TASKS`);
+        payloads and results must be JSON-safe.  Raises
+        :class:`CampaignError` if any task still fails after the pool's
+        retries.
         """
         labels = list(labels) if labels is not None else \
-            [f"{fn.rsplit(':', 1)[-1]}#{i}" for i in range(len(payloads))]
+            [f"{fn}#{i}" for i in range(len(payloads))]
         if self.reporter:
             self.reporter.announce(len(payloads))
         results: Dict[int, Any] = {}
@@ -236,13 +237,6 @@ class Executor:
 
     def run_points(self, points: Sequence[Point]) -> List[RunSummary]:
         """Run simulation points (store-first), in input order."""
-        for p in points:
-            for k in UNSERIALIZABLE_RUNNER_KWARGS:
-                if p.runner_kwargs.get(k) is not None:
-                    raise ValueError(
-                        f"runner kwarg {k!r} holds a live object and cannot "
-                        "be executed through the orchestrator; call "
-                        "run_simulation() on these points directly")
         values = self.run_tasks(POINT_TASK_FN,
                                 [p.payload() for p in points],
                                 labels=[p.describe() for p in points])

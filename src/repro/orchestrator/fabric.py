@@ -62,12 +62,8 @@ def _close_quietly(sock: Optional[socket.socket]) -> None:
 # worker side
 # ----------------------------------------------------------------------
 
-def serve_session(conn: socket.socket) -> bool:
-    """Serve one coordinator session on ``conn``, then close it.
-
-    Returns True when the coordinator asked the worker to stop
-    accepting further sessions.
-    """
+def serve_session(conn: socket.socket) -> None:
+    """Serve one coordinator session on ``conn``, then close it."""
     conn.settimeout(None)
     try:
         send_frame(conn, {"type": "hello", "pid": os.getpid(),
@@ -77,20 +73,18 @@ def serve_session(conn: socket.socket) -> bool:
             try:
                 msg = recv_frame(conn)
             except FrameError:
-                return False
+                return
             if msg is None:
-                return False           # coordinator went away
+                return                 # coordinator went away
             kind = msg.get("type")
-            if kind == "ping":
-                send_frame(conn, {"type": "pong"})
-            elif kind == "task":
+            if kind == "task":
                 send_frame(conn, execute(msg))
             elif kind == "shutdown":
-                return bool(msg.get("stop_server"))
+                return
             # unknown frame types are ignored: a newer coordinator
             # may probe with messages an older worker predates
     except OSError:
-        return False                   # session over
+        return                         # session over
     finally:
         _close_quietly(conn)
 
@@ -110,6 +104,10 @@ class FabricWorker:
     bundle it was given (``FabricPool(tls_ca=...)``), so a worker
     serving any other certificate -- or a plaintext impostor on the
     same port -- fails the handshake and is treated as unreachable.
+    Nothing authenticates the *coordinator*: any peer that reaches the
+    port may lease work, which is why a worker runs registered task
+    kinds only (:data:`~repro.orchestrator.lease.TASKS`) and belongs on
+    a trusted network (DESIGN section 8.8).
     """
 
     def __init__(self, bind: str = "127.0.0.1:0",
@@ -180,8 +178,7 @@ class FabricWorker:
                         _close_quietly(conn)
                         continue
                 served += 1
-                if serve_session(conn):
-                    self._stop.set()
+                serve_session(conn)
         finally:
             self.close()
 

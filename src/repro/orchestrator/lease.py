@@ -34,7 +34,6 @@ the earliest ``not_before`` -- nothing polls at a fixed rate.
 
 from __future__ import annotations
 
-import importlib
 import random
 import threading
 import time
@@ -43,18 +42,28 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-__all__ = ["InlineSlot", "LeasePool", "Lost", "Task", "TaskResult",
-           "execute", "idle_wait_s", "retry_delay_s", "task_frame"]
+from ..registry import Registry
+
+__all__ = ["InlineSlot", "LeasePool", "Lost", "TASKS", "Task",
+           "TaskResult", "execute", "idle_wait_s", "retry_delay_s",
+           "task_frame"]
+
+#: everything a worker will run: task kind -> worker function, one
+#: JSON-safe payload dict in, one JSON-safe result out.  A function
+#: registers itself where it is defined; ``import repro`` loads every
+#: shipped one, so a fresh worker process knows them all.  A frame
+#: selects among these by name and can name nothing else.
+TASKS: Registry[Callable[[Dict[str, Any]], Any]] = Registry("task kind")
 
 
 @dataclass(frozen=True)
 class Task:
-    """One unit of work: a worker function name plus its payload."""
+    """One unit of work: a task kind plus its payload."""
 
     task_id: str
-    #: worker function as ``"module:callable"`` (resolved in the worker)
+    #: the task's kind, a name registered in :data:`TASKS`
     fn: str
-    #: JSON-safe argument dict passed to the function
+    #: JSON-safe argument dict passed to the kind's worker function
     payload: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -84,14 +93,6 @@ class Lost(Exception):
         self.consumed = consumed
 
 
-def _resolve(fn_path: str) -> Callable[[Dict[str, Any]], Any]:
-    module_name, _, attr = fn_path.partition(":")
-    if not module_name or not attr:
-        raise ValueError(f"task fn must be 'module:callable', got {fn_path!r}")
-    module = importlib.import_module(module_name)
-    return getattr(module, attr)
-
-
 def task_frame(task: Task, attempt: int) -> Dict[str, Any]:
     """The ``task`` message that leases ``task`` to a worker."""
     return {"type": "task", "task_id": task.task_id, "attempt": attempt,
@@ -102,16 +103,18 @@ def execute(msg: Dict[str, Any]) -> Dict[str, Any]:
     """Run one ``task`` message; returns its ``result`` message.
 
     Every slot kind ends up here.  A clean exception becomes an ``err``
-    result; ``KeyboardInterrupt`` and ``SystemExit`` propagate and take
-    the worker down -- a lost lease, re-run elsewhere.
+    result -- an unregistered kind is one, naming what is registered;
+    ``KeyboardInterrupt`` and ``SystemExit`` propagate and take the
+    worker down -- a lost lease, re-run elsewhere.
     """
     t0 = time.monotonic()
     try:
-        status, value = "ok", _resolve(msg["fn"])(msg["payload"])
+        status, value = "ok", TASKS.get(msg["fn"])(msg["payload"])
     except Exception:
         status, value = "err", traceback.format_exc()
-    return {"type": "result", "task_id": msg["task_id"],
-            "attempt": msg["attempt"], "status": status,
+    # .get: a frame from an arbitrary peer may lack anything
+    return {"type": "result", "task_id": msg.get("task_id"),
+            "attempt": msg.get("attempt"), "status": status,
             "value": value, "elapsed_s": time.monotonic() - t0}
 
 

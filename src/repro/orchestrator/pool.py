@@ -14,40 +14,27 @@ only chooses the slots:
   outlives ``timeout_s`` is replaced and its task retried; when
   ``run()`` returns or raises, none is left behind.
 
-Tasks name their worker function as a ``"module:callable"`` string
-(resolved inside the worker), taking one JSON-safe payload dict and
-returning a JSON-safe result dict.  Keeping the boundary plain-data is
-what lets the campaign layer persist every result in the
-content-addressed store, and one frame format reach any worker.
+Tasks name their worker function by *kind* -- a name in
+:data:`~repro.orchestrator.lease.TASKS`, looked up inside the worker --
+taking one JSON-safe payload dict and returning a JSON-safe result
+dict.  Keeping the boundary plain-data is what lets the campaign layer
+persist every result in the content-addressed store, and one frame
+format reach any worker.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
-from ..config import SimConfig
-from ..experiments.runner import run_simulation
 from .fabric import LocalSlot
 from .lease import InlineSlot, LeasePool, Task, TaskResult, retry_delay_s
 
-__all__ = ["Task", "TaskResult", "WorkerPool", "retry_delay_s",
-           "run_point_task"]
+__all__ = ["POINT_TASK_FN", "Task", "TaskResult", "WorkerPool",
+           "retry_delay_s"]
 
-
-def run_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker function for one simulation point.
-
-    ``payload`` is ``{"config": SimConfig dict, "runner_kwargs":
-    plain dict}``; the result is the ``RunSummary`` dict.
-    """
-    cfg = SimConfig.from_dict(payload["config"])
-    kwargs = dict(payload.get("runner_kwargs") or {})
-    summary = run_simulation(cfg, **kwargs)
-    return summary.to_dict()
-
-
-#: fn-path of :func:`run_point_task`, used by the campaign layer
-POINT_TASK_FN = "repro.orchestrator.pool:run_point_task"
+#: kind of one simulation point; its worker function,
+#: :func:`repro.experiments.runner.run_point_task`, registers under it
+POINT_TASK_FN = "point"
 
 
 class WorkerPool(LeasePool):

@@ -30,6 +30,10 @@ Endpoints
         {"config": {...SimConfig...}, "rates": [0.004, 0.008, ...],
          "runner_kwargs": {...}}
 
+    ``runner_kwargs`` may name only the plain-data run options
+    (:data:`repro.config.RUN_OPTIONS`); a malformed spec, or one naming
+    anything else, is answered 400 before any point runs.
+
     The response is ``application/x-ndjson``: an ``accepted`` event,
     one ``point`` event per completed point (status ``cached`` /
     ``done`` / ``FAILED``, streamed as each finishes), then one
@@ -71,14 +75,14 @@ def points_from_spec(spec: Dict[str, Any]) -> List[Point]:
                                  "a 'config'")
             cfg = SimConfig.from_dict(entry["config"])
             points.append(Point(str(entry.get("id", i)), cfg,
-                                dict(entry.get("runner_kwargs") or {})))
+                                entry.get("runner_kwargs") or {}))
         return points
     if "config" in spec and "rates" in spec:
         base = SimConfig.from_dict(spec["config"])
         rates = spec["rates"]
         if not isinstance(rates, list) or not rates:
             raise ValueError("'rates' must be a non-empty list")
-        kwargs = dict(spec.get("runner_kwargs") or {})
+        kwargs = spec.get("runner_kwargs") or {}
         return [Point(f"rate:{float(r):.6g}",
                       base.with_overrides(injection_rate=float(r)), kwargs)
                 for r in sorted(float(r) for r in rates)]

@@ -38,10 +38,9 @@ worker pool, remote fabric workers streaming results back, several
   rarely contend on one directory, and same-key writers converge on
   identical content (keys are content hashes of the full task
   description, so a double-write is a benign overwrite).
-* :meth:`ResultStore.compact` sweeps the shards into ``index.json``
-  (one atomic file listing every record), prunes corrupt or
-  mis-filed records, and removes empty shard directories --
-  ``repro cache compact`` from the CLI.
+* :meth:`ResultStore.compact` prunes corrupt or mis-filed records
+  and removes empty shard directories -- ``repro cache compact`` from
+  the CLI.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class CompactStats:
     removed_dirs: int
 
     def oneline(self) -> str:
-        return (f"{self.entries} records indexed "
+        return (f"{self.entries} records kept "
                 f"({self.total_bytes / 1e6:.2f} MB), "
                 f"{self.pruned} corrupt pruned, "
                 f"{self.removed_dirs} empty shards removed")
@@ -242,67 +241,32 @@ class ResultStore:
                 continue               # a racing clear() got it first
             removed += 1
         self._prune_empty_shards()
-        index = self.root / "index.json"
-        try:
-            index.unlink()
-        except OSError:
-            pass
         return removed
 
     # -- compaction -----------------------------------------------------
 
     def compact(self) -> CompactStats:
-        """Sweep the shards into ``index.json``; prune damage.
+        """Prune damage: unreadable records and empty shards.
 
-        The index is one atomically-replaced file mapping every key to
-        ``{"kind", "created", "elapsed_s", "bytes"}`` -- external
-        tooling (and :meth:`index`) can enumerate a million-record
-        store with a single read instead of a directory walk.  The
-        pass also deletes records that fail to parse or whose embedded
-        key does not match their filename (a crashed writer cannot
-        produce these -- renames are atomic -- but a copied or bit-rotted
-        cache can), and removes shard directories left empty.
-        Concurrent ``put`` is safe; records landing mid-pass are simply
-        picked up by the next compaction.
+        Deletes records that fail to parse or whose embedded key does
+        not match their filename (a crashed writer cannot produce these
+        -- renames are atomic -- but a copied or bit-rotted cache can),
+        and removes shard directories left empty.  Concurrent ``put``
+        is safe; records landing mid-pass are simply seen by the next
+        compaction.
         """
-        entries: Dict[str, Dict[str, Any]] = {}
+        entries = 0
         total = 0
         pruned = 0
         for f in list(self._object_files()):
-            key = f.stem
-            record = self.get(key)
-            if record is None:
+            if self.get(f.stem) is None:
                 try:
                     f.unlink()
                 except OSError:
                     pass
                 pruned += 1
                 continue
-            size = f.stat().st_size
-            total += size
-            entries[key] = {
-                "kind": record.get("kind"),
-                "created": record.get("created"),
-                "elapsed_s": record.get("elapsed_s"),
-                "bytes": size,
-            }
-        removed_dirs = self._prune_empty_shards()
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._ensure_meta()
-        self._write_atomic(
-            self.root / "index.json",
-            canonical_json({"format": STORE_FORMAT,
-                            "entries": entries}) + "\n")
-        return CompactStats(len(entries), total, pruned, removed_dirs)
-
-    def index(self) -> Optional[Dict[str, Dict[str, Any]]]:
-        """The last compaction's key map, or ``None`` if never built."""
-        try:
-            with open(self.root / "index.json", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(data, dict):
-            return None
-        entries = data.get("entries")
-        return entries if isinstance(entries, dict) else None
+            entries += 1
+            total += f.stat().st_size
+        return CompactStats(entries, total, pruned,
+                            self._prune_empty_shards())

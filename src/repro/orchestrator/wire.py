@@ -7,20 +7,18 @@ message boundaries explicit so a frame is either delivered whole or
 the connection error is surfaced -- there is no "half a message"
 state for the coordinator or worker to misparse.
 
-Message vocabulary (the full protocol -- see DESIGN §16):
+Message vocabulary (the full protocol -- see DESIGN §8):
 
 ========== ============= =============================================
 direction  ``type``      fields
 ========== ============= =============================================
 w -> c     ``hello``     ``pid``, ``version`` (repro ``__version__``),
                          ``wire`` (:data:`WIRE_FORMAT`)
-c -> w     ``task``      ``task_id``, ``attempt``, ``fn``, ``payload``
-c -> w     ``ping``      (liveness probe)
-w -> c     ``pong``
+c -> w     ``task``      ``task_id``, ``attempt``, ``fn`` (a task kind
+                         registered in the worker), ``payload``
 w -> c     ``result``    ``task_id``, ``attempt``, ``status``
                          (``"ok"``/``"err"``), ``value``, ``elapsed_s``
-c -> w     ``shutdown``  ``stop_server`` (bool): end the session; when
-                         set, stop accepting new sessions too
+c -> w     ``shutdown``  end the session
 ========== ============= =============================================
 
 Every result frame echoes the lease's ``attempt`` tag; the scheduler
@@ -42,8 +40,9 @@ __all__ = ["FrameError", "MAX_FRAME_BYTES", "WIRE_FORMAT",
            "send_frame"]
 
 #: bump when the message vocabulary changes incompatibly; coordinator
-#: and worker refuse to pair across versions
-WIRE_FORMAT = 1
+#: and worker refuse to pair across versions (2: ``fn`` carries a task
+#: kind, no longer a ``module:callable`` import path)
+WIRE_FORMAT = 2
 
 #: hard ceiling per frame -- a garbled length prefix (e.g. an HTTP
 #: client talking to a fabric port) must not look like a 2 GB read

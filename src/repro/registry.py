@@ -6,8 +6,9 @@ x routing scheme x selection policy x traffic pattern x arrival process
 instance living next to the things it names: ``topology.TOPOLOGIES``,
 ``routing.schemes.SCHEMES``, ``routing.policies.POLICIES``,
 ``traffic.registry.PATTERNS`` / ``ARRIVALS``, ``sim.engines.ENGINES``
-and ``experiments.registry.EXPERIMENTS`` (DESIGN.md section 3.1 tabulates
-what each spec declares).
+and ``experiments.registry.EXPERIMENTS``; what a worker process may be
+asked to run is one more, ``orchestrator.lease.TASKS`` (DESIGN.md
+section 3.1 tabulates what each spec declares).
 
 A spec is any object with a ``name``; what else it declares is up to
 the axis (``supports(graph)``, typed ``kwargs``, ``build``, ``render``).

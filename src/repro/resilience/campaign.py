@@ -29,6 +29,7 @@ from ..experiments.profiles import Profile
 from ..experiments.runner import get_graph, get_tables, run_simulation
 from ..experiments.sweep import (cell_payload, resolve_executor,
                                  search_saturation)
+from ..orchestrator.lease import TASKS
 from ..routing.analysis import route_statistics
 from ..routing.schemes import scheme_label
 from ..traffic.defaults import DEFAULT_PATTERN
@@ -41,8 +42,8 @@ SCHEMES: Tuple[Tuple[str, str, str], ...] = tuple(
     (routing, policy, scheme_label(routing, policy))
     for routing, policy in (("updown", "sp"), ("itb", "rr")))
 
-#: fn-path of :func:`resilience_cell_task` for the orchestrator
-RESILIENCE_TASK_FN = "repro.resilience.campaign:resilience_cell_task"
+#: task kind of :func:`resilience_cell_task`
+RESILIENCE_TASK_FN = "resilience-cell"
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,9 @@ def resilience_cell_task(payload: dict) -> dict:
         "avg_itbs_per_message": probe.avg_itbs_per_message or 0.0,
         "root_concentration": at_root / total if total > 0 else 0.0,
     }
+
+
+TASKS.register(resilience_cell_task, RESILIENCE_TASK_FN)
 
 
 def run_resilience(topology: str, profile: Profile, seed: int = 1,

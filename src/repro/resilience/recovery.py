@@ -29,6 +29,7 @@ from ..config import SimConfig
 from ..experiments.profiles import Profile
 from ..experiments.runner import get_graph
 from ..experiments.sweep import resolve_executor
+from ..orchestrator import Point
 from ..sim.faults import FaultPlan
 from ..sim.reliable import ReconfigParams, ReliableParams
 from ..traffic.defaults import DEFAULT_PATTERN
@@ -106,10 +107,6 @@ def run_recovery(topology: str, profile: Profile, seed: int = 1,
     reliable = reliable or ReliableParams()
     if detection_latency_ps is None:
         detection_latency_ps = ReconfigParams().detection_latency_ps
-
-    # function-level: repro.orchestrator imports repro.experiments,
-    # which imports this package
-    from ..orchestrator import Point
 
     runner_kwargs = {
         mode: {"root": root, "fault_plan": fault_plan.to_dict(),

@@ -124,9 +124,11 @@ def compute_tables(g: NetworkGraph, scheme: str, root: int = 0,
 
     This is the entry point used by the experiment runner; results are
     deterministic for a given (graph, scheme, root).  ``sort_by_itbs``
-    reorders ITB alternatives so the SP policy uses the fewest in-transit
-    hops (an extension studied by the ``sp-selection`` experiment; the
-    paper's SP does not optimise this).  Unknown schemes raise a
+    orders ITB alternatives by in-transit hops before the pass that
+    balances the first ones, which already breaks its ties that way, so
+    the runner never sets it (the paper's SP does not optimise this;
+    ``tests/test_itb.py`` studies it on unbalanced tables).  Unknown
+    schemes raise a
     :class:`ValueError` listing the registered ones.
     """
     # imported lazily: schemes imports RoutingTables from this module

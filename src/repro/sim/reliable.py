@@ -361,14 +361,12 @@ class ReconfigurationManager:
 
     def __init__(self, network: NetworkModel,
                  params: Optional[ReconfigParams] = None,
-                 max_routes_per_pair: int = 10,
-                 sort_by_itbs: bool = False) -> None:
+                 max_routes_per_pair: int = 10) -> None:
         network.require(CAP_DYNAMIC_FAULTS)
         network.require(CAP_RELIABLE_DELIVERY)
         self.network = network
         self.params = params or ReconfigParams()
         self.max_routes_per_pair = max_routes_per_pair
-        self.sort_by_itbs = sort_by_itbs
 
         #: table swaps performed so far
         self.reconfigurations = 0
@@ -402,8 +400,7 @@ class ReconfigurationManager:
             return
         tables = compute_tables(removal.graph, net.tables.scheme,
                                 root=net.tables.root,
-                                max_routes_per_pair=self.max_routes_per_pair,
-                                sort_by_itbs=self.sort_by_itbs)
+                                max_routes_per_pair=self.max_routes_per_pair)
         inverse = {new: old for old, new in removal.link_map.items()}
         net.swap_tables(tables.with_remapped_links(inverse))
         self.reconfigurations += 1

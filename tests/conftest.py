@@ -12,6 +12,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.experiments.runner import clear_caches
+from repro.orchestrator.lease import TASKS
 from repro.topology import (build_cplant, build_irregular, build_torus,
                             build_torus_express)
 from repro.units import ns
@@ -53,6 +54,28 @@ def cplant():
 def irregular16():
     """16-switch random irregular network (extension substrate)."""
     return build_irregular(num_switches=16, hosts_per_switch=2, seed=3)
+
+
+#: what no payload, frame or spec may hand to ``run_simulation``: its
+#: in-process-only keywords, two it no longer has, one it never had
+UNDECLARED_RUN_OPTIONS = ("tables", "perf", "profile_path", "graph",
+                          "sort_by_itbs", "no_such_option")
+
+
+def task_kinds(*fns):
+    """A module-scoped autouse fixture that registers throwaway task
+    kinds, each under its function's name, for the tests of the module
+    that binds it; workers those tests fork inherit the registrations."""
+
+    @pytest.fixture(autouse=True, scope="module")
+    def registered():
+        for fn in fns:
+            TASKS.register(fn, fn.__name__)
+        yield
+        for fn in fns:
+            TASKS.unregister(fn.__name__)
+
+    return registered
 
 
 def small_config(**overrides) -> SimConfig:

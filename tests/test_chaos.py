@@ -23,15 +23,17 @@ from repro.orchestrator import Executor
 from repro.orchestrator.chaos import ChaosFabric, ChaosPlan
 from repro.orchestrator.fabric import FabricPool, FabricWorker
 from repro.orchestrator.pool import Task
-from tests.conftest import small_config
+from tests.conftest import small_config, task_kinds
 
-_HERE = "tests.test_chaos"
 _CTX = mp.get_context("fork") if "fork" in mp.get_all_start_methods() \
     else None
 
 
 def double_task(payload):
     return {"value": payload["x"] * 2}
+
+
+_kinds = task_kinds(double_task)
 
 
 @pytest.fixture
@@ -48,9 +50,9 @@ def worker_addr():
 def _run_under(addr, plan, n=6):
     """Run n double_tasks through a chaos proxy; return (results, fabric)."""
     with ChaosFabric(addr, plan) as chaos:
-        pool = FabricPool(chaos.addrs, retries=10, lease_timeout_s=10.0,
+        pool = FabricPool(chaos.addrs, retries=10, lease_timeout_s=1.0,
                           connect_attempts=40, connect_backoff_s=0.02)
-        tasks = [Task(str(i), f"{_HERE}:double_task", {"x": i})
+        tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(n)]
         results = pool.run(tasks)
     return results, chaos
@@ -138,7 +140,7 @@ class TestChaosProxyRecovery:
         with ChaosFabric("127.0.0.1:1", ChaosPlan.quiet()) as chaos:
             pool = FabricPool(chaos.addrs, connect_attempts=2,
                               connect_backoff_s=0.02)
-            results = pool.run([Task("t", f"{_HERE}:double_task",
+            results = pool.run([Task("t", "double_task",
                                      {"x": 1})])
         assert not results[0].ok
         assert "no reachable fabric workers" in results[0].error

@@ -274,7 +274,7 @@ class TestOrchestratorCommands:
         capsys.readouterr()
         assert main(["cache", "compact"] + cache) == 0
         out = capsys.readouterr().out
-        assert "2 records indexed" in out
+        assert "2 records kept" in out
         assert "0 corrupt pruned" in out
 
     def test_custom_grid_size_flags(self, capsys):

@@ -18,12 +18,12 @@ import pytest
 
 from repro.experiments.sweep import sweep_rates
 from repro.orchestrator import Executor, FabricPool, FabricWorker, ResultStore
-from repro.orchestrator.pool import Task
+from repro.orchestrator.pool import POINT_TASK_FN, Task
 from repro.orchestrator.wire import (WIRE_FORMAT, FrameError, parse_addrs,
                                      recv_frame, send_frame)
-from tests.conftest import small_config
+from tests.conftest import (UNDECLARED_RUN_OPTIONS, small_config,
+                            task_kinds)
 
-_HERE = "tests.test_fabric"
 _CTX = mp.get_context("fork")
 
 pytestmark = pytest.mark.skipif(
@@ -52,6 +52,9 @@ def hang_once_task(payload):
             fh.write("attempt 1\n")
         time.sleep(60)
     return {"recovered": True}
+
+
+_kinds = task_kinds(double_task, boom_task, slow_task, hang_once_task)
 
 
 @pytest.fixture
@@ -141,7 +144,7 @@ class TestFabricPool:
         (a1, _), (a2, _) = fleet(2)
         pool = FabricPool(f"{a1},{a2}")
         assert pool.workers == 2
-        tasks = [Task(str(i), f"{_HERE}:double_task", {"x": i})
+        tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(8)]
         results = pool.run(tasks)
         assert [r.value["value"] for r in results] == \
@@ -151,7 +154,7 @@ class TestFabricPool:
     def test_clean_exception_fails_without_retry(self, fleet):
         ((addr, _),) = fleet(1)
         pool = FabricPool(addr, retries=3)
-        results = pool.run([Task("t", f"{_HERE}:boom_task", {})])
+        results = pool.run([Task("t", "boom_task", {})])
         assert not results[0].ok
         assert results[0].attempts == 1
         assert "ValueError: boom" in results[0].error
@@ -164,15 +167,15 @@ class TestFabricPool:
         ((addr, _),) = fleet(1)
         with pytest.raises(ValueError, match="unique"):
             FabricPool(addr).run(
-                [Task("a", f"{_HERE}:double_task", {"x": 1}),
-                 Task("a", f"{_HERE}:double_task", {"x": 2})])
+                [Task("a", "double_task", {"x": 1}),
+                 Task("a", "double_task", {"x": 2})])
 
     def test_sigkilled_worker_task_releases_zero_lost(self, fleet):
         """A worker SIGKILLed mid-campaign loses no points: its lease
         dies with its socket and the task re-runs elsewhere."""
         (a1, p1), (a2, _p2) = fleet(2)
         pool = FabricPool(f"{a1},{a2}", retries=2)
-        tasks = [Task(str(i), f"{_HERE}:slow_task",
+        tasks = [Task(str(i), "slow_task",
                       {"x": i, "seconds": 0.25}) for i in range(6)]
         killed = []
 
@@ -197,7 +200,7 @@ class TestFabricPool:
         flag = str(tmp_path / "flag")
         pool = FabricPool(f"{a1},{a2}", lease_timeout_s=0.5, retries=1)
         t0 = time.monotonic()
-        results = pool.run([Task("t", f"{_HERE}:hang_once_task",
+        results = pool.run([Task("t", "hang_once_task",
                                  {"flag": flag})])
         assert time.monotonic() - t0 < 30
         assert results[0].ok
@@ -209,7 +212,7 @@ class TestFabricPool:
         # port 1 refuses immediately; the dead address burns no attempts
         pool = FabricPool(f"127.0.0.1:1,{addr}",
                           connect_attempts=2, connect_backoff_s=0.05)
-        tasks = [Task(str(i), f"{_HERE}:double_task", {"x": i})
+        tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(5)]
         results = pool.run(tasks)
         assert all(r.ok and r.attempts == 1 for r in results)
@@ -217,7 +220,7 @@ class TestFabricPool:
     def test_all_workers_unreachable_fails_loudly(self):
         pool = FabricPool("127.0.0.1:1", connect_attempts=2,
                           connect_backoff_s=0.05)
-        results = pool.run([Task("t", f"{_HERE}:double_task", {"x": 1})])
+        results = pool.run([Task("t", "double_task", {"x": 1})])
         assert not results[0].ok
         assert "no reachable fabric workers" in results[0].error
 
@@ -241,12 +244,61 @@ class TestFabricPool:
         thread.start()
         try:
             pool = FabricPool(addr, connect_attempts=1)
-            results = pool.run([Task("t", f"{_HERE}:double_task",
+            results = pool.run([Task("t", "double_task",
                                      {"x": 1})])
             assert not results[0].ok
             assert "no reachable fabric workers" in results[0].error
         finally:
             srv.close()
+
+
+class TestRawTaskFrames:
+    """TLS pins the worker to the coordinator, never the reverse: any
+    peer that reaches the port can send a ``task`` frame.  Whatever the
+    frame says, the worker runs a registered kind with declared
+    options or answers ``err``."""
+
+    @staticmethod
+    def _send(addr, fn, payload):
+        host, port = parse_addrs(addr)[0]
+        with socket.create_connection((host, port), timeout=30) as conn:
+            assert recv_frame(conn)["type"] == "hello"
+            send_frame(conn, {"type": "task", "task_id": "raw",
+                              "attempt": 1, "fn": fn, "payload": payload})
+            return recv_frame(conn)
+
+    def test_frame_naming_a_callable_runs_nothing(self, fleet, tmp_path):
+        ((addr, _),) = fleet(1)
+        marker = tmp_path / "marker"
+        reply = self._send(addr, "os:system", f"echo hi > {marker}")
+        assert reply["status"] == "err"
+        assert "unknown task kind 'os:system'" in reply["value"]
+        assert "point" in reply["value"].split("available:")[1]
+        assert not marker.exists()
+
+    def test_bare_task_frame_is_an_error_not_a_dead_worker(self, fleet):
+        ((addr, _),) = fleet(1)
+        host, port = parse_addrs(addr)[0]
+        with socket.create_connection((host, port), timeout=30) as conn:
+            assert recv_frame(conn)["type"] == "hello"
+            send_frame(conn, {"type": "task"})
+            reply = recv_frame(conn)
+        assert reply["status"] == "err" and reply["task_id"] is None
+        # the worker outlived it and serves the next session
+        results = FabricPool(addr).run([Task("t", "double_task", {"x": 2})])
+        assert results[0].value == {"value": 4}
+
+    @pytest.mark.parametrize("option", UNDECLARED_RUN_OPTIONS)
+    def test_point_frame_with_undeclared_option(self, fleet, tmp_path,
+                                                option):
+        ((addr, _),) = fleet(1)
+        target = tmp_path / "profile.out"
+        reply = self._send(addr, POINT_TASK_FN, {
+            "config": small_config().to_dict(),
+            "runner_kwargs": {option: str(target)}})
+        assert reply["status"] == "err"
+        assert "not plain-data run options" in reply["value"]
+        assert not target.exists()
 
 
 class TestPerAddressGiveUp:
@@ -291,7 +343,7 @@ class TestPerAddressGiveUp:
         budget = 3
         pool = FabricPool(f"{flaky},{good}", connect_attempts=budget,
                           connect_backoff_s=0.02)
-        tasks = [Task(str(i), f"{_HERE}:double_task", {"x": i})
+        tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(6)]
         results = pool.run(tasks)
         # the campaign completed entirely on the good worker ...
@@ -310,7 +362,7 @@ class TestPerAddressGiveUp:
         flaky, _accepts = accept_then_die
         pool = FabricPool(f"{flaky},{good}", retries=0,
                           connect_attempts=2, connect_backoff_s=0.02)
-        tasks = [Task(str(i), f"{_HERE}:double_task", {"x": i})
+        tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(6)]
         results = pool.run(tasks)
         assert all(r.ok and r.attempts == 1 for r in results)
@@ -338,7 +390,7 @@ class TestFabricTls:
 
     def test_pinned_ca_round_trip(self, tls_worker):
         pool = FabricPool(tls_worker, tls_ca=CERT_A)
-        results = pool.run([Task(str(i), f"{_HERE}:double_task",
+        results = pool.run([Task(str(i), "double_task",
                                  {"x": i}) for i in range(4)])
         assert [r.value["value"] for r in results] == [0, 2, 4, 6]
         assert all(r.ok and r.attempts == 1 for r in results)
@@ -349,18 +401,17 @@ class TestFabricTls:
         no task is ever sent to it."""
         pool = FabricPool(tls_worker, tls_ca=CERT_B,
                           connect_attempts=2, connect_backoff_s=0.02)
-        results = pool.run([Task("t", f"{_HERE}:double_task", {"x": 1})])
+        results = pool.run([Task("t", "double_task", {"x": 1})])
         assert not results[0].ok
         assert "no reachable fabric workers" in results[0].error
         # the rejected handshakes must not have wedged the worker
         good = FabricPool(tls_worker, tls_ca=CERT_A)
-        assert good.run([Task("t", f"{_HERE}:double_task",
+        assert good.run([Task("t", "double_task",
                               {"x": 2})])[0].value == {"value": 4}
 
     def test_plaintext_coordinator_rejected(self, tls_worker):
-        pool = FabricPool(tls_worker, connect_attempts=2,
-                          connect_backoff_s=0.02)
-        results = pool.run([Task("t", f"{_HERE}:double_task", {"x": 1})])
+        pool = FabricPool(tls_worker, connect_attempts=1)
+        results = pool.run([Task("t", "double_task", {"x": 1})])
         assert not results[0].ok
 
     def test_worker_requires_cert_and_key_together(self):

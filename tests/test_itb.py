@@ -168,10 +168,13 @@ class TestBalanceFirstAlternatives:
 
 
 class TestSpSelectionNeedsBalancing:
-    """The unbalanced rows of the ``sp-selection`` study: they need
-    ``balance_sp=False`` tables, which only ``build_itb_routes``
-    exposes, so they run here on live ``tables=`` objects (paper torus,
-    ITB-SP at 0.028, bench windows).  Over seeds 1-8 the balanced fill
+    """Which alternative SP pins, the one place ``sort_by_itbs``
+    matters: on ``balance_sp=False`` tables, which only
+    ``build_itb_routes`` exposes, so the fills run here on live
+    ``tables=`` objects (paper torus, ITB-SP at 0.028, bench windows).
+    On the default table the balancing pass runs after the sort and
+    already breaks its ties by in-transit count, so the sort changes
+    nothing SP sees.  Over seeds 1-8 the balanced fill
     accepts 0.0278-0.0281 unsaturated; enumeration order accepts
     0.0168-0.0199 and fewest-ITBs-first 0.0150-0.0183, both saturated
     on all eight; ITBs/message 0.47-0.52 / 0.20-0.29 / 0.07-0.12."""

@@ -173,12 +173,16 @@ class TestRoutingAfterFailure:
     def test_simulation_on_degraded_network(self, torus44):
         """Traffic still flows after a failure near the root."""
         lid = torus44.link_between(0, 1)
-        g2 = without_links(torus44, [lid])
-        cfg = SimConfig(topology="torus",    # name only labels the run
+        cfg = SimConfig(topology="mutated",
+                        topology_kwargs={
+                            "base": "torus",
+                            "base_kwargs": {"rows": 4, "cols": 4,
+                                            "hosts_per_switch": 2},
+                            "failed_links": [lid]},
                         routing="itb", policy="rr", traffic="uniform",
                         injection_rate=0.02,
                         warmup_ps=ns(30_000), measure_ps=ns(120_000))
-        s = run_simulation(cfg, graph=g2)
+        s = run_simulation(cfg)
         assert s.messages_delivered > 0
         assert not s.saturated
 

@@ -1,9 +1,10 @@
 """Orchestrator: worker pool fault tolerance, executor caching,
 campaign resume and parallel-vs-sequential determinism.
 
-The crash/timeout task functions live at module level so worker
-processes (forked children) can resolve them by ``module:callable``
-path exactly like the real simulation tasks.
+The crash/timeout task functions are registered as task kinds for the
+duration of this module (``task_kinds``), so worker processes (forked
+children, which inherit the registry) look them up by name exactly
+like the real simulation tasks.
 
 Fault tests that must hold for every process-backed slot kind are
 written once, in mixin classes, and run against two forked local
@@ -14,22 +15,21 @@ import multiprocessing as mp
 import os
 import random
 import signal
+import sys
 import time
 from collections import deque
 
 import pytest
 
+import repro.experiments.runner as runner_mod
 import repro.orchestrator.lease as lease_mod
-import repro.orchestrator.pool as pool_mod
 from repro.experiments.sweep import sweep_rates
 from repro.orchestrator import (CampaignError, Executor, FabricPool,
                                 FabricWorker, Point, ResultStore, Task,
                                 WorkerPool)
 from repro.orchestrator.lease import LeasePool, retry_delay_s
 from repro.units import ns
-from tests.conftest import small_config
-
-_HERE = "tests.test_orchestrator"
+from tests.conftest import small_config, task_kinds
 
 
 def double_task(payload):
@@ -83,10 +83,40 @@ def hang_once_task(payload):
     return {"attempt": 2}
 
 
+_kinds = task_kinds(double_task, boom_task, crash_task, crash_once_task,
+                    interrupt_once_task, sleep_task, hang_once_task)
+
+
+def plant_sentinel(tmp_path, monkeypatch):
+    """An importable module (for this process and every worker forked
+    from now on) whose import leaves a marker file behind; returns the
+    marker's path."""
+    marker = tmp_path / "imported"
+    (tmp_path / "sentinel_kind.py").write_text(
+        f"open({str(marker)!r}, 'w').close()\n"
+        "def run(payload):\n    return {}\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    return marker
+
+
+def check_unregistered_kinds_refused(pool, marker):
+    """A worker runs registered kinds only: whatever else a task names
+    -- an importable ``module:callable`` included -- is a clean error
+    listing what is registered, and nothing is imported for it."""
+    results = pool.run([Task("sys", "os:system", {}),
+                        Task("mod", "sentinel_kind:run", {})])
+    for res in results:
+        assert not res.ok and res.attempts == 1   # deterministic
+        assert "unknown task kind" in res.error
+        assert "point" in res.error.split("available:")[1]
+    assert not marker.exists()
+    assert "sentinel_kind" not in sys.modules
+
+
 class TestWorkerPoolInline:
     def test_runs_in_order(self):
         pool = WorkerPool(workers=1)
-        tasks = [Task(str(i), f"{_HERE}:double_task", {"x": i})
+        tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(5)]
         results = pool.run(tasks)
         assert [r.value["value"] for r in results] == [0, 2, 4, 6, 8]
@@ -94,14 +124,14 @@ class TestWorkerPoolInline:
 
     def test_exception_reported_not_raised(self):
         pool = WorkerPool(workers=1)
-        results = pool.run([Task("t", f"{_HERE}:boom_task", {})])
+        results = pool.run([Task("t", "boom_task", {})])
         assert not results[0].ok
         assert "ValueError: boom" in results[0].error
 
     def test_on_result_streams(self):
         seen = []
         pool = WorkerPool(workers=1)
-        pool.run([Task(str(i), f"{_HERE}:double_task", {"x": i})
+        pool.run([Task(str(i), "double_task", {"x": i})
                   for i in range(3)],
                  on_result=lambda r: seen.append(r.task_id))
         assert seen == ["0", "1", "2"]
@@ -109,14 +139,18 @@ class TestWorkerPoolInline:
     def test_keyboard_interrupt_reaches_the_caller(self, tmp_path):
         pool = WorkerPool(workers=1)
         with pytest.raises(KeyboardInterrupt):
-            pool.run([Task("t", f"{_HERE}:interrupt_once_task",
+            pool.run([Task("t", "interrupt_once_task",
                            {"flag": str(tmp_path / "flag")})])
 
     def test_duplicate_ids_rejected(self):
         pool = WorkerPool(workers=1)
         with pytest.raises(ValueError, match="unique"):
-            pool.run([Task("a", f"{_HERE}:double_task", {"x": 1}),
-                      Task("a", f"{_HERE}:double_task", {"x": 2})])
+            pool.run([Task("a", "double_task", {"x": 1}),
+                      Task("a", "double_task", {"x": 2})])
+
+    def test_unregistered_kind_is_an_error(self, tmp_path, monkeypatch):
+        marker = plant_sentinel(tmp_path, monkeypatch)
+        check_unregistered_kinds_refused(WorkerPool(workers=1), marker)
 
 
 class _LocalSlots:
@@ -159,15 +193,20 @@ class _SlotFaults:
 
     def test_clean_exception_not_retried(self, make_pool):
         pool = make_pool(retries=3)
-        results = pool.run([Task("t", f"{_HERE}:boom_task", {})])
+        results = pool.run([Task("t", "boom_task", {})])
         assert not results[0].ok
         assert results[0].attempts == 1
         assert "ValueError: boom" in results[0].error
 
+    def test_unregistered_kind_is_an_error(self, make_pool, tmp_path,
+                                           monkeypatch):
+        marker = plant_sentinel(tmp_path, monkeypatch)   # before the fork
+        check_unregistered_kinds_refused(make_pool(retries=3), marker)
+
     def test_crashed_worker_recovers_on_retry(self, make_pool, tmp_path):
         pool = make_pool(retries=1)
         flag = str(tmp_path / "flag")
-        results = pool.run([Task("t", f"{_HERE}:crash_once_task",
+        results = pool.run([Task("t", "crash_once_task",
                                  {"flag": flag})])
         assert results[0].ok
         assert results[0].value == {"recovered": True}
@@ -179,7 +218,7 @@ class _SlotFaults:
         any crash; it is not framed back as the point's own failure."""
         pool = make_pool(retries=1)
         flag = str(tmp_path / "flag")
-        results = pool.run([Task("t", f"{_HERE}:interrupt_once_task",
+        results = pool.run([Task("t", "interrupt_once_task",
                                  {"flag": flag})])
         assert results[0].ok and results[0].attempts == 2
 
@@ -190,7 +229,7 @@ class _SlotFaults:
         # the first result comes from the quick task, while the other
         # worker is still inside the long one
         seconds = [0.05, 1.0, 0.05, 0.05, 0.05, 0.05]
-        tasks = [Task(str(i), f"{_HERE}:sleep_task", {"seconds": sec})
+        tasks = [Task(str(i), "sleep_task", {"seconds": sec})
                  for i, sec in enumerate(seconds)]
         killed = []
 
@@ -207,8 +246,8 @@ class _SlotFaults:
 
     def test_duplicate_ids_rejected(self, make_pool):
         with pytest.raises(ValueError, match="unique"):
-            make_pool().run([Task("a", f"{_HERE}:double_task", {"x": 1}),
-                             Task("a", f"{_HERE}:double_task", {"x": 2})])
+            make_pool().run([Task("a", "double_task", {"x": 1}),
+                             Task("a", "double_task", {"x": 2})])
 
     def test_empty_run(self, make_pool):
         assert make_pool().run([]) == []
@@ -222,7 +261,7 @@ class _LeaseTimeout:
         pool = make_pool(timeout_s=0.5, retries=1)
         flag = str(tmp_path / "flag")
         t0 = time.monotonic()
-        results = pool.run([Task("t", f"{_HERE}:hang_once_task",
+        results = pool.run([Task("t", "hang_once_task",
                                  {"flag": flag})])
         assert time.monotonic() - t0 < 30
         assert results[0].ok
@@ -233,7 +272,7 @@ class _LeaseTimeout:
 class TestWorkerPoolParallel(_LocalSlots, _SlotFaults):
     def test_results_in_input_order(self):
         pool = WorkerPool(workers=3)
-        tasks = [Task(str(i), f"{_HERE}:double_task", {"x": i})
+        tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(7)]
         results = pool.run(tasks)
         assert [r.value["value"] for r in results] == \
@@ -241,16 +280,16 @@ class TestWorkerPoolParallel(_LocalSlots, _SlotFaults):
 
     def test_crashed_worker_retried_then_fails(self):
         pool = WorkerPool(workers=2, retries=1)
-        results = pool.run([Task("t", f"{_HERE}:crash_task", {})])
+        results = pool.run([Task("t", "crash_task", {})])
         assert not results[0].ok
         assert results[0].attempts == 2
         assert "exit code 5" in results[0].error
 
     def test_crash_does_not_poison_other_tasks(self, tmp_path):
         pool = WorkerPool(workers=2, retries=0)
-        tasks = [Task("ok1", f"{_HERE}:double_task", {"x": 1}),
-                 Task("bad", f"{_HERE}:crash_task", {}),
-                 Task("ok2", f"{_HERE}:double_task", {"x": 2})]
+        tasks = [Task("ok1", "double_task", {"x": 1}),
+                 Task("bad", "crash_task", {}),
+                 Task("ok2", "double_task", {"x": 2})]
         results = pool.run(tasks)
         assert results[0].ok and results[2].ok
         assert not results[1].ok
@@ -258,7 +297,7 @@ class TestWorkerPoolParallel(_LocalSlots, _SlotFaults):
     def test_hung_worker_times_out(self):
         pool = WorkerPool(workers=2, timeout_s=0.5, retries=0)
         t0 = time.monotonic()
-        results = pool.run([Task("t", f"{_HERE}:sleep_task",
+        results = pool.run([Task("t", "sleep_task",
                                  {"seconds": 60})])
         assert time.monotonic() - t0 < 30
         assert not results[0].ok
@@ -269,7 +308,7 @@ class TestWorkerPoolParallel(_LocalSlots, _SlotFaults):
         including one still busy when the run is abandoned."""
         before = set(mp.active_children())
         pool = WorkerPool(workers=2)
-        pool.run([Task(str(i), f"{_HERE}:double_task", {"x": i})
+        pool.run([Task(str(i), "double_task", {"x": i})
                   for i in range(4)])
         assert set(mp.active_children()) == before
 
@@ -277,8 +316,8 @@ class TestWorkerPoolParallel(_LocalSlots, _SlotFaults):
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            pool.run([Task("quick", f"{_HERE}:double_task", {"x": 1}),
-                      Task("busy", f"{_HERE}:sleep_task", {"seconds": 60})],
+            pool.run([Task("quick", "double_task", {"x": 1}),
+                      Task("busy", "sleep_task", {"seconds": 60})],
                      on_result=interrupt)
         assert set(mp.active_children()) == before
 
@@ -321,7 +360,7 @@ class TestStaleResultAttribution(_LocalSlots, _LeaseTimeout):
 
     def test_claim_accepts_matching_attempt(self):
         pool = _ScriptedPool([lambda tid, att: (tid, att)])
-        (res,) = pool.run([Task("t", "unused:fn")])
+        (res,) = pool.run([Task("t", "unused")])
         assert res.ok and res.attempts == 1
         assert pool.reopened == 0
 
@@ -330,14 +369,14 @@ class TestStaleResultAttribution(_LocalSlots, _LeaseTimeout):
         # abandoned: the session is dropped and the task leased again
         pool = _ScriptedPool([lambda tid, att: (tid, att - 1),
                               lambda tid, att: (tid, att)], retries=1)
-        (res,) = pool.run([Task("t", "unused:fn")])
+        (res,) = pool.run([Task("t", "unused")])
         assert res.ok and res.attempts == 2
         assert res.value == {"leases_left": 0}   # the retry's own answer
         assert pool.reopened == 1
 
     def test_claim_drops_unknown_task(self):
         pool = _ScriptedPool([lambda tid, att: ("ghost", att)], retries=0)
-        (res,) = pool.run([Task("t", "unused:fn")])
+        (res,) = pool.run([Task("t", "unused")])
         assert not res.ok and res.value is None
         assert "out of protocol" in res.error
 
@@ -371,7 +410,7 @@ class TestBackoffIdleSleep:
         pool = WorkerPool(workers=2, retries=1, retry_backoff_s=0.6,
                           retry_jitter=0.0)
         flag = str(tmp_path / "flag")
-        results = pool.run([Task("t", f"{_HERE}:crash_once_task",
+        results = pool.run([Task("t", "crash_once_task",
                                  {"flag": flag})])
         assert results[0].ok and results[0].attempts == 2
         # one wait spanning (most of) the 0.6 s backoff window
@@ -409,7 +448,7 @@ class TestRetryBackoff:
                           retry_jitter=0.0)
         flag = str(tmp_path / "flag")
         t0 = time.monotonic()
-        results = pool.run([Task("t", f"{_HERE}:crash_once_task",
+        results = pool.run([Task("t", "crash_once_task",
                                  {"flag": flag})])
         assert results[0].ok
         assert results[0].attempts == 2
@@ -421,9 +460,9 @@ class TestRetryBackoff:
         pool = WorkerPool(workers=2, retries=1, retry_backoff_s=1.0,
                           retry_jitter=0.0)
         flag = str(tmp_path / "flag")
-        tasks = [Task("crash", f"{_HERE}:crash_once_task",
+        tasks = [Task("crash", "crash_once_task",
                       {"flag": flag})] + \
-            [Task(f"ok{i}", f"{_HERE}:double_task", {"x": i})
+            [Task(f"ok{i}", "double_task", {"x": i})
              for i in range(4)]
         results = pool.run(tasks)
         assert all(r.ok for r in results)
@@ -435,17 +474,17 @@ class TestRetryBackoff:
 
 
 def _count_calls(monkeypatch):
-    """Wrap the pool's run_simulation with a call counter (only
+    """Wrap the point task's run_simulation with a call counter (only
     observable on the in-process path, which is exactly the point:
     cached campaigns must not reach it at all)."""
     calls = []
-    real = pool_mod.run_simulation
+    real = runner_mod.run_simulation
 
     def counting(config, **kwargs):
         calls.append(config)
         return real(config, **kwargs)
 
-    monkeypatch.setattr(pool_mod, "run_simulation", counting)
+    monkeypatch.setattr(runner_mod, "run_simulation", counting)
     return calls
 
 

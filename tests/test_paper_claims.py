@@ -30,7 +30,7 @@ def test_every_paper_artefact_and_study_carries_claims():
     kinds = {"latency-panel", "link-map", "hotspot-table", "point-table"}
     assert CLAIMED == [exp_id for exp_id, exp in EXPERIMENTS.items()
                        if exp.kind in kinds]
-    assert len(CLAIMED) == 23
+    assert len(CLAIMED) == 22
 
 
 @pytest.mark.parametrize("exp_id", CLAIMED)
@@ -52,7 +52,7 @@ def test_fig12_radius4_variant():
 
 
 def test_verdicts_are_given_from_the_bench_windows_up():
-    exp = EXPERIMENTS.get("sp-selection")
+    exp = EXPERIMENTS.get("route-cap")
     result = exp.fn(TEST)
     assert render_claims(exp, result, TEST) is None
     for profile in (BENCH, PAPER):

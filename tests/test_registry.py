@@ -1,13 +1,14 @@
-"""One contract for all seven name -> spec registries.
+"""One contract for all eight name -> spec registries.
 
 Every pluggable axis (topology, routing scheme, selection policy,
-traffic pattern, arrival process, engine, experiment) is a
+traffic pattern, arrival process, engine, experiment, task kind) is a
 :class:`repro.registry.Registry`, and everything that consumes names --
-``SimConfig.validate``, the CLI's ``choices=`` lists, listing verbs and
-``repro run`` -- only reads it.  So a throwaway entry registered at
-runtime must be visible everywhere with no other edit, and gone again
-after ``unregister``.  The expected shipped-name sets live here (CI
-iterates the registries without re-typing names).
+``SimConfig.validate``, the CLI's ``choices=`` lists, listing verbs,
+``repro run`` and the orchestrator's workers -- only reads it.  So a
+throwaway entry registered at runtime must be visible everywhere with
+no other edit, and gone again after ``unregister``.  The expected
+shipped-name sets live here (CI iterates the registries without
+re-typing names).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import pytest
 
 from repro.cli import _config_from, build_parser, main
 from repro.experiments.registry import EXPERIMENTS, Experiment
+from repro.orchestrator import CampaignError, Executor
+from repro.orchestrator.lease import TASKS
 from repro.registry import REQUIRED, Kwarg, Registry
 from repro.routing.policies import POLICIES, PolicySpec, SinglePathPolicy
 from repro.routing.schemes import SCHEMES, Scheme, build_updown_tables
@@ -59,16 +62,23 @@ def _tmp_ring(hosts_per_switch: int = 2):
     return build_torus(rows=1, cols=4, hosts_per_switch=hosts_per_switch)
 
 
+def _tmp_task(payload):
+    """Echoes its payload (throwaway registered by test_registry)."""
+    return {"echo": payload}
+
+
 @dataclass(frozen=True)
 class Axis:
     registry: Registry
     #: a fresh throwaway spec named ``NAME``
     make: Callable[[], Any]
     #: the ``SimConfig`` field / ``repro run`` flag naming this axis
-    #: (None: experiments are not part of a run description)
+    #: (None: experiments and task kinds are not part of a run
+    #: description)
     field: Optional[str]
-    #: CLI verb whose output lists the axis
-    listing: List[str]
+    #: CLI verb whose output lists the axis (None: task kinds are named
+    #: by code, never by a user)
+    listing: Optional[List[str]]
     #: text the listing must show for the throwaway entry
     shown: str
     shipped: FrozenSet[str]
@@ -130,8 +140,12 @@ AXES = {
                    "fig10b", "fig11", "fig12a", "fig12b", "fig12c",
                    "table1", "table2", "table3", "irregular", "mesh-dor",
                    "itb-overhead", "route-cap", "root-placement",
-                   "sp-selection", "msglen", "adaptive", "link-failure",
+                   "msglen", "adaptive", "link-failure",
                    "resilience", "recovery", "tournament", "adversary"})),
+    "task": Axis(
+        TASKS, lambda: _tmp_task, None, None, "",
+        frozenset({"point", "saturation-cell", "tournament-cell",
+                   "adversary-cell", "resilience-cell"})),
 }
 
 
@@ -155,8 +169,8 @@ class TestEveryRegistry:
         for name, spec in axis.registry.items():
             assert name in axis.registry
             assert axis.registry.get(name) is spec
-            text = (spec.__doc__ if axis.registry is ENGINES
-                    else spec.description)
+            # an engine's spec is its class, a task kind's its function
+            text = getattr(spec, "description", spec.__doc__)
             assert text and text.strip()
 
     def test_runtime_entry_is_visible_everywhere(self, axis, capsys):
@@ -171,10 +185,15 @@ class TestEveryRegistry:
             assert f"unknown {reg.kind} 'no-such-entry'" in str(err.value)
             assert NAME in str(err.value).split("available:")[1]
 
-            assert main(axis.listing) == 0
-            assert axis.shown in capsys.readouterr().out
+            if axis.listing is not None:
+                assert main(axis.listing) == 0
+                assert axis.shown in capsys.readouterr().out
 
-            if axis.field is None:
+            if reg is TASKS:
+                # task kinds: what a worker will run, by name
+                assert Executor().run_tasks(NAME, [{"x": 1}]) == \
+                    [{"echo": {"x": 1}}]
+            elif axis.field is None:
                 # experiments: runnable and rendered by id
                 assert main(["experiment", NAME, "--profile", "test",
                              "--no-cache"]) == 0
@@ -190,6 +209,9 @@ class TestEveryRegistry:
         finally:
             reg.unregister(NAME)
         assert NAME not in reg.names() and NAME not in reg
+        if reg is TASKS:
+            with pytest.raises(CampaignError, match="unknown task kind"):
+                Executor().run_tasks(NAME, [{"x": 1}])
         if axis.field is not None:
             assert NAME not in _run_choices(axis.field)
             with pytest.raises(ValueError, match=f"unknown {reg.kind}"):

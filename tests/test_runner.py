@@ -1,19 +1,19 @@
 """End-to-end runner integration on small networks."""
 
 import gc
+import inspect
 import weakref
 
 import pytest
 
-from repro.config import SimConfig
+from repro.config import RUN_OPTIONS, SimConfig
 from repro.experiments import runner
 from repro.experiments.runner import (_freeze_kwargs, _GRAPH_CACHE,
                                       _TABLE_CACHE, clear_caches,
                                       get_graph, get_tables,
-                                      run_simulation)
-from repro.topology import build_torus
+                                      run_point_task, run_simulation)
 from repro.units import ns
-from tests.conftest import small_config
+from tests.conftest import UNDECLARED_RUN_OPTIONS, small_config
 
 
 class TestRunSimulation:
@@ -224,16 +224,6 @@ class TestCaches:
         assert _freeze_kwargs({"rows": 4, "cols": 4}) == \
             (("cols", 4), ("rows", 4))
 
-    def test_graph_kwarg_bypasses_caches(self):
-        clear_caches()
-        g = build_torus(rows=4, cols=4, hosts_per_switch=2)
-        s = run_simulation(small_config(), graph=g)
-        assert s.messages_delivered > 0
-        # an injected graph has no registry name: neither it nor its
-        # derived tables may leak into the memo caches
-        assert not _GRAPH_CACHE
-        assert not _TABLE_CACHE
-
     def test_table_cache_distinguishes_root(self):
         key = ("torus", (("cols", 4), ("hosts_per_switch", 2), ("rows", 4)))
         g = get_graph("torus", {"rows": 4, "cols": 4,
@@ -243,11 +233,30 @@ class TestCaches:
         assert t0 is not t1
         assert get_tables(g, key, "itb", root=0) is t0
 
-    def test_table_cache_distinguishes_sort_by_itbs(self):
-        key = ("torus", (("cols", 4), ("hosts_per_switch", 2), ("rows", 4)))
-        g = get_graph("torus", {"rows": 4, "cols": 4,
-                                "hosts_per_switch": 2})
-        plain = get_tables(g, key, "itb", sort_by_itbs=False)
-        sorted_ = get_tables(g, key, "itb", sort_by_itbs=True)
-        assert plain is not sorted_
-        assert get_tables(g, key, "itb", sort_by_itbs=True) is sorted_
+
+class TestRunOptions:
+    """One declaration of what may travel with a config."""
+
+    IN_PROCESS_ONLY = ("tables", "perf", "profile_path")
+
+    def test_signature_is_config_plus_declared_options(self):
+        params = list(inspect.signature(run_simulation).parameters)
+        assert sorted(params) == sorted(
+            ("config",) + RUN_OPTIONS + self.IN_PROCESS_ONLY)
+
+    @pytest.mark.parametrize("option", UNDECLARED_RUN_OPTIONS)
+    def test_point_door_admits_declared_options_only(self, option,
+                                                     tmp_path):
+        """A payload that came off a socket reaches ``run_simulation``
+        through ``run_point_task`` alone, which checks it again."""
+        target = tmp_path / "out"
+        payload = {"config": small_config().to_dict(),
+                   "runner_kwargs": {option: str(target)}}
+        with pytest.raises(ValueError, match="not plain-data run options"):
+            run_point_task(payload)
+        assert not target.exists()
+
+    def test_point_door_runs_declared_options(self):
+        out = run_point_task({"config": small_config().to_dict(),
+                              "runner_kwargs": {"collect_links": True}})
+        assert out["link_utilization"] is not None

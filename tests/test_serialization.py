@@ -17,6 +17,7 @@ from repro.config import MyrinetParams, SimConfig
 from repro.experiments.runner import run_simulation
 from repro.metrics.summary import RunSummary
 from repro.orchestrator import Executor, Point, ResultStore
+from repro.orchestrator.pool import POINT_TASK_FN
 from repro.sim import FaultPlan, ReconfigParams, ReliableParams
 from repro.units import ns
 from tests.conftest import small_config
@@ -140,8 +141,7 @@ class TestFaultPlanThroughStore:
         executor = Executor(store=store)
         summary = executor.run_points([point])[0]
         assert executor.stats.simulated == 1
-        key = store.key("repro.orchestrator.pool:run_point_task",
-                        point.payload())
+        key = store.key(POINT_TASK_FN, point.payload())
         record = store.get(key)
         assert record is not None
         stored = FaultPlan.from_dict(
@@ -155,7 +155,7 @@ class TestFaultPlanThroughStore:
     def test_plan_distinguishes_cache_entries(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         cfg = small_config(measure_ps=ns(40_000))
-        fn = "repro.orchestrator.pool:run_point_task"
+        fn = POINT_TASK_FN
         with_plan = Point(point_id="a", config=cfg,
                           runner_kwargs={"fault_plan":
                                          self.PLAN.to_dict()})

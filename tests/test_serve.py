@@ -8,7 +8,7 @@ import pytest
 from repro.config import SimConfig
 from repro.orchestrator import ReproServer, ResultStore
 from repro.orchestrator.serve import points_from_spec
-from tests.conftest import small_config
+from tests.conftest import UNDECLARED_RUN_OPTIONS, small_config
 
 
 @pytest.fixture
@@ -53,7 +53,9 @@ class TestSpecs:
     def test_bad_specs_rejected(self):
         for bad in ([], {}, {"points": []}, {"points": [{"x": 1}]},
                     {"config": small_config().to_dict()},
-                    {"config": small_config().to_dict(), "rates": []}):
+                    {"config": small_config().to_dict(), "rates": []},
+                    {"config": small_config().to_dict(), "rates": [0.01],
+                     "runner_kwargs": ["collect_links"]}):
             with pytest.raises(ValueError):
                 points_from_spec(bad)
 
@@ -77,6 +79,38 @@ class TestEndpoints:
                                    {"bogus": True})
         assert status == 400
         assert "campaign spec" in body["error"]
+
+
+class TestRunOptionsAreDeclared:
+    """``runner_kwargs`` reach ``run_simulation(**kwargs)`` on whatever
+    machine simulates: only the declared plain-data options may, and a
+    spec naming anything else is refused whole, before it streams."""
+
+    @pytest.mark.parametrize("option", UNDECLARED_RUN_OPTIONS)
+    @pytest.mark.parametrize("shape", ["rates", "points"])
+    def test_undeclared_option_is_a_400(self, server, tmp_path, option,
+                                        shape):
+        target = tmp_path / "written-by-the-server"
+        cfg = small_config().to_dict()
+        kwargs = {option: str(target) if option == "profile_path" else 1}
+        spec = ({"config": cfg, "rates": [0.004], "runner_kwargs": kwargs}
+                if shape == "rates" else
+                {"points": [{"config": cfg},
+                            {"config": cfg, "runner_kwargs": kwargs}]})
+        status, lines = _request(server, "POST", "/campaign", spec)
+        assert status == 400
+        assert [set(line) for line in lines] == [{"error"}]   # no events
+        assert option in lines[0]["error"]
+        assert "collect_links" in lines[0]["error"]   # what is declared
+        assert not target.exists()
+        assert server.cache_info()["entries"] == 0    # nothing ran
+
+    def test_declared_options_run(self, server):
+        spec = {"config": small_config().to_dict(), "rates": [0.004],
+                "runner_kwargs": {"collect_links": True, "root": 1}}
+        status, lines = _request(server, "POST", "/campaign", spec)
+        assert status == 200 and lines[-1]["event"] == "done"
+        assert lines[-1]["results"][0]["link_utilization"] is not None
 
 
 class TestCampaignStreaming:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-import repro.orchestrator.pool as pool_mod
+import repro.experiments.runner as runner_mod
 from repro.config import SimConfig
 from repro.experiments import adversary, tables, tournament
 from repro.experiments.profiles import BENCH, PAPER, TEST, Profile
@@ -15,6 +15,7 @@ from repro.experiments.sweep import (cell_payload, search_saturation,
                                      sweep_rates)
 from repro.experiments.tables import pick_hotspots
 from repro.orchestrator import CampaignError, Executor
+from repro.perf import PerfRecorder
 from repro.resilience import campaign as resilience
 from repro.units import ns
 from tests.conftest import small_config
@@ -92,13 +93,20 @@ class TestSweep:
     def test_keyboard_interrupt_reaches_the_caller(self, monkeypatch):
         def interrupted(config, **kwargs):
             raise KeyboardInterrupt
-        monkeypatch.setattr(pool_mod, "run_simulation", interrupted)
+        monkeypatch.setattr(runner_mod, "run_simulation", interrupted)
         with pytest.raises(KeyboardInterrupt):
             sweep_rates(small_config(), [0.004])
 
-    def test_live_objects_are_refused(self, torus44):
-        with pytest.raises(ValueError, match="run_simulation"):
-            sweep_rates(small_config(), [0.004], graph=torus44)
+    def test_live_objects_are_refused(self, tmp_path):
+        """What holds a live object or touches the local machine goes
+        to run_simulation() directly, never through an executor."""
+        target = tmp_path / "profile.out"
+        for option, value in (("tables", object()),
+                              ("perf", PerfRecorder()),
+                              ("profile_path", str(target))):
+            with pytest.raises(ValueError, match="run_simulation"):
+                sweep_rates(small_config(), [0.004], **{option: value})
+        assert not target.exists()
 
 
 class TestCellPayload:
@@ -171,7 +179,7 @@ class TestRegistry:
                     "fig10b", "fig11", "fig12a", "fig12b", "fig12c",
                     "table1", "table2", "table3", "irregular", "mesh-dor",
                     "itb-overhead", "route-cap", "root-placement",
-                    "sp-selection", "msglen", "adaptive", "link-failure",
+                    "msglen", "adaptive", "link-failure",
                     "resilience", "recovery", "tournament", "adversary"}
         assert set(EXPERIMENTS) == expected
 
@@ -186,7 +194,7 @@ class TestRegistry:
             "latency-panel", "link-map", "hotspot-table", "point-table",
             "resilience-table", "recovery-table", "tournament-table",
             "stability-table"}
-        assert kinds.count("point-table") == 7
+        assert kinds.count("point-table") == 6
 
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
