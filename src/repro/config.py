@@ -263,6 +263,10 @@ class SimConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown SimConfig fields {sorted(unknown)}")
+        for name in ("topology_kwargs", "traffic_kwargs", "arrival_kwargs"):
+            if not isinstance(d.get(name, {}), Mapping):
+                raise ValueError(f"{name} must be a mapping, "
+                                 f"got {d[name]!r}")
         if params is not None:
             d["params"] = MyrinetParams.from_dict(params)
         return cls(**d)

@@ -24,6 +24,8 @@ from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 from ..config import PAPER_PARAMS, SimConfig
 from ..metrics.summary import RunSummary
 from ..orchestrator import Point
+from ..routing.schemes import ITB_RR, UPDOWN
+from ..topology.mutated import mutated_kwargs
 from .figures import Claim, ratio_claim
 from .profiles import Profile
 from .runner import get_graph
@@ -31,9 +33,6 @@ from .sweep import resolve_executor
 
 #: one row of a study: (label, run description, runner kwargs)
 Row = Tuple[str, SimConfig, Mapping[str, Any]]
-
-UPDOWN = ("updown", "sp", "UP/DOWN")
-ITB_RR = ("itb", "rr", "ITB-RR")
 
 
 @dataclass(frozen=True)
@@ -174,9 +173,8 @@ def link_failure(profile: Profile, executor=None) -> PointTable:
                            ("mid-link", (27, 28))):
         failed = ({} if ends is None else
                   {"topology": "mutated",
-                   "topology_kwargs": {
-                       "base": "torus",
-                       "failed_links": [g.link_between(*ends)]}})
+                   "topology_kwargs": mutated_kwargs(
+                       "torus", {}, [g.link_between(*ends)])})
         rows += [(f"{scenario} {label}",
                   _config(profile, routing, policy, rate, **failed), {})
                  for (routing, policy, label), rate in ((UPDOWN, 0.013),

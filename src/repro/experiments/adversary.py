@@ -12,11 +12,12 @@ phase-aligned volleys of ``b`` messages at long-run rate ``r``.
 The experiment, per routing scheme:
 
 1. find the saturation rate under the paper's constant-rate load model
-   (:func:`~repro.metrics.saturation.find_saturation`);
+   (one :func:`~repro.experiments.sweep.search_all` over the schemes);
 2. re-run at fixed fractions of the last stable rate with the
    adversarial arrival process, windows stretched to cover several
    full adversary cycles (one cycle = ``b`` mean intervals -- a window
-   shorter than that only ever sees the opening volley's transient);
+   shorter than that only ever sees the opening volley's transient):
+   one wave of ordinary simulation points;
 3. report the backlog growth over the measurement window and the
    stability verdict: **stable** iff the backlog stayed bounded
    (:attr:`~repro.metrics.summary.RunSummary.saturated` is False).
@@ -29,19 +30,15 @@ scheme's headroom figure is optimistic for bursty tenants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimConfig
-from ..orchestrator.lease import TASKS
-from ..routing.schemes import scheme_label
 from ..traffic.base import per_host_interval_ps
 from .profiles import Profile
-from .runner import get_graph, run_simulation
-from .sweep import cell_payload, resolve_executor, search_saturation
-
-#: task kind of :func:`adversary_cell_task`
-ADVERSARY_TASK_FN = "adversary-cell"
+from .runner import get_graph
+from .sweep import resolve_executor, search_all
 
 #: fractions of the last stable (constant-arrivals) rate probed under
 #: the adversary
@@ -103,67 +100,6 @@ class StabilityReport:
         }
 
 
-def _scheme_payload(routing: str, policy: str, topology: str,
-                    topology_kwargs: Dict[str, Any], profile: Profile,
-                    seed: int, burst: int, start_rate: float,
-                    fractions: Sequence[float]) -> dict:
-    """One scheme's search + probes (orchestrator task payload)."""
-    return cell_payload(
-        SimConfig(topology=topology,
-                  topology_kwargs=dict(topology_kwargs),
-                  routing=routing, policy=policy,
-                  warmup_ps=profile.sat_warmup_ps,
-                  measure_ps=profile.sat_measure_ps, seed=seed),
-        profile, start_rate, burst=burst, fractions=list(fractions))
-
-
-def adversary_cell_task(payload: dict) -> dict:
-    """Worker function: saturation search + adversarial probes.
-
-    The probe windows scale with the adversary cycle (``burst`` mean
-    inter-message intervals at the probe rate): the cycle grows as the
-    rate shrinks, so fixed profile windows would cover less and less
-    of the steady state at the low-load fractions.
-    """
-    base = SimConfig.from_dict(payload["base"])
-    burst = payload["burst"]
-    g = get_graph(base.topology, base.topology_kwargs)
-
-    sat = search_saturation(base, payload["search"])
-
-    probes = []
-    if sat.last_stable_rate == sat.last_stable_rate:  # not NaN
-        for fraction in payload["fractions"]:
-            rate = fraction * sat.last_stable_rate
-            cycle_ps = burst * per_host_interval_ps(
-                rate, base.message_bytes, g)
-            s = run_simulation(base.with_overrides(
-                injection_rate=rate, arrival="adversarial",
-                arrival_kwargs={"burst": burst},
-                warmup_ps=max(base.warmup_ps, WARMUP_CYCLES * cycle_ps),
-                measure_ps=max(base.measure_ps,
-                               MEASURE_CYCLES * cycle_ps)))
-            probes.append({
-                "fraction": fraction,
-                "rate": rate,
-                "accepted": s.accepted_flits_ns_switch,
-                "avg_latency_ns": s.avg_latency_ns,
-                "backlog_growth": s.backlog_growth,
-                "messages_generated": s.messages_generated,
-                "stable": not s.saturated,
-            })
-
-    return {
-        "throughput": sat.throughput,
-        "last_stable_rate": sat.last_stable_rate,
-        "converged": sat.converged,
-        "probes": probes,
-    }
-
-
-TASKS.register(adversary_cell_task, ADVERSARY_TASK_FN)
-
-
 def run_adversary_study(schemes: Sequence[Tuple[str, str]],
                         topology: str,
                         topology_kwargs: Dict[str, Any],
@@ -174,34 +110,56 @@ def run_adversary_study(schemes: Sequence[Tuple[str, str]],
                         start_rate: float = 0.005,
                         fractions: Sequence[float] = DEFAULT_FRACTIONS,
                         executor=None) -> StabilityReport:
-    """Run the study for every ``(routing, policy)`` pair given."""
-    payloads = [_scheme_payload(r, p, topology, topology_kwargs, profile,
-                                seed, burst, start_rate, fractions)
-                for r, p in schemes]
-    results = resolve_executor(executor).run_tasks(
-        ADVERSARY_TASK_FN, payloads,
-        labels=[f"adversary {scheme_label(r, p)} {topology_label}"
-                for r, p in schemes])
+    """Run the study for every ``(routing, policy)`` pair given.
 
-    saturation: Dict[str, float] = {}
-    stable_rate: Dict[str, float] = {}
-    cells: List[StabilityCell] = []
-    for (routing, policy), res in zip(schemes, results):
-        label = scheme_label(routing, policy)
-        saturation[label] = res["throughput"]
-        stable_rate[label] = res["last_stable_rate"]
-        for probe in res["probes"]:
-            cells.append(StabilityCell(
-                routing=routing, policy=policy, label=label,
-                fraction=probe["fraction"], rate=probe["rate"],
-                accepted=probe["accepted"],
-                avg_latency_ns=probe["avg_latency_ns"],
-                backlog_growth=probe["backlog_growth"],
-                messages_generated=probe["messages_generated"],
-                stable=probe["stable"]))
-    return StabilityReport(topology, topology_label, seed, burst,
-                           tuple(fractions), saturation, stable_rate,
-                           tuple(cells))
+    The probe windows scale with the adversary cycle (``burst`` mean
+    inter-message intervals at the probe rate): the cycle grows as the
+    rate shrinks, so fixed profile windows would cover less and less
+    of the steady state at the low-load fractions.
+    """
+    executor = resolve_executor(executor)
+    g = get_graph(topology, topology_kwargs)
+    bases = [SimConfig(topology=topology,
+                       topology_kwargs=dict(topology_kwargs),
+                       routing=routing, policy=policy,
+                       warmup_ps=profile.sat_warmup_ps,
+                       measure_ps=profile.sat_measure_ps, seed=seed)
+             for routing, policy in schemes]
+    searches = search_all(bases, profile, start_rate, executor)
+
+    probes: List[Tuple[SimConfig, float]] = []
+    for base, sat in zip(bases, searches):
+        if math.isnan(sat.last_stable_rate):
+            continue
+        for fraction in fractions:
+            rate = fraction * sat.last_stable_rate
+            cycle_ps = burst * per_host_interval_ps(
+                rate, base.message_bytes, g)
+            probes.append((base.with_overrides(
+                injection_rate=rate, arrival="adversarial",
+                arrival_kwargs={"burst": burst},
+                warmup_ps=max(base.warmup_ps, WARMUP_CYCLES * cycle_ps),
+                measure_ps=max(base.measure_ps,
+                               MEASURE_CYCLES * cycle_ps)), fraction))
+    runs = executor.run_configs([cfg for cfg, _ in probes])
+
+    cells = tuple(
+        StabilityCell(
+            routing=cfg.routing, policy=cfg.policy, label=cfg.label(),
+            fraction=fraction, rate=cfg.injection_rate,
+            accepted=s.accepted_flits_ns_switch,
+            avg_latency_ns=s.avg_latency_ns,
+            backlog_growth=s.backlog_growth,
+            messages_generated=s.messages_generated,
+            stable=not s.saturated)
+        for (cfg, fraction), s in zip(probes, runs))
+    labels = [base.label() for base in bases]
+    return StabilityReport(
+        topology, topology_label, seed, burst, tuple(fractions),
+        {label: sat.throughput for label, sat in zip(labels, searches)},
+        {label: sat.last_stable_rate
+         for label, sat in zip(labels, searches)},
+        cells)
 
 
 def render_stability_table(report: StabilityReport) -> str:

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..config import SimConfig
 from ..metrics.linkstats import LinkUtilization
 from ..metrics.summary import RunSummary
+from ..routing.schemes import ITB_RR, PAPER_SCHEMES, UPDOWN
 from .profiles import Profile
 from .runner import get_graph
 from .sweep import SweepResult, resolve_executor, sweep_rates
@@ -33,10 +34,6 @@ from .sweep import SweepResult, resolve_executor, sweep_rates
 #: one claim checked against a result: (statement quoting the measured
 #: values, whether it holds)
 Claim = Tuple[str, bool]
-
-#: the three configurations every latency panel compares
-ROUTINGS: Tuple[Tuple[str, str], ...] = (
-    ("updown", "sp"), ("itb", "sp"), ("itb", "rr"))
 
 
 @dataclass(frozen=True)
@@ -73,9 +70,10 @@ def _latency_panel(fig_id: str, title: str, topology: str, traffic: str,
                    seed: int = 1, thin: bool = True,
                    executor=None,
                    topology_kwargs: Optional[dict] = None,
-                   routings: Sequence[Tuple[str, str]] = ROUTINGS
+                   schemes: Sequence[Tuple[str, str, str]] = PAPER_SCHEMES
                    ) -> FigureResult:
-    """Sweep ``routings`` (the paper's three by default) over a rate grid.
+    """Sweep ``schemes`` -- ``(routing, policy, label)``, the paper's
+    three by default -- over a rate grid.
 
     ``thin=False`` keeps the full grid even under the bench profile --
     used where the panel's conclusion is a *ratio* of knees and grid
@@ -84,7 +82,7 @@ def _latency_panel(fig_id: str, title: str, topology: str, traffic: str,
     """
     series = []
     grid = profile.thin(list(rates)) if thin else list(rates)
-    for routing, policy in routings:
+    for routing, policy, _label in schemes:
         base = SimConfig(
             topology=topology, topology_kwargs=topology_kwargs or {},
             routing=routing, policy=policy,
@@ -303,7 +301,7 @@ def irregular(profile: Profile, executor=None) -> FigureResult:
         executor=executor,
         topology_kwargs={"num_switches": 32, "hosts_per_switch": 8,
                          "max_switch_links": 4, "seed": 11},
-        routings=(("updown", "sp"), ("itb", "rr")))
+        schemes=(UPDOWN, ITB_RR))
 
 
 def mesh_dor(profile: Profile, executor=None) -> FigureResult:
@@ -318,7 +316,7 @@ def mesh_dor(profile: Profile, executor=None) -> FigureResult:
         "mesh-dor", "Uniform traffic, 8x8 mesh", "mesh", "uniform",
         _RATES_MESH, profile, {}, thin=False, executor=executor,
         topology_kwargs={"rows": 8, "cols": 8, "hosts_per_switch": 8},
-        routings=(("updown", "sp"), ("itb", "rr"), ("dor", "sp")))
+        schemes=(UPDOWN, ITB_RR, ("dor", "sp", "DOR")))
 
 
 # -- the paper's claims about each figure -------------------------------------

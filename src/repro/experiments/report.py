@@ -9,7 +9,7 @@ root" vs "balanced" contrast directly visible in a terminal.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..config import SimConfig
 from .figures import FigureResult, LinkMapResult
@@ -111,15 +111,3 @@ def render_hotspot_table(tab: HotspotTable) -> str:
             f"{factors[(frac, 'ITB-RR')]:8.2f}")
     return "\n".join(lines)
 
-
-def render_throughput_summary(
-        results: Dict[str, Dict[str, float]],
-        paper: Dict[str, Dict[str, Optional[float]]]) -> str:
-    """Side-by-side measured vs paper throughput across experiments."""
-    lines = [f"{'experiment':12s} {'label':10s} {'measured':>9s} {'paper':>9s}"]
-    for exp_id, per_label in results.items():
-        for label, value in per_label.items():
-            p = paper.get(exp_id, {}).get(label)
-            p_s = f"{p:9.4f}" if p is not None else "      n/a"
-            lines.append(f"{exp_id:12s} {label:10s} {value:9.4f} {p_s}")
-    return "\n".join(lines)

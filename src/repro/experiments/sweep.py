@@ -1,22 +1,37 @@
-"""Latency-vs-traffic sweeps: the raw material of the paper's figures.
+"""Sweeps and saturation searches: what every figure, table and study
+is written in.
 
-A sweep runs one configuration at a list of offered rates and collects
-the ``(accepted traffic, average latency)`` series that the paper plots.
-Points past saturation are kept (flagged) -- the paper's curves also
-bend vertical there -- but their latency is window-dependent.
+A *sweep* (:func:`sweep_rates`) runs one configuration at a list of
+offered rates and collects the ``(accepted traffic, average latency)``
+series that the paper plots.  Points past saturation are kept
+(flagged) -- the paper's curves also bend vertical there -- but their
+latency is window-dependent.
+
+A *search* (:func:`search_all`) finds each configuration's saturation
+throughput (:func:`repro.metrics.saturation.find_saturation`).  It is
+adaptive -- every rate depends on the previous outcome -- so a whole
+search is one task of the executor, the ``saturation`` kind
+(:func:`saturation_task`), and the only unit of study work besides a
+simulation point: a study is searches plus points, and both are
+cached, resumable and fanned out the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..config import SimConfig
-from ..metrics.saturation import SaturationResult, find_saturation
+from ..config import SimConfig, check_run_options
+from ..metrics.saturation import (SaturationResult, find_saturation,
+                                  knee_throughput)
 from ..metrics.summary import RunSummary
-from ..orchestrator import Executor
+from ..orchestrator import Executor, Point
+from ..orchestrator.lease import TASKS
 from .profiles import Profile
 from .runner import run_simulation
+
+#: task kind of :func:`saturation_task`
+SATURATION_TASK_FN = "saturation"
 
 
 @dataclass(frozen=True)
@@ -39,19 +54,9 @@ class SweepResult:
         return [r.avg_latency_ns for r in self.runs]
 
     def throughput(self) -> float:
-        """Saturation throughput: the knee of the curve.
-
-        The highest accepted traffic among *non-saturated* points --
-        i.e. the load the network sustains while still tracking offered
-        traffic.  Past the knee, accepted traffic can keep creeping up
-        (flows that avoid the congested region still get through), but
-        latency is unbounded there, so the paper reads the knee.  When
-        every point saturated (the sweep started too high) the overall
-        maximum is returned as a fallback.
-        """
-        stable = [r.accepted_flits_ns_switch for r in self.runs
-                  if not r.saturated]
-        return max(stable) if stable else max(self.accepted)
+        """Saturation throughput: the knee of the curve
+        (:func:`~repro.metrics.saturation.knee_throughput`)."""
+        return knee_throughput(self.runs)
 
     def saturation_rate(self) -> Optional[float]:
         """Lowest offered rate at which the run saturated (None if the
@@ -66,35 +71,57 @@ def resolve_executor(executor):
     """The one place ``executor=None`` gets its meaning: a plain
     :class:`repro.orchestrator.Executor` -- the caller's own thread, no
     result store, no progress lines.  Every study runs its points and
-    cells through the executor this returns."""
+    searches through the executor this returns."""
     if executor is None:
         executor = Executor()
     return executor
 
 
-def cell_payload(base: SimConfig, profile: Profile, start_rate: float,
-                 **extras: Any) -> Dict[str, Any]:
-    """The one shape of a study cell's task payload.
+def saturation_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker function of the ``saturation`` task kind: one search.
 
-    ``base`` travels whole, so no :class:`SimConfig` field can be left
-    behind on the way to a worker; ``search`` holds the keyword
-    arguments of :func:`search_saturation`; ``extras`` are the study's
-    own JSON-safe values.
+    ``payload`` is a point's payload (``config``, the whole
+    :class:`SimConfig` with only its rate varied by the search, and
+    ``runner_kwargs``) plus ``search``, the keyword arguments of
+    :func:`~repro.metrics.saturation.find_saturation`; the result is
+    the ``SaturationResult`` dict, every probe run included.  The
+    payload may have come off a socket, so the options are checked
+    here again, as :func:`~.runner.run_point_task` does.
     """
-    return {"base": base.to_dict(),
-            "search": {"start_rate": start_rate,
-                       "growth": profile.sat_growth,
-                       "refine_steps": profile.sat_refine_steps},
-            **extras}
-
-
-def search_saturation(base: SimConfig, search: Mapping[str, Any],
-                      **runner_kwargs: Any) -> SaturationResult:
-    """Saturation search over ``base`` with only the rate varied."""
+    options = payload.get("runner_kwargs") or {}
+    check_run_options(options)
+    base = SimConfig.from_dict(payload["config"])
     return find_saturation(
         lambda rate: run_simulation(
-            base.with_overrides(injection_rate=rate), **runner_kwargs),
-        **search)
+            base.with_overrides(injection_rate=rate), **options),
+        **payload["search"]).to_dict()
+
+
+TASKS.register(saturation_task, SATURATION_TASK_FN)
+
+
+def search_all(bases: Sequence[SimConfig], profile: Profile,
+               start_rate: float, executor=None,
+               **run_options: Any) -> List[SaturationResult]:
+    """Saturation search over every config of ``bases``, in input order.
+
+    Each search ramps from ``start_rate`` with the profile's growth
+    factor and bisection depth; ``run_options`` (plain-data only,
+    :data:`repro.config.RUN_OPTIONS`) go to every probe run.  Searches
+    are independent of each other, so they are one batch of
+    ``saturation`` tasks of ``executor`` (``None``:
+    :func:`resolve_executor`'s plain one).
+    """
+    search = {"start_rate": start_rate, "growth": profile.sat_growth,
+              "refine_steps": profile.sat_refine_steps}
+    results = resolve_executor(executor).run_tasks(
+        SATURATION_TASK_FN,
+        [{**Point(str(i), base, run_options).payload(), "search": search}
+         for i, base in enumerate(bases)],
+        labels=[f"saturation {base.label()} "
+                f"({base.topology}/{base.workload_label()})"
+                for base in bases])
+    return [SaturationResult.from_dict(r) for r in results]
 
 
 def sweep_rates(base: SimConfig, rates: Sequence[float],

@@ -1,10 +1,11 @@
 """Regeneration of Tables 1--3: hotspot saturation throughput.
 
 Each table cell is the saturation throughput of one (routing, hotspot
-location, hotspot load) configuration, found by
-:func:`repro.metrics.saturation.find_saturation`.  Hotspot locations are
-"chosen randomly" in the paper (10 per topology); we draw them
-deterministically from a seed so the tables are reproducible.
+location, hotspot load) configuration; a table is one
+:func:`~repro.experiments.sweep.search_all` over its cells' configs.
+Hotspot locations are "chosen randomly" in the paper (10 per
+topology); we draw them deterministically from a seed so the tables
+are reproducible.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import SimConfig
-from ..orchestrator.lease import TASKS
-from .figures import ROUTINGS, Claim, bound_claim, ratio_claim
+from ..routing.schemes import PAPER_SCHEMES
+from .figures import Claim, bound_claim, ratio_claim
 from .profiles import Profile
 from .runner import get_graph
-from .sweep import cell_payload, resolve_executor, search_saturation
+from .sweep import search_all
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,10 @@ class HotspotTable:
         """Average row of the paper's tables: mean over locations."""
         out: Dict[Tuple[float, str], float] = {}
         for frac in self.fractions:
-            for _, policy_label in _labels():
-                vals = [self.throughput[(frac, loc, policy_label)]
+            for _, _, label in PAPER_SCHEMES:
+                vals = [self.throughput[(frac, loc, label)]
                         for loc in self.locations]
-                out[(frac, policy_label)] = sum(vals) / len(vals)
+                out[(frac, label)] = sum(vals) / len(vals)
         return out
 
     def improvement_factors(self) -> Dict[Tuple[float, str], float]:
@@ -56,12 +57,6 @@ class HotspotTable:
         return out
 
 
-def _labels() -> List[Tuple[Tuple[str, str], str]]:
-    from ..routing.schemes import scheme_label
-    return [((routing, policy), scheme_label(routing, policy))
-            for routing, policy in ROUTINGS]
-
-
 def pick_hotspots(topology: str, count: int, seed: int = 7,
                   topology_kwargs: Optional[dict] = None) -> List[int]:
     """Deterministically draw ``count`` distinct hotspot host ids."""
@@ -70,69 +65,29 @@ def pick_hotspots(topology: str, count: int, seed: int = 7,
     return sorted(rng.sample(range(g.num_hosts), count))
 
 
-def _cell_payload(topology: str, fraction: float, location: int,
-                  routing: str, policy: str, profile: Profile,
-                  start_rate: float, seed: int = 1) -> dict:
-    """One table cell's saturation search (orchestrator task payload)."""
-    return cell_payload(
-        SimConfig(topology=topology, routing=routing, policy=policy,
-                  traffic="hotspot",
-                  traffic_kwargs={"hotspot": location,
-                                  "fraction": fraction},
-                  warmup_ps=profile.sat_warmup_ps,
-                  measure_ps=profile.sat_measure_ps, seed=seed),
-        profile, start_rate)
-
-
-def saturation_cell_task(payload: dict) -> dict:
-    """Worker function: one cell's full saturation search.
-
-    A cell is internally sequential (the search is adaptive: each rate
-    depends on the previous outcome) but cells are independent of each
-    other, so the orchestrator dispatches one task per cell.  The
-    result is JSON-safe so it can live in the result store.
-    """
-    sat = search_saturation(SimConfig.from_dict(payload["base"]),
-                            payload["search"])
-    return {"throughput": sat.throughput,
-            "last_stable_rate": sat.last_stable_rate,
-            "first_saturated_rate": sat.first_saturated_rate,
-            "converged": sat.converged,
-            "runs": len(sat.runs)}
-
-
-#: task kind of :func:`saturation_cell_task`
-SATURATION_TASK_FN = "saturation-cell"
-TASKS.register(saturation_cell_task, SATURATION_TASK_FN)
-
-
 def _hotspot_table(table_id: str, title: str, topology: str,
                    fractions: Tuple[float, ...], profile: Profile,
                    start_rate: float, seed: int = 7,
                    executor=None) -> HotspotTable:
-    """Fill one table, cell by cell.
-
-    Every (fraction, location, routing) cell is an independent
-    saturation-search task of the executor -- fanned out across its
-    workers and checkpointed in its result store, when it has them.
-    """
+    """Fill one table: one saturation search per (fraction, location,
+    routing) cell."""
     locations = tuple(pick_hotspots(topology, profile.hotspot_locations,
                                     seed))
-    specs = [(frac, loc, label,
-              _cell_payload(topology, frac, loc, routing, policy,
-                            profile, start_rate))
+    cells = [(frac, loc, label,
+              SimConfig(topology=topology, routing=routing, policy=policy,
+                        traffic="hotspot",
+                        traffic_kwargs={"hotspot": loc, "fraction": frac},
+                        warmup_ps=profile.sat_warmup_ps,
+                        measure_ps=profile.sat_measure_ps))
              for frac in fractions
              for loc in locations
-             for (routing, policy), label in _labels()]
-    results = resolve_executor(executor).run_tasks(
-        SATURATION_TASK_FN, [p for _, _, _, p in specs],
-        labels=[f"{table_id} {label} hotspot={loc} @ {frac:.0%}"
-                for frac, loc, label, _ in specs])
-    cells: Dict[Tuple[float, int, str], float] = {
-        (frac, loc, label): r["throughput"]
-        for (frac, loc, label, _), r in zip(specs, results)}
-    return HotspotTable(table_id, title, topology, fractions, locations,
-                        cells)
+             for routing, policy, label in PAPER_SCHEMES]
+    searches = search_all([cfg for *_, cfg in cells], profile, start_rate,
+                          executor)
+    return HotspotTable(
+        table_id, title, topology, fractions, locations,
+        {(frac, loc, label): sat.throughput
+         for (frac, loc, label, _), sat in zip(cells, searches)})
 
 
 def table1(profile: Profile, executor=None) -> HotspotTable:

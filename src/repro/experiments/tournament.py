@@ -5,21 +5,22 @@ the comparison open-ended.  A *tournament* runs every requested
 ``(scheme, topology, traffic pattern)`` cell and reports, per cell:
 
 * **saturation throughput** -- the knee of the accepted-traffic curve
-  (:func:`repro.metrics.saturation.find_saturation`);
+  (one :func:`~repro.experiments.sweep.search_all` over every cell);
 * **knee offered load** -- the highest offered rate whose latency stays
   within 2x the zero-load latency (:func:`~repro.metrics.saturation
   .knee_from_runs` over the search's own probe runs, no extra sims);
 * **p99 latency** at a stable operating point (80 % of the last stable
-  rate), from a probe run that keeps per-message samples;
+  rate), from one wave of points that keep per-message samples;
 * optionally **retention**: degraded/healthy throughput after the
-  PR-4 failure sampler kills ``failures`` links (schemes that cannot
-  route the broken fabric -- grid-bound ones lose their geometry --
-  report no retention rather than a crash).
+  failure sampler kills ``failures`` links -- the degraded fabrics'
+  searches ride in the same ``search_all`` (schemes whose capability
+  declaration rejects the broken fabric -- grid-bound ones lose their
+  geometry -- report no retention).
 
 Cells where the scheme's capability declaration rejects the topology
 (e.g. dimension-order routing on an irregular network) are marked
-unsupported up front and never dispatched.  Supported cells are
-independent orchestrator tasks: parallel, checkpointed in the result
+unsupported up front and never dispatched.  Searches and points are
+independent executor tasks: parallel, checkpointed in the result
 store, restartable.
 """
 
@@ -31,15 +32,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimConfig
 from ..metrics.saturation import knee_from_runs
-from ..orchestrator.lease import TASKS
+from ..resilience.sampling import sample_failed_links
 from ..routing.schemes import available_schemes, get_scheme, scheme_label
+from ..topology.mutated import mutated_kwargs
 from ..traffic.registry import get_pattern_spec, parse_workload
 from .profiles import Profile
-from .runner import get_graph, run_simulation
-from .sweep import cell_payload, resolve_executor, search_saturation
-
-#: task kind of :func:`tournament_cell_task`
-TOURNAMENT_TASK_FN = "tournament-cell"
+from .runner import get_graph
+from .sweep import resolve_executor, search_all
 
 #: latency multiple (over zero-load) that defines the knee
 KNEE_THRESHOLD = 2.0
@@ -143,78 +142,6 @@ def default_entries(schemes: Optional[Sequence[str]] = None
     return tuple(entries)
 
 
-def _cell_payload(entry: SchemeEntry, topo: TopologySpec, pattern: str,
-                  profile: Profile, start_rate: float, seed: int,
-                  failed_links: Tuple[int, ...]) -> dict:
-    """One cell's searches and probe (orchestrator task payload).
-
-    ``pattern`` is a workload spec (``"uniform"``, ``"uniform+onoff"``);
-    kwargs come from the registry declarations' defaults, so the
-    tournament needs no per-pattern plumbing.
-    """
-    traffic, arrival = parse_workload(pattern)
-    return cell_payload(
-        SimConfig(topology=topo.name, topology_kwargs=dict(topo.kwargs),
-                  routing=entry.routing, policy=entry.policy,
-                  traffic=traffic, arrival=arrival,
-                  warmup_ps=profile.sat_warmup_ps,
-                  measure_ps=profile.sat_measure_ps, seed=seed),
-        profile, start_rate,
-        failed_links=list(failed_links), knee_threshold=KNEE_THRESHOLD)
-
-
-def tournament_cell_task(payload: dict) -> dict:
-    """Worker function: one cell's searches and probe.
-
-    JSON in, JSON out: the saturation search doubles as the knee sweep
-    (its probe runs *are* a latency-vs-load curve), then one extra run
-    at a stable rate collects per-message samples for the p99.
-    """
-    base = SimConfig.from_dict(payload["base"])
-    search = payload["search"]
-    sat = search_saturation(base, search)
-    knee = knee_from_runs(sat.runs, payload["knee_threshold"])
-
-    if math.isfinite(sat.last_stable_rate) and sat.last_stable_rate > 0:
-        probe_rate = 0.8 * sat.last_stable_rate
-    else:
-        probe_rate = search["start_rate"]
-    probe = run_simulation(base.with_overrides(injection_rate=probe_rate),
-                           collect_percentiles=True)
-
-    degraded_throughput = None
-    if payload["failed_links"]:
-        broken = base.with_overrides(
-            topology="mutated",
-            topology_kwargs={"base": base.topology,
-                             "base_kwargs": dict(base.topology_kwargs),
-                             "failed_links": list(payload["failed_links"])})
-        try:
-            degraded_throughput = search_saturation(broken,
-                                                    search).throughput
-        except ValueError:
-            # the scheme cannot route the broken fabric (grid-bound
-            # schemes lose their geometry when links die): report "no
-            # retention" rather than crashing the cell
-            degraded_throughput = None
-
-    return {
-        "throughput": sat.throughput,
-        "converged": sat.converged,
-        "runs": len(sat.runs),
-        "knee_offered": knee.offered if knee else None,
-        "knee_latency_ns": knee.latency if knee else None,
-        "knee_bracketed": knee.bracketed if knee else False,
-        "probe_rate": probe_rate,
-        "p99_latency_ns": probe.p99_latency_ns,
-        "avg_latency_ns": probe.avg_latency_ns,
-        "degraded_throughput": degraded_throughput,
-    }
-
-
-TASKS.register(tournament_cell_task, TOURNAMENT_TASK_FN)
-
-
 def run_tournament(entries: Sequence[SchemeEntry],
                    topologies: Sequence[TopologySpec],
                    patterns: Sequence[str],
@@ -225,77 +152,97 @@ def run_tournament(entries: Sequence[SchemeEntry],
                    executor=None) -> TournamentReport:
     """Run the full cross product and assemble the report.
 
-    Unsupported cells -- the scheme's capability declaration rejects
-    the topology, or the workload's destination pattern is not defined
-    on it (bit-reversal needs a power-of-two host count) -- are
-    recorded but never simulated.  ``failures`` > 0 additionally runs
-    every supported cell's saturation search on a fabric with that many
-    links killed (the PR-4 deterministic failure sampler, same seed).
+    ``patterns`` are workload specs (``"uniform"``, ``"uniform+onoff"``);
+    kwargs come from the registry declarations' defaults, so the
+    tournament needs no per-pattern plumbing.  Unsupported cells -- the
+    scheme's capability declaration rejects the topology, or the
+    workload's destination pattern is not defined on it (bit-reversal
+    needs a power-of-two host count) -- are recorded but never
+    simulated.  ``failures`` > 0 additionally runs every supported
+    cell's saturation search on a fabric with that many links killed
+    (the deterministic failure sampler, same seed), unless the scheme's
+    declaration rejects the broken fabric.
     """
-    from ..resilience.sampling import sample_failed_links
-
-    failure_sets: Dict[str, Tuple[int, ...]] = {}
-    supported: Dict[Tuple[str, str], bool] = {}
-    pattern_ok: Dict[Tuple[str, str], bool] = {}
+    executor = resolve_executor(executor)
+    #: per topology label: the healthy graph and, when links are killed,
+    #: the ``mutated`` kwargs that describe the degraded fabric
+    fabrics: Dict[str, Tuple[Any, Optional[Dict[str, Any]]]] = {}
     for topo in topologies:
         g = get_graph(topo.name, topo.kwargs)
-        failure_sets[topo.label] = (sample_failed_links(g, failures, seed)
-                                    if failures > 0 else ())
-        for e in entries:
-            supported[(e.routing, topo.label)] = \
-                get_scheme(e.routing).supports(g)
-        for pattern in patterns:
-            traffic, _ = parse_workload(pattern)
-            pattern_ok[(pattern, topo.label)] = \
-                get_pattern_spec(traffic).supports(g)
+        failed = (sample_failed_links(g, failures, seed)
+                  if failures > 0 else ())
+        fabrics[topo.label] = (g, mutated_kwargs(topo.name, topo.kwargs,
+                                                 failed) if failed else None)
 
-    specs: List[Tuple[SchemeEntry, TopologySpec, str, dict]] = []
+    specs: List[Tuple[SchemeEntry, TopologySpec, str, SimConfig]] = []
+    #: index into ``specs`` -> that cell's config on the degraded fabric
+    degraded: Dict[int, SimConfig] = {}
     for pattern in patterns:
+        traffic, arrival = parse_workload(pattern)
         for topo in topologies:
+            g, broken = fabrics[topo.label]
+            if not get_pattern_spec(traffic).supports(g):
+                continue
             for e in entries:
-                if not (supported[(e.routing, topo.label)]
-                        and pattern_ok[(pattern, topo.label)]):
+                scheme = get_scheme(e.routing)
+                if not scheme.supports(g):
                     continue
-                specs.append((e, topo, pattern, _cell_payload(
-                    e, topo, pattern, profile, start_rate, seed,
-                    failure_sets[topo.label])))
+                base = SimConfig(
+                    topology=topo.name, topology_kwargs=dict(topo.kwargs),
+                    routing=e.routing, policy=e.policy,
+                    traffic=traffic, arrival=arrival,
+                    warmup_ps=profile.sat_warmup_ps,
+                    measure_ps=profile.sat_measure_ps, seed=seed)
+                if broken and scheme.supports(get_graph("mutated", broken)):
+                    degraded[len(specs)] = base.with_overrides(
+                        topology="mutated", topology_kwargs=broken)
+                specs.append((e, topo, pattern, base))
 
-    results = resolve_executor(executor).run_tasks(
-        TOURNAMENT_TASK_FN, [p for *_, p in specs],
-        labels=[f"tournament {e.label} {t.label} {pat}"
-                for e, t, pat, _ in specs])
+    searches = search_all(
+        [base for *_, base in specs] + list(degraded.values()),
+        profile, start_rate, executor)
+    degraded_throughput = {
+        i: sat.throughput
+        for i, sat in zip(degraded, searches[len(specs):])}
+
+    probe_rates = [
+        0.8 * sat.last_stable_rate
+        if math.isfinite(sat.last_stable_rate) and sat.last_stable_rate > 0
+        else start_rate
+        for sat in searches[:len(specs)]]
+    probes = executor.run_configs(
+        [base.with_overrides(injection_rate=rate)
+         for (*_, base), rate in zip(specs, probe_rates)],
+        collect_percentiles=True)
 
     by_key: Dict[Tuple[str, str, str], TournamentCell] = {}
-    for (e, topo, pattern, _), r in zip(specs, results):
-        thr = r["throughput"]
-        deg = r["degraded_throughput"]
+    for i, (e, topo, pattern, _) in enumerate(specs):
+        sat, probe = searches[i], probes[i]
+        knee = knee_from_runs(sat.runs, KNEE_THRESHOLD)
+        thr = sat.throughput
+        deg = degraded_throughput.get(i)
         by_key[(e.label, topo.label, pattern)] = TournamentCell(
             routing=e.routing, policy=e.policy, label=e.label,
             topology=topo.label, pattern=pattern, supported=True,
-            throughput=thr, converged=r["converged"],
-            knee_offered=r["knee_offered"],
-            knee_latency_ns=r["knee_latency_ns"],
-            knee_bracketed=r["knee_bracketed"],
-            probe_rate=r["probe_rate"],
-            p99_latency_ns=r["p99_latency_ns"],
-            avg_latency_ns=r["avg_latency_ns"],
+            throughput=thr, converged=sat.converged,
+            knee_offered=knee.offered if knee else None,
+            knee_latency_ns=knee.latency if knee else None,
+            knee_bracketed=knee.bracketed if knee else False,
+            probe_rate=probe_rates[i],
+            p99_latency_ns=probe.p99_latency_ns,
+            avg_latency_ns=probe.avg_latency_ns,
             degraded_throughput=deg,
             retention=(deg / thr if deg is not None and thr > 0
                        else None))
 
-    cells = []
-    for pattern in patterns:
-        for topo in topologies:
-            for e in entries:
-                cell = by_key.get((e.label, topo.label, pattern))
-                if cell is None:
-                    cell = TournamentCell(
-                        routing=e.routing, policy=e.policy, label=e.label,
-                        topology=topo.label, pattern=pattern,
-                        supported=False)
-                cells.append(cell)
+    cells = tuple(
+        by_key.get((e.label, topo.label, pattern))
+        or TournamentCell(routing=e.routing, policy=e.policy, label=e.label,
+                          topology=topo.label, pattern=pattern,
+                          supported=False)
+        for pattern in patterns for topo in topologies for e in entries)
     return TournamentReport(tuple(entries), tuple(topologies),
-                            tuple(patterns), seed, failures, tuple(cells))
+                            tuple(patterns), seed, failures, cells)
 
 
 # -- rendering ---------------------------------------------------------------

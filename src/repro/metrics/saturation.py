@@ -21,7 +21,7 @@ exercise it with synthetic response curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from .summary import RunSummary
 
@@ -102,6 +102,22 @@ def knee_from_runs(runs: Sequence[RunSummary],
                         threshold)
 
 
+def knee_throughput(runs: Sequence[RunSummary]) -> float:
+    """Saturation throughput of a set of runs: the knee of the curve.
+
+    The highest accepted traffic among *non-saturated* points -- the
+    load the network sustains while still tracking offered traffic.
+    Past the knee, accepted traffic can keep creeping up (flows that
+    avoid the congested region still get through), but latency is
+    unbounded there, so the paper reads the knee.  When every run
+    saturated the overall maximum is returned as a fallback.
+    """
+    stable = [r.accepted_flits_ns_switch for r in runs if not r.saturated]
+    if stable:
+        return max(stable)
+    return max(r.accepted_flits_ns_switch for r in runs)
+
+
 @dataclass(frozen=True)
 class SaturationResult:
     """Outcome of a saturation search."""
@@ -122,6 +138,22 @@ class SaturationResult:
     #: ``max_rate``, or the downward ramp exhausted ``max_down_steps``
     #: with every probe saturated)
     converged: bool = True
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe form (the ``saturation`` task kind's result); the
+        ``inf`` / ``nan`` rates travel as Python's JSON spells them."""
+        return {"throughput": self.throughput,
+                "last_stable_rate": self.last_stable_rate,
+                "first_saturated_rate": self.first_saturated_rate,
+                "runs": [r.to_dict() for r in self.runs],
+                "converged": self.converged}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "SaturationResult":
+        """Inverse of :meth:`to_dict`."""
+        d = dict(data)
+        d["runs"] = [RunSummary.from_dict(r) for r in d["runs"]]
+        return cls(**d)
 
 
 def find_saturation(run_at: RunAt, start_rate: float,
@@ -164,8 +196,8 @@ def find_saturation(run_at: RunAt, start_rate: float,
             rate *= growth
             if rate > max_rate:
                 # never saturated within bounds: report what we saw
-                return SaturationResult(_knee(runs), lo, float("inf"),
-                                        runs, converged=False)
+                return SaturationResult(knee_throughput(runs), lo,
+                                        float("inf"), runs, converged=False)
 
     if lo == 0.0:
         # start_rate saturated on the first probe: no rate below it was
@@ -185,8 +217,8 @@ def find_saturation(run_at: RunAt, start_rate: float,
             # probe saturated: nothing stable was ever observed, so
             # there is no bracket to bisect.  Report that explicitly
             # instead of anchoring the bisection on the unmeasured 0.0.
-            return SaturationResult(_knee(runs), float("nan"), hi,
-                                    runs, converged=False)
+            return SaturationResult(knee_throughput(runs), float("nan"),
+                                    hi, runs, converged=False)
 
     for _ in range(refine_steps):
         mid = (lo + hi) / 2
@@ -196,13 +228,4 @@ def find_saturation(run_at: RunAt, start_rate: float,
         else:
             lo = mid
 
-    return SaturationResult(_knee(runs), lo, hi, runs)
-
-
-def _knee(runs: List[RunSummary]) -> float:
-    """Highest accepted traffic at a non-saturated operating point
-    (overall maximum as a fallback when everything saturated)."""
-    stable = [r.accepted_flits_ns_switch for r in runs if not r.saturated]
-    if stable:
-        return max(stable)
-    return max(r.accepted_flits_ns_switch for r in runs)
+    return SaturationResult(knee_throughput(runs), lo, hi, runs)

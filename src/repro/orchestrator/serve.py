@@ -31,8 +31,9 @@ Endpoints
          "runner_kwargs": {...}}
 
     ``runner_kwargs`` may name only the plain-data run options
-    (:data:`repro.config.RUN_OPTIONS`); a malformed spec, or one naming
-    anything else, is answered 400 before any point runs.
+    (:data:`repro.config.RUN_OPTIONS`); a malformed spec, one naming
+    anything else, or one whose config names nothing registered
+    (:meth:`SimConfig.validate`) is answered 400 before any point runs.
 
     The response is ``application/x-ndjson``: an ``accepted`` event,
     one ``point`` event per completed point (status ``cached`` /
@@ -61,7 +62,22 @@ MAX_SPEC_BYTES = 32 * 1024 * 1024
 
 
 def points_from_spec(spec: Dict[str, Any]) -> List[Point]:
-    """Validate and expand one campaign spec into simulation points."""
+    """Validate and expand one campaign spec into simulation points.
+
+    Whatever is wrong with the spec -- its shape, a value of the wrong
+    type, a name no registry holds -- is a :class:`ValueError`, raised
+    before any point exists to run.
+    """
+    try:
+        points = _expand_spec(spec)
+        for point in points:
+            point.config.validate()
+    except TypeError as exc:
+        raise ValueError(f"malformed campaign spec: {exc}") from exc
+    return points
+
+
+def _expand_spec(spec: Dict[str, Any]) -> List[Point]:
     if not isinstance(spec, dict):
         raise ValueError("campaign spec must be a JSON object")
     if "points" in spec:

@@ -9,9 +9,10 @@ the schemes degrade while running on a broken fabric:
   seed, keeping the switch graph connected;
 * :mod:`campaign` rebuilds routing (spanning tree, up*/down*
   orientation, routes, ITB tables) for every failure configuration via
-  the ``"mutated"`` topology builder, drives per-configuration
-  saturation searches through the orchestrator, and reduces them to
-  graceful-degradation metrics against the healthy baseline;
+  the ``"mutated"`` topology builder, runs per-configuration
+  saturation searches and link-statistics points through the
+  orchestrator, and reduces them to graceful-degradation metrics
+  against the healthy baseline;
 * :mod:`recovery` measures the transient: a cable dies under live
   traffic with reliable delivery on, comparing PR 4's static blacklist
   against online reconfiguration (time-to-recover, retransmission and
@@ -23,16 +24,13 @@ Dynamic mid-run faults (a cable dying under live traffic) live in
 (retransmission, ACKs, table hot-swap) in :mod:`repro.sim.reliable`.
 """
 
-from .campaign import (RESILIENCE_TASK_FN, ResilienceCell,
-                       ResilienceReport, resilience_cell_task,
-                       run_resilience)
+from .campaign import ResilienceCell, ResilienceReport, run_resilience
 from .recovery import (RecoveryCell, RecoveryReport, run_recovery,
                        torus_recovery)
 from .report import render_recovery_table, render_resilience_table
 from .sampling import sample_failed_links, sample_failed_switch
 
-__all__ = ["ResilienceCell", "ResilienceReport", "RESILIENCE_TASK_FN",
-           "resilience_cell_task", "run_resilience",
+__all__ = ["ResilienceCell", "ResilienceReport", "run_resilience",
            "RecoveryCell", "RecoveryReport", "run_recovery",
            "torus_recovery",
            "render_resilience_table", "render_recovery_table",

@@ -1,18 +1,21 @@
 """Graceful-degradation campaign: saturation vs injected failures.
 
 For every failure count ``k`` the campaign samples one deterministic
-link-failure set (:mod:`sampling`), rebuilds the complete routing
-stack on the broken fabric through the registered ``"mutated"``
-topology builder (spanning tree, up*/down* orientation, route
-alternatives, ITB tables -- exactly the recomputation a real
-reconfiguration would perform), and measures each scheme twice:
+link-failure set (:mod:`sampling`) and describes the broken fabric as
+the registered ``"mutated"`` topology, so wherever a run executes the
+complete routing stack is rebuilt on it (spanning tree, up*/down*
+orientation, route alternatives, ITB tables -- exactly the
+recomputation a real reconfiguration would perform).  Each
+``(k, scheme)`` cell is then:
 
-* a full saturation search (:func:`repro.metrics.saturation
-  .find_saturation`) for the degraded throughput;
-* one fixed-rate probe run with link statistics for the route-quality
-  and utilisation-concentration metrics.
+* one saturation search (:func:`repro.experiments.sweep.search_all`)
+  for the degraded throughput;
+* one fixed-rate point with link statistics for the in-transit count
+  and the utilisation concentration at the root;
+* the route-quality statistics of its tables, computed here, where the
+  report is assembled.
 
-Cells are independent, so each ``(k, scheme)`` cell is one task of the
+Searches and points are tasks of the
 :class:`repro.orchestrator.Executor` -- parallel, checkpointed in the
 result store, and restartable.
 """
@@ -26,24 +29,17 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..canon import freeze
 from ..config import SimConfig
 from ..experiments.profiles import Profile
-from ..experiments.runner import get_graph, get_tables, run_simulation
-from ..experiments.sweep import (cell_payload, resolve_executor,
-                                 search_saturation)
-from ..orchestrator.lease import TASKS
+from ..experiments.runner import get_graph, get_tables
+from ..experiments.sweep import resolve_executor, search_all
 from ..routing.analysis import route_statistics
-from ..routing.schemes import scheme_label
+from ..routing.schemes import ITB_RR, UPDOWN
+from ..topology.mutated import mutated_kwargs
 from ..traffic.defaults import DEFAULT_PATTERN
 from .sampling import sample_failed_links
 
 #: the two schemes the degradation table compares (the paper's main
-#: contenders: original up*/down* vs ITBs with round-robin selection);
-#: labels come from the scheme registry
-SCHEMES: Tuple[Tuple[str, str, str], ...] = tuple(
-    (routing, policy, scheme_label(routing, policy))
-    for routing, policy in (("updown", "sp"), ("itb", "rr")))
-
-#: task kind of :func:`resilience_cell_task`
-RESILIENCE_TASK_FN = "resilience-cell"
+#: contenders: original up*/down* vs ITBs with round-robin selection)
+SCHEMES: Tuple[Tuple[str, str, str], ...] = (UPDOWN, ITB_RR)
 
 
 @dataclass(frozen=True)
@@ -85,70 +81,6 @@ class ResilienceReport:
     cells: Tuple[ResilienceCell, ...]
 
 
-def _mutated_kwargs(topology: str, topology_kwargs: Dict[str, Any],
-                    failed_links: Tuple[int, ...]) -> Dict[str, Any]:
-    return {"base": topology, "base_kwargs": dict(topology_kwargs),
-            "failed_links": list(failed_links)}
-
-
-def _cell_payload(topology: str, topology_kwargs: Dict[str, Any],
-                  failed_links: Tuple[int, ...], routing: str,
-                  policy: str, profile: Profile, start_rate: float,
-                  probe_rate: float, seed: int, root: int) -> dict:
-    """One cell's search and probe (orchestrator task payload)."""
-    if failed_links:
-        topo = "mutated"
-        topo_kwargs = _mutated_kwargs(topology, topology_kwargs,
-                                      failed_links)
-    else:
-        topo, topo_kwargs = topology, dict(topology_kwargs)
-    return cell_payload(
-        SimConfig(topology=topo, topology_kwargs=topo_kwargs,
-                  routing=routing, policy=policy, traffic=DEFAULT_PATTERN,
-                  warmup_ps=profile.sat_warmup_ps,
-                  measure_ps=profile.sat_measure_ps, seed=seed),
-        profile, start_rate, probe_rate=probe_rate, root=root)
-
-
-def resilience_cell_task(payload: dict) -> dict:
-    """Worker function: one cell's saturation search plus probe run.
-
-    JSON in, JSON out, so cells flow through the worker pool and the
-    content-addressed result store like any other campaign point.
-    """
-    base = SimConfig.from_dict(payload["base"])
-    root = payload["root"]
-
-    sat = search_saturation(base, payload["search"], root=root)
-
-    probe = run_simulation(
-        base.with_overrides(injection_rate=payload["probe_rate"]),
-        collect_links=True, root=root)
-    links = probe.link_utilization
-    total = fsum(links.utilization)
-    at_root = fsum(
-        u for u, (a, b, _lid) in zip(links.utilization,
-                                     links.channel_ends)
-        if root in (a, b))
-
-    g = get_graph(base.topology, base.topology_kwargs)
-    tables = get_tables(g, (base.topology, freeze(base.topology_kwargs)),
-                        base.routing, root)
-    stats = route_statistics(g, tables)
-
-    return {
-        "throughput": sat.throughput,
-        "converged": sat.converged,
-        "runs": len(sat.runs),
-        "fraction_minimal": stats.fraction_minimal,
-        "avg_itbs_per_message": probe.avg_itbs_per_message or 0.0,
-        "root_concentration": at_root / total if total > 0 else 0.0,
-    }
-
-
-TASKS.register(resilience_cell_task, RESILIENCE_TASK_FN)
-
-
 def run_resilience(topology: str, profile: Profile, seed: int = 1,
                    ks: Tuple[int, ...] = (1, 2, 4),
                    topology_kwargs: Optional[Dict[str, Any]] = None,
@@ -167,43 +99,58 @@ def run_resilience(topology: str, profile: Profile, seed: int = 1,
     for k in ks:
         failure_sets[k] = sample_failed_links(g, k, seed)
 
-    all_ks = [0] + [k for k in ks if k != 0]
-    specs: List[Tuple[int, str, str, str, dict]] = []
-    for k in all_ks:
+    degraded_ks = tuple(k for k in ks if k != 0)
+    #: the healthy baseline's cells first, then (k, scheme) order
+    specs: List[Tuple[int, str, str, str, SimConfig]] = []
+    for k in (0, *degraded_ks):
         for routing, policy, label in SCHEMES:
-            specs.append((k, routing, policy, label, _cell_payload(
-                topology, topology_kwargs, failure_sets[k], routing,
-                policy, profile, start_rate, probe_rate, seed, root)))
+            base = SimConfig(
+                topology=topology, topology_kwargs=topology_kwargs,
+                routing=routing, policy=policy, traffic=DEFAULT_PATTERN,
+                warmup_ps=profile.sat_warmup_ps,
+                measure_ps=profile.sat_measure_ps, seed=seed)
+            if failure_sets[k]:
+                base = base.with_overrides(
+                    topology="mutated", topology_kwargs=mutated_kwargs(
+                        topology, topology_kwargs, failure_sets[k]))
+            specs.append((k, routing, policy, label, base))
 
-    results = resolve_executor(executor).run_tasks(
-        RESILIENCE_TASK_FN, [p for *_, p in specs],
-        labels=[f"resilience {label} k={k}"
-                for k, _, _, label, _ in specs])
+    executor = resolve_executor(executor)
+    bases = [base for *_, base in specs]
+    searches = search_all(bases, profile, start_rate, executor, root=root)
+    probes = executor.run_configs(
+        [base.with_overrides(injection_rate=probe_rate) for base in bases],
+        collect_links=True, root=root)
 
-    cells_by_key: Dict[Tuple[int, str], ResilienceCell] = {}
-    base_throughput: Dict[str, float] = {}
-    for (k, routing, policy, label, _), r in zip(specs, results):
-        if k == 0:
-            base_throughput[label] = r["throughput"]
-    for (k, routing, policy, label, _), r in zip(specs, results):
-        base = base_throughput[label]
-        cells_by_key[(k, label)] = ResilienceCell(
+    healthy = {label: sat.throughput
+               for (*_, label, _), sat in zip(specs[:len(SCHEMES)], searches)}
+    cells: List[ResilienceCell] = []
+    for (k, routing, policy, label, base), sat, probe in zip(
+            specs, searches, probes):
+        links = probe.link_utilization
+        total = fsum(links.utilization)
+        at_root = fsum(
+            u for u, (a, b, _lid) in zip(links.utilization,
+                                         links.channel_ends)
+            if root in (a, b))
+        fabric_g = get_graph(base.topology, base.topology_kwargs)
+        stats = route_statistics(fabric_g, get_tables(
+            fabric_g, (base.topology, freeze(base.topology_kwargs)),
+            routing, root))
+        cells.append(ResilienceCell(
             k=k, label=label, routing=routing, policy=policy,
             failed_links=failure_sets[k],
-            throughput=r["throughput"], converged=r["converged"],
-            retention=r["throughput"] / base if base > 0 else 0.0,
-            fraction_minimal=r["fraction_minimal"],
-            avg_itbs_per_message=r["avg_itbs_per_message"],
-            root_concentration=r["root_concentration"])
+            throughput=sat.throughput, converged=sat.converged,
+            retention=(sat.throughput / healthy[label]
+                       if healthy[label] > 0 else 0.0),
+            fraction_minimal=stats.fraction_minimal,
+            avg_itbs_per_message=probe.avg_itbs_per_message or 0.0,
+            root_concentration=at_root / total if total > 0 else 0.0))
 
-    baseline = {label: cells_by_key[(0, label)]
-                for _, _, label in SCHEMES}
-    cells = tuple(cells_by_key[(k, label)]
-                  for k in all_ks if k != 0
-                  for _, _, label in SCHEMES)
-    return ResilienceReport(topology, topology_kwargs, seed,
-                            tuple(k for k in all_ks if k != 0),
-                            baseline, cells)
+    return ResilienceReport(
+        topology, topology_kwargs, seed, degraded_ks,
+        {cell.label: cell for cell in cells[:len(SCHEMES)]},
+        tuple(cells[len(SCHEMES):]))
 
 
 def torus_resilience(profile: Profile, executor=None) -> ResilienceReport:

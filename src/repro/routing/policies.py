@@ -88,22 +88,15 @@ class RoundRobinPolicy(PathSelectionPolicy):
         self._next: Dict[Tuple[int, int], int] = {}
         self._staggered = staggered_start
 
-    def _start_index(self, src_host: int, dst_host: int) -> int:
-        if not self._staggered:
-            return 0
-        # deterministic integer mix (Python's hash() is salted per run)
-        x = src_host * 2654435761 ^ dst_host * 2246822519
-        x ^= x >> 13
-        return x & 0x7FFFFFFF
-
     def select_index(self, src_host: int, dst_host: int,
                      alternatives: Sequence[SourceRoute]) -> int:
         key = (src_host, dst_host)
         i = self._next.get(key)
         if i is None:
-            # first packet of the pair: _start_index inlined (this is
-            # the common case under uniform traffic -- most pairs send
-            # once -- and sits on every engine's admission hot path)
+            # first packet of the pair (the common case under uniform
+            # traffic -- most pairs send once -- on every engine's
+            # admission hot path): a deterministic integer mix, since
+            # Python's hash() is salted per run
             if self._staggered:
                 x = src_host * 2654435761 ^ dst_host * 2246822519
                 x ^= x >> 13

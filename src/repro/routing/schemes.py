@@ -260,3 +260,12 @@ register_scheme(Scheme(
     deadlock_free=True,
     multipath=True,
 ))
+
+#: the paper's contenders as ``(routing, policy, label)``: original
+#: up*/down*, and in-transit buffers under shortest-path and round-robin
+#: path selection.  Every figure, table and study that compares "the
+#: paper's schemes" reads these.
+UPDOWN, ITB_SP, ITB_RR = (
+    (routing, policy, scheme_label(routing, policy))
+    for routing, policy in (("updown", "sp"), ("itb", "sp"), ("itb", "rr")))
+PAPER_SCHEMES = (UPDOWN, ITB_SP, ITB_RR)

@@ -30,7 +30,6 @@ bare "no progress" message.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -180,8 +179,3 @@ def diagnose_stall(network: NetworkModel) -> dict:
              "held_by": edges[pid]}
             for pid in cycle]
     return diagnosis
-
-
-def render_diagnosis(diagnosis: dict) -> str:
-    """The diagnosis as pretty-printed JSON (what the CLI shows)."""
-    return json.dumps(diagnosis, indent=2, sort_keys=True)

@@ -133,11 +133,6 @@ class WormholeNetwork(NetworkModel):
         self.channels.append(ch)
         return ch
 
-    def net_channel(self, link_id: int, frm: int) -> Channel:
-        """The NET channel of cable ``link_id`` leaving switch ``frm``."""
-        link = self.graph.links[link_id]
-        return self._net[(link_id, 0 if frm == link.a else 1)]
-
     # -- NetworkModel contract ---------------------------------------------
 
     def _inject(self, pkt: Packet) -> None:

@@ -23,7 +23,7 @@ the old->new id maps for a given spec.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from .graph import NetworkGraph
 from .mutate import SwitchRemoval, without_links, without_switch_mapped
@@ -34,6 +34,14 @@ def _base_graph(base: str, base_kwargs: Optional[Dict[str, Any]]) -> NetworkGrap
     if base == "mutated":
         raise ValueError("mutated topologies cannot nest")
     return build(base, **(base_kwargs or {}))
+
+
+def mutated_kwargs(base: str, base_kwargs: Mapping[str, Any],
+                   failed_links: Iterable[int]) -> Dict[str, Any]:
+    """The ``topology_kwargs`` that describe ``base`` minus
+    ``failed_links`` to ``SimConfig(topology="mutated")``."""
+    return {"base": base, "base_kwargs": dict(base_kwargs),
+            "failed_links": list(failed_links)}
 
 
 def build_mutated(base: str,

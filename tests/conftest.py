@@ -12,6 +12,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.experiments.runner import clear_caches
+from repro.orchestrator import Executor
 from repro.orchestrator.lease import TASKS
 from repro.topology import (build_cplant, build_irregular, build_torus,
                             build_torus_express)
@@ -76,6 +77,22 @@ def task_kinds(*fns):
             TASKS.unregister(fn.__name__)
 
     return registered
+
+
+class RecordingExecutor(Executor):
+    """An executor that keeps every ``(kind, payload)`` it is handed,
+    in order: what a study sends across the worker boundary."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sent = []
+
+    def run_tasks(self, fn, payloads, labels=None):
+        self.sent += [(fn, payload) for payload in payloads]
+        return super().run_tasks(fn, payloads, labels)
+
+    def payloads(self, kind):
+        return [payload for fn, payload in self.sent if fn == kind]
 
 
 def small_config(**overrides) -> SimConfig:

@@ -7,10 +7,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.adversary import (adversary_cell_task,
-                                         render_stability_table,
+from repro.experiments.adversary import (render_stability_table,
+                                         run_adversary_study,
                                          torus_adversary)
 from repro.experiments.profiles import TEST
+from repro.orchestrator import Executor
 
 
 @pytest.fixture(scope="module")
@@ -55,13 +56,16 @@ class TestAdversaryStudy:
         assert blob["burst"] == report.burst
 
     def test_task_is_deterministic(self):
-        from repro.experiments.adversary import _scheme_payload
-        payload = _scheme_payload(
-            "itb", "rr", "torus",
-            {"rows": 3, "cols": 3, "hosts_per_switch": 2}, TEST,
-            seed=1, burst=4, start_rate=0.005, fractions=(0.5,))
-        assert json.dumps(adversary_cell_task(payload)) == \
-            json.dumps(adversary_cell_task(payload))
+        """The study's tasks -- one search, then the probe points its
+        outcome places -- give the same report inline and on workers."""
+        def study(executor):
+            return run_adversary_study(
+                (("itb", "rr"),), "torus",
+                {"rows": 3, "cols": 3, "hosts_per_switch": 2},
+                "torus 3x3", TEST, seed=1, burst=4, start_rate=0.005,
+                fractions=(0.5,), executor=executor)
+        assert json.dumps(study(Executor(workers=2)).to_dict()) == \
+            json.dumps(study(None).to_dict())
 
 
 class TestAdversaryCLI:

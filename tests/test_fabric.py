@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.experiments.sweep import sweep_rates
+from repro.experiments.sweep import SATURATION_TASK_FN, sweep_rates
 from repro.orchestrator import Executor, FabricPool, FabricWorker, ResultStore
 from repro.orchestrator.pool import POINT_TASK_FN, Task
 from repro.orchestrator.wire import (WIRE_FORMAT, FrameError, parse_addrs,
@@ -296,6 +296,18 @@ class TestRawTaskFrames:
         reply = self._send(addr, POINT_TASK_FN, {
             "config": small_config().to_dict(),
             "runner_kwargs": {option: str(target)}})
+        assert reply["status"] == "err"
+        assert "not plain-data run options" in reply["value"]
+        assert not target.exists()
+
+    def test_saturation_frame_with_undeclared_option(self, fleet, tmp_path):
+        """The other shipped kind has the same door."""
+        ((addr, _),) = fleet(1)
+        target = tmp_path / "profile.out"
+        reply = self._send(addr, SATURATION_TASK_FN, {
+            "config": small_config().to_dict(),
+            "runner_kwargs": {"profile_path": str(target)},
+            "search": {"start_rate": 0.3}})
         assert reply["status"] == "err"
         assert "not plain-data run options" in reply["value"]
         assert not target.exists()

@@ -144,8 +144,7 @@ AXES = {
                    "resilience", "recovery", "tournament", "adversary"})),
     "task": Axis(
         TASKS, lambda: _tmp_task, None, None, "",
-        frozenset({"point", "saturation-cell", "tournament-cell",
-                   "adversary-cell", "resilience-cell"})),
+        frozenset({"point", "saturation"})),
 }
 
 

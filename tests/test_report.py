@@ -6,8 +6,7 @@ import pytest
 from repro.config import SimConfig
 from repro.experiments.figures import FigureResult, LinkMapResult
 from repro.experiments.report import (render_figure, render_hotspot_table,
-                                      render_link_map,
-                                      render_throughput_summary)
+                                      render_link_map)
 from repro.experiments.sweep import SweepResult
 from repro.experiments.tables import HotspotTable
 from repro.metrics.linkstats import LinkUtilization
@@ -79,12 +78,3 @@ def test_render_hotspot_table():
     assert avg[(0.05, "UP/DOWN")] == pytest.approx(0.013)
     factors = tab.improvement_factors()
     assert factors[(0.05, "ITB-SP")] == pytest.approx(0.026 / 0.013)
-
-
-def test_render_throughput_summary():
-    text = render_throughput_summary(
-        {"fig7a": {"UP/DOWN": 0.016, "ITB-RR": 0.031}},
-        {"fig7a": {"UP/DOWN": 0.015, "ITB-RR": 0.032}})
-    assert "fig7a" in text
-    assert "0.0160" in text
-    assert "0.0150" in text

@@ -13,11 +13,11 @@ from repro.orchestrator import Executor
 from repro.resilience import (render_resilience_table, run_recovery,
                               run_resilience, sample_failed_links,
                               sample_failed_switch)
-from repro.resilience.campaign import _cell_payload, resilience_cell_task
 from repro.sim.faults import FaultPlan
 from repro.topology import build_torus
 from repro.topology.mutate import without_links
 from repro.topology.validate import check_topology
+from tests.conftest import RecordingExecutor
 
 
 @pytest.fixture(scope="module")
@@ -58,34 +58,51 @@ class TestSampling:
 
 
 class TestCellTask:
-    def test_payload_is_json_safe(self):
-        payload = _cell_payload("torus", {"rows": 3, "cols": 3,
-                                          "hosts_per_switch": 2},
-                                (1, 5), "itb", "rr", TEST,
-                                start_rate=0.005, probe_rate=0.01,
-                                seed=1, root=0)
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["base"]["topology"] == "mutated"
+    """What a ``(k, scheme)`` cell sends the executor -- one search and
+    one link-statistics point -- and what comes back."""
 
-    def test_healthy_payload_uses_base_topology(self):
-        payload = _cell_payload("torus", {"rows": 3, "cols": 3},
-                                (), "updown", "sp", TEST,
-                                start_rate=0.005, probe_rate=0.01,
-                                seed=1, root=0)
-        assert payload["base"]["topology"] == "torus"
+    @pytest.fixture(scope="class")
+    def study(self):
+        executor = RecordingExecutor()
+        report = run_resilience(
+            "torus", TEST, seed=1, ks=(1,),
+            topology_kwargs={"rows": 3, "cols": 3, "hosts_per_switch": 2},
+            start_rate=0.01, probe_rate=0.01, root=2, executor=executor)
+        return executor, report
 
-    def test_task_result_shape(self):
-        payload = _cell_payload("torus", {"rows": 3, "cols": 3,
-                                          "hosts_per_switch": 2},
-                                (2,), "itb", "rr", TEST,
-                                start_rate=0.01, probe_rate=0.01,
-                                seed=1, root=0)
-        res = resilience_cell_task(payload)
-        assert json.loads(json.dumps(res)) == res
-        assert res["throughput"] > 0
-        assert 0.0 <= res["fraction_minimal"] <= 1.0
-        assert 0.0 <= res["root_concentration"] <= 1.0
-        assert res["runs"] >= 2
+    def test_payload_is_json_safe(self, study):
+        executor, report = study
+        for kind, options in (("saturation", {"root": 2}),
+                              ("point", {"collect_links": True,
+                                         "root": 2})):
+            payloads = executor.payloads(kind)
+            assert len(payloads) == 4        # k in (0, 1) x two schemes
+            for payload in payloads:
+                assert json.loads(json.dumps(payload)) == payload
+                assert payload["runner_kwargs"] == options
+            degraded = payloads[2:]
+            assert {p["config"]["topology"] for p in degraded} == \
+                {"mutated"}
+            assert {tuple(p["config"]["topology_kwargs"]["failed_links"])
+                    for p in degraded} == {report.cells[0].failed_links}
+
+    def test_healthy_payload_uses_base_topology(self, study):
+        executor, _ = study
+        for payload in executor.payloads("saturation")[:2]:
+            assert payload["config"]["topology"] == "torus"
+            assert payload["config"]["topology_kwargs"] == \
+                {"rows": 3, "cols": 3, "hosts_per_switch": 2}
+
+    def test_task_result_shape(self, study):
+        _, report = study
+        for cell in (*report.baseline.values(), *report.cells):
+            assert cell.throughput > 0
+            assert 0.0 <= cell.fraction_minimal <= 1.0
+            assert 0.0 < cell.root_concentration <= 1.0
+            assert cell.avg_itbs_per_message >= 0.0
+        # UP/DOWN never uses an in-transit buffer; ITB routes are minimal
+        assert report.baseline["UP/DOWN"].avg_itbs_per_message == 0.0
+        assert report.baseline["ITB-RR"].fraction_minimal == 1.0
 
 
 class TestCampaign:

@@ -113,6 +113,30 @@ class TestRunOptionsAreDeclared:
         assert lines[-1]["results"][0]["link_utilization"] is not None
 
 
+class TestMalformedSpecs:
+    """A spec that could only fail inside the run -- a value of the
+    wrong type, a name no registry holds -- is refused whole: 400, no
+    ``accepted`` event, and the server serves the next request."""
+
+    @pytest.mark.parametrize("spec", [
+        {"config": 5, "rates": [0.1]},
+        {"config": {}, "rates": [None]},
+        {"points": [{"config": {"params": 3}}]},
+        {"config": {"routing": "nope"}, "rates": [0.1]},
+        {"config": {"topology_kwargs": 3}, "rates": [0.1]},
+    ], ids=["config-not-an-object", "null-rate", "params-not-an-object",
+            "unregistered-scheme", "kwargs-not-an-object"])
+    def test_is_a_400_and_the_server_lives(self, server, spec):
+        status, lines = _request(server, "POST", "/campaign", spec)
+        assert status == 400
+        assert [set(line) for line in lines] == [{"error"}]   # no events
+        assert server.cache_info()["entries"] == 0    # nothing ran
+        status, lines = _request(
+            server, "POST", "/campaign",
+            {"config": small_config().to_dict(), "rates": [0.004]})
+        assert status == 200 and lines[-1]["event"] == "done"
+
+
 class TestCampaignStreaming:
     SPEC = {"rates": [0.004, 0.008]}
 
@@ -177,7 +201,11 @@ class TestCampaignStreaming:
         assert third[-1]["results"] == done_a["results"]
 
     def test_failing_point_streams_error_event(self, server):
-        spec = {"config": small_config().to_dict(), "rates": [-1.0]}
+        # a valid spec whose point fails in the run: bit-reversal is
+        # not defined on the 18 hosts of a 3x3 torus
+        cfg = small_config(traffic="bit-reversal", topology_kwargs={
+            "rows": 3, "cols": 3, "hosts_per_switch": 2})
+        spec = {"config": cfg.to_dict(), "rates": [0.004]}
         status, lines = _request(server, "POST", "/campaign", spec)
         assert status == 200      # failure arrives in-stream
         assert lines[-1]["event"] == "error"

@@ -2,23 +2,27 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 import repro.experiments.runner as runner_mod
-from repro.config import SimConfig
+from repro.config import PAPER_PARAMS, SimConfig
 from repro.experiments import adversary, tables, tournament
 from repro.experiments.profiles import BENCH, PAPER, TEST, Profile
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.runner import run_simulation
-from repro.experiments.sweep import (cell_payload, search_saturation,
-                                     sweep_rates)
+from repro.experiments.sweep import (SATURATION_TASK_FN, saturation_task,
+                                     search_all, sweep_rates)
 from repro.experiments.tables import pick_hotspots
-from repro.orchestrator import CampaignError, Executor
+from repro.metrics.saturation import SaturationResult, find_saturation
+from repro.orchestrator import CampaignError, Executor, ResultStore
+from repro.orchestrator.pool import POINT_TASK_FN
 from repro.perf import PerfRecorder
 from repro.resilience import campaign as resilience
 from repro.units import ns
-from tests.conftest import small_config
+from tests.conftest import RecordingExecutor, small_config
+from tests.test_metrics import synthetic_run_at
 
 T33 = {"rows": 3, "cols": 3, "hosts_per_switch": 2}
 
@@ -109,50 +113,117 @@ class TestSweep:
         assert not target.exists()
 
 
+TORUS33 = tournament.TopologySpec("torus", T33, "torus 3x3")
+
+#: each study at its smallest: a 3x3 torus, or Table 3 (three cells)
+STUDIES = {
+    "tables": lambda ex: tables.table3(TEST, executor=ex),
+    "tournament": lambda ex: tournament.run_tournament(
+        tournament.default_entries(["itb"]), (TORUS33,),
+        ("uniform+onoff",), TEST, failures=1, executor=ex),
+    "adversary": lambda ex: adversary.run_adversary_study(
+        (("itb", "rr"),), "torus", T33, "torus 3x3", TEST, burst=4,
+        fractions=(0.5,), executor=ex),
+    "resilience": lambda ex: resilience.run_resilience(
+        "torus", TEST, ks=(1,), topology_kwargs=T33, start_rate=0.01,
+        executor=ex),
+}
+
+
 class TestCellPayload:
-    """Every study cell ships its whole ``SimConfig``."""
+    """Every study cell ships its whole ``SimConfig``, whichever of the
+    two task kinds carries it."""
 
-    PAYLOADS = {
-        "tables": lambda: tables._cell_payload(
-            "torus", 0.05, 3, "itb", "rr", TEST, start_rate=0.006),
-        "tournament": lambda: tournament._cell_payload(
-            tournament.default_entries(["itb"])[0],
-            tournament.TopologySpec("torus", T33, "torus 3x3"),
-            "uniform+onoff", TEST, start_rate=0.005, seed=1,
-            failed_links=(2,)),
-        "adversary": lambda: adversary._scheme_payload(
-            "itb", "rr", "torus", T33, TEST, seed=1, burst=4,
-            start_rate=0.005, fractions=(0.5,)),
-        "resilience": lambda: resilience._cell_payload(
-            "torus", T33, (1, 5), "itb", "rr", TEST, start_rate=0.005,
-            probe_rate=0.01, seed=1, root=0),
-    }
-
-    @pytest.mark.parametrize("study", sorted(PAYLOADS))
+    @pytest.mark.parametrize("study", sorted(STUDIES))
     def test_base_is_a_whole_simconfig(self, study):
-        payload = self.PAYLOADS[study]()
-        assert json.loads(json.dumps(payload)) == payload
-        base = SimConfig.from_dict(payload["base"])
-        base.validate()
-        assert payload["base"] == base.to_dict()
-        assert set(payload["base"]) == \
-            {f.name for f in dataclasses.fields(SimConfig)}
-        assert base.measure_ps == TEST.sat_measure_ps
-        assert set(payload["search"]) == \
-            {"start_rate", "growth", "refine_steps"}
+        executor = RecordingExecutor()
+        STUDIES[study](executor)
+        assert {fn for fn, _ in executor.sent} <= \
+            {POINT_TASK_FN, SATURATION_TASK_FN}
+        assert executor.payloads(SATURATION_TASK_FN)
+        for fn, payload in executor.sent:
+            assert json.loads(json.dumps(payload)) == payload
+            base = SimConfig.from_dict(payload["config"])
+            base.validate()
+            assert payload["config"] == base.to_dict()
+            assert set(payload["config"]) == \
+                {f.name for f in dataclasses.fields(SimConfig)}
+            if fn == SATURATION_TASK_FN:
+                assert base.measure_ps == TEST.sat_measure_ps
+                assert set(payload["search"]) == \
+                    {"start_rate", "growth", "refine_steps"}
 
-    def test_search_runs_the_config_it_was_given(self):
-        """engine / message_bytes / params are no longer dropped on
-        the way into a cell."""
-        cfg = small_config(engine="array", message_bytes=256,
-                           warmup_ps=ns(10_000), measure_ps=ns(40_000))
-        payload = cell_payload(cfg, TEST, 0.3, extra=1)
-        assert payload["base"] == cfg.to_dict() and payload["extra"] == 1
-        sat = search_saturation(SimConfig.from_dict(payload["base"]),
-                                payload["search"])
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_rerun_simulates_nothing(self, study, tmp_path):
+        """Every simulation a study runs is an executor task: a second
+        run against the same store is all cache hits, same report."""
+        first = Executor(store=ResultStore(tmp_path))
+        report = STUDIES[study](first)
+        assert first.stats.simulated > 0 and first.stats.cached == 0
+        second = Executor(store=ResultStore(tmp_path))
+        assert STUDIES[study](second) == report
+        assert second.stats.simulated == 0
+        assert second.stats.cached == first.stats.simulated
+
+
+class TestSaturationTask:
+    """The ``saturation`` kind: a point's payload plus a search in, one
+    ``SaturationResult`` dict out."""
+
+    CFG = small_config(
+        engine="array", message_bytes=256,
+        params=PAPER_PARAMS.with_overrides(max_routes_per_pair=4),
+        warmup_ps=ns(10_000), measure_ps=ns(40_000))
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        executor = RecordingExecutor()
+        search_all([self.CFG], TEST, 0.3, executor=executor, root=1)
+        (payload,) = executor.payloads(SATURATION_TASK_FN)
+        return json.loads(json.dumps(payload))
+
+    def test_payload_is_a_points_plus_a_search(self, payload):
+        assert payload == {
+            "config": self.CFG.to_dict(), "runner_kwargs": {"root": 1},
+            "search": {"start_rate": 0.3, "growth": TEST.sat_growth,
+                       "refine_steps": TEST.sat_refine_steps}}
+        assert set(payload["config"]) == \
+            {f.name for f in dataclasses.fields(SimConfig)}
+
+    def test_every_probe_runs_the_config_it_was_given(self, payload):
+        """engine / message_bytes / params reach every probe run."""
+        sat = SaturationResult.from_dict(saturation_task(payload))
+        assert len(sat.runs) >= 2
         for run in sat.runs:
-            assert run.config == cfg.with_overrides(
+            assert run.config == self.CFG.with_overrides(
                 injection_rate=run.config.injection_rate)
+
+    def test_two_calls_give_equal_json(self, payload):
+        assert json.dumps(saturation_task(payload)) == \
+            json.dumps(saturation_task(payload))
+
+    @pytest.mark.parametrize("capacity, kwargs", [
+        (0.03, {}),
+        (1e9, {"max_rate": 0.1}),         # first_saturated_rate = inf
+        (1e-9, {"max_down_steps": 4}),    # last_stable_rate = nan
+    ], ids=["bracketed", "never-saturates", "never-stable"])
+    def test_result_round_trip_is_exact(self, capacity, kwargs):
+        sat = find_saturation(synthetic_run_at(capacity), 0.005, **kwargs)
+        back = SaturationResult.from_dict(
+            json.loads(json.dumps(sat.to_dict())))
+        assert back.runs == sat.runs and back.converged is sat.converged
+        assert back.throughput == sat.throughput
+        assert back.first_saturated_rate == sat.first_saturated_rate
+        assert back.last_stable_rate == sat.last_stable_rate or (
+            math.isnan(back.last_stable_rate)
+            and math.isnan(sat.last_stable_rate))
+        assert json.dumps(back.to_dict()) == json.dumps(sat.to_dict())
+
+    def test_live_objects_are_refused(self, tmp_path):
+        target = tmp_path / "profile.out"
+        with pytest.raises(ValueError, match="run_simulation"):
+            search_all([self.CFG], TEST, 0.3, profile_path=str(target))
+        assert not target.exists()
 
 
 class TestProfiles:

@@ -10,8 +10,10 @@ from repro.cli import main
 from repro.experiments.profiles import TEST
 from repro.experiments.tournament import (TopologySpec, default_entries,
                                           render_tournament,
-                                          run_tournament,
-                                          tournament_cell_task)
+                                          run_tournament)
+from repro.orchestrator import CampaignError, Executor
+from repro.routing.schemes import (Scheme, build_updown_tables,
+                                   register_scheme, unregister_scheme)
 
 TORUS33 = TopologySpec("torus", {"rows": 3, "cols": 3,
                                  "hosts_per_switch": 2}, "torus 3x3")
@@ -89,13 +91,54 @@ class TestRunTournament:
                            ("uniform+weibull",), TEST)
 
     def test_cell_task_is_deterministic(self):
-        entry = default_entries(["updown"])[0]
-        from repro.experiments.tournament import _cell_payload
-        payload = _cell_payload(entry, TORUS33, "uniform", TEST,
-                                start_rate=0.005, seed=1,
-                                failed_links=())
-        assert json.dumps(tournament_cell_task(payload)) == \
-            json.dumps(tournament_cell_task(payload))
+        """A cell's tasks -- its searches, then the p99 point their
+        outcome places -- give the same report inline and on workers."""
+        def arena(executor):
+            return run_tournament(default_entries(["updown"]), (TORUS33,),
+                                  ("uniform",), TEST, seed=1, failures=1,
+                                  executor=executor)
+        assert json.dumps(arena(Executor(workers=2)).to_dict()) == \
+            json.dumps(arena(None).to_dict())
+
+
+class TestDegradedFabric:
+    """Whether a scheme can route the broken fabric is its capability
+    declaration's call, not a blanket ``except ValueError``."""
+
+    MESH33 = TopologySpec("mesh", {"rows": 3, "cols": 3,
+                                   "hosts_per_switch": 2}, "mesh 3x3")
+
+    def test_declared_unsupported_prints_no_retention(self):
+        rep = run_tournament(default_entries(["dor"]), (self.MESH33,),
+                             ("uniform",), TEST, seed=1, failures=1)
+        cell = rep.cell("DOR", "mesh 3x3", "uniform")
+        assert cell.supported and cell.throughput > 0
+        assert cell.degraded_throughput is None and cell.retention is None
+        retention = render_tournament(rep).split("retention after")[1]
+        assert "--" in retention
+
+    def test_builder_error_on_the_broken_fabric_is_loud(self):
+        """A scheme that declares it supports the degraded graph and
+        then fails to build on it is a bug to surface, not a ``--``."""
+        def build(g, root, max_routes_per_pair, sort_by_itbs):
+            if g.num_links < 18:       # a 3x3 torus with a cable down
+                raise ValueError("cannot route a fabric with dead links")
+            return build_updown_tables(g, root, max_routes_per_pair,
+                                       sort_by_itbs)
+        register_scheme(Scheme(
+            name="brittle", description="fails on degraded fabrics",
+            label=lambda policy: "BRITTLE", build=build,
+            discipline="updown", deadlock_free=True, multipath=False))
+        try:
+            with pytest.raises(CampaignError, match="dead links"):
+                run_tournament(default_entries(["brittle"]), (TORUS33,),
+                               ("uniform",), TEST, seed=1, failures=1)
+            healthy = run_tournament(default_entries(["brittle"]),
+                                     (TORUS33,), ("uniform",), TEST, seed=1)
+            assert healthy.cell("BRITTLE", "torus 3x3",
+                                "uniform").throughput > 0
+        finally:
+            unregister_scheme("brittle")
 
 
 class TestTournamentCLI:
