@@ -16,8 +16,7 @@ Run:  python examples/hotspot_analysis.py        (~2 minutes)
 """
 
 from repro import SimConfig, find_saturation, run_simulation
-from repro.experiments.report import render_link_map
-from repro.experiments.figures import LinkMapResult
+from repro.experiments.figures import LinkMapResult, render_link_map
 from repro.units import ns
 
 HOTSPOT_HOST = 260          # a host on switch 32, mid-grid

@@ -32,6 +32,7 @@ from .perf import PerfRecorder, PerfReport, profile_to
 from .routing import (RoutingTables, SourceRoute, compute_tables,
                       make_policy, route_statistics)
 from .experiments.compare import ComparisonResult, compare_configs
+from . import resilience  # noqa: F401  (registers its two studies)
 from .orchestrator import (CampaignError, Executor, Point,
                            ProgressReporter, ResultStore, WorkerPool)
 from .sim import (DeadlockError, FlitLevelNetwork, ItbStats,

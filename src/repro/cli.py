@@ -15,23 +15,13 @@ Commands
 
 ``experiment <id>``
     Regenerate one registered artefact (``fig7a`` ... ``table3``, the
-    ablations; see ``list``) under a profile and print the rendered
-    report -- under the bench and paper profiles, ending with the
-    verdict on each claim the paper makes about it.
-
-``resilience``
-    Graceful-degradation table: saturation throughput vs injected
-    (static) link failures.
-
-``recovery``
-    Recovery table: a cable dies mid-run with reliable delivery on;
-    compares the static blacklist against online reconfiguration
-    (``--strict`` fails on permanent losses, for CI smokes).
-
-``tournament``
-    Cross-scheme arena: every (scheme, topology, traffic pattern) cell
-    measured for saturation throughput, latency knee, p99 latency and
-    (with ``--failures``) retention under link failures.
+    ablations, the ``resilience`` / ``recovery`` / ``tournament`` /
+    ``adversary`` studies; see ``list``) under a profile and print the
+    rendered report -- under the bench and paper profiles, ending with
+    the verdict on each claim made about it.  ``--arg KEY=VALUE``
+    (repeatable) sets a parameter the experiment declares (``list``
+    shows them); ``--json FILE`` also writes the result as JSON, for
+    the experiments that declare a JSON form.
 
 ``schemes``
     The routing-scheme registry with capability declarations.
@@ -41,7 +31,7 @@ Commands
     with their capability declarations and keyword arguments.
 
 ``list``
-    The experiment registry.
+    The experiment registry, each id with its declared parameters.
 
 ``cache {info,clear,compact}``
     Inspect, empty or compact the orchestrator's on-disk result store
@@ -72,6 +62,10 @@ pool) or ``--fabric host:port,...`` (remote fabric workers),
 ``--cache-dir`` and ``--no-cache`` (result store); a repeated
 invocation of a completed campaign is served entirely from the store.
 
+A value the run cannot be described with -- an unknown registered
+name, an undeclared or mistyped ``KEY=VALUE``, an unparsable comma
+list -- is reported as ``repro: error: ...`` with exit status 2.
+
 Examples::
 
     python -m repro info torus
@@ -80,6 +74,9 @@ Examples::
     python -m repro sweep --routing updown --rates 0.005,0.01,0.015,0.02
     python -m repro sweep --workers 4 --rates 0.005,0.01,0.02,0.03
     python -m repro experiment fig7a --profile bench --workers 4
+    python -m repro experiment fig12a --arg radius=4
+    python -m repro experiment tournament --arg schemes=itb,dor \
+        --arg patterns=uniform --arg failures=0 --json tournament.json
     python -m repro fabric worker --listen 127.0.0.1:7101   # on each box
     python -m repro sweep --fabric 127.0.0.1:7101,127.0.0.1:7102 \
         --rates 0.005,0.01,0.02,0.03
@@ -90,66 +87,35 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
 from .config import SimConfig
+from .experiments.figures import LinkMapResult, grid_shape, render_link_map
 from .experiments.profiles import BENCH, PAPER, TEST, Profile
-from .experiments.registry import EXPERIMENTS, render_claims
-from .experiments.report import grid_shape, render_link_map
+from .experiments.registry import (EXPERIMENTS, render_claims,
+                                   run_experiment)
 from .experiments.runner import get_graph, get_tables, run_simulation
 from .experiments.sweep import sweep_rates
 from .orchestrator import (DEFAULT_CACHE_DIR, Executor, ProgressReporter,
                            ResultStore)
-from .resilience import (render_recovery_table, render_resilience_table,
-                         run_recovery, run_resilience)
+from .registry import UsageError, comma_list
 from .routing.analysis import route_statistics
 from .routing.policies import POLICIES
 from .routing.schemes import SCHEMES
 from .sim.engines import ENGINES
-from .topology import TOPOLOGIES
+from .topology import TOPOLOGIES, size_kwargs, sized_topologies
 from .traffic.defaults import DEFAULT_ARRIVAL, DEFAULT_PATTERN
 from .traffic.registry import ARRIVALS, PATTERNS
 from .units import ns
 
 PROFILES = {"bench": BENCH, "paper": PAPER, "test": TEST}
 
-#: flags that size a topology; each reaches the builder of whichever
-#: topology declares a kwarg of that name
-TOPOLOGY_FLAGS = ("rows", "cols", "hosts_per_switch")
-
-
-def _cli_topologies() -> List[str]:
-    """Topologies buildable from flags alone: those with no required
-    kwarg (``mutated`` needs a base and is reached through
-    ``SimConfig``, not the command line)."""
-    return [name for name, spec in TOPOLOGIES.items()
-            if not any(k.required for k in spec.kwargs)]
-
-
-def _topology_kwargs(name: str, args: argparse.Namespace) -> dict:
-    """The given ``TOPOLOGY_FLAGS`` that topology ``name`` declares."""
-    declared = {k.name for k in TOPOLOGIES.get(name).kwargs}
-    return {flag: getattr(args, flag) for flag in TOPOLOGY_FLAGS
-            if flag in declared and getattr(args, flag) is not None}
-
-
-def _add_topology_flags(p: argparse.ArgumentParser, rows: Optional[int],
-                        cols: Optional[int],
-                        hosts_per_switch: Optional[int], why: str) -> None:
-    """The ``TOPOLOGY_FLAGS`` with a command's defaults."""
-    p.add_argument("--rows", type=int, default=rows,
-                   help="grid rows, for the topologies declaring them "
-                        f"(see 'repro info'; {why})")
-    p.add_argument("--cols", type=int, default=cols,
-                   help="grid columns, likewise")
-    p.add_argument("--hosts-per-switch", type=int, default=hosts_per_switch,
-                   help="hosts per switch, likewise")
-
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", default="torus",
-                   choices=_cli_topologies())
+                   choices=sized_topologies())
     p.add_argument("--routing", default="itb", choices=SCHEMES.names())
     p.add_argument("--policy", default="rr", choices=POLICIES.names())
     p.add_argument("--traffic", default=DEFAULT_PATTERN,
@@ -170,7 +136,13 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warmup-ns", type=float, default=100_000)
     p.add_argument("--measure-ns", type=float, default=400_000)
     p.add_argument("--engine", default="packet", choices=ENGINES.names())
-    _add_topology_flags(p, None, None, None, "default: the paper's size")
+    p.add_argument("--rows", type=int, default=None,
+                   help="grid rows, for the topologies declaring them "
+                        "(see 'repro info'; default: the paper's size)")
+    p.add_argument("--cols", type=int, default=None,
+                   help="grid columns, likewise")
+    p.add_argument("--hosts-per-switch", type=int, default=None,
+                   help="hosts per switch, likewise")
 
 
 def _add_exec_options(p: argparse.ArgumentParser) -> None:
@@ -220,7 +192,8 @@ def _config_from(args: argparse.Namespace, rate: float) -> SimConfig:
     arrival_kwargs = ARRIVALS.parse_kwargs(args.arrival, args.arrival_arg)
     return SimConfig(
         topology=args.topology,
-        topology_kwargs=_topology_kwargs(args.topology, args),
+        topology_kwargs=size_kwargs(args.topology, args.rows, args.cols,
+                                    args.hosts_per_switch),
         routing=args.routing, policy=args.policy,
         traffic=args.traffic, traffic_kwargs=traffic_kwargs,
         arrival=args.arrival, arrival_kwargs=arrival_kwargs,
@@ -269,7 +242,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  in-transit pool peak {summary.itb_peak_bytes} B, "
               f"{summary.itb_overflow_count} overflows")
     if args.links and summary.link_utilization is not None:
-        from .experiments.figures import LinkMapResult
         res = LinkMapResult("run", cfg.label(), cfg.label(),
                             cfg.injection_rate, summary.link_utilization,
                             summary)
@@ -283,7 +255,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rates = [float(r) for r in args.rates.split(",")]
+    rates = comma_list(args.rates, float, "--rates")
     base = _config_from(args, rates[0])
     executor = _make_executor(args)
     curve = sweep_rates(base, rates, executor=executor)
@@ -301,13 +273,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     profile: Profile = PROFILES[args.profile]
-    try:
-        exp = EXPERIMENTS.get(args.exp_id)
-    except ValueError as e:  # names what is available
-        print(e, file=sys.stderr)
-        return 2
+    exp = EXPERIMENTS.get(args.exp_id)
+    kwargs = EXPERIMENTS.parse_kwargs(args.exp_id, args.arg)
+    if args.json and exp.to_json is None:
+        with_json = [n for n, e in EXPERIMENTS.items() if e.to_json]
+        raise UsageError(f"experiment {args.exp_id!r} has no JSON form; "
+                         f"--json is for: {', '.join(with_json)}")
     executor = _make_executor(args)
-    result = exp.fn(profile, executor=executor)
+    result = run_experiment(args.exp_id, profile, executor, **kwargs)
     print(exp.render(result))
     if args.plot and exp.plot is not None:
         print()
@@ -317,40 +290,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print()
         print(verdicts)
     print(f"points: {executor.stats.oneline()}", file=sys.stderr)
-    return 0
-
-
-def cmd_resilience(args: argparse.Namespace) -> int:
-    profile: Profile = PROFILES[args.profile]
-    ks = tuple(int(k) for k in args.ks.split(","))
-    executor = _make_executor(args)
-    report = run_resilience(
-        args.topology, profile, seed=args.seed, ks=ks,
-        topology_kwargs=_topology_kwargs(args.topology, args),
-        executor=executor)
-    print(render_resilience_table(report))
-    print(f"points: {executor.stats.oneline()}", file=sys.stderr)
-    return 0
-
-
-def cmd_recovery(args: argparse.Namespace) -> int:
-    profile: Profile = PROFILES[args.profile]
-    rates = tuple(float(r) for r in args.rates.split(","))
-    executor = _make_executor(args)
-    report = run_recovery(
-        args.topology, profile, seed=args.seed, rates=rates,
-        topology_kwargs=_topology_kwargs(args.topology, args),
-        executor=executor)
-    print(render_recovery_table(report))
-    print(f"points: {executor.stats.oneline()}", file=sys.stderr)
-    if args.strict:
-        lost = sum(c.permanent_losses for c in report.cells
-                   if c.mode == "reconfigure")
-        if lost:
-            print(f"STRICT: {lost} permanently lost messages under the "
-                  f"reconfigure policy (expected zero: the fault leaves "
-                  f"the fabric connected)", file=sys.stderr)
-            return 1
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump(exp.to_json(result), f, indent=2)
+        print(f"JSON artifact written to {args.json}", file=sys.stderr)
     return 0
 
 
@@ -386,35 +329,6 @@ def cmd_traffic(_args: argparse.Namespace) -> int:
         print(line)
         if spec.kwargs:
             print(f"  {'':12s} {_kwarg_line(spec.kwargs)}")
-    return 0
-
-
-def cmd_tournament(args: argparse.Namespace) -> int:
-    from .experiments.tournament import (TopologySpec, default_entries,
-                                         render_tournament, run_tournament)
-    profile: Profile = PROFILES[args.profile]
-    schemes = (None if args.schemes == "all"
-               else [s.strip() for s in args.schemes.split(",")])
-    entries = default_entries(schemes)
-    topologies = []
-    for name in (t.strip() for t in args.topologies.split(",")):
-        kwargs = _topology_kwargs(name, args)
-        label = (f"{name} {args.rows}x{args.cols}" if "rows" in kwargs
-                 else name)
-        topologies.append(TopologySpec(name, kwargs, label))
-    patterns = tuple(p.strip() for p in args.patterns.split(","))
-    executor = _make_executor(args)
-    report = run_tournament(entries, topologies, patterns, profile,
-                            seed=args.seed, failures=args.failures,
-                            start_rate=args.start_rate,
-                            executor=executor)
-    print(render_tournament(report))
-    print(f"points: {executor.stats.oneline()}", file=sys.stderr)
-    if args.json:
-        import json
-        with open(args.json, "w") as f:
-            json.dump(report.to_dict(), f, indent=2)
-        print(f"JSON artifact written to {args.json}", file=sys.stderr)
     return 0
 
 
@@ -459,7 +373,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     from .orchestrator.chaos import ChaosFabric, ChaosPlan
 
-    rates = [float(r) for r in args.rates.split(",")]
+    rates = comma_list(args.rates, float, "--rates")
     base = _config_from(args, rates[0])
     plan = {"quiet": ChaosPlan.quiet,
             "mild": ChaosPlan.mild,
@@ -544,6 +458,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_list(_args: argparse.Namespace) -> int:
     for exp_id, exp in EXPERIMENTS.items():
         print(f"{exp_id:14s} {exp.kind:16s} {exp.description}")
+        if exp.kwargs:
+            print(f"{'':14s} {'':16s} {_kwarg_line(exp.kwargs)}")
     return 0
 
 
@@ -554,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="topology + routing-table statistics")
-    p.add_argument("topology", choices=_cli_topologies())
+    p.add_argument("topology", choices=sized_topologies())
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("run", help="one simulation run")
@@ -579,69 +495,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="regenerate a paper artefact")
     p.add_argument("exp_id")
     p.add_argument("--profile", default="bench", choices=sorted(PROFILES))
+    p.add_argument("--arg", action="append", default=[],
+                   metavar="KEY=VALUE",
+                   help="a parameter the experiment declares "
+                        "(repeatable); 'repro list' shows them")
     p.add_argument("--plot", action="store_true",
                    help="also render an ASCII latency/traffic plot")
+    p.add_argument("--json", metavar="FILE", default=None,
+                   help="also write the result as a JSON artifact; an "
+                        "experiment with no JSON form is refused "
+                        "before it runs")
     _add_exec_options(p)
     p.set_defaults(fn=cmd_experiment)
-
-    p = sub.add_parser("resilience",
-                       help="graceful degradation under link failures")
-    p.add_argument("--topology", default="torus",
-                   choices=_cli_topologies())
-    _add_topology_flags(p, 4, 4, 2, "scaled down by default: the study "
-                                    "runs 8 saturation searches")
-    p.add_argument("--ks", default="1,2,4",
-                   help="comma-separated link-failure counts")
-    p.add_argument("--seed", type=int, default=1,
-                   help="failure sets and traffic are functions of "
-                        "the seed: repeat invocations are identical")
-    p.add_argument("--profile", default="bench", choices=sorted(PROFILES))
-    _add_exec_options(p)
-    p.set_defaults(fn=cmd_resilience)
-
-    p = sub.add_parser("recovery",
-                       help="reliable-delivery recovery from a mid-run "
-                            "link failure")
-    p.add_argument("--topology", default="torus",
-                   choices=_cli_topologies())
-    _add_topology_flags(p, 4, 4, 2, "scaled down by default")
-    p.add_argument("--rates", default="0.01,0.02,0.03",
-                   help="comma-separated offered loads")
-    p.add_argument("--seed", type=int, default=1,
-                   help="selects the failed link and the traffic; "
-                        "repeat invocations are identical")
-    p.add_argument("--profile", default="bench", choices=sorted(PROFILES))
-    p.add_argument("--strict", action="store_true",
-                   help="exit non-zero if any reconfigure-policy cell "
-                        "reports permanent losses (CI smoke)")
-    _add_exec_options(p)
-    p.set_defaults(fn=cmd_recovery)
-
-    p = sub.add_parser("tournament",
-                       help="cross-scheme tournament: every scheme x "
-                            "topology x traffic pattern")
-    p.add_argument("--schemes", default="all",
-                   help="comma-separated scheme names (default: every "
-                        "registered scheme); see 'repro schemes'")
-    p.add_argument("--topologies", default="torus,mesh",
-                   help="comma-separated topology names")
-    _add_topology_flags(p, 4, 4, 2, "scaled down by default: each cell "
-                                    "is a full saturation search")
-    p.add_argument("--patterns", default="uniform",
-                   help="comma-separated traffic patterns")
-    p.add_argument("--failures", type=int, default=0,
-                   help="links to kill for the retention column "
-                        "(0 = skip the degraded searches)")
-    p.add_argument("--start-rate", type=float, default=0.005,
-                   help="initial offered load of the saturation ramps")
-    p.add_argument("--seed", type=int, default=1,
-                   help="traffic and failure sets are functions of the "
-                        "seed: repeat invocations are identical")
-    p.add_argument("--profile", default="bench", choices=sorted(PROFILES))
-    p.add_argument("--json", metavar="FILE", default=None,
-                   help="also write the full report as a JSON artifact")
-    _add_exec_options(p)
-    p.set_defaults(fn=cmd_tournament)
 
     p = sub.add_parser("schemes",
                        help="list registered routing schemes and their "
@@ -653,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "arrival processes with their declared kwargs")
     p.set_defaults(fn=cmd_traffic)
 
-    p = sub.add_parser("list", help="list paper artefacts")
+    p = sub.add_parser("list", help="list paper artefacts and studies "
+                                    "with their declared parameters")
     p.set_defaults(fn=cmd_list)
 
     p = sub.add_parser("cache", help="orchestrator result-store tools")
@@ -718,7 +584,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as e:
+        # how the registries, comma_list and size_kwargs refuse a run
+        # description: the message names what is declared or available.
+        # Anything else -- a plain ValueError from inside a run
+        # included -- is a bug's or the executor's and keeps its
+        # traceback
+        print(f"repro: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

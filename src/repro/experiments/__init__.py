@@ -1,16 +1,19 @@
-"""Experiment harness: one entry point per paper table/figure.
+"""Experiment harness: one registered experiment per paper table/figure.
 
 * :func:`~repro.experiments.runner.run_simulation` executes one
   :class:`~repro.config.SimConfig` and returns a
   :class:`~repro.metrics.summary.RunSummary`;
 * :mod:`sweep` produces the latency-vs-accepted-traffic curves of the
   figures;
-* :mod:`figures` / :mod:`tables` regenerate each paper artefact;
 * :mod:`profiles` defines the *bench* (fast) and *paper* (full-scale)
   parameterisations;
-* :mod:`report` renders ASCII tables and series;
-* :mod:`registry` maps experiment ids (``fig7a`` ... ``table3``) to
-  callables.
+* :mod:`registry` holds :data:`EXPERIMENTS`: experiment id (``fig7a``
+  ... ``table3``, the studies) -> its function, declared parameters,
+  renderer and claims, run by :func:`run_experiment`;
+* :mod:`figures`, :mod:`tables`, :mod:`ablations`, :mod:`tournament`
+  and :mod:`adversary` define the artefacts -- result type, ASCII
+  renderer, claims -- and register each beside its definition
+  (:mod:`repro.resilience` registers its two studies the same way).
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .runner import run_simulation, clear_caches
 from .sweep import sweep_rates, SweepResult
 from .profiles import Profile, BENCH, PAPER
 from .registry import EXPERIMENTS, run_experiment
+# imported for their registrations
+from . import ablations, adversary, figures, tables, tournament  # noqa: F401
 
 __all__ = [
     "run_simulation",

@@ -12,22 +12,25 @@ printed by one renderer.  A variant must therefore be expressible in
 object (SP's unbalanced first alternatives) is a direct
 ``run_simulation`` assertion in ``tests/test_itb.py`` instead.
 
-:data:`CLAIMS` holds each study's conclusions as checks on its table,
-set the way :mod:`.figures` describes.
+A study is declared once: the function listing its rows, then its
+conclusions as checks on the table (set the way :mod:`.figures`
+describes), then its registration in :data:`~.registry.EXPERIMENTS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from ..config import PAPER_PARAMS, SimConfig
 from ..metrics.summary import RunSummary
 from ..orchestrator import Point
 from ..routing.schemes import ITB_RR, UPDOWN
 from ..topology.mutated import mutated_kwargs
-from .figures import Claim, ratio_claim
+from .figures import ratio_claim
 from .profiles import Profile
+from .registry import EXPERIMENTS, Claim, Experiment
 from .runner import get_graph
 from .sweep import resolve_executor
 
@@ -44,8 +47,10 @@ class PointTable:
     runs: Dict[str, RunSummary]
 
 
-def _point_table(exp_id: str, title: str, rows: Sequence[Row],
-                 executor=None) -> PointTable:
+def _point_table(exp_id: str, title: str,
+                 rows_of: Callable[[Profile], List[Row]],
+                 profile: Profile, executor=None) -> PointTable:
+    rows = rows_of(profile)
     summaries = resolve_executor(executor).run_points(
         [Point(label, cfg, kwargs) for label, cfg, kwargs in rows])
     return PointTable(exp_id, title,
@@ -69,6 +74,15 @@ def render_point_table(tab: PointTable) -> str:
     return "\n".join(lines)
 
 
+def _register_study(exp_id: str, description: str, title: str,
+                    rows_of: Callable[[Profile], List[Row]],
+                    claims: Callable[[PointTable], List[Claim]]) -> None:
+    EXPERIMENTS.register(Experiment(
+        exp_id, "point-table", description,
+        partial(_point_table, exp_id, title, rows_of), render_point_table,
+        claims=claims))
+
+
 def _config(profile: Profile, routing: str, policy: str, rate: float,
             **kw: Any) -> SimConfig:
     """Profile windows; the paper's 8x8 torus under uniform traffic
@@ -79,112 +93,7 @@ def _config(profile: Profile, routing: str, policy: str, rate: float,
                      measure_ps=profile.measure_ps)
 
 
-def itb_overhead(profile: Profile, executor=None) -> PointTable:
-    """The in-transit overhead, which the paper calls "the critical
-    part of this mechanism": its 275 ns (detect) + 200 ns (DMA set-up)
-    scaled together, at a load up*/down* (knee ~0.017) cannot carry."""
-    base = _config(profile, "itb", "rr", 0.025)
-    return _point_table(
-        "itb-overhead", "ITB-RR @ 0.025, 2-D torus: in-transit overhead "
-        "scaled from the paper's 275 + 200 ns",
-        [(f"x{scale:g}", base.with_overrides(
-            params=PAPER_PARAMS.with_overrides(
-                itb_detect_ps=round(PAPER_PARAMS.itb_detect_ps * scale),
-                itb_dma_setup_ps=round(PAPER_PARAMS.itb_dma_setup_ps
-                                       * scale))), {})
-         for scale in (0.5, 1.0, 4.0, 16.0)], executor)
-
-
-def route_cap(profile: Profile, executor=None) -> PointTable:
-    """Route alternatives kept per pair: the paper caps the table at 10
-    "to avoid ... a long look-up delay" and never studies the knob.
-    Between the ITB-SP and ITB-RR knees; a cap of 1 turns RR into SP
-    over the first enumerated path."""
-    base = _config(profile, "itb", "rr", 0.028)
-    return _point_table(
-        "route-cap", "ITB-RR @ 0.028, 2-D torus: route alternatives "
-        "kept per pair",
-        [(f"cap={cap}", base.with_overrides(
-            params=PAPER_PARAMS.with_overrides(max_routes_per_pair=cap)),
-          {}) for cap in (1, 2, 4, 10)], executor)
-
-
-def root_placement(profile: Profile, executor=None) -> PointTable:
-    """Spanning-tree root placement.  On the vertex-transitive torus
-    every root is equivalent up to symmetry (a self-check of the
-    simulator); on CPLANT the root's group shapes UP/DOWN's congestion
-    (roots: root group, a middle group, the spare switch), while ITB
-    routing avoids the root."""
-    rows: List[Row] = [
-        (f"torus UP/DOWN root={root}",
-         _config(profile, "updown", "sp", 0.014), {"root": root})
-        for root in (0, 27, 63)]
-    rows += [
-        (f"cplant {label} root={root}",
-         _config(profile, routing, policy, 0.055, topology="cplant"),
-         {"root": root})
-        for routing, policy, label in (UPDOWN, ITB_RR)
-        for root in (0, 25, 48)]
-    return _point_table(
-        "root-placement", "Spanning-tree root placement: 2-D torus "
-        "@ 0.014, CPLANT @ 0.055", rows, executor)
-
-
-def msglen(profile: Profile, executor=None) -> PointTable:
-    """32, 512 and 1024-byte messages (Section 4.2: "qualitatively
-    similar", only 512 shown) at one flit load past the UP/DOWN knee;
-    per-hop and in-transit overheads weigh most on the 32-byte case."""
-    return _point_table(
-        "msglen", "Message length @ 0.022, 2-D torus",
-        [(f"{label} {nbytes} B",
-          _config(profile, routing, policy, 0.022, message_bytes=nbytes), {})
-         for nbytes in (32, 512, 1024)
-         for routing, policy, label in (UPDOWN, ITB_RR)], executor)
-
-
-def adaptive(profile: Profile, executor=None) -> PointTable:
-    """The paper's future work ("route selection algorithms that
-    implement some adaptivity at the source host"): the ``adaptive``
-    policy's per-pair latency EWMA against ITB-RR, below and at RR's
-    knee and under a 5 % hotspot at host 260."""
-    hotspot = dict(traffic="hotspot",
-                   traffic_kwargs={"hotspot": 260, "fraction": 0.05})
-    rows: List[Row] = [
-        (f"{policy} uniform @ {rate}",
-         _config(profile, "itb", policy, rate), {})
-        for policy in ("rr", "adaptive") for rate in (0.025, 0.032)]
-    rows += [
-        (f"{policy} hotspot @ 0.022",
-         _config(profile, "itb", policy, 0.022, **hotspot), {})
-        for policy in ("rr", "adaptive")]
-    return _point_table(
-        "adaptive", "ITB-RR vs the latency-adaptive policy, 2-D torus",
-        rows, executor)
-
-
-def link_failure(profile: Profile, executor=None) -> PointTable:
-    """One cable fails and routes are recomputed, as Myrinet does
-    (Section 2): a root-adjacent cable (0-1), where up*/down* is already
-    congested, or a mid-grid one (27-28).  Each scheme runs at a load
-    it sustains on the healthy torus."""
-    g = get_graph("torus", {})
-    rows: List[Row] = []
-    for scenario, ends in (("healthy", None), ("root-link", (0, 1)),
-                           ("mid-link", (27, 28))):
-        failed = ({} if ends is None else
-                  {"topology": "mutated",
-                   "topology_kwargs": mutated_kwargs(
-                       "torus", {}, [g.link_between(*ends)])})
-        rows += [(f"{scenario} {label}",
-                  _config(profile, routing, policy, rate, **failed), {})
-                 for (routing, policy, label), rate in ((UPDOWN, 0.013),
-                                                        (ITB_RR, 0.028))]
-    return _point_table(
-        "link-failure", "One failed cable, tables recomputed, 2-D torus: "
-        "UP/DOWN @ 0.013, ITB-RR @ 0.028", rows, executor)
-
-
-# -- what each study concludes ------------------------------------------------
+# -- how a study's conclusions are stated -------------------------------------
 
 def _sustains(tab: PointTable, label: str) -> Claim:
     r = tab.runs[label]
@@ -216,6 +125,21 @@ def _over_roots(tab: PointTable, rows: str, what: str,
                        max(vals), "the lowest", min(vals), **bounds)
 
 
+# -- the studies --------------------------------------------------------------
+
+def _itb_overhead(profile: Profile) -> List[Row]:
+    """The in-transit overhead, which the paper calls "the critical
+    part of this mechanism": its 275 ns (detect) + 200 ns (DMA set-up)
+    scaled together, at a load up*/down* (knee ~0.017) cannot carry."""
+    base = _config(profile, "itb", "rr", 0.025)
+    return [(f"x{scale:g}", base.with_overrides(
+        params=PAPER_PARAMS.with_overrides(
+            itb_detect_ps=round(PAPER_PARAMS.itb_detect_ps * scale),
+            itb_dma_setup_ps=round(PAPER_PARAMS.itb_dma_setup_ps
+                                   * scale))), {})
+            for scale in (0.5, 1.0, 4.0, 16.0)]
+
+
 def _itb_overhead_claims(tab: PointTable) -> List[Claim]:
     return [
         # the network carries the load UP/DOWN cannot at the paper's
@@ -227,11 +151,53 @@ def _itb_overhead_claims(tab: PointTable) -> List[Claim]:
         _latency(tab, "x16", "x1", lo=1.15)]
 
 
+_register_study(
+    "itb-overhead", "In-transit overhead scaled x0.5-x16, torus",
+    "ITB-RR @ 0.025, 2-D torus: in-transit overhead scaled from the "
+    "paper's 275 + 200 ns", _itb_overhead, _itb_overhead_claims)
+
+
+def _route_cap(profile: Profile) -> List[Row]:
+    """Route alternatives kept per pair: the paper caps the table at 10
+    "to avoid ... a long look-up delay" and never studies the knob.
+    Between the ITB-SP and ITB-RR knees; a cap of 1 turns RR into SP
+    over the first enumerated path."""
+    base = _config(profile, "itb", "rr", 0.028)
+    return [(f"cap={cap}", base.with_overrides(
+        params=PAPER_PARAMS.with_overrides(max_routes_per_pair=cap)), {})
+            for cap in (1, 2, 4, 10)]
+
+
 def _route_cap_claims(tab: PointTable) -> List[Claim]:
     # a single alternative leaves nothing to balance or to rotate over
     # and saturates near 0.017
     return [_sustains(tab, "cap=10"),
             _accepted(tab, "cap=10", "cap=1", lo=1.25)]
+
+
+_register_study(
+    "route-cap", "Route alternatives kept per pair (1-10), torus",
+    "ITB-RR @ 0.028, 2-D torus: route alternatives kept per pair",
+    _route_cap, _route_cap_claims)
+
+
+def _root_placement(profile: Profile) -> List[Row]:
+    """Spanning-tree root placement.  On the vertex-transitive torus
+    every root is equivalent up to symmetry (a self-check of the
+    simulator); on CPLANT the root's group shapes UP/DOWN's congestion
+    (roots: root group, a middle group, the spare switch), while ITB
+    routing avoids the root."""
+    rows: List[Row] = [
+        (f"torus UP/DOWN root={root}",
+         _config(profile, "updown", "sp", 0.014), {"root": root})
+        for root in (0, 27, 63)]
+    rows += [
+        (f"cplant {label} root={root}",
+         _config(profile, routing, policy, 0.055, topology="cplant"),
+         {"root": root})
+        for routing, policy, label in (UPDOWN, ITB_RR)
+        for root in (0, 25, 48)]
+    return rows
 
 
 def _root_placement_claims(tab: PointTable) -> List[Claim]:
@@ -243,6 +209,23 @@ def _root_placement_claims(tab: PointTable) -> List[Claim]:
         _over_roots(tab, "cplant ITB-RR", "latency", hi=1.1)]
 
 
+_register_study(
+    "root-placement", "Spanning-tree root placement, torus and CPLANT",
+    "Spanning-tree root placement: 2-D torus @ 0.014, CPLANT @ 0.055",
+    _root_placement, _root_placement_claims)
+
+
+def _msglen(profile: Profile) -> List[Row]:
+    """32, 512 and 1024-byte messages (Section 4.2: "qualitatively
+    similar", only 512 shown) at one flit load past the UP/DOWN knee;
+    per-hop and in-transit overheads weigh most on the 32-byte case."""
+    return [(f"{label} {nbytes} B",
+             _config(profile, routing, policy, 0.022, message_bytes=nbytes),
+             {})
+            for nbytes in (32, 512, 1024)
+            for routing, policy, label in (UPDOWN, ITB_RR)]
+
+
 def _msglen_claims(tab: PointTable) -> List[Claim]:
     # "qualitatively similar": larger messages amortise the per-hop
     # costs, so the saturation point shifts -- the ordering must not
@@ -252,6 +235,29 @@ def _msglen_claims(tab: PointTable) -> List[Claim]:
         claims += [_accepted(tab, itb, updown, lo=1.0),
                    _latency(tab, itb, updown, hi=0.8)]
     return claims
+
+
+_register_study(
+    "msglen", "32 / 512 / 1024-byte messages, torus",
+    "Message length @ 0.022, 2-D torus", _msglen, _msglen_claims)
+
+
+def _adaptive(profile: Profile) -> List[Row]:
+    """The paper's future work ("route selection algorithms that
+    implement some adaptivity at the source host"): the ``adaptive``
+    policy's per-pair latency EWMA against ITB-RR, below and at RR's
+    knee and under a 5 % hotspot at host 260."""
+    hotspot = dict(traffic="hotspot",
+                   traffic_kwargs={"hotspot": 260, "fraction": 0.05})
+    rows: List[Row] = [
+        (f"{policy} uniform @ {rate}",
+         _config(profile, "itb", policy, rate), {})
+        for policy in ("rr", "adaptive") for rate in (0.025, 0.032)]
+    rows += [
+        (f"{policy} hotspot @ 0.022",
+         _config(profile, "itb", policy, 0.022, **hotspot), {})
+        for policy in ("rr", "adaptive")]
+    return rows
 
 
 def _adaptive_claims(tab: PointTable) -> List[Claim]:
@@ -269,6 +275,32 @@ def _adaptive_claims(tab: PointTable) -> List[Claim]:
                   lo=0.97)]
 
 
+_register_study(
+    "adaptive", "Latency-adaptive source policy vs ITB-RR, torus",
+    "ITB-RR vs the latency-adaptive policy, 2-D torus",
+    _adaptive, _adaptive_claims)
+
+
+def _link_failure(profile: Profile) -> List[Row]:
+    """One cable fails and routes are recomputed, as Myrinet does
+    (Section 2): a root-adjacent cable (0-1), where up*/down* is already
+    congested, or a mid-grid one (27-28).  Each scheme runs at a load
+    it sustains on the healthy torus."""
+    g = get_graph("torus", {})
+    rows: List[Row] = []
+    for scenario, ends in (("healthy", None), ("root-link", (0, 1)),
+                           ("mid-link", (27, 28))):
+        failed = ({} if ends is None else
+                  {"topology": "mutated",
+                   "topology_kwargs": mutated_kwargs(
+                       "torus", {}, [g.link_between(*ends)])})
+        rows += [(f"{scenario} {label}",
+                  _config(profile, routing, policy, rate, **failed), {})
+                 for (routing, policy, label), rate in ((UPDOWN, 0.013),
+                                                        (ITB_RR, 0.028))]
+    return rows
+
+
 def _link_failure_claims(tab: PointTable) -> List[Claim]:
     return [
         # ITB-RR carries its (much higher) load through every failure
@@ -279,11 +311,7 @@ def _link_failure_claims(tab: PointTable) -> List[Claim]:
         _sustains(tab, "mid-link UP/DOWN")]
 
 
-CLAIMS: Dict[str, Callable[[PointTable], List[Claim]]] = {
-    "itb-overhead": _itb_overhead_claims,
-    "route-cap": _route_cap_claims,
-    "root-placement": _root_placement_claims,
-    "msglen": _msglen_claims,
-    "adaptive": _adaptive_claims,
-    "link-failure": _link_failure_claims,
-}
+_register_study(
+    "link-failure", "One failed cable with recomputed tables, torus",
+    "One failed cable, tables recomputed, 2-D torus: UP/DOWN @ 0.013, "
+    "ITB-RR @ 0.028", _link_failure, _link_failure_claims)

@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..config import SimConfig
 from ..traffic.base import per_host_interval_ps
 from .profiles import Profile
+from .registry import EXPERIMENTS, Experiment
 from .runner import get_graph
 from .sweep import resolve_executor, search_all
 
@@ -194,8 +195,8 @@ def render_stability_table(report: StabilityReport) -> str:
     return "\n".join(out)
 
 
-def torus_adversary(profile: Profile, executor=None) -> StabilityReport:
-    """Registry entry: up*/down* vs ITB on the scaled-down 4x4 torus.
+def adversary(profile: Profile, executor=None) -> StabilityReport:
+    """up*/down* vs ITB on the scaled-down 4x4 torus.
 
     The paper's two schemes, each with its natural policy, probed at
     {0.3, 0.6, 0.9} of their own last stable rate under a b=8
@@ -207,3 +208,10 @@ def torus_adversary(profile: Profile, executor=None) -> StabilityReport:
         (("updown", "rr"), ("itb", "rr")),
         "torus", {"rows": 4, "cols": 4, "hosts_per_switch": 2},
         "torus 4x4", profile, seed=1, burst=8, executor=executor)
+
+
+EXPERIMENTS.register(Experiment(
+    "adversary", "stability-table",
+    "(r, b)-adversarial stability: up*/down* vs ITB backlog under "
+    "worst-case bursty injection, 4x4 torus",
+    adversary, render_stability_table, to_json=StabilityReport.to_dict))

@@ -1,17 +1,20 @@
-"""Regeneration of every figure in the paper's evaluation section.
+"""Every figure of the paper's evaluation section, declared once.
 
 Latency-vs-traffic panels (Figures 7, 10, 12) compare UP/DOWN, ITB-SP
 and ITB-RR on one topology/pattern; link-utilisation maps (Figures 8, 9,
-11) snapshot per-link load at fixed injection rates.  Each function
-returns a structured result that :mod:`repro.experiments.report` renders
-as ASCII and that EXPERIMENTS.md quotes.
+11) snapshot per-link load at fixed injection rates.  A figure is one
+declared row -- what is run, what the paper reports of it, what the
+paper claims of it -- handed to the one function of its kind and
+registered in :data:`~.registry.EXPERIMENTS`; the result types and
+their ASCII renderers (what ``repro experiment`` prints and
+EXPERIMENTS.md quotes) sit beside them.
 
 Rate grids are chosen to bracket the paper's reported saturation points
 with headroom, so the curves show both the flat region and the vertical
 bend for every routing algorithm.
 
-:data:`CLAIMS` holds, per figure, what the paper says of it as checks
-on the result: ``repro experiment`` prints the verdicts and
+A row's claims are what the paper says of the figure as checks on the
+result: ``repro experiment`` prints the verdicts and
 ``tests/test_paper_claims.py`` asserts them.  Every numeric bound was
 set from the spread over seeds 1-8 under the bench profile and holds
 on all eight there and under the paper profile (CHANGES.md, PR 18,
@@ -20,20 +23,24 @@ lists the spreads); the paper's own figure is quoted in the statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..config import SimConfig
 from ..metrics.linkstats import LinkUtilization
 from ..metrics.summary import RunSummary
+from ..registry import Kwarg
 from ..routing.schemes import ITB_RR, PAPER_SCHEMES, UPDOWN
+from .plot import render_curves
 from .profiles import Profile
+from .registry import EXPERIMENTS, Claim, Experiment
 from .runner import get_graph
 from .sweep import SweepResult, resolve_executor, sweep_rates
 
-#: one claim checked against a result: (statement quoting the measured
-#: values, whether it holds)
-Claim = Tuple[str, bool]
+#: (routing, policy, label), as :data:`~repro.routing.schemes.PAPER_SCHEMES`
+SchemeRow = Tuple[str, str, str]
 
 
 @dataclass(frozen=True)
@@ -63,263 +70,205 @@ class LinkMapResult:
     summary: RunSummary
 
 
-def _latency_panel(fig_id: str, title: str, topology: str, traffic: str,
-                   rates: Sequence[float], profile: Profile,
-                   paper_throughput: Dict[str, Optional[float]],
-                   traffic_kwargs: Optional[dict] = None,
-                   seed: int = 1, thin: bool = True,
-                   executor=None,
-                   topology_kwargs: Optional[dict] = None,
-                   schemes: Sequence[Tuple[str, str, str]] = PAPER_SCHEMES
-                   ) -> FigureResult:
-    """Sweep ``schemes`` -- ``(routing, policy, label)``, the paper's
-    three by default -- over a rate grid.
+# -- rendering ----------------------------------------------------------------
 
-    ``thin=False`` keeps the full grid even under the bench profile --
-    used where the panel's conclusion is a *ratio* of knees and grid
-    clipping would distort it (Figure 12's modest local-traffic gains).
-    ``executor`` is handed to :func:`~.sweep.sweep_rates`.
-    """
+def render_figure(fig: FigureResult) -> str:
+    """Latency-vs-traffic panel as an aligned text table."""
+    lines = [f"== {fig.fig_id}: {fig.title} =="]
+    header = f"{'label':10s} {'offered':>9s} {'accepted':>9s} {'lat(ns)':>10s} {'sat':>4s}"
+    for s in fig.series:
+        lines.append(f"-- {s.label}")
+        lines.append(header)
+        for r in s.runs:
+            lat = (f"{r.avg_latency_ns:10.0f}"
+                   if r.avg_latency_ns is not None else "       n/a")
+            lines.append(
+                f"{s.label:10s} {r.offered_flits_ns_switch:9.4f} "
+                f"{r.accepted_flits_ns_switch:9.4f} {lat} "
+                f"{'yes' if r.saturated else 'no':>4s}")
+    lines.append("-- throughput (max accepted traffic, flits/ns/switch)")
+    for s in fig.series:
+        paper = fig.paper_throughput.get(s.label)
+        paper_s = f" (paper: {paper:.3f})" if paper is not None else ""
+        lines.append(f"   {s.label:10s} {s.throughput():.4f}{paper_s}")
+    return "\n".join(lines)
+
+
+def _plot_panel(fig: FigureResult) -> str:
+    return render_curves(fig.series, title=fig.title)
+
+
+def render_link_map(res: LinkMapResult,
+                    grid: Optional[Tuple[int, int]] = None) -> str:
+    """Link-utilisation snapshot; with ``grid=(rows, cols)`` also an
+    RxC per-switch heat map (percent utilisation: the mean of the
+    channels leaving each switch), which makes the paper's "hot around
+    the root" vs "balanced" contrast visible in a terminal."""
+    u = res.utilization
+    s = u.summary()
+    lines = [
+        f"== {res.fig_id}: {res.title} ==",
+        f"rate={res.rate} flits/ns/switch, window={u.window_ps} ps",
+        (f"link utilisation: max={s['max']:.1%} mean={s['mean']:.1%} "
+         f"min={s['min']:.1%}; {s['frac_below_10pct']:.0%} of links <10%, "
+         f"{s['frac_above_30pct']:.0%} >30%"),
+        "hottest directed channels (util, src->dst switch):",
+    ]
+    for util, src, dst, _lid in u.hottest(5):
+        lines.append(f"   {util:6.1%}  {src:3d} -> {dst:3d}")
+    if grid is not None:
+        rows, cols = grid
+        totals = [0.0] * (rows * cols)
+        counts = [0] * (rows * cols)
+        for (src, _dst, _lid), util in zip(u.channel_ends, u.utilization):
+            totals[src] += util
+            counts[src] += 1
+        per_switch = [t / (c or 1) for t, c in zip(totals, counts)]
+        lines.append("mean outgoing-channel utilisation per switch (%):")
+        for r in range(rows):
+            row = " ".join(f"{per_switch[r * cols + c] * 100:5.1f}"
+                           for c in range(cols))
+            lines.append("   " + row)
+    return "\n".join(lines)
+
+
+def grid_shape(config: SimConfig) -> Optional[Tuple[int, int]]:
+    """(rows, cols) of the configured topology, None when it is no grid."""
+    grid = get_graph(config.topology, config.topology_kwargs).grid
+    return (grid.rows, grid.cols) if grid is not None else None
+
+
+def render_link_maps(panels: Sequence[LinkMapResult]) -> str:
+    """Every panel of a link-utilisation figure, each with the heat
+    map of its own topology's grid."""
+    return "\n\n".join(render_link_map(p, grid_shape(p.summary.config))
+                       for p in panels) + "\n"
+
+
+# -- the two kinds of figure --------------------------------------------------
+
+@dataclass(frozen=True)
+class Panel:
+    """A latency-vs-traffic figure as declared."""
+
+    fig_id: str
+    #: the ``repro list`` line and, unless ``title`` says more (a
+    #: Figure 12 row's has a ``{radius}`` to fill), the report's heading
+    description: str
+    topology: str
+    traffic: str
+    #: offered loads swept, flits/ns/switch
+    rates: Tuple[float, ...]
+    #: the saturation throughput the paper reports per scheme label
+    #: (None, or no entry: it gives no number)
+    paper_throughput: Mapping[str, Optional[float]]
+    claims: Callable[[FigureResult], List[Claim]]
+    title: str = ""
+    #: False keeps the full grid even under the bench profile -- where
+    #: the panel's conclusion is a *ratio* of knees, which grid
+    #: clipping would distort
+    thin: bool = True
+    topology_kwargs: Mapping[str, Any] = field(default_factory=dict)
+    traffic_kwargs: Mapping[str, Any] = field(default_factory=dict)
+    schemes: Sequence[SchemeRow] = PAPER_SCHEMES
+
+
+def _latency_panel(panel: Panel, profile: Profile,
+                   executor=None) -> FigureResult:
+    """Sweep every scheme of ``panel`` over its rate grid."""
+    grid = profile.thin(list(panel.rates)) if panel.thin else panel.rates
     series = []
-    grid = profile.thin(list(rates)) if thin else list(rates)
-    for routing, policy, _label in schemes:
+    for routing, policy, _label in panel.schemes:
         base = SimConfig(
-            topology=topology, topology_kwargs=topology_kwargs or {},
+            topology=panel.topology, topology_kwargs=panel.topology_kwargs,
             routing=routing, policy=policy,
-            traffic=traffic, traffic_kwargs=traffic_kwargs or {},
-            warmup_ps=profile.warmup_ps, measure_ps=profile.measure_ps,
-            seed=seed)
+            traffic=panel.traffic, traffic_kwargs=panel.traffic_kwargs,
+            warmup_ps=profile.warmup_ps, measure_ps=profile.measure_ps)
         series.append(sweep_rates(base, grid, executor=executor))
-    return FigureResult(fig_id, title, series, paper_throughput)
+    return FigureResult(panel.fig_id, panel.title or panel.description,
+                        series, dict(panel.paper_throughput))
 
 
-# -- Figure 7: uniform traffic ------------------------------------------------
-
-#: rate grids bracketing the paper's saturation points
-_RATES_TORUS_UNIFORM = [0.004, 0.008, 0.011, 0.014, 0.017, 0.021,
-                        0.025, 0.029, 0.033, 0.038]
-_RATES_EXPRESS_UNIFORM = [0.02, 0.04, 0.055, 0.07, 0.085, 0.10,
-                          0.115, 0.13, 0.15]
-_RATES_CPLANT_UNIFORM = [0.015, 0.03, 0.045, 0.06, 0.075, 0.09,
-                         0.105, 0.12]
-
-
-def fig7a(profile: Profile, executor=None) -> FigureResult:
-    """Fig. 7a: uniform, 2-D torus.  Paper: UP/DOWN 0.015, ITB-SP 0.029,
-    ITB-RR 0.032 flits/ns/switch."""
+def _local_panel(panel: Panel, profile: Profile, executor=None,
+                 radius: int = 3) -> FigureResult:
+    """A Figure 12 panel: destinations at most ``radius`` switches
+    from the source, which the row's ``title`` has a place for."""
     return _latency_panel(
-        "fig7a", "Uniform traffic, 2-D torus", "torus", "uniform",
-        _RATES_TORUS_UNIFORM, profile,
-        {"UP/DOWN": 0.015, "ITB-SP": 0.029, "ITB-RR": 0.032},
-        executor=executor)
+        replace(panel, title=panel.title.format(radius=radius),
+                traffic_kwargs={"radius": radius}), profile, executor)
 
 
-def fig7b(profile: Profile, executor=None) -> FigureResult:
-    """Fig. 7b: uniform, 2-D torus with express channels.  Paper:
-    UP/DOWN 0.07, ITB-SP 0.12, ITB-RR 0.11."""
-    return _latency_panel(
-        "fig7b", "Uniform traffic, 2-D torus + express channels",
-        "torus-express", "uniform", _RATES_EXPRESS_UNIFORM, profile,
-        {"UP/DOWN": 0.07, "ITB-SP": 0.12, "ITB-RR": 0.11},
-        executor=executor)
+def _register_panel(panel: Panel, fn: Callable[..., FigureResult]
+                    = _latency_panel, kwargs: Tuple[Kwarg, ...] = ()) -> None:
+    EXPERIMENTS.register(Experiment(
+        panel.fig_id, "latency-panel", panel.description,
+        partial(fn, panel), render_figure, _plot_panel, panel.claims,
+        kwargs))
 
 
-def fig7c(profile: Profile, executor=None) -> FigureResult:
-    """Fig. 7c: uniform, CPLANT.  Paper: UP/DOWN 0.05, ITB-SP just
-    under double, ITB-RR 0.095."""
-    return _latency_panel(
-        "fig7c", "Uniform traffic, CPLANT", "cplant", "uniform",
-        _RATES_CPLANT_UNIFORM, profile,
-        {"UP/DOWN": 0.05, "ITB-SP": None, "ITB-RR": 0.095},
-        executor=executor)
+@dataclass(frozen=True)
+class LinkMaps:
+    """A link-utilisation figure as declared: one snapshot per
+    ``(scheme, rate)``, lettered a, b, c in order."""
+
+    fig_id: str
+    description: str
+    #: what every panel's heading starts with
+    where: str
+    topology: str
+    traffic: str
+    panels: Tuple[Tuple[SchemeRow, float], ...]
+    claims: Callable[[Sequence[LinkMapResult]], List[Claim]]
+    traffic_kwargs: Mapping[str, Any] = field(default_factory=dict)
 
 
-# -- Figures 8/9/11: link utilisation maps -----------------------------------
-
-def _link_map_config(topology: str, traffic: str, routing: str,
-                     policy: str, rate: float, profile: Profile,
-                     traffic_kwargs: Optional[dict], seed: int) -> SimConfig:
-    return SimConfig(
-        topology=topology, routing=routing, policy=policy,
-        traffic=traffic, traffic_kwargs=traffic_kwargs or {},
-        injection_rate=rate,
-        warmup_ps=profile.warmup_ps, measure_ps=profile.measure_ps,
-        seed=seed)
-
-
-def _link_map_panels(panels: Sequence[Tuple[str, str, SimConfig]],
+def _link_map_panels(fig: LinkMaps, profile: Profile,
                      executor=None) -> List[LinkMapResult]:
-    """Run link-utilisation snapshots as one batch of points.
+    """Run ``fig``'s snapshots as one batch of points.
 
     The panels of one figure are independent runs, so a parallel
     executor runs them concurrently, and one with a store re-renders
     them for free.
     """
+    configs = [SimConfig(
+        topology=fig.topology, routing=routing, policy=policy,
+        traffic=fig.traffic, traffic_kwargs=fig.traffic_kwargs,
+        injection_rate=rate,
+        warmup_ps=profile.warmup_ps, measure_ps=profile.measure_ps)
+        for (routing, policy, _label), rate in fig.panels]
     summaries = resolve_executor(executor).run_configs(
-        [cfg for _, _, cfg in panels], collect_links=True)
+        configs, collect_links=True)
     out = []
-    for (fig_id, title, cfg), summary in zip(panels, summaries):
+    for letter, ((_, _, label), rate), summary in zip(
+            "abcdef", fig.panels, summaries):
         assert summary.link_utilization is not None
-        out.append(LinkMapResult(fig_id, title, cfg.label(),
-                                 cfg.injection_rate,
-                                 summary.link_utilization, summary))
+        out.append(LinkMapResult(
+            fig.fig_id + letter, f"{fig.where} @ {rate}, {label}", label,
+            rate, summary.link_utilization, summary))
     return out
 
 
-def fig8(profile: Profile, executor=None) -> List[LinkMapResult]:
-    """Fig. 8: link utilisation, 2-D torus, uniform traffic.
-
-    Paper: at 0.015 (UP/DOWN's saturation) links near the root hit
-    ~50 % under UP/DOWN while 65 % of links stay below 10 %; ITB-RR
-    keeps everything below 12 %.  At 0.03 ITB-RR ranges 14--29 %.
-    """
-    return _link_map_panels([
-        ("fig8a", "2-D torus @ 0.015, UP/DOWN",
-         _link_map_config("torus", "uniform", "updown", "sp", 0.015,
-                          profile, None, 1)),
-        ("fig8b", "2-D torus @ 0.015, ITB-RR",
-         _link_map_config("torus", "uniform", "itb", "rr", 0.015,
-                          profile, None, 1)),
-        ("fig8c", "2-D torus @ 0.03, ITB-RR",
-         _link_map_config("torus", "uniform", "itb", "rr", 0.03,
-                          profile, None, 1)),
-    ], executor)
+def _hotspot_link_maps(fig: LinkMaps, profile: Profile, executor=None,
+                       hotspot: int = 260,
+                       fraction: float = 0.10) -> List[LinkMapResult]:
+    """Figure 11's snapshots: ``fraction`` of the traffic goes to host
+    ``hotspot``."""
+    return _link_map_panels(
+        replace(fig, traffic_kwargs={"hotspot": hotspot,
+                                     "fraction": fraction}),
+        profile, executor)
 
 
-def fig9(profile: Profile, executor=None) -> List[LinkMapResult]:
-    """Fig. 9: link utilisation, express torus @ 0.066 (UP/DOWN's
-    saturation point).  Paper: root links ~50 % under UP/DOWN; under
-    ITB-RR all links < 30 % (express ~25 %, local ~10 %)."""
-    return _link_map_panels([
-        ("fig9a", "Express torus @ 0.066, UP/DOWN",
-         _link_map_config("torus-express", "uniform", "updown", "sp",
-                          0.066, profile, None, 1)),
-        ("fig9b", "Express torus @ 0.066, ITB-RR",
-         _link_map_config("torus-express", "uniform", "itb", "rr",
-                          0.066, profile, None, 1)),
-    ], executor)
+def _register_link_maps(fig: LinkMaps,
+                        fn: Callable[..., List[LinkMapResult]]
+                        = _link_map_panels,
+                        kwargs: Tuple[Kwarg, ...] = ()) -> None:
+    EXPERIMENTS.register(Experiment(
+        fig.fig_id, "link-map", fig.description, partial(fn, fig),
+        render_link_maps, claims=fig.claims, kwargs=kwargs))
 
 
-def fig11(profile: Profile, hotspot: int = 260,
-          fraction: float = 0.10, executor=None) -> List[LinkMapResult]:
-    """Fig. 11: link utilisation, 2-D torus, 10 % hotspot traffic at
-    UP/DOWN's saturation (paper: 0.0123).  Paper: UP/DOWN concentrates
-    near the root, ITB-RR only near the hotspot."""
-    kwargs = {"hotspot": hotspot, "fraction": fraction}
-    return _link_map_panels([
-        ("fig11a", "2-D torus, 10% hotspot @ 0.0123, UP/DOWN",
-         _link_map_config("torus", "hotspot", "updown", "sp", 0.0123,
-                          profile, kwargs, 1)),
-        ("fig11b", "2-D torus, 10% hotspot @ 0.0123, ITB-RR",
-         _link_map_config("torus", "hotspot", "itb", "rr", 0.0123,
-                          profile, kwargs, 1)),
-    ], executor)
-
-
-# -- Figure 10: bit-reversal ---------------------------------------------------
-
-_RATES_TORUS_BITREV = [0.004, 0.008, 0.012, 0.016, 0.020, 0.024,
-                       0.028, 0.032, 0.037]
-_RATES_EXPRESS_BITREV = [0.02, 0.04, 0.055, 0.07, 0.085, 0.10,
-                         0.115, 0.13]
-
-
-def fig10a(profile: Profile, executor=None) -> FigureResult:
-    """Fig. 10a: bit-reversal, 2-D torus.  Paper: UP/DOWN 0.017,
-    ITB-RR 0.032."""
-    return _latency_panel(
-        "fig10a", "Bit-reversal traffic, 2-D torus", "torus",
-        "bit-reversal", _RATES_TORUS_BITREV, profile,
-        {"UP/DOWN": 0.017, "ITB-SP": None, "ITB-RR": 0.032},
-        executor=executor)
-
-
-def fig10b(profile: Profile, executor=None) -> FigureResult:
-    """Fig. 10b: bit-reversal, express torus.  Paper: UP/DOWN 0.07,
-    ITB-RR 0.11."""
-    return _latency_panel(
-        "fig10b", "Bit-reversal traffic, 2-D torus + express channels",
-        "torus-express", "bit-reversal", _RATES_EXPRESS_BITREV, profile,
-        {"UP/DOWN": 0.07, "ITB-SP": None, "ITB-RR": 0.11},
-        executor=executor)
-
-
-# -- Figure 12: local traffic ---------------------------------------------------
-
-_RATES_TORUS_LOCAL = [0.02, 0.035, 0.05, 0.065, 0.08, 0.095, 0.11]
-_RATES_EXPRESS_LOCAL = [0.04, 0.07, 0.10, 0.13, 0.16, 0.20]
-_RATES_CPLANT_LOCAL = [0.03, 0.05, 0.07, 0.09, 0.12, 0.15]
-
-
-def fig12a(profile: Profile, radius: int = 3,
-          executor=None) -> FigureResult:
-    """Fig. 12a: local traffic (<= 3 switches), 2-D torus.  Paper:
-    UP/DOWN ~0.1, ITB-SP/RR ~0.13 (a modest gain -- the panel's point
-    is the *ratio*, so the grid is never thinned)."""
-    return _latency_panel(
-        "fig12a", f"Local traffic (radius {radius}), 2-D torus", "torus",
-        "local", _RATES_TORUS_LOCAL, profile,
-        {"UP/DOWN": 0.10, "ITB-SP": 0.13, "ITB-RR": 0.13},
-        traffic_kwargs={"radius": radius}, thin=False, executor=executor)
-
-
-def fig12b(profile: Profile, radius: int = 3,
-          executor=None) -> FigureResult:
-    """Fig. 12b: local traffic, express torus.  Paper: UP/DOWN performs
-    as ITB-RR; ITB-SP slightly ahead."""
-    return _latency_panel(
-        "fig12b", f"Local traffic (radius {radius}), express torus",
-        "torus-express", "local", _RATES_EXPRESS_LOCAL, profile,
-        {"UP/DOWN": None, "ITB-SP": None, "ITB-RR": None},
-        traffic_kwargs={"radius": radius}, thin=False, executor=executor)
-
-
-def fig12c(profile: Profile, radius: int = 3,
-          executor=None) -> FigureResult:
-    """Fig. 12c: local traffic, CPLANT.  Paper: small ITB benefits."""
-    return _latency_panel(
-        "fig12c", f"Local traffic (radius {radius}), CPLANT", "cplant",
-        "local", _RATES_CPLANT_LOCAL, profile,
-        {"UP/DOWN": None, "ITB-SP": None, "ITB-RR": None},
-        traffic_kwargs={"radius": radius}, thin=False, executor=executor)
-
-
-# -- Extension panels (no paper counterpart) ----------------------------------
-
-_RATES_IRREGULAR = [0.004, 0.008, 0.012, 0.017, 0.023, 0.03, 0.04]
-_RATES_MESH = [0.006, 0.010, 0.014, 0.018, 0.022, 0.027, 0.032]
-
-
-def irregular(profile: Profile, executor=None) -> FigureResult:
-    """In-transit buffers on an *irregular* network, where the
-    mechanism was first proposed (the paper's references [5, 6]): a
-    32-switch random fabric, on which up*/down* forbids far more
-    minimal paths than on the torus.  Those papers report large gains."""
-    return _latency_panel(
-        "irregular", "Uniform traffic, 32-switch irregular network",
-        "irregular", "uniform", _RATES_IRREGULAR, profile, {},
-        executor=executor,
-        topology_kwargs={"num_switches": 32, "hosts_per_switch": 8,
-                         "max_switch_links": 4, "seed": 11},
-        schemes=(UPDOWN, ITB_RR))
-
-
-def mesh_dor(profile: Profile, executor=None) -> FigureResult:
-    """Dimension-order routing as a third baseline on an 8x8 mesh (the
-    torus without wraparound), where XY routing is minimal and
-    deadlock-free without virtual channels.  It isolates what drives
-    the torus result: the mesh has little minimal-path diversity for
-    ITB routing to exploit, and rootless DOR has no spanning-tree hot
-    corner.  The conclusion is a three-way knee comparison, so the
-    grid is never thinned."""
-    return _latency_panel(
-        "mesh-dor", "Uniform traffic, 8x8 mesh", "mesh", "uniform",
-        _RATES_MESH, profile, {}, thin=False, executor=executor,
-        topology_kwargs={"rows": 8, "cols": 8, "hosts_per_switch": 8},
-        schemes=(UPDOWN, ITB_RR, ("dor", "sp", "DOR")))
-
-
-# -- the paper's claims about each figure -------------------------------------
+# -- how a claim is stated ----------------------------------------------------
 
 def _check(what: str, measured: str, value: float,
            lo: Optional[float], hi: Optional[float]) -> Claim:
@@ -376,12 +325,42 @@ def _into(panel: LinkMapResult, switch: int) -> float:
     return sum(vals) / len(vals)
 
 
+# -- Figure 7: uniform traffic ------------------------------------------------
+# A knee is read off a rate grid, so where a grid point sits on a
+# scheme's knee its ratio reads a step lower on some seeds: 0.033 for
+# ITB-RR in fig7a (saturates there on 6 of 8 seeds under the bench
+# grid), 0.085 in fig10b (reads UP/DOWN's knee on 3 of 8, x1.5 on the
+# rest).
+
+_register_panel(Panel(
+    "fig7a", "Uniform traffic, 2-D torus", "torus", "uniform",
+    (0.004, 0.008, 0.011, 0.014, 0.017, 0.021, 0.025, 0.029, 0.033, 0.038),
+    {"UP/DOWN": 0.015, "ITB-SP": 0.029, "ITB-RR": 0.032},
+    _knees(SP=(1.8, None, "x1.9"), RR=(1.35, None, "x2.1"))))
+
+
 def _fig7b_claims(fig: FigureResult) -> List[Claim]:
     return _knees(SP=(1.45, None, "x1.7"), RR=(1.35, None, "x1.57"))(fig) + [
         # express channels lift everyone well above the plain torus
         bound_claim("UP/DOWN knee (paper 0.07; plain torus 0.017)",
                     fig.measured_throughput()["UP/DOWN"], lo=0.05)]
 
+
+_register_panel(Panel(
+    "fig7b", "Uniform traffic, express torus", "torus-express", "uniform",
+    (0.02, 0.04, 0.055, 0.07, 0.085, 0.10, 0.115, 0.13, 0.15),
+    {"UP/DOWN": 0.07, "ITB-SP": 0.12, "ITB-RR": 0.11}, _fig7b_claims,
+    title="Uniform traffic, 2-D torus + express channels"))
+
+# the paper gives no ITB-SP number: "almost doubles" UP/DOWN
+_register_panel(Panel(
+    "fig7c", "Uniform traffic, CPLANT", "cplant", "uniform",
+    (0.015, 0.03, 0.045, 0.06, 0.075, 0.09, 0.105, 0.12),
+    {"UP/DOWN": 0.05, "ITB-RR": 0.095},
+    _knees(SP=(1.8, None, '"almost doubles"'), RR=(1.4, None, "x1.9"))))
+
+
+# -- Figures 8 and 9: link utilisation under uniform traffic ------------------
 
 def _fig8_claims(panels: Sequence[LinkMapResult]) -> List[Claim]:
     updown = panels[0].utilization
@@ -409,6 +388,16 @@ def _fig8_claims(panels: Sequence[LinkMapResult]) -> List[Claim]:
                     "UP/DOWN's @ 0.015", ud["max"], hi=0.95)]
 
 
+# Fig. 8, at UP/DOWN's saturation point and at twice it.  Paper: at
+# 0.015 links near the root hit ~50 % under UP/DOWN while 65 % of links
+# stay below 10 %, and ITB-RR keeps everything below 12 %; at 0.03
+# ITB-RR ranges 14--29 %.
+_register_link_maps(LinkMaps(
+    "fig8", "Link utilisation, torus, uniform", "2-D torus", "torus",
+    "uniform", ((UPDOWN, 0.015), (ITB_RR, 0.015), (ITB_RR, 0.03)),
+    _fig8_claims))
+
+
 def _fig9_claims(panels: Sequence[LinkMapResult]) -> List[Claim]:
     updown, itb = (p.utilization for p in panels)
     ud_max, itb_max = updown.summary()["max"], itb.summary()["max"]
@@ -433,6 +422,34 @@ def _fig9_claims(panels: Sequence[LinkMapResult]) -> List[Claim]:
                     sum(local) / len(local), lo=1.35)]
 
 
+# Fig. 9, at UP/DOWN's saturation point.  Paper: root links ~50 % under
+# UP/DOWN; under ITB-RR all links < 30 % (express ~25 %, local ~10 %).
+_register_link_maps(LinkMaps(
+    "fig9", "Link utilisation, express torus, uniform", "Express torus",
+    "torus-express", "uniform", ((UPDOWN, 0.066), (ITB_RR, 0.066)),
+    _fig9_claims))
+
+
+# -- Figure 10: bit-reversal --------------------------------------------------
+# the paper reports no ITB-SP number for either panel
+
+_register_panel(Panel(
+    "fig10a", "Bit-reversal, 2-D torus", "torus", "bit-reversal",
+    (0.004, 0.008, 0.012, 0.016, 0.020, 0.024, 0.028, 0.032, 0.037),
+    {"UP/DOWN": 0.017, "ITB-RR": 0.032},
+    _knees(SP=(1.3, None, "~x1.8"), RR=(1.25, None, "x1.9")),
+    title="Bit-reversal traffic, 2-D torus"))
+
+_register_panel(Panel(
+    "fig10b", "Bit-reversal, express torus", "torus-express",
+    "bit-reversal", (0.02, 0.04, 0.055, 0.07, 0.085, 0.10, 0.115, 0.13),
+    {"UP/DOWN": 0.07, "ITB-RR": 0.11},
+    _knees(SP=(1.15, None, "~x1.6"), RR=(0.95, None, "x1.57")),
+    title="Bit-reversal traffic, 2-D torus + express channels"))
+
+
+# -- Figure 11: link utilisation under a hotspot ------------------------------
+
 def _fig11_claims(panels: Sequence[LinkMapResult]) -> List[Claim]:
     updown, itb = panels
     cfg = itb.summary.config
@@ -455,6 +472,68 @@ def _fig11_claims(panels: Sequence[LinkMapResult]) -> List[Claim]:
                     "UP/DOWN's", _into(updown, 0), hi=0.5)]
 
 
+# Fig. 11, at UP/DOWN's saturation under the hotspot (paper: 0.0123).
+# Paper: UP/DOWN concentrates near the root, ITB-RR only near the
+# hotspot.
+_register_link_maps(
+    LinkMaps("fig11", "Link utilisation, torus, 10% hotspot",
+             "2-D torus, 10% hotspot", "torus", "hotspot",
+             ((UPDOWN, 0.0123), (ITB_RR, 0.0123)), _fig11_claims),
+    _hotspot_link_maps,
+    (Kwarg("hotspot", int, 260, "host every hotspot message goes to"),
+     Kwarg("fraction", float, 0.10, "share of messages sent to it")))
+
+
+# -- Figure 12: local traffic -------------------------------------------------
+# The paper sees a modest gain on the torus (UP/DOWN ~0.1, ITB ~0.13),
+# parity on the express torus ("does not decrease UP/DOWN performance",
+# ITB-SP slightly ahead) and small benefits on CPLANT, the last two
+# without numbers; ours are larger on the last two and visibly below
+# the x2 of uniform traffic on the first.  Each panel's point is the
+# *ratio*, so no grid is thinned.
+
+_RADIUS = (Kwarg("radius", int, 3, "destinations at most this many "
+                                   "switches from the source"),)
+
+_register_panel(Panel(
+    "fig12a", "Local traffic, 2-D torus", "torus", "local",
+    (0.02, 0.035, 0.05, 0.065, 0.08, 0.095, 0.11),
+    {"UP/DOWN": 0.10, "ITB-SP": 0.13, "ITB-RR": 0.13},
+    _knees(SP=(1.2, 1.8, "x1.3"), RR=(1.2, 1.8, "x1.3")),
+    title="Local traffic (radius {radius}), 2-D torus", thin=False),
+    _local_panel, _RADIUS)
+
+_register_panel(Panel(
+    "fig12b", "Local traffic, express torus", "torus-express", "local",
+    (0.04, 0.07, 0.10, 0.13, 0.16, 0.20), {},
+    _knees(SP=(1.2, None, "slightly ahead"), RR=(0.95, None, "parity")),
+    title="Local traffic (radius {radius}), express torus", thin=False),
+    _local_panel, _RADIUS)
+
+_register_panel(Panel(
+    "fig12c", "Local traffic, CPLANT", "cplant", "local",
+    (0.03, 0.05, 0.07, 0.09, 0.12, 0.15), {},
+    _knees(SP=(1.25, None, '"small benefits"'),
+           RR=(1.25, None, '"small benefits"')),
+    title="Local traffic (radius {radius}), CPLANT", thin=False),
+    _local_panel, _RADIUS)
+
+
+# -- Extension panels (no paper counterpart) ----------------------------------
+
+# In-transit buffers on an *irregular* network, where the mechanism was
+# first proposed (the paper's references [5, 6], which report large
+# gains): a 32-switch random fabric, on which up*/down* forbids far
+# more minimal paths than on the torus.
+_register_panel(Panel(
+    "irregular", "Uniform traffic, 32-switch irregular network",
+    "irregular", "uniform", (0.004, 0.008, 0.012, 0.017, 0.023, 0.03, 0.04),
+    {}, _knees(RR=(1.25, None, "")),
+    topology_kwargs={"num_switches": 32, "hosts_per_switch": 8,
+                     "max_switch_links": 4, "seed": 11},
+    schemes=(UPDOWN, ITB_RR)))
+
+
 def _mesh_dor_claims(fig: FigureResult) -> List[Claim]:
     return [
         # rootless DOR beats both spanning-tree-based schemes
@@ -465,30 +544,17 @@ def _mesh_dor_claims(fig: FigureResult) -> List[Claim]:
         knee_claim(fig, "ITB-RR", lo=0.7, hi=1.4)]
 
 
-#: exp_id -> claims.  A knee is read off a rate grid, so where a grid
-#: point sits on a scheme's knee its ratio reads a step lower on some
-#: seeds: 0.033 for ITB-RR in fig7a (saturates there on 6 of 8 seeds
-#: under the bench grid), 0.085 in fig10b (reads UP/DOWN's knee on 3 of
-#: 8, x1.5 on the rest).  Fig 12: the paper sees a modest gain on the
-#: torus, parity on the express torus ("does not decrease UP/DOWN
-#: performance") and small benefits on CPLANT; ours are larger on the
-#: last two and visibly below the x2 of uniform traffic on the first.
-CLAIMS: Dict[str, Callable[..., List[Claim]]] = {
-    "fig7a": _knees(SP=(1.8, None, "x1.9"), RR=(1.35, None, "x2.1")),
-    "fig7b": _fig7b_claims,
-    "fig7c": _knees(SP=(1.8, None, '"almost doubles"'),
-                    RR=(1.4, None, "x1.9")),
-    "fig8": _fig8_claims,
-    "fig9": _fig9_claims,
-    "fig10a": _knees(SP=(1.3, None, "~x1.8"), RR=(1.25, None, "x1.9")),
-    "fig10b": _knees(SP=(1.15, None, "~x1.6"), RR=(0.95, None, "x1.57")),
-    "fig11": _fig11_claims,
-    "fig12a": _knees(SP=(1.2, 1.8, "x1.3"), RR=(1.2, 1.8, "x1.3")),
-    "fig12b": _knees(SP=(1.2, None, "slightly ahead"),
-                     RR=(0.95, None, "parity")),
-    "fig12c": _knees(SP=(1.25, None, '"small benefits"'),
-                     RR=(1.25, None, '"small benefits"')),
-    # references [5, 6] report large gains on irregular networks
-    "irregular": _knees(RR=(1.25, None, "")),
-    "mesh-dor": _mesh_dor_claims,
-}
+# Dimension-order routing as a third baseline on an 8x8 mesh (the torus
+# without wraparound), where XY routing is minimal and deadlock-free
+# without virtual channels.  It isolates what drives the torus result:
+# the mesh has little minimal-path diversity for ITB routing to
+# exploit, and rootless DOR has no spanning-tree hot corner.  The
+# conclusion is a three-way knee comparison, so the grid is never
+# thinned.
+_register_panel(Panel(
+    "mesh-dor", "Uniform traffic, 8x8 mesh: UP/DOWN vs ITB-RR vs "
+    "dimension-order", "mesh", "uniform",
+    (0.006, 0.010, 0.014, 0.018, 0.022, 0.027, 0.032), {},
+    _mesh_dor_claims, title="Uniform traffic, 8x8 mesh", thin=False,
+    topology_kwargs={"rows": 8, "cols": 8, "hosts_per_switch": 8},
+    schemes=(UPDOWN, ITB_RR, ("dor", "sp", "DOR"))))

@@ -1,25 +1,32 @@
-"""Regeneration of Tables 1--3: hotspot saturation throughput.
+"""Tables 1--3: hotspot saturation throughput, declared once.
 
 Each table cell is the saturation throughput of one (routing, hotspot
 location, hotspot load) configuration; a table is one
 :func:`~repro.experiments.sweep.search_all` over its cells' configs.
 Hotspot locations are "chosen randomly" in the paper (10 per
 topology); we draw them deterministically from a seed so the tables
-are reproducible.
+are reproducible.  A table is one declared row -- topology, loads with
+the paper's average row, claims (see :mod:`.figures`) -- registered in
+:data:`~.registry.EXPERIMENTS`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..config import SimConfig
 from ..routing.schemes import PAPER_SCHEMES
-from .figures import Claim, bound_claim, ratio_claim
+from .figures import bound_claim, ratio_claim
 from .profiles import Profile
+from .registry import EXPERIMENTS, Claim, Experiment
 from .runner import get_graph
 from .sweep import search_all
+
+#: the columns of a table, in the paper's order
+LABELS = tuple(label for _, _, label in PAPER_SCHEMES)
 
 
 @dataclass(frozen=True)
@@ -35,12 +42,16 @@ class HotspotTable:
     locations: Tuple[int, ...]
     #: throughput[(fraction, location, label)] in flits/ns/switch
     throughput: Dict[Tuple[float, int, str], float]
+    #: the paper's average row per fraction, in :data:`LABELS` order
+    #: (no entry: the paper gives none)
+    paper_averages: Mapping[float, Tuple[float, ...]] = field(
+        default_factory=dict)
 
     def averages(self) -> Dict[Tuple[float, str], float]:
         """Average row of the paper's tables: mean over locations."""
         out: Dict[Tuple[float, str], float] = {}
         for frac in self.fractions:
-            for _, _, label in PAPER_SCHEMES:
+            for label in LABELS:
                 vals = [self.throughput[(frac, loc, label)]
                         for loc in self.locations]
                 out[(frac, label)] = sum(vals) / len(vals)
@@ -65,77 +76,84 @@ def pick_hotspots(topology: str, count: int, seed: int = 7,
     return sorted(rng.sample(range(g.num_hosts), count))
 
 
-def _hotspot_table(table_id: str, title: str, topology: str,
-                   fractions: Tuple[float, ...], profile: Profile,
-                   start_rate: float, seed: int = 7,
+def render_hotspot_table(tab: HotspotTable) -> str:
+    """A hotspot table in the paper's layout (locations x routings),
+    with the paper's average row alongside when known."""
+    lines = [f"== {tab.table_id}: {tab.title} =="]
+    for frac in tab.fractions:
+        lines.append(f"-- hotspot load {frac:.0%}")
+        lines.append(f"{'hotspot':>8s} " +
+                     " ".join(f"{lab:>8s}" for lab in LABELS))
+        for i, loc in enumerate(tab.locations, 1):
+            vals = " ".join(f"{tab.throughput[(frac, loc, lab)]:8.4f}"
+                            for lab in LABELS)
+            lines.append(f"{i:8d} {vals}")
+        avg = tab.averages()
+        vals = " ".join(f"{avg[(frac, lab)]:8.4f}" for lab in LABELS)
+        lines.append(f"{'Avg':>8s} {vals}")
+        if frac in tab.paper_averages:
+            vals = " ".join(f"{v:8.4f}" for v in tab.paper_averages[frac])
+            lines.append(f"{'paper':>8s} {vals}")
+        factors = tab.improvement_factors()
+        lines.append(
+            f"{'x UP/DOWN':>8s} {'1.00':>8s} "
+            f"{factors[(frac, 'ITB-SP')]:8.2f} "
+            f"{factors[(frac, 'ITB-RR')]:8.2f}")
+    return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class HotspotStudy:
+    """One of the paper's hotspot tables as declared."""
+
+    table_id: str
+    #: the ``repro list`` line and, unless ``title`` says more, the
+    #: report's heading
+    description: str
+    topology: str
+    #: hotspot load -> the paper's average row (flits/ns/switch, in
+    #: :data:`LABELS` order); the keys are the loads studied
+    paper_averages: Mapping[float, Tuple[float, ...]]
+    #: where every cell's saturation search starts
+    start_rate: float
+    claims: Callable[[HotspotTable], List[Claim]]
+    title: str = ""
+
+
+def _hotspot_table(study: HotspotStudy, profile: Profile,
                    executor=None) -> HotspotTable:
     """Fill one table: one saturation search per (fraction, location,
     routing) cell."""
-    locations = tuple(pick_hotspots(topology, profile.hotspot_locations,
-                                    seed))
+    fractions = tuple(study.paper_averages)
+    locations = tuple(pick_hotspots(study.topology,
+                                    profile.hotspot_locations))
     cells = [(frac, loc, label,
-              SimConfig(topology=topology, routing=routing, policy=policy,
-                        traffic="hotspot",
+              SimConfig(topology=study.topology, routing=routing,
+                        policy=policy, traffic="hotspot",
                         traffic_kwargs={"hotspot": loc, "fraction": frac},
                         warmup_ps=profile.sat_warmup_ps,
                         measure_ps=profile.sat_measure_ps))
              for frac in fractions
              for loc in locations
              for routing, policy, label in PAPER_SCHEMES]
-    searches = search_all([cfg for *_, cfg in cells], profile, start_rate,
-                          executor)
+    searches = search_all([cfg for *_, cfg in cells], profile,
+                          study.start_rate, executor)
     return HotspotTable(
-        table_id, title, topology, fractions, locations,
+        study.table_id, study.title or study.description, study.topology,
+        fractions, locations,
         {(frac, loc, label): sat.throughput
-         for (frac, loc, label, _), sat in zip(cells, searches)})
+         for (frac, loc, label, _), sat in zip(cells, searches)},
+        study.paper_averages)
 
 
-def table1(profile: Profile, executor=None) -> HotspotTable:
-    """Table 1: 2-D torus, 5 % and 10 % hotspot traffic.
-
-    Paper averages (flits/ns/switch): 5 % -> 0.0125 / 0.0267 / 0.0274;
-    10 % -> 0.0123 / 0.0173 / 0.0183 for UP/DOWN / ITB-SP / ITB-RR.
-    """
-    return _hotspot_table("table1", "Hotspot throughput, 2-D torus",
-                          "torus", (0.05, 0.10), profile,
-                          start_rate=0.006, executor=executor)
+def _register_table(study: HotspotStudy) -> None:
+    EXPERIMENTS.register(Experiment(
+        study.table_id, "hotspot-table", study.description,
+        partial(_hotspot_table, study), render_hotspot_table,
+        claims=study.claims))
 
 
-def table2(profile: Profile, executor=None) -> HotspotTable:
-    """Table 2: express torus, 3 % and 5 % hotspot traffic.
-
-    Paper averages: 3 % -> 0.0483 / 0.0546 / 0.0542;
-    5 % -> 0.0334 / 0.0363 / 0.0359.
-    """
-    return _hotspot_table("table2",
-                          "Hotspot throughput, 2-D torus + express",
-                          "torus-express", (0.03, 0.05), profile,
-                          start_rate=0.015, executor=executor)
-
-
-def table3(profile: Profile, executor=None) -> HotspotTable:
-    """Table 3: CPLANT, 5 % hotspot traffic.
-
-    Paper averages: 0.0340 / 0.0423 / 0.0451.
-    """
-    return _hotspot_table("table3", "Hotspot throughput, CPLANT",
-                          "cplant", (0.05,), profile, start_rate=0.012, executor=executor)
-
-
-#: paper-reported average rows, for EXPERIMENTS.md comparison
-PAPER_TABLE_AVERAGES: Dict[str, Dict[Tuple[float, str], float]] = {
-    "table1": {(0.05, "UP/DOWN"): 0.0125, (0.05, "ITB-SP"): 0.0267,
-               (0.05, "ITB-RR"): 0.0274, (0.10, "UP/DOWN"): 0.0123,
-               (0.10, "ITB-SP"): 0.0173, (0.10, "ITB-RR"): 0.0183},
-    "table2": {(0.03, "UP/DOWN"): 0.0483, (0.03, "ITB-SP"): 0.0546,
-               (0.03, "ITB-RR"): 0.0542, (0.05, "UP/DOWN"): 0.0334,
-               (0.05, "ITB-SP"): 0.0363, (0.05, "ITB-RR"): 0.0359},
-    "table3": {(0.05, "UP/DOWN"): 0.0340, (0.05, "ITB-SP"): 0.0423,
-               (0.05, "ITB-RR"): 0.0451},
-}
-
-
-# -- the paper's claims about each table (see :mod:`.figures`) ----------------
+# -- the paper's claims about each table, then the tables ---------------------
 
 def _gain(tab: HotspotTable, fraction: float, label: str, paper: str,
           lo: Optional[float] = None, hi: Optional[float] = None) -> Claim:
@@ -187,8 +205,16 @@ def _table3_claims(tab: HotspotTable) -> List[Claim]:
             _gain(tab, 0.05, "ITB-RR", "x1.32", lo=0.95, hi=1.7)]
 
 
-CLAIMS: Dict[str, Callable[[HotspotTable], List[Claim]]] = {
-    "table1": _table1_claims,
-    "table2": _table2_claims,
-    "table3": _table3_claims,
-}
+_register_table(HotspotStudy(
+    "table1", "Hotspot throughput, 2-D torus", "torus",
+    {0.05: (0.0125, 0.0267, 0.0274), 0.10: (0.0123, 0.0173, 0.0183)},
+    0.006, _table1_claims))
+
+_register_table(HotspotStudy(
+    "table2", "Hotspot throughput, express torus", "torus-express",
+    {0.03: (0.0483, 0.0546, 0.0542), 0.05: (0.0334, 0.0363, 0.0359)},
+    0.015, _table2_claims, title="Hotspot throughput, 2-D torus + express"))
+
+_register_table(HotspotStudy(
+    "table3", "Hotspot throughput, CPLANT", "cplant",
+    {0.05: (0.0340, 0.0423, 0.0451)}, 0.012, _table3_claims))

@@ -21,7 +21,8 @@ Cells where the scheme's capability declaration rejects the topology
 (e.g. dimension-order routing on an irregular network) are marked
 unsupported up front and never dispatched.  Searches and points are
 independent executor tasks: parallel, checkpointed in the result
-store, restartable.
+store, restartable.  The study is ``repro experiment tournament``,
+registered at the foot of this module.
 """
 
 from __future__ import annotations
@@ -32,11 +33,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimConfig
 from ..metrics.saturation import knee_from_runs
+from ..registry import Kwarg, comma_list
 from ..resilience.sampling import sample_failed_links
 from ..routing.schemes import available_schemes, get_scheme, scheme_label
+from ..topology import size_kwargs
 from ..topology.mutated import mutated_kwargs
 from ..traffic.registry import get_pattern_spec, parse_workload
 from .profiles import Profile
+from .registry import EXPERIMENTS, Experiment
 from .runner import get_graph
 from .sweep import resolve_executor, search_all
 
@@ -115,7 +119,7 @@ class TournamentReport:
         raise KeyError((label, topology, pattern))
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe artifact (written by ``repro tournament --json``)."""
+        """JSON-safe artifact (``repro experiment tournament --json``)."""
         return {
             "schemes": [asdict(s) for s in self.schemes],
             "topologies": [asdict(t) for t in self.topologies],
@@ -334,11 +338,17 @@ def render_tournament(report: TournamentReport) -> str:
     return "\n".join(out)
 
 
-# -- registry entry ----------------------------------------------------------
+# -- the registered study ---------------------------------------------------
 
 
-def default_tournament(profile: Profile, executor=None) -> TournamentReport:
-    """Registry entry: every registered scheme on scaled-down grids.
+def tournament(profile: Profile, executor=None, schemes: str = "all",
+               topologies: str = "torus,mesh", rows: int = 4, cols: int = 4,
+               hosts_per_switch: int = 2,
+               patterns: str = "uniform,bit-reversal,incast,uniform+onoff",
+               failures: int = 2, start_rate: float = 0.005,
+               seed: int = 1) -> TournamentReport:
+    """Every registered scheme on scaled-down grids, unless told
+    otherwise.
 
     4x4 torus and 4x4 mesh (2 hosts/switch -> 32 hosts, a power of two
     so bit-reversal is defined) under four workloads -- uniform and
@@ -347,13 +357,36 @@ def default_tournament(profile: Profile, executor=None) -> TournamentReport:
     2-link-failure retention column; small enough that the full cross
     product stays tractable at the bench profile.
     """
-    topologies = (
-        TopologySpec("torus", {"rows": 4, "cols": 4,
-                               "hosts_per_switch": 2}, "torus 4x4"),
-        TopologySpec("mesh", {"rows": 4, "cols": 4,
-                              "hosts_per_switch": 2}, "mesh 4x4"),
-    )
-    return run_tournament(default_entries(), topologies,
-                          ("uniform", "bit-reversal", "incast",
-                           "uniform+onoff"), profile,
-                          seed=1, failures=2, executor=executor)
+    specs = []
+    for name in comma_list(topologies, str, "topologies"):
+        kwargs = size_kwargs(name, rows, cols, hosts_per_switch)
+        specs.append(TopologySpec(
+            name, kwargs,
+            f"{name} {rows}x{cols}" if "rows" in kwargs else name))
+    return run_tournament(
+        default_entries(None if schemes == "all"
+                        else comma_list(schemes, str, "schemes")),
+        specs, comma_list(patterns, str, "patterns"), profile, seed=seed,
+        failures=failures, start_rate=start_rate, executor=executor)
+
+
+EXPERIMENTS.register(Experiment(
+    "tournament", "tournament-table",
+    "Every registered scheme x {torus, mesh} x {uniform, bit-reversal, "
+    "incast, uniform+onoff} with failure retention",
+    tournament, render_tournament, kwargs=(
+        Kwarg("schemes", str, "all", "comma-separated scheme names, or "
+                                     "'all' registered (repro schemes)"),
+        Kwarg("topologies", str, "torus,mesh",
+              "comma-separated topologies buildable from sizes"),
+        Kwarg("rows", int, 4, "grid rows, where declared"),
+        Kwarg("cols", int, 4, "grid columns, where declared"),
+        Kwarg("hosts_per_switch", int, 2, "hosts per switch"),
+        Kwarg("patterns", str, "uniform,bit-reversal,incast,uniform+onoff",
+              "comma-separated workloads, 'pattern' or 'pattern+arrival'"),
+        Kwarg("failures", int, 2, "links to kill for the retention "
+                                  "column (0 skips the degraded searches)"),
+        Kwarg("start_rate", float, 0.005,
+              "initial offered load of the saturation ramps"),
+        Kwarg("seed", int, 1, "selects the traffic and the failure sets")),
+    to_json=TournamentReport.to_dict))

@@ -34,6 +34,14 @@ Spec = TypeVar("Spec")
 REQUIRED = object()
 
 
+class UsageError(ValueError):
+    """A run *description* refused: an unknown registered name, an
+    undeclared or mistyped kwarg, an unparsable list.  The message
+    names what is declared or available; ``repro.cli.main`` reports
+    this class alone as one line with exit status 2 -- a plain
+    :class:`ValueError` from inside a run keeps its traceback."""
+
+
 @dataclass(frozen=True)
 class Kwarg:
     """One declared keyword argument of a registered spec's builder."""
@@ -50,11 +58,11 @@ class Kwarg:
         return self.default is REQUIRED
 
     def check(self, value: Any) -> None:
-        """Raise :class:`ValueError` unless ``value`` fits the type."""
+        """Raise :class:`UsageError` unless ``value`` fits the type."""
         want = (int, float) if self.type is float else self.type
         if not isinstance(value, want) or (
                 self.type is not bool and isinstance(value, bool)):
-            raise ValueError(
+            raise UsageError(
                 f"kwarg {self.name!r} wants {self.type.__name__}, "
                 f"got {type(value).__name__} ({value!r})")
 
@@ -66,11 +74,11 @@ class Kwarg:
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
-            raise ValueError(f"kwarg {self.name!r}: not a boolean: {text!r}")
+            raise UsageError(f"kwarg {self.name!r}: not a boolean: {text!r}")
         try:
             return self.type(text)
         except ValueError:
-            raise ValueError(
+            raise UsageError(
                 f"kwarg {self.name!r}: not a valid "
                 f"{self.type.__name__}: {text!r}") from None
 
@@ -78,6 +86,17 @@ class Kwarg:
         """``name:type=default`` (listing verbs print these)."""
         default = "<required>" if self.required else self.default
         return f"{self.name}:{self.type.__name__}={default}"
+
+
+def comma_list(text: str, item: type, what: str) -> Tuple[Any, ...]:
+    """``"1,2,4"`` as a tuple of ``item`` (a CLI value that is a list
+    stays a ``str`` :class:`Kwarg`; its consumer splits it here)."""
+    try:
+        return tuple(item(part.strip()) for part in text.split(","))
+    except ValueError:
+        raise UsageError(
+            f"{what}: not a comma-separated list of {item.__name__} "
+            f"values: {text!r}") from None
 
 
 class Registry(Generic[Spec]):
@@ -116,7 +135,7 @@ class Registry(Generic[Spec]):
         try:
             return self._specs[name]
         except KeyError:
-            raise ValueError(
+            raise UsageError(
                 f"unknown {self.kind} {name!r}; available: "
                 f"{', '.join(self.names()) or 'none'}") from None
 
@@ -146,20 +165,20 @@ class Registry(Generic[Spec]):
         return {k.name: k for k in self.get(name).kwargs}  # type: ignore
 
     def check_kwargs(self, name: str, kwargs: Mapping[str, Any]) -> None:
-        """Raise :class:`ValueError` unless ``kwargs`` are all declared
+        """Raise :class:`UsageError` unless ``kwargs`` are all declared
         by ``name``'s spec with the right types and nothing required is
         missing."""
         declared = self._declared(name)
         unknown = set(kwargs) - set(declared)
         if unknown:
-            raise ValueError(
+            raise UsageError(
                 f"{self.kind} {name!r} got unknown kwargs "
                 f"{sorted(unknown)}; declared: {sorted(declared) or 'none'}")
         for k in declared.values():
             if k.name in kwargs:
                 k.check(kwargs[k.name])
             elif k.required:
-                raise ValueError(
+                raise UsageError(
                     f"{self.kind} {name!r} requires kwarg {k.name!r} "
                     f"({k.help})")
 
@@ -172,11 +191,11 @@ class Registry(Generic[Spec]):
         for pair in pairs:
             key, sep, text = pair.partition("=")
             if not sep:
-                raise ValueError(
+                raise UsageError(
                     f"{self.kind} argument {pair!r} is not of the form "
                     f"key=value")
             if key not in declared:
-                raise ValueError(
+                raise UsageError(
                     f"{self.kind} {name!r} declares no kwarg {key!r}; "
                     f"declared: {sorted(declared) or 'none'}")
             out[key] = declared[key].parse(text)

@@ -16,22 +16,24 @@ the schemes degrade while running on a broken fabric:
 * :mod:`recovery` measures the transient: a cable dies under live
   traffic with reliable delivery on, comparing PR 4's static blacklist
   against online reconfiguration (time-to-recover, retransmission and
-  duplicate cost, permanent losses);
-* :mod:`report` renders the degradation and recovery tables.
+  duplicate cost, permanent losses).
+
+Each study's table renderer sits beside its report type, and each
+registers itself as a ``repro experiment`` (``resilience``,
+``recovery``).
 
 Dynamic mid-run faults (a cable dying under live traffic) live in
 :mod:`repro.sim.faults`; the protocol machinery that survives them
 (retransmission, ACKs, table hot-swap) in :mod:`repro.sim.reliable`.
 """
 
-from .campaign import ResilienceCell, ResilienceReport, run_resilience
-from .recovery import (RecoveryCell, RecoveryReport, run_recovery,
-                       torus_recovery)
-from .report import render_recovery_table, render_resilience_table
+from .campaign import (ResilienceCell, ResilienceReport,
+                       render_resilience_table, run_resilience)
+from .recovery import (RecoveryCell, RecoveryReport, render_recovery_table,
+                       run_recovery)
 from .sampling import sample_failed_links, sample_failed_switch
 
 __all__ = ["ResilienceCell", "ResilienceReport", "run_resilience",
            "RecoveryCell", "RecoveryReport", "run_recovery",
-           "torus_recovery",
            "render_resilience_table", "render_recovery_table",
            "sample_failed_links", "sample_failed_switch"]

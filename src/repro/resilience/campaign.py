@@ -17,7 +17,8 @@ recomputation a real reconfiguration would perform).  Each
 
 Searches and points are tasks of the
 :class:`repro.orchestrator.Executor` -- parallel, checkpointed in the
-result store, and restartable.
+result store, and restartable.  The study is ``repro experiment
+resilience``, registered at the foot of this module.
 """
 
 from __future__ import annotations
@@ -29,10 +30,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..canon import freeze
 from ..config import SimConfig
 from ..experiments.profiles import Profile
+from ..experiments.registry import EXPERIMENTS, Experiment
 from ..experiments.runner import get_graph, get_tables
 from ..experiments.sweep import resolve_executor, search_all
+from ..registry import Kwarg, comma_list
 from ..routing.analysis import route_statistics
 from ..routing.schemes import ITB_RR, UPDOWN
+from ..topology import size_kwargs
 from ..topology.mutated import mutated_kwargs
 from ..traffic.defaults import DEFAULT_PATTERN
 from .sampling import sample_failed_links
@@ -81,8 +85,8 @@ class ResilienceReport:
     cells: Tuple[ResilienceCell, ...]
 
 
-def run_resilience(topology: str, profile: Profile, seed: int = 1,
-                   ks: Tuple[int, ...] = (1, 2, 4),
+def run_resilience(topology: str, profile: Profile, ks: Tuple[int, ...],
+                   seed: int = 1,
                    topology_kwargs: Optional[Dict[str, Any]] = None,
                    start_rate: float = 0.005,
                    probe_rate: float = 0.01,
@@ -153,13 +157,73 @@ def run_resilience(topology: str, profile: Profile, seed: int = 1,
         tuple(cells[len(SCHEMES):]))
 
 
-def torus_resilience(profile: Profile, executor=None) -> ResilienceReport:
-    """Registry entry: link-failure degradation on a 4x4 torus.
+def _row(cell: ResilienceCell) -> str:
+    conv = "" if cell.converged else " (unconverged)"
+    return (f"{cell.k:>3d}  {cell.label:8s} "
+            f"{cell.throughput:10.4f} {cell.retention:9.1%} "
+            f"{cell.fraction_minimal:8.1%} "
+            f"{cell.avg_itbs_per_message:9.2f} "
+            f"{cell.root_concentration:9.1%}{conv}")
 
-    The scaled-down fabric keeps the study tractable at every profile;
-    failure counts follow the issue's k in {1, 2, 4}.
+
+def sizes_line(topology: str, topology_kwargs: Dict[str, Any]) -> str:
+    """``torus (cols=4, hosts_per_switch=2, rows=4)``: a fabric as the
+    resilience tables' headings name it."""
+    kw = ", ".join(f"{k}={v}" for k, v in sorted(topology_kwargs.items()))
+    return topology + (f" ({kw})" if kw else "")
+
+
+def render_resilience_table(report: ResilienceReport) -> str:
+    """The degradation study as a fixed-width table.
+
+    ``retention`` is saturation throughput relative to the same
+    scheme's healthy (k=0) baseline -- the headline graceful-
+    degradation number; the remaining columns explain *why* it moved
+    (fewer minimal paths, more in-transit hops, utilisation piling up
+    around the up*/down* root).
     """
+    lines: List[str] = [
+        "Graceful degradation, "
+        f"{sizes_line(report.topology, report.topology_kwargs)}, "
+        f"seed {report.seed}",
+        f"{'  k':>3s}  {'scheme':8s} {'sat thpt':>10s} "
+        f"{'retain':>9s} {'minimal':>8s} {'itbs/msg':>9s} "
+        f"{'root util':>9s}"]
+    lines += [_row(cell) for cell in report.baseline.values()]
+    for k in report.ks:
+        failed = next(c.failed_links for c in report.cells if c.k == k)
+        lines.append(f"  -- k={k}: failed links "
+                     f"{', '.join(map(str, failed))}")
+        lines += [_row(cell) for cell in report.cells if cell.k == k]
+    return "\n".join(lines)
+
+
+#: the fabric both resilience studies run on unless told otherwise: the
+#: 4x4 torus with two hosts per switch, small enough that every cell
+#: runs in seconds at every profile, dense enough that a dead cable
+#: actually bends routes.  ``rows`` / ``cols`` / ``hosts_per_switch``
+#: reach whichever of them ``topology`` declares
+FABRIC_KWARGS = (
+    Kwarg("topology", str, "torus", "a topology buildable from sizes"),
+    Kwarg("rows", int, 4, "grid rows"),
+    Kwarg("cols", int, 4, "grid columns"),
+    Kwarg("hosts_per_switch", int, 2, "hosts per switch"))
+
+
+def resilience(profile: Profile, executor=None, topology: str = "torus",
+               rows: int = 4, cols: int = 4, hosts_per_switch: int = 2,
+               ks: str = "1,2,4", seed: int = 1) -> ResilienceReport:
+    """Link-failure degradation with ``ks`` cables down."""
     return run_resilience(
-        "torus", profile, seed=1, ks=(1, 2, 4),
-        topology_kwargs={"rows": 4, "cols": 4, "hosts_per_switch": 2},
+        topology, profile, comma_list(ks, int, "ks"), seed=seed,
+        topology_kwargs=size_kwargs(topology, rows, cols, hosts_per_switch),
         executor=executor)
+
+
+EXPERIMENTS.register(Experiment(
+    "resilience", "resilience-table",
+    "Graceful degradation under link failures, 4x4 torus",
+    resilience, render_resilience_table,
+    kwargs=FABRIC_KWARGS + (
+        Kwarg("ks", str, "1,2,4", "comma-separated link-failure counts"),
+        Kwarg("seed", int, 1, "selects the failure sets and the traffic"))))

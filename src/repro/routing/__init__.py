@@ -43,8 +43,8 @@ from .minimal import enumerate_minimal_paths
 from .itb import build_itb_routes, split_path_at_violations
 from .table import RoutingTables, compute_tables
 from .schemes import (SCHEMES, Scheme, available_schemes, get_scheme,
-                      list_schemes, make_tables, register_scheme,
-                      scheme_label, supported_schemes, unregister_scheme)
+                      make_tables, register_scheme, scheme_label,
+                      supported_schemes, unregister_scheme)
 from . import angara as _angara    # noqa: F401  (registers "updown-opt")
 from . import dor as _dor          # noqa: F401  (registers "dor")
 from . import outflank as _outflank  # noqa: F401  (registers "outflank")
@@ -69,7 +69,6 @@ __all__ = [
     "Scheme",
     "available_schemes",
     "get_scheme",
-    "list_schemes",
     "make_tables",
     "register_scheme",
     "scheme_label",

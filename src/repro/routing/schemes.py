@@ -24,7 +24,7 @@ scheme is one :func:`register_scheme` call::
     ))
 
 after which ``SimConfig(routing="my-scheme")``, ``repro run``,
-``repro tournament`` and the property suite all pick it up.
+``repro experiment tournament`` and the property suite all pick it up.
 
 Disciplines
 -----------
@@ -94,7 +94,7 @@ class Scheme:
 SCHEMES: Registry[Scheme] = Registry("routing scheme")
 register_scheme = SCHEMES.register
 unregister_scheme = SCHEMES.unregister
-available_schemes = list_schemes = SCHEMES.names
+available_schemes = SCHEMES.names
 get_scheme = SCHEMES.get
 supported_schemes = SCHEMES.supported
 

@@ -5,7 +5,7 @@ All engines are backends of one abstract network layer,
 surface (message creation, route selection, delivery callbacks, the
 deadlock watchdog, tracer attachment) and a declared-capabilities API.
 Backends register by name in :mod:`repro.sim.engines` and are selected
-with :func:`make_network`; two ship in-tree:
+with :func:`make_network`; three ship in-tree:
 
 * ``"packet"`` (:mod:`network`) -- the **packet-level wormhole model**
   used for all paper-scale experiments.  Packets acquire output ports

@@ -19,9 +19,10 @@ small contract for backends:
   back to the network, so a finished run is freed by reference count
   (:meth:`NetworkModel.close`).
 
-Backends declare what they can measure through :meth:`capabilities`
-(:data:`CAP_LINK_STATS`, :data:`CAP_ITB_POOL`, :data:`CAP_TRACE`) and
-expose those measurements through the uniform accessors
+Backends declare what they can measure and do through
+:meth:`capabilities` (the eight ``CAP_*`` names below, collected in
+:data:`ALL_CAPABILITIES`) and expose the measurements through the
+uniform accessors
 :meth:`link_flit_counts` and :meth:`itb_stats`; asking for a
 measurement the engine does not support raises
 :class:`UnsupportedCapability` instead of returning fabricated numbers.
@@ -132,8 +133,8 @@ class NetworkModel(ABC):
     """Abstract network layer: one topology + routing tables wired into
     a running simulation, independent of the timing fidelity.
 
-    Subclasses implement the three-method engine contract (see module
-    docstring) and override the uniform accessors for each capability
+    Subclasses implement the engine contract (three methods and an
+    optional fourth; see module docstring) and override the uniform accessors for each capability
     they declare.  Everything else -- message creation, route selection,
     delivery bookkeeping, the watchdog -- lives here exactly once.
     """

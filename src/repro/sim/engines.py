@@ -30,10 +30,9 @@ from ..topology.graph import NetworkGraph
 from .base import NetworkModel
 from .engine import Simulator
 
-#: the engine registry (the spec of an engine is its class);
-#: ``_ENGINES`` and the names below are bindings to it
+#: the engine registry (the spec of an engine is its class); the names
+#: below are bindings to it
 ENGINES: Registry[Type[NetworkModel]] = Registry("engine")
-_ENGINES = ENGINES
 unregister = ENGINES.unregister
 available_engines = ENGINES.names
 get_engine = ENGINES.get

@@ -20,9 +20,9 @@ are registered by name in :data:`TOPOLOGIES` (a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..registry import REQUIRED, Kwarg, Registry
+from ..registry import REQUIRED, Kwarg, Registry, UsageError
 from .graph import GridGeometry, Host, Link, NetworkGraph
 from .torus import build_torus
 from .express import build_torus_express
@@ -43,15 +43,14 @@ class Topology:
     #: builder: ``build(**kwargs) -> NetworkGraph``
     build: Callable[..., NetworkGraph]
     #: the builder's keyword arguments (pinned to its signature by
-    #: ``tests/test_registry.py``); the CLI maps ``--rows``/``--cols``/
-    #: ``--hosts-per-switch`` onto whichever of them a topology declares
+    #: ``tests/test_registry.py``); :func:`size_kwargs` maps a command
+    #: line's rows / cols / hosts per switch onto whichever of them a
+    #: topology declares
     kwargs: Tuple[Kwarg, ...] = ()
 
 
-#: the topology registry (``SimConfig.topology`` names an entry);
-#: ``BUILDERS`` is the same object under its historical name
+#: the topology registry (``SimConfig.topology`` names an entry)
 TOPOLOGIES: Registry[Topology] = Registry("topology")
-BUILDERS = TOPOLOGIES
 
 _HOSTS = Kwarg("hosts_per_switch", int, 8, "hosts attached to each switch")
 _PORTS = Kwarg("switch_ports", int, 16, "ports per switch")
@@ -90,6 +89,33 @@ TOPOLOGIES.register(Topology(
            "reject failure sets that partition the fabric"))))
 
 
+def sized_topologies() -> List[str]:
+    """Topologies buildable from sizes alone: those with no required
+    kwarg (``mutated`` needs a base and is reached through
+    ``SimConfig``, not a command line)."""
+    return [name for name, spec in TOPOLOGIES.items()
+            if not any(k.required for k in spec.kwargs)]
+
+
+def size_kwargs(name: str, rows: Optional[int] = None,
+                cols: Optional[int] = None,
+                hosts_per_switch: Optional[int] = None) -> Dict[str, int]:
+    """The given sizes that topology ``name`` declares, as its
+    ``topology_kwargs`` (``repro run`` / ``sweep`` and the studies
+    size their fabrics through this)."""
+    spec = TOPOLOGIES.get(name)
+    required = [k.name for k in spec.kwargs if k.required]
+    if required:
+        raise UsageError(
+            f"topology {name!r} requires {required}, which sizes cannot "
+            f"give; buildable from sizes: {', '.join(sized_topologies())}")
+    declared = {k.name for k in spec.kwargs}
+    given = {"rows": rows, "cols": cols,
+             "hosts_per_switch": hosts_per_switch}
+    return {key: value for key, value in given.items()
+            if key in declared and value is not None}
+
+
 def build(name: str, **kwargs: Any) -> NetworkGraph:
     """Build a registered topology by name.
 
@@ -112,7 +138,8 @@ __all__ = [
     "build_mesh",
     "build_mutated",
     "check_topology",
-    "BUILDERS",
+    "size_kwargs",
+    "sized_topologies",
     "TOPOLOGIES",
     "Topology",
 ]

@@ -57,9 +57,6 @@ def build_mutated(base: str,
     if failed_switch is not None:
         g = without_switch_mapped(
             g, failed_switch, require_connected=require_connected).graph
-    if not failed and failed_switch is None:
-        # keep the name honest: this *is* the base graph
-        return g
     return g
 
 

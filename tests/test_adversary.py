@@ -8,15 +8,15 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.adversary import (render_stability_table,
-                                         run_adversary_study,
-                                         torus_adversary)
+                                         run_adversary_study)
 from repro.experiments.profiles import TEST
+from repro.experiments.registry import run_experiment
 from repro.orchestrator import Executor
 
 
 @pytest.fixture(scope="module")
 def report():
-    return torus_adversary(TEST)
+    return run_experiment("adversary", TEST)
 
 
 class TestAdversaryStudy:

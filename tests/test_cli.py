@@ -100,6 +100,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fig7a" in out and "table3" in out
         assert "latency-panel" in out and "hotspot-table" in out
+        # declared parameters, the way `repro traffic` shows them
+        assert "radius:int=3" in out
+        assert "ks:str=1,2,4" in out
+
+    def test_the_studies_are_experiments_not_verbs(self, capsys):
+        for verb in ("resilience", "recovery", "tournament"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([verb])
+        capsys.readouterr()
+        sub = next(a for a in build_parser()._actions
+                   if a.dest == "command")
+        assert len(sub.choices) == 11
 
     def test_info_irregular(self, capsys):
         assert main(["info", "irregular"]) == 0
@@ -152,10 +164,11 @@ class TestCommands:
         assert rc == 0
 
     def test_run_undeclared_traffic_arg_rejected(self, capsys):
-        with pytest.raises(ValueError, match="declares no kwarg"):
-            main(["run", "--topology", "irregular",
-                  "--traffic-arg", "alpha=2", "--rate", "0.01",
-                  "--warmup-ns", "20000", "--measure-ns", "80000"])
+        rc = main(["run", "--topology", "irregular",
+                   "--traffic-arg", "alpha=2", "--rate", "0.01",
+                   "--warmup-ns", "20000", "--measure-ns", "80000"])
+        assert rc == 2
+        assert "declares no kwarg 'alpha'" in capsys.readouterr().err
 
     def test_traffic_listing(self, capsys):
         rc = main(["traffic"])
@@ -186,6 +199,75 @@ class TestCommands:
         assert main(["experiment", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, says", [
+        (["run", "--traffic", "hotspot", "--traffic-arg", "bogus=1"],
+         "declares no kwarg 'bogus'; declared: ['fraction', 'hotspot']"),
+        (["experiment", "tournament", "--arg", "schemes=nosuch"],
+         "unknown routing scheme 'nosuch'; available: dor, itb"),
+        (["experiment", "resilience", "--arg", "ks=x"],
+         "ks: not a comma-separated list of int values: 'x'"),
+        (["experiment", "tournament", "--arg", "topologies=mutated"],
+         "topology 'mutated' requires ['base']"),
+        (["experiment", "fig7a", "--arg", "nosuch=1"],
+         "experiment 'fig7a' declares no kwarg 'nosuch'; declared: none"),
+        (["experiment", "fig12a", "--arg", "radius=far"],
+         "kwarg 'radius': not a valid int: 'far'"),
+        (["sweep", "--rates", "0.01;0.02"], "--rates: not a comma-separated"),
+        (["experiment", "route-cap", "--json", "route-cap.json"],
+         "experiment 'route-cap' has no JSON form; --json is for: "
+         "adversary, tournament"),
+    ], ids=["traffic-arg", "scheme", "comma-list", "topology",
+            "experiment-arg", "mistyped-arg", "rates", "json"])
+    def test_a_bad_value_is_one_line_and_exit_2(self, argv, says, capsys):
+        """A typo in any value names what is declared or available on
+        stderr -- no traceback, nothing simulated."""
+        assert main(argv + ["--no-cache"] if argv[0] != "run"
+                    else argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro: error: ") and says in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_a_value_error_inside_the_run_keeps_its_traceback(
+            self, monkeypatch):
+        """Only a refused run *description* (a ``UsageError``) is
+        reported in one line; a ``ValueError`` raised once the
+        simulation is running is a bug and still raises."""
+        import repro.cli
+
+        def run_simulation(cfg, **options):
+            raise ValueError("cannot schedule in the past")
+
+        monkeypatch.setattr(repro.cli, "run_simulation", run_simulation)
+        with pytest.raises(ValueError, match="schedule in the past"):
+            main(["run", "--rate", "0.01"])
+        # the description is still checked first, and refused in a line
+        assert main(["run", "--arrival-arg", "duty=0.2"]) == 2
+
+    def test_a_failure_inside_the_run_keeps_its_traceback(self):
+        """... and so does a point that fails in the executor."""
+        from repro.orchestrator import CampaignError
+        from repro.orchestrator.lease import TASKS
+        from repro.experiments.registry import EXPERIMENTS, Experiment
+
+        def boom(payload):
+            """Fails (throwaway registered by test_cli)."""
+            raise ValueError("inside the run")
+
+        def study(profile, executor=None):
+            return executor.run_tasks("tmp-boom", [{}])
+
+        TASKS.register(boom, "tmp-boom")
+        EXPERIMENTS.register(Experiment("tmp-boom", "tmp", "fails inside",
+                                        study, render=str))
+        try:
+            with pytest.raises(CampaignError, match="inside the run"):
+                main(["experiment", "tmp-boom", "--no-cache", "--retries",
+                      "0"])
+        finally:
+            EXPERIMENTS.unregister("tmp-boom")
+            TASKS.unregister("tmp-boom")
+
     def test_experiment_smoke(self, capsys):
         assert main(["experiment", "fig7a", "--profile", "test"]) == 0
         out = capsys.readouterr().out
@@ -207,6 +289,51 @@ class TestCommands:
         assert verdicts and all(
             line.split()[0] in ("holds", "FAILS") for line in verdicts)
         assert "ITB-SP" in section and "UP/DOWN" in section
+
+    def test_experiment_arg_reaches_the_declared_parameter(self, capsys):
+        from repro.experiments.figures import render_figure
+        from repro.experiments.profiles import TEST
+        from repro.experiments.registry import run_experiment
+        assert main(["experiment", "fig12a", "--profile", "test",
+                     "--arg", "radius=4", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "Local traffic (radius 4), 2-D torus" in out
+        assert out == render_figure(
+            run_experiment("fig12a", TEST, radius=4)) + "\n"
+        with pytest.raises(ValueError, match="unknown kwargs"):
+            run_experiment("fig12a", TEST, radios=4)
+        with pytest.raises(ValueError, match="wants int"):
+            run_experiment("fig12a", TEST, radius="4")
+
+    def test_experiment_args_size_a_study(self, capsys):
+        assert main(["experiment", "resilience", "--profile", "test",
+                     "--arg", "rows=3", "--arg", "cols=3", "--arg", "ks=1",
+                     "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "torus (cols=3, hosts_per_switch=2, rows=3), seed 1" in out
+        assert "k=1" in out and "k=2" not in out
+
+    def test_experiment_json(self, tmp_path, capsys):
+        import json
+        from repro.experiments.profiles import TEST
+        from repro.experiments.registry import run_experiment
+        args = dict(schemes="itb", topologies="torus", rows=3, cols=3,
+                    patterns="uniform", failures=0)
+        out = tmp_path / "tournament.json"
+        assert main(["experiment", "tournament", "--profile", "test",
+                     "--no-cache", "--json", str(out)]
+                    + [f"--arg={k}={v}" for k, v in args.items()]) == 0
+        assert "JSON artifact written" in capsys.readouterr().err
+        report = run_experiment("tournament", TEST, **args)
+        assert json.loads(out.read_text()) == \
+            json.loads(json.dumps(report.to_dict()))
+        # an experiment declaring no JSON form is refused before it runs
+        none = tmp_path / "fig.json"
+        assert main(["experiment", "route-cap", "--profile", "test",
+                     "--no-cache", "--json", str(none)]) == 2
+        out, err = capsys.readouterr()
+        assert "has no JSON form" in err and out == ""
+        assert not none.exists()
 
     def test_experiment_with_plot(self, capsys):
         assert main(["experiment", "fig7a", "--profile", "test",

@@ -26,7 +26,7 @@ from repro.sim import (CAP_DYNAMIC_FAULTS, CAP_INVARIANTS, CAP_ITB_POOL,
                        UnsupportedCapability, available_engines,
                        engine_capabilities, get_engine, make_network,
                        register, unregister)
-from repro.sim.engines import _ENGINES
+from repro.sim.engines import ENGINES
 from repro.topology import build_mutated, build_torus
 from repro.traffic import TrafficProcess, per_host_interval_ps
 from repro.traffic.registry import make_workload
@@ -123,7 +123,7 @@ class TestRegistry:
         assert "null" not in available_engines()
         with pytest.raises(ValueError):
             small_config(engine="null").validate()
-        assert "packet" in _ENGINES  # built-ins untouched
+        assert "packet" in ENGINES  # built-ins untouched
 
 
 class TestCapabilityGating:

@@ -8,16 +8,15 @@ physics, not the quantitative claims (``test_paper_claims.py`` does).
 
 import pytest
 
-from repro.experiments import figures, tables
+from repro.experiments.figures import render_figure, render_link_map
 from repro.experiments.profiles import TEST
-from repro.experiments.registry import run_experiment
-from repro.experiments.report import (render_figure, render_hotspot_table,
-                                      render_link_map)
+from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.tables import render_hotspot_table
 
 
 @pytest.fixture(scope="module")
 def fig7a_result():
-    return figures.fig7a(TEST)
+    return run_experiment("fig7a", TEST)
 
 
 class TestLatencyPanel:
@@ -48,7 +47,7 @@ class TestLatencyPanel:
 
 class TestLinkMap:
     def test_fig8_panels(self):
-        panels = figures.fig8(TEST)
+        panels = run_experiment("fig8", TEST)
         assert [p.fig_id for p in panels] == ["fig8a", "fig8b", "fig8c"]
         for p in panels:
             assert len(p.utilization.per_link) == 128  # torus cables
@@ -58,7 +57,7 @@ class TestLinkMap:
         assert "per switch" in render_link_map(panels[0], grid=(8, 8))
 
     def test_fig11_panels(self):
-        panels = figures.fig11(TEST)
+        panels = run_experiment("fig11", TEST)
         assert len(panels) == 2
         assert panels[0].label == "UP/DOWN"
         assert panels[1].label == "ITB-RR"
@@ -66,7 +65,7 @@ class TestLinkMap:
 
 class TestHotspotTable:
     def test_table1_structure(self):
-        tab = tables.table1(TEST)  # 1 location under the TEST profile
+        tab = run_experiment("table1", TEST)  # 1 location under the TEST profile
         assert tab.fractions == (0.05, 0.10)
         assert len(tab.locations) == 1
         avg = tab.averages()
@@ -80,6 +79,6 @@ class TestHotspotTable:
 class TestRegistryDispatch:
     def test_run_experiment_matches_direct_call(self):
         via_registry = run_experiment("fig7a", TEST)
-        direct = figures.fig7a(TEST)
+        direct = EXPERIMENTS.get("fig7a").fn(TEST)
         assert via_registry.measured_throughput() == \
             direct.measured_throughput()

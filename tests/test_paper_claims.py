@@ -1,7 +1,8 @@
 """The paper's claims, asserted at paper scale.
 
 Every registered experiment that carries claims (Figures 7-12, Tables
-1-3, the extension panels and the ablation studies) runs once under
+1-3, the extension panels, the ablation studies and the recovery
+study's zero-loss guarantee) runs once under
 the bench profile -- the full 512/400-host networks, reduced windows --
 and every claim must hold.  The bounds were set from the spread over
 seeds 1-8 (see ``repro.experiments.figures``), so a failure here means
@@ -12,7 +13,8 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.profiles import BENCH, PAPER, TEST
-from repro.experiments.registry import EXPERIMENTS, render_claims
+from repro.experiments.registry import (EXPERIMENTS, render_claims,
+                                        run_experiment)
 
 CLAIMED = [exp_id for exp_id, exp in EXPERIMENTS.items()
            if exp.claims is not None]
@@ -27,10 +29,11 @@ def _fresh_caches():
 
 
 def test_every_paper_artefact_and_study_carries_claims():
-    kinds = {"latency-panel", "link-map", "hotspot-table", "point-table"}
+    kinds = {"latency-panel", "link-map", "hotspot-table", "point-table",
+             "recovery-table"}
     assert CLAIMED == [exp_id for exp_id, exp in EXPERIMENTS.items()
                        if exp.kind in kinds]
-    assert len(CLAIMED) == 22
+    assert len(CLAIMED) == 23
 
 
 @pytest.mark.parametrize("exp_id", CLAIMED)
@@ -47,7 +50,7 @@ def test_fig12_radius4_variant():
     there either.  x1.35-2.59 over seeds 1-8 -- Figure 12a's grid is
     sized for radius 3 and UP/DOWN's knee sits on its 0.035 point."""
     statement, ok = figures.knee_claim(
-        figures.fig12a(BENCH, radius=4), "ITB-RR", lo=1.2)
+        run_experiment("fig12a", BENCH, radius=4), "ITB-RR", lo=1.2)
     assert ok, statement
 
 

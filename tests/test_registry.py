@@ -13,13 +13,21 @@ re-typing names).
 
 from __future__ import annotations
 
+import ast
 import inspect
+import os
+import re
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, FrozenSet, List, Optional
 
 import pytest
 
+import repro
 from repro.cli import _config_from, build_parser, main
+from repro.experiments import registry as experiments_registry
 from repro.experiments.registry import EXPERIMENTS, Experiment
 from repro.orchestrator import CampaignError, Executor
 from repro.orchestrator.lease import TASKS
@@ -247,6 +255,59 @@ class TestTopologyKwargs:
         # "mutated" needs a base topology: SimConfig-only
         assert "mutated" in TOPOLOGIES
         assert "mutated" not in _run_choices("topology")
+
+
+class TestExperimentDeclarations:
+    """An artefact is declared once, beside its code, and reached
+    through the registry."""
+
+    def test_kwargs_match_function_signatures(self):
+        """``fn(profile, executor=None, <the declared kwargs>)``: name,
+        type and default, for every registered id."""
+        for exp_id, exp in EXPERIMENTS.items():
+            profile, executor, *rest = inspect.signature(
+                exp.fn).parameters.values()
+            assert profile.name == "profile", exp_id
+            assert (executor.name, executor.default) == ("executor", None)
+            assert [(p.name, p.annotation, p.default) for p in rest] == \
+                [(k.name, k.type.__name__, k.default)
+                 for k in exp.kwargs], exp_id
+
+    def test_import_repro_alone_registers_every_experiment(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import repro; print(' '.join(repro.EXPERIMENTS.names()))"],
+            capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert set(res.stdout.split()) == AXES["experiment"].shipped
+        assert len(AXES["experiment"].shipped) == 26
+
+    def test_the_index_imports_no_study_module(self):
+        """``experiments/registry.py`` is what the study modules
+        import; a sibling imported there is the central list growing
+        back."""
+        tree = ast.parse(Path(experiments_registry.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.level, node.module))
+                assert node.module is not None, "from . import <sibling>"
+            elif isinstance(node, ast.Import):
+                imported.update((0, a.name) for a in node.names)
+        assert imported == {(0, "__future__"), (0, "dataclasses"),
+                            (0, "typing"), (2, "registry"),
+                            (1, "profiles")}
+        assert not re.search(r"_register\(|_RENDERERS|_CLAIMS",
+                             Path(experiments_registry.__file__).read_text())
+
+    def test_design_section_4_lists_every_id(self):
+        design = (Path(repro.__file__).resolve().parents[2]
+                  / "DESIGN.md").read_text()
+        section = design.split("\n## 4.")[1].split("\n## 5.")[0]
+        listed = set(re.findall(r"^\| `([a-z0-9-]+)`", section, re.M))
+        assert listed == AXES["experiment"].shipped
 
 
 class TestKwargDeclarations:

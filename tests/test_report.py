@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.figures import FigureResult, LinkMapResult
-from repro.experiments.report import (render_figure, render_hotspot_table,
-                                      render_link_map)
+from repro.experiments.figures import (FigureResult, LinkMapResult,
+                                       render_figure, render_link_map)
 from repro.experiments.sweep import SweepResult
-from repro.experiments.tables import HotspotTable
+from repro.experiments.tables import HotspotTable, render_hotspot_table
 from repro.metrics.linkstats import LinkUtilization
 from repro.metrics.summary import RunSummary
 
@@ -68,11 +67,13 @@ def test_render_hotspot_table():
         "table1", "Synthetic hotspot", "torus", (0.05,), (3, 7),
         {(0.05, 3, "UP/DOWN"): 0.012, (0.05, 3, "ITB-SP"): 0.024,
          (0.05, 3, "ITB-RR"): 0.026, (0.05, 7, "UP/DOWN"): 0.014,
-         (0.05, 7, "ITB-SP"): 0.028, (0.05, 7, "ITB-RR"): 0.028})
+         (0.05, 7, "ITB-SP"): 0.028, (0.05, 7, "ITB-RR"): 0.028},
+        paper_averages={0.05: (0.0125, 0.0267, 0.0274)})
     text = render_hotspot_table(tab)
     assert "table1" in text
     assert "Avg" in text
-    assert "paper" in text          # Table 1 has paper reference values
+    # the paper's average row rides on the table
+    assert "   paper   0.0125   0.0267   0.0274" in text
     assert "x UP/DOWN" in text
     avg = tab.averages()
     assert avg[(0.05, "UP/DOWN")] == pytest.approx(0.013)

@@ -52,8 +52,6 @@ def any_graph(request):
 class TestRegistry:
     def test_shipped_schemes_registered(self):
         assert EXPECTED <= set(available_schemes())
-        from repro.routing import list_schemes
-        assert list_schemes() == available_schemes()
 
     def test_unknown_scheme_lists_available(self):
         with pytest.raises(ValueError, match="unknown routing scheme"):

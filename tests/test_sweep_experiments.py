@@ -8,7 +8,7 @@ import pytest
 
 import repro.experiments.runner as runner_mod
 from repro.config import PAPER_PARAMS, SimConfig
-from repro.experiments import adversary, tables, tournament
+from repro.experiments import adversary, tournament
 from repro.experiments.profiles import BENCH, PAPER, TEST, Profile
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.runner import run_simulation
@@ -117,7 +117,7 @@ TORUS33 = tournament.TopologySpec("torus", T33, "torus 3x3")
 
 #: each study at its smallest: a 3x3 torus, or Table 3 (three cells)
 STUDIES = {
-    "tables": lambda ex: tables.table3(TEST, executor=ex),
+    "tables": lambda ex: run_experiment("table3", TEST, executor=ex),
     "tournament": lambda ex: tournament.run_tournament(
         tournament.default_entries(["itb"]), (TORUS33,),
         ("uniform+onoff",), TEST, failures=1, executor=ex),

@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.topology import (BUILDERS, build, build_cplant, build_irregular,
+from repro.topology import (TOPOLOGIES, build, build_cplant, build_irregular,
                             build_torus, build_torus_express, check_topology)
 from repro.topology.cplant import (GROUP_SIZE, NUM_GROUPS,
                                    group_neighbour_pairs, group_switch)
@@ -209,7 +209,7 @@ class TestRegistry:
                                         "hosts_per_switch": 2},
                         "failed_links": [0]},
         }
-        for name in BUILDERS:
+        for name in TOPOLOGIES:
             g = build(name, **kwargs[name])
             check_topology(g)
 

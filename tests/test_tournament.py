@@ -1,4 +1,4 @@
-"""Tournament smoke: small matrix, inline + orchestrated, CLI verb."""
+"""Tournament smoke: small matrix, inline + orchestrated, CLI."""
 
 from __future__ import annotations
 
@@ -144,11 +144,11 @@ class TestDegradedFabric:
 class TestTournamentCLI:
     def test_cli_smoke(self, tmp_path, capsys):
         out = tmp_path / "tournament.json"
-        rc = main(["tournament", "--profile", "test",
-                   "--schemes", "updown,updown-opt",
-                   "--topologies", "torus", "--rows", "3", "--cols", "3",
-                   "--hosts-per-switch", "2",
-                   "--patterns", "uniform",
+        rc = main(["experiment", "tournament", "--profile", "test",
+                   "--arg", "schemes=updown,updown-opt",
+                   "--arg", "topologies=torus", "--arg", "rows=3",
+                   "--arg", "cols=3", "--arg", "hosts_per_switch=2",
+                   "--arg", "patterns=uniform", "--arg", "failures=0",
                    "--json", str(out), "--no-cache"])
         assert rc == 0
         text = capsys.readouterr().out
