@@ -59,7 +59,7 @@ def traced_packet() -> None:
     from repro.config import PAPER_PARAMS
 
     g = get_graph("torus", {})
-    tables = get_tables(g, ("torus", ()), "itb")
+    tables = get_tables("torus", {}, "itb")
     sim = Simulator()
     net = WormholeNetwork(sim, g, tables, SinglePathPolicy(), PAPER_PARAMS)
     net.tracer = PacketTracer()

@@ -19,7 +19,7 @@ def main() -> None:
     print("=== Routing-table statistics (8x8 torus, 512 hosts) ===")
     g = get_graph("torus", {})
     for scheme in ("updown", "itb"):
-        tables = get_tables(g, ("torus", ()), scheme)
+        tables = get_tables("torus", {}, scheme)
         st = route_statistics(g, tables)
         print(f"{scheme:7s}: minimal paths {st.fraction_minimal:6.1%}  "
               f"avg distance {st.avg_distance_sp:.2f} links  "

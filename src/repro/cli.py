@@ -4,7 +4,8 @@ Commands
 --------
 
 ``info <topology>``
-    Topology facts and routing-table statistics (UP/DOWN vs ITB).
+    Topology facts and, per supporting scheme, routing-table
+    statistics and the checked deadlock-freedom verdict.
 
 ``run``
     One simulation; prints the run summary and, with ``--links``, the
@@ -24,7 +25,7 @@ Commands
     the experiments that declare a JSON form.
 
 ``schemes``
-    The routing-scheme registry with capability declarations.
+    The routing-scheme registry: what each scheme declares.
 
 ``traffic``
     The traffic registry: destination patterns and arrival processes
@@ -219,11 +220,15 @@ def cmd_info(args: argparse.Namespace) -> int:
         print(f"engine {name:9s} "
               f"{', '.join(sorted(engine.capabilities())) or '-'}")
     for scheme in SCHEMES.supported(g):
-        st = route_statistics(g, get_tables(g, (args.topology, ()), scheme))
+        tables = get_tables(args.topology, {}, scheme)
+        st = route_statistics(g, tables)
+        tables.validate(g)      # a table that can deadlock stops here
+        deps = sum(map(len, tables.channel_dependencies(g).values()))
         print(f"{scheme:7s}: {st.fraction_minimal:6.1%} minimal, "
               f"avg distance {st.avg_distance_sp:.2f}, "
               f"{st.avg_alternatives:.1f} alternatives/pair, "
-              f"ITBs/msg SP {st.avg_itbs_sp:.2f} / RR {st.avg_itbs_rr:.2f}")
+              f"ITBs/msg SP {st.avg_itbs_sp:.2f} / RR {st.avg_itbs_rr:.2f}; "
+              f"deadlock-free: {deps} channel dependencies, acyclic")
     return 0
 
 
@@ -299,10 +304,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_schemes(_args: argparse.Namespace) -> int:
     for name, s in SCHEMES.items():
-        caps = [s.discipline,
-                "deadlock-free" if s.deadlock_free else "NOT deadlock-free",
-                "multipath" if s.multipath else "single-path"]
-        print(f"{name:12s} {', '.join(caps)}")
+        print(f"{name:12s} {'multipath' if s.multipath else 'single-path'}")
         print(f"{'':12s} {s.description}")
         print(f"{'':12s} topologies: {s.topology_note}")
     return 0
@@ -509,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("schemes",
-                       help="list registered routing schemes and their "
-                            "capability declarations")
+                       help="list registered routing schemes and what "
+                            "they declare")
     p.set_defaults(fn=cmd_schemes)
 
     p = sub.add_parser("traffic",

@@ -45,7 +45,8 @@ from ..orchestrator.lease import TASKS
 from ..orchestrator.pool import POINT_TASK_FN
 from ..perf import PerfRecorder, now as _now, profile_to
 from ..routing.policies import make_policy
-from ..routing.table import RoutingTables, compute_tables
+from ..routing.schemes import compute_tables
+from ..routing.table import RoutingTables
 from ..sim.base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT,
                         CAP_ITB_POOL, NO_ITB_STATS)
 from ..sim.engine import Simulator
@@ -127,14 +128,17 @@ def get_graph(topology: str, topology_kwargs: Mapping[str, Any]
     return g
 
 
-def get_tables(g: NetworkGraph, topology_key: Tuple, scheme: str,
-               root: int = 0, max_routes_per_pair: int = 10
+def get_tables(topology: str, topology_kwargs: Mapping[str, Any],
+               scheme: str, root: int = 0, max_routes_per_pair: int = 10
                ) -> RoutingTables:
-    """Compute (or fetch the cached) routing tables for a cached graph."""
-    key = (topology_key, scheme, root, max_routes_per_pair)
+    """Compute (or fetch the cached) routing tables of ``scheme`` on
+    the memoised graph of ``(topology, topology_kwargs)``."""
+    key = ((topology, _freeze_kwargs(topology_kwargs)), scheme, root,
+           max_routes_per_pair)
     t = _TABLE_CACHE.get(key)
     if t is None:
-        t = compute_tables(g, scheme, root, max_routes_per_pair)
+        t = compute_tables(get_graph(topology, topology_kwargs), scheme,
+                           root, max_routes_per_pair)
         _memoise(_TABLE_CACHE, _TABLE_CACHE_MAX, key, t)
     return t
 
@@ -219,7 +223,8 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
         g = get_graph(config.topology, config.topology_kwargs)
         t_tables = _now()
         if tables is None:
-            tables = get_tables(g, topo_key, config.routing, root,
+            tables = get_tables(config.topology, config.topology_kwargs,
+                                config.routing, root,
                                 config.params.max_routes_per_pair)
         tables_wall_s = _now() - t_tables
 

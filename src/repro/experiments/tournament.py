@@ -35,7 +35,7 @@ from ..config import SimConfig
 from ..metrics.saturation import knee_from_runs
 from ..registry import Kwarg, comma_list
 from ..resilience.sampling import sample_failed_links
-from ..routing.schemes import available_schemes, get_scheme, scheme_label
+from ..routing.schemes import SCHEMES, scheme_label
 from ..topology import size_kwargs
 from ..topology.mutated import mutated_kwargs
 from ..traffic.registry import get_pattern_spec, parse_workload
@@ -137,10 +137,10 @@ def default_entries(schemes: Optional[Sequence[str]] = None
     Multipath schemes compete with round-robin selection (their whole
     point), single-path schemes with ``"sp"`` (the policy is inert).
     """
-    names = tuple(schemes) if schemes else available_schemes()
+    names = tuple(schemes) if schemes else SCHEMES.names()
     entries = []
     for name in names:
-        s = get_scheme(name)  # raises with the available list on typos
+        s = SCHEMES.get(name)  # raises with the available list on typos
         policy = "rr" if s.multipath else "sp"
         entries.append(SchemeEntry(name, policy, scheme_label(name, policy)))
     return tuple(entries)
@@ -188,7 +188,7 @@ def run_tournament(entries: Sequence[SchemeEntry],
             if not get_pattern_spec(traffic).supports(g):
                 continue
             for e in entries:
-                scheme = get_scheme(e.routing)
+                scheme = SCHEMES.get(e.routing)
                 if not scheme.supports(g):
                     continue
                 base = SimConfig(

@@ -36,10 +36,12 @@ REQUIRED = object()
 
 class UsageError(ValueError):
     """A run *description* refused: an unknown registered name, an
-    undeclared or mistyped kwarg, an unparsable list.  The message
-    names what is declared or available; ``repro.cli.main`` reports
-    this class alone as one line with exit status 2 -- a plain
-    :class:`ValueError` from inside a run keeps its traceback."""
+    undeclared or mistyped kwarg, an unparsable list, a scheme or
+    pattern named for a topology it declares it cannot serve.  The
+    message names what is declared, available or required;
+    ``repro.cli.main`` reports this class alone as one line with exit
+    status 2 -- a plain :class:`ValueError` from inside a run keeps its
+    traceback."""
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,17 @@ class Registry(Generic[Spec]):
         """Sorted names of the specs whose ``supports(graph)`` holds."""
         return tuple(name for name, spec in self.items()
                      if spec.supports(graph))  # type: ignore[attr-defined]
+
+    def supporting(self, name: str, graph: Any) -> Spec:
+        """The spec registered under ``name``, refused with its
+        ``topology_note`` when it declares it cannot serve ``graph``."""
+        spec = self.get(name)
+        if not spec.supports(graph):  # type: ignore[attr-defined]
+            raise UsageError(
+                f"{self.kind} {name!r} does not support topology "
+                f"{graph.name!r} (requires: "
+                f"{spec.topology_note})")  # type: ignore[attr-defined]
+        return spec
 
     def __contains__(self, name: object) -> bool:
         return name in self._specs

@@ -31,9 +31,9 @@ from .campaign import (ResilienceCell, ResilienceReport,
                        render_resilience_table, run_resilience)
 from .recovery import (RecoveryCell, RecoveryReport, render_recovery_table,
                        run_recovery)
-from .sampling import sample_failed_links, sample_failed_switch
+from .sampling import sample_failed_links
 
 __all__ = ["ResilienceCell", "ResilienceReport", "run_resilience",
            "RecoveryCell", "RecoveryReport", "run_recovery",
            "render_resilience_table", "render_recovery_table",
-           "sample_failed_links", "sample_failed_switch"]
+           "sample_failed_links"]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..canon import freeze
 from ..config import SimConfig
 from ..experiments.profiles import Profile
 from ..experiments.registry import EXPERIMENTS, Experiment
@@ -137,10 +136,9 @@ def run_resilience(topology: str, profile: Profile, ks: Tuple[int, ...],
             u for u, (a, b, _lid) in zip(links.utilization,
                                          links.channel_ends)
             if root in (a, b))
-        fabric_g = get_graph(base.topology, base.topology_kwargs)
-        stats = route_statistics(fabric_g, get_tables(
-            fabric_g, (base.topology, freeze(base.topology_kwargs)),
-            routing, root))
+        stats = route_statistics(
+            get_graph(base.topology, base.topology_kwargs),
+            get_tables(base.topology, base.topology_kwargs, routing, root))
         cells.append(ResilienceCell(
             k=k, label=label, routing=routing, policy=policy,
             failed_links=failure_sets[k],

@@ -15,7 +15,7 @@ import random
 from typing import Tuple
 
 from ..topology.graph import NetworkGraph
-from ..topology.mutate import without_links, without_switch_mapped
+from ..topology.mutate import without_links
 
 
 def sample_failed_links(g: NetworkGraph, k: int,
@@ -45,16 +45,3 @@ def sample_failed_links(g: NetworkGraph, k: int,
         if len(chosen) == k:
             break
     return tuple(sorted(chosen))
-
-
-def sample_failed_switch(g: NetworkGraph, seed: int) -> int:
-    """Draw one switch whose removal keeps the survivors connected."""
-    ids = list(range(g.num_switches))
-    random.Random(f"resilience:{seed}:switch").shuffle(ids)
-    for sw in ids:
-        try:
-            without_switch_mapped(g, sw)
-        except ValueError:
-            continue
-        return sw
-    raise ValueError(f"no switch of {g.name} is removable")

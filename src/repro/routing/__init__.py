@@ -21,16 +21,18 @@ The pipeline mirrors Section 2--3 of the paper:
 
 Schemes are **pluggable**: :mod:`schemes` keeps a registry
 (:data:`SCHEMES`, a :class:`repro.registry.Registry`, as is
-:data:`POLICIES`) where each scheme declares its builder and
-capabilities -- supported topologies, deadlock-freedom, legality
-discipline.  Besides the paper's ``"updown"`` / ``"itb"``, the
-extension schemes register here: :mod:`angara` (``"updown-opt"``,
-optimized root selection + link ordering), :mod:`outflank`
-(``"outflank"``, adaptive non-minimal grid routing) and :mod:`dor`
-(``"dor"``, dimension-order on meshes).
+:data:`POLICIES`) where each scheme declares its builder, its label,
+whether it is multipath and which topologies it can route.  Besides
+the paper's ``"updown"`` / ``"itb"``, the extension schemes register
+here: :mod:`angara` (``"updown-opt"``, optimized root selection + link
+ordering), :mod:`outflank` (``"outflank"``, adaptive non-minimal grid
+routing) and :mod:`dor` (``"dor"``, dimension-order on meshes).
 
-:func:`compute_tables` is the high-level entry point used by the
-experiment runner; it dispatches through the registry.
+:func:`compute_tables` is the one entry point (the experiment runner
+calls it); it dispatches through the registry.  Whether the tables it
+returns can deadlock is not declared by the scheme but checked on the
+tables: :meth:`RoutingTables.validate` asserts their channel-dependency
+graph is acyclic.
 """
 
 from __future__ import annotations
@@ -41,10 +43,8 @@ from .updown import UpDownOrientation, orient_links
 from .simple_routes import compute_simple_routes
 from .minimal import enumerate_minimal_paths
 from .itb import build_itb_routes, split_path_at_violations
-from .table import RoutingTables, compute_tables
-from .schemes import (SCHEMES, Scheme, available_schemes, get_scheme,
-                      make_tables, register_scheme, scheme_label,
-                      supported_schemes, unregister_scheme)
+from .table import RoutingTables
+from .schemes import SCHEMES, Scheme, compute_tables, scheme_label
 from . import angara as _angara    # noqa: F401  (registers "updown-opt")
 from . import dor as _dor          # noqa: F401  (registers "dor")
 from . import outflank as _outflank  # noqa: F401  (registers "outflank")
@@ -67,13 +67,7 @@ __all__ = [
     "compute_tables",
     "SCHEMES",
     "Scheme",
-    "available_schemes",
-    "get_scheme",
-    "make_tables",
-    "register_scheme",
     "scheme_label",
-    "supported_schemes",
-    "unregister_scheme",
     "POLICIES",
     "PolicySpec",
     "make_policy",

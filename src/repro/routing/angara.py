@@ -19,8 +19,8 @@ heuristics that slot straight into our spanning-tree build:
 
 Both heuristics only change which orientation is derived; the route
 enumeration, balancing and legality machinery is the shared up*/down*
-stack, so the scheme is deadlock-free by the same argument as the
-baseline and registers with the ``"updown"`` discipline.
+stack, so every route is one legal up*/down* leg under the derived
+orientation -- deadlock-free by the same argument as the baseline.
 
 Registered as ``"updown-opt"``.  The ``root`` argument of the builder
 is a *hint* that the eccentricity heuristic overrides; tables stay
@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..topology.graph import NetworkGraph
-from .schemes import Scheme, register_scheme
+from .schemes import SCHEMES, Scheme
 from .simple_routes import simple_route_table
 from .spanning_tree import SpanningTree, build_spanning_tree
 from .table import RoutingTables
@@ -93,13 +93,11 @@ def build_updown_opt_tables(g: NetworkGraph, root: int = 0,
     return RoutingTables("updown-opt", centre, ud, simple_route_table(g, ud))
 
 
-register_scheme(Scheme(
+SCHEMES.register(Scheme(
     name="updown-opt",
     description="Angara-style optimized up*/down*: eccentricity-centred "
                 "root + degree-ordered orientation (arXiv 2110.00851)",
     label=lambda policy: "UD-OPT",
     build=build_updown_opt_tables,
-    discipline="updown",
-    deadlock_free=True,
     multipath=False,
 ))

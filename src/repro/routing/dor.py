@@ -20,7 +20,7 @@ from typing import Dict, Tuple
 from ..topology.graph import NetworkGraph
 from ..topology.torus import switch_coords, switch_id
 from .routes import SourceRoute
-from .schemes import Scheme, register_scheme
+from .schemes import SCHEMES, Scheme
 from .spanning_tree import build_spanning_tree
 from .table import RoutingTables
 from .updown import orient_links
@@ -95,14 +95,12 @@ def _build_dor_tables(g: NetworkGraph, root: int = 0,
     return compute_dor_tables(g, grid.rows, grid.cols, wrap=False)
 
 
-register_scheme(Scheme(
+SCHEMES.register(Scheme(
     name="dor",
     description="dimension-order (XY) routing: minimal, single-path, "
                 "deadlock-free on meshes by the turn-model argument",
     label=lambda policy: "DOR",
     build=_build_dor_tables,
-    discipline="dimension-order",
-    deadlock_free=True,
     multipath=False,
     supports=lambda g: g.grid is not None and not g.grid.wrap,
     topology_note="mesh grid geometry (no wraparound)",

@@ -18,8 +18,7 @@ existing engines run it unchanged:
   OFR's virtual-network split (Myrinet has no virtual channels): every
   candidate path is cut at its up*/down* violations and joined through
   in-transit hosts (:func:`repro.routing.itb.route_from_path`), so each
-  leg is a legal up*/down* sub-path and the scheme registers with the
-  ``"updown"`` discipline;
+  leg is a legal up*/down* sub-path;
 * the alternative sets feed the existing RR / adaptive selection
   policies, which supply OFR's adaptivity at the source.
 
@@ -35,7 +34,7 @@ from ..topology.graph import GridGeometry, NetworkGraph
 from .dor import _ring_step
 from .itb import _ItbHostCycler, balance_first_alternatives, route_from_path
 from .routes import SourceRoute
-from .schemes import Scheme, register_scheme
+from .schemes import SCHEMES, Scheme
 from .spanning_tree import build_spanning_tree
 from .table import RoutingTables
 from .updown import orient_links
@@ -145,7 +144,7 @@ def build_outflank_tables(g: NetworkGraph, root: int = 0,
     return RoutingTables("outflank", root, ud, routes)
 
 
-register_scheme(Scheme(
+SCHEMES.register(Scheme(
     name="outflank",
     description="OutFlank-style adaptive non-minimal grid routing: "
                 "XY/YX minimal paths plus lateral flanking detours, "
@@ -153,8 +152,6 @@ register_scheme(Scheme(
                 "(arXiv 1310.7453)",
     label=lambda policy: f"OFR-{policy.upper()}",
     build=build_outflank_tables,
-    discipline="updown",
-    deadlock_free=True,
     multipath=True,
     supports=lambda g: g.grid is not None,
     topology_note="grid geometry (torus, torus-express, mesh)",

@@ -1,24 +1,21 @@
 """Routing-scheme registry: table builders selected by name.
 
 :data:`SCHEMES` is a :class:`repro.registry.Registry`: every routing
-scheme registers itself under a short name together with a
-**capability declaration** -- which graphs it supports, whether its
-tables are deadlock-free by construction, and which legality
-*discipline* its routes obey -- and
+scheme registers itself under a short name together with what it
+*declares* -- a builder, a display label, whether it offers more than
+one alternative per pair, and which graphs it can route at all -- and
 everything outside :mod:`repro.routing` (config validation, the
 experiment runner, the CLI, the tournament) dispatches through this
-registry instead of hard-coding scheme names.  Registering a fifth
-scheme is one :func:`register_scheme` call::
+registry instead of hard-coding scheme names.  Registering a scheme is
+one call::
 
-    from repro.routing.schemes import Scheme, register_scheme
+    from repro.routing.schemes import SCHEMES, Scheme
 
-    register_scheme(Scheme(
+    SCHEMES.register(Scheme(
         name="my-scheme",
         description="...",
         label=lambda policy: "MY",
         build=my_table_builder,            # (g, root, max_routes, sort)
-        discipline="updown",
-        deadlock_free=True,
         multipath=False,
         supports=lambda g: True,
     ))
@@ -26,25 +23,19 @@ scheme is one :func:`register_scheme` call::
 after which ``SimConfig(routing="my-scheme")``, ``repro run``,
 ``repro experiment tournament`` and the property suite all pick it up.
 
-Disciplines
------------
-
-A scheme's ``discipline`` names the executable deadlock-freedom
-argument its routes are checked against by
-:meth:`~repro.routing.table.RoutingTables.validate`:
-
-* ``"updown"`` -- every leg individually satisfies the up*/down* rule
-  of the table's orientation (legs joined at in-transit hosts each
-  start a fresh dependency chain, Section 3 of the paper);
-* ``"dimension-order"`` -- every route is a single leg that crosses
-  grid dimensions in X-then-Y order, each dimension monotonically
-  (the classic turn-model argument; deadlock-free on meshes).
+Deadlock freedom is not among the declarations.  It is a property of
+the tables a builder returns, and
+:meth:`~repro.routing.table.RoutingTables.validate` checks it there,
+the same way for every scheme: the channel-dependency graph of the
+table's legs must be acyclic.  How a scheme gets there -- up*/down*
+legal legs joined at in-transit hosts, X-then-Y turns on a mesh -- is
+a fact about that scheme, asserted by its own tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable
 
 from ..registry import Registry
 from ..topology.graph import NetworkGraph
@@ -57,13 +48,10 @@ from .updown import orient_links
 #: builder signature: (graph, root, max_routes_per_pair, sort_by_itbs)
 TableBuilder = Callable[[NetworkGraph, int, int, bool], RoutingTables]
 
-#: the legality disciplines validate() knows how to check
-DISCIPLINES = ("updown", "dimension-order")
-
 
 @dataclass(frozen=True)
 class Scheme:
-    """One registered routing scheme and its capability declaration."""
+    """One registered routing scheme and what it declares."""
 
     name: str
     #: one-line description (shown by ``repro schemes`` / docs)
@@ -71,10 +59,6 @@ class Scheme:
     #: display label as a function of the path-selection policy
     label: Callable[[str], str]
     build: TableBuilder
-    #: legality discipline of every produced route (see module docs)
-    discipline: str
-    #: deadlock-free by construction on every supported graph?
-    deadlock_free: bool
     #: does the scheme produce >1 alternative per pair (so RR/adaptive
     #: selection is meaningful)?
     multipath: bool
@@ -83,140 +67,37 @@ class Scheme:
     #: human-readable supported-topology note for docs/errors
     topology_note: str = "any connected switch graph"
 
-    def __post_init__(self) -> None:
-        if self.discipline not in DISCIPLINES:
-            raise ValueError(
-                f"scheme {self.name!r} declares unknown discipline "
-                f"{self.discipline!r}; known: {', '.join(DISCIPLINES)}")
 
-
-#: the routing-scheme registry; the names below are bindings to it
+#: the routing-scheme registry
 SCHEMES: Registry[Scheme] = Registry("routing scheme")
-register_scheme = SCHEMES.register
-unregister_scheme = SCHEMES.unregister
-available_schemes = SCHEMES.names
-get_scheme = SCHEMES.get
-supported_schemes = SCHEMES.supported
 
 
 def scheme_label(name: str, policy: str) -> str:
     """Display label of a (scheme, policy) combination."""
-    return get_scheme(name).label(policy)
+    return SCHEMES.get(name).label(policy)
 
 
-def make_tables(g: NetworkGraph, scheme: str, root: int = 0,
-                max_routes_per_pair: int = 10,
-                sort_by_itbs: bool = False) -> RoutingTables:
-    """Build routing tables for ``g`` under the scheme named ``scheme``.
+def compute_tables(g: NetworkGraph, scheme: str, root: int = 0,
+                   max_routes_per_pair: int = 10,
+                   sort_by_itbs: bool = False) -> RoutingTables:
+    """Build routing tables for ``g`` under the registered ``scheme``.
 
-    The registry-level entry point behind
-    :func:`repro.routing.table.compute_tables`.  Raises
-    :class:`ValueError` with the supported-topology note when the
-    scheme declares it cannot route this graph (e.g. a grid-geometry
-    scheme handed an irregular network).
+    The one entry point (the experiment runner and the reconfiguration
+    manager call it); results are deterministic for a given (graph,
+    scheme, root).  An unknown scheme, or one that declares it cannot
+    route this graph (a grid-geometry scheme handed an irregular
+    network), is a :class:`~repro.registry.UsageError` naming what is
+    available / required.  ``sort_by_itbs`` orders ITB alternatives by
+    in-transit hops before the pass that balances the first ones, which
+    already breaks its ties that way, so the runner never sets it (the
+    paper's SP does not optimise this; ``tests/test_itb.py`` studies it
+    on unbalanced tables).
     """
-    s = get_scheme(scheme)
-    if not s.supports(g):
-        raise ValueError(
-            f"scheme {scheme!r} does not support topology {g.name!r} "
-            f"(requires: {s.topology_note})")
-    return s.build(g, root, max_routes_per_pair, sort_by_itbs)
-
-
-# -- discipline checks -------------------------------------------------------
-
-
-def check_updown_discipline(tables: RoutingTables, g: NetworkGraph) -> None:
-    """Assert every leg of every route is up*/down*-legal.
-
-    Legs joined at in-transit hosts each start a fresh up*/down* phase,
-    so per-leg legality is the whole deadlock-freedom argument.  The
-    direction of a hop is read from the link id the leg carries (the
-    cable the packet really crosses) and the orientation's up end;
-    :meth:`RoutingTables.validate` has already tied each id to its two
-    switches.
-    """
-    del g  # legality is a function of the carried links alone
-    up_end = tables.orientation.up_end
-    for (src, dst), alts in tables.routes.items():
-        for route in alts:
-            for leg in route.legs:
-                gone_down = False
-                for lid, to in zip(leg.links, leg.switches[1:]):
-                    if up_end[lid] != to:
-                        gone_down = True
-                    else:
-                        assert not gone_down, (
-                            f"illegal leg {leg.switches} in route "
-                            f"{src}->{dst}")
-
-
-def check_dimension_order_discipline(tables: RoutingTables,
-                                     g: NetworkGraph) -> None:
-    """Assert every route is one leg moving X-then-Y, each monotonically.
-
-    The turn-model argument: forbidding Y->X turns (and reversals
-    within a dimension) leaves no cyclic channel dependency on a mesh.
-    """
-    grid = g.grid
-    assert grid is not None, (
-        "dimension-order discipline needs grid geometry on the graph")
-
-    def step(a: int, b: int) -> Tuple[int, int]:
-        """(dimension, signed direction) of one hop, wrap-aware."""
-        (ra, ca), (rb, cb) = grid.coords(a), grid.coords(b)
-        if ra == rb:
-            d = (cb - ca) % grid.cols
-            return 0, (1 if d == 1 else -1)
-        d = (rb - ra) % grid.rows
-        return 1, (1 if d == 1 else -1)
-
-    for (src, dst), alts in tables.routes.items():
-        for route in alts:
-            assert len(route.legs) == 1, (
-                f"dimension-order route {src}->{dst} must be single-leg")
-            path = route.legs[0].switches
-            last_dim = -1
-            dim_dir: Dict[int, int] = {}
-            for a, b in zip(path, path[1:]):
-                dim, sign = step(a, b)
-                assert dim >= last_dim, (
-                    f"route {src}->{dst} turns back to dimension {dim} "
-                    f"after dimension {last_dim}: {path}")
-                assert dim_dir.setdefault(dim, sign) == sign, (
-                    f"route {src}->{dst} reverses direction in "
-                    f"dimension {dim}: {path}")
-                last_dim = dim
-
-
-_DISCIPLINE_CHECKS: Dict[str, Callable[[RoutingTables, NetworkGraph], None]] \
-    = {
-        "updown": check_updown_discipline,
-        "dimension-order": check_dimension_order_discipline,
-    }
-
-
-def check_discipline(tables: RoutingTables, g: NetworkGraph) -> None:
-    """Run the deadlock-discipline check declared by the tables' scheme.
-
-    Tables whose scheme is not registered (tests build raw
-    :class:`RoutingTables` directly) fall back to the up*/down* check,
-    the discipline of every paper scheme.
-    """
-    discipline = (SCHEMES.get(tables.scheme).discipline
-                  if tables.scheme in SCHEMES else "updown")
-    _DISCIPLINE_CHECKS[discipline](tables, g)
+    return SCHEMES.supporting(scheme, g).build(
+        g, root, max_routes_per_pair, sort_by_itbs)
 
 
 # -- built-in schemes (the paper's two) --------------------------------------
-
-
-def _grid_supported(g: NetworkGraph) -> bool:
-    return g.grid is not None
-
-
-def _mesh_grid_supported(g: NetworkGraph) -> bool:
-    return g.grid is not None and not g.grid.wrap
 
 
 def build_updown_tables(g: NetworkGraph, root: int = 0,
@@ -239,25 +120,21 @@ def build_itb_tables(g: NetworkGraph, root: int = 0,
     return RoutingTables("itb", root, ud, routes)
 
 
-register_scheme(Scheme(
+SCHEMES.register(Scheme(
     name="updown",
     description="up*/down* baseline: one balanced legal route per pair "
                 "(Myricom simple_routes)",
     label=lambda policy: "UP/DOWN",
     build=build_updown_tables,
-    discipline="updown",
-    deadlock_free=True,
     multipath=False,
 ))
 
-register_scheme(Scheme(
+SCHEMES.register(Scheme(
     name="itb",
     description="minimal routing with in-transit buffers: up to 10 "
                 "minimal alternatives split into legal legs (the paper)",
     label=lambda policy: f"ITB-{policy.upper()}",
     build=build_itb_tables,
-    discipline="updown",
-    deadlock_free=True,
     multipath=True,
 ))
 

@@ -5,21 +5,67 @@ destination (Section 4.5); the paper caps alternatives at 10.  We compute
 tables at switch granularity -- all hosts attached to a switch share its
 switch-level paths -- and let the NIC layer add the host cables.
 
-Schemes are pluggable: :func:`compute_tables` dispatches through the
-:mod:`repro.routing.schemes` registry, where the paper's two schemes
-(``"updown"``, ``"itb"``) and the extension schemes (``"updown-opt"``,
-``"outflank"``, ``"dor"``) register their builders and capability
-declarations.  Nothing in this module is scheme-specific.
+Nothing in this module is scheme-specific, and that includes deadlock
+freedom: :meth:`RoutingTables.validate` does not ask which scheme built
+a table or what recipe its legs follow, it checks the property itself.
+A wormhole packet holds the channel it crossed while it waits for the
+next one, so consecutive hops of a leg are a *dependency* between two
+directed channels; an in-transit host takes the whole packet off the
+network, so a leg boundary is where a dependency chain ends (the
+paper's argument, Section 3).  The table cannot deadlock iff the graph
+of those dependencies has no cycle, and :func:`find_cycle` -- the one
+cycle search in ``src/``, shared with the runtime stall diagnosis in
+:mod:`repro.sim.invariants` -- decides that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Set,
+                    Tuple)
 
 from ..topology.graph import NetworkGraph
 from .routes import RouteLeg, SourceRoute
 from .updown import UpDownOrientation
+
+
+def find_cycle(successors: Mapping[int, Iterable[int]]
+               ) -> Optional[List[int]]:
+    """A cycle of the directed graph ``successors``, or ``None``.
+
+    ``successors`` maps a node to the nodes it points at (a node that
+    is only ever pointed at needs no entry).  The search is a
+    depth-first colour walk -- nodes on the current branch are active,
+    an edge back into the branch closes a cycle -- kept iterative so a
+    dependency chain as long as the fabric is wide cannot hit the
+    recursion limit.  The cycle is returned as its node list rotated
+    to start from the smallest node, so the same cycle always renders
+    identically.
+    """
+    done: Set[int] = set()
+    for start in successors:
+        if start in done:
+            continue
+        branch: List[int] = [start]
+        active: Dict[int, int] = {start: 0}       # node -> index in branch
+        pending: List[Iterator[int]] = [iter(successors[start])]
+        while pending:
+            for nxt in pending[-1]:
+                if nxt in active:
+                    cycle = branch[active[nxt]:]
+                    i = cycle.index(min(cycle))
+                    return cycle[i:] + cycle[:i]
+                if nxt not in done:
+                    active[nxt] = len(branch)
+                    branch.append(nxt)
+                    pending.append(iter(successors.get(nxt, ())))
+                    break
+            else:
+                pending.pop()
+                finished = branch.pop()
+                del active[finished]
+                done.add(finished)
+    return None
 
 
 @dataclass(frozen=True)
@@ -80,18 +126,44 @@ class RoutingTables:
                                         tuple(up_end))
         return RoutingTables(self.scheme, self.root, orientation, routes)
 
+    def channel_dependencies(self, g: NetworkGraph) -> Dict[int, List[int]]:
+        """The channel-dependency graph of these tables.
+
+        Nodes are directed channels, as the ``link_id << 1 | dir``
+        indices of :meth:`RouteLeg.dir_hops`; an edge ``a -> b`` means
+        some leg crosses ``b`` right after ``a``, i.e. a packet may hold
+        ``a`` while it waits for ``b``.  Legs are the unit: ejection at
+        an in-transit host ends a leg and with it the chain.  Successor
+        lists are sorted so the graph (and any cycle found in it) does
+        not depend on the order routes were built in.
+        """
+        deps: Dict[int, Set[int]] = {}
+        for alts in self.routes.values():
+            for route in alts:
+                for leg in route.legs:
+                    hops = leg.dir_hops(g)
+                    for held, wanted in zip(hops, hops[1:]):
+                        deps.setdefault(held, set()).add(wanted)
+        return {held: sorted(deps[held]) for held in sorted(deps)}
+
+    def dependency_cycle(self, g: NetworkGraph) -> Optional[List[int]]:
+        """Channels of a cyclic dependency -- a set of packets that can
+        each hold one and wait for the next forever -- or ``None`` when
+        the tables are deadlock-free."""
+        return find_cycle(self.channel_dependencies(g))
+
     def validate(self, g: NetworkGraph) -> None:
-        """Assert structural soundness and deadlock-discipline of every
-        route.
+        """Assert structural soundness of every route and deadlock
+        freedom of the table as a whole.
 
         Structural checks: endpoints match the pair key, every hop's
         link id names the cable that joins its two switches (builders
         carry link ids instead of re-probing the graph, so this is what
         guards them), in-transit hosts sit on the leg-boundary
-        switches.  Legality is then checked under the **discipline the
-        scheme declares** in the registry (up*/down* leg legality for
-        the paper's schemes, X-then-Y turn order for dimension-order
-        routing) -- the deadlock-freedom argument made executable.
+        switches.  Then the one scheme-independent property: the
+        channel-dependency graph of the legs is acyclic
+        (:meth:`dependency_cycle`); a failure names the cycle hop by
+        hop.
         """
         ends = [link.endpoints() for link in g.links]   # (lo, hi) per id
         for (src, dst), alts in self.routes.items():
@@ -112,25 +184,14 @@ class RoutingTables:
                     assert g.host_switch(host) == prev.end == nxt.start, (
                         f"in-transit host {host} not at boundary switch of "
                         f"route {src}->{dst}")
-        # imported lazily: schemes imports RoutingTables from this module
-        from .schemes import check_discipline
-        check_discipline(self, g)
+        cycle = self.dependency_cycle(g)
+        assert cycle is None, (
+            f"{self.scheme!r} tables can deadlock: channel dependency "
+            f"cycle " + ", ".join(_channel_name(g, c) for c in cycle))
 
 
-def compute_tables(g: NetworkGraph, scheme: str, root: int = 0,
-                   max_routes_per_pair: int = 10,
-                   sort_by_itbs: bool = False) -> RoutingTables:
-    """Compute routing tables for ``g`` under the registered ``scheme``.
-
-    This is the entry point used by the experiment runner; results are
-    deterministic for a given (graph, scheme, root).  ``sort_by_itbs``
-    orders ITB alternatives by in-transit hops before the pass that
-    balances the first ones, which already breaks its ties that way, so
-    the runner never sets it (the paper's SP does not optimise this;
-    ``tests/test_itb.py`` studies it on unbalanced tables).  Unknown
-    schemes raise a
-    :class:`ValueError` listing the registered ones.
-    """
-    # imported lazily: schemes imports RoutingTables from this module
-    from .schemes import make_tables
-    return make_tables(g, scheme, root, max_routes_per_pair, sort_by_itbs)
+def _channel_name(g: NetworkGraph, channel: int) -> str:
+    """``src->dst (link id)`` of a directed-channel index."""
+    link = g.links[channel >> 1]
+    a, b = (link.b, link.a) if channel & 1 else (link.a, link.b)
+    return f"{a}->{b} (link {link.id})"

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..routing.table import find_cycle
 from .base import CAP_INVARIANTS, NetworkModel
 
 __all__ = ["InvariantViolation", "InvariantReport", "audit",
@@ -117,31 +118,14 @@ def find_wait_cycle(edges: Dict[int, int]) -> Optional[List[int]]:
 
     ``edges`` maps each blocked packet to the packet holding the
     resource it waits on (at most one outgoing edge per node -- a
-    wormhole header waits on exactly one output port).  Returns the
-    cycle's node list starting from its smallest pid, so the same
-    deadlock always renders identically.
+    wormhole header waits on exactly one output port).  The search is
+    :func:`repro.routing.table.find_cycle`, the routine that proves a
+    routing table's channel dependencies acyclic, so the static check
+    and this diagnosis cannot disagree about what a cycle is; it
+    returns the cycle's node list starting from its smallest pid, so
+    the same deadlock always renders identically.
     """
-    visited: Dict[int, int] = {}      # node -> colour (1 active, 2 done)
-    for start in edges:
-        if visited.get(start):
-            continue
-        path: List[int] = []
-        node: Optional[int] = start
-        while node is not None and node in edges:
-            colour = visited.get(node)
-            if colour == 2:
-                break
-            if colour == 1:
-                i = path.index(node)
-                cycle = path[i:]
-                j = cycle.index(min(cycle))
-                return cycle[j:] + cycle[:j]
-            visited[node] = 1
-            path.append(node)
-            node = edges.get(node)
-        for seen in path:
-            visited[seen] = 2
-    return None
+    return find_cycle({waiter: (owner,) for waiter, owner in edges.items()})
 
 
 def diagnose_stall(network: NetworkModel) -> dict:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from ..routing.table import compute_tables
+from ..routing.schemes import compute_tables
 from ..topology.mutate import without_links_mapped
 from ..units import ns
 from .base import (CAP_DYNAMIC_FAULTS, CAP_RELIABLE_DELIVERY,

@@ -79,12 +79,11 @@ TOPOLOGIES.register(Topology(
 # configs survive the orchestrator's process boundary (see
 # repro.topology.mutated)
 TOPOLOGIES.register(Topology(
-    "mutated", "a registered base topology minus failed links/switch",
+    "mutated", "a registered base topology minus failed links",
     build_mutated,
     (Kwarg("base", str, REQUIRED, "registered base topology"),
      Kwarg("base_kwargs", dict, None, "kwargs of the base builder"),
      Kwarg("failed_links", list, (), "link ids of the base graph"),
-     Kwarg("failed_switch", int, None, "switch id to remove"),
      Kwarg("require_connected", bool, True,
            "reject failure sets that partition the fabric"))))
 

@@ -1,4 +1,4 @@
-"""Topology mutation: link and switch failures (extension).
+"""Topology mutation: link failures (extension).
 
 Myrinet NICs "check for changes in the network topology (shutdown of
 hosts, link/switch failures ...) in order to maintain the routing
@@ -7,17 +7,16 @@ topology so the routing stack can recompute tables and the resilience
 benches can measure how gracefully each algorithm degrades.
 
 Graphs are immutable once frozen, so mutation means rebuilding.  Link
-removal preserves switch/host ids (link ids are positional and
-renumber); switch removal renumbers both switch and host ids densely.
-The ``*_mapped`` variants return the old->new id maps alongside the
-graph so per-host / per-switch measurements can be aligned across a
-failure instead of silently comparing renumbered ids.
+removal preserves switch/host ids; link ids are positional and
+renumber, and :func:`without_links_mapped` returns the old->new map
+alongside the graph so tables computed on the survivor can be
+translated back onto the original cables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Set
 
 from .graph import NetworkGraph
 
@@ -33,21 +32,6 @@ class LinkRemoval:
 
     graph: NetworkGraph
     link_map: Dict[int, int]
-
-
-@dataclass(frozen=True)
-class SwitchRemoval:
-    """Result of :func:`without_switch_mapped`.
-
-    ``switch_map`` / ``host_map`` map old ids to new ids; the dead
-    switch and its hosts are absent from the maps.  Any per-switch or
-    per-host comparison across the failure must go through these maps
-    -- both id spaces are renumbered densely.
-    """
-
-    graph: NetworkGraph
-    switch_map: Dict[int, int]
-    host_map: Dict[int, int]
 
 
 def without_links_mapped(g: NetworkGraph, link_ids: Iterable[int],
@@ -82,47 +66,3 @@ def without_links(g: NetworkGraph, link_ids: Iterable[int],
                   require_connected: bool = True) -> NetworkGraph:
     """Like :func:`without_links_mapped` but returns just the graph."""
     return without_links_mapped(g, link_ids, require_connected).graph
-
-
-def without_switch_mapped(g: NetworkGraph, switch: int,
-                          require_connected: bool = True) -> SwitchRemoval:
-    """A copy of ``g`` with one switch removed, plus the old->new maps.
-
-    The remaining switches are renumbered densely (old id order kept)
-    and host ids are reassigned in the same order; the returned
-    :class:`SwitchRemoval` carries the explicit ``switch_map`` and
-    ``host_map`` so callers never have to re-derive the shift.
-    """
-    if not (0 <= switch < g.num_switches):
-        raise ValueError(f"switch {switch} out of range")
-    if g.num_switches < 2:
-        raise ValueError("cannot remove the only switch")
-
-    def new_id(old: int) -> Optional[int]:
-        if old == switch:
-            return None
-        return old - 1 if old > switch else old
-
-    out = NetworkGraph(g.num_switches - 1, g.switch_ports,
-                       name=f"{g.name}-minus-sw{switch}")
-    for link in g.links:
-        a, b = new_id(link.a), new_id(link.b)
-        if a is not None and b is not None:
-            out.add_link(a, b)
-    host_map: Dict[int, int] = {}
-    for host in g.hosts:
-        s = new_id(host.switch)
-        if s is not None:
-            host_map[host.id] = out.add_host(s)
-    out.freeze()
-    if require_connected and not out.is_connected():
-        raise ValueError(f"removing switch {switch} partitions the network")
-    switch_map = {old: new for old in range(g.num_switches)
-                  if (new := new_id(old)) is not None}
-    return SwitchRemoval(out, switch_map, host_map)
-
-
-def without_switch(g: NetworkGraph, switch: int,
-                   require_connected: bool = True) -> NetworkGraph:
-    """Like :func:`without_switch_mapped` but returns just the graph."""
-    return without_switch_mapped(g, switch, require_connected).graph

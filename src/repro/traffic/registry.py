@@ -140,12 +140,7 @@ def make_pattern(name: str, graph: NetworkGraph,
     builder.
     """
     PATTERNS.check_kwargs(name, kwargs)
-    spec = PATTERNS.get(name)
-    if not spec.supports(graph):
-        raise ValueError(
-            f"traffic pattern {name!r} is not defined on topology "
-            f"{graph.name!r} (requires: {spec.topology_note})")
-    return spec.build(graph, **kwargs)
+    return PATTERNS.supporting(name, graph).build(graph, **kwargs)
 
 
 def make_arrival(name: str, interval_ps: int,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.routing.analysis import route_statistics
-from repro.routing.table import compute_tables
+from repro.routing import compute_tables
 from repro.topology import (build_cplant, build_irregular, build_torus,
                             build_torus_express)
 
@@ -102,7 +102,7 @@ class TestGeneralInvariants:
     def test_single_switch_rejected(self):
         from repro.topology.graph import NetworkGraph
         from repro.routing.analysis import route_statistics as rs
-        from repro.routing.table import compute_tables as ct
+        from repro.routing import compute_tables as ct
         g = NetworkGraph(1, 4)
         g.add_host(0)
         g.add_host(0)

@@ -22,7 +22,7 @@ from repro.experiments import runner
 from repro.experiments.runner import clear_caches, run_simulation
 from repro.experiments.sweep import sweep_rates
 from repro.routing.policies import make_policy
-from repro.routing.table import compute_tables
+from repro.routing import compute_tables
 from repro.sim import (PacketTracer, Simulator, UnsupportedCapability,
                        engine_capabilities, make_network)
 from repro.sim.arrayengine import ArrayNetwork

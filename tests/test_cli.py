@@ -119,6 +119,8 @@ class TestCommands:
         assert "switches" in out
         assert "updown" in out and "itb" in out
         assert "minimal" in out
+        # per scheme line, the verdict validate() reached on its tables
+        assert out.count("channel dependencies, acyclic") == 3
 
     def test_run_small(self, capsys):
         rc = main(["run", "--topology", "irregular", "--rate", "0.01",
@@ -213,11 +215,19 @@ class TestCommands:
         (["experiment", "fig12a", "--arg", "radius=far"],
          "kwarg 'radius': not a valid int: 'far'"),
         (["sweep", "--rates", "0.01;0.02"], "--rates: not a comma-separated"),
+        (["run", "--rows", "4", "--cols", "4", "--routing", "dor"],
+         "routing scheme 'dor' does not support topology 'torus-4x4' "
+         "(requires: mesh grid geometry (no wraparound))"),
+        (["run", "--rows", "3", "--cols", "3", "--hosts-per-switch", "2",
+          "--traffic", "bit-reversal"],
+         "traffic pattern 'bit-reversal' does not support topology "
+         "'torus-3x3' (requires: power-of-two host count)"),
         (["experiment", "route-cap", "--json", "route-cap.json"],
          "experiment 'route-cap' has no JSON form; --json is for: "
          "adversary, tournament"),
     ], ids=["traffic-arg", "scheme", "comma-list", "topology",
-            "experiment-arg", "mistyped-arg", "rates", "json"])
+            "experiment-arg", "mistyped-arg", "rates",
+            "scheme-on-topology", "pattern-on-topology", "json"])
     def test_a_bad_value_is_one_line_and_exit_2(self, argv, says, capsys):
         """A typo in any value names what is declared or available on
         stderr -- no traceback, nothing simulated."""

@@ -18,7 +18,7 @@ from repro.config import PAPER_PARAMS
 from repro.experiments.runner import run_simulation
 from repro.routing.policies import make_policy
 from repro.routing.routes import RouteLeg, SourceRoute
-from repro.routing.table import RoutingTables, compute_tables
+from repro.routing import RoutingTables, compute_tables
 from repro.sim import (FaultPlan, LinkFault, NetworkModel,
                        ReliableParams, ReliableTransport, Simulator,
                        UnsupportedCapability, make_network)

@@ -19,7 +19,7 @@ from repro.config import PAPER_PARAMS
 from repro.experiments.runner import run_simulation
 from repro.routing.policies import make_policy
 from repro.routing.routes import RouteLeg, SourceRoute
-from repro.routing.table import RoutingTables, compute_tables
+from repro.routing import RoutingTables, compute_tables
 from repro.sim import (CAP_DYNAMIC_FAULTS, CAP_INVARIANTS, CAP_ITB_POOL,
                        CAP_LINK_STATS, CAP_RELIABLE_DELIVERY, CAP_TRACE,
                        NetworkModel, PacketTracer, Simulator,

@@ -11,7 +11,7 @@ import pytest
 from repro.config import PAPER_PARAMS
 from repro.experiments.runner import run_simulation
 from repro.routing.policies import SinglePathPolicy
-from repro.routing.table import compute_tables
+from repro.routing import compute_tables
 from repro.sim.engine import Simulator
 from repro.sim.flitlevel import FlitLevelNetwork
 from repro.topology import build_torus

@@ -20,7 +20,7 @@ def run_raw(topology, routing, policy, traffic, rate, horizon_ps,
             seed=3, traffic_kwargs=None):
     """Run without the measurement scaffolding; return the network."""
     g = get_graph(topology, {})
-    tables = get_tables(g, (topology, ()), routing)
+    tables = get_tables(topology, {}, routing)
     sim = Simulator()
     net = WormholeNetwork(sim, g, tables, make_policy(policy, seed),
                           __import__("repro.config",

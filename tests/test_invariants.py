@@ -19,7 +19,7 @@ from repro.config import PAPER_PARAMS, SimConfig
 from repro.experiments.runner import run_simulation
 from repro.routing.policies import SinglePathPolicy
 from repro.routing.routes import SourceRoute
-from repro.routing.table import RoutingTables, compute_tables
+from repro.routing import RoutingTables, compute_tables
 from repro.routing.updown import orient_links
 from repro.sim.base import CAP_INVARIANTS, UnsupportedCapability
 from repro.sim.engine import DeadlockError, Simulator
@@ -129,6 +129,10 @@ class TestDeadlockDiagnosis:
                 routes[(s, d)] = (
                     SourceRoute.single_leg(ring, tuple(path)),)
         tables = RoutingTables("itb", 0, ud, routes)
+        # the static proof refuses the table the run is about to wedge on
+        with pytest.raises(AssertionError,
+                           match="channel dependency cycle 0->1"):
+            tables.validate(ring)
         cfg = SimConfig(
             topology="torus",
             topology_kwargs={"rows": 1, "cols": 4, "hosts_per_switch": 2},

@@ -95,6 +95,9 @@ class TestDeadlockBehaviour:
         from repro.experiments.runner import get_graph
         g = get_graph("torus", g_kwargs)
         tables = compute_dor_tables(g, 1, 4, wrap=True)
+        with pytest.raises(AssertionError,
+                           match="channel dependency cycle"):
+            tables.validate(g)    # refused statically, too
         cfg = SimConfig(topology="torus", topology_kwargs=g_kwargs,
                         routing="itb", traffic="uniform",
                         injection_rate=0.5,

@@ -7,7 +7,7 @@ from repro.config import PAPER_PARAMS, SimConfig
 from repro.experiments.runner import run_simulation
 from repro.routing.policies import SinglePathPolicy
 from repro.routing.routes import RouteLeg, SourceRoute
-from repro.routing.table import RoutingTables, compute_tables
+from repro.routing import RoutingTables, compute_tables
 from repro.routing.updown import orient_links
 from repro.sim.engine import DeadlockError, Simulator
 from repro.sim.network import WormholeNetwork
@@ -208,6 +208,9 @@ class TestDeadlock:
                     path.append((path[-1] + 1) % n)
                 routes[(s, d)] = (SourceRoute.single_leg(ring4, tuple(path)),)
         t = RoutingTables("itb", 0, ud, routes)
+        with pytest.raises(AssertionError,
+                           match="channel dependency cycle"):
+            t.validate(ring4)     # refused statically, too
         cfg = SimConfig(
             topology="torus",
             topology_kwargs={"rows": 1, "cols": 4, "hosts_per_switch": 2},

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.routing import SCHEMES, compute_tables
 from repro.routing.itb import build_itb_routes, split_path_at_violations
 from repro.routing.minimal import (count_minimal_paths,
                                    enumerate_minimal_path_links,
@@ -160,6 +161,16 @@ def test_minimal_count_consistent_with_enumeration(g):
         enum = enumerate_minimal_paths(g, src, dst, dist,
                                        max_paths=10_000)
         assert counts[src] == len(enum)
+
+
+@given(graphs, st.integers(min_value=0, max_value=11))
+@SLOW
+def test_every_supporting_scheme_builds_deadlock_free_tables(g, root_raw):
+    """The proof itself, on any connected fabric and from any root:
+    structurally sound tables whose channel dependencies are acyclic."""
+    for root in {0, root_raw % g.num_switches}:
+        for scheme in SCHEMES.supported(g):
+            compute_tables(g, scheme, root).validate(g)
 
 
 # -- per-destination table kernels == per-pair reference enumerators ---------

@@ -109,8 +109,7 @@ AXES = {
         SCHEMES,
         lambda: Scheme(name=NAME, description=DESCRIPTION,
                        label=lambda policy: "TMP",
-                       build=build_updown_tables, discipline="updown",
-                       deadlock_free=True, multipath=False),
+                       build=build_updown_tables, multipath=False),
         "routing", ["schemes"], DESCRIPTION,
         frozenset({"updown", "itb", "updown-opt", "outflank", "dor"})),
     "policy": Axis(

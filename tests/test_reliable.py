@@ -17,7 +17,7 @@ from repro.config import PAPER_PARAMS
 from repro.experiments.runner import run_simulation
 from repro.metrics.recovery import RecoveryTracker
 from repro.routing.policies import make_policy
-from repro.routing.table import RoutingTables, compute_tables
+from repro.routing import RoutingTables, compute_tables
 from repro.sim import (FaultPlan, MessageSequencer, NetworkModel,
                        ReconfigParams, ReconfigurationManager,
                        ReliableParams, ReliableTransport, Simulator,

@@ -11,8 +11,7 @@ from repro.experiments.profiles import TEST
 from repro.experiments.runner import run_simulation
 from repro.orchestrator import Executor
 from repro.resilience import (render_resilience_table, run_recovery,
-                              run_resilience, sample_failed_links,
-                              sample_failed_switch)
+                              run_resilience, sample_failed_links)
 from repro.sim.faults import FaultPlan
 from repro.topology import build_torus
 from repro.topology.mutate import without_links
@@ -29,8 +28,6 @@ class TestSampling:
     def test_deterministic(self, torus33):
         assert (sample_failed_links(torus33, 3, 7)
                 == sample_failed_links(torus33, 3, 7))
-        assert (sample_failed_switch(torus33, 7)
-                == sample_failed_switch(torus33, 7))
 
     def test_seed_and_k_vary_the_set(self, torus33):
         sets = {sample_failed_links(torus33, 2, s) for s in range(8)}
@@ -51,10 +48,6 @@ class TestSampling:
         assert sample_failed_links(torus33, 0, 1) == ()
         with pytest.raises(ValueError):
             sample_failed_links(torus33, -1, 1)
-
-    def test_failed_switch_is_removable(self, torus33):
-        sw = sample_failed_switch(torus33, 3)
-        assert 0 <= sw < torus33.num_switches
 
 
 class TestCellTask:

@@ -162,13 +162,11 @@ class TestCaches:
         assert g1 is not g2
 
     def test_table_cache_hits(self):
-        key = ("torus", (("cols", 4), ("hosts_per_switch", 2), ("rows", 4)))
-        g = get_graph("torus", {"rows": 4, "cols": 4,
-                                "hosts_per_switch": 2})
-        t1 = get_tables(g, key, "itb")
-        t2 = get_tables(g, key, "itb")
+        kwargs = {"rows": 4, "cols": 4, "hosts_per_switch": 2}
+        t1 = get_tables("torus", kwargs, "itb")
+        t2 = get_tables("torus", dict(reversed(kwargs.items())), "itb")
         assert t1 is t2
-        t3 = get_tables(g, key, "updown")
+        t3 = get_tables("torus", kwargs, "updown")
         assert t3 is not t1
 
     def test_clear(self):
@@ -179,10 +177,8 @@ class TestCaches:
 
     def test_clear_empties_both_caches(self):
         clear_caches()
-        g = get_graph("torus", {"rows": 4, "cols": 4,
-                                "hosts_per_switch": 2})
-        get_tables(g, ("torus", _freeze_kwargs(
-            {"rows": 4, "cols": 4, "hosts_per_switch": 2})), "itb")
+        get_tables("torus", {"rows": 4, "cols": 4,
+                             "hosts_per_switch": 2}, "itb")
         assert _GRAPH_CACHE and _TABLE_CACHE
         clear_caches()
         assert not _GRAPH_CACHE and not _TABLE_CACHE
@@ -199,14 +195,12 @@ class TestCaches:
         assert again.links == graphs[0].links
         assert get_graph("torus", kwargs[-1]) is graphs[-1]
 
-        g = get_graph("torus", {"rows": 3, "cols": 3,
-                                "hosts_per_switch": 1})
-        key = ("torus", (("cols", 3), ("hosts_per_switch", 1), ("rows", 3)))
+        kw = {"rows": 3, "cols": 3, "hosts_per_switch": 1}
         caps = range(1, runner._TABLE_CACHE_MAX + 2)
-        tables = [get_tables(g, key, "itb", max_routes_per_pair=cap)
+        tables = [get_tables("torus", kw, "itb", max_routes_per_pair=cap)
                   for cap in caps]
         assert len(_TABLE_CACHE) == runner._TABLE_CACHE_MAX
-        again = get_tables(g, key, "itb", max_routes_per_pair=caps[0])
+        again = get_tables("torus", kw, "itb", max_routes_per_pair=caps[0])
         assert again is not tables[0]
         assert again.routes == tables[0].routes
 
@@ -225,13 +219,11 @@ class TestCaches:
             (("cols", 4), ("rows", 4))
 
     def test_table_cache_distinguishes_root(self):
-        key = ("torus", (("cols", 4), ("hosts_per_switch", 2), ("rows", 4)))
-        g = get_graph("torus", {"rows": 4, "cols": 4,
-                                "hosts_per_switch": 2})
-        t0 = get_tables(g, key, "itb", root=0)
-        t1 = get_tables(g, key, "itb", root=1)
+        kwargs = {"rows": 4, "cols": 4, "hosts_per_switch": 2}
+        t0 = get_tables("torus", kwargs, "itb", root=0)
+        t1 = get_tables("torus", kwargs, "itb", root=1)
         assert t0 is not t1
-        assert get_tables(g, key, "itb", root=0) is t0
+        assert get_tables("torus", kwargs, "itb", root=0) is t0
 
 
 class TestRunOptions:

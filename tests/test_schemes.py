@@ -1,8 +1,11 @@
 """Property suite for the routing-scheme registry.
 
 Every registered scheme, on every topology it declares support for,
-must produce tables that pass the structural *and* deadlock-discipline
-checks of :meth:`RoutingTables.validate`, deterministically; schemes
+must produce tables that pass the structural checks of
+:meth:`RoutingTables.validate` and its deadlock-freedom proof (an
+acyclic channel-dependency graph), deterministically; what a scheme
+*is* (up*/down*-legal legs, X-then-Y turns) is asserted on what its
+builder emits; schemes
 must refuse unsupported graphs with a helpful error; and the registry
 must behave like the engine registry (unknown-name errors that list
 the alternatives, duplicate rejection, clean unregistration picked up
@@ -18,16 +21,15 @@ import pytest
 
 from repro.config import PAPER_PARAMS, SimConfig
 from repro.routing.routes import RouteLeg, SourceRoute
-from repro.routing.schemes import (Scheme, available_schemes,
-                                   build_updown_tables, check_discipline,
-                                   get_scheme, make_tables,
-                                   register_scheme, scheme_label,
-                                   supported_schemes, unregister_scheme)
+from repro.routing.schemes import (SCHEMES, Scheme, build_updown_tables,
+                                   scheme_label)
 from repro.routing.angara import select_root
+from repro.routing.dor import dor_path
 from repro.routing.minimal import enumerate_minimal_paths
 from repro.routing.policies import make_policy
 from repro.routing.spanning_tree import build_spanning_tree
-from repro.routing.table import RoutingTables, compute_tables
+from repro.routing import (RoutingTables, build_itb_routes,
+                           compute_tables)
 from repro.routing.updown import orient_links
 from repro.sim import Simulator, make_network
 from repro.topology import build_mesh
@@ -51,40 +53,34 @@ def any_graph(request):
 
 class TestRegistry:
     def test_shipped_schemes_registered(self):
-        assert EXPECTED <= set(available_schemes())
+        assert EXPECTED <= set(SCHEMES.names())
 
     def test_unknown_scheme_lists_available(self):
         with pytest.raises(ValueError, match="unknown routing scheme"):
-            get_scheme("teleport")
+            SCHEMES.get("teleport")
         with pytest.raises(ValueError, match="updown"):
-            get_scheme("teleport")
+            SCHEMES.get("teleport")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_scheme(get_scheme("updown"))
-
-    def test_unknown_discipline_rejected_at_declaration(self):
-        with pytest.raises(ValueError, match="unknown discipline"):
-            Scheme(name="x", description="", label=lambda p: "X",
-                   build=build_updown_tables, discipline="vortex",
-                   deadlock_free=True, multipath=False)
+            SCHEMES.register(SCHEMES.get("updown"))
 
     def test_registration_roundtrip_reaches_config_validation(self):
-        register_scheme(Scheme(
+        SCHEMES.register(Scheme(
             name="null-route", description="test-only",
             label=lambda p: "NULL", build=build_updown_tables,
-            discipline="updown", deadlock_free=True, multipath=False))
+            multipath=False))
         try:
-            assert "null-route" in available_schemes()
+            assert "null-route" in SCHEMES.names()
             # config validation and labels pick it up with no changes
             small_config(routing="null-route").validate()
             assert small_config(routing="null-route").label() == "NULL"
         finally:
-            unregister_scheme("null-route")
-        assert "null-route" not in available_schemes()
+            SCHEMES.unregister("null-route")
+        assert "null-route" not in SCHEMES.names()
         with pytest.raises(ValueError, match="unknown routing scheme"):
             small_config(routing="null-route").validate()
-        assert "updown" in available_schemes()  # built-ins untouched
+        assert "updown" in SCHEMES.names()  # built-ins untouched
 
     def test_labels(self):
         assert scheme_label("updown", "sp") == "UP/DOWN"
@@ -96,35 +92,35 @@ class TestRegistry:
     def test_capability_filtering(self, torus44, mesh44, irregular16):
         # grid-bound schemes drop off graphs without grid geometry;
         # dimension-order additionally needs the wrap-free mesh
-        assert "outflank" not in supported_schemes(irregular16)
-        assert "dor" not in supported_schemes(irregular16)
-        assert "dor" not in supported_schemes(torus44)
-        assert {"outflank", "dor"} <= set(supported_schemes(mesh44))
+        assert "outflank" not in SCHEMES.supported(irregular16)
+        assert "dor" not in SCHEMES.supported(irregular16)
+        assert "dor" not in SCHEMES.supported(torus44)
+        assert {"outflank", "dor"} <= set(SCHEMES.supported(mesh44))
         # the universal schemes route everything
         for g in (torus44, mesh44, irregular16):
             assert {"updown", "itb", "updown-opt"} <= \
-                set(supported_schemes(g))
+                set(SCHEMES.supported(g))
 
     def test_unsupported_build_raises_with_topology_note(self, irregular16):
         with pytest.raises(ValueError, match="does not support"):
-            make_tables(irregular16, "outflank")
+            compute_tables(irregular16, "outflank")
         with pytest.raises(ValueError, match="grid geometry"):
-            make_tables(irregular16, "dor")
+            compute_tables(irregular16, "dor")
 
 
 class TestSchemeProperties:
-    """Validity, determinism and deadlock discipline for every
+    """Validity, determinism and deadlock freedom for every
     (registered scheme, topology builder) combination."""
 
     def test_every_supported_pair_validates(self, any_graph):
         g = any_graph
-        for name in available_schemes():
-            if name not in supported_schemes(g):
+        for name in SCHEMES.names():
+            if name not in SCHEMES.supported(g):
                 with pytest.raises(ValueError, match="does not support"):
-                    make_tables(g, name)
+                    compute_tables(g, name)
                 continue
-            tables = make_tables(g, name)
-            tables.validate(g)  # structural + declared discipline
+            tables = compute_tables(g, name)
+            tables.validate(g)  # structural + acyclic dependencies
             assert tables.scheme == name
             # complete: every ordered switch pair has at least one route
             pairs = {(s, t) for s in g.switches() for t in g.switches()
@@ -133,24 +129,25 @@ class TestSchemeProperties:
 
     def test_deterministic_for_fixed_inputs(self, any_graph):
         g = any_graph
-        for name in supported_schemes(g):
-            a = make_tables(g, name, root=0)
-            b = make_tables(g, name, root=0)
+        for name in SCHEMES.supported(g):
+            a = compute_tables(g, name, root=0)
+            b = compute_tables(g, name, root=0)
             assert a.routes == b.routes
             assert a.root == b.root
 
     def test_multipath_declaration_matches_tables(self, torus44):
-        for name in supported_schemes(torus44):
-            tables = make_tables(torus44, name)
-            if get_scheme(name).multipath:
+        for name in SCHEMES.supported(torus44):
+            tables = compute_tables(torus44, name)
+            if SCHEMES.get(name).multipath:
                 assert tables.max_alternatives() > 1
             else:
                 assert tables.max_alternatives() == 1
 
 
 class TestDisciplineChecks:
-    """The discipline checks are real: hand them a violating table and
-    they must fail."""
+    """``validate`` checks the property (no cyclic channel dependency),
+    not a per-leg recipe; the recipe each scheme follows is asserted on
+    what its builder emits."""
 
     def test_updown_check_catches_illegal_route(self, torus44):
         g = torus44
@@ -173,11 +170,20 @@ class TestDisciplineChecks:
         assert bad is not None, "a 4x4 torus has up*/down*-illegal " \
                                 "minimal paths"
         src, dst, path = bad
-        tables = RoutingTables("updown", 0, ud,
-                               {(src, dst):
-                                (SourceRoute.single_leg(g, path),)})
-        with pytest.raises(AssertionError, match="illegal leg"):
-            tables.validate(g)
+        # one illegal leg alone closes no dependency cycle: the table
+        # is deadlock-free in fact, and validate says so
+        RoutingTables("updown", 0, ud,
+                      {(src, dst): (SourceRoute.single_leg(g, path),)}
+                      ).validate(g)
+        # that no builder of the up*/down* family emits such a leg is a
+        # fact about those builders, under the orientation they return
+        for name in ("updown", "itb", "updown-opt", "outflank"):
+            tables = compute_tables(g, name)
+            for alts in tables.routes.values():
+                for route in alts:
+                    for leg in route.legs:
+                        assert tables.orientation.path_is_legal(
+                            g, leg.switches), (name, leg.switches)
 
     def test_dimension_order_check_catches_yx_route(self, mesh44):
         g = mesh44
@@ -185,11 +191,17 @@ class TestDisciplineChecks:
         # a Y-then-X path: down one row, then right one column
         yx = (g.grid.switch(0, 0), g.grid.switch(1, 0),
               g.grid.switch(1, 1))
-        routes = dict(good.routes)
-        routes[(yx[0], yx[-1])] = (SourceRoute.single_leg(g, yx),)
-        bad = RoutingTables("dor", good.root, good.orientation, routes)
-        with pytest.raises(AssertionError, match="turns back"):
-            check_discipline(bad, g)
+        # adding it to the table closes no cycle (deadlock-free in fact)
+        RoutingTables("dor", good.root, good.orientation,
+                      {**good.routes,
+                       (yx[0], yx[-1]): (SourceRoute.single_leg(g, yx),)}
+                      ).validate(g)
+        # but it is not what DOR emits: every route is the one X-then-Y
+        # leg of dor_path
+        assert dor_path(g, yx[0], yx[-1], 4, 4, False) != yx
+        for (src, dst), (route,) in good.routes.items():
+            assert route.switch_path == dor_path(g, src, dst, 4, 4, False)
+            assert route.num_itbs == 0
 
     def test_dimension_order_tables_get_the_hop_check(self, mesh44):
         g = mesh44
@@ -205,14 +217,39 @@ class TestDisciplineChecks:
     def test_dimension_order_check_catches_reversal(self, mesh44):
         g = mesh44
         good = compute_tables(g, "dor")
-        # east one column, then straight back west
-        zig = (g.grid.switch(0, 0), g.grid.switch(0, 1),
-               g.grid.switch(0, 0), g.grid.switch(0, 1))
+        # east one column, then straight back west: a packet long enough
+        # to cover both hops waits on the channel it holds
+        a, b = g.grid.switch(0, 0), g.grid.switch(0, 1)
+        zig = (a, b, a, b)
         routes = dict(good.routes)
         routes[(zig[0], zig[-1])] = (SourceRoute.single_leg(g, zig),)
         bad = RoutingTables("dor", good.root, good.orientation, routes)
-        with pytest.raises(AssertionError, match="reverses direction"):
-            check_discipline(bad, g)
+        cycle = bad.dependency_cycle(g)
+        lid = g.link_between(a, b)
+        assert sorted(cycle) == [lid << 1, lid << 1 | 1]
+        with pytest.raises(AssertionError, match=(
+                rf"channel dependency cycle {a}->{b} \(link {lid}\), "
+                rf"{b}->{a} \(link {lid}\)")):
+            bad.validate(g)
+
+    def test_unsplit_minimal_routes_are_cyclic_and_itb_split_cures_them(
+            self, torus44):
+        """The paper's argument as a test: minimal routing on a torus
+        closes dependency cycles around the rings; cutting the *same*
+        paths at their down->up violations leaves none."""
+        g = torus44
+        ud = orient_links(g, 0, build_spanning_tree(g, 0))
+        split = build_itb_routes(g, ud, 10, False)
+        unsplit = {
+            pair: tuple(SourceRoute.single_leg(g, r.switch_path)
+                        for r in alts)
+            for pair, alts in split.items()}
+        # the first ring of the torus, all the way round
+        with pytest.raises(AssertionError, match=(
+                r"channel dependency cycle 0->1 \(link 0\), "
+                r"1->2 \(link 2\), 2->3 \(link 4\), 3->0 \(link 6\)")):
+            RoutingTables("itb", 0, ud, unsplit).validate(g)
+        RoutingTables("itb", 0, ud, split).validate(g)
 
 
 class TestAngara:
@@ -228,14 +265,14 @@ class TestAngara:
         assert ecc[root] < ecc[0]
 
     def test_opt_tables_use_centre_root(self, mesh44):
-        tables = make_tables(mesh44, "updown-opt", root=0)
+        tables = compute_tables(mesh44, "updown-opt", root=0)
         assert tables.root == select_root(mesh44)
 
 
 class TestOutFlank:
     def test_flank_paths_are_nonminimal_alternatives(self, torus44):
         g = torus44
-        tables = make_tables(g, "outflank")
+        tables = compute_tables(g, "outflank")
         longer = 0
         for (src, dst), alts in tables.routes.items():
             if src == dst:

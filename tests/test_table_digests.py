@@ -10,7 +10,9 @@ sha-256 of the canonical listing
 for every registered scheme on six fabrics at ``root=0,
 max_routes_per_pair=10`` (plus ``sort_by_itbs=True`` for ``itb``).
 The header of the listing carries the table's root and the
-orientation's ``up_end`` so a changed tree shows up too.
+orientation's ``up_end`` so a changed tree shows up too.  The same
+matrix is where deadlock freedom is proved for every shipped scheme:
+each case's tables must pass :meth:`RoutingTables.validate`.
 
 The constants were captured on the commit *before* the per-destination
 table builders landed; regenerate them only for an intentional change
@@ -43,10 +45,12 @@ def _graph(fabric: str):
     return build(name, **kwargs)
 
 
-def table_digest(fabric: str, scheme: str, sort_by_itbs: bool = False) -> str:
-    tables = compute_tables(_graph(fabric), scheme, root=0,
-                            max_routes_per_pair=10,
-                            sort_by_itbs=sort_by_itbs)
+def _tables(fabric: str, scheme: str, sort_by_itbs: bool = False):
+    return compute_tables(_graph(fabric), scheme, root=0,
+                          max_routes_per_pair=10, sort_by_itbs=sort_by_itbs)
+
+
+def table_digest(tables) -> str:
     listing = [(tables.root, tables.orientation.up_end)]
     for pair in sorted(tables.routes):
         listing.append((pair, [
@@ -142,8 +146,10 @@ CASES = cases()
 @pytest.mark.parametrize("fabric,scheme,sort_by_itbs", CASES,
                          ids=[_key(*c) for c in CASES])
 def test_table_digest(fabric, scheme, sort_by_itbs):
-    assert (table_digest(fabric, scheme, sort_by_itbs)
-            == GOLDEN[_key(fabric, scheme, sort_by_itbs)])
+    tables = _tables(fabric, scheme, sort_by_itbs)
+    assert table_digest(tables) == GOLDEN[_key(fabric, scheme, sort_by_itbs)]
+    # structurally sound, and no cyclic channel dependency
+    tables.validate(_graph(fabric))
 
 
 def test_every_registered_scheme_is_pinned():
@@ -155,5 +161,5 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
     import sys
 
     if "--regen" in sys.argv:
-        pprint.pprint({_key(*c): table_digest(*c) for c in CASES},
+        pprint.pprint({_key(*c): table_digest(_tables(*c)) for c in CASES},
                       sort_dicts=False)

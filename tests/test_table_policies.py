@@ -5,7 +5,7 @@ import pytest
 from repro.routing.policies import (RandomPolicy, RoundRobinPolicy,
                                     SinglePathPolicy, make_policy)
 from repro.routing.routes import RouteLeg, SourceRoute
-from repro.routing.table import RoutingTables, compute_tables
+from repro.routing import RoutingTables, compute_tables
 from repro.topology import build_torus
 
 

@@ -12,8 +12,7 @@ from repro.experiments.tournament import (TopologySpec, default_entries,
                                           render_tournament,
                                           run_tournament)
 from repro.orchestrator import CampaignError, Executor
-from repro.routing.schemes import (Scheme, build_updown_tables,
-                                   register_scheme, unregister_scheme)
+from repro.routing.schemes import SCHEMES, Scheme, build_updown_tables
 
 TORUS33 = TopologySpec("torus", {"rows": 3, "cols": 3,
                                  "hosts_per_switch": 2}, "torus 3x3")
@@ -125,10 +124,10 @@ class TestDegradedFabric:
                 raise ValueError("cannot route a fabric with dead links")
             return build_updown_tables(g, root, max_routes_per_pair,
                                        sort_by_itbs)
-        register_scheme(Scheme(
+        SCHEMES.register(Scheme(
             name="brittle", description="fails on degraded fabrics",
             label=lambda policy: "BRITTLE", build=build,
-            discipline="updown", deadlock_free=True, multipath=False))
+            multipath=False))
         try:
             with pytest.raises(CampaignError, match="dead links"):
                 run_tournament(default_entries(["brittle"]), (TORUS33,),
@@ -138,7 +137,7 @@ class TestDegradedFabric:
             assert healthy.cell("BRITTLE", "torus 3x3",
                                 "uniform").throughput > 0
         finally:
-            unregister_scheme("brittle")
+            SCHEMES.unregister("brittle")
 
 
 class TestTournamentCLI:

@@ -5,7 +5,7 @@ import pytest
 from repro.config import PAPER_PARAMS
 from repro.routing.policies import SinglePathPolicy
 from repro.routing.routes import RouteLeg, SourceRoute
-from repro.routing.table import RoutingTables, compute_tables
+from repro.routing import RoutingTables, compute_tables
 from repro.sim.engine import Simulator
 from repro.sim.network import WormholeNetwork
 from repro.sim.trace import PacketTracer, TraceEvent, format_trace

@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import PAPER_PARAMS, SimConfig
 from repro.routing.policies import SinglePathPolicy
-from repro.routing.table import compute_tables
+from repro.routing import compute_tables
 from repro.sim.engine import Simulator
 from repro.sim.network import WormholeNetwork
 from repro.topology import build_torus

@@ -12,7 +12,7 @@ import pytest
 from repro.config import PAPER_PARAMS
 from repro.routing.policies import SinglePathPolicy
 from repro.routing.routes import SourceRoute
-from repro.routing.table import RoutingTables, compute_tables
+from repro.routing import RoutingTables, compute_tables
 from repro.sim.engine import Simulator
 from repro.sim.network import WormholeNetwork
 from repro.topology import build_torus
