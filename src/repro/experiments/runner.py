@@ -11,14 +11,16 @@ clear :class:`~repro.sim.base.UnsupportedCapability` error.
 
 Topology and routing-table construction dominate short runs: tables
 are built per destination (one BFS and one shortest-path DAG shared by
-every source), which at the paper's 8x8 scale still costs ~0.05 s for
-``updown`` and ~0.15 s for ``itb`` -- several times the array engine's
-whole event loop -- so both are memoised per (topology, scheme, root,
-cap) and a latency sweep pays the cost once (``repro run --perf``
-prints it as ``tables``).  The traffic a batch engine is primed with
-is memoised too, keyed by what it is a function of -- topology,
-workload spec, interval, seed, horizon; *not* scheme, policy or engine
--- so every curve of a figure is offered one shared
+every source), with the cyclic collector paused, and an ``itb`` table
+builds a pair's routes on its first lookup; at the paper's 8x8 scale
+that still costs ~0.05 s for ``updown`` and ~0.06 s for ``itb`` --
+several times the array engine's whole event loop -- so both are
+memoised per (topology, scheme, root, cap) and a latency sweep pays the
+cost once (``repro run --perf`` prints it as ``tables``).  The traffic
+a batch engine is primed with is memoised too, keyed by what it is a
+function of -- topology, workload spec, interval, seed, horizon; *not*
+scheme, policy or engine -- so every curve of a figure is offered one
+shared
 :class:`~repro.traffic.base.Schedule` (``--perf``: ``schedule``).
 Caches are explicit and clearable for tests.
 

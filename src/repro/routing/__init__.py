@@ -10,10 +10,12 @@ The pipeline mirrors Section 2--3 of the paper:
    one weight-balanced valid up*/down* route per switch pair -- this is
    the paper's UP/DOWN baseline.
 4. :mod:`minimal` enumerates true minimal paths (up to the 10-alternative
-   table cap).
+   table cap), per destination; :mod:`reference` keeps the per-pair
+   searches the tests compare the per-destination kernels against.
 5. :mod:`itb` splits minimal paths that violate the up*/down* rule into
    legal sub-routes joined at in-transit hosts, producing the ITB routes.
-6. :mod:`table` assembles per-pair route tables;
+6. :mod:`table` holds per-pair route tables (:class:`RouteMap` builds a
+   pair's routes on its first lookup);
    :mod:`policies` implements the SP / RR (and extension: random)
    path-selection policies.
 7. :mod:`analysis` computes the route-quality statistics quoted in the
@@ -41,7 +43,7 @@ from .routes import RouteLeg, SourceRoute
 from .spanning_tree import SpanningTree, build_spanning_tree
 from .updown import UpDownOrientation, orient_links
 from .simple_routes import compute_simple_routes
-from .minimal import enumerate_minimal_paths
+from .reference import enumerate_minimal_paths
 from .itb import build_itb_routes, split_path_at_violations
 from .table import RoutingTables
 from .schemes import SCHEMES, Scheme, compute_tables, scheme_label

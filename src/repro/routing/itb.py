@@ -9,29 +9,46 @@ legal route and the overall scheme stays deadlock-free while the packet
 follows a minimal path end to end.
 
 :func:`split_path_at_violations` performs the split for one path.
-:func:`build_itb_routes` builds the table per destination, not per
-pair: one BFS gives the shortest-path DAG toward the destination, one
-pass over it (:func:`repro.routing.minimal.minimal_path_links_to`)
-lists every source's capped minimal paths together with the link ids
-they cross, and each ``(path, link_ids)`` pair is cut into legs by
-slicing -- the graph is never probed again.  Concrete in-transit hosts
-are assigned by cycling through the hosts of each switch so that the
-ITB workload is spread over all NICs attached to it.
+:func:`assemble_itb_routes` is the one recipe that turns candidate
+``(path, link_ids)`` pairs into a table; :func:`build_itb_routes` (the
+paper's scheme) and :mod:`repro.routing.outflank` differ only in the
+candidates they feed it.  :func:`build_itb_routes` lists them per
+destination, not per pair: one BFS gives the shortest-path DAG toward
+the destination and one pass over it
+(:func:`repro.routing.minimal.minimal_path_links_to`) lists every
+source's capped minimal paths together with the link ids they cross.
+
+The assembler does eagerly what needs the whole table: every
+alternative's cut indices, its in-transit hosts (cycled through the
+hosts of each switch in one global order, so the ITB workload is spread
+over all NICs attached to it), the optional fewest-ITBs-first order and
+the balancing of first alternatives.  What needs one pair only -- the
+:class:`RouteLeg` / :class:`SourceRoute` objects, slices of the
+``(path, link_ids)`` pair -- is built on that pair's first lookup
+(:class:`repro.routing.table.RouteMap`): a run builds the routes it
+sends on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..topology.graph import NetworkGraph
-from .minimal import minimal_path_links_to
+from .minimal import PathLinks, minimal_path_links_to
 from .routes import RouteLeg, SourceRoute
+from .table import Pair, RouteMap
 from .updown import UpDownOrientation
 
+#: one alternative, as the assembler keeps it until first lookup:
+#: ``(switch_path, link_ids, cut_indices, itb_hosts)``
+Record = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...],
+               Tuple[int, ...]]
 
-def _segment_bounds(path: Sequence[int], lids: Sequence[int],
-                    up_end: Sequence[int]) -> List[Tuple[int, int]]:
-    """Greedy cut points of ``path`` as (start, end) index pairs.
+
+def _cut_indices(path: Sequence[int], lids: Sequence[int],
+                 up_end: Sequence[int]) -> Tuple[int, ...]:
+    """Indices ``i`` of the switches ``path[i]`` where the packet is
+    ejected to an in-transit host, ascending (empty for a legal path).
 
     ``lids`` are the pre-resolved link ids along the path.  The greedy
     rule -- cut exactly where the first illegal up-traversal would
@@ -39,20 +56,22 @@ def _segment_bounds(path: Sequence[int], lids: Sequence[int],
     because every segment it produces is a maximal legal prefix of the
     remaining path.
     """
-    bounds: List[Tuple[int, int]] = []
-    seg_start = 0
+    cuts: List[int] = []
     gone_down = False
     for i, lid in enumerate(lids):
         if up_end[lid] == path[i + 1]:      # up traversal
             if gone_down:
                 # down->up transition: eject at switch path[i]
-                bounds.append((seg_start, i))
-                seg_start = i
+                cuts.append(i)
                 gone_down = False
         else:
             gone_down = True
-    bounds.append((seg_start, len(path) - 1))
-    return bounds
+    return tuple(cuts)
+
+
+def _segments(cuts: Tuple[int, ...], last: int) -> Iterable[Tuple[int, int]]:
+    """``(start, end)`` switch indices of each leg between the cuts."""
+    return zip((0,) + cuts, cuts + (last,))
 
 
 def split_path_at_violations(g: NetworkGraph, ud: UpDownOrientation,
@@ -63,9 +82,8 @@ def split_path_at_violations(g: NetworkGraph, ud: UpDownOrientation,
     boundary switch (the in-transit switch).  A legal input path comes
     back as a single segment.
     """
-    lids = g.path_links(path)
-    return [tuple(path[s:e + 1])
-            for s, e in _segment_bounds(path, lids, ud.up_end)]
+    cuts = _cut_indices(path, g.path_links(path), ud.up_end)
+    return [tuple(path[s:e + 1]) for s, e in _segments(cuts, len(path) - 1)]
 
 
 class _ItbHostCycler:
@@ -91,38 +109,28 @@ class _ItbHostCycler:
         return hosts[i]
 
 
-def _route_from_path_links(ud: UpDownOrientation, path: Tuple[int, ...],
-                           lids: Tuple[int, ...],
-                           cycler: _ItbHostCycler) -> SourceRoute:
-    """Split one resolved ``(path, link_ids)`` pair into a route."""
-    bounds = _segment_bounds(path, lids, ud.up_end)
-    if len(bounds) == 1:  # already legal -- the common case
+def _route(record: Record) -> SourceRoute:
+    """The :class:`SourceRoute` of one record: legs are slices of its
+    ``(path, link_ids)`` pair, so the graph is never probed again."""
+    path, lids, cuts, hosts = record
+    if not cuts:  # already legal -- the common case
         route = SourceRoute((RouteLeg(path, lids),))
     else:
-        legs = tuple([RouteLeg(path[s:e + 1], lids[s:e]) for s, e in bounds])
         route = SourceRoute(
-            legs, tuple([cycler.take(leg.end) for leg in legs[:-1]]))
+            tuple([RouteLeg(path[s:e + 1], lids[s:e])
+                   for s, e in _segments(cuts, len(path) - 1)]), hosts)
     route._link_ids = lids  # the legs' links, concatenated: exactly these
     return route
 
 
-def route_from_path(g: NetworkGraph, ud: UpDownOrientation,
-                    path: Sequence[int],
-                    cycler: _ItbHostCycler) -> SourceRoute:
-    """Build a :class:`SourceRoute` for one minimal path, inserting
-    in-transit hosts wherever the up*/down* rule requires.
-
-    Link ids are resolved once for the whole path; each leg is a slice
-    of the (path, links) pair, so segments never re-probe the graph.
-    """
-    path = tuple(path)
-    return _route_from_path_links(ud, path, g.path_links(path), cycler)
+def _alternatives(records: Tuple[Record, ...]) -> Tuple[SourceRoute, ...]:
+    """One pair's alternatives, built on its first lookup."""
+    return tuple([_route(r) for r in records])
 
 
-def balance_first_alternatives(
-        g: NetworkGraph,
-        routes: Dict[Tuple[int, int], Tuple[SourceRoute, ...]],
-) -> Dict[Tuple[int, int], Tuple[SourceRoute, ...]]:
+def _balance_first_alternatives(g: NetworkGraph,
+                                records: Dict[Pair, Tuple[Record, ...]]
+                                ) -> None:
     """Reorder each pair's alternatives so the *first* one balances load.
 
     The SP policy always uses a pair's first table entry.  Plain
@@ -131,36 +139,64 @@ def balance_first_alternatives(
     reported ITB-SP throughput.  This pass mimics what ``simple_routes``
     does for the up*/down* baseline: walk the pairs in a deterministic
     interleaved order, promote the alternative with the lowest
-    accumulated link weight to the front, and charge one weight unit to
-    its links.  RR behaviour is unaffected (it cycles the whole set).
+    accumulated link weight (ties: fewest in-transit hosts, then
+    earliest) to the front, and charge one weight unit to its links.
+    RR behaviour is unaffected (it cycles the whole set).
     """
     weight = [0] * g.num_links
-    pairs = sorted((p for p in routes if p[0] != p[1]),
-                   key=lambda p: ((p[0] + p[1]) % g.num_switches,
-                                  p[0], p[1]))
-    out = dict(routes)
+    n = g.num_switches
+    pairs = sorted((p for p in records if p[0] != p[1]),
+                   key=lambda p: ((p[0] + p[1]) % n, p[0], p[1]))
     for pair in pairs:
-        alts = routes[pair]
+        alts = records[pair]
         if len(alts) > 1:
-            best, best_cost = 0, None
-            for i, route in enumerate(alts):
-                cost = (sum(map(weight.__getitem__, route.link_ids)),
-                        len(route.itb_hosts))
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = i, cost
-            if best != 0:
-                reordered = (alts[best],) + alts[:best] + alts[best + 1:]
-                out[pair] = reordered
-        for lid in out[pair][0].link_ids:
+            costs = [(sum(map(weight.__getitem__, lids)), len(hosts))
+                     for _path, lids, _cuts, hosts in alts]
+            best = costs.index(min(costs))
+            if best:
+                alts = (alts[best],) + alts[:best] + alts[best + 1:]
+                records[pair] = alts
+        for lid in alts[0][1]:
             weight[lid] += 1
-    return out
+
+
+def assemble_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
+                        candidates: Iterable[Tuple[Pair, Sequence[PathLinks]]],
+                        sort_by_itbs: bool = False,
+                        balance_sp: bool = True) -> RouteMap:
+    """Split every candidate path into legal legs joined at in-transit
+    hosts; the table keeps the pairs in the order ``candidates`` lists
+    them.
+
+    ``candidates`` yields ``(pair, [(path, link_ids), ...])``, a pair's
+    paths in its preference order (a self pair lists ``((s,), ())``).
+    In-transit hosts are taken in exactly that order, so the same
+    candidates always get the same hosts.  ``sort_by_itbs`` reorders a
+    pair's alternatives fewest-ITBs-first (stable, ties by path);
+    ``balance_sp`` then promotes a load-balancing first alternative.
+    """
+    up_end = ud.up_end
+    take = _ItbHostCycler(g).take  # shared so ITB duty rotates over all NICs
+    records: Dict[Pair, Tuple[Record, ...]] = {}
+    for pair, paths in candidates:
+        alts: List[Record] = []
+        for path, lids in paths:
+            cuts = _cut_indices(path, lids, up_end)
+            alts.append((path, lids, cuts,
+                         tuple([take(path[i]) for i in cuts])))
+        if sort_by_itbs:
+            alts.sort(key=lambda r: (len(r[3]), r[0]))
+        records[pair] = tuple(alts)
+    if balance_sp:
+        _balance_first_alternatives(g, records)
+    return RouteMap(records, _alternatives)
 
 
 def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
                      max_routes_per_pair: int = 10,
                      sort_by_itbs: bool = False,
                      balance_sp: bool = True,
-                     ) -> Dict[Tuple[int, int], Tuple[SourceRoute, ...]]:
+                     ) -> RouteMap:
     """Minimal ITB routes for every ordered switch pair.
 
     Alternatives per pair are the (capped) minimal paths, each split into
@@ -171,23 +207,13 @@ def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
     0.36 on the 8x8 torus, while picking the fewest-ITB alternative --
     ``sort_by_itbs=True``, studied in ``tests/test_itb.py`` -- gives 0.22).
     """
-    routes: Dict[Tuple[int, int], Tuple[SourceRoute, ...]] = {}
-    cycler = _ItbHostCycler(g)  # shared so ITB duty rotates over all NICs
-    for dst in g.switches():
-        # one BFS, one DAG and one enumeration pass per destination,
-        # shared by every source
-        paths_to_dst = minimal_path_links_to(
-            g, dst, g.shortest_distances(dst), max_routes_per_pair)
-        for src in g.switches():
-            if src == dst:
-                routes[(src, dst)] = (
-                    SourceRoute((RouteLeg((src,), ()),)),)
-                continue
-            alts = [_route_from_path_links(ud, p, l, cycler)
-                    for p, l in paths_to_dst.get(src, ())]
-            if sort_by_itbs:
-                alts.sort(key=lambda r: (r.num_itbs, r.switch_path))
-            routes[(src, dst)] = tuple(alts)
-    if balance_sp:
-        routes = balance_first_alternatives(g, routes)
-    return routes
+    def candidates():
+        for dst in g.switches():
+            # one BFS, one DAG and one enumeration pass per destination,
+            # shared by every source (the pass lists dst's own ((dst,), ()))
+            paths_to_dst = minimal_path_links_to(
+                g, dst, g.shortest_distances(dst), max_routes_per_pair)
+            for src in g.switches():
+                yield (src, dst), paths_to_dst.get(src, ())
+
+    return assemble_itb_routes(g, ud, candidates(), sort_by_itbs, balance_sp)

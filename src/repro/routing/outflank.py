@@ -15,10 +15,13 @@ existing engines run it unchanged:
   to four flanking detours via the adjacent rows/columns of the source
   (wrap-aware on tori, clipped at mesh edges);
 * deadlock freedom comes from the repo's native mechanism rather than
-  OFR's virtual-network split (Myrinet has no virtual channels): every
-  candidate path is cut at its up*/down* violations and joined through
-  in-transit hosts (:func:`repro.routing.itb.route_from_path`), so each
-  leg is a legal up*/down* sub-path;
+  OFR's virtual-network split (Myrinet has no virtual channels): the
+  candidate paths go through the ITB scheme's own recipe
+  (:func:`repro.routing.itb.assemble_itb_routes`), which cuts each at
+  its up*/down* violations and joins the pieces through in-transit
+  hosts, so each leg is a legal up*/down* sub-path, the first
+  alternatives are load-balanced, and a pair's ``SourceRoute`` objects
+  are built on its first lookup;
 * the alternative sets feed the existing RR / adaptive selection
   policies, which supply OFR's adaptivity at the source.
 
@@ -28,12 +31,11 @@ Registered as ``"outflank"``; requires grid geometry
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..topology.graph import GridGeometry, NetworkGraph
 from .dor import _ring_step
-from .itb import _ItbHostCycler, balance_first_alternatives, route_from_path
-from .routes import SourceRoute
+from .itb import assemble_itb_routes
 from .schemes import SCHEMES, Scheme
 from .spanning_tree import build_spanning_tree
 from .table import RoutingTables
@@ -127,21 +129,16 @@ def build_outflank_tables(g: NetworkGraph, root: int = 0,
             f"{g.name!r} does not declare")
     tree = build_spanning_tree(g, root)
     ud = orient_links(g, root, tree)
-    cycler = _ItbHostCycler(g)
-    routes: Dict[Tuple[int, int], Tuple[SourceRoute, ...]] = {}
-    for src in g.switches():
-        for dst in g.switches():
-            if src == dst:
-                routes[(src, dst)] = (
-                    SourceRoute.single_leg(g, (src,)),)
-                continue
-            paths = candidate_paths(grid, src, dst)[:max_routes_per_pair]
-            alts = [route_from_path(g, ud, p, cycler) for p in paths]
-            if sort_by_itbs:
-                alts.sort(key=lambda r: (r.num_itbs, r.switch_path))
-            routes[(src, dst)] = tuple(alts)
-    routes = balance_first_alternatives(g, routes)
-    return RoutingTables("outflank", root, ud, routes)
+
+    def candidates():
+        for src in g.switches():
+            for dst in g.switches():
+                paths = ([(src,)] if src == dst else
+                         candidate_paths(grid, src, dst)[:max_routes_per_pair])
+                yield (src, dst), [(p, g.path_links(p)) for p in paths]
+
+    return RoutingTables("outflank", root, ud,
+                         assemble_itb_routes(g, ud, candidates(), sort_by_itbs))
 
 
 SCHEMES.register(Scheme(

@@ -34,6 +34,7 @@ a fact about that scheme, asserted by its own tests.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,9 +93,22 @@ def compute_tables(g: NetworkGraph, scheme: str, root: int = 0,
     already breaks its ties that way, so the runner never sets it (the
     paper's SP does not optimise this; ``tests/test_itb.py`` studies it
     on unbalanced tables).
+
+    The builder runs with the cyclic garbage collector paused: a build
+    allocates hundreds of thousands of containers and no reference
+    cycle, so every collection it would trigger (hundreds of them on the
+    8x8 torus ``itb`` build, a few of them full) scans and frees
+    nothing.  The collector is left as it was found, also when the
+    builder raises; one the caller had disabled stays disabled.
     """
-    return SCHEMES.supporting(scheme, g).build(
-        g, root, max_routes_per_pair, sort_by_itbs)
+    build = SCHEMES.supporting(scheme, g).build
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build(g, root, max_routes_per_pair, sort_by_itbs)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- built-in schemes (the paper's two) --------------------------------------

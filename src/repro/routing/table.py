@@ -21,12 +21,78 @@ cycle search in ``src/``, shared with the runtime stall diagnosis in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Set, Tuple)
 
 from ..topology.graph import NetworkGraph
 from .routes import RouteLeg, SourceRoute
 from .updown import UpDownOrientation
+
+Pair = Tuple[int, int]
+
+
+class RouteMap(dict):
+    """Pair -> route alternatives, each pair's built on first lookup.
+
+    A builder hands over one *record* per pair, in build order, and the
+    function that turns a record into the pair's alternatives.  The
+    ``dict`` storage starts empty: a lookup of a pair not yet stored
+    lands in :meth:`__missing__`, which builds, stores and returns it,
+    so every later hit is the plain C-level ``dict`` lookup the engines'
+    hot paths make.  A run that sends on a tenth of the pairs builds a
+    tenth of the ``SourceRoute`` objects.
+
+    The laziness is invisible to readers: ``len``, ``in``, iteration,
+    ``keys`` and ``get`` cover every pair in build order, ``values`` /
+    ``items`` / ``==`` build what they return, and ``dict(m)`` copies
+    every pair.  An unknown pair raises :class:`KeyError`.  It is a
+    read-only mapping: nothing mutates a built table.
+    """
+
+    __slots__ = ("_records", "_build")
+
+    def __init__(self, records: Dict[Pair, Any],
+                 build: Callable[[Any], Tuple[SourceRoute, ...]]) -> None:
+        super().__init__()
+        self._records = records
+        self._build = build
+
+    def __missing__(self, pair: Pair) -> Tuple[SourceRoute, ...]:
+        records = self._records
+        alts = self._build(records[pair])    # KeyError for an unknown pair
+        dict.__setitem__(self, pair, alts)
+        records[pair] = None                 # built once; the key stays
+        return alts
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __iter__(self) -> Iterator[Pair]:
+        return iter(self._records)
+
+    def __contains__(self, pair: object) -> bool:
+        return pair in self._records
+
+    def keys(self):
+        return self._records.keys()
+
+    def get(self, pair: Pair, default: Any = None) -> Any:
+        return self[pair] if pair in self._records else default
+
+    def values(self) -> List[Tuple[SourceRoute, ...]]:
+        return [self[pair] for pair in self._records]
+
+    def items(self) -> List[Tuple[Pair, Tuple[SourceRoute, ...]]]:
+        return [(pair, self[pair]) for pair in self._records]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, dict):
+            return NotImplemented
+        return dict(self.items()) == dict(other.items())
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
 
 def find_cycle(successors: Mapping[int, Iterable[int]]
@@ -70,7 +136,12 @@ def find_cycle(successors: Mapping[int, Iterable[int]]
 
 @dataclass(frozen=True)
 class RoutingTables:
-    """All routes of one network under one scheme."""
+    """All routes of one network under one scheme.
+
+    ``routes`` is a plain ``dict`` or a :class:`RouteMap` (the ITB
+    recipe's tables, which build a pair's routes on its first lookup);
+    readers cannot tell them apart.
+    """
 
     scheme: str
     root: int

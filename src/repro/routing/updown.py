@@ -25,11 +25,8 @@ Table construction works **per destination, not per pair**:
 * :func:`legal_path_links_to` -- every source's capped candidate list
   ``(switch_path, link_ids)`` from one pass over that DAG.
 
-The per-pair machinery stays as the general reference the tests compare
-those kernels against: :func:`legal_shortest_distances` (forward BFS
-from one source) and :func:`enumerate_legal_paths` (bounded DFS for an
-arbitrary ``max_len``, with the simple-path and remaining-distance
-tests the DAG walk does not need).
+The per-pair machinery the tests compare those kernels against lives in
+:mod:`repro.routing.reference`.
 """
 
 from __future__ import annotations
@@ -96,42 +93,13 @@ def orient_links(g: NetworkGraph, root: int = 0,
     return UpDownOrientation(tree, tuple(up_end))
 
 
-def legal_shortest_distances(g: NetworkGraph, ud: UpDownOrientation,
-                             source: int) -> List[int]:
-    """Shortest legal up*/down* distance from ``source`` to every switch.
-
-    BFS over the layered (switch, phase) graph; the distance to a switch
-    is the minimum over both phases.  All switches are reachable (the
-    spanning tree itself is legal), so no -1 sentinel is needed.
-    """
-    INF = g.num_switches * 2 + 1
-    dist = [[INF, INF] for _ in range(g.num_switches)]
-    dist[source][UP] = 0
-    frontier: List[Tuple[int, int]] = [(source, UP)]
-    while frontier:
-        nxt: List[Tuple[int, int]] = []
-        for s, phase in frontier:
-            d = dist[s][phase] + 1
-            for nb, lid in g.neighbors(s):
-                if ud.is_up(s, nb, lid):
-                    if phase == UP and d < dist[nb][UP]:
-                        dist[nb][UP] = d
-                        nxt.append((nb, UP))
-                else:
-                    if d < dist[nb][DOWN]:
-                        dist[nb][DOWN] = d
-                        nxt.append((nb, DOWN))
-        frontier = nxt
-    return [min(d_up, d_down) for d_up, d_down in dist]
-
-
 def legal_distances_to(g: NetworkGraph, ud: UpDownOrientation,
                        dest: int) -> List[List[int]]:
     """Per (switch, phase) minimum legal hops *to* ``dest``.
 
     ``result[s][phase]`` is the shortest legal continuation from switch
-    ``s`` when the path so far ends in phase ``phase``; used as an
-    admissible pruning heuristic by :func:`enumerate_legal_paths`.
+    ``s`` when the path so far ends in phase ``phase`` (also the
+    admissible pruning heuristic of the reference enumerator).
     Unreachable states hold a large sentinel (>= 2 * num_switches).
     """
     INF = g.num_switches * 2 + 1
@@ -204,9 +172,10 @@ def legal_dag_to(g: NetworkGraph, ud: UpDownOrientation, dest: int,
 def legal_path_links_to(g: NetworkGraph, ud: UpDownOrientation, dest: int,
                         max_paths: int = 32) -> Dict[int, List[PathLinks]]:
     """Shortest legal ``(switch_path, link_ids)`` candidates of every
-    source toward ``dest``: for each ``src != dest`` the list
-    ``enumerate_legal_paths(g, ud, src, dest, h[src][UP], max_paths)``
-    returns (same paths, same order), from one BFS and one DAG."""
+    source toward ``dest``, from one BFS and one DAG: for each ``src !=
+    dest`` the same paths, in the same order, as the per-pair bounded
+    DFS of :mod:`repro.routing.reference` with ``max_len =
+    h[src][UP]``."""
     h, succ = legal_dag_to(g, ud, dest)
     to_go = [d for per_phase in h for d in per_phase]   # by state
     order = [(state, state >> 1)
@@ -217,54 +186,3 @@ def legal_path_links_to(g: NetworkGraph, ud: UpDownOrientation, dest: int,
         order, succ, {2 * dest + UP: sink, 2 * dest + DOWN: sink}, max_paths)
     return {s: by_state[2 * s + UP] for s in range(g.num_switches)
             if s != dest}
-
-
-def enumerate_legal_paths(g: NetworkGraph, ud: UpDownOrientation,
-                          src: int, dst: int, max_len: int,
-                          max_paths: int = 32) -> List[Tuple[int, ...]]:
-    """Enumerate up to ``max_paths`` simple legal paths of length <= ``max_len``.
-
-    Depth-first with an admissible remaining-distance bound from
-    :func:`legal_distances_to`, exploring neighbours in ascending switch
-    id for determinism.  Paths are returned in DFS order (shortest not
-    guaranteed first; callers sort as needed).
-    """
-    if src == dst:
-        return [(src,)]
-    h = legal_distances_to(g, ud, dst)
-    out: List[Tuple[int, ...]] = []
-    on_path = [False] * g.num_switches
-    on_path[src] = True
-    path = [src]
-
-    def dfs(s: int, phase: int) -> bool:
-        """Returns False when the path cap has been reached."""
-        if len(out) >= max_paths:
-            return False
-        remaining = max_len - (len(path) - 1)
-        for nb, lid in g.sorted_neighbors(s):
-            if on_path[nb]:
-                continue
-            nphase = UP if ud.is_up(s, nb, lid) else DOWN
-            if nphase == UP and phase == DOWN:
-                continue  # illegal down->up transition
-            if nb == dst:
-                if remaining < 1:
-                    continue
-                out.append(tuple(path) + (dst,))
-                if len(out) >= max_paths:
-                    return False
-                continue
-            if 1 + h[nb][nphase] > remaining:
-                continue  # cannot reach dst legally within the budget
-            on_path[nb] = True
-            path.append(nb)
-            ok = dfs(nb, nphase)
-            path.pop()
-            on_path[nb] = False
-            if not ok:
-                return False
-        return True
-
-    dfs(src, UP)
-    return out

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.routing.itb import (balance_first_alternatives, build_itb_routes,
-                               split_path_at_violations)
-from repro.routing.minimal import enumerate_minimal_paths
+from repro.routing.itb import build_itb_routes, split_path_at_violations
+from repro.routing.reference import enumerate_minimal_paths
 from repro.routing.updown import orient_links
 from repro.topology import build_torus
 
@@ -142,18 +141,25 @@ class TestBuildItbRoutes:
 
 
 class TestBalanceFirstAlternatives:
-    def test_same_route_sets(self, g88, ud88):
-        raw = build_itb_routes(g88, ud88, max_routes_per_pair=4,
-                               balance_sp=False)
-        bal = balance_first_alternatives(g88, raw)
+    """The balancing pass seen from its one switch, ``balance_sp``: it
+    only reorders a pair's alternatives, and the first ones it picks
+    load the links more evenly than enumeration order does."""
+
+    @pytest.fixture(scope="class")
+    def raw_and_balanced(self, g88, ud88):
+        return (build_itb_routes(g88, ud88, max_routes_per_pair=4,
+                                 balance_sp=False),
+                build_itb_routes(g88, ud88, max_routes_per_pair=4))
+
+    def test_same_route_sets(self, raw_and_balanced):
+        raw, bal = raw_and_balanced
+        assert list(raw) == list(bal)
         for pair in raw:
             assert set(raw[pair]) == set(bal[pair])
 
-    def test_balancing_reduces_max_link_load(self, g88, ud88):
+    def test_balancing_reduces_max_link_load(self, g88, raw_and_balanced):
         """First-alternative link load must be flatter after balancing."""
-        raw = build_itb_routes(g88, ud88, max_routes_per_pair=4,
-                               balance_sp=False)
-        bal = balance_first_alternatives(g88, raw)
+        raw, bal = raw_and_balanced
 
         def max_load(routes):
             load = [0] * g88.num_links
@@ -210,3 +216,85 @@ class TestSpSelectionNeedsBalancing:
         itbs = {name: s.avg_itbs_per_message for name, s in runs.items()}
         assert itbs["fewest-itbs"] < 0.5 * itbs["enumeration"] \
             < 0.5 * itbs["balanced"]
+
+
+class TestLazyTables:
+    """ITB-style tables build a pair's ``SourceRoute`` objects on its
+    first lookup: nothing a reader can ask of the table shows it, and a
+    sub-knee run builds a fraction of them."""
+
+    @staticmethod
+    def _fresh(g, scheme):
+        from repro.routing import compute_tables
+        return compute_tables(g, scheme)
+
+    @staticmethod
+    def _built(routes):
+        """Pairs whose routes exist (the ``dict`` storage proper)."""
+        return dict.__len__(routes)
+
+    @pytest.mark.parametrize("scheme", ["itb", "outflank"])
+    def test_a_fresh_table_has_built_nothing(self, g88, scheme):
+        assert self._built(self._fresh(g88, scheme).routes) == 0
+
+    @pytest.mark.parametrize("scheme,order", [("itb", "dst-major"),
+                                              ("outflank", "src-major")])
+    def test_reads_equal_a_fully_built_reference(self, g88, scheme, order):
+        lazy = self._fresh(g88, scheme).routes
+        full = dict(self._fresh(g88, scheme).routes.items())
+        n = g88.num_switches
+        assert len(full) == n * n
+        assert self._built(lazy) == 0
+        assert len(lazy) == n * n
+        assert all(pair in lazy for pair in full)
+        assert (0, n) not in lazy
+        assert list(lazy) == list(lazy.keys()) == list(full)
+        by_dst = [(s, d) for d in range(n) for s in range(n)]
+        assert list(full) == (by_dst if order == "dst-major"
+                              else sorted(by_dst))
+        assert self._built(lazy) == 0          # none of that built a route
+        assert lazy[(5, 9)] == full[(5, 9)]    # one lookup builds one pair
+        assert self._built(lazy) == 1
+        assert lazy.items() == list(full.items())
+        assert lazy == full and not lazy != full
+        assert dict(lazy) == full
+
+    def test_lookups_build_once_and_unknown_pairs_raise(self, g88):
+        routes = self._fresh(g88, "itb").routes
+        first = routes[(3, 40)]
+        assert routes[(3, 40)] is first and routes.get((3, 40)) is first
+        with pytest.raises(KeyError):
+            routes[(0, g88.num_switches)]
+        assert routes.get((0, g88.num_switches)) is None
+        assert self._built(self._fresh(g88, "itb").routes) == 0
+
+    def test_remapping_and_statistics_see_every_pair(self, g88):
+        from repro.routing import route_statistics
+        full = self._fresh(g88, "itb")
+        full.routes.values()
+        identity = {lid: lid for lid in range(g88.num_links)}
+        remapped = self._fresh(g88, "itb").with_remapped_links(identity)
+        assert len(remapped.routes) == g88.num_switches ** 2
+        assert remapped.routes == full.routes
+        assert (route_statistics(g88, self._fresh(g88, "itb"))
+                == route_statistics(g88, full))
+
+    def test_a_sub_knee_point_builds_a_quarter_of_the_pairs_or_less(self):
+        """The benchmark's cold torus point: what it sends on is what
+        gets built, and its summary is the one fully built tables give."""
+        from dataclasses import replace
+
+        from repro.config import SimConfig
+        from repro.experiments.profiles import PAPER
+        from repro.experiments.runner import run_simulation
+        g = build_torus()
+        cfg = SimConfig(topology="torus", routing="itb", policy="rr",
+                        injection_rate=0.010, engine="array", seed=1,
+                        warmup_ps=PAPER.warmup_ps,
+                        measure_ps=PAPER.measure_ps)
+        lazy = self._fresh(g, "itb")
+        summary = run_simulation(cfg, tables=lazy)
+        assert 0 < self._built(lazy.routes) <= 0.25 * g.num_switches ** 2
+        full = self._fresh(g, "itb")
+        full = replace(full, routes=dict(full.routes.items()))
+        assert run_simulation(cfg, tables=full) == summary

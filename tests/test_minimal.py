@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.routing.minimal import count_minimal_paths, enumerate_minimal_paths
+from repro.routing.reference import count_minimal_paths, enumerate_minimal_paths
 from repro.topology import build_torus
 
 

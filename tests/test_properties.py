@@ -16,15 +16,16 @@ from hypothesis import strategies as st
 
 from repro.routing import SCHEMES, compute_tables
 from repro.routing.itb import build_itb_routes, split_path_at_violations
-from repro.routing.minimal import (count_minimal_paths,
-                                   enumerate_minimal_path_links,
-                                   enumerate_minimal_paths,
-                                   minimal_path_links_to)
+from repro.routing.minimal import minimal_path_links_to
+from repro.routing.reference import (count_minimal_paths,
+                                     enumerate_legal_paths,
+                                     enumerate_minimal_path_links,
+                                     enumerate_minimal_paths,
+                                     legal_shortest_distances)
 from repro.routing.simple_routes import compute_simple_routes
 from repro.routing.spanning_tree import build_spanning_tree
-from repro.routing.updown import (UP, enumerate_legal_paths, legal_dag_to,
-                                  legal_path_links_to,
-                                  legal_shortest_distances, orient_links)
+from repro.routing.updown import (UP, legal_dag_to, legal_path_links_to,
+                                  orient_links)
 from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.engine import Simulator
 from repro.topology import build_irregular, check_topology
@@ -171,6 +172,22 @@ def test_every_supporting_scheme_builds_deadlock_free_tables(g, root_raw):
     for root in {0, root_raw % g.num_switches}:
         for scheme in SCHEMES.supported(g):
             compute_tables(g, scheme, root).validate(g)
+
+
+@given(graphs, st.randoms(use_true_random=False))
+@SLOW
+def test_tables_built_on_first_lookup_equal_fully_built_ones(g, rnd):
+    """Whatever order a run first looks pairs up in, each pair gets the
+    alternatives a table built in one go holds, and the table lists its
+    pairs in build order."""
+    for scheme in SCHEMES.supported(g):
+        full = dict(compute_tables(g, scheme).routes.items())
+        lazy = compute_tables(g, scheme).routes
+        pairs = list(full)
+        rnd.shuffle(pairs)
+        for pair in pairs:
+            assert lazy[pair] == full[pair], (scheme, pair)
+        assert list(lazy) == list(full)
 
 
 # -- per-destination table kernels == per-pair reference enumerators ---------

@@ -15,6 +15,7 @@ by ``SimConfig.validate``).
 from __future__ import annotations
 
 from collections import Counter
+import gc
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from repro.routing.schemes import (SCHEMES, Scheme, build_updown_tables,
                                    scheme_label)
 from repro.routing.angara import select_root
 from repro.routing.dor import dor_path
-from repro.routing.minimal import enumerate_minimal_paths
+from repro.routing.reference import enumerate_minimal_paths
 from repro.routing.policies import make_policy
 from repro.routing.spanning_tree import build_spanning_tree
 from repro.routing import (RoutingTables, build_itb_routes,
@@ -106,6 +107,46 @@ class TestRegistry:
             compute_tables(irregular16, "outflank")
         with pytest.raises(ValueError, match="grid geometry"):
             compute_tables(irregular16, "dor")
+
+
+class TestCollectorLeftAsFound:
+    """``compute_tables`` pauses the cyclic collector for the build and
+    hands it back as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_enabled_collector_is_enabled_again(self, torus44):
+        gc.enable()
+        compute_tables(torus44, "itb")
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, torus44):
+        gc.disable()
+        compute_tables(torus44, "itb")
+        assert not gc.isenabled()
+
+    def test_enabled_again_after_a_builder_raises(self, torus44):
+        seen = []
+
+        def broken(g, root, max_routes_per_pair, sort_by_itbs):
+            seen.append(gc.isenabled())
+            raise ValueError("broken builder")
+
+        SCHEMES.register(Scheme(
+            name="broken-test", description="test-only: build raises",
+            label=lambda p: "BROKEN", build=broken, multipath=False))
+        try:
+            gc.enable()
+            with pytest.raises(ValueError, match="broken builder"):
+                compute_tables(torus44, "broken-test")
+            assert gc.isenabled()
+            assert seen == [False]      # the builder ran with it paused
+        finally:
+            SCHEMES.unregister("broken-test")
 
 
 class TestSchemeProperties:

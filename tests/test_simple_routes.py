@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.routing.reference import legal_shortest_distances
 from repro.routing.simple_routes import compute_simple_routes
-from repro.routing.updown import legal_shortest_distances, orient_links
+from repro.routing.updown import orient_links
 from repro.topology import build_torus
 
 
@@ -52,7 +53,7 @@ def test_deterministic(g44, ud44):
 def test_balancing_beats_greedy_shortest(g44, ud44):
     """Weighted selection must spread load better than always taking the
     first shortest legal path (the property simple_routes exists for)."""
-    from repro.routing.updown import enumerate_legal_paths
+    from repro.routing.reference import enumerate_legal_paths
 
     balanced = compute_simple_routes(g44, ud44)
 

@@ -4,10 +4,11 @@ from itertools import permutations
 
 import pytest
 
+from repro.routing.reference import (enumerate_legal_paths,
+                                     legal_shortest_distances)
 from repro.routing.spanning_tree import build_spanning_tree
-from repro.routing.updown import (DOWN, UP, enumerate_legal_paths,
-                                  legal_distances_to,
-                                  legal_shortest_distances, orient_links)
+from repro.routing.updown import (DOWN, UP, legal_distances_to,
+                                  orient_links)
 from repro.topology import build_torus
 from repro.topology.graph import NetworkGraph
 
