@@ -38,15 +38,13 @@ from .orchestrator import (CampaignError, Executor, Point,
 from .sim import (DeadlockError, FlitLevelNetwork, ItbStats,
                   LinkChannelStats, NetworkModel, Packet, PacketTracer,
                   Simulator, UnsupportedCapability, WormholeNetwork,
-                  available_engines, engine_capabilities, format_trace,
-                  make_network)
+                  format_trace, make_network)
 from .topology import (NetworkGraph, build, build_cplant, build_irregular,
                        build_mesh, build_torus, build_torus_express,
                        check_topology)
 from .traffic import (ArrivalProcess, DestinationPattern, TrafficPattern,
-                      TrafficProcess, available_arrivals,
-                      available_patterns, make_arrival, make_pattern,
-                      make_workload, supported_patterns)
+                      TrafficProcess, make_arrival, make_pattern,
+                      make_workload)
 
 __version__ = "1.0.0"
 
@@ -87,8 +85,6 @@ __all__ = [
     "UnsupportedCapability",
     "LinkChannelStats",
     "ItbStats",
-    "available_engines",
-    "engine_capabilities",
     "make_network",
     "WormholeNetwork",
     "FlitLevelNetwork",
@@ -115,8 +111,5 @@ __all__ = [
     "make_pattern",
     "make_arrival",
     "make_workload",
-    "available_patterns",
-    "available_arrivals",
-    "supported_patterns",
     "__version__",
 ]

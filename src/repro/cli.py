@@ -46,13 +46,6 @@ Commands
     session is TLS-wrapped; the coordinator pins the matching bundle
     with ``--tls-ca PEM``.
 
-``chaos``
-    Robustness acceptance drill: boots two localhost fabric workers,
-    runs a sweep through a deterministic chaos proxy (dropped, delayed,
-    corrupted, torn, reset and replayed frames; optionally SIGKILLs a
-    worker mid-campaign with ``--kill-one``) and asserts the result is
-    bit-identical to the same sweep run sequentially in-process.
-
 ``serve``
     Long-running HTTP service: accepts campaign specs on
     ``POST /campaign`` and streams NDJSON progress/results, sharing
@@ -366,87 +359,6 @@ def cmd_fabric(args: argparse.Namespace) -> int:
     return 2
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Two-worker chaos drill: bit-identity under an adversarial wire."""
-    import signal
-    import subprocess
-    import threading
-    import time
-
-    from .orchestrator.chaos import ChaosFabric, ChaosPlan
-
-    rates = comma_list(args.rates, float, "--rates")
-    base = _config_from(args, rates[0])
-    plan = {"quiet": ChaosPlan.quiet,
-            "mild": ChaosPlan.mild,
-            "storm": ChaosPlan.storm}[args.plan]
-    plan = plan() if args.plan == "quiet" else plan(seed=args.chaos_seed)
-    if args.budget is not None:
-        plan = ChaosPlan.from_dict(dict(plan.to_dict(),
-                                        max_events=args.budget))
-    print(f"chaos plan: {plan.describe()}")
-
-    print(f"sequential baseline: {len(rates)} points ...", flush=True)
-    seq = sweep_rates(base, rates)
-
-    procs = []
-
-    def spawn_worker():
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "fabric", "worker",
-             "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        procs.append(proc)
-        marker = "fabric worker listening on "
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline()
-            if not line:
-                raise RuntimeError(
-                    f"fabric worker exited before announcing "
-                    f"(rc={proc.poll()})")
-            if marker in line:
-                return line.split(marker, 1)[1].split()[0]
-        raise RuntimeError("fabric worker never announced its address")
-
-    try:
-        backends = f"{spawn_worker()},{spawn_worker()}"
-        print(f"fleet up: {backends}")
-        with ChaosFabric(backends, plan) as chaos:
-            ex = Executor(fabric=chaos.addrs,
-                          timeout_s=args.lease_timeout,
-                          retries=args.retries,
-                          reporter=ProgressReporter())
-            # chaos-induced handshake failures (a reset hello) must not
-            # declare a healthy worker dead mid-drill
-            ex.pool.connect_attempts = max(ex.pool.connect_attempts, 20)
-            if args.kill_one:
-                def reaper():
-                    deadline = time.monotonic() + 120
-                    while (time.monotonic() < deadline
-                           and ex.stats.simulated < 1):
-                        time.sleep(0.05)
-                    if procs[0].poll() is None:
-                        procs[0].send_signal(signal.SIGKILL)
-                        print(f"SIGKILLed worker pid={procs[0].pid} "
-                              f"mid-campaign", flush=True)
-                threading.Thread(target=reaper, daemon=True).start()
-            par = sweep_rates(base, rates, executor=ex)
-            print(f"points: {ex.stats.oneline()}")
-            print(chaos.log.summary())
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-
-    if [r.to_dict() for r in par.runs] != [r.to_dict() for r in seq.runs]:
-        print("FAIL: chaos-run results differ from sequential",
-              file=sys.stderr)
-        return 1
-    print(f"bit-identical under chaos: {len(rates)} points OK")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from .orchestrator.serve import serve_main
     serve_main(args.host, args.port,
@@ -548,31 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tls-key", default=None, metavar="PEM",
                    help="private key for --tls-cert")
     p.set_defaults(fn=cmd_fabric)
-
-    p = sub.add_parser("chaos",
-                       help="two-worker chaos drill: assert bit-identity "
-                            "under an adversarial fabric wire")
-    _add_run_options(p)
-    p.add_argument("--rates", default="0.005,0.01,0.02",
-                   help="comma-separated offered loads")
-    p.add_argument("--plan", default="storm",
-                   choices=["quiet", "mild", "storm"],
-                   help="chaos schedule preset (storm = every fault "
-                        "kind at once)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="derives the fault schedule; repeat invocations "
-                        "inject the same faults")
-    p.add_argument("--budget", type=int, default=None,
-                   help="override the plan's total injected-fault budget")
-    p.add_argument("--lease-timeout", type=float, default=30.0,
-                   help="per-attempt lease timeout in seconds")
-    p.add_argument("--retries", type=int, default=8,
-                   help="re-lease budget per point (chaos consumes "
-                        "attempts)")
-    p.add_argument("--kill-one", action="store_true",
-                   help="also SIGKILL one worker after the first point "
-                        "lands")
-    p.set_defaults(fn=cmd_chaos)
 
     p = sub.add_parser("serve",
                        help="long-running HTTP campaign service "

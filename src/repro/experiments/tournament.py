@@ -38,7 +38,7 @@ from ..resilience.sampling import sample_failed_links
 from ..routing.schemes import SCHEMES, scheme_label
 from ..topology import size_kwargs
 from ..topology.mutated import mutated_kwargs
-from ..traffic.registry import get_pattern_spec, parse_workload
+from ..traffic.registry import PATTERNS, parse_workload
 from .profiles import Profile
 from .registry import EXPERIMENTS, Experiment
 from .runner import get_graph
@@ -185,7 +185,7 @@ def run_tournament(entries: Sequence[SchemeEntry],
         traffic, arrival = parse_workload(pattern)
         for topo in topologies:
             g, broken = fabrics[topo.label]
-            if not get_pattern_spec(traffic).supports(g):
+            if not PATTERNS.get(traffic).supports(g):
                 continue
             for e in entries:
                 scheme = SCHEMES.get(e.routing)

@@ -102,10 +102,10 @@ def recv_raw_frame(sock: socket.socket) -> Optional[bytes]:
     """Read one frame as raw bytes (length prefix included), without
     decoding the payload; ``None`` on clean EOF at a frame boundary.
 
-    This is the frame-aware tap the chaos proxy
-    (:class:`repro.orchestrator.chaos.ChaosProxy`) pumps through: it
-    preserves frame boundaries so injected faults (drops, delays,
-    duplicates, torn frames) operate on whole protocol messages rather
+    This is the tap a frame-aware relay pumps through (the test
+    suite's chaos proxy, ``tests/chaos.py``): it preserves frame
+    boundaries, so faults injected between reads (drops, delays,
+    duplicates, torn frames) act on whole protocol messages rather
     than an opaque byte stream.
     """
     header = _recv_exact(sock, _LEN.size)

@@ -41,8 +41,7 @@ from .base import (ALL_CAPABILITIES, CAP_BATCH_DELIVERY, CAP_BATCH_INJECT,
                    UnsupportedCapability)
 from .engine import Simulator, DeadlockError
 from .faults import FaultPlan, LinkFault
-from .engines import (ENGINES, available_engines, engine_capabilities,
-                      get_engine, make_network, register, unregister)
+from .engines import ENGINES, make_network, register
 from .nic import MessageSequencer
 from .packet import Packet
 from .network import WormholeNetwork
@@ -61,7 +60,6 @@ __all__ = ["Simulator", "DeadlockError", "Packet", "NetworkModel",
            "FaultPlan", "LinkFault", "MessageSequencer",
            "ReliableParams", "ReliableTransport", "ReconfigParams",
            "ReconfigurationManager",
-           "ENGINES", "register", "unregister", "available_engines",
-           "engine_capabilities", "get_engine", "make_network",
+           "ENGINES", "register", "make_network",
            "WormholeNetwork", "FlitLevelNetwork", "ArrayNetwork",
            "PacketTracer", "TraceEvent", "format_trace"]

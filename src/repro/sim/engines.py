@@ -30,12 +30,8 @@ from ..topology.graph import NetworkGraph
 from .base import NetworkModel
 from .engine import Simulator
 
-#: the engine registry (the spec of an engine is its class); the names
-#: below are bindings to it
+#: the engine registry (the spec of an engine is its class)
 ENGINES: Registry[Type[NetworkModel]] = Registry("engine")
-unregister = ENGINES.unregister
-available_engines = ENGINES.names
-get_engine = ENGINES.get
 
 
 def register(name: str):
@@ -51,15 +47,10 @@ def register(name: str):
     return deco
 
 
-def engine_capabilities(name: str) -> frozenset:
-    """Declared capabilities of a registered engine."""
-    return get_engine(name).capabilities()
-
-
 def make_network(name: str, sim: Simulator, graph: NetworkGraph,
                  tables: RoutingTables, policy: PathSelectionPolicy,
                  params: MyrinetParams,
                  message_bytes: int = 512) -> NetworkModel:
     """Instantiate the engine registered under ``name``."""
-    return get_engine(name)(sim, graph, tables, policy, params,
-                            message_bytes=message_bytes)
+    return ENGINES.get(name)(sim, graph, tables, policy, params,
+                             message_bytes=message_bytes)

@@ -36,11 +36,8 @@ from __future__ import annotations
 from .base import (ArrivalProcess, DestinationPattern, Schedule,
                    TrafficPattern, TrafficProcess, per_host_interval_ps)
 from .registry import (ARRIVALS, DEFAULT_ARRIVAL, DEFAULT_PATTERN, PATTERNS,
-                       ArrivalSpec, Kwarg, PatternSpec, available_arrivals,
-                       available_patterns, get_pattern_spec, make_arrival,
+                       ArrivalSpec, Kwarg, PatternSpec, make_arrival,
                        make_pattern, make_workload, parse_workload,
-                       register_arrival, register_pattern,
-                       supported_patterns, unregister_pattern,
                        validate_workload, workload_label)
 from .arrivals import (AdversarialArrivals, ConstantArrivals, OnOffArrivals,
                        PoissonArrivals, PoissonBurstArrivals)
@@ -64,17 +61,10 @@ __all__ = [
     "per_host_interval_ps",
     "DEFAULT_ARRIVAL",
     "DEFAULT_PATTERN",
-    "available_arrivals",
-    "available_patterns",
-    "get_pattern_spec",
     "make_arrival",
     "make_pattern",
     "make_workload",
     "parse_workload",
-    "register_arrival",
-    "register_pattern",
-    "supported_patterns",
-    "unregister_pattern",
     "validate_workload",
     "workload_label",
     "UniformTraffic",

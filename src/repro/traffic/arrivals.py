@@ -279,21 +279,21 @@ def _geometric(mean: float, rng: random.Random) -> int:
 
 
 def _register() -> None:
-    from .registry import ArrivalSpec, Kwarg, register_arrival
+    from .registry import ARRIVALS, ArrivalSpec, Kwarg
 
-    register_arrival(ArrivalSpec(
+    ARRIVALS.register(ArrivalSpec(
         name="constant",
         description="fixed inter-message spacing, random initial phase "
                     "(the paper's load model)",
         build=ConstantArrivals,
     ))
-    register_arrival(ArrivalSpec(
+    ARRIVALS.register(ArrivalSpec(
         name="poisson",
         description="memoryless exponential gaps at the configured "
                     "mean rate",
         build=PoissonArrivals,
     ))
-    register_arrival(ArrivalSpec(
+    ARRIVALS.register(ArrivalSpec(
         name="onoff",
         description="bursty ON/OFF source: geometric trains at peak "
                     "rate separated by exponential silences",
@@ -304,7 +304,7 @@ def _register() -> None:
         label=lambda kw: (f"onoff(d={kw.get('duty', 0.25)},"
                           f"b={kw.get('burst', 8)})"),
     ))
-    register_arrival(ArrivalSpec(
+    ARRIVALS.register(ArrivalSpec(
         name="pareto-onoff",
         description="self-similar ON/OFF source: geometric trains at "
                     "peak rate separated by Pareto (heavy-tailed) "
@@ -320,7 +320,7 @@ def _register() -> None:
                           f"b={kw.get('burst', 8)},"
                           f"a={kw.get('alpha', 1.5)})"),
     ))
-    register_arrival(ArrivalSpec(
+    ARRIVALS.register(ArrivalSpec(
         name="burst",
         description="compound-Poisson bursts: burst events arrive "
                     "Poisson, each a geometric clump of messages",
@@ -330,7 +330,7 @@ def _register() -> None:
                       "intra-burst spacing in picoseconds")),
         label=lambda kw: f"burst(b={kw.get('burst', 8)})",
     ))
-    register_arrival(ArrivalSpec(
+    ARRIVALS.register(ArrivalSpec(
         name="adversarial",
         description="(r, b)-adversary: phase-aligned periodic volleys "
                     "of b messages at long-run rate r",

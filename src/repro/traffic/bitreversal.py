@@ -52,9 +52,9 @@ class BitReversalTraffic(TrafficPattern):
 
 
 def _register() -> None:
-    from .registry import PatternSpec, power_of_two_hosts, register_pattern
+    from .registry import PATTERNS, PatternSpec, power_of_two_hosts
 
-    register_pattern(PatternSpec(
+    PATTERNS.register(PatternSpec(
         name="bit-reversal",
         description="fixed permutation dst = bit_reverse(src); "
                     "palindromic hosts stay silent",

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 
 from ..topology.graph import NetworkGraph
 from .base import TrafficPattern
-from .registry import Kwarg, PatternSpec, register_pattern
+from .registry import PATTERNS, Kwarg, PatternSpec
 
 
 class AllToAllTraffic(TrafficPattern):
@@ -134,7 +134,7 @@ def _two_hosts(g: NetworkGraph) -> bool:
     return g.num_hosts >= 2
 
 
-register_pattern(PatternSpec(
+PATTERNS.register(PatternSpec(
     name="all-to-all",
     description="personalised all-to-all exchange: each host cycles "
                 "deterministically through every other host",
@@ -142,7 +142,7 @@ register_pattern(PatternSpec(
     supports=_two_hosts,
 ))
 
-register_pattern(PatternSpec(
+PATTERNS.register(PatternSpec(
     name="allreduce",
     description="allreduce phases: ring successor ('ring') or binary-"
                 "tree reduce/broadcast neighbours ('tree')",
@@ -152,7 +152,7 @@ register_pattern(PatternSpec(
     label=lambda kw: f"allreduce-{kw.get('mode', 'ring')}",
 ))
 
-register_pattern(PatternSpec(
+PATTERNS.register(PatternSpec(
     name="incast",
     description="many-to-one: every host targets one sink host "
                 "(pure incast; the sink stays silent)",

@@ -75,9 +75,9 @@ class HotspotTraffic(TrafficPattern):
 
 
 def _register() -> None:
-    from .registry import Kwarg, PatternSpec, register_pattern
+    from .registry import PATTERNS, Kwarg, PatternSpec
 
-    register_pattern(PatternSpec(
+    PATTERNS.register(PatternSpec(
         name="hotspot",
         description="a fraction of all traffic targets one hot host, "
                     "the rest is uniform (Tables 1-3)",

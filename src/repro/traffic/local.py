@@ -51,9 +51,9 @@ class LocalTraffic(TrafficPattern):
 
 
 def _register() -> None:
-    from .registry import Kwarg, PatternSpec, register_pattern
+    from .registry import PATTERNS, Kwarg, PatternSpec
 
-    register_pattern(PatternSpec(
+    PATTERNS.register(PatternSpec(
         name="local",
         description="uniform among hosts at most `radius` switches "
                     "away (Section 4.7.4)",

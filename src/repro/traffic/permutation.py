@@ -61,9 +61,9 @@ class ComplementTraffic(TrafficPattern):
 
 
 def _register() -> None:
-    from .registry import PatternSpec, power_of_two_hosts, register_pattern
+    from .registry import PATTERNS, PatternSpec, power_of_two_hosts
 
-    register_pattern(PatternSpec(
+    PATTERNS.register(PatternSpec(
         name="transpose",
         description="fixed permutation swapping the high and low "
                     "halves of the host id bits",
@@ -72,7 +72,7 @@ def _register() -> None:
                             and (g.num_hosts.bit_length() - 1) % 2 == 0),
         topology_note="power-of-four host count",
     ))
-    register_pattern(PatternSpec(
+    PATTERNS.register(PatternSpec(
         name="complement",
         description="fixed permutation dst = ~src (all id bits flipped)",
         build=ComplementTraffic,

@@ -12,10 +12,9 @@ runner, the tournament) dispatches through this registry instead of
 hard-coding pattern names or per-pattern kwarg plumbing.  Registering
 a new workload is one call::
 
-    from repro.traffic.registry import (Kwarg, PatternSpec,
-                                        register_pattern)
+    from repro.traffic.registry import PATTERNS, Kwarg, PatternSpec
 
-    register_pattern(PatternSpec(
+    PATTERNS.register(PatternSpec(
         name="zipf",
         description="Zipf-popularity destinations",
         build=ZipfTraffic,                  # (graph, **kwargs)
@@ -95,16 +94,9 @@ class ArrivalSpec:
     label: Optional[Callable[[Mapping[str, Any]], str]] = None
 
 
-#: the two traffic registries; the names below are bindings to them
+#: the two traffic registries
 PATTERNS: Registry[PatternSpec] = Registry("traffic pattern")
 ARRIVALS: Registry[ArrivalSpec] = Registry("arrival process")
-register_pattern = PATTERNS.register
-register_arrival = ARRIVALS.register
-unregister_pattern = PATTERNS.unregister
-available_patterns = PATTERNS.names
-available_arrivals = ARRIVALS.names
-get_pattern_spec = PATTERNS.get
-supported_patterns = PATTERNS.supported
 
 
 def validate_workload(traffic: str, traffic_kwargs: Mapping[str, Any],

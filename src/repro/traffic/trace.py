@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from ..topology.graph import NetworkGraph
 from ..units import PS_PER_NS
 from .base import ArrivalProcess, TrafficPattern
-from .registry import Kwarg, PatternSpec, register_pattern
+from .registry import PATTERNS, Kwarg, PatternSpec
 
 
 def parse_trace_csv(path: str) -> List[Tuple[float, int, int]]:
@@ -122,7 +122,7 @@ class TraceReplay(TrafficPattern, ArrivalProcess):
         return events[i][0]
 
 
-register_pattern(PatternSpec(
+PATTERNS.register(PatternSpec(
     name="trace",
     description="CSV trace replay (time_ns,src,dst rows); the trace "
                 "supplies both destinations and timing",

@@ -43,9 +43,9 @@ class UniformTraffic(TrafficPattern):
 
 
 def _register() -> None:
-    from .registry import PatternSpec, register_pattern
+    from .registry import PATTERNS, PatternSpec
 
-    register_pattern(PatternSpec(
+    PATTERNS.register(PatternSpec(
         name="uniform",
         description="uniformly random destination among all other hosts "
                     "(the paper's base pattern)",

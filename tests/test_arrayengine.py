@@ -23,8 +23,8 @@ from repro.experiments.runner import clear_caches, run_simulation
 from repro.experiments.sweep import sweep_rates
 from repro.routing.policies import make_policy
 from repro.routing import compute_tables
-from repro.sim import (PacketTracer, Simulator, UnsupportedCapability,
-                       engine_capabilities, make_network)
+from repro.sim import (ENGINES, PacketTracer, Simulator,
+                       UnsupportedCapability, make_network)
 from repro.sim.arrayengine import ArrayNetwork
 from repro.sim.base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT,
                             CAP_INVARIANTS, CAP_LINK_STATS)
@@ -96,7 +96,7 @@ def run_primed(graph, tables, sched, collect=True):
 
 class TestCapabilities:
     def test_declared_capabilities(self):
-        assert engine_capabilities("array") == frozenset(
+        assert ENGINES.get("array").capabilities() == frozenset(
             {CAP_LINK_STATS, CAP_BATCH_INJECT, CAP_BATCH_DELIVERY,
              CAP_INVARIANTS})
 

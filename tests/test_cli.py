@@ -105,13 +105,13 @@ class TestCommands:
         assert "ks:str=1,2,4" in out
 
     def test_the_studies_are_experiments_not_verbs(self, capsys):
-        for verb in ("resilience", "recovery", "tournament"):
+        for verb in ("resilience", "recovery", "tournament", "chaos"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([verb])
         capsys.readouterr()
         sub = next(a for a in build_parser()._actions
                    if a.dest == "command")
-        assert len(sub.choices) == 11
+        assert len(sub.choices) == 10
 
     def test_info_irregular(self, capsys):
         assert main(["info", "irregular"]) == 0

@@ -22,11 +22,8 @@ from repro.routing.routes import RouteLeg, SourceRoute
 from repro.routing import RoutingTables, compute_tables
 from repro.sim import (CAP_DYNAMIC_FAULTS, CAP_INVARIANTS, CAP_ITB_POOL,
                        CAP_LINK_STATS, CAP_RELIABLE_DELIVERY, CAP_TRACE,
-                       NetworkModel, PacketTracer, Simulator,
-                       UnsupportedCapability, available_engines,
-                       engine_capabilities, get_engine, make_network,
-                       register, unregister)
-from repro.sim.engines import ENGINES
+                       ENGINES, NetworkModel, PacketTracer, Simulator,
+                       UnsupportedCapability, make_network, register)
 from repro.topology import build_mutated, build_torus
 from repro.traffic import TrafficProcess, per_host_interval_ps
 from repro.traffic.registry import make_workload
@@ -36,7 +33,7 @@ from tests.conftest import small_config
 
 P = PAPER_PARAMS
 
-ENGINES = ("packet", "flit")
+EVENT_ENGINES = ("packet", "flit")
 
 
 def make_engine(name, graph, tables, seed=3, message_bytes=512):
@@ -79,22 +76,22 @@ def traffic_pairs(torus44_graph):
 
 class TestRegistry:
     def test_both_backends_registered(self):
-        assert set(ENGINES) <= set(available_engines())
+        assert set(EVENT_ENGINES) <= set(ENGINES.names())
 
     def test_full_capability_matrix(self):
-        for name in ENGINES:
-            assert engine_capabilities(name) == frozenset(
+        for name in EVENT_ENGINES:
+            assert ENGINES.get(name).capabilities() == frozenset(
                 {CAP_LINK_STATS, CAP_ITB_POOL, CAP_TRACE,
                  CAP_DYNAMIC_FAULTS, CAP_RELIABLE_DELIVERY,
                  CAP_INVARIANTS})
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            get_engine("quantum")
+            ENGINES.get("quantum")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register("packet")(get_engine("packet"))
+            register("packet")(ENGINES.get("packet"))
 
     def test_non_model_registration_rejected(self):
         with pytest.raises(TypeError):
@@ -115,12 +112,12 @@ class TestRegistry:
                 pass
 
         try:
-            assert "null" in available_engines()
+            assert "null" in ENGINES.names()
             # config validation picks the new engine up with no changes
             small_config(engine="null").validate()
         finally:
-            unregister("null")
-        assert "null" not in available_engines()
+            ENGINES.unregister("null")
+        assert "null" not in ENGINES.names()
         with pytest.raises(ValueError):
             small_config(engine="null").validate()
         assert "packet" in ENGINES  # built-ins untouched
@@ -166,7 +163,7 @@ class TestDrainedParity:
     def test_counts_routes_and_link_flits_identical(
             self, torus44_graph, torus44_itb_tables, traffic_pairs):
         results = {}
-        for name in ENGINES:
+        for name in EVENT_ENGINES:
             net, pkts = drained_batch(name, torus44_graph,
                                       torus44_itb_tables, traffic_pairs)
             assert net.generated == len(traffic_pairs)
@@ -192,7 +189,7 @@ class TestDrainedParity:
     def test_itb_pool_occupancy_tracked_in_both(self, torus44_graph,
                                                 torus44_itb_tables,
                                                 traffic_pairs):
-        for name in ENGINES:
+        for name in EVENT_ENGINES:
             net, pkts = drained_batch(name, torus44_graph,
                                       torus44_itb_tables, traffic_pairs)
             if any(p.num_itbs for p in pkts):
@@ -210,7 +207,7 @@ class TestDrainedParity:
              RouteLeg.from_switch_path(torus44_graph, (1, 2))), (via,)),)
         t = RoutingTables("itb", 0, tables.orientation, custom)
         sequences = {}
-        for name in ENGINES:
+        for name in EVENT_ENGINES:
             sim, net = make_engine(name, torus44_graph, t)
             net.tracer = PacketTracer()
             pkt = net.send(0, 4)  # host on switch 2 -> crosses the ITB
@@ -232,7 +229,7 @@ class TestWindowedParity:
     @pytest.fixture(scope="class")
     def summaries(self):
         out = {}
-        for name in ENGINES:
+        for name in EVENT_ENGINES:
             out[name] = run_simulation(
                 small_config(engine=name, injection_rate=0.01,
                              warmup_ps=ns(20_000),
@@ -280,7 +277,7 @@ class TestWindowedParity:
             sum(pkt.utilization), rel=0.10)
 
     def test_reserved_fraction_collected_for_both(self, summaries):
-        for name in ENGINES:
+        for name in EVENT_ENGINES:
             u = summaries[name].link_utilization
             assert all(x >= 0 for x in u.reserved)
             assert max(u.reserved) > 0
@@ -294,7 +291,7 @@ class TestArrayEngineParity:
 
     def test_capability_matrix(self):
         from repro.sim import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT)
-        assert engine_capabilities("array") == frozenset(
+        assert ENGINES.get("array").capabilities() == frozenset(
             {CAP_LINK_STATS, CAP_BATCH_INJECT, CAP_BATCH_DELIVERY,
              CAP_INVARIANTS})
 
@@ -411,7 +408,7 @@ class TestMutatedTopologyParity:
     def test_drained_accounting_identical(self, mutated, traffic_pairs):
         g, tables = mutated
         results = {}
-        for name in ENGINES:
+        for name in EVENT_ENGINES:
             net, pkts = drained_batch(name, g, tables, traffic_pairs)
             assert net.delivered == len(traffic_pairs)
             assert net.in_flight == 0

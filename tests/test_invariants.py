@@ -160,6 +160,6 @@ class TestDeadlockDiagnosis:
         assert "deadlock diagnosis:" in str(excinfo.value)
 
     def test_capability_declared_by_all_engines(self):
-        from repro.sim.engines import available_engines, get_engine
-        for name in available_engines():
-            assert CAP_INVARIANTS in get_engine(name).CAPABILITIES, name
+        from repro.sim.engines import ENGINES
+        for name in ENGINES.names():
+            assert CAP_INVARIANTS in ENGINES.get(name).CAPABILITIES, name

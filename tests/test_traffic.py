@@ -29,11 +29,9 @@ from repro.traffic.collective import (AllReduceTraffic, AllToAllTraffic,
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.local import LocalTraffic
 from repro.traffic.permutation import ComplementTraffic, TransposeTraffic
-from repro.traffic.registry import (REQUIRED, available_arrivals,
-                                    available_patterns, get_pattern_spec,
+from repro.traffic.registry import (ARRIVALS, PATTERNS, REQUIRED,
                                     make_workload, parse_workload,
-                                    supported_patterns, validate_workload,
-                                    workload_label)
+                                    validate_workload, workload_label)
 from repro.traffic.trace import TraceReplay, parse_trace_csv
 from repro.traffic.uniform import UniformTraffic
 from repro.units import PS_PER_NS
@@ -318,7 +316,7 @@ def trace_csv(tmp_path):
 def _required_kwargs(name, trace_csv):
     """Minimal kwargs satisfying a pattern's REQUIRED declarations."""
     kwargs = {}
-    for k in get_pattern_spec(name).kwargs:
+    for k in PATTERNS.get(name).kwargs:
         if k.default is REQUIRED:
             assert k.name == "path", (
                 f"update the test fixture: pattern {name} requires "
@@ -343,18 +341,18 @@ def _drive(g, traffic, traffic_kwargs, arrival, seed=5,
 class TestEveryWorkload:
     """Every registered pattern x every arrival process."""
 
-    @pytest.mark.parametrize("traffic", available_patterns())
-    @pytest.mark.parametrize("arrival", available_arrivals())
+    @pytest.mark.parametrize("traffic", PATTERNS.names())
+    @pytest.mark.parametrize("arrival", ARRIVALS.names())
     def test_destinations_in_range_never_self(self, g, traffic, arrival,
                                               trace_csv):
-        if get_pattern_spec(traffic).provides_arrivals \
+        if PATTERNS.get(traffic).provides_arrivals \
                 and arrival != "constant":
             with pytest.raises(ValueError):
                 validate_workload(traffic,
                                   _required_kwargs(traffic, trace_csv),
                                   arrival, {})
             return
-        if not get_pattern_spec(traffic).supports(g):
+        if not PATTERNS.get(traffic).supports(g):
             return
         sent = _drive(g, traffic, _required_kwargs(traffic, trace_csv),
                       arrival)
@@ -363,9 +361,9 @@ class TestEveryWorkload:
             assert 0 <= dst < g.num_hosts
             assert dst != src
 
-    @pytest.mark.parametrize("traffic", available_patterns())
+    @pytest.mark.parametrize("traffic", PATTERNS.names())
     def test_deterministic_under_fixed_seed(self, g, traffic, trace_csv):
-        if not get_pattern_spec(traffic).supports(g):
+        if not PATTERNS.get(traffic).supports(g):
             return
         kwargs = _required_kwargs(traffic, trace_csv)
         a = _drive(g, traffic, kwargs, "constant", seed=9)
@@ -395,7 +393,7 @@ class TestRngSeparation:
 
     def test_arrival_process_invariant_destinations(self, g):
         baseline = self._sequences(g, "constant", interval=300_000)
-        for arrival in available_arrivals():
+        for arrival in ARRIVALS.names():
             other = self._sequences(g, arrival, interval=300_000)
             for host in baseline:
                 n = min(len(baseline[host]), len(other.get(host, [])))
@@ -473,7 +471,7 @@ class TestArrivalProcesses:
                 == pytest.approx(1 / burst, abs=0.02))
 
     def test_pareto_onoff_registered(self):
-        assert "pareto-onoff" in available_arrivals()
+        assert "pareto-onoff" in ARRIVALS.names()
 
     def test_adversarial_rb_envelope(self):
         """Injections in any window [s, t] stay under r(t-s) + b."""
@@ -593,7 +591,7 @@ class TestTraceReplay:
 class TestRegistryGating:
     def test_supports_counterexamples(self):
         g3 = build_torus(rows=1, cols=3, hosts_per_switch=1)  # 3 hosts
-        names = supported_patterns(g3)
+        names = PATTERNS.supported(g3)
         assert "uniform" in names
         assert "bit-reversal" not in names
         assert "complement" not in names
@@ -602,9 +600,9 @@ class TestRegistryGating:
 
     def test_transpose_needs_power_of_four(self, g):
         # 32 hosts: power of two but not of four
-        assert not get_pattern_spec("transpose").supports(g)
+        assert not PATTERNS.get("transpose").supports(g)
         g16 = build_torus(rows=4, cols=4, hosts_per_switch=1)
-        assert get_pattern_spec("transpose").supports(g16)
+        assert PATTERNS.get("transpose").supports(g16)
 
     def test_unknown_names(self, g):
         with pytest.raises(ValueError, match="unknown traffic pattern"):
@@ -641,21 +639,19 @@ class TestRegistryGating:
         """The acceptance criterion of the registry refactor: register
         a pattern and it is immediately buildable, validatable and
         labelled everywhere -- no CLI or config edits."""
-        from repro.traffic.registry import (Kwarg, PatternSpec,
-                                            register_pattern,
-                                            unregister_pattern)
+        from repro.traffic.registry import Kwarg, PatternSpec
 
         class EchoTraffic(UniformTraffic):
             def __init__(self, graph, alpha=1.0):
                 super().__init__(graph)
                 self.alpha = alpha
 
-        register_pattern(PatternSpec(
+        PATTERNS.register(PatternSpec(
             name="echo-test", description="throwaway",
             build=EchoTraffic,
             kwargs=(Kwarg("alpha", float, 1.0, "skew"),)))
         try:
-            assert "echo-test" in available_patterns()
+            assert "echo-test" in PATTERNS.names()
             cfg = SimConfig(traffic="echo-test",
                             traffic_kwargs={"alpha": 1.5})
             cfg.validate()
@@ -663,22 +659,22 @@ class TestRegistryGating:
             pat = make_pattern("echo-test", g, alpha=1.5)
             assert pat.alpha == 1.5
             with pytest.raises(ValueError):
-                register_pattern(PatternSpec(
+                PATTERNS.register(PatternSpec(
                     name="echo-test", description="dup",
                     build=EchoTraffic))
         finally:
-            unregister_pattern("echo-test")
-        assert "echo-test" not in available_patterns()
+            PATTERNS.unregister("echo-test")
+        assert "echo-test" not in PATTERNS.names()
 
     def test_simconfig_round_trip_every_pattern(self, trace_csv):
         """Registry names survive SimConfig validate + dict round trip
         (what the orchestrator's content-addressed store keys on)."""
-        for traffic in available_patterns():
+        for traffic in PATTERNS.names():
             kwargs = _required_kwargs(traffic, trace_csv)
             cfg = SimConfig(traffic=traffic, traffic_kwargs=kwargs)
             cfg.validate()
             assert SimConfig.from_dict(cfg.to_dict()) == cfg
-        for arrival in available_arrivals():
+        for arrival in ARRIVALS.names():
             cfg = SimConfig(arrival=arrival)
             cfg.validate()
             assert SimConfig.from_dict(cfg.to_dict()) == cfg
