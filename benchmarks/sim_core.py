@@ -23,7 +23,6 @@ import json
 
 from repro.config import SimConfig
 from repro.experiments.runner import clear_caches, run_simulation
-from repro.perf import PerfRecorder
 from repro.units import ns
 
 #: validation-size network used for cross-engine checks (DESIGN.md
@@ -85,9 +84,7 @@ def bench_sim_core(repeats: int = 3) -> dict:
         clear_caches()
         reports = []
         for _ in range(repeats):
-            rec = PerfRecorder()
-            run_simulation(cfg, perf=rec)
-            reports.append(rec.report)
+            run_simulation(cfg, perf=reports.append)
         cold = reports[0]
         best = min(reports, key=lambda r: r.sim_wall_s)
         points.append({

@@ -85,7 +85,7 @@ def run_campaign(tmp, tag, **executor_kwargs):
 
 def check_bit_identical(tmp, fleet):
     sequential = run_campaign(tmp, "seq")
-    distributed = run_campaign(tmp, "fab", workers=fleet)
+    distributed = run_campaign(tmp, "fab", fabric=fleet)
     if distributed != sequential:
         fail("distributed results differ from sequential")
     log(f"bit-identical across 2 workers: {len(sequential)} points OK")

@@ -28,13 +28,13 @@ from .experiments.profiles import Profile, BENCH, PAPER, TEST
 from .experiments.registry import EXPERIMENTS, run_experiment
 from .metrics import (LatencyCollector, LinkUtilization, RunSummary,
                       SaturationResult, collect_link_stats, find_saturation)
-from .perf import PerfRecorder, PerfReport, profile_to
+from .perf import PerfReport, profile_to
 from .routing import (RoutingTables, SourceRoute, compute_tables,
                       make_policy, route_statistics)
 from .experiments.compare import ComparisonResult, compare_configs
 from . import resilience  # noqa: F401  (registers its two studies)
-from .orchestrator import (CampaignError, Executor, Point,
-                           ProgressReporter, ResultStore, WorkerPool)
+from .orchestrator import (CampaignError, Executor, Point, ResultStore,
+                           WorkerPool)
 from .sim import (DeadlockError, FlitLevelNetwork, ItbStats,
                   LinkChannelStats, NetworkModel, Packet, PacketTracer,
                   Simulator, UnsupportedCapability, WormholeNetwork,
@@ -42,9 +42,8 @@ from .sim import (DeadlockError, FlitLevelNetwork, ItbStats,
 from .topology import (NetworkGraph, build, build_cplant, build_irregular,
                        build_mesh, build_torus, build_torus_express,
                        check_topology)
-from .traffic import (ArrivalProcess, DestinationPattern, TrafficPattern,
-                      TrafficProcess, make_arrival, make_pattern,
-                      make_workload)
+from .traffic import (ArrivalProcess, TrafficPattern, TrafficProcess,
+                      make_arrival, make_pattern, make_workload)
 
 __version__ = "1.0.0"
 
@@ -68,7 +67,6 @@ __all__ = [
     "SaturationResult",
     "collect_link_stats",
     "find_saturation",
-    "PerfRecorder",
     "PerfReport",
     "profile_to",
     "RoutingTables",
@@ -93,7 +91,6 @@ __all__ = [
     "CampaignError",
     "Executor",
     "Point",
-    "ProgressReporter",
     "ResultStore",
     "WorkerPool",
     "NetworkGraph",
@@ -105,7 +102,6 @@ __all__ = [
     "build_mesh",
     "check_topology",
     "TrafficPattern",
-    "DestinationPattern",
     "ArrivalProcess",
     "TrafficProcess",
     "make_pattern",

@@ -92,8 +92,7 @@ from .experiments.registry import (EXPERIMENTS, render_claims,
                                    run_experiment)
 from .experiments.runner import get_graph, get_tables, run_simulation
 from .experiments.sweep import sweep_rates
-from .orchestrator import (DEFAULT_CACHE_DIR, Executor, ProgressReporter,
-                           ResultStore)
+from .orchestrator import DEFAULT_CACHE_DIR, Executor, ResultStore
 from .registry import UsageError, comma_list
 from .routing.analysis import route_statistics
 from .routing.policies import POLICIES
@@ -177,8 +176,16 @@ def _executor_kwargs(args: argparse.Namespace) -> dict:
                 fabric=args.fabric, tls_ca=args.tls_ca)
 
 
+def _print_point(event: dict) -> None:
+    """Render one point event of the executor's ledger on stderr."""
+    took = f" {event['elapsed_s']:.1f}s" if event["status"] == "done" else ""
+    eta = f"  eta {event['eta_s']:.0f}s" if "eta_s" in event else ""
+    print(f"[{event['completed']}/{event['total']}] {event['label']}: "
+          f"{event['status']}{took}{eta}", file=sys.stderr, flush=True)
+
+
 def _make_executor(args: argparse.Namespace) -> Executor:
-    return Executor(reporter=ProgressReporter(), **_executor_kwargs(args))
+    return Executor(on_point=_print_point, **_executor_kwargs(args))
 
 
 def _config_from(args: argparse.Namespace, rate: float) -> SimConfig:
@@ -226,11 +233,10 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .perf import PerfRecorder
     cfg = _config_from(args, args.rate)
-    recorder = PerfRecorder() if (args.perf or args.profile) else None
+    reports: list = []
     summary = run_simulation(cfg, collect_links=args.links,
-                             perf=recorder, profile_path=args.profile)
+                             perf=reports.append, profile_path=args.profile)
     print(summary.oneline())
     print(f"  network latency {summary.avg_network_latency_ns:.0f} ns, "
           f"max {summary.max_latency_ns:.0f} ns, "
@@ -244,8 +250,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                             cfg.injection_rate, summary.link_utilization,
                             summary)
         print(render_link_map(res, grid_shape(cfg)))
-    if recorder is not None and recorder.report is not None:
-        print(f"  perf: {recorder.report.oneline()}")
+    if args.perf or args.profile:
+        print(f"  perf: {reports[0].oneline()}")
     if args.profile:
         print(f"  profile written to {args.profile} "
               f"(inspect with: python -m pstats {args.profile})")

@@ -35,7 +35,7 @@ boundary becomes a ``run_simulation`` call.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..canon import freeze
 from ..config import SimConfig, check_run_options
@@ -45,7 +45,7 @@ from ..metrics.recovery import RecoveryTracker
 from ..metrics.summary import RunSummary
 from ..orchestrator.lease import TASKS
 from ..orchestrator.pool import POINT_TASK_FN
-from ..perf import PerfRecorder, now as _now, profile_to
+from ..perf import PerfReport, now as _now, profile_to
 from ..routing.policies import make_policy
 from ..routing.schemes import compute_tables
 from ..routing.table import RoutingTables
@@ -164,7 +164,7 @@ def _coerce(value: Any, cls: type) -> Any:
 def run_simulation(config: SimConfig, collect_links: bool = False,
                    root: int = 0, watchdog_ps: Optional[int] = None,
                    tables: Optional[RoutingTables] = None,
-                   perf: Optional[PerfRecorder] = None,
+                   perf: Optional[Callable[[PerfReport], None]] = None,
                    profile_path: Optional[str] = None,
                    fault_plan: Optional[Any] = None,
                    reliable: Optional[Any] = None,
@@ -207,10 +207,11 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
     occupancy bounds, ITB byte-accounting) at the warm-up and
     measurement boundaries and raises
     :class:`~repro.sim.invariants.InvariantViolation` on the first
-    failure; requires an engine declaring ``CAP_INVARIANTS``.
+    failure (every engine implements the auditor's hooks).
 
-    ``perf`` (a :class:`repro.perf.PerfRecorder`) receives wall-clock
-    and events/sec figures for the run; ``profile_path`` additionally
+    ``perf``, a callable, receives the run's frozen
+    :class:`repro.perf.PerfReport` (wall clock and events/sec;
+    ``perf=reports.append`` keeps them); ``profile_path`` additionally
     dumps a :mod:`cProfile` trace of the whole call to that file.
     Neither affects the simulation itself or its summary.
 
@@ -324,7 +325,7 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
         collector.reset()
         if check_invariants:
             # warm-up boundary: conservation laws, occupancy bounds and
-            # ITB byte-accounting must hold exactly here (CAP_INVARIANTS)
+            # ITB byte-accounting must hold exactly here
             audit_invariants(network).raise_if_failed()
         if tracker is not None:
             tracker.start(config.warmup_ps)
@@ -348,14 +349,14 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
         backlog_growth = network.in_flight - backlog_before
 
         if perf is not None:
-            perf.record(wall_s=t_sim_done - t_start,
-                        setup_wall_s=t_setup_done - t_start,
-                        tables_wall_s=tables_wall_s,
-                        schedule_wall_s=t_loop_start - t_setup_done,
-                        sim_wall_s=t_sim_done - t_loop_start,
-                        events=sim.events,
-                        messages_delivered=network.delivered,
-                        sim_time_ps=sim.now)
+            perf(PerfReport(wall_s=t_sim_done - t_start,
+                            setup_wall_s=t_setup_done - t_start,
+                            tables_wall_s=tables_wall_s,
+                            schedule_wall_s=t_loop_start - t_setup_done,
+                            sim_wall_s=t_sim_done - t_loop_start,
+                            events=sim.events,
+                            messages_delivered=network.delivered,
+                            sim_time_ps=sim.now))
 
         links = None
         if collect_links:

@@ -89,10 +89,8 @@ def collect_link_stats(network: NetworkModel, window_ps: int,
                        params: MyrinetParams) -> LinkUtilization:
     """Snapshot utilisation of all inter-switch channels.
 
-    Works with any engine through the uniform
-    :meth:`~repro.sim.base.NetworkModel.link_flit_counts` accessor;
-    engines without the ``link_stats`` capability raise
-    :class:`~repro.sim.base.UnsupportedCapability`.
+    Works with any engine through the abstract
+    :meth:`~repro.sim.base.NetworkModel.link_flit_counts` accessor.
     """
     if window_ps <= 0:
         raise ValueError("window must be positive")

@@ -24,9 +24,10 @@ Layers, composable and individually testable:
   NDJSON progress;
 * :mod:`~repro.orchestrator.campaign` -- the :class:`Executor` front
   door (store-first, then whichever pool: inline, local processes or
-  fabric) with :class:`ProgressReporter` streaming; the one way
-  ``sweep_rates``, every registered experiment and the CLI run their
-  points.
+  fabric) and its :class:`ExecutorStats` ledger, whose per-point
+  events (plain dicts) the CLI prints and ``repro serve`` streams; the
+  one way ``sweep_rates``, every registered experiment and the CLI run
+  their points.
 
 The package is a leaf: it imports :mod:`repro.config`,
 :mod:`repro.metrics`, :mod:`repro.canon` and :mod:`repro.registry`,
@@ -36,8 +37,7 @@ their task kinds.
 
 from __future__ import annotations
 
-from .campaign import (CampaignError, Executor, ExecutorStats, Point,
-                       ProgressReporter)
+from .campaign import CampaignError, Executor, ExecutorStats, Point
 from .fabric import FabricPool, FabricWorker
 from .pool import Task, TaskResult, WorkerPool
 from .serve import ReproServer
@@ -53,7 +53,6 @@ __all__ = [
     "FabricPool",
     "FabricWorker",
     "Point",
-    "ProgressReporter",
     "ReproServer",
     "ResultStore",
     "StoreInfo",

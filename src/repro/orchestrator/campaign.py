@@ -15,16 +15,16 @@ the two lower layers:
   interrupted or crashed campaign resumes from exactly where it
   stopped.
 
-Per-point progress -- completed/total, cache hits, ETA -- streams
-through a :class:`ProgressReporter`.
+The executor's :class:`ExecutorStats` is the campaign's one ledger:
+every finished point is booked there once, and the booking returns the
+point's event (completed/total, status, ETA) as a plain dict, which
+the executor hands to its ``on_point`` callable, if any.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    TextIO)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..config import SimConfig, check_run_options
 from ..metrics.summary import RunSummary
@@ -32,8 +32,7 @@ from .fabric import FabricPool
 from .pool import POINT_TASK_FN, Task, TaskResult, WorkerPool
 from .store import ResultStore
 
-__all__ = ["CampaignError", "Executor", "ExecutorStats",
-           "Point", "ProgressReporter"]
+__all__ = ["CampaignError", "Executor", "ExecutorStats", "Point"]
 
 
 class CampaignError(RuntimeError):
@@ -64,62 +63,51 @@ class Point:
 
 @dataclass
 class ExecutorStats:
-    """Running totals over an executor's lifetime."""
+    """The campaign's ledger: running totals over an executor's lifetime.
+
+    :meth:`record` books one finished point and returns its point event,
+    the plain dict a caller renders (the CLI's stderr line) or streams
+    (``repro serve``).  ETA is the mean wall time of the *simulated*
+    points so far times the remaining count, spread over ``slots``
+    parallel slots -- cache hits are treated as instantaneous.
+    """
 
     simulated: int = 0
     cached: int = 0
     failed: int = 0
+    #: points announced so far (every ``run_tasks`` call adds its own)
+    total: int = 0
+    #: how many points run at once (the pool's ``workers``)
+    slots: int = 1
+    #: summed wall time of the simulated points, seconds
+    simulated_s: float = 0.0
 
-    @property
-    def completed(self) -> int:
-        return self.simulated + self.cached
+    def record(self, label: str, status: str,
+               elapsed_s: float = 0.0) -> Dict[str, Any]:
+        """Book one finished point (``cached``, ``done`` or ``FAILED``)
+        and return its event; ``completed`` counts every finished
+        point, failures included."""
+        if status == "done":
+            self.simulated += 1
+            self.simulated_s += elapsed_s
+        elif status == "cached":
+            self.cached += 1
+        else:
+            self.failed += 1
+        completed = self.simulated + self.cached + self.failed
+        event = {"event": "point", "completed": completed,
+                 "total": self.total, "label": label, "status": status,
+                 "elapsed_s": round(elapsed_s, 4)}
+        remaining = self.total - completed
+        if self.simulated and remaining > 0:
+            mean = self.simulated_s / self.simulated
+            event["eta_s"] = round(
+                mean * remaining / min(self.slots, remaining), 1)
+        return event
 
     def oneline(self) -> str:
         return (f"{self.simulated} simulated, {self.cached} from cache"
                 + (f", {self.failed} failed" if self.failed else ""))
-
-
-class ProgressReporter:
-    """Streams per-point campaign status lines to a text stream.
-
-    ETA is the mean wall time of the *simulated* points so far times
-    the remaining count -- cache hits are treated as instantaneous.
-    """
-
-    def __init__(self, stream: Optional[TextIO] = None):
-        self.stream = stream if stream is not None else sys.stderr
-        self.total = 0
-        self.completed = 0
-        self._sim_time = 0.0
-        self._sim_count = 0
-
-    def announce(self, n: int) -> None:
-        self.total += n
-
-    def eta_s(self) -> Optional[float]:
-        if self._sim_count == 0 or self.completed >= self.total:
-            return None
-        mean = self._sim_time / self._sim_count
-        return mean * (self.total - self.completed)
-
-    def point_done(self, label: str, status: str,
-                   elapsed_s: float = 0.0) -> None:
-        self.completed += 1
-        if status == "done":
-            self._sim_time += elapsed_s
-            self._sim_count += 1
-        self.emit(label, status, elapsed_s, self.eta_s())
-
-    def emit(self, label: str, status: str, elapsed_s: float,
-             eta: Optional[float]) -> None:
-        """Output one finished point; the only part a subclass with
-        another output format overrides."""
-        eta_txt = f"  eta {eta:.0f}s" if eta is not None else ""
-        took = f" {elapsed_s:.1f}s" if status == "done" else ""
-        self.stream.write(
-            f"[{self.completed}/{self.total}] {label}: {status}{took}"
-            f"{eta_txt}\n")
-        self.stream.flush()
 
 
 class Executor:
@@ -127,9 +115,10 @@ class Executor:
 
     ``workers=1`` (the default) degrades to in-process execution, still
     with store lookups; ``store=None`` disables caching entirely.
+    ``on_point``, when given, receives each finished point's event
+    (:meth:`ExecutorStats.record`) the moment the point finishes.
 
-    ``fabric="host:port,..."`` (or, equivalently, passing that string
-    as ``workers``) leases to remote fabric workers
+    ``fabric="host:port,..."`` leases to remote fabric workers
     (:class:`~repro.orchestrator.fabric.FabricPool`) instead of forked
     local ones (:class:`~repro.orchestrator.pool.WorkerPool`);
     ``timeout_s``, ``retries`` and ``retry_backoff_s`` mean the same
@@ -141,16 +130,14 @@ class Executor:
     which pool executes the points.
     """
 
-    def __init__(self, workers=1,
+    def __init__(self, workers: int = 1,
                  store: Optional[ResultStore] = None,
                  timeout_s: Optional[float] = None,
                  retries: int = 1,
                  retry_backoff_s: float = 0.0,
-                 reporter: Optional[ProgressReporter] = None,
+                 on_point: Optional[Callable[[Dict[str, Any]], None]] = None,
                  fabric: Optional[str] = None,
                  tls_ca: Optional[str] = None):
-        if fabric is None and isinstance(workers, str):
-            fabric, workers = workers, 1
         if tls_ca is not None and fabric is None:
             raise ValueError("tls_ca applies to fabric workers only")
         if fabric is not None:
@@ -163,8 +150,8 @@ class Executor:
                                    retries=retries,
                                    retry_backoff_s=retry_backoff_s)
         self.store = store
-        self.reporter = reporter
-        self.stats = ExecutorStats()
+        self.on_point = on_point
+        self.stats = ExecutorStats(slots=self.pool.workers)
 
     @property
     def workers(self) -> int:
@@ -183,8 +170,13 @@ class Executor:
         """
         labels = list(labels) if labels is not None else \
             [f"{fn}#{i}" for i in range(len(payloads))]
-        if self.reporter:
-            self.reporter.announce(len(payloads))
+        self.stats.total += len(payloads)
+
+        def finished(i: int, status: str, elapsed_s: float = 0.0) -> None:
+            event = self.stats.record(labels[i], status, elapsed_s)
+            if self.on_point is not None:
+                self.on_point(event)
+
         results: Dict[int, Any] = {}
         misses: List[int] = []
         keys: Dict[int, str] = {}
@@ -195,9 +187,7 @@ class Executor:
                 record = self.store.get(key)
                 if record is not None:
                     results[i] = record["result"]
-                    self.stats.cached += 1
-                    if self.reporter:
-                        self.reporter.point_done(labels[i], "cached")
+                    finished(i, "cached")
                     continue
             misses.append(i)
 
@@ -210,20 +200,15 @@ class Executor:
                 i = int(res.task_id)
                 if res.ok:
                     results[i] = res.value
-                    self.stats.simulated += 1
                     if self.store is not None:
                         self.store.put(keys.get(i)
                                        or self.store.key(fn, payloads[i]),
                                        fn, payloads[i], res.value,
                                        elapsed_s=res.elapsed_s)
-                    if self.reporter:
-                        self.reporter.point_done(labels[i], "done",
-                                                 res.elapsed_s)
+                    finished(i, "done", res.elapsed_s)
                 else:
-                    self.stats.failed += 1
                     failures.append(f"{labels[i]}: {res.error}")
-                    if self.reporter:
-                        self.reporter.point_done(labels[i], "FAILED")
+                    finished(i, "FAILED")
 
             self.pool.run(tasks, on_result=on_result)
 

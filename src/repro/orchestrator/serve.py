@@ -36,10 +36,12 @@ Endpoints
     (:meth:`SimConfig.validate`) is answered 400 before any point runs.
 
     The response is ``application/x-ndjson``: an ``accepted`` event,
-    one ``point`` event per completed point (status ``cached`` /
-    ``done`` / ``FAILED``, streamed as each finishes), then one
-    terminal ``done`` event carrying every result in input order (or
-    an ``error`` event).  Results are ``RunSummary`` dicts -- the same
+    one ``point`` event per finished point, streamed as it finishes
+    (the executor ledger's event, :meth:`~.campaign.ExecutorStats.record`:
+    ``completed``, ``total``, ``label``, status ``cached`` / ``done`` /
+    ``FAILED``, ``elapsed_s`` and, once known, ``eta_s``), then one
+    terminal ``done`` event carrying every result in input order and
+    the ledger's counts (or an ``error`` event).  Results are ``RunSummary`` dicts -- the same
     JSON the result store persists, bit-identical across sequential,
     pooled and fabric execution.
 """
@@ -49,10 +51,10 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..config import SimConfig
-from .campaign import CampaignError, Executor, Point, ProgressReporter
+from .campaign import CampaignError, Executor, Point
 
 __all__ = ["ReproServer", "points_from_spec", "serve_main"]
 
@@ -104,28 +106,6 @@ def _expand_spec(spec: Dict[str, Any]) -> List[Point]:
                 for r in sorted(float(r) for r in rates)]
     raise ValueError("campaign spec needs either 'points' or "
                      "'config' + 'rates'")
-
-
-class _NdjsonReporter(ProgressReporter):
-    """Progress reporter that emits structured events instead of text.
-
-    Slots into the Executor exactly where the terminal reporter does,
-    so cached/done/FAILED points stream over HTTP the moment the
-    orchestrator learns about them.
-    """
-
-    def __init__(self, send):
-        super().__init__(stream=None)
-        self._send = send
-
-    def emit(self, label: str, status: str, elapsed_s: float,
-             eta: Optional[float]) -> None:
-        event = {"event": "point", "completed": self.completed,
-                 "total": self.total, "label": label, "status": status,
-                 "elapsed_s": round(elapsed_s, 4)}
-        if eta is not None:
-            event["eta_s"] = round(eta, 1)
-        self._send(event)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -182,7 +162,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self._emit({"event": "accepted", "points": len(points)})
         try:
-            executor = self.server.make_executor(_NdjsonReporter(self._emit))
+            executor = self.server.make_executor(self._emit)
             summaries = executor.run_points(points)
         except CampaignError as exc:
             self._emit({"event": "error", "error": str(exc)})
@@ -216,7 +196,7 @@ class ReproServer(ThreadingHTTPServer):
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  verbose: bool = False, **executor_kwargs: Any):
         self.executor_kwargs = executor_kwargs
-        self.make_executor(None)   # a misspelt keyword fails here
+        self.make_executor()   # a misspelt keyword fails here
         super().__init__((host, port), _Handler)
         self.verbose = verbose
 
@@ -225,9 +205,9 @@ class ReproServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"{host}:{port}"
 
-    def make_executor(self, reporter: Optional[ProgressReporter]
-                      ) -> Executor:
-        return Executor(reporter=reporter, **self.executor_kwargs)
+    def make_executor(self, on_point=None) -> Executor:
+        """A private executor handing each point event to ``on_point``."""
+        return Executor(on_point=on_point, **self.executor_kwargs)
 
     def health(self) -> Dict[str, Any]:
         return {"ok": True, "fabric": self.executor_kwargs.get("fabric"),

@@ -1,14 +1,15 @@
 """Performance instrumentation for the simulation core.
 
-Three small pieces, all opt-in (zero overhead on the default path):
+Two small pieces, both opt-in (zero overhead on the default path):
 
 * :class:`PerfReport` -- wall-clock and throughput snapshot of one
   ``run_simulation`` call (events/sec, messages/sec, setup vs event-loop
-  split).  Deliberately *not* part of :class:`~repro.metrics.summary.
+  split), handed frozen to the callable given as
+  ``run_simulation(perf=...)`` (``perf=reports.append`` collects them).
+  Deliberately *not* part of :class:`~repro.metrics.summary.
   RunSummary`: run summaries are simulation results (deterministic,
   cacheable, machine-independent), while perf numbers describe the host
   that produced them.
-* :class:`PerfRecorder` -- the sink ``run_simulation(perf=...)`` fills.
 * :func:`profile_to` -- context manager capturing a :mod:`cProfile`
   trace of the wrapped block into a binary stats file (inspect with
   ``python -m pstats FILE`` or :class:`pstats.Stats`).
@@ -84,31 +85,6 @@ class PerfReport:
                 f"{self.events} events ({self.events_per_s:,.0f}/s), "
                 f"{self.messages_delivered} messages "
                 f"({self.messages_per_s:,.0f}/s)")
-
-
-class PerfRecorder:
-    """Mutable sink for ``run_simulation(perf=...)``.
-
-    After the call, :attr:`report` holds the :class:`PerfReport`.  A
-    recorder can be reused; each run overwrites the report.
-    """
-
-    __slots__ = ("report",)
-
-    def __init__(self) -> None:
-        self.report: Optional[PerfReport] = None
-
-    def record(self, *, wall_s: float, setup_wall_s: float,
-               sim_wall_s: float, events: int, messages_delivered: int,
-               sim_time_ps: int, tables_wall_s: float,
-               schedule_wall_s: float) -> PerfReport:
-        self.report = PerfReport(
-            wall_s=wall_s, setup_wall_s=setup_wall_s,
-            sim_wall_s=sim_wall_s, events=events,
-            messages_delivered=messages_delivered,
-            sim_time_ps=sim_time_ps, tables_wall_s=tables_wall_s,
-            schedule_wall_s=schedule_wall_s)
-        return self.report
 
 
 @contextmanager

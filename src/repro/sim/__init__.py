@@ -22,22 +22,22 @@ with :func:`make_network`; three ship in-tree:
   and deliveries at fixed-stride ticks instead of one heap event per
   arbitration step.  Bit-identical to the packet engine when
   uncontended, an order of magnitude faster at paper scale; declares
-  link statistics plus the batch injection/delivery capabilities and
-  declines the rest.
+  the batch injection/delivery capabilities and declines the rest.
 
-The event-driven engines declare the full capability set (link
-statistics, ITB pool, tracing), so metrics and traces are
-engine-uniform; capability-declining engines raise
+Every engine reports link statistics and runs the invariant auditor
+and stall diagnoser (abstract methods of the base class).  The
+event-driven engines declare the ITB pool, tracing, dynamic faults and
+reliable delivery, so metrics and traces are engine-uniform;
+capability-declining engines raise
 :class:`UnsupportedCapability` instead of fabricating numbers.
 :mod:`engine` provides the shared event queue.
 """
 
 from __future__ import annotations
 
-from .base import (ALL_CAPABILITIES, CAP_BATCH_DELIVERY, CAP_BATCH_INJECT,
-                   CAP_DYNAMIC_FAULTS, CAP_INVARIANTS, CAP_ITB_POOL,
-                   CAP_LINK_STATS, CAP_RELIABLE_DELIVERY, CAP_TRACE,
-                   ItbStats, LinkChannelStats, NetworkModel, NO_ITB_STATS,
+from .base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT, CAP_DYNAMIC_FAULTS,
+                   CAP_ITB_POOL, CAP_RELIABLE_DELIVERY, CAP_TRACE, ItbStats,
+                   LinkChannelStats, NetworkModel, NO_ITB_STATS,
                    UnsupportedCapability)
 from .engine import Simulator, DeadlockError
 from .faults import FaultPlan, LinkFault
@@ -54,9 +54,8 @@ from .trace import PacketTracer, TraceEvent, format_trace
 __all__ = ["Simulator", "DeadlockError", "Packet", "NetworkModel",
            "UnsupportedCapability", "LinkChannelStats", "ItbStats",
            "NO_ITB_STATS",
-           "ALL_CAPABILITIES", "CAP_LINK_STATS", "CAP_ITB_POOL",
-           "CAP_TRACE", "CAP_DYNAMIC_FAULTS", "CAP_RELIABLE_DELIVERY",
-           "CAP_BATCH_INJECT", "CAP_BATCH_DELIVERY", "CAP_INVARIANTS",
+           "CAP_ITB_POOL", "CAP_TRACE", "CAP_DYNAMIC_FAULTS",
+           "CAP_RELIABLE_DELIVERY", "CAP_BATCH_INJECT", "CAP_BATCH_DELIVERY",
            "FaultPlan", "LinkFault", "MessageSequencer",
            "ReliableParams", "ReliableTransport", "ReconfigParams",
            "ReconfigurationManager",

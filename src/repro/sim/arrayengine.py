@@ -47,7 +47,7 @@ time: the paper's hosts fire from random phases, so same-instant
 admission cohorts large enough to amortise a vectorised walk do not
 form (DESIGN section 15 has the measurement).
 
-Capabilities: link statistics and the two batch interfaces.  The ITB
+Capabilities: the two batch interfaces.  The ITB
 pool is modelled as infinite (re-injection never stalls on pool space;
 parity with the packet engine holds whenever that engine reports zero
 overflows), so ``itb_pool`` is declined along with ``trace``,
@@ -64,8 +64,8 @@ from operator import gt
 from typing import List, Optional, Sequence, Tuple
 
 from ..traffic.base import Schedule
-from .base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT, CAP_INVARIANTS,
-                   CAP_LINK_STATS, LinkChannelStats, NetworkModel)
+from .base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT, LinkChannelStats,
+                   NetworkModel)
 from .engines import register
 from .packet import Packet
 
@@ -81,8 +81,7 @@ _ROUTE, _SRC, _DST, _PAYLOAD, _ALT, _PID, _CREATED, _PKT = range(8)
 class ArrayNetwork(NetworkModel):
     """Batched greedy-reservation engine (see module docstring)."""
 
-    CAPABILITIES = frozenset({CAP_LINK_STATS, CAP_BATCH_INJECT,
-                              CAP_BATCH_DELIVERY, CAP_INVARIANTS})
+    CAPABILITIES = frozenset({CAP_BATCH_INJECT, CAP_BATCH_DELIVERY})
 
     #: simulated time between batch ticks; results are stride-invariant,
     #: the stride only trades heap events against per-tick batch size

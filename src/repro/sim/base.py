@@ -15,16 +15,18 @@ small contract for backends:
 * ``_inject(pkt)``        -- start leg 0 of a freshly created packet;
 * ``_reset_engine_stats`` -- zero engine-specific counters at the end
   of warm-up (the base resets nothing else);
+* ``link_flit_counts()``  -- per directed channel flit accounting;
+* ``_audit_engine`` / ``_audit_drained`` / ``_stall_snapshot`` -- the
+  runtime invariant auditor's and the stall diagnoser's view of the
+  engine (:mod:`repro.sim.invariants`);
 * ``_close_engine()``     -- optional: drop engine state that refers
   back to the network, so a finished run is freed by reference count
   (:meth:`NetworkModel.close`).
 
-Backends declare what they can measure and do through
-:meth:`capabilities` (the eight ``CAP_*`` names below, collected in
-:data:`ALL_CAPABILITIES`) and expose the measurements through the
-uniform accessors
-:meth:`link_flit_counts` and :meth:`itb_stats`; asking for a
-measurement the engine does not support raises
+What every engine does is an abstract method; what only some do is
+declared through :meth:`capabilities` (the six ``CAP_*`` names below)
+and reached through uniform accessors such as :meth:`itb_stats`;
+asking for a capability the engine does not declare raises
 :class:`UnsupportedCapability` instead of returning fabricated numbers.
 Engines are selected by name through :mod:`repro.sim.engines`, so
 callers (runner, CLI, config validation) never mention a concrete
@@ -51,8 +53,6 @@ DeliveryCallback = Callable[[Packet], None]
 DropCallback = Callable[[Packet, int], None]
 LinkDeathCallback = Callable[[int, int], None]
 
-#: engine can report per-directed-channel flit/reservation statistics
-CAP_LINK_STATS = "link_stats"
 #: engine models the finite in-transit buffer pool (admission, peak,
 #: overflow staging through host memory)
 CAP_ITB_POOL = "itb_pool"
@@ -77,19 +77,6 @@ CAP_BATCH_INJECT = "batch_inject"
 #: :meth:`~repro.metrics.collector.LatencyCollector.record_batch`)
 #: instead of one callback invocation per packet
 CAP_BATCH_DELIVERY = "batch_delivery"
-#: engine supports the runtime invariant auditor
-#: (:func:`repro.sim.invariants.audit`: conservation laws, channel
-#: occupancy bounds, ITB byte-accounting) and the stall diagnoser
-#: (:func:`repro.sim.invariants.diagnose_stall`: wait-for graph +
-#: cycle detection behind the deadlock watchdog)
-CAP_INVARIANTS = "invariants"
-
-#: every capability a backend may declare
-ALL_CAPABILITIES = frozenset({CAP_LINK_STATS, CAP_ITB_POOL, CAP_TRACE,
-                              CAP_DYNAMIC_FAULTS,
-                              CAP_RELIABLE_DELIVERY,
-                              CAP_BATCH_INJECT, CAP_BATCH_DELIVERY,
-                              CAP_INVARIANTS})
 
 
 class UnsupportedCapability(RuntimeError):
@@ -133,9 +120,9 @@ class NetworkModel(ABC):
     """Abstract network layer: one topology + routing tables wired into
     a running simulation, independent of the timing fidelity.
 
-    Subclasses implement the engine contract (three methods and an
-    optional fourth; see module docstring) and override the uniform accessors for each capability
-    they declare.  Everything else -- message creation, route selection,
+    Subclasses implement the engine contract (the abstract methods; see
+    module docstring) and override the uniform accessors for each
+    capability they declare.  Everything else -- message creation, route selection,
     delivery bookkeeping, the watchdog -- lives here exactly once.
     """
 
@@ -222,15 +209,11 @@ class NetworkModel(ABC):
                 f"engine {self.name!r} does not support {capability!r} "
                 f"(declared: {sorted(self.capabilities()) or 'none'})")
 
-    # -- uniform accessors (overridden by capable engines) -----------------
-
+    @abstractmethod
     def link_flit_counts(self) -> List[LinkChannelStats]:
-        """Per directed inter-switch channel statistics
-        (requires :data:`CAP_LINK_STATS`)."""
-        self.require(CAP_LINK_STATS)
-        raise NotImplementedError(
-            f"engine {self.name!r} declares {CAP_LINK_STATS!r} but does "
-            "not implement link_flit_counts()")
+        """Per directed inter-switch channel statistics."""
+
+    # -- uniform accessors (overridden by capable engines) -----------------
 
     def itb_stats(self) -> ItbStats:
         """Aggregate in-transit pool statistics
@@ -379,48 +362,37 @@ class NetworkModel(ABC):
         """Abort with :class:`DeadlockError` when packets are in flight
         but nothing was delivered for a whole ``interval_ps``.
 
-        Engines declaring :data:`CAP_INVARIANTS` attach a JSON-safe
-        stall diagnosis (channel owners, blocked worms, route legs,
-        detected wait-for cycle) to the error instead of wedging with a
-        bare "no progress" message.
+        The error carries a JSON-safe stall diagnosis (channel owners,
+        blocked worms, route legs, detected wait-for cycle) instead of
+        a bare "no progress" message.
         """
         def check() -> None:
             if self.in_flight > 0 and self.delivered_since_check == 0:
-                diagnosis = None
-                if CAP_INVARIANTS in self.capabilities():
-                    from .invariants import diagnose_stall
-                    diagnosis = diagnose_stall(self)
+                from .invariants import diagnose_stall
                 raise DeadlockError(
                     f"{self.name} engine: no delivery for {interval_ps} ps "
                     f"with {self.in_flight} packets in flight "
-                    f"at t={self.sim.now}", diagnosis=diagnosis)
+                    f"at t={self.sim.now}", diagnosis=diagnose_stall(self))
             self.delivered_since_check = 0
         self.sim.set_watchdog(interval_ps, check)
 
-    # -- runtime invariants (engines declaring CAP_INVARIANTS) -------------
+    # -- runtime invariants -------------------------------------------------
 
+    @abstractmethod
     def _audit_engine(self, check: Callable[[bool, str], None]) -> None:
         """Engine hook: run engine-specific structural invariants
-        through ``check(condition, description)``.  Engines declaring
-        :data:`CAP_INVARIANTS` must override."""
-        raise NotImplementedError(
-            f"engine {self.name!r} declares {CAP_INVARIANTS!r} but does "
-            "not implement _audit_engine()")
+        through ``check(condition, description)``."""
 
+    @abstractmethod
     def _audit_drained(self, check: Callable[[bool, str], None]) -> None:
         """Engine hook: invariants that hold only with zero packets in
         flight (empty buffers, free arbiters, zeroed ITB pools)."""
-        raise NotImplementedError(
-            f"engine {self.name!r} declares {CAP_INVARIANTS!r} but does "
-            "not implement _audit_drained()")
 
+    @abstractmethod
     def _stall_snapshot(self) -> Dict:
         """Engine hook: JSON-safe stall state (channel owners, blocked
         worms, wait-for edges) for :func:`repro.sim.invariants
         .diagnose_stall`."""
-        raise NotImplementedError(
-            f"engine {self.name!r} declares {CAP_INVARIANTS!r} but does "
-            "not implement _stall_snapshot()")
 
     def reset_stats(self) -> None:
         """End-of-warm-up reset of the engine's statistics."""

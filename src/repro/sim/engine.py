@@ -34,8 +34,7 @@ _heappop = heapq.heappop
 class DeadlockError(RuntimeError):
     """Raised when the configured watchdog detects lack of progress.
 
-    When the stalled engine supports runtime diagnosis
-    (:data:`~repro.sim.base.CAP_INVARIANTS`), ``diagnosis`` carries the
+    Raised by a network's watchdog, ``diagnosis`` carries the
     JSON-safe stall dump built by
     :func:`repro.sim.invariants.diagnose_stall` -- channel owners,
     blocked worms, route legs and the detected wait-for cycle -- and

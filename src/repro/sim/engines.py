@@ -7,12 +7,12 @@ outside :mod:`repro.sim` -- the experiment runner, the CLI, config
 validation -- dispatches through this registry instead of importing
 concrete engine classes.  Registering another engine is one decorator::
 
-    from repro.sim.base import NetworkModel, CAP_LINK_STATS
+    from repro.sim.base import NetworkModel, CAP_BATCH_INJECT
     from repro.sim.engines import register
 
     @register("analytic")
     class AnalyticNetwork(NetworkModel):
-        CAPABILITIES = frozenset({CAP_LINK_STATS})
+        CAPABILITIES = frozenset({CAP_BATCH_INJECT})
         ...
 
 after which ``SimConfig(engine="analytic")`` just works.

@@ -40,9 +40,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..config import MyrinetParams
 from .arbiter import RoundRobinArbiter
-from .base import (CAP_DYNAMIC_FAULTS, CAP_INVARIANTS, CAP_ITB_POOL,
-                   CAP_LINK_STATS, CAP_RELIABLE_DELIVERY, CAP_TRACE,
-                   ItbStats, LinkChannelStats, NetworkModel)
+from .base import (CAP_DYNAMIC_FAULTS, CAP_ITB_POOL, CAP_RELIABLE_DELIVERY,
+                   CAP_TRACE, ItbStats, LinkChannelStats, NetworkModel)
 from .engine import Simulator
 from .engines import register
 from .nic import ItbPool
@@ -376,9 +375,8 @@ class FlitLevelNetwork(NetworkModel):
     :class:`~repro.sim.network.WormholeNetwork` (same
     :class:`~repro.sim.base.NetworkModel` surface and capability set)."""
 
-    CAPABILITIES = frozenset({CAP_LINK_STATS, CAP_ITB_POOL, CAP_TRACE,
-                              CAP_DYNAMIC_FAULTS,
-                              CAP_RELIABLE_DELIVERY, CAP_INVARIANTS})
+    CAPABILITIES = frozenset({CAP_ITB_POOL, CAP_TRACE, CAP_DYNAMIC_FAULTS,
+                              CAP_RELIABLE_DELIVERY})
 
     # -- construction ----------------------------------------------------
 

@@ -11,10 +11,10 @@ the paper's figures are built from, and they get harder to spot the
 larger the fabric -- the ROADMAP item-5 scale sweep to 512--1024
 switches is the forcing function for checking them at runtime.
 
-:func:`audit` runs the full invariant suite against a live network.
-It is capability-gated (:data:`~repro.sim.base.CAP_INVARIANTS`): the
-base ledger checks run here, the structural walk is delegated to the
-engine through ``NetworkModel._audit_engine`` (and
+:func:`audit` runs the full invariant suite against a live network,
+whatever its engine: the base ledger checks run here, the structural
+walk is delegated to the engine through the abstract
+``NetworkModel._audit_engine`` (and
 ``_audit_drained`` for the stricter quiescent-state laws).  The
 runner audits at the window boundaries of every run started with
 ``check_invariants=True``; tests sweep the golden matrix through it.
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..routing.table import find_cycle
-from .base import CAP_INVARIANTS, NetworkModel
+from .base import NetworkModel
 
 __all__ = ["InvariantViolation", "InvariantReport", "audit",
            "diagnose_stall", "find_wait_cycle"]
@@ -78,16 +78,15 @@ class InvariantReport:
 def audit(network: NetworkModel, drained: bool = False) -> InvariantReport:
     """Run every runtime invariant against ``network`` *now*.
 
-    Requires :data:`~repro.sim.base.CAP_INVARIANTS`.  The base ledger
-    laws (message conservation between ``generated``, ``delivered``,
-    ``dropped`` and ``in_flight``) run for every engine; the engine
+    The base ledger laws (message conservation between ``generated``,
+    ``delivered``, ``dropped`` and ``in_flight``) run for every engine;
+    the engine
     adds its structural laws (channel/arbiter agreement, occupancy
     bounds, ITB byte-accounting) through ``_audit_engine``.  With
     ``drained=True`` the stricter quiescent-state laws run too: zero
     packets in flight, empty buffers, free arbiters, zeroed pools --
     the state every run must reach once its traffic stops.
     """
-    network.require(CAP_INVARIANTS)
     report = InvariantReport(engine=network.name, t_ps=network.sim.now)
 
     def check(condition: bool, description: str) -> None:
@@ -137,7 +136,6 @@ def diagnose_stall(network: NetworkModel) -> dict:
     to the :class:`~repro.sim.engine.DeadlockError` the watchdog
     raises and rendered into its message.
     """
-    network.require(CAP_INVARIANTS)
     snapshot = network._stall_snapshot()
     edges: Dict[int, int] = {}
     via: Dict[int, dict] = {}

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .base import (CAP_DYNAMIC_FAULTS, CAP_INVARIANTS, CAP_ITB_POOL,
-                   CAP_LINK_STATS, CAP_RELIABLE_DELIVERY, CAP_TRACE,
-                   ItbStats, LinkChannelStats, NetworkModel)
+from .base import (CAP_DYNAMIC_FAULTS, CAP_ITB_POOL, CAP_RELIABLE_DELIVERY,
+                   CAP_TRACE, ItbStats, LinkChannelStats, NetworkModel)
 from .channel import Channel, DEL, INJ, KIND_NAMES, NET
 from .engines import register
 from .nic import Nic
@@ -90,9 +89,8 @@ class _LegTransit:
 class WormholeNetwork(NetworkModel):
     """Wires a topology + routing tables into a running simulation."""
 
-    CAPABILITIES = frozenset({CAP_LINK_STATS, CAP_ITB_POOL, CAP_TRACE,
-                              CAP_DYNAMIC_FAULTS,
-                              CAP_RELIABLE_DELIVERY, CAP_INVARIANTS})
+    CAPABILITIES = frozenset({CAP_ITB_POOL, CAP_TRACE, CAP_DYNAMIC_FAULTS,
+                              CAP_RELIABLE_DELIVERY})
 
     # -- construction ------------------------------------------------------
 

@@ -33,8 +33,8 @@ run offering the same traffic shares.
 
 from __future__ import annotations
 
-from .base import (ArrivalProcess, DestinationPattern, Schedule,
-                   TrafficPattern, TrafficProcess, per_host_interval_ps)
+from .base import (ArrivalProcess, Schedule, TrafficPattern, TrafficProcess,
+                   per_host_interval_ps)
 from .registry import (ARRIVALS, DEFAULT_ARRIVAL, DEFAULT_PATTERN, PATTERNS,
                        ArrivalSpec, Kwarg, PatternSpec, make_arrival,
                        make_pattern, make_workload, parse_workload,
@@ -52,7 +52,6 @@ from .trace import TraceReplay, parse_trace_csv
 __all__ = [
     "ArrivalProcess",
     "ArrivalSpec",
-    "DestinationPattern",
     "Schedule",
     "TrafficPattern",
     "TrafficProcess",

@@ -106,10 +106,6 @@ class TrafficPattern(ABC):
         return [destination(src_host, rng) for _ in range(n)]
 
 
-#: alias making call sites that deal with both axes self-documenting
-DestinationPattern = TrafficPattern
-
-
 class ArrivalProcess(ABC):
     """Per-host message timing for one run (the *when* axis).
 

@@ -14,6 +14,7 @@ from repro.config import SimConfig
 from repro.experiments.runner import clear_caches
 from repro.orchestrator import Executor
 from repro.orchestrator.lease import TASKS
+from repro.sim import NetworkModel
 from repro.topology import (build_cplant, build_irregular, build_torus,
                             build_torus_express)
 from repro.units import ns
@@ -93,6 +94,35 @@ class RecordingExecutor(Executor):
 
     def payloads(self, kind):
         return [payload for fn, payload in self.sent if fn == kind]
+
+
+class BareNetwork(NetworkModel):
+    """An engine declaring no capability: it delivers every packet the
+    instant it is injected and implements only the abstract hooks."""
+
+    name = "bare"
+
+    def _build(self):
+        pass
+
+    def _inject(self, pkt):
+        pkt.injected_ps = self.sim.now
+        self._finish_delivery(pkt, self.sim.now)
+
+    def _reset_engine_stats(self):
+        pass
+
+    def link_flit_counts(self):
+        return []
+
+    def _audit_engine(self, check):
+        pass
+
+    def _audit_drained(self, check):
+        pass
+
+    def _stall_snapshot(self):
+        return {}
 
 
 def small_config(**overrides) -> SimConfig:

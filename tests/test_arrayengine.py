@@ -26,8 +26,7 @@ from repro.routing import compute_tables
 from repro.sim import (ENGINES, PacketTracer, Simulator,
                        UnsupportedCapability, make_network)
 from repro.sim.arrayengine import ArrayNetwork
-from repro.sim.base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT,
-                            CAP_INVARIANTS, CAP_LINK_STATS)
+from repro.sim.base import CAP_BATCH_DELIVERY, CAP_BATCH_INJECT
 from repro.sim.faults import FaultPlan
 from repro.topology import build_torus
 from repro.units import ns
@@ -97,8 +96,7 @@ def run_primed(graph, tables, sched, collect=True):
 class TestCapabilities:
     def test_declared_capabilities(self):
         assert ENGINES.get("array").capabilities() == frozenset(
-            {CAP_LINK_STATS, CAP_BATCH_INJECT, CAP_BATCH_DELIVERY,
-             CAP_INVARIANTS})
+            {CAP_BATCH_INJECT, CAP_BATCH_DELIVERY})
 
     def test_declined_capabilities_raise(self, graph, tables):
         net = make_network("array", Simulator(), graph, tables,

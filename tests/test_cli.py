@@ -374,6 +374,17 @@ class TestOrchestratorCommands:
         assert "[1/1] ITB-RR @ 0.005 (torus/uniform): done" in err
         assert "[2/2] ITB-RR @ 0.01 (torus/uniform): done" in err
 
+    def test_warm_rerun_prints_cached_points(self, tmp_path, capsys):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main(self.SWEEP + cache) == 0
+        capsys.readouterr()
+        assert main(self.SWEEP + cache) == 0
+        out, err = capsys.readouterr()
+        assert "points: 0 simulated, 2 from cache" in out
+        assert err.splitlines() == [
+            "[1/1] ITB-RR @ 0.005 (torus/uniform): cached",
+            "[2/2] ITB-RR @ 0.01 (torus/uniform): cached"]
+
     def test_sweep_repeat_served_from_cache(self, tmp_path, capsys):
         cache = ["--cache-dir", str(tmp_path / "cache")]
         assert main(self.SWEEP + cache) == 0

@@ -19,12 +19,12 @@ from repro.experiments.runner import run_simulation
 from repro.routing.policies import make_policy
 from repro.routing.routes import RouteLeg, SourceRoute
 from repro.routing import RoutingTables, compute_tables
-from repro.sim import (FaultPlan, LinkFault, NetworkModel,
+from repro.sim import (FaultPlan, LinkFault,
                        ReliableParams, ReliableTransport, Simulator,
                        UnsupportedCapability, make_network)
 from repro.topology import build_torus
 from repro.units import ns
-from tests.conftest import small_config
+from tests.conftest import BareNetwork, small_config
 
 P = PAPER_PARAMS
 ENGINES = ("packet", "flit")
@@ -85,19 +85,6 @@ class TestFaultPlan:
 class TestCapabilityGating:
     def test_capless_engine_rejects_plan(self, torus44_graph,
                                          torus44_tables):
-        class BareNetwork(NetworkModel):
-            name = "bare"
-            CAPABILITIES = frozenset()
-
-            def _build(self):
-                pass
-
-            def _inject(self, pkt):
-                self._finish_delivery(pkt, self.sim.now)
-
-            def _reset_engine_stats(self):
-                pass
-
         net = BareNetwork(Simulator(), torus44_graph, torus44_tables,
                           make_policy("sp"), P)
         with pytest.raises(UnsupportedCapability, match="dynamic_faults"):

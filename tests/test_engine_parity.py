@@ -20,16 +20,16 @@ from repro.experiments.runner import run_simulation
 from repro.routing.policies import make_policy
 from repro.routing.routes import RouteLeg, SourceRoute
 from repro.routing import RoutingTables, compute_tables
-from repro.sim import (CAP_DYNAMIC_FAULTS, CAP_INVARIANTS, CAP_ITB_POOL,
-                       CAP_LINK_STATS, CAP_RELIABLE_DELIVERY, CAP_TRACE,
-                       ENGINES, NetworkModel, PacketTracer, Simulator,
-                       UnsupportedCapability, make_network, register)
+from repro.sim import (CAP_DYNAMIC_FAULTS, CAP_ITB_POOL,
+                       CAP_RELIABLE_DELIVERY, CAP_TRACE, ENGINES,
+                       PacketTracer, Simulator, UnsupportedCapability,
+                       make_network, register)
 from repro.topology import build_mutated, build_torus
 from repro.traffic import TrafficProcess, per_host_interval_ps
 from repro.traffic.registry import make_workload
 from repro.topology.validate import check_topology
 from repro.units import ns
-from tests.conftest import small_config
+from tests.conftest import BareNetwork, small_config
 
 P = PAPER_PARAMS
 
@@ -81,9 +81,8 @@ class TestRegistry:
     def test_full_capability_matrix(self):
         for name in EVENT_ENGINES:
             assert ENGINES.get(name).capabilities() == frozenset(
-                {CAP_LINK_STATS, CAP_ITB_POOL, CAP_TRACE,
-                 CAP_DYNAMIC_FAULTS, CAP_RELIABLE_DELIVERY,
-                 CAP_INVARIANTS})
+                {CAP_ITB_POOL, CAP_TRACE, CAP_DYNAMIC_FAULTS,
+                 CAP_RELIABLE_DELIVERY})
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -99,17 +98,8 @@ class TestRegistry:
 
     def test_third_engine_registration_roundtrip(self):
         @register("null")
-        class NullNetwork(NetworkModel):
-            CAPABILITIES = frozenset()
-
-            def _build(self):
-                pass
-
-            def _inject(self, pkt):
-                self._finish_delivery(pkt, self.sim.now)
-
-            def _reset_engine_stats(self):
-                pass
+        class NullNetwork(BareNetwork):
+            pass
 
         try:
             assert "null" in ENGINES.names()
@@ -125,27 +115,12 @@ class TestRegistry:
 
 class TestCapabilityGating:
     def _capless(self, torus44_graph, torus44_itb_tables):
-        class BareNetwork(NetworkModel):
-            name = "bare"
-            CAPABILITIES = frozenset()
-
-            def _build(self):
-                pass
-
-            def _inject(self, pkt):
-                self._finish_delivery(pkt, self.sim.now)
-
-            def _reset_engine_stats(self):
-                pass
-
         return BareNetwork(Simulator(), torus44_graph, torus44_itb_tables,
                            make_policy("sp"), P)
 
     def test_missing_capabilities_raise(self, torus44_graph,
                                         torus44_itb_tables):
         net = self._capless(torus44_graph, torus44_itb_tables)
-        with pytest.raises(UnsupportedCapability, match="link_stats"):
-            net.link_flit_counts()
         with pytest.raises(UnsupportedCapability, match="itb_pool"):
             net.itb_stats()
         with pytest.raises(UnsupportedCapability, match="trace"):
@@ -292,8 +267,7 @@ class TestArrayEngineParity:
     def test_capability_matrix(self):
         from repro.sim import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT)
         assert ENGINES.get("array").capabilities() == frozenset(
-            {CAP_LINK_STATS, CAP_BATCH_INJECT, CAP_BATCH_DELIVERY,
-             CAP_INVARIANTS})
+            {CAP_BATCH_INJECT, CAP_BATCH_DELIVERY})
 
     def test_drained_counts_and_link_flits_identical(
             self, torus44_graph, torus44_itb_tables, traffic_pairs):

@@ -431,7 +431,7 @@ class TestFabricTls:
             FabricWorker(tls_cert=CERT_A)
 
     def test_executor_threads_tls_ca(self, tls_worker):
-        ex = Executor(workers=tls_worker, tls_ca=CERT_A)
+        ex = Executor(fabric=tls_worker, tls_ca=CERT_A)
         assert isinstance(ex.pool, FabricPool)
         out = ex.run_configs([small_config()])
         assert out[0].messages_delivered > 0
@@ -485,9 +485,13 @@ class TestFabricExecutor:
         assert [r.to_dict() for r in par.runs] == \
             [r.to_dict() for r in seq.runs]
 
-    def test_workers_string_means_fabric(self, fleet):
+    def test_one_fabric_address(self, fleet):
+        """``fabric=`` is the one spelling of a remote pool: a
+        ``workers`` string is not an address."""
         ((addr, _),) = fleet(1)
-        ex = Executor(workers=addr)
+        with pytest.raises(ValueError):
+            Executor(workers=addr)
+        ex = Executor(fabric=addr)
         assert isinstance(ex.pool, FabricPool)
         assert ex.workers == 1
         out = ex.run_configs([small_config()])

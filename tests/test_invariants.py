@@ -21,13 +21,15 @@ from repro.routing.policies import SinglePathPolicy
 from repro.routing.routes import SourceRoute
 from repro.routing import RoutingTables, compute_tables
 from repro.routing.updown import orient_links
-from repro.sim.base import CAP_INVARIANTS, UnsupportedCapability
+from repro.sim.base import NetworkModel
 from repro.sim.engine import DeadlockError, Simulator
+from repro.sim.engines import ENGINES
 from repro.sim.invariants import (InvariantViolation, audit,
-                                  find_wait_cycle)
+                                  diagnose_stall, find_wait_cycle)
 from repro.sim.network import WormholeNetwork
 from repro.topology import build_torus
 from repro.units import ns
+from tests.conftest import BareNetwork
 from tests.test_golden_values import MATRIX, _config
 
 
@@ -86,15 +88,18 @@ class TestAuditApi:
         assert d["engine"] == "packet"
         assert d["violations"] == []
 
-    def test_requires_capability(self):
-        class Stub:
-            name = "stub"
-
-            def require(self, cap):
-                raise UnsupportedCapability(f"{cap} unsupported")
-
-        with pytest.raises(UnsupportedCapability):
-            audit(Stub())
+    @pytest.mark.parametrize("hook", ["link_flit_counts", "_audit_engine",
+                                      "_audit_drained", "_stall_snapshot"])
+    def test_engine_missing_a_hook_cannot_be_built(self, hook):
+        """The auditor's and the diagnoser's hooks are abstract: an
+        engine without one fails at construction, not mid-audit."""
+        partial = type("Partial", (NetworkModel,), {
+            name: vars(BareNetwork)[name]
+            for name in NetworkModel.__abstractmethods__ if name != hook})
+        g = build_torus(rows=2, cols=2, hosts_per_switch=1)
+        with pytest.raises(TypeError, match=hook):
+            partial(Simulator(), g, compute_tables(g, "itb"),
+                    SinglePathPolicy(), PAPER_PARAMS)
 
 
 class TestWaitCycle:
@@ -159,7 +164,13 @@ class TestDeadlockDiagnosis:
         assert "wait-for cycle:" in str(excinfo.value)
         assert "deadlock diagnosis:" in str(excinfo.value)
 
-    def test_capability_declared_by_all_engines(self):
-        from repro.sim.engines import ENGINES
-        for name in ENGINES.names():
-            assert CAP_INVARIANTS in ENGINES.get(name).CAPABILITIES, name
+    @pytest.mark.parametrize("engine", ENGINES.names())
+    def test_every_engine_diagnoses_a_stall(self, engine):
+        """Every engine snapshots its blocked state for the watchdog:
+        a fresh network is diagnosed with no wait-for cycle."""
+        g = build_torus(rows=2, cols=2, hosts_per_switch=1)
+        net = ENGINES.get(engine)(Simulator(), g, compute_tables(g, "itb"),
+                                  SinglePathPolicy(), PAPER_PARAMS)
+        diagnosis = diagnose_stall(net)
+        assert diagnosis["engine"] == engine
+        assert diagnosis["wait_for_cycle"] == []

@@ -24,9 +24,9 @@ import pytest
 import repro.experiments.runner as runner_mod
 import repro.orchestrator.lease as lease_mod
 from repro.experiments.sweep import sweep_rates
-from repro.orchestrator import (CampaignError, Executor, FabricPool,
-                                FabricWorker, Point, ResultStore, Task,
-                                WorkerPool)
+from repro.orchestrator import (CampaignError, Executor, ExecutorStats,
+                                FabricPool, FabricWorker, Point,
+                                ResultStore, Task, WorkerPool)
 from repro.orchestrator.lease import LeasePool, retry_delay_s
 from repro.units import ns
 from tests.conftest import small_config, task_kinds
@@ -542,6 +542,43 @@ class TestExecutor:
         out = ex.run_configs([small_config()])
         assert out[0].messages_delivered > 0
         assert ex.stats.simulated == 1 and ex.stats.cached == 0
+
+
+class TestLedger:
+    """``ExecutorStats`` is a campaign's one ledger: each finished point
+    is booked once, and the booking is the event the CLI prints and
+    ``repro serve`` streams."""
+
+    def test_eta_spreads_over_parallel_slots(self):
+        ledger = ExecutorStats(total=4, slots=2)
+        assert ledger.record("a", "done", 1.0)["eta_s"] == 1.5
+        # 2 left, 2 at a time: one more mean; a serial estimate says 2.0
+        assert ledger.record("b", "done", 1.0)["eta_s"] == 1.0
+
+    def test_events_count_every_finished_point(self):
+        ledger = ExecutorStats(total=3)
+        cached = ledger.record("a", "cached")
+        done = ledger.record("b", "done", 0.123456)
+        failed = ledger.record("c", "FAILED")
+        # no ETA before a simulated point, none once nothing is left
+        assert cached == {"event": "point", "completed": 1, "total": 3,
+                          "label": "a", "status": "cached",
+                          "elapsed_s": 0.0}
+        assert done == {"event": "point", "completed": 2, "total": 3,
+                        "label": "b", "status": "done",
+                        "elapsed_s": 0.1235, "eta_s": 0.1}
+        assert failed["completed"] == 3 and "eta_s" not in failed
+        assert (ledger.simulated, ledger.cached, ledger.failed) == (1, 1, 1)
+
+    def test_executor_hands_each_event_to_on_point(self, tmp_path):
+        assert Executor(workers=2).stats.slots == 2
+        events = []
+        ex = Executor(store=ResultStore(tmp_path), on_point=events.append)
+        ex.run_tasks("double_task", [{"x": 1}, {"x": 2}])
+        ex.run_tasks("double_task", [{"x": 1}])
+        assert [(e["completed"], e["total"], e["status"]) for e in events] \
+            == [(1, 2, "done"), (2, 2, "done"), (3, 3, "cached")]
+        assert ex.stats.oneline() == "2 simulated, 1 from cache"
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Perf instrumentation: recorder, profiler, and the bench gate."""
+"""Perf instrumentation: reports, profiler, and the bench gate."""
 
 import json
 import pstats
@@ -8,7 +8,7 @@ from pathlib import Path
 
 from repro.config import SimConfig
 from repro.experiments.runner import run_simulation
-from repro.perf import PerfRecorder, PerfReport, profile_to
+from repro.perf import PerfReport, profile_to
 from repro.units import ns
 
 CFG = SimConfig(topology="torus",
@@ -23,10 +23,9 @@ REPO = Path(__file__).resolve().parent.parent
 
 class TestPerfRecorder:
     def test_run_simulation_fills_report(self):
-        rec = PerfRecorder()
-        summary = run_simulation(CFG, perf=rec)
-        r = rec.report
-        assert r is not None
+        reports = []
+        summary = run_simulation(CFG, perf=reports.append)
+        (r,) = reports                  # exactly one report per call
         assert r.events > 0
         assert r.sim_time_ps == CFG.warmup_ps + CFG.measure_ps
         assert r.messages_delivered >= summary.messages_delivered
@@ -41,12 +40,10 @@ class TestPerfRecorder:
     def test_report_names_the_table_build(self):
         """``tables_wall_s`` is the table build inside set-up: real on a
         cold run, ~0 on a memo hit, shown by both views."""
-        rec = PerfRecorder()
-        run_simulation(CFG, perf=rec)       # caches cleared per test
-        cold = rec.report
-        assert 0 < cold.tables_wall_s <= cold.setup_wall_s
-        run_simulation(CFG, perf=rec)       # same tables, memoised
-        warm = rec.report
+        reports = []
+        run_simulation(CFG, perf=reports.append)   # caches cleared per test
+        run_simulation(CFG, perf=reports.append)   # same tables, memoised
+        cold, warm = reports
         assert warm.tables_wall_s < cold.tables_wall_s / 10
         assert cold.to_dict()["tables_wall_s"] == round(cold.tables_wall_s, 6)
         assert (f"setup {cold.setup_wall_s:.3f}s "
@@ -57,19 +54,18 @@ class TestPerfRecorder:
         real for the first scheme of a comparison, ~0 for every later
         scheme offered the same traffic (memo hit), exactly 0 on an
         event-driven engine -- and no longer booked to the loop."""
-        rec = PerfRecorder()
-        reports = {}
+        reports = []
         for routing, policy in (("updown", "sp"), ("itb", "sp"),
                                 ("itb", "rr")):
             run_simulation(CFG.with_overrides(engine="array",
                                               routing=routing,
-                                              policy=policy), perf=rec)
-            reports[routing, policy] = rec.report
-        first, second, third = reports.values()
+                                              policy=policy),
+                           perf=reports.append)
+        first, second, third = reports
         assert first.schedule_wall_s > 0
         assert second.schedule_wall_s < first.schedule_wall_s / 10
         assert third.schedule_wall_s < first.schedule_wall_s / 10
-        for r in reports.values():
+        for r in reports:
             assert r.wall_s >= (r.setup_wall_s + r.schedule_wall_s
                                 + r.sim_wall_s) * 0.999
         assert (first.to_dict()["schedule_wall_s"]
@@ -77,20 +73,20 @@ class TestPerfRecorder:
         assert (f"(tables {first.tables_wall_s:.3f}s) "
                 f"+ schedule {first.schedule_wall_s:.3f}s "
                 f"+ loop {first.sim_wall_s:.3f}s") in first.oneline()
-        run_simulation(CFG, perf=rec)       # packet engine: event-driven
-        assert rec.report.schedule_wall_s == 0.0
+        run_simulation(CFG, perf=reports.append)   # packet: event-driven
+        assert reports[-1].schedule_wall_s == 0.0
 
     def test_perf_does_not_change_results(self):
         plain = run_simulation(CFG)
-        with_perf = run_simulation(CFG, perf=PerfRecorder())
+        with_perf = run_simulation(CFG, perf=[].append)
         assert plain == with_perf
 
     def test_simulator_counters(self):
-        rec = PerfRecorder()
-        run_simulation(CFG, perf=rec)
+        reports = []
+        run_simulation(CFG, perf=reports.append)
         # Simulator-side counters feed the report; rates only exist
         # once some loop wall-clock has accumulated
-        assert rec.report.events_per_s > 0
+        assert reports[0].events_per_s > 0
 
     def test_zero_wall_rates(self):
         r = PerfReport(wall_s=0.0, setup_wall_s=0.0, sim_wall_s=0.0,

@@ -34,13 +34,12 @@ from repro.orchestrator.lease import TASKS
 from repro.registry import REQUIRED, Kwarg, Registry
 from repro.routing.policies import POLICIES, PolicySpec, SinglePathPolicy
 from repro.routing.schemes import SCHEMES, Scheme, build_updown_tables
-from repro.sim.base import NetworkModel
 from repro.sim.engines import ENGINES
 from repro.topology import TOPOLOGIES, Topology, build_torus
 from repro.traffic import ConstantArrivals, UniformTraffic
 from repro.traffic.registry import (ARRIVALS, PATTERNS, ArrivalSpec,
                                     PatternSpec)
-from tests.conftest import small_config
+from tests.conftest import BareNetwork, small_config
 
 NAME = "tmp-entry"
 DESCRIPTION = "throwaway registered by test_registry"
@@ -50,20 +49,8 @@ RUN = ["run", "--rate", "0.01", "--warmup-ns", "20000",
        "--measure-ns", "60000"]
 
 
-class _NullNetwork(NetworkModel):
+class _NullNetwork(BareNetwork):
     """Delivers every packet the instant it is injected."""
-
-    CAPABILITIES = frozenset()
-
-    def _build(self):
-        pass
-
-    def _inject(self, pkt):
-        pkt.injected_ps = self.sim.now
-        self._finish_delivery(pkt, self.sim.now)
-
-    def _reset_engine_stats(self):
-        pass
 
 
 def _tmp_ring(hosts_per_switch: int = 2):

@@ -18,13 +18,13 @@ from repro.experiments.runner import run_simulation
 from repro.metrics.recovery import RecoveryTracker
 from repro.routing.policies import make_policy
 from repro.routing import RoutingTables, compute_tables
-from repro.sim import (FaultPlan, MessageSequencer, NetworkModel,
+from repro.sim import (FaultPlan, MessageSequencer,
                        ReconfigParams, ReconfigurationManager,
                        ReliableParams, ReliableTransport, Simulator,
                        UnsupportedCapability, make_network)
 from repro.topology import build_torus
 from repro.units import ns
-from tests.conftest import small_config
+from tests.conftest import BareNetwork, small_config
 
 P = PAPER_PARAMS
 ENGINES = ("packet", "flit")
@@ -64,22 +64,6 @@ def send_capturing_packet(transport, net, src, dst):
     finally:
         del net.send  # restore the class's bound method
     return msg, captured[0]
-
-
-class BareNetwork(NetworkModel):
-    """An engine that never declared the capability."""
-
-    name = "bare"
-    CAPABILITIES = frozenset()
-
-    def _build(self):
-        pass
-
-    def _inject(self, pkt):
-        self._finish_delivery(pkt, self.sim.now)
-
-    def _reset_engine_stats(self):
-        pass
 
 
 class TestParams:

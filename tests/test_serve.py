@@ -137,6 +137,10 @@ class TestMalformedSpecs:
         assert status == 200 and lines[-1]["event"] == "done"
 
 
+#: the keys of every ``point`` event, besides ``eta_s`` once known
+POINT_KEYS = {"event", "completed", "total", "label", "status", "elapsed_s"}
+
+
 class TestCampaignStreaming:
     SPEC = {"rates": [0.004, 0.008]}
 
@@ -152,6 +156,10 @@ class TestCampaignStreaming:
         assert all(e["status"] == "done" and e["total"] == 2
                    for e in points)
         assert {e["completed"] for e in points} == {1, 2}
+        # the executor ledger's event, as is: an ETA while points remain
+        for e in points:
+            keys = POINT_KEYS | ({"eta_s"} if e["completed"] < 2 else set())
+            assert set(e) == keys
         done = lines[-1]
         assert done["event"] == "done"
         assert done["stats"] == {"simulated": 2, "cached": 0, "failed": 0}
@@ -199,6 +207,20 @@ class TestCampaignStreaming:
                                   self._spec())
         assert third[-1]["stats"]["cached"] == 2
         assert third[-1]["results"] == done_a["results"]
+
+    def test_failed_point_is_counted_in_stream(self, server):
+        bad = small_config(traffic="bit-reversal", topology_kwargs={
+            "rows": 3, "cols": 3, "hosts_per_switch": 2})
+        spec = {"points": [{"config": small_config().to_dict()},
+                           {"config": bad.to_dict()},
+                           {"config": small_config(seed=6).to_dict()}]}
+        status, lines = _request(server, "POST", "/campaign", spec)
+        assert status == 200 and lines[-1]["event"] == "error"
+        points = [e for e in lines if e["event"] == "point"]
+        assert [e["completed"] for e in points] == [1, 2, 3]
+        assert [e["status"] for e in points] == ["done", "FAILED", "done"]
+        assert all(POINT_KEYS <= set(e) <= POINT_KEYS | {"eta_s"}
+                   for e in points)
 
     def test_failing_point_streams_error_event(self, server):
         # a valid spec whose point fails in the run: bit-reversal is

@@ -18,7 +18,6 @@ from repro.experiments.tables import pick_hotspots
 from repro.metrics.saturation import SaturationResult, find_saturation
 from repro.orchestrator import CampaignError, Executor, ResultStore
 from repro.orchestrator.pool import POINT_TASK_FN
-from repro.perf import PerfRecorder
 from repro.resilience import campaign as resilience
 from repro.units import ns
 from tests.conftest import RecordingExecutor, small_config
@@ -106,7 +105,7 @@ class TestSweep:
         to run_simulation() directly, never through an executor."""
         target = tmp_path / "profile.out"
         for option, value in (("tables", object()),
-                              ("perf", PerfRecorder()),
+                              ("perf", [].append),
                               ("profile_path", str(target))):
             with pytest.raises(ValueError, match="run_simulation"):
                 sweep_rates(small_config(), [0.004], **{option: value})
