@@ -22,7 +22,7 @@ import argparse
 import json
 
 from repro.config import SimConfig
-from repro.experiments.runner import clear_caches, run_simulation
+from repro.experiments.runner import clear_caches, get_tables, run_simulation
 from repro.units import ns
 
 #: validation-size network used for cross-engine checks (DESIGN.md
@@ -69,6 +69,16 @@ BENCH_CORE_CONFIGS = [
 ]
 
 
+def route_legs(cfg: SimConfig) -> int:
+    """Distinct :class:`~repro.routing.routes.RouteLeg` objects in the
+    point's (memoised) table once every pair has been looked up -- a
+    deterministic measure of how much of the table is shared."""
+    tables = get_tables(cfg.topology, cfg.topology_kwargs, cfg.routing,
+                        max_routes_per_pair=cfg.params.max_routes_per_pair)
+    return len({id(leg) for alts in tables.routes.values()
+                for route in alts for leg in route.legs})
+
+
 def bench_sim_core(repeats: int = 3) -> dict:
     """Time the benchmark matrix; best-of-``repeats`` per point.
 
@@ -76,7 +86,9 @@ def bench_sim_core(repeats: int = 3) -> dict:
     ``cold_wall_s`` includes graph + routing-table construction -- the
     cost every fresh worker process pays.  ``events_per_s`` comes from
     the best repeat's event-loop wall clock, the steady-state figure the
-    CI regression gate watches.
+    CI regression gate watches.  ``route_legs`` (:func:`route_legs`) is
+    counted after the timed repeats, so looking every pair up does not
+    warm them.
     """
     points = []
     for name, kw in BENCH_CORE_CONFIGS:
@@ -96,6 +108,7 @@ def bench_sim_core(repeats: int = 3) -> dict:
             "events_per_s": round(best.events_per_s, 1),
             "messages_delivered": best.messages_delivered,
             "messages_per_s": round(best.messages_per_s, 1),
+            "route_legs": route_legs(cfg),
         })
     return {"schema": 1, "repeats": repeats, "points": points}
 
@@ -105,12 +118,12 @@ def render_bench_core(data: dict) -> str:
              "includes table build):",
              f"  {'point':14s} {'engine':8s} {'cold [s]':>9s} "
              f"{'loop [s]':>9s} {'events':>8s} {'events/s':>10s} "
-             f"{'msgs/s':>8s}"]
+             f"{'msgs/s':>8s} {'legs':>6s}"]
     for p in data["points"]:
         lines.append(f"  {p['name']:14s} {p['engine']:8s} "
                      f"{p['cold_wall_s']:9.3f} {p['best_loop_wall_s']:9.3f} "
                      f"{p['events']:8d} {p['events_per_s']:10,.0f} "
-                     f"{p['messages_per_s']:8,.0f}")
+                     f"{p['messages_per_s']:8,.0f} {p['route_legs']:6d}")
     return "\n".join(lines)
 
 

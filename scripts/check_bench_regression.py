@@ -20,7 +20,12 @@ committed baseline and exits non-zero when:
   baseline (plus 50 ms of grace for the ~10 ms validation points).
   Loose on purpose: the figure is single-shot and noisy, but table
   construction sliding back from per-destination to per-pair
-  enumeration costs 4x on the ``updown`` point.
+  enumeration costs 4x on the ``updown`` point;
+* any point's ``route_legs`` -- the distinct leg objects in its fully
+  looked-up routing table -- exceeds the baseline at all.  The count
+  is deterministic, so it is gated exactly: a table that stops sharing
+  the legs its pairs have in common shows up here before it shows up
+  as memory.
 
 The throughput gate is deliberately loose: both axes are
 machine-dependent and CI runners are noisy, so only a large, consistent
@@ -63,8 +68,8 @@ def load_points(path: str) -> dict:
                  f"format written by benchmarks/sim_core.py")
     points = {}
     for i, p in enumerate(data["points"]):
-        missing = [k for k in ("name", "cold_wall_s") + GATED_METRICS
-                   if k not in p]
+        missing = [k for k in ("name", "cold_wall_s", "route_legs")
+                   + GATED_METRICS if k not in p]
         if missing:
             sys.exit(f"error: {path}: points[{i}] is missing "
                      f"{', '.join(missing)}; regenerate the file with "
@@ -111,6 +116,12 @@ def main() -> int:
               f"(ceiling {ceiling:.3f}) {'ok' if ok else 'REGRESSED'}")
         if not ok and name not in failed:
             failed.append(name)
+        ok = cur["route_legs"] <= base["route_legs"]
+        print(f"{name:14s} {'route_legs':14s} {cur['route_legs']:12d} "
+              f"vs baseline {base['route_legs']:12d} "
+              f"{'ok' if ok else 'REGRESSED'}")
+        if not ok and name not in failed:
+            failed.append(name)
     extra = sorted(set(current) - set(baseline))
     if extra:
         print(f"FAIL: points not in baseline: {', '.join(extra)}; "
@@ -120,7 +131,8 @@ def main() -> int:
     if failed:
         print(f"FAIL: throughput regressed beyond "
               f"{args.tolerance:.0%}, cold run slower than "
-              f"{COLD_WALL_FACTOR:g}x baseline, or point missing on: "
+              f"{COLD_WALL_FACTOR:g}x baseline, more route legs than "
+              f"baseline, or point missing on: "
               f"{', '.join(failed)}",
               file=sys.stderr)
     if failed or extra:

@@ -26,12 +26,12 @@ the balancing of first alternatives.  What needs one pair only -- the
 :class:`RouteLeg` / :class:`SourceRoute` objects, slices of the
 ``(path, link_ids)`` pair -- is built on that pair's first lookup
 (:class:`repro.routing.table.RouteMap`): a run builds the routes it
-sends on.
+sends on, and a leg that many pairs share is one object.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..topology.graph import NetworkGraph
 from .minimal import PathLinks, minimal_path_links_to
@@ -109,23 +109,47 @@ class _ItbHostCycler:
         return hosts[i]
 
 
-def _route(record: Record) -> SourceRoute:
-    """The :class:`SourceRoute` of one record: legs are slices of its
-    ``(path, link_ids)`` pair, so the graph is never probed again."""
-    path, lids, cuts, hosts = record
-    if not cuts:  # already legal -- the common case
-        route = SourceRoute((RouteLeg(path, lids),))
-    else:
-        route = SourceRoute(
-            tuple([RouteLeg(path[s:e + 1], lids[s:e])
-                   for s, e in _segments(cuts, len(path) - 1)]), hosts)
-    route._link_ids = lids  # the legs' links, concatenated: exactly these
-    return route
+def _route_builder(g: NetworkGraph) -> Callable[[Tuple[Record, ...]],
+                                                Tuple[SourceRoute, ...]]:
+    """The function that builds one pair's alternatives on its first
+    lookup, keeping one :class:`RouteLeg` per distinct leg for the whole
+    table.
 
+    Legs are slices of a record's ``(path, link_ids)`` pair, so the
+    graph is never probed again.  Many pairs reuse the same legs (on
+    the 8x8 torus ``itb`` table, 39 352 legs are 9 027 distinct ones),
+    so a leg already built is handed out again, with the ``dir_hops``
+    it stashed.  A leg is known by its first switch and its link ids:
+    the links fix every later switch, and keep parallel cables apart.
+    """
+    known: List[Dict[Tuple[int, ...], RouteLeg]] = [
+        {} for _ in range(g.num_switches)]
 
-def _alternatives(records: Tuple[Record, ...]) -> Tuple[SourceRoute, ...]:
-    """One pair's alternatives, built on its first lookup."""
-    return tuple([_route(r) for r in records])
+    def leg(path: Tuple[int, ...], lids: Tuple[int, ...],
+            s: int, e: int) -> RouteLeg:
+        links = lids[s:e]
+        by_links = known[path[s]]
+        out = by_links.get(links)
+        if out is None:
+            out = by_links[links] = RouteLeg(path[s:e + 1], links)
+        return out
+
+    def alternatives(records: Tuple[Record, ...]
+                     ) -> Tuple[SourceRoute, ...]:
+        routes = []
+        for path, lids, cuts, hosts in records:
+            if not cuts:  # already legal -- the common case
+                only = leg(path, lids, 0, len(lids))
+                route = SourceRoute((only,))
+                route._link_ids = only.links   # the leg's own tuple
+            else:
+                route = SourceRoute(
+                    tuple([leg(path, lids, s, e)
+                           for s, e in _segments(cuts, len(lids))]), hosts)
+            routes.append(route)
+        return tuple(routes)
+
+    return alternatives
 
 
 def _balance_first_alternatives(g: NetworkGraph,
@@ -178,18 +202,21 @@ def assemble_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
     up_end = ud.up_end
     take = _ItbHostCycler(g).take  # shared so ITB duty rotates over all NICs
     records: Dict[Pair, Tuple[Record, ...]] = {}
+    # equal in-transit host tuples are one object, like equal legs
+    host_tuples: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for pair, paths in candidates:
         alts: List[Record] = []
         for path, lids in paths:
             cuts = _cut_indices(path, lids, up_end)
+            hosts = tuple([take(path[i]) for i in cuts])
             alts.append((path, lids, cuts,
-                         tuple([take(path[i]) for i in cuts])))
+                         host_tuples.setdefault(hosts, hosts)))
         if sort_by_itbs:
             alts.sort(key=lambda r: (len(r[3]), r[0]))
         records[pair] = tuple(alts)
     if balance_sp:
         _balance_first_alternatives(g, records)
-    return RouteMap(records, _alternatives)
+    return RouteMap(records, _route_builder(g))
 
 
 def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,

@@ -20,9 +20,15 @@ and so analysis code can attribute utilisation to physical cables.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..topology.graph import NetworkGraph
+
+#: every distinct :attr:`SourceRoute.leg_overheads` tuple, once: they
+#: depend only on the legs' hop counts, so a handful of values serve
+#: every route of every table (an intern table of immutable values:
+#: nothing behaves differently for what it holds)
+_OVERHEADS: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
 
 class RouteLeg:
@@ -31,7 +37,8 @@ class RouteLeg:
     source and target of the leg share a switch).
 
     Legs are value objects: treat them as immutable once built -- the
-    routing tables share them across runs, and :meth:`dir_hops` stashes
+    routing tables share them across runs (an ITB table also across the
+    pairs whose routes cross the same leg), and :meth:`dir_hops` stashes
     its result (``_dir_hops``) on them.  They used to be frozen
     dataclasses; plain ``__slots__`` classes construct several times
     faster, which matters because a table build creates tens of
@@ -109,7 +116,8 @@ class SourceRoute:
 
     Value object like :class:`RouteLeg`: treat as immutable; the
     ``_leg_overheads`` / ``_link_ids`` slots hold lazily computed data
-    shared by every packet following the route.
+    shared by every packet following the route (a one-leg route may be
+    handed its leg's own ``links`` tuple as ``_link_ids`` up front).
     """
 
     __slots__ = ("legs", "itb_hosts", "_leg_overheads", "_link_ids")
@@ -198,6 +206,7 @@ class SourceRoute:
                 out.append(remaining_hops + (n - 1 - k))
                 remaining_hops -= leg.hops
             overheads = tuple(out)
+            overheads = _OVERHEADS.setdefault(overheads, overheads)
             self._leg_overheads = overheads
             return overheads
 

@@ -447,10 +447,18 @@ class FlitLevelNetwork(NetworkModel):
         self._injectors[pkt.src_host].enqueue(pkt, 0)
 
     def _close_engine(self) -> None:
-        # every port, injector and buffer hangs off one end of a wire
-        # and points back at this network
+        # every port, injector and buffer hangs off one end of a wire,
+        # points back at it (and at this network), and a port keeps
+        # its own bound pump; a buffer lists the granted ports pulling
+        # from it, and queued grant requests hold bound methods of
+        # their port
         for w in self._wires:
-            w.tx.net = w.rx.net = None
+            tx, rx = w.tx, w.rx
+            tx.net = rx.net = tx._pump_cb = None
+            rx.consumers.clear()
+            w.tx = w.rx = None
+        for port in self._out_ports.values():
+            port.arbiter.cancel_waiting()
 
     def _reset_engine_stats(self) -> None:
         for w in self._wires:

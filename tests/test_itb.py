@@ -279,6 +279,36 @@ class TestLazyTables:
         assert (route_statistics(g88, self._fresh(g88, "itb"))
                 == route_statistics(g88, full))
 
+    @pytest.mark.parametrize("fabric,scheme", [
+        ("g88", "itb"), ("g88", "outflank"),
+        ("cplant", "itb")])                   # outflank needs a grid
+    def test_a_table_holds_each_distinct_leg_once(self, request, fabric,
+                                                   scheme):
+        """Pairs reuse each other's legs; a fully looked-up table holds
+        one leg object per distinct ``(switches, links)``, one
+        ``leg_overheads`` tuple per distinct value, and a remapped
+        copy keeps the sharing."""
+        g = request.getfixturevalue(fabric)
+        tables = self._fresh(g, scheme)
+        routes = [r for alts in tables.routes.values() for r in alts]
+        legs = {id(leg): leg for r in routes for leg in r.legs}
+        assert len(legs) == len({(leg.switches, leg.links)
+                                 for leg in legs.values()})
+        assert len(legs) < sum(len(r.legs) for r in routes)
+        overheads = {}
+        cut = [r for r in routes if r.num_itbs]
+        assert cut
+        for r in routes:
+            assert overheads.setdefault(r.leg_overheads,
+                                        r.leg_overheads) is r.leg_overheads
+        for r in cut:
+            assert r.link_ids == tuple(lid for leg in r.legs
+                                       for lid in leg.links)
+        identity = {lid: lid for lid in range(g.num_links)}
+        remapped = tables.with_remapped_links(identity)
+        assert len({id(leg) for alts in remapped.routes.values()
+                    for r in alts for leg in r.legs}) == len(legs)
+
     def test_a_sub_knee_point_builds_a_quarter_of_the_pairs_or_less(self):
         """The benchmark's cold torus point: what it sends on is what
         gets built, and its summary is the one fully built tables give."""

@@ -113,7 +113,8 @@ class TestBenchRegressionGate:
     CHECKER = REPO / "scripts" / "check_bench_regression.py"
 
     @staticmethod
-    def _bench_file(path: Path, cold_wall_s: float = 1.0, **rates) -> Path:
+    def _bench_file(path: Path, cold_wall_s: float = 1.0,
+                    route_legs: int = 100, **rates) -> Path:
         """Synthetic bench JSON; a point's value is its events/s (its
         messages/s then scales with it) or an explicit
         ``(events_per_s, messages_per_s)`` pair."""
@@ -125,7 +126,8 @@ class TestBenchRegressionGate:
                            "best_loop_wall_s": 0.5,
                            "events": 1000, "events_per_s": ev,
                            "messages_delivered": 10,
-                           "messages_per_s": msgs})
+                           "messages_per_s": msgs,
+                           "route_legs": route_legs})
         path.write_text(json.dumps(
             {"schema": 1, "repeats": 1, "points": points}))
         return path
@@ -180,6 +182,19 @@ class TestBenchRegressionGate:
                                a=100.0)
         assert self._run(cur, base).returncode == 0
 
+    def test_one_more_route_leg_fails(self, tmp_path):
+        # the leg count is deterministic: fewer passes, any growth (a
+        # table that stopped sharing legs between pairs) fails
+        base = self._bench_file(tmp_path / "base.json", a=100.0)
+        fewer = self._bench_file(tmp_path / "fewer.json", route_legs=90,
+                                 a=100.0)
+        assert self._run(fewer, base).returncode == 0
+        more = self._bench_file(tmp_path / "more.json", route_legs=101,
+                                a=100.0)
+        res = self._run(more, base)
+        assert res.returncode == 1
+        assert "route_legs" in res.stdout and "REGRESSED" in res.stdout
+
     def test_missing_point_fails(self, tmp_path):
         base = self._bench_file(tmp_path / "base.json", a=100.0, b=200.0)
         cur = self._bench_file(tmp_path / "cur.json", a=100.0)
@@ -202,6 +217,7 @@ class TestBenchRegressionGate:
                 "packet-val", "flit-val", "array-val"} <= set(points)
         assert all(p["events_per_s"] > 0 for p in data["points"])
         assert all(p["messages_per_s"] > 0 for p in data["points"])
+        assert all(p["route_legs"] > 0 for p in data["points"])
         assert {"packet", "flit", "array"} == {p["engine"]
                                               for p in data["points"]}
 

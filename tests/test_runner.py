@@ -89,7 +89,8 @@ class TestRunSimulation:
 class TestTeardown:
     """A finished run frees its network by reference count:
     ``run_simulation`` cuts the sim/network/transport cycles itself
-    instead of leaving them to a later full collection."""
+    instead of leaving them to a later full collection -- and leaves
+    no cyclic garbage behind at all (a collection finds nothing)."""
 
     @pytest.fixture
     def networks(self, monkeypatch):
@@ -129,6 +130,7 @@ class TestTeardown:
         assert summary.messages_delivered > 0
         (ref,) = networks
         assert ref() is None
+        assert gc.collect() == 0
 
     def test_simulator_clear(self):
         from repro.sim import Simulator
