@@ -18,9 +18,9 @@ with :func:`make_network`; three ship in-tree:
   slower, used to validate the packet-level approximation on small
   networks.
 * ``"array"`` (:mod:`arrayengine`) -- a **batched greedy-reservation
-  model** over flat channel/packet lists, processing admissions
-  and deliveries at fixed-stride ticks instead of one heap event per
-  arbitration step.  Bit-identical to the packet engine when
+  model** over flat channel vectors and one heap entry per in-flight
+  message, processing admissions and deliveries at fixed-stride ticks
+  instead of one heap event per arbitration step.  Bit-identical to the packet engine when
   uncontended, an order of magnitude faster at paper scale; declares
   the batch injection/delivery capabilities and declines the rest.
 

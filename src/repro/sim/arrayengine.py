@@ -1,21 +1,24 @@
 """Array-native batch engine: greedy channel reservation over flat state.
 
-The packet engine spends one heap event per arbitration step -- ~50
-events per message -- which caps it near 3e5 events/s and makes
-512-switch saturation sweeps take hours.  This engine replaces the
-per-event heap with **batched time-stepping over flat arrays**:
+The packet engine spends one heap event per arbitration step -- about
+13 events per message (``fig7-packet``: 3 950 139 events for 297 658
+deliveries) -- and its loop is the measured bottleneck of every
+packet-engine sweep.  This engine replaces the per-event heap with
+**batched time-stepping over flat state**:
 
 * every directed channel (two per cable, one injection and one delivery
-  channel per NIC) is a row in three flat vectors -- ``busy_until``,
-  ``flits`` and ``reserved_ps`` (plain int lists);
-* every in-flight packet is one slot in parallel per-slot arrays
-  (an immutable info tuple plus mutable leg / injection stamps);
+  channel per NIC) is a row in two flat int vectors, ``busy_until``
+  and ``flits`` (reserved time is ``flits * flit_cycle``, derived);
+* every in-flight message is exactly one heap entry: a walk or
+  callback delivery ``(t, seq, kind, info, leg, injected)`` on the work
+  heap, or a sink delivery ``(t_tail, seq, info, injected)`` on the
+  pending heap, with ``info`` the message's immutable tuple;
 * the simulator heap carries only fixed-stride *batch ticks* (default
-  one per simulated microsecond): each tick drains every admission,
-  ITB re-injection and delivery whose time has come, in one pass.
+  one per 4 simulated microseconds, ``STRIDE_PS``): each tick drains
+  every admission, ITB re-injection and delivery whose time has come.
 
-**Timing model.**  A packet's whole leg is computed in closed form at
-admission: at each channel ``grant = max(arrival, busy_until)``, the
+**Timing model.**  A packet's whole leg is computed in closed form when
+it is walked: at each channel ``grant = max(arrival, busy_until)``, the
 channel is then held for exactly one wire-length of flit cycles
 (bandwidth serialisation), and the header pays the same per-hop routing
 delay and cable propagation as the packet engine.  Uncontended packets
@@ -31,21 +34,22 @@ deadlock the packet engine simply serialise here.
 
 **Batch-advance invariant.**  Channel-mutating work is processed in
 global ``(time, seq)`` order regardless of how tick boundaries chop it
-up -- a tick at ``T`` drains the merged admission/re-injection streams
-up to ``T`` in time order, and anything a walk schedules lands strictly
+up -- a tick at ``T`` drains the primed schedule and the work heap up
+to ``T`` in time order, and anything a walk schedules lands strictly
 later than everything already drained.  Computed timestamps are
 therefore *stride-invariant* (pinned by a test), and the warm-up /
 end-of-run boundaries are exact: ``reset_stats`` and ``finalize`` run a
 catch-up drain before counters are read or zeroed.  Deliveries never
 touch channel state, so when no per-packet delivery callback is
-registered (the batch-sink path) they bypass the work heap entirely and
-are flushed unordered within each drain -- every accumulator they feed
-is order-free, and keeping them off the heap halves the heap traffic.
+registered (the batch-sink path) they go on the pending heap instead
+of the work heap, popped into the sink at the end of each drain --
+every accumulator they feed is order-free.
 
-Admission is one scalar kernel (``_admit_walk``), one message at a
-time: the paper's hosts fire from random phases, so same-instant
-admission cohorts large enough to amortise a vectorised walk do not
-form (DESIGN section 15 has the measurement).
+There is one kernel, the loop in ``_drain``: each iteration admits one
+primed-schedule message or pops one work entry, and walks that leg
+with every per-run constant bound to a local.  The paper's hosts fire
+from random phases, so same-instant admission cohorts large enough to
+amortise a vectorised walk do not form (DESIGN section 15).
 
 Capabilities: the two batch interfaces.  The ITB
 pool is modelled as infinite (re-injection never stalls on pool space;
@@ -61,7 +65,7 @@ from __future__ import annotations
 from heapq import heappush, heappop
 from itertools import islice
 from operator import gt
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..traffic.base import Schedule
 from .base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT, LinkChannelStats,
@@ -69,11 +73,11 @@ from .base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT, LinkChannelStats,
 from .engines import register
 from .packet import Packet
 
-#: work-item kinds on the engine's internal heap
-_INJECT, _REINJECT, _DELIVER = 0, 1, 2
+#: work-entry kinds: walk the entry's leg / deliver (callback path)
+_WALK, _DELIVER = 0, 1
 
-#: slot info-tuple fields (immutable per packet; leg / injection stamps
-#: live in their own mutable arrays)
+#: message info-tuple fields (immutable per message; its leg and
+#: injection stamp ride on the heap entry)
 _ROUTE, _SRC, _DST, _PAYLOAD, _ALT, _PID, _CREATED, _PKT = range(8)
 
 
@@ -97,49 +101,29 @@ class ArrayNetwork(NetworkModel):
         self._n_chan = num_dirs + 2 * g.num_hosts
         #: per directed channel: reserved through this time
         self._busy: List[int] = [0] * self._n_chan
-        #: per directed channel: flits crossed / time reserved since the
-        #: last stats reset (charged at acquisition, see _walk_slot)
+        #: per directed channel: flits crossed since the last stats
+        #: reset (charged at acquisition; each flit holds the channel
+        #: one flit cycle, so reserved time is derived from it)
         self._flits: List[int] = [0] * self._n_chan
-        self._reserved: List[int] = [0] * self._n_chan
-        self._last_reset = 0
 
         #: host id -> switch id (admission fast path)
         self._hsw: List[int] = [0] * g.num_hosts
         for h in g.hosts:
             self._hsw[h.id] = g.host_switch(h.id)
-        p = self.params
-        # hot-path constants (params are immutable for the run; the
-        # routing tables cannot be swapped either -- swap_tables
-        # requires the reliable-delivery capability this engine declines)
-        self._fc = p.flit_cycle_ps
-        self._lp = p.link_prop_ps
-        self._rdlp = p.routing_delay_ps + p.link_prop_ps
-        self._hdr = p.header_type_bytes
-        self._itb_delay = p.itb_detect_ps + p.itb_dma_setup_ps
-        self._routes_map = self.tables.routes
 
         # primed schedule (the Schedule's columns, shared) + cursor
         self._sched_t: Sequence[int] = ()
         self._sched_src: Sequence[int] = ()
         self._sched_dst: Sequence[int] = ()
         self._sched_i = 0
-        #: merged heap of (t, seq, kind, slot) channel-mutating work
+        #: (t, seq, kind, info, leg, injected): channel-mutating walks
+        #: and, with per-packet callbacks, deliveries
         self._work: list = []
-        self._work_seq = 0
-        #: (t_tail, slot) deliveries awaiting their drain (sink path
-        #: only -- with per-packet callbacks deliveries use the heap);
-        #: _pend_min tracks the earliest entry (None iff empty) so the
-        #: per-tick idle/boundary checks never scan the list
-        self._pending_del: List[Tuple[int, int]] = []
-        self._pend_min: Optional[int] = None
+        #: (t_tail, seq, info, injected): batch-sink deliveries
+        self._pending: list = []
+        self._seq = 0
         #: next tick already on the simulator heap (None = engine idle)
         self._next_tick_at: Optional[int] = None
-
-        # per-packet slots (append-only; slot == index): one immutable
-        # info tuple plus the two fields a walk mutates
-        self._p_info: List[Optional[tuple]] = []
-        self._p_leg: List[int] = []
-        self._p_injected: List[Optional[int]] = []
 
         #: pending delivery cohort for the batch sink (parallel lists)
         self._sink_lat: List[int] = []
@@ -147,18 +131,13 @@ class ArrayNetwork(NetworkModel):
         self._sink_payload: List[int] = []
         self._sink_itbs: List[int] = []
 
-        self._itb_packets = 0
-
     # -- NetworkModel contract ---------------------------------------------
 
     def _inject(self, pkt: Packet) -> None:
-        slot = len(self._p_info)
-        self._p_info.append((pkt.route, pkt.src_host, pkt.dst_host,
-                             pkt.payload_bytes, pkt.alt_index, pkt.pid,
-                             pkt.created_ps, pkt))
-        self._p_leg.append(0)
-        self._p_injected.append(None)
-        self._push_work(self.sim.now, _INJECT, slot)
+        info = (pkt.route, pkt.src_host, pkt.dst_host, pkt.payload_bytes,
+                pkt.alt_index, pkt.pid, pkt.created_ps, pkt)
+        heappush(self._work, (self.sim.now, self._seq, _WALK, info, 0, None))
+        self._seq += 1
         self._ensure_tick(self.sim.now)
 
     def _reset_engine_stats(self) -> None:
@@ -167,21 +146,19 @@ class ArrayNetwork(NetworkModel):
         # making the warm-up boundary exact despite batching
         self._drain(self.sim.now)
         self._flits = [0] * self._n_chan
-        self._reserved = [0] * self._n_chan
-        self._last_reset = self.sim.now
 
     def finalize(self) -> None:
         self._drain(self.sim.now)
 
     def link_flit_counts(self) -> List[LinkChannelStats]:
         out = []
-        flits, reserved = self._flits, self._reserved
+        flits, fc = self._flits, self.params.flit_cycle_ps
         for link in self.graph.links:
             d = link.id << 1
             out.append(LinkChannelStats(link.a, link.b, link.id,
-                                        flits[d], reserved[d]))
+                                        flits[d], flits[d] * fc))
             out.append(LinkChannelStats(link.b, link.a, link.id,
-                                        flits[d | 1], reserved[d | 1]))
+                                        flits[d | 1], flits[d | 1] * fc))
         return out
 
     # -- batch interfaces --------------------------------------------------
@@ -220,11 +197,7 @@ class ArrayNetwork(NetworkModel):
         self._sched_i = 0
         self._ensure_tick(ts[0])
 
-    # -- work bookkeeping --------------------------------------------------
-
-    def _push_work(self, t: int, kind: int, slot: int) -> None:
-        heappush(self._work, (t, self._work_seq, kind, slot))
-        self._work_seq += 1
+    # -- the batch tick ----------------------------------------------------
 
     def _ensure_tick(self, t: int) -> None:
         nt = self._next_tick_at
@@ -232,228 +205,179 @@ class ArrayNetwork(NetworkModel):
             self._next_tick_at = t
             self.sim.at(t, self._tick)
 
-    def _next_time(self) -> Optional[int]:
-        cands = []
+    def _tick(self) -> None:
+        now = self.sim.now
+        if now != self._next_tick_at:
+            # superseded: _ensure_tick armed an earlier tick, and that
+            # one re-armed the chain -- re-arming here would fork it
+            return
+        self._drain(now)
+        cands = [e[0][0] for e in (self._work, self._pending) if e]
         if self._sched_i < len(self._sched_t):
             cands.append(self._sched_t[self._sched_i])
-        if self._work:
-            cands.append(self._work[0][0])
-        if self._pend_min is not None:
-            cands.append(self._pend_min)
-        return min(cands) if cands else None
-
-    # -- the batch tick ----------------------------------------------------
-
-    def _tick(self) -> None:
-        # superseded ticks (ensure_tick may schedule ahead of one
-        # already on the heap) drain idempotently -- no guard needed
-        now = self.sim.now
-        self._drain(now)
-        nxt = self._next_time()
-        if nxt is None:
+        if not cands:
             self._next_tick_at = None
             return
-        t = nxt if nxt > now + self.STRIDE_PS else now + self.STRIDE_PS
+        t = max(min(cands), now + self.STRIDE_PS)
         self._next_tick_at = t
         self.sim.at(t, self._tick)
 
     def _drain(self, T: int) -> None:
-        """Process every admission / re-injection / delivery with
-        ``t <= T``; channel-mutating work in global (time, seq) order,
-        order-free deliveries flushed at the end."""
-        sched_t, work = self._sched_t, self._work
-        srcs, dsts = self._sched_src, self._sched_dst
+        """Admit, walk and deliver everything with ``t <= T``: the one
+        kernel.  Channel-mutating work runs in global (time, seq) order
+        (a schedule entry and a work entry at the same instant: work
+        first); sink deliveries are popped into the sink at the end."""
+        sched_t, srcs, dsts = self._sched_t, self._sched_src, self._sched_dst
         n = len(sched_t)
         i = self._sched_i
-        admit_walk = self._admit_walk
-        walk_slot = self._walk_slot
+        work, pending = self._work, self._pending
+        busy, flits = self._busy, self._flits
+        p = self.params
+        fc, lp, hdr = p.flit_cycle_ps, p.link_prop_ps, p.header_type_bytes
+        rdlp = p.routing_delay_ps + p.link_prop_ps
+        itb_delay = p.itb_detect_ps + p.itb_dma_setup_ps
+        inj0, del0 = self._inj0, self._del0
+        # the tables cannot be swapped mid-run: swap_tables requires
+        # the reliable-delivery capability this engine declines
+        routes_map, hsw = self.tables.routes, self._hsw
+        select_index = self.policy.select_index
+        nbytes, graph = self.message_bytes, self.graph
+        callbacks = self._delivery_callbacks
         complete = self._complete
+        # admission counters live in locals and are written back before
+        # anything outside this loop (a delivery callback, which may
+        # audit or send()) can read them
+        pid, seq = self._next_pid, self._seq
+        end = T + 1
+        t_s = sched_t[i] if i < n else end
         try:
             while True:
-                t_s = sched_t[i] if i < n else None
-                t_w = work[0][0] if work else None
-                if (t_w is not None and t_w <= T
-                        and (t_s is None or t_w <= t_s)):
-                    t, _seq, kind, slot = heappop(work)
-                    if kind == _DELIVER:
-                        complete(slot, t)
-                    else:
-                        walk_slot(slot, t)
-                elif t_s is not None and t_s <= T:
-                    # admit one message and re-check the work heap:
-                    # exact (time, seq) order with no chunk machinery
-                    admit_walk(t_s, srcs[i], dsts[i])
+                t = work[0][0] if work else end
+                if t_s < t:
+                    if t_s > T:
+                        break
+                    # admit one primed-schedule message: send() with
+                    # the route lookup inlined (no link can be dead:
+                    # the engine declines dynamic_faults)
+                    t, src, dst = t_s, srcs[i], dsts[i]
                     i += 1
+                    t_s = sched_t[i] if i < n else end
+                    alts = routes_map[(hsw[src], hsw[dst])]
+                    alt = (0 if len(alts) == 1
+                           else select_index(src, dst, alts))
+                    info = (alts[alt], src, dst, nbytes, alt, pid, t, None)
+                    pid += 1
+                    leg_idx, injected = 0, None
+                elif t <= T:
+                    t, _, kind, info, leg_idx, injected = heappop(work)
+                    if kind == _DELIVER:
+                        self.generated += pid - self._next_pid
+                        self._next_pid, self._seq = pid, seq
+                        complete(info, injected, t)
+                        pid, seq = self._next_pid, self._seq
+                        continue
                 else:
                     break
+
+                # walk the leg in closed form: greedily reserve the
+                # injection channel, each directed hop and the delivery
+                # channel, then queue the re-injection or delivery
+                route = info[_ROUTE]
+                legs = route.legs
+                try:
+                    ovh = route._leg_overheads
+                except AttributeError:
+                    ovh = route.leg_overheads
+                wire = info[_PAYLOAD] + hdr + ovh[leg_idx]
+                hold = wire * fc
+                c = inj0 + (info[_SRC] if leg_idx == 0
+                            else route.itb_hosts[leg_idx - 1])
+                b = busy[c]
+                g = b if b > t else t
+                busy[c] = g + hold
+                flits[c] += wire
+                if leg_idx == 0:        # a message's first leg walks once
+                    injected = g
+                a = g + lp
+                leg = legs[leg_idx]
+                try:
+                    dirs = leg._dir_hops
+                except AttributeError:
+                    dirs = leg.dir_hops(graph)
+                for d in dirs:
+                    b = busy[d]
+                    g = b if b > a else a
+                    busy[d] = g + hold
+                    flits[d] += wire
+                    a = g + rdlp
+                last_leg = leg_idx == len(legs) - 1
+                c = del0 + (info[_DST] if last_leg
+                            else route.itb_hosts[leg_idx])
+                b = busy[c]
+                g = b if b > a else a
+                busy[c] = g + hold
+                flits[c] += wire
+                if not last_leg:
+                    heappush(work, (g + rdlp + itb_delay, seq, _WALK, info,
+                                    leg_idx + 1, injected))
+                elif callbacks:
+                    heappush(work, (g + rdlp + hold, seq, _DELIVER, info,
+                                    leg_idx, injected))
+                else:
+                    heappush(pending, (g + rdlp + hold, seq, info, injected))
+                seq += 1
         finally:
             self._sched_i = i
-        if self._pend_min is not None and self._pend_min <= T:
-            keep = []
-            kapp = keep.append
+            self.generated += pid - self._next_pid
+            self._next_pid, self._seq = pid, seq
+        if pending and pending[0][0] <= T:
             sink = self._delivery_sink
-            if not self._delivery_callbacks and sink is not None:
-                # bulk-complete straight into the sink buffers; slots
+            if not callbacks and sink is not None:
+                # bulk-complete straight into the sink buffers; entries
                 # carrying a real Packet (engine-level send()) still go
                 # through _complete for its materialisation bookkeeping
-                p_info = self._p_info
-                inj = self._p_injected
                 lat_a = self._sink_lat.append
                 net_a = self._sink_netlat.append
                 pay_a = self._sink_payload.append
                 itb_a = self._sink_itbs.append
                 done = 0
-                for t_tail, slot in self._pending_del:
-                    if t_tail > T:
-                        kapp((t_tail, slot))
-                        continue
-                    info = p_info[slot]
+                while pending and pending[0][0] <= T:
+                    t_tail, _, info, injected = heappop(pending)
                     if info[_PKT] is not None:
-                        self._complete(slot, t_tail)
+                        complete(info, injected, t_tail)
                         continue
                     done += 1
                     lat_a(t_tail - info[_CREATED])
-                    net_a(t_tail - inj[slot])
+                    net_a(t_tail - injected)
                     pay_a(info[_PAYLOAD])
                     itb_a(len(info[_ROUTE].itb_hosts))
-                    p_info[slot] = None
                 self.delivered += done
                 self.delivered_since_check += done
             else:
-                complete = self._complete
-                for t_tail, slot in self._pending_del:
-                    if t_tail <= T:
-                        complete(slot, t_tail)
-                    else:
-                        kapp((t_tail, slot))
-            self._pending_del = keep
-            self._pend_min = min(p[0] for p in keep) if keep else None
+                while pending and pending[0][0] <= T:
+                    t_tail, _, info, injected = heappop(pending)
+                    complete(info, injected, t_tail)
         self._flush_sink()
-
-    # -- admission ---------------------------------------------------------
-
-    def _admit_walk(self, t: int, src: int, dst: int) -> None:
-        """Admit one primed-schedule message and walk its first leg --
-        the ``send()`` bookkeeping with route lookup inlined (no link
-        can be dead: the engine declines ``dynamic_faults``)."""
-        hsw = self._hsw
-        alts = self._routes_map[(hsw[src], hsw[dst])]
-        if len(alts) == 1:
-            alt = 0
-        else:
-            alt = self.policy.select_index(src, dst, alts)
-        self.generated += 1
-        pid = self._next_pid
-        self._next_pid += 1
-        slot = len(self._p_info)
-        self._p_info.append((alts[alt], src, dst, self.message_bytes,
-                             alt, pid, t, None))
-        self._p_leg.append(0)
-        self._p_injected.append(None)
-        self._walk_slot(slot, t)
-
-    # -- the walk ----------------------------------------------------------
-
-    def _walk_slot(self, slot: int, t_ready: int) -> None:
-        """Walk the slot's current leg in closed form: greedily reserve
-        the injection channel, each directed hop and the delivery
-        channel, then queue the resulting delivery or re-injection."""
-        fc = self._fc
-        lp = self._lp
-        rdlp = self._rdlp
-        busy = self._busy
-        flits, reserved = self._flits, self._reserved
-
-        info = self._p_info[slot]
-        route = info[_ROUTE]
-        leg_idx = self._p_leg[slot]
-        legs = route.legs
-        leg = legs[leg_idx]
-        try:
-            ovh = route._leg_overheads
-        except AttributeError:
-            ovh = route.leg_overheads
-        wire = info[_PAYLOAD] + self._hdr + ovh[leg_idx]
-        hold = wire * fc
-
-        if leg_idx == 0:
-            host = info[_SRC]
-        else:
-            host = route.itb_hosts[leg_idx - 1]
-        c = self._inj0 + host
-        b = busy[c]
-        g = b if b > t_ready else t_ready
-        rel = g + hold
-        busy[c] = rel
-        flits[c] += wire
-        reserved[c] += rel - g
-        if leg_idx == 0:            # a slot's first leg walks exactly once
-            self._p_injected[slot] = g
-
-        a = g + lp
-        try:
-            dirs = leg._dir_hops
-        except AttributeError:
-            dirs = leg.dir_hops(self.graph)
-        for d in dirs:
-            b = busy[d]
-            g = b if b > a else a
-            rel = g + hold
-            busy[d] = rel
-            flits[d] += wire
-            reserved[d] += rel - g
-            a = g + rdlp
-
-        last_leg = leg_idx == len(legs) - 1
-        target = info[_DST] if last_leg else route.itb_hosts[leg_idx]
-        c = self._del0 + target
-        b = busy[c]
-        g = b if b > a else a
-        rel = g + hold
-        busy[c] = rel
-        flits[c] += wire
-        reserved[c] += rel - g
-        t_head = g + rdlp
-
-        if last_leg:
-            t_tail = t_head + hold
-            if self._delivery_callbacks:
-                heappush(self._work,
-                         (t_tail, self._work_seq, _DELIVER, slot))
-                self._work_seq += 1
-            else:
-                self._pending_del.append((t_tail, slot))
-                pm = self._pend_min
-                if pm is None or t_tail < pm:
-                    self._pend_min = t_tail
-        else:
-            self._p_leg[slot] = leg_idx + 1
-            self._itb_packets += 1
-            heappush(self._work, (t_head + self._itb_delay,
-                                  self._work_seq, _REINJECT, slot))
-            self._work_seq += 1
 
     # -- delivery ----------------------------------------------------------
 
-    def _complete(self, slot: int, t_tail: int) -> None:
-        info = self._p_info[slot]
+    def _complete(self, info: tuple, injected: int, t_tail: int) -> None:
         pkt = info[_PKT]
         if pkt is not None or self._delivery_callbacks:
             if pkt is None:
                 pkt = Packet(info[_PID], info[_SRC], info[_DST],
                              info[_PAYLOAD], info[_ROUTE], info[_CREATED],
                              self.params, alt_index=info[_ALT])
-            pkt.injected_ps = self._p_injected[slot]
+            pkt.injected_ps = injected
             self._finish_delivery(pkt, t_tail)
         else:
             self.delivered += 1
             self.delivered_since_check += 1
         if self._delivery_sink is not None:
             self._sink_lat.append(t_tail - info[_CREATED])
-            self._sink_netlat.append(t_tail - self._p_injected[slot])
+            self._sink_netlat.append(t_tail - injected)
             self._sink_payload.append(info[_PAYLOAD])
             self._sink_itbs.append(len(info[_ROUTE].itb_hosts))
-        self._p_info[slot] = None                    # free references
 
     def _flush_sink(self) -> None:
         if self._delivery_sink is None or not self._sink_lat:
@@ -468,35 +392,36 @@ class ArrayNetwork(NetworkModel):
 
     # -- runtime invariants --------------------------------------------------
 
+    def _entries(self):
+        """(info, leg, kind) of every in-flight message, work heap first
+        (a pending sink delivery reports its last leg and _DELIVER)."""
+        for e in self._work:
+            yield e[3], e[4], e[2]
+        for e in self._pending:
+            yield e[2], len(e[2][_ROUTE].legs) - 1, _DELIVER
+
     def _audit_engine(self, check) -> None:
-        check(len(self._p_leg) == len(self._p_info)
-              and len(self._p_injected) == len(self._p_info),
-              "slot arrays out of sync")
-        live = sum(1 for info in self._p_info if info is not None)
-        check(live == self.in_flight,
-              f"conservation: {live} live slots but ledger says "
-              f"{self.in_flight} packets in flight")
+        work, pending = self._work, self._pending
+        check(len(work) + len(pending) == self.in_flight,
+              f"conservation: {len(work)} work + {len(pending)} pending "
+              f"entries but ledger says {self.in_flight} packets in flight")
         check(all(b >= 0 for b in self._busy),
               "channel busy horizon went negative")
         check(all(f >= 0 for f in self._flits),
               "channel flit counter went negative")
-        check(all(r >= 0 for r in self._reserved),
-              "channel reserved time went negative")
-        for slot, info in enumerate(self._p_info):
-            if info is None:
-                continue
-            check(0 <= self._p_leg[slot] < len(info[_ROUTE].legs),
-                  f"slot {slot}: leg index {self._p_leg[slot]} outside "
-                  f"its {len(info[_ROUTE].legs)}-leg route")
-        for t_tail, slot in self._pending_del:
-            check(self._p_info[slot] is not None,
-                  f"pending delivery references freed slot {slot}")
-            check(self._pend_min is not None
-                  and self._pend_min <= t_tail,
-                  f"pending-delivery minimum out of date ({self._pend_min}"
-                  f" vs {t_tail})")
-        check((self._pend_min is None) == (not self._pending_del),
-              "pending-delivery minimum set without pending entries")
+        for name, heap in (("work", work), ("pending", pending)):
+            check(all(heap[(k - 1) >> 1][:2] <= heap[k][:2]
+                      for k in range(1, len(heap))),
+                  f"{name} heap out of (time, seq) order")
+        pids = set()
+        for info, leg, kind in self._entries():
+            pids.add(info[_PID])
+            legs = len(info[_ROUTE].legs)
+            check(0 <= leg < legs and (kind == _WALK or leg == legs - 1),
+                  f"pid {info[_PID]}: leg index {leg} outside its "
+                  f"{legs}-leg route")
+        check(len(pids) == len(work) + len(pending),
+              "a message sits in more than one heap entry")
         check(0 <= self._sched_i <= len(self._sched_t),
               "primed-schedule cursor out of range")
         check(len(self._sink_lat) == len(self._sink_netlat)
@@ -504,12 +429,10 @@ class ArrayNetwork(NetworkModel):
               "delivery-sink cohort lists out of sync")
 
     def _audit_drained(self, check) -> None:
-        live = sum(1 for info in self._p_info if info is not None)
-        check(live == 0, f"drained: {live} slots still live")
         check(not self._work, f"drained: {len(self._work)} work items "
                               "still heaped")
-        check(not self._pending_del,
-              f"drained: {len(self._pending_del)} deliveries pending")
+        check(not self._pending,
+              f"drained: {len(self._pending)} deliveries pending")
         check(self._sched_i == len(self._sched_t),
               f"drained: primed schedule has "
               f"{len(self._sched_t) - self._sched_i} unadmitted entries")
@@ -519,18 +442,16 @@ class ArrayNetwork(NetworkModel):
     def _stall_snapshot(self) -> dict:
         # the greedy-reservation walk cannot block, so there is no
         # wait-for graph; a stall here means the engine stopped
-        # scheduling work while slots are live
-        live = [slot for slot, info in enumerate(self._p_info)
-                if info is not None]
+        # scheduling work while messages are in flight
         return {
             "blocked_worms": [
-                {"pid": self._p_info[s][_PID], "src": self._p_info[s][_SRC],
-                 "dst": self._p_info[s][_DST], "leg": self._p_leg[s]}
-                for s in live[:64]],
+                {"pid": info[_PID], "src": info[_SRC], "dst": info[_DST],
+                 "leg": leg}
+                for info, leg, _ in islice(self._entries(), 64)],
             "channel_owners": [],
             "wait_for": [],
             "work_heap": len(self._work),
             "next_work_ps": self._work[0][0] if self._work else None,
-            "pending_deliveries": len(self._pending_del),
+            "pending_deliveries": len(self._pending),
             "busy_horizon_ps": max(self._busy, default=0),
         }

@@ -8,6 +8,10 @@ own, independent of the cross-engine parity tests.
   spaced traffic, same-instant bursts and a dense stream);
 * **capability honesty** -- declined capabilities raise instead of
   returning fabricated numbers;
+* **one tick chain** -- a ``send()`` that preempts the pending tick
+  does not fork the chain;
+* **one heap entry per message** -- the auditor passes mid-drain, and
+  the batch sink and the callback path collect the same figures;
 * **schedule memoisation** -- the runner's cross-run schedule cache is
   observationally invisible, shared by every scheme of a sweep and
   bounded by the messages it holds.
@@ -363,3 +367,90 @@ class TestScheduleSharing:
         assert not runner._SCHEDULE_CACHE
         assert cold == run_simulation(base.with_overrides(
             injection_rate=self.RATES[-1]))
+
+
+class TestTickChain:
+    def test_superseded_ticks_do_not_rearm(self, graph, tables,
+                                           monkeypatch):
+        """A send() landing before the pending tick arms an earlier
+        one; the superseded tick must not re-arm a second chain.  One
+        chain ticks at most once per stride over the span, plus once
+        per send that preempted it."""
+        calls = []
+        real = ArrayNetwork._tick
+
+        def counted(self):
+            calls.append(self.sim.now)
+            real(self)
+        monkeypatch.setattr(ArrayNetwork, "_tick", counted)
+        sched = make_schedule(graph, 120, 3_000_000, seed=23)
+        sim = Simulator()
+        net = make_network("array", sim, graph, tables, make_policy("rr"),
+                           P)
+        for (t, s, d) in sched:
+            sim.at(t, lambda s=s, d=d: net.send(s, d))
+        sim.run_until_idle()
+        net.finalize()
+        assert net.delivered == len(sched)
+        span = max(calls) - min(calls)
+        assert len(calls) <= span // ArrayNetwork.STRIDE_PS + 1 + len(sched)
+
+
+class TestOneEntryPerMessage:
+    def test_audit_passes_inside_delivery_callback(self, graph, tables):
+        """``audit`` run from a delivery callback, mid-drain, sees exact
+        counters and every in-flight message in exactly one heap entry
+        -- also while the callback itself send()s replies."""
+        from repro.sim.invariants import audit
+        for name, (build, _) in SCHEDULES.items():
+            sched = build(graph)
+            sim = Simulator()
+            net = make_network("array", sim, graph, tables,
+                               make_policy("rr"), P)
+            reports, pids = [], []
+
+            def on_delivery(p):
+                pids.append(p.pid)
+                reports.append(audit(net))
+                if len(pids) <= 20:
+                    net.send(p.dst_host, p.src_host)
+            net.add_delivery_callback(on_delivery)
+            net.prime_schedule(sched)
+            sim.run_until(10 ** 13)
+            net.finalize()
+            assert net.generated == len(sched) + 20, name
+            assert sorted(pids) == list(range(net.generated)), name
+            for report in reports:
+                report.raise_if_failed()
+            audit(net, drained=True).raise_if_failed()
+
+    def test_sink_and_callback_paths_collect_the_same(self, graph,
+                                                      tables):
+        from repro.metrics.collector import LatencyCollector
+        fields = ("messages", "payload_flits", "sum_latency_ps",
+                  "sum_network_latency_ps", "max_latency_ps", "sum_itbs")
+        for name in ("dense", "bursts"):
+            sched = SCHEDULES[name][0](graph)
+            seen = []
+            for batch in (True, False):
+                sim = Simulator()
+                net = make_network("array", sim, graph, tables,
+                                   make_policy("rr"), P)
+                col = LatencyCollector()
+                if batch:
+                    net.delivery_sink = col
+                else:
+                    net.add_delivery_callback(col.on_delivered)
+                net.prime_schedule(sched)
+                sim.run_until(10 ** 13)
+                net.finalize()
+                seen.append({f: getattr(col, f) for f in fields})
+            assert seen[0] == seen[1], name
+            assert seen[0]["messages"] == len(sched), name
+
+    def test_reserved_time_is_flits_times_flit_cycle(self, graph, tables):
+        for name, (build, collect) in SCHEDULES.items():
+            _, _, links = run_primed(graph, tables, build(graph), collect)
+            assert any(flits for flits, _ in links.values()), name
+            for flits, reserved in links.values():
+                assert reserved == flits * P.flit_cycle_ps, name
