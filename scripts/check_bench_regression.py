@@ -9,12 +9,16 @@ committed baseline and exits non-zero when:
   dropped benchmark config would otherwise disable its gate forever);
 * the current run has **extra** points absent from the baseline (the
   baseline no longer describes the matrix -- regenerate and commit it);
-* any point's ``events_per_s`` or ``messages_per_s`` falls more than
-  ``--tolerance`` (default 30 %) below the baseline.  Events/s tracks
-  the event-loop hot path but is meaningless across engines (batch
-  engines collapse thousands of events into one tick), so messages/s
-  -- simulated messages delivered per wall-clock second -- is gated
-  with it as the cross-engine-honest axis;
+* any point's ``messages_per_s`` -- simulated messages delivered per
+  wall-clock second, the cross-engine-honest axis -- falls more than
+  ``--tolerance`` (default 30 %) below the baseline, and so does
+  ``events_per_s`` on an event-driven point (baseline ``events`` at
+  least its ``messages_delivered``), where it tracks the event-loop
+  hot path;
+* a batch point's ``events`` exceeds the baseline at all.  A batch
+  engine drains many messages per simulator event, so its events/s
+  measures nothing; its event count is deterministic and gated
+  exactly instead: a tick chain growing back shows up here;
 * any point's ``cold_wall_s`` -- its first, cache-cold run, i.e. graph
   + routing-table construction + the loop -- exceeds **2x** the
   baseline (plus 50 ms of grace for the ~10 ms validation points).
@@ -45,7 +49,7 @@ import json
 import sys
 
 #: throughput axes gated per point (fractional-drop tolerance applies
-#: to each independently)
+#: to each independently; events/s on event-driven points only)
 GATED_METRICS = ("events_per_s", "messages_per_s")
 #: cold (first-run) wall clock may grow to FACTOR x baseline + GRACE_S
 COLD_WALL_FACTOR = 2.0
@@ -68,7 +72,8 @@ def load_points(path: str) -> dict:
                  f"format written by benchmarks/sim_core.py")
     points = {}
     for i, p in enumerate(data["points"]):
-        missing = [k for k in ("name", "cold_wall_s", "route_legs")
+        missing = [k for k in ("name", "cold_wall_s", "route_legs",
+                               "events", "messages_delivered")
                    + GATED_METRICS if k not in p]
         if missing:
             sys.exit(f"error: {path}: points[{i}] is missing "
@@ -97,7 +102,16 @@ def main() -> int:
             print(f"{name:14s} MISSING from current run")
             failed.append(name)
             continue
+        event_driven = base["events"] >= base["messages_delivered"]
         for metric in GATED_METRICS:
+            if metric == "events_per_s" and not event_driven:
+                ok = cur["events"] <= base["events"]
+                print(f"{name:14s} {'events':14s} {cur['events']:12d} "
+                      f"vs baseline {base['events']:12d} "
+                      f"{'ok' if ok else 'REGRESSED'}")
+                if not ok and name not in failed:
+                    failed.append(name)
+                continue
             floor = base[metric] * (1.0 - args.tolerance)
             ratio = (cur[metric] / base[metric]
                      if base[metric] else float("inf"))
@@ -131,8 +145,8 @@ def main() -> int:
     if failed:
         print(f"FAIL: throughput regressed beyond "
               f"{args.tolerance:.0%}, cold run slower than "
-              f"{COLD_WALL_FACTOR:g}x baseline, more route legs than "
-              f"baseline, or point missing on: "
+              f"{COLD_WALL_FACTOR:g}x baseline, more route legs or "
+              f"batch events than baseline, or point missing on: "
               f"{', '.join(failed)}",
               file=sys.stderr)
     if failed or extra:

@@ -19,8 +19,12 @@ with :func:`make_network`; three ship in-tree:
   networks.
 * ``"array"`` (:mod:`arrayengine`) -- a **batched greedy-reservation
   model** over flat channel vectors and one heap entry per in-flight
-  message, processing admissions and deliveries at fixed-stride ticks
-  instead of one heap event per arbitration step.  Bit-identical to the packet engine when
+  message, draining admissions and deliveries in batch ticks instead
+  of one heap event per arbitration step.  Without per-packet delivery
+  callbacks it ticks only at the simulator's next other event, and the
+  watchdog, ``reset_stats`` and ``finalize`` catch it up first
+  (``NetworkModel._catch_up``); with callbacks ticks are at least
+  ``STRIDE_PS`` apart.  Bit-identical to the packet engine when
   uncontended, an order of magnitude faster at paper scale; declares
   the batch injection/delivery capabilities and declines the rest.
 

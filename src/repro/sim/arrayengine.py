@@ -13,9 +13,15 @@ packet-engine sweep.  This engine replaces the per-event heap with
   callback delivery ``(t, seq, kind, info, leg, injected)`` on the work
   heap, or a sink delivery ``(t_tail, seq, info, injected)`` on the
   pending heap, with ``info`` the message's immutable tuple;
-* the simulator heap carries only fixed-stride *batch ticks* (default
-  one per 4 simulated microseconds, ``STRIDE_PS``): each tick drains
-  every admission, ITB re-injection and delivery whose time has come.
+* the simulator heap carries only *batch ticks*, each draining every
+  admission, ITB re-injection and delivery whose time has come.  With
+  no per-packet delivery callback registered (the batch-sink path every
+  paper figure takes) the next tick is the engine's earliest own work
+  or the simulator's next event, whichever is later: nothing outside
+  the engine looks at its state in between.  With callbacks (or with
+  no other event pending: nothing then marks where the caller's
+  ``run_until`` ends) it is that work, but at least ``STRIDE_PS``
+  (4 simulated microseconds) later.
 
 **Timing model.**  A packet's whole leg is computed in closed form when
 it is walked: at each channel ``grant = max(arrival, busy_until)``, the
@@ -37,13 +43,16 @@ global ``(time, seq)`` order regardless of how tick boundaries chop it
 up -- a tick at ``T`` drains the primed schedule and the work heap up
 to ``T`` in time order, and anything a walk schedules lands strictly
 later than everything already drained.  Computed timestamps are
-therefore *stride-invariant* (pinned by a test), and the warm-up /
-end-of-run boundaries are exact: ``reset_stats`` and ``finalize`` run a
-catch-up drain before counters are read or zeroed.  Deliveries never
-touch channel state, so when no per-packet delivery callback is
-registered (the batch-sink path) they go on the pending heap instead
-of the work heap, popped into the sink at the end of each drain --
-every accumulator they feed is order-free.
+therefore independent of the drain cadence (pinned by tests over
+strides and over extra simulator events), and every observer sees
+exact state: ``reset_stats``, ``finalize`` and the watchdog's check run
+the catch-up drain (``_catch_up``) before counters are read or zeroed.
+Deliveries never touch channel state, so on the batch-sink path they
+stay off the work heap: one due by the end of the drain that walks it
+goes straight into the sink's cohort lists, a later one (or one of a
+``send()``, whose ``Packet`` is stamped by ``_complete``) waits on the
+pending heap for the drain that reaches it -- every accumulator they
+feed is order-free.
 
 There is one kernel, the loop in ``_drain``: each iteration admits one
 primed-schedule message or pops one work entry, and walks that leg
@@ -87,8 +96,10 @@ class ArrayNetwork(NetworkModel):
 
     CAPABILITIES = frozenset({CAP_BATCH_INJECT, CAP_BATCH_DELIVERY})
 
-    #: simulated time between batch ticks; results are stride-invariant,
-    #: the stride only trades heap events against per-tick batch size
+    #: least simulated time between batch ticks while delivery
+    #: callbacks are registered (they fire at drain time); results are
+    #: stride-invariant, the stride only trades heap events against
+    #: per-tick batch size
     STRIDE_PS = 4_000_000
 
     # -- construction ------------------------------------------------------
@@ -144,10 +155,10 @@ class ArrayNetwork(NetworkModel):
         # catch-up drain: every admission / delivery at or before *now*
         # is accounted to the old window before the counters are zeroed,
         # making the warm-up boundary exact despite batching
-        self._drain(self.sim.now)
+        self._catch_up()
         self._flits = [0] * self._n_chan
 
-    def finalize(self) -> None:
+    def _catch_up(self) -> None:
         self._drain(self.sim.now)
 
     def link_flit_counts(self) -> List[LinkChannelStats]:
@@ -218,7 +229,16 @@ class ArrayNetwork(NetworkModel):
         if not cands:
             self._next_tick_at = None
             return
-        t = max(min(cands), now + self.STRIDE_PS)
+        t = min(cands)
+        nxt = self.sim.peek_time()
+        if self._delivery_callbacks or nxt is None:
+            # callbacks fire at drain time: the stride bounds how late;
+            # with no other event the run's end is unknown
+            t = max(t, now + self.STRIDE_PS)
+        elif nxt > t:
+            # batch sink: nothing outside the engine can look at its
+            # state before the simulator's next event
+            t = nxt
         self._next_tick_at = t
         self.sim.at(t, self._tick)
 
@@ -226,7 +246,8 @@ class ArrayNetwork(NetworkModel):
         """Admit, walk and deliver everything with ``t <= T``: the one
         kernel.  Channel-mutating work runs in global (time, seq) order
         (a schedule entry and a work entry at the same instant: work
-        first); sink deliveries are popped into the sink at the end."""
+        first); a batch-sink delivery due by ``T`` is recorded as its
+        walk ends, and the pending ones due by ``T`` at the end."""
         sched_t, srcs, dsts = self._sched_t, self._sched_src, self._sched_dst
         n = len(sched_t)
         i = self._sched_i
@@ -244,10 +265,16 @@ class ArrayNetwork(NetworkModel):
         nbytes, graph = self.message_bytes, self.graph
         callbacks = self._delivery_callbacks
         complete = self._complete
-        # admission counters live in locals and are written back before
-        # anything outside this loop (a delivery callback, which may
-        # audit or send()) can read them
-        pid, seq = self._next_pid, self._seq
+        # batch sink: a primed message delivered by T goes straight into
+        # the cohort lists, without a pending-heap round trip
+        lat_a = self._sink_lat.append
+        net_a = self._sink_netlat.append
+        pay_a = self._sink_payload.append
+        itb_a = self._sink_itbs.append
+        # admission and delivery counters live in locals and are written
+        # back before anything outside this loop (a delivery callback,
+        # which may audit or send()) can read them
+        pid, seq, done = self._next_pid, self._seq, 0
         end = T + 1
         t_s = sched_t[i] if i < n else end
         try:
@@ -320,43 +347,46 @@ class ArrayNetwork(NetworkModel):
                 if not last_leg:
                     heappush(work, (g + rdlp + itb_delay, seq, _WALK, info,
                                     leg_idx + 1, injected))
-                elif callbacks:
-                    heappush(work, (g + rdlp + hold, seq, _DELIVER, info,
-                                    leg_idx, injected))
+                    seq += 1
+                    continue
+                t = g + rdlp + hold
+                if callbacks:
+                    heappush(work, (t, seq, _DELIVER, info, leg_idx,
+                                    injected))
+                elif t <= T and info[_PKT] is None:
+                    done += 1
+                    lat_a(t - info[_CREATED])
+                    net_a(t - injected)
+                    pay_a(info[_PAYLOAD])
+                    itb_a(len(route.itb_hosts))
                 else:
-                    heappush(pending, (g + rdlp + hold, seq, info, injected))
+                    # due after T, or a send() whose Packet needs
+                    # _complete's bookkeeping
+                    heappush(pending, (t, seq, info, injected))
                 seq += 1
         finally:
             self._sched_i = i
             self.generated += pid - self._next_pid
             self._next_pid, self._seq = pid, seq
+            self.delivered += done
+            self.delivered_since_check += done
         if pending and pending[0][0] <= T:
-            sink = self._delivery_sink
-            if not callbacks and sink is not None:
-                # bulk-complete straight into the sink buffers; entries
-                # carrying a real Packet (engine-level send()) still go
-                # through _complete for its materialisation bookkeeping
-                lat_a = self._sink_lat.append
-                net_a = self._sink_netlat.append
-                pay_a = self._sink_payload.append
-                itb_a = self._sink_itbs.append
-                done = 0
-                while pending and pending[0][0] <= T:
-                    t_tail, _, info, injected = heappop(pending)
-                    if info[_PKT] is not None:
-                        complete(info, injected, t_tail)
-                        continue
-                    done += 1
-                    lat_a(t_tail - info[_CREATED])
-                    net_a(t_tail - injected)
-                    pay_a(info[_PAYLOAD])
-                    itb_a(len(info[_ROUTE].itb_hosts))
-                self.delivered += done
-                self.delivered_since_check += done
-            else:
-                while pending and pending[0][0] <= T:
-                    t_tail, _, info, injected = heappop(pending)
-                    complete(info, injected, t_tail)
+            # the batch sink's deliveries due by T that went on the heap
+            # (an earlier drain's, or a send()'s: its Packet needs
+            # _complete's bookkeeping)
+            done = 0
+            while pending and pending[0][0] <= T:
+                t, _, info, injected = heappop(pending)
+                if info[_PKT] is not None or callbacks:
+                    complete(info, injected, t)
+                    continue
+                done += 1
+                lat_a(t - info[_CREATED])
+                net_a(t - injected)
+                pay_a(info[_PAYLOAD])
+                itb_a(len(info[_ROUTE].itb_hosts))
+            self.delivered += done
+            self.delivered_since_check += done
         self._flush_sink()
 
     # -- delivery ----------------------------------------------------------
@@ -380,11 +410,12 @@ class ArrayNetwork(NetworkModel):
             self._sink_itbs.append(len(info[_ROUTE].itb_hosts))
 
     def _flush_sink(self) -> None:
-        if self._delivery_sink is None or not self._sink_lat:
+        if not self._sink_lat:
             return
-        self._delivery_sink.record_batch(
-            self._sink_lat, self._sink_netlat, self._sink_payload,
-            self._sink_itbs, [0] * len(self._sink_lat))
+        if self._delivery_sink is not None:
+            self._delivery_sink.record_batch(
+                self._sink_lat, self._sink_netlat, self._sink_payload,
+                self._sink_itbs, [0] * len(self._sink_lat))
         self._sink_lat = []
         self._sink_netlat = []
         self._sink_payload = []

@@ -15,6 +15,9 @@ small contract for backends:
 * ``_inject(pkt)``        -- start leg 0 of a freshly created packet;
 * ``_reset_engine_stats`` -- zero engine-specific counters at the end
   of warm-up (the base resets nothing else);
+* ``_catch_up()``         -- optional: process batched work up to the
+  current sim time before an observer (the watchdog, :meth:`finalize`)
+  reads the counters;
 * ``link_flit_counts()``  -- per directed channel flit accounting;
 * ``_audit_engine`` / ``_audit_drained`` / ``_stall_snapshot`` -- the
   runtime invariant auditor's and the stall diagnoser's view of the
@@ -189,6 +192,11 @@ class NetworkModel(ABC):
     def _reset_engine_stats(self) -> None:
         """Zero engine-specific statistics (end of warm-up)."""
 
+    def _catch_up(self) -> None:
+        """Process work batched up to the current sim time, so that
+        counters read now are exact.  Default: the engine never defers
+        work (event-driven engines)."""
+
     def _close_engine(self) -> None:
         """Drop engine state that points back at this network (queued
         grant callbacks, child objects holding ``self``); see
@@ -254,6 +262,7 @@ class NetworkModel(ABC):
         purely event-driven engines).  The runner calls this after the
         final ``run_until`` so batch engines account every delivery with
         ``t <= now`` before the summary is read."""
+        self._catch_up()
 
     def close(self) -> None:
         """End of the run: break every reference cycle through this
@@ -367,6 +376,8 @@ class NetworkModel(ABC):
         a bare "no progress" message.
         """
         def check() -> None:
+            # a batch engine may not have drained up to this instant
+            self._catch_up()
             if self.in_flight > 0 and self.delivered_since_check == 0:
                 from .invariants import diagnose_stall
                 raise DeadlockError(

@@ -1,8 +1,12 @@
 """Array-engine unit suite: invariants the batch engine pins on its
 own, independent of the cross-engine parity tests.
 
-* **stride invariance** -- the tick stride chops the timeline but may
+* **stride invariance** -- the tick stride (callback path) and the
+  simulator's other events (batch-sink path) chop the timeline but may
   never change a computed timestamp;
+* **tick economy** -- a primed batch-sink run ticks only when something
+  outside the engine can look, and every such observer (the watchdog
+  too) catches the engine up first;
 * **batch inject == event-driven send** -- a primed schedule is just
   the ``send()`` stream without the per-message heap events (both on
   spaced traffic, same-instant bursts and a dense stream);
@@ -10,8 +14,9 @@ own, independent of the cross-engine parity tests.
   returning fabricated numbers;
 * **one tick chain** -- a ``send()`` that preempts the pending tick
   does not fork the chain;
-* **one heap entry per message** -- the auditor passes mid-drain, and
-  the batch sink and the callback path collect the same figures;
+* **one heap entry per message** -- the auditor passes mid-drain, the
+  batch sink and the callback path collect the same figures, and a
+  ``send()``'s packet is stamped on the batch-sink path too;
 * **schedule memoisation** -- the runner's cross-run schedule cache is
   observationally invisible, shared by every scheme of a sweep and
   bounded by the messages it holds.
@@ -23,8 +28,10 @@ import pytest
 
 from repro.config import PAPER_PARAMS, SimConfig
 from repro.experiments import runner
+from repro.experiments.profiles import PAPER
 from repro.experiments.runner import clear_caches, run_simulation
 from repro.experiments.sweep import sweep_rates
+from repro.metrics.collector import LatencyCollector
 from repro.routing.policies import make_policy
 from repro.routing import compute_tables
 from repro.sim import (ENGINES, PacketTracer, Simulator,
@@ -201,6 +208,102 @@ class TestStrideInvariance:
                 results.append(run_primed(graph, tables, sched, collect))
             for other in results[1:]:
                 assert other == results[0], name
+
+
+#: the LatencyCollector figures a batch sink feeds
+SINK_FIELDS = ("messages", "payload_flits", "sum_latency_ps",
+               "sum_network_latency_ps", "max_latency_ps", "sum_itbs")
+
+
+def run_sink(graph, tables, sched, noops=(), t_end=ns(20_000_000)):
+    """Prime ``sched`` into an array engine feeding a batch sink under
+    a watchdog, with a no-op simulator event at each time of ``noops``;
+    return the sink's figures, ``delivered``, the per-channel flit map
+    and the simulator's event count."""
+    sim = Simulator()
+    net = make_network("array", sim, graph, tables, make_policy("rr"), P)
+    col = LatencyCollector()
+    net.delivery_sink = col
+    net.install_watchdog(ns(1_000_000))
+    for t in noops:
+        sim.at(t, lambda: None)
+    net.prime_schedule(sched)
+    sim.run_until(t_end)
+    net.finalize()
+    links = {(c.src, c.dst, c.link_id): (c.flits, c.reserved_ps)
+             for c in net.link_flit_counts()}
+    return ({f: getattr(col, f) for f in SINK_FIELDS}, net.delivered,
+            links, sim.events)
+
+
+class FineCadence(Simulator):
+    """A simulator with a no-op event every 4 us: a batch-sink drain
+    never covers more than that."""
+
+    def __init__(self):
+        super().__init__()
+        self.after(ns(4_000), self._beat)
+
+    def _beat(self):
+        self.after(ns(4_000), self._beat)
+
+
+class TestDrainCadence:
+    def test_extra_simulator_events_change_nothing(self, graph, tables):
+        """The batch-sink path drains at the simulator's next event;
+        extra no-op events (some at schedule instants) only chop the
+        timeline more finely."""
+        rng = random.Random(3)
+        for name, (build, _) in SCHEDULES.items():
+            sched = build(graph)
+            span = sched[-1][0] + ns(100)
+            noops = sorted(rng.sample([t for t, _, _ in sched], 5)
+                           + [rng.randrange(span) for _ in range(40)])
+            plain = run_sink(graph, tables, sched)
+            chopped = run_sink(graph, tables, sched, noops)
+            assert chopped[:3] == plain[:3], name
+            assert plain[1] == len(sched), name
+            assert chopped[3] > plain[3], name
+
+    def test_a_primed_run_ticks_only_at_observers(self):
+        """A paper-scale 8x8 point: one tick at the first entry, one
+        behind each watchdog check -- never one per stride."""
+        cfg = SimConfig(engine="array", topology="torus",
+                        topology_kwargs={"rows": 8, "cols": 8},
+                        routing="itb", policy="rr", traffic="uniform",
+                        injection_rate=0.04, seed=1,
+                        warmup_ps=PAPER.warmup_ps,
+                        measure_ps=PAPER.measure_ps)
+        watchdog_ps = ns(1_240_000)     # the runner's default here
+        for measure_ps in (PAPER.measure_ps, ns(3_000_000)):
+            reports = []
+            summary = run_simulation(
+                cfg.with_overrides(measure_ps=measure_ps),
+                watchdog_ps=watchdog_ps, perf=reports.append)
+            assert summary.messages_delivered > 1000
+            checks = (cfg.warmup_ps + measure_ps) // watchdog_ps
+            ticks = reports[0].events - checks
+            assert ticks <= checks + 3, (measure_ps, reports[0].events)
+
+
+class TestWatchdogCatchUp:
+    def test_long_warmup_does_not_trip_the_watchdog(self, monkeypatch):
+        """A warm-up longer than the watchdog interval: the check runs
+        before the engine's tick at the same instant, so it must catch
+        the engine up first or it sees no delivery since the last
+        drain and raises a false DeadlockError."""
+        cfg = SimConfig(engine="array", topology="torus",
+                        topology_kwargs={"rows": 4, "cols": 4,
+                                         "hosts_per_switch": 2},
+                        routing="itb", policy="rr", traffic="uniform",
+                        injection_rate=0.02, seed=5,
+                        warmup_ps=ns(3_000_000), measure_ps=ns(200_000))
+        clear_caches()
+        coarse = run_simulation(cfg, check_invariants=True)
+        monkeypatch.setattr(runner, "Simulator", FineCadence)
+        fine = run_simulation(cfg, check_invariants=True)
+        assert coarse == fine
+        assert coarse.messages_delivered > 50
 
 
 class TestBatchInjectExactness:
@@ -426,9 +529,6 @@ class TestOneEntryPerMessage:
 
     def test_sink_and_callback_paths_collect_the_same(self, graph,
                                                       tables):
-        from repro.metrics.collector import LatencyCollector
-        fields = ("messages", "payload_flits", "sum_latency_ps",
-                  "sum_network_latency_ps", "max_latency_ps", "sum_itbs")
         for name in ("dense", "bursts"):
             sched = SCHEDULES[name][0](graph)
             seen = []
@@ -444,7 +544,7 @@ class TestOneEntryPerMessage:
                 net.prime_schedule(sched)
                 sim.run_until(10 ** 13)
                 net.finalize()
-                seen.append({f: getattr(col, f) for f in fields})
+                seen.append({f: getattr(col, f) for f in SINK_FIELDS})
             assert seen[0] == seen[1], name
             assert seen[0]["messages"] == len(sched), name
 
@@ -454,3 +554,29 @@ class TestOneEntryPerMessage:
             assert any(flits for flits, _ in links.values()), name
             for flits, reserved in links.values():
                 assert reserved == flits * P.flit_cycle_ps, name
+
+    def test_send_packets_are_stamped_on_the_sink_path(self, graph,
+                                                       tables):
+        """With a batch sink and no callbacks, a ``send()``'s packet
+        still gets its injection and delivery stamps, and the sink sees
+        each delivery once.  The bursts leave long drains, so re-injected
+        legs deliver inside the drain that walks them."""
+        sched = SCHEDULES["bursts"][0](graph)
+        sim = Simulator()
+        net = make_network("array", sim, graph, tables, make_policy("rr"),
+                           P)
+        col = LatencyCollector()
+        net.delivery_sink = col
+        pkts = []
+        for (t, s, d) in sched:
+            sim.at(t, lambda s=s, d=d: pkts.append(net.send(s, d)))
+        sim.run_until_idle()
+        net.finalize()
+        assert len(pkts) == net.delivered == col.messages == len(sched)
+        assert any(p.num_itbs for p in pkts)
+        for p in pkts:
+            assert p.created_ps <= p.injected_ps < p.delivered_ps, p.pid
+        assert col.sum_latency_ps == sum(p.delivered_ps - p.created_ps
+                                         for p in pkts)
+        assert col.sum_network_latency_ps == sum(
+            p.delivered_ps - p.injected_ps for p in pkts)

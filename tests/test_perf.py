@@ -114,17 +114,19 @@ class TestBenchRegressionGate:
 
     @staticmethod
     def _bench_file(path: Path, cold_wall_s: float = 1.0,
-                    route_legs: int = 100, **rates) -> Path:
+                    route_legs: int = 100, events: int = 1000,
+                    **rates) -> Path:
         """Synthetic bench JSON; a point's value is its events/s (its
         messages/s then scales with it) or an explicit
-        ``(events_per_s, messages_per_s)`` pair."""
+        ``(events_per_s, messages_per_s)`` pair.  Each point delivers
+        10 messages, so ``events`` below 10 makes it a batch point."""
         points = []
         for name, rate in rates.items():
             ev, msgs = rate if isinstance(rate, tuple) else (rate, rate / 5)
             points.append({"name": name, "engine": "packet",
                            "cold_wall_s": cold_wall_s,
                            "best_loop_wall_s": 0.5,
-                           "events": 1000, "events_per_s": ev,
+                           "events": events, "events_per_s": ev,
                            "messages_delivered": 10,
                            "messages_per_s": msgs,
                            "route_legs": route_legs})
@@ -194,6 +196,23 @@ class TestBenchRegressionGate:
         res = self._run(more, base)
         assert res.returncode == 1
         assert "route_legs" in res.stdout and "REGRESSED" in res.stdout
+
+    def test_batch_point_gates_its_event_count(self, tmp_path):
+        # fewer events than messages: events/s measures nothing (one
+        # drain covers many messages) and may collapse, but the exact
+        # event count may not grow -- a tick chain growing back
+        base = self._bench_file(tmp_path / "base.json", events=3,
+                                a=(100.0, 100.0))
+        fewer = self._bench_file(tmp_path / "fewer.json", events=1,
+                                 a=(1.0, 100.0))
+        res = self._run(fewer, base)
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "events_per_s" not in res.stdout
+        more = self._bench_file(tmp_path / "more.json", events=4,
+                                a=(100.0, 100.0))
+        res = self._run(more, base)
+        assert res.returncode == 1
+        assert "events" in res.stdout and "REGRESSED" in res.stdout
 
     def test_missing_point_fails(self, tmp_path):
         base = self._bench_file(tmp_path / "base.json", a=100.0, b=200.0)
