@@ -316,14 +316,9 @@ def _kwarg_line(kwargs) -> str:
 def cmd_traffic(_args: argparse.Namespace) -> int:
     print("destination patterns")
     for name, spec in PATTERNS.items():
-        caps = []
-        if spec.provides_arrivals:
-            caps.append("self-timed")
-        if spec.kwargs:
-            caps.append(_kwarg_line(spec.kwargs))
         print(f"  {name:12s} {spec.description}")
         print(f"  {'':12s} topologies: {spec.topology_note}"
-              + (f"; {'; '.join(caps)}" if caps else ""))
+              + (f"; {_kwarg_line(spec.kwargs)}" if spec.kwargs else ""))
     print("arrival processes")
     for name, spec in ARRIVALS.items():
         line = f"  {name:12s} {spec.description}"

@@ -157,8 +157,8 @@ class SimConfig:
     traffic: str = DEFAULT_PATTERN
     traffic_kwargs: Mapping[str, Any] = field(default_factory=dict)
     #: arrival process registered in :mod:`repro.traffic` (``"constant"``
-    #: is the paper's load model; ``"poisson"``, ``"onoff"``, ``"burst"``
-    #: and ``"adversarial"`` redistribute the same mean rate in time)
+    #: is the paper's load model; ``"poisson"``, ``"onoff"`` and
+    #: ``"adversarial"`` redistribute the same mean rate in time)
     arrival: str = DEFAULT_ARRIVAL
     arrival_kwargs: Mapping[str, Any] = field(default_factory=dict)
     injection_rate: float = 0.01

@@ -14,13 +14,10 @@ Destination patterns (Section 4.2 + extensions):
 * ``hotspot`` -- a fixed share of all messages target one host;
 * ``local`` -- destinations at most ``radius`` switches away;
 * ``transpose`` / ``complement`` -- companion permutations;
-* ``all-to-all`` / ``allreduce`` / ``incast`` -- collective exchanges
-  (:mod:`repro.traffic.collective`);
-* ``trace`` -- CSV replay carrying its own timing
-  (:mod:`repro.traffic.trace`).
+* ``incast`` -- many-to-one (:mod:`repro.traffic.collective`).
 
 Arrival processes (:mod:`repro.traffic.arrivals`): ``constant`` (the
-paper's load model), ``poisson``, ``onoff``, ``burst`` and the
+paper's load model), ``poisson``, ``onoff`` and the
 (r, b)-``adversarial`` injector.  All preserve the configured mean
 rate.
 
@@ -40,14 +37,13 @@ from .registry import (ARRIVALS, DEFAULT_ARRIVAL, DEFAULT_PATTERN, PATTERNS,
                        make_pattern, make_workload, parse_workload,
                        validate_workload, workload_label)
 from .arrivals import (AdversarialArrivals, ConstantArrivals, OnOffArrivals,
-                       PoissonArrivals, PoissonBurstArrivals)
+                       PoissonArrivals)
 from .uniform import UniformTraffic
 from .bitreversal import BitReversalTraffic
 from .hotspot import HotspotTraffic
 from .local import LocalTraffic
 from .permutation import ComplementTraffic, TransposeTraffic
-from .collective import AllReduceTraffic, AllToAllTraffic, IncastTraffic
-from .trace import TraceReplay, parse_trace_csv
+from .collective import IncastTraffic
 
 __all__ = [
     "ArrivalProcess",
@@ -72,15 +68,10 @@ __all__ = [
     "LocalTraffic",
     "TransposeTraffic",
     "ComplementTraffic",
-    "AllToAllTraffic",
-    "AllReduceTraffic",
     "IncastTraffic",
-    "TraceReplay",
-    "parse_trace_csv",
     "ConstantArrivals",
     "PoissonArrivals",
     "OnOffArrivals",
-    "PoissonBurstArrivals",
     "AdversarialArrivals",
     "PATTERNS",
     "ARRIVALS",

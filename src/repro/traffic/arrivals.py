@@ -15,12 +15,6 @@ burstiness responding to the network, never a hidden rate change.
 * :class:`OnOffArrivals` -- bursty ON/OFF source (the RPF-simulation
   idiom): geometric trains of back-to-back-at-peak-rate messages
   separated by exponential silences, duty cycle ``duty``;
-* :class:`PoissonBurstArrivals` -- burst *events* arrive as a Poisson
-  process, each carrying a geometric number of messages;
-* :class:`ParetoOnOffArrivals` -- ON/OFF with *Pareto* (heavy-tailed)
-  silences: aggregating many such sources yields self-similar traffic
-  (the Willinger/Taqqu construction), the load shape under which
-  Markovian buffering intuition fails worst;
 * :class:`AdversarialArrivals` -- an (r, b)-adversary in the sense of
   "Source Routing and Scheduling in Packet Networks" (arXiv
   cs/0203030): every host accumulates ``burst`` tokens and dumps them
@@ -39,7 +33,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from .base import ArrivalProcess
 
@@ -64,7 +58,7 @@ class ConstantArrivals(ArrivalProcess):
         self._phased: set = set()
 
     def next_fire_ps(self, host: int, now_ps: int,
-                     rng: random.Random) -> Optional[int]:
+                     rng: random.Random) -> int:
         if host not in self._phased:
             self._phased.add(host)
             return now_ps + rng.randrange(self.interval_ps)
@@ -90,7 +84,7 @@ class PoissonArrivals(ArrivalProcess):
         self.interval_ps = _positive_interval(interval_ps)
 
     def next_fire_ps(self, host: int, now_ps: int,
-                     rng: random.Random) -> Optional[int]:
+                     rng: random.Random) -> int:
         return now_ps + max(1, round(rng.expovariate(1.0 / self.interval_ps)))
 
 
@@ -120,15 +114,8 @@ class OnOffArrivals(ArrivalProcess):
         #: messages still to fire in the current ON train, per host
         self._remaining: Dict[int, int] = {}
 
-    def _off_gap_ps(self, drawn_burst: int, rng: random.Random) -> int:
-        # one cycle must average drawn_burst * interval; the ON part
-        # spends (drawn_burst - 1) peak intervals
-        mean_off = (drawn_burst * self.interval_ps
-                    - (drawn_burst - 1) * self.peak_interval_ps)
-        return max(1, round(rng.expovariate(1.0 / max(1, mean_off))))
-
     def next_fire_ps(self, host: int, now_ps: int,
-                     rng: random.Random) -> Optional[int]:
+                     rng: random.Random) -> int:
         remaining = self._remaining.get(host, 0)
         if remaining > 0:
             self._remaining[host] = remaining - 1
@@ -137,85 +124,11 @@ class OnOffArrivals(ArrivalProcess):
         # returned time is the train's first
         drawn = 1 + _geometric(self.burst - 1, rng)
         self._remaining[host] = drawn - 1
-        return now_ps + self._off_gap_ps(drawn, rng)
-
-
-class ParetoOnOffArrivals(OnOffArrivals):
-    """ON/OFF source whose silences are Pareto (heavy-tailed).
-
-    Identical to :class:`OnOffArrivals` -- geometric ON trains at the
-    peak interval, OFF gaps whose *mean* keeps one cycle averaging
-    ``burst * interval`` -- except the OFF gap is drawn from a Pareto
-    distribution with shape ``alpha`` in (1, 2].  With infinite
-    variance (alpha <= 2) the superposition of many such sources is
-    asymptotically self-similar (Willinger et al., the ON/OFF
-    construction of long-range-dependent traffic): load arrives in
-    correlated waves at *every* timescale instead of smoothing out,
-    which is exactly the regime where Poisson-calibrated buffer and
-    ITB-pool sizing is most optimistic.  The long-run mean rate is
-    still the configured one -- only the gap distribution's tail
-    changes.
-    """
-
-    name = "pareto-onoff"
-
-    def __init__(self, interval_ps: int, duty: float = 0.25,
-                 burst: int = 8, alpha: float = 1.5) -> None:
-        super().__init__(interval_ps, duty=duty, burst=burst)
-        if not (1.0 < alpha <= 2.0):
-            raise ValueError("pareto shape alpha must be in (1, 2]: "
-                             "alpha <= 1 has no mean (the rate would "
-                             "drift), alpha > 2 has finite variance "
-                             "(no self-similarity)")
-        self.alpha = alpha
-
-    def _off_gap_ps(self, drawn_burst: int, rng: random.Random) -> int:
-        # same mean as the exponential parent, heavy-tailed shape:
-        # Pareto(xm, alpha) has mean xm * alpha / (alpha - 1)
-        mean_off = max(1, drawn_burst * self.interval_ps
-                       - (drawn_burst - 1) * self.peak_interval_ps)
-        xm = mean_off * (self.alpha - 1.0) / self.alpha
-        # flooring u costs ~3e-4 of the mean at alpha=1.5 and keeps a
-        # single draw from swallowing the whole measurement window
-        u = max(rng.random(), 1e-12)
-        gap = xm / u ** (1.0 / self.alpha)
-        return max(1, round(min(gap, 1e6 * mean_off)))
-
-
-class PoissonBurstArrivals(ArrivalProcess):
-    """Poisson burst *events*, each a geometric clump of messages.
-
-    Burst events arrive with mean spacing ``burst * interval`` and
-    carry on average ``burst`` messages fired back-to-back at
-    ``spacing_ps``, preserving the configured mean rate while
-    concentrating it into clumps -- the classic compound-Poisson
-    stressor for switch buffering.
-    """
-
-    name = "burst"
-
-    def __init__(self, interval_ps: int, burst: int = 8,
-                 spacing_ps: int = 100) -> None:
-        self.interval_ps = _positive_interval(interval_ps)
-        if burst < 1:
-            raise ValueError("mean burst size must be >= 1")
-        if spacing_ps < 1:
-            raise ValueError("intra-burst spacing must be >= 1 ps")
-        self.burst = burst
-        self.spacing_ps = spacing_ps
-        self._remaining: Dict[int, int] = {}
-
-    def next_fire_ps(self, host: int, now_ps: int,
-                     rng: random.Random) -> Optional[int]:
-        remaining = self._remaining.get(host, 0)
-        if remaining > 0:
-            self._remaining[host] = remaining - 1
-            return now_ps + self.spacing_ps
-        drawn = 1 + _geometric(self.burst - 1, rng)
-        self._remaining[host] = drawn - 1
-        mean_gap = max(1, drawn * self.interval_ps
-                       - (drawn - 1) * self.spacing_ps)
-        return now_ps + max(1, round(rng.expovariate(1.0 / mean_gap)))
+        # one cycle must average drawn * interval; the ON part spends
+        # (drawn - 1) peak intervals
+        mean_off = (drawn * self.interval_ps
+                    - (drawn - 1) * self.peak_interval_ps)
+        return now_ps + max(1, round(rng.expovariate(1.0 / max(1, mean_off))))
 
 
 class AdversarialArrivals(ArrivalProcess):
@@ -251,7 +164,7 @@ class AdversarialArrivals(ArrivalProcess):
         self._remaining: Dict[int, int] = {}
 
     def next_fire_ps(self, host: int, now_ps: int,
-                     rng: random.Random) -> Optional[int]:
+                     rng: random.Random) -> int:
         remaining = self._remaining.get(host)
         if remaining is None:
             # first volley fires immediately and phase-aligned on every
@@ -303,32 +216,6 @@ def _register() -> None:
                 Kwarg("burst", int, 8, "mean messages per ON train")),
         label=lambda kw: (f"onoff(d={kw.get('duty', 0.25)},"
                           f"b={kw.get('burst', 8)})"),
-    ))
-    ARRIVALS.register(ArrivalSpec(
-        name="pareto-onoff",
-        description="self-similar ON/OFF source: geometric trains at "
-                    "peak rate separated by Pareto (heavy-tailed) "
-                    "silences",
-        build=ParetoOnOffArrivals,
-        kwargs=(Kwarg("duty", float, 0.25,
-                      "fraction of time the source is ON, in (0, 1]"),
-                Kwarg("burst", int, 8, "mean messages per ON train"),
-                Kwarg("alpha", float, 1.5,
-                      "Pareto tail shape in (1, 2]; lower = heavier "
-                      "tail")),
-        label=lambda kw: (f"pareto(d={kw.get('duty', 0.25)},"
-                          f"b={kw.get('burst', 8)},"
-                          f"a={kw.get('alpha', 1.5)})"),
-    ))
-    ARRIVALS.register(ArrivalSpec(
-        name="burst",
-        description="compound-Poisson bursts: burst events arrive "
-                    "Poisson, each a geometric clump of messages",
-        build=PoissonBurstArrivals,
-        kwargs=(Kwarg("burst", int, 8, "mean messages per burst"),
-                Kwarg("spacing_ps", int, 100,
-                      "intra-burst spacing in picoseconds")),
-        label=lambda kw: f"burst(b={kw.get('burst', 8)})",
     ))
     ARRIVALS.register(ArrivalSpec(
         name="adversarial",

@@ -4,10 +4,10 @@ The workload of one run is the composition of two orthogonal
 abstractions:
 
 * a :class:`TrafficPattern` (*destination pattern*) answers **where**
-  each message goes -- uniform, bit-reversal, hotspot, collectives ...;
+  each message goes -- uniform, bit-reversal, hotspot, incast ...;
 * an :class:`ArrivalProcess` answers **when** each host's next message
   fires -- constant spacing (the paper's load model), Poisson,
-  bursty ON/OFF, an (r, b)-adversary, or a replayed trace.
+  bursty ON/OFF or an (r, b)-adversary.
 
 Any pattern composes with any arrival process;
 :class:`TrafficProcess` drives the pair on the simulator.  Both sides
@@ -109,25 +109,23 @@ class TrafficPattern(ABC):
 class ArrivalProcess(ABC):
     """Per-host message timing for one run (the *when* axis).
 
-    Implementations may keep per-host state (burst counters, trace
-    cursors); a process instance belongs to exactly one
-    :class:`TrafficProcess` and is never reused across runs.  All
-    randomness must come from the ``rng`` argument -- the driver hands
-    every host its own deterministic arrival stream, disjoint from its
-    destination stream.
+    Implementations may keep per-host state (burst counters); a
+    process instance belongs to exactly one :class:`TrafficProcess` and
+    is never reused across runs.  All randomness must come from the
+    ``rng`` argument -- the driver hands every host its own
+    deterministic arrival stream, disjoint from its destination stream.
     """
 
     name: str = "abstract"
 
     @abstractmethod
     def next_fire_ps(self, host: int, now_ps: int,
-                     rng: random.Random) -> Optional[int]:
+                     rng: random.Random) -> int:
         """Absolute sim time (>= ``now_ps``) of ``host``'s next message.
 
         The first call per host is made at traffic start (it sets the
         host's initial phase); each later call is made at the moment
-        the previous message fired.  ``None`` means the host emits no
-        further messages (finite schedules, e.g. trace replay).
+        the previous message fired.
         """
 
     def fire_times(self, host: int, now_ps: int, t_end_ps: int,
@@ -142,16 +140,10 @@ class ArrivalProcess(ABC):
         that call draws nothing).
         """
         out: List[int] = []
-        t = self.next_fire_ps(host, now_ps, rng)
-        if t is None:
-            return out
-        cur = max(t, now_ps)
+        cur = max(self.next_fire_ps(host, now_ps, rng), now_ps)
         while cur <= t_end_ps:
             out.append(cur)
-            t = self.next_fire_ps(host, cur, rng)
-            if t is None:
-                break
-            cur = max(t, cur)
+            cur = max(self.next_fire_ps(host, cur, rng), cur)
         return out
 
 
@@ -251,9 +243,8 @@ class TrafficProcess:
             dest_rng = random.Random(f"{self.seed}:{host}")
             arr_rng = random.Random(f"{self.seed}:arrival:{host}")
             t = self.arrivals.next_fire_ps(host, self.sim.now, arr_rng)
-            if t is not None:
-                self.sim.at(max(t, self.sim.now), self._tick,
-                            host, dest_rng, arr_rng)
+            self.sim.at(max(t, self.sim.now), self._tick,
+                        host, dest_rng, arr_rng)
 
     def stop(self) -> None:
         """Cease generation; in-flight messages drain normally."""
@@ -348,6 +339,5 @@ class TrafficProcess:
             self.network.send(host, dst)
             self.generated += 1
         t = self.arrivals.next_fire_ps(host, self.sim.now, arr_rng)
-        if t is not None:
-            self.sim.at(max(t, self.sim.now), self._tick,
-                        host, dest_rng, arr_rng)
+        self.sim.at(max(t, self.sim.now), self._tick,
+                    host, dest_rng, arr_rng)

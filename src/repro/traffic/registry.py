@@ -33,9 +33,7 @@ A *workload* is a ``(pattern, arrival)`` pair.  Composite names of the
 form ``"<pattern>+<arrival>"`` (e.g. ``"uniform+onoff"``) name both
 axes at once; a bare pattern name implies the default constant-rate
 arrivals.  :func:`parse_workload` splits such specs and
-:func:`make_workload` builds the live pair.  Patterns that carry their
-own timing (trace replay) declare ``provides_arrivals=True`` and must
-be paired with the default arrival name.
+:func:`make_workload` builds the live pair.
 """
 
 from __future__ import annotations
@@ -77,9 +75,6 @@ class PatternSpec:
     topology_note: str = "any network with >= 2 hosts"
     #: display label as a function of the resolved kwargs
     label: Optional[Callable[[Mapping[str, Any]], str]] = None
-    #: True when the pattern carries its own message timing (trace
-    #: replay) and must not be composed with a real arrival process
-    provides_arrivals: bool = False
 
 
 @dataclass(frozen=True)
@@ -105,18 +100,12 @@ def validate_workload(traffic: str, traffic_kwargs: Mapping[str, Any],
     """Graph-free validation of a workload description.
 
     Checks both names are registered, every kwarg is declared with the
-    right type, required kwargs are present, and self-timed patterns
-    are not composed with a real arrival process.  This is what
+    right type and required kwargs are present.  This is what
     :meth:`repro.config.SimConfig.validate` calls -- adding a pattern
     or process needs no config edits.
     """
     PATTERNS.check_kwargs(traffic, dict(traffic_kwargs))
     ARRIVALS.check_kwargs(arrival, dict(arrival_kwargs or {}))
-    if PATTERNS.get(traffic).provides_arrivals \
-            and arrival != DEFAULT_ARRIVAL:
-        raise ValueError(
-            f"pattern {traffic!r} carries its own message timing and "
-            f"cannot be composed with arrival process {arrival!r}")
 
 
 # -- construction ------------------------------------------------------------
@@ -147,20 +136,8 @@ def make_workload(graph: NetworkGraph, traffic: str,
                   arrival: str, arrival_kwargs: Mapping[str, Any],
                   interval_ps: int
                   ) -> Tuple[TrafficPattern, ArrivalProcess]:
-    """Build the live (pattern, arrival process) pair of one run.
-
-    Self-timed patterns (``provides_arrivals``) must implement
-    :class:`~repro.traffic.base.ArrivalProcess` themselves and are
-    returned as both halves of the pair.
-    """
-    validate_workload(traffic, traffic_kwargs, arrival, arrival_kwargs)
+    """Build the live (pattern, arrival process) pair of one run."""
     pattern = make_pattern(traffic, graph, **dict(traffic_kwargs))
-    if PATTERNS.get(traffic).provides_arrivals:
-        if not isinstance(pattern, ArrivalProcess):
-            raise TypeError(
-                f"pattern {traffic!r} declares provides_arrivals but "
-                f"does not implement ArrivalProcess")
-        return pattern, pattern
     return pattern, make_arrival(arrival, interval_ps,
                                  **dict(arrival_kwargs or {}))
 

@@ -6,9 +6,7 @@ must hold on *any* connected switch graph, not just the three evaluated
 topologies.
 """
 
-import os
 import random
-import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -285,11 +283,6 @@ def test_arbiter_no_starvation(data):
 
 # -- schedules: bulk pregeneration == scalar loop == event-driven path -------
 
-#: (pattern, kwargs) -- every registered pattern but ``trace`` (which
-#: carries its own timing and has its own test), plus the tree mode
-PATTERN_CASES = [(name, {}) for name in PATTERNS.names() if name != "trace"]
-PATTERN_CASES.append(("allreduce", {"mode": "tree"}))
-
 #: 4 and 16 hosts are powers of two and of four: every pattern is defined
 workload_graphs = st.builds(
     build_irregular,
@@ -354,18 +347,12 @@ def _scalar_triples(pattern, arrivals, seed, t_end):
     for host in pattern.active_hosts():
         dest_rng = random.Random(f"{seed}:{host}")
         arr_rng = random.Random(f"{seed}:arrival:{host}")
-        t = arrivals.next_fire_ps(host, 0, arr_rng)
-        if t is None:
-            continue
-        cur = max(t, 0)
+        cur = max(arrivals.next_fire_ps(host, 0, arr_rng), 0)
         while cur <= t_end:
             dst = pattern.destination(host, dest_rng)
             if dst is not None and dst != host:
                 out.append((cur, host, dst))
-            t = arrivals.next_fire_ps(host, cur, arr_rng)
-            if t is None:
-                break
-            cur = max(t, cur)
+            cur = max(arrivals.next_fire_ps(host, cur, arr_rng), cur)
     return sorted(out)
 
 
@@ -403,16 +390,13 @@ def _check_three_ways(build, seed, t_end):
 
 
 @pytest.mark.parametrize("arrival", ARRIVALS.names())
-@pytest.mark.parametrize("traffic,kwargs", PATTERN_CASES,
-                         ids=[f"{n}{'-tree' if kw else ''}"
-                              for n, kw in PATTERN_CASES])
+@pytest.mark.parametrize("traffic", PATTERNS.names())
 @given(workload_graphs, intervals, horizons, seeds)
 @FAST
-def test_schedule_equals_scalar_loop_and_event_path(traffic, kwargs, arrival,
-                                                    g, interval, t_end,
-                                                    seed):
+def test_schedule_equals_scalar_loop_and_event_path(traffic, arrival, g,
+                                                    interval, t_end, seed):
     def build():
-        return make_workload(g, traffic, kwargs, arrival, {}, interval)
+        return make_workload(g, traffic, {}, arrival, {}, interval)
     _check_three_ways(build, seed, t_end)
 
 
@@ -431,30 +415,3 @@ def test_schedule_skips_silent_and_self_addressed_draws(arrival, g, interval,
     triples = _check_three_ways(build, seed, t_end)
     assert all(s != d for _, s, d in triples)
     assert triples == sorted(triples)
-
-
-@given(any_graphs, st.data(), horizons)
-@FAST
-def test_schedule_of_a_finite_trace(g, data, t_end):
-    """Trace replay: finite per-host streams, hosts that never send,
-    self-addressed rows and same-instant rows of one host."""
-    n = g.num_hosts
-    rows = data.draw(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=2_500),   # ns
-                  st.integers(min_value=0, max_value=n - 1),
-                  st.integers(min_value=0, max_value=n - 1)),
-        min_size=1, max_size=40))
-    fd, path = tempfile.mkstemp(suffix=".csv")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.writelines(f"{t},{s},{d}\n" for t, s, d in rows)
-
-        def build():
-            return make_workload(g, "trace", {"path": path}, "constant",
-                                 {}, 100_000)
-        triples = _check_three_ways(build, 0, t_end)
-    finally:
-        os.unlink(path)
-    expected = sorted((t * 1_000, s, d) for t, s, d in rows
-                      if s != d and t * 1_000 <= t_end)
-    assert triples == expected

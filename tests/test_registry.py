@@ -110,14 +110,12 @@ AXES = {
         lambda: PatternSpec(NAME, DESCRIPTION, UniformTraffic),
         "traffic", ["traffic"], DESCRIPTION,
         frozenset({"uniform", "bit-reversal", "complement", "transpose",
-                   "hotspot", "local", "all-to-all", "allreduce",
-                   "incast", "trace"})),
+                   "hotspot", "local", "incast"})),
     "arrival": Axis(
         ARRIVALS,
         lambda: ArrivalSpec(NAME, DESCRIPTION, ConstantArrivals),
         "arrival", ["traffic"], DESCRIPTION,
-        frozenset({"constant", "poisson", "onoff", "pareto-onoff",
-                   "burst", "adversarial"})),
+        frozenset({"constant", "poisson", "onoff", "adversarial"})),
     "engine": Axis(
         ENGINES,
         lambda: _NullNetwork,

@@ -46,12 +46,6 @@ FIG7_RATES = (("torus", 0.004, 0.038),
               ("torus-express", 0.02, 0.15),
               ("cplant", 0.015, 0.12))
 
-#: rows replayed by the ``trace`` spec: a silent host (5 never sends), a
-#: self-addressed row, two rows of one host at the same instant
-TRACE_ROWS = ("time_ns,src,dst\n"
-              "0.0,3,12\n10.5,0,7\n10.5,0,9\n40.0,2,2\n"
-              "75.25,63,0\n90.0,3,1\n20000.0,1,4\n90000.0,4,6\n")
-
 #: kwargs that keep every non-default spec interesting on 64 hosts
 PATTERN_KWARGS = {"hotspot": {"hotspot": 5, "fraction": 0.2},
                   "incast": {"target": 9},
@@ -83,9 +77,6 @@ def cases():
         kwargs = tuple(sorted(PATTERN_KWARGS.get(pattern, {}).items()))
         out[f"small/{pattern}+constant"] = ("torus-4x4-h4", pattern, kwargs,
                                             "constant", 0.3, 3, t_end)
-    out["small/allreduce-tree+constant"] = (
-        "torus-4x4-h4", "allreduce", (("mode", "tree"),), "constant",
-        0.3, 3, t_end)
     for arrival in ARRIVALS.names():
         if arrival == "constant":
             continue
@@ -94,14 +85,11 @@ def cases():
     return out
 
 
-def schedule_digest(case, trace_path) -> str:
+def schedule_digest(case) -> str:
     fabric, traffic, kwargs, arrival, rate, seed, t_end = case
     g = _graph(fabric)
-    kwargs = dict(kwargs)
-    if traffic == "trace":
-        kwargs["path"] = str(trace_path)
     interval = per_host_interval_ps(rate, MESSAGE_BYTES, g)
-    pattern, arrivals = make_workload(g, traffic, kwargs, arrival, {},
+    pattern, arrivals = make_workload(g, traffic, dict(kwargs), arrival, {},
                                       interval)
     # pregenerate never touches the network, only ``sim.now``
     schedule = TrafficProcess(Simulator(), None, pattern, arrivals,
@@ -159,10 +147,6 @@ GOLDEN = {
         '8789:06cc8e5b9e1a1cb59a124a754ec103e9d17d102af70ea4f0a6bbedc7233184cc',
     'cplant/uniform+constant/r0.12/s7/x4':
         '35156:e2c3e67a1e7af2671b638acece6267a5fc183f5c4d393f175230dcf2cfd6e824',
-    'small/all-to-all+constant':
-        '758:739a93fb249452cedcc3cca416b84dd9efb09a15e5b2c97318056e53067cb0ca',
-    'small/allreduce+constant':
-        '758:8096c3da5f9f07f3a97a93cddbadf352e05ef3bde75676d7b063b6a2dd00e727',
     'small/bit-reversal+constant':
         '663:ab09d0b79eb8709386bb1dce3d964df2c4cdbb1c7066d313e8eeb82e0bfe6d83',
     'small/complement+constant':
@@ -173,20 +157,12 @@ GOLDEN = {
         '746:5e217e800dbd0e2b61e7a7b38407eb97f1a43df31b0eb06c0bee90648c06acaa',
     'small/local+constant':
         '758:32fb6ec6cde3e72ff5aa59138d7fab15e3ab6ec511a5c32098e0179733160140',
-    'small/trace+constant':
-        '6:f4f232da4b53620727a9991b393da82b40e0489346e9af44f4d8c21e7a06c2be',
     'small/transpose+constant':
         '664:f845d0e343f1e3edf780d36691ffb778990df8b9f58a39444892b1ad82e3ef39',
-    'small/allreduce-tree+constant':
-        '758:dc68c2bd703022c582535607bef4140d65e3f1a3ac8c6317f037688d9f3a3392',
     'small/uniform+adversarial':
         '1024:3b105d4b983200d675dcaf3f53207f4c758f11d0561527404ce919ce107c3d44',
-    'small/uniform+burst':
-        '964:959a3bab7f53da741476951c97615d562bee5b661106821abf8460abe69fe920',
     'small/uniform+onoff':
         '778:8af8c94cda7b93c20977506d6724ad32354570215a1a186a9a4f26a53d71a301',
-    'small/uniform+pareto-onoff':
-        '613:035c9ae5f263c3997fee6587de6e3dc839b5577dbc83abe31b0fa21e4cbc5752',
     'small/uniform+poisson':
         '733:bd72e0e3d65d1d98a9ff443db6de28bd03a5237ed95a2b734bf011661adaaa95',
 }
@@ -195,16 +171,9 @@ GOLDEN = {
 CASES = cases()
 
 
-@pytest.fixture(scope="module")
-def trace_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("trace") / "trace.csv"
-    path.write_text(TRACE_ROWS)
-    return path
-
-
 @pytest.mark.parametrize("label", list(CASES))
-def test_schedule_digest(label, trace_path):
-    assert schedule_digest(CASES[label], trace_path) == GOLDEN[label]
+def test_schedule_digest(label):
+    assert schedule_digest(CASES[label]) == GOLDEN[label]
 
 
 def test_every_registered_spec_is_pinned():
@@ -212,14 +181,9 @@ def test_every_registered_spec_is_pinned():
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
-    import pathlib
     import pprint
     import sys
-    import tempfile
 
     if "--regen" in sys.argv:
-        with tempfile.TemporaryDirectory() as d:
-            path = pathlib.Path(d) / "trace.csv"
-            path.write_text(TRACE_ROWS)
-            pprint.pprint({k: schedule_digest(c, path)
-                           for k, c in CASES.items()}, sort_dicts=False)
+        pprint.pprint({k: schedule_digest(c) for k, c in CASES.items()},
+                      sort_dicts=False)

@@ -20,19 +20,16 @@ from repro.sim.network import WormholeNetwork
 from repro.topology import build_torus
 from repro.traffic import make_pattern
 from repro.traffic.arrivals import (AdversarialArrivals, ConstantArrivals,
-                                    OnOffArrivals, ParetoOnOffArrivals,
-                                    PoissonArrivals, PoissonBurstArrivals)
+                                    OnOffArrivals, PoissonArrivals)
 from repro.traffic.base import TrafficProcess, per_host_interval_ps
 from repro.traffic.bitreversal import BitReversalTraffic, reverse_bits
-from repro.traffic.collective import (AllReduceTraffic, AllToAllTraffic,
-                                      IncastTraffic)
+from repro.traffic.collective import IncastTraffic
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.local import LocalTraffic
 from repro.traffic.permutation import ComplementTraffic, TransposeTraffic
-from repro.traffic.registry import (ARRIVALS, PATTERNS, REQUIRED,
-                                    make_workload, parse_workload,
-                                    validate_workload, workload_label)
-from repro.traffic.trace import TraceReplay, parse_trace_csv
+from repro.traffic.registry import (ARRIVALS, PATTERNS, make_workload,
+                                    parse_workload, validate_workload,
+                                    workload_label)
 from repro.traffic.uniform import UniformTraffic
 from repro.units import PS_PER_NS
 
@@ -302,29 +299,6 @@ class RecordingNetwork:
         self.sent.append((self.sim.now, src, dst))
 
 
-@pytest.fixture
-def trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    path.write_text("time_ns,src,dst\n"
-                    "0,0,1\n"
-                    "100,1,2\n"
-                    "250,0,3\n"
-                    "400,2,0\n")
-    return str(path)
-
-
-def _required_kwargs(name, trace_csv):
-    """Minimal kwargs satisfying a pattern's REQUIRED declarations."""
-    kwargs = {}
-    for k in PATTERNS.get(name).kwargs:
-        if k.default is REQUIRED:
-            assert k.name == "path", (
-                f"update the test fixture: pattern {name} requires "
-                f"unknown kwarg {k.name}")
-            kwargs[k.name] = trace_csv
-    return kwargs
-
-
 def _drive(g, traffic, traffic_kwargs, arrival, seed=5,
            interval=300_000, horizon=20_000_000):
     """Run one workload on the recording network; return the sends."""
@@ -343,31 +317,21 @@ class TestEveryWorkload:
 
     @pytest.mark.parametrize("traffic", PATTERNS.names())
     @pytest.mark.parametrize("arrival", ARRIVALS.names())
-    def test_destinations_in_range_never_self(self, g, traffic, arrival,
-                                              trace_csv):
-        if PATTERNS.get(traffic).provides_arrivals \
-                and arrival != "constant":
-            with pytest.raises(ValueError):
-                validate_workload(traffic,
-                                  _required_kwargs(traffic, trace_csv),
-                                  arrival, {})
-            return
+    def test_destinations_in_range_never_self(self, g, traffic, arrival):
         if not PATTERNS.get(traffic).supports(g):
             return
-        sent = _drive(g, traffic, _required_kwargs(traffic, trace_csv),
-                      arrival)
+        sent = _drive(g, traffic, {}, arrival)
         assert sent, f"{traffic}+{arrival} generated nothing"
         for _, src, dst in sent:
             assert 0 <= dst < g.num_hosts
             assert dst != src
 
     @pytest.mark.parametrize("traffic", PATTERNS.names())
-    def test_deterministic_under_fixed_seed(self, g, traffic, trace_csv):
+    def test_deterministic_under_fixed_seed(self, g, traffic):
         if not PATTERNS.get(traffic).supports(g):
             return
-        kwargs = _required_kwargs(traffic, trace_csv)
-        a = _drive(g, traffic, kwargs, "constant", seed=9)
-        b = _drive(g, traffic, kwargs, "constant", seed=9)
+        a = _drive(g, traffic, {}, "constant", seed=9)
+        b = _drive(g, traffic, {}, "constant", seed=9)
         assert a == b
 
 
@@ -416,11 +380,8 @@ class TestArrivalProcesses:
         lambda i: ConstantArrivals(i),
         lambda i: PoissonArrivals(i),
         lambda i: OnOffArrivals(i, duty=0.25, burst=8),
-        lambda i: ParetoOnOffArrivals(i, duty=0.25, burst=8, alpha=1.5),
-        lambda i: PoissonBurstArrivals(i, burst=8, spacing_ps=100),
         lambda i: AdversarialArrivals(i, burst=16, spacing_ps=100),
-    ], ids=["constant", "poisson", "onoff", "pareto-onoff", "burst",
-            "adversarial"])
+    ], ids=["constant", "poisson", "onoff", "adversarial"])
     def test_mean_rate_preserved(self, factory):
         mean = self._mean_gap(factory(self.INTERVAL))
         assert mean == pytest.approx(self.INTERVAL, rel=0.03)
@@ -440,38 +401,6 @@ class TestArrivalProcesses:
         peak = sum(1 for gap in gaps if gap == proc.peak_interval_ps)
         assert peak / len(gaps) == pytest.approx((burst - 1) / burst,
                                                  abs=0.02)
-
-    def test_pareto_onoff_tail_is_heavy(self):
-        """The OFF gaps are power-law: silences beyond 20x the mean OFF
-        gap occur at a rate an exponential tail cannot produce.
-
-        With mean-8 trains at duty 0.25 the mean OFF gap is ~57 500 ps;
-        an exponential silence exceeds 20x that with probability e^-20
-        (never, in 50k draws), while Pareto(alpha=1.5) does so with
-        probability ~(3/40)^1.5 / ... -- comfortably often.  This is
-        the property that makes the aggregate self-similar.
-        """
-        duty, burst, alpha = 0.25, 8, 1.5
-        proc = ParetoOnOffArrivals(self.INTERVAL, duty=duty, burst=burst,
-                                   alpha=alpha)
-        peak = proc.peak_interval_ps
-        mean_off = burst * self.INTERVAL - (burst - 1) * peak
-        rng = random.Random(3)
-        now, off_gaps = 0, []
-        for _ in range(50_000):
-            t = proc.next_fire_ps(0, now, rng)
-            if t - now != peak:
-                off_gaps.append(t - now)
-            now = t
-        huge = sum(1 for gap in off_gaps if gap > 20 * mean_off)
-        assert huge >= 10          # exponential: P ~ e^-20 per draw
-        # and the same aggregate rate discipline as plain onoff: within-
-        # train gaps still run at the peak interval
-        assert (len(off_gaps) / 50_000
-                == pytest.approx(1 / burst, abs=0.02))
-
-    def test_pareto_onoff_registered(self):
-        assert "pareto-onoff" in ARRIVALS.names()
 
     def test_adversarial_rb_envelope(self):
         """Injections in any window [s, t] stay under r(t-s) + b."""
@@ -497,48 +426,13 @@ class TestArrivalProcesses:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             OnOffArrivals(self.INTERVAL, duty=0.0)
-        with pytest.raises(ValueError, match="alpha"):
-            ParetoOnOffArrivals(self.INTERVAL, alpha=1.0)
-        with pytest.raises(ValueError, match="alpha"):
-            ParetoOnOffArrivals(self.INTERVAL, alpha=2.5)
         with pytest.raises(ValueError):
             OnOffArrivals(self.INTERVAL, burst=0)
-        with pytest.raises(ValueError):
-            PoissonBurstArrivals(self.INTERVAL, spacing_ps=0)
         with pytest.raises(ValueError):
             ConstantArrivals(0)
 
 
 class TestCollectives:
-    def test_all_to_all_cycles_every_peer(self, g):
-        pat = AllToAllTraffic(g)
-        rng = random.Random(1)
-        n = g.num_hosts
-        dests = [pat.destination(4, rng) for _ in range(n - 1)]
-        assert sorted(dests) == sorted(h for h in range(n) if h != 4)
-        # the cycle repeats deterministically
-        assert [pat.destination(4, rng) for _ in range(n - 1)] == dests
-
-    def test_allreduce_ring_successor(self, g):
-        pat = AllReduceTraffic(g, mode="ring")
-        rng = random.Random(1)
-        for h in range(g.num_hosts):
-            assert pat.destination(h, rng) == (h + 1) % g.num_hosts
-
-    def test_allreduce_tree_talks_to_tree_neighbours(self, g):
-        pat = AllReduceTraffic(g, mode="tree")
-        rng = random.Random(1)
-        n = g.num_hosts
-        for h in range(n):
-            neighbours = {p for p in ((h - 1) // 2,) if h > 0}
-            neighbours |= {c for c in (2 * h + 1, 2 * h + 2) if c < n}
-            for _ in range(4):
-                assert pat.destination(h, rng) in neighbours
-
-    def test_allreduce_bad_mode(self, g):
-        with pytest.raises(ValueError):
-            AllReduceTraffic(g, mode="butterfly")
-
     def test_incast_all_roads_lead_to_target(self, g):
         pat = IncastTraffic(g, target=5)
         rng = random.Random(1)
@@ -549,43 +443,6 @@ class TestCollectives:
     def test_incast_bad_target(self, g):
         with pytest.raises(ValueError):
             IncastTraffic(g, target=g.num_hosts)
-
-
-class TestTraceReplay:
-    def test_parse_and_fidelity(self, g, trace_csv):
-        sent = _drive(g, "trace", {"path": trace_csv}, "constant")
-        # replayed exactly: time_ns * 1000 ps, same (src, dst) pairs
-        assert sorted(sent) == [(0, 0, 1), (100_000, 1, 2),
-                                (250_000, 0, 3), (400_000, 2, 0)]
-
-    def test_time_scale(self, g, trace_csv):
-        pat = TraceReplay(g, trace_csv, time_scale=2.0)
-        assert pat.total_messages == 4
-        sim = Simulator()
-        net = RecordingNetwork(sim)
-        proc = TrafficProcess(sim, net, pat, pat, seed=1)
-        proc.start()
-        sim.run_until(10_000_000)
-        assert sorted(net.sent) == [(0, 0, 1), (200_000, 1, 2),
-                                    (500_000, 0, 3), (800_000, 2, 0)]
-
-    def test_headerless_and_errors(self, g, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("0,0,1\n5,1,0\n")
-        assert len(parse_trace_csv(str(p))) == 2
-        p.write_text("")
-        with pytest.raises(ValueError):
-            parse_trace_csv(str(p))
-        p.write_text("-5,0,1\n")
-        with pytest.raises(ValueError):
-            parse_trace_csv(str(p))
-        p.write_text("0,0,999\n")
-        with pytest.raises(ValueError):
-            TraceReplay(g, str(p))
-
-    def test_rejects_composed_arrivals(self, g, trace_csv):
-        with pytest.raises(ValueError, match="own message timing"):
-            validate_workload("trace", {"path": trace_csv}, "poisson", {})
 
 
 class TestRegistryGating:
@@ -617,8 +474,6 @@ class TestRegistryGating:
             validate_workload("hotspot", {"hotspot": True})
         with pytest.raises(ValueError, match="wants float"):
             validate_workload("hotspot", {"fraction": "hot"})
-        with pytest.raises(ValueError, match="requires kwarg"):
-            validate_workload("trace", {})
         with pytest.raises(ValueError, match="unknown kwargs"):
             validate_workload("uniform", {}, "onoff", {"burstiness": 2})
 
@@ -666,12 +521,11 @@ class TestRegistryGating:
             PATTERNS.unregister("echo-test")
         assert "echo-test" not in PATTERNS.names()
 
-    def test_simconfig_round_trip_every_pattern(self, trace_csv):
+    def test_simconfig_round_trip_every_pattern(self):
         """Registry names survive SimConfig validate + dict round trip
         (what the orchestrator's content-addressed store keys on)."""
         for traffic in PATTERNS.names():
-            kwargs = _required_kwargs(traffic, trace_csv)
-            cfg = SimConfig(traffic=traffic, traffic_kwargs=kwargs)
+            cfg = SimConfig(traffic=traffic)
             cfg.validate()
             assert SimConfig.from_dict(cfg.to_dict()) == cfg
         for arrival in ARRIVALS.names():
