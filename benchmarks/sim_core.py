@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import tracemalloc
 
 from repro.config import SimConfig
 from repro.experiments.runner import clear_caches, get_tables, run_simulation
@@ -79,6 +80,19 @@ def route_legs(cfg: SimConfig) -> int:
                 for route in alts for leg in route.legs})
 
 
+def run_peak_kb(cfg: SimConfig) -> int:
+    """``tracemalloc`` peak, in kB, of one more run of ``cfg`` -- with
+    its tables and schedule already memoised, so this is what the run
+    itself allocates: the network, its arbitration state, the packets
+    in flight and the metrics."""
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        return tracemalloc.get_traced_memory()[1] // 1024
+    finally:
+        tracemalloc.stop()
+
+
 def bench_sim_core(repeats: int = 3) -> dict:
     """Time the benchmark matrix; best-of-``repeats`` per point.
 
@@ -86,9 +100,10 @@ def bench_sim_core(repeats: int = 3) -> dict:
     ``cold_wall_s`` includes graph + routing-table construction -- the
     cost every fresh worker process pays.  ``events_per_s`` comes from
     the best repeat's event-loop wall clock, the steady-state figure the
-    CI regression gate watches.  ``route_legs`` (:func:`route_legs`) is
-    counted after the timed repeats, so looking every pair up does not
-    warm them.
+    CI regression gate watches.  ``run_peak_kb`` (:func:`run_peak_kb`)
+    and ``route_legs`` (:func:`route_legs`) are measured after the timed
+    repeats, so neither tracing nor looking every pair up slows or
+    warms them.
     """
     points = []
     for name, kw in BENCH_CORE_CONFIGS:
@@ -108,6 +123,7 @@ def bench_sim_core(repeats: int = 3) -> dict:
             "events_per_s": round(best.events_per_s, 1),
             "messages_delivered": best.messages_delivered,
             "messages_per_s": round(best.messages_per_s, 1),
+            "run_peak_kb": run_peak_kb(cfg),
             "route_legs": route_legs(cfg),
         })
     return {"schema": 1, "repeats": repeats, "points": points}
@@ -118,12 +134,13 @@ def render_bench_core(data: dict) -> str:
              "includes table build):",
              f"  {'point':14s} {'engine':8s} {'cold [s]':>9s} "
              f"{'loop [s]':>9s} {'events':>8s} {'events/s':>10s} "
-             f"{'msgs/s':>8s} {'legs':>6s}"]
+             f"{'msgs/s':>8s} {'peak kB':>8s} {'legs':>6s}"]
     for p in data["points"]:
         lines.append(f"  {p['name']:14s} {p['engine']:8s} "
                      f"{p['cold_wall_s']:9.3f} {p['best_loop_wall_s']:9.3f} "
                      f"{p['events']:8d} {p['events_per_s']:10,.0f} "
-                     f"{p['messages_per_s']:8,.0f} {p['route_legs']:6d}")
+                     f"{p['messages_per_s']:8,.0f} {p['run_peak_kb']:8d} "
+                     f"{p['route_legs']:6d}")
     return "\n".join(lines)
 
 

@@ -29,7 +29,12 @@ committed baseline and exits non-zero when:
   looked-up routing table -- exceeds the baseline at all.  The count
   is deterministic, so it is gated exactly: a table that stops sharing
   the legs its pairs have in common shows up here before it shows up
-  as memory.
+  as memory;
+* any point's ``run_peak_kb`` -- the ``tracemalloc`` peak of one warm
+  run, tables and schedule memoised -- exceeds the baseline by more
+  than 25 %.  It is near-deterministic (same seed, same allocations),
+  so the bound only absorbs interpreter-version drift: per-key state
+  that grows with fabric size instead of contention shows up here.
 
 The throughput gate is deliberately loose: both axes are
 machine-dependent and CI runners are noisy, so only a large, consistent
@@ -54,6 +59,8 @@ GATED_METRICS = ("events_per_s", "messages_per_s")
 #: cold (first-run) wall clock may grow to FACTOR x baseline + GRACE_S
 COLD_WALL_FACTOR = 2.0
 COLD_WALL_GRACE_S = 0.05
+#: a warm run's traced peak may grow to FACTOR x baseline
+RUN_PEAK_FACTOR = 1.25
 
 
 def load_points(path: str) -> dict:
@@ -73,7 +80,8 @@ def load_points(path: str) -> dict:
     points = {}
     for i, p in enumerate(data["points"]):
         missing = [k for k in ("name", "cold_wall_s", "route_legs",
-                               "events", "messages_delivered")
+                               "run_peak_kb", "events",
+                               "messages_delivered")
                    + GATED_METRICS if k not in p]
         if missing:
             sys.exit(f"error: {path}: points[{i}] is missing "
@@ -136,6 +144,13 @@ def main() -> int:
               f"{'ok' if ok else 'REGRESSED'}")
         if not ok and name not in failed:
             failed.append(name)
+        ceiling = base["run_peak_kb"] * RUN_PEAK_FACTOR
+        ok = cur["run_peak_kb"] <= ceiling
+        print(f"{name:14s} {'run_peak_kb':14s} {cur['run_peak_kb']:12d} "
+              f"vs baseline {base['run_peak_kb']:12d} "
+              f"(ceiling {ceiling:,.0f}) {'ok' if ok else 'REGRESSED'}")
+        if not ok and name not in failed:
+            failed.append(name)
     extra = sorted(set(current) - set(baseline))
     if extra:
         print(f"FAIL: points not in baseline: {', '.join(extra)}; "
@@ -146,7 +161,8 @@ def main() -> int:
         print(f"FAIL: throughput regressed beyond "
               f"{args.tolerance:.0%}, cold run slower than "
               f"{COLD_WALL_FACTOR:g}x baseline, more route legs or "
-              f"batch events than baseline, or point missing on: "
+              f"batch events than baseline, run peak above "
+              f"{RUN_PEAK_FACTOR:g}x baseline, or point missing on: "
               f"{', '.join(failed)}",
               file=sys.stderr)
     if failed or extra:

@@ -10,12 +10,15 @@ time anyway.
 NIC injection channels use the same class with a single key, which
 degenerates to plain FIFO (the NIC serialises its own sends and
 re-injections in request order).
+
+A key joins the round-robin order on its first request, granted or
+not, but gets its FIFO (a plain list) only when one of its requests
+waits: arbitration state grows with contention, not with fabric size.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 GrantCallback = Callable[..., None]
 
@@ -27,8 +30,9 @@ class RoundRobinArbiter:
                  "_nwaiting", "owner")
 
     def __init__(self) -> None:
+        #: FIFOs of the keys that have ever had a request wait
         self._queues: Dict[
-            Hashable, Deque[Tuple[object, GrantCallback, tuple]]] = {}
+            Hashable, List[Tuple[object, GrantCallback, tuple]]] = {}
         self._order: List[Hashable] = []       # keys in first-seen order
         self._key_index: Dict[Hashable, int] = {}
         self._last_key: Optional[Hashable] = None  # key of the last grantee
@@ -47,10 +51,8 @@ class RoundRobinArbiter:
         """The queued (ungranted) tokens in key order, without mutating
         any queue -- the invariant auditor and the deadlock diagnoser
         read the wait-for graph through this."""
-        tokens: List[object] = []
-        for key in self._order:
-            tokens.extend(e[0] for e in self._queues[key])
-        return tokens
+        queues = self._queues
+        return [e[0] for key in self._order for e in queues.get(key, ())]
 
     def request(self, key: Hashable, token: object,
                 grant: GrantCallback, *args) -> bool:
@@ -62,14 +64,15 @@ class RoundRobinArbiter:
         context through ``args`` rather than a capturing closure --
         requests sit on the arbitration hot path.
         """
-        q = self._queues.get(key)
-        if q is None:
-            q = self._queues[key] = deque()
+        if key not in self._key_index:
             self._key_index[key] = len(self._order)
             self._order.append(key)
         if self.owner is None and self._nwaiting == 0:
             self._grant(key, token, grant, args)
             return True
+        q = self._queues.get(key)
+        if q is None:
+            q = self._queues[key] = []
         q.append((token, grant, args))
         self._nwaiting += 1
         return False
@@ -86,11 +89,9 @@ class RoundRobinArbiter:
         dynamic link faults use this to drain a dead channel's waiters
         before dropping its owner, so the release cannot grant the dead
         resource to a stale requester."""
-        tokens: List[object] = []
-        for key in self._order:
-            q = self._queues[key]
-            while q:
-                tokens.append(q.popleft()[0])
+        tokens = self.waiting_tokens()
+        for q in self._queues.values():
+            q.clear()
         self._nwaiting = 0
         return tokens
 
@@ -99,13 +100,10 @@ class RoundRobinArbiter:
         affected); returns how many were removed."""
         removed = 0
         for q in self._queues.values():
-            if not q:
-                continue
             kept = [e for e in q if e[0] is not token]
             if len(kept) != len(q):
                 removed += len(q) - len(kept)
-                q.clear()
-                q.extend(kept)
+                q[:] = kept
         self._nwaiting -= removed
         return removed
 
@@ -118,6 +116,7 @@ class RoundRobinArbiter:
         if self._nwaiting == 0:
             return
         order = self._order
+        queues = self._queues
         n = len(order)
         # scan round-robin starting just past the last grantee's key,
         # resolved against the *current* key set (keys may have joined
@@ -126,9 +125,9 @@ class RoundRobinArbiter:
                  if self._last_key is not None else 0)
         for i in range(n):
             key = order[(start + i) % n]
-            q = self._queues[key]
+            q = queues.get(key)
             if q:
-                nxt_token, nxt_grant, nxt_args = q.popleft()
+                nxt_token, nxt_grant, nxt_args = q.pop(0)
                 self._nwaiting -= 1
                 self._grant(key, nxt_token, nxt_grant, nxt_args)
                 return

@@ -112,3 +112,101 @@ def test_grant_after_idle_period():
     assert not arb.busy
     arb.request("a", "t1", lambda: got.append(1))
     assert got == [0, 1]
+
+
+# -- arbitration state is sized by contention --------------------------------
+# A key joins the round-robin order on its first request, granted or not,
+# but gets a FIFO only when one of its requests waits.  These pin that the
+# lazy FIFOs change no grant and no token order.
+
+def _fifo_keys(arb):
+    return [k for k in arb._order if k in arb._queues]
+
+
+def test_granted_key_keeps_its_first_seen_place():
+    """``a`` and ``b`` are granted at once and never queue; once ``c``,
+    ``d`` and then ``b`` and ``a`` queue, the scan still visits them in
+    first-seen order a, b, c, d from just past the last grantee."""
+    arb = RoundRobinArbiter()
+    got = []
+    for key in ("a", "b"):
+        arb.request(key, key, lambda k=key: got.append(k))
+        arb.release(key)
+    assert _fifo_keys(arb) == []
+    arb.request("c", "c0", lambda: got.append("c0"))    # granted
+    arb.request("d", "d0", lambda: got.append("d0"))
+    arb.request("b", "b1", lambda: got.append("b1"))
+    arb.request("a", "a1", lambda: got.append("a1"))
+    arb.request("c", "c1", lambda: got.append("c1"))
+    assert _fifo_keys(arb) == ["a", "b", "c", "d"]
+    while arb.busy:
+        arb.release(arb.owner)
+    # last grantee c -> d, then wrap to a, b, c
+    assert got == ["a", "b", "c0", "d0", "a1", "b1", "c1"]
+
+
+def _partly_queued():
+    """Keys k0..k5 in first-seen order; only k1, k3 and k4 hold a FIFO
+    (k4's FIFO was created before k1's and k3's)."""
+    arb = RoundRobinArbiter()
+    for i in range(6):
+        token = object()
+        arb.request(f"k{i}", token, lambda: None)
+        arb.release(token)
+    arb.request("k0", "own", lambda: None)
+    arb.request("k4", "x", lambda: None)
+    arb.request("k3", "y", lambda: None)
+    arb.request("k1", "x", lambda: None)
+    arb.request("k4", "z", lambda: None)
+    assert sorted(_fifo_keys(arb)) == ["k1", "k3", "k4"]
+    return arb
+
+
+def test_waiting_tokens_in_key_order_when_some_keys_have_no_fifo():
+    arb = _partly_queued()
+    assert arb.waiting_tokens() == ["x", "y", "x", "z"]
+    assert arb.waiting() == 4
+
+
+def test_cancel_waiting_in_key_order_when_some_keys_have_no_fifo():
+    arb = _partly_queued()
+    assert arb.cancel_waiting() == ["x", "y", "x", "z"]
+    assert arb.waiting() == 0 and arb.waiting_tokens() == []
+    assert arb.owner == "own"
+    arb.release("own")
+    assert not arb.busy
+
+
+def test_cancel_when_some_keys_have_no_fifo():
+    arb = _partly_queued()
+    assert arb.cancel("x") == 2
+    assert arb.cancel("absent") == 0
+    assert arb.waiting_tokens() == ["y", "z"]
+    assert arb.waiting() == 2
+    arb.release("own")
+    assert arb.owner == "y"          # k3 is next after k0
+    arb.release("y")
+    assert arb.owner == "z"
+    arb.release("z")
+    assert not arb.busy and arb.waiting() == 0
+
+
+def test_no_fifo_when_every_request_is_granted_at_once():
+    arb = RoundRobinArbiter()
+    for i in range(50):
+        key = i % 7
+        assert arb.request(key, i, lambda: None) is True
+        arb.release(i)
+    assert arb._queues == {}
+    assert arb._order == list(range(7))
+    assert arb.waiting_tokens() == [] and arb.cancel_waiting() == []
+
+
+def test_nic_source_queue_stays_fifo():
+    """Key 0 -- a NIC's injection channel -- queues a long source
+    backlog and grants it strictly in request order."""
+    arb = RoundRobinArbiter()
+    n = 1500
+    order = grants_of(arb, [(0, i) for i in range(n)])
+    assert order == list(range(n))
+    assert arb.waiting() == 0 and _fifo_keys(arb) == [0]

@@ -115,7 +115,7 @@ class TestBenchRegressionGate:
     @staticmethod
     def _bench_file(path: Path, cold_wall_s: float = 1.0,
                     route_legs: int = 100, events: int = 1000,
-                    **rates) -> Path:
+                    run_peak_kb: int = 1000, **rates) -> Path:
         """Synthetic bench JSON; a point's value is its events/s (its
         messages/s then scales with it) or an explicit
         ``(events_per_s, messages_per_s)`` pair.  Each point delivers
@@ -129,7 +129,8 @@ class TestBenchRegressionGate:
                            "events": events, "events_per_s": ev,
                            "messages_delivered": 10,
                            "messages_per_s": msgs,
-                           "route_legs": route_legs})
+                           "route_legs": route_legs,
+                           "run_peak_kb": run_peak_kb})
         path.write_text(json.dumps(
             {"schema": 1, "repeats": 1, "points": points}))
         return path
@@ -197,6 +198,19 @@ class TestBenchRegressionGate:
         assert res.returncode == 1
         assert "route_legs" in res.stdout and "REGRESSED" in res.stdout
 
+    def test_run_peak_beyond_a_quarter_fails(self, tmp_path):
+        # a warm run's traced peak: +25 % passes, more fails -- per-key
+        # arbitration state allocated up front grows it by half
+        base = self._bench_file(tmp_path / "base.json", a=100.0)
+        within = self._bench_file(tmp_path / "within.json",
+                                  run_peak_kb=1250, a=100.0)
+        assert self._run(within, base).returncode == 0
+        more = self._bench_file(tmp_path / "more.json", run_peak_kb=1251,
+                                a=100.0)
+        res = self._run(more, base)
+        assert res.returncode == 1
+        assert "run_peak_kb" in res.stdout and "REGRESSED" in res.stdout
+
     def test_batch_point_gates_its_event_count(self, tmp_path):
         # fewer events than messages: events/s measures nothing (one
         # drain covers many messages) and may collapse, but the exact
@@ -237,6 +251,7 @@ class TestBenchRegressionGate:
         assert all(p["events_per_s"] > 0 for p in data["points"])
         assert all(p["messages_per_s"] > 0 for p in data["points"])
         assert all(p["route_legs"] > 0 for p in data["points"])
+        assert all(p["run_peak_kb"] > 0 for p in data["points"])
         assert {"packet", "flit", "array"} == {p["engine"]
                                               for p in data["points"]}
 
