@@ -13,15 +13,16 @@ about a run is plain data.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Dict, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Mapping
 
+from .canon import PlainData
 from .traffic.defaults import DEFAULT_ARRIVAL, DEFAULT_PATTERN
 from .units import KB, ns
 
 
 @dataclass(frozen=True)
-class MyrinetParams:
+class MyrinetParams(PlainData):
     """Hardware timing/sizing constants of the simulated Myrinet network.
 
     All times are integer picoseconds (see :mod:`repro.units`), all sizes
@@ -62,19 +63,6 @@ class MyrinetParams:
         """Return a copy with the given fields replaced."""
         return replace(self, **kw)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-safe; all fields are ints)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MyrinetParams":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown MyrinetParams fields {sorted(unknown)}")
-        return cls(**dict(data))
-
     @property
     def header_type_bytes(self) -> int:
         """Bytes of packet-type information carried after the route flits."""
@@ -113,7 +101,7 @@ PAPER_PARAMS = MyrinetParams()
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(PlainData):
     """Full description of one simulation run.
 
     Every by-name field names an entry of a
@@ -227,50 +215,6 @@ class SimConfig:
         """Return a copy with the given fields replaced."""
         return replace(self, **kw)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form, JSON-safe; ``params`` is nested.
-
-        The round trip ``SimConfig.from_dict(cfg.to_dict()) == cfg``
-        holds exactly (all fields are ints, floats, strings or plain
-        containers), which is what lets the orchestrator's result store
-        key on, and faithfully reconstruct, run descriptions.
-        """
-        return {
-            "topology": self.topology,
-            "topology_kwargs": dict(self.topology_kwargs),
-            "routing": self.routing,
-            "policy": self.policy,
-            "traffic": self.traffic,
-            "traffic_kwargs": dict(self.traffic_kwargs),
-            "arrival": self.arrival,
-            "arrival_kwargs": dict(self.arrival_kwargs),
-            "injection_rate": self.injection_rate,
-            "message_bytes": self.message_bytes,
-            "params": self.params.to_dict(),
-            "seed": self.seed,
-            "warmup_ps": self.warmup_ps,
-            "measure_ps": self.measure_ps,
-            "max_messages": self.max_messages,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SimConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        d = dict(data)
-        params = d.pop("params", None)
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown SimConfig fields {sorted(unknown)}")
-        for name in ("topology_kwargs", "traffic_kwargs", "arrival_kwargs"):
-            if not isinstance(d.get(name, {}), Mapping):
-                raise ValueError(f"{name} must be a mapping, "
-                                 f"got {d[name]!r}")
-        if params is not None:
-            d["params"] = MyrinetParams.from_dict(params)
-        return cls(**d)
-
 
 #: the options of :func:`repro.experiments.runner.run_simulation` that
 #: are plain data: with a :class:`SimConfig` they describe a point in
@@ -285,7 +229,9 @@ RUN_OPTIONS = ("collect_links", "collect_percentiles", "check_invariants",
 
 def check_run_options(options: Any) -> None:
     """Raise :class:`ValueError` unless ``options`` is a mapping that
-    names only :data:`RUN_OPTIONS`."""
+    names only :data:`RUN_OPTIONS` and whose ``fault_plan``,
+    ``reliable`` and ``reconfig`` decode (``None``, a bool, a record
+    or its dict form)."""
     if not isinstance(options, Mapping):
         raise ValueError(f"run options must be a mapping, got {options!r}")
     refused = sorted(set(options) - set(RUN_OPTIONS), key=str)
@@ -294,3 +240,13 @@ def check_run_options(options: Any) -> None:
             f"not plain-data run options: {refused} (declared: "
             f"{', '.join(RUN_OPTIONS)}); tables=, perf= and profile_path= "
             "are in-process only -- call run_simulation() directly")
+    # imported lazily: repro.sim imports this module at load time
+    from .sim import FaultPlan, ReconfigParams, ReliableParams
+    for name, cls in (("fault_plan", FaultPlan), ("reliable", ReliableParams),
+                      ("reconfig", ReconfigParams)):
+        value = options.get(name)
+        if isinstance(value, Mapping):
+            cls.from_dict(value)
+        elif not isinstance(value, (bool, type(None), cls)):
+            raise ValueError(f"{name} must be a {cls.__name__} or its "
+                             f"dict form, got {value!r}")

@@ -31,9 +31,10 @@ scheme's headroom figure is optimistic for bursty tenants.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..canon import PlainData
 from ..config import SimConfig
 from ..traffic.base import per_host_interval_ps
 from .profiles import Profile
@@ -52,7 +53,7 @@ WARMUP_CYCLES = 2
 
 
 @dataclass(frozen=True)
-class StabilityCell:
+class StabilityCell(PlainData):
     """One (scheme, load fraction) probe under the adversary."""
 
     routing: str
@@ -72,8 +73,9 @@ class StabilityCell:
 
 
 @dataclass(frozen=True)
-class StabilityReport:
-    """Full adversarial-stability study for one topology."""
+class StabilityReport(PlainData):
+    """Full adversarial-stability study for one topology; its plain-data
+    form is ``repro experiment adversary --json``."""
 
     topology: str
     topology_label: str
@@ -86,19 +88,6 @@ class StabilityReport:
     #: per scheme label: last stable constant-arrivals rate
     stable_rate: Dict[str, float]
     cells: Tuple[StabilityCell, ...]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe artifact."""
-        return {
-            "topology": self.topology,
-            "topology_label": self.topology_label,
-            "seed": self.seed,
-            "burst": self.burst,
-            "fractions": list(self.fractions),
-            "saturation": dict(self.saturation),
-            "stable_rate": dict(self.stable_rate),
-            "cells": [asdict(c) for c in self.cells],
-        }
 
 
 def run_adversary_study(schemes: Sequence[Tuple[str, str]],

@@ -157,7 +157,7 @@ def _coerce(value: Any, cls: type) -> Any:
     if value is True:
         return cls()
     if isinstance(value, Mapping):
-        return cls.from_dict(dict(value))
+        return cls.from_dict(value)
     return value
 
 
@@ -285,8 +285,7 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
         network.install_watchdog(watchdog_ps)
 
         if fault_plan is not None:
-            if isinstance(fault_plan, Mapping):
-                fault_plan = FaultPlan.from_dict(fault_plan)
+            fault_plan = _coerce(fault_plan, FaultPlan)
             network.install_fault_plan(fault_plan)
 
         tracker = None

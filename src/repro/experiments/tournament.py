@@ -28,9 +28,10 @@ registered at the foot of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..canon import PlainData
 from ..config import SimConfig
 from ..metrics.saturation import knee_from_runs
 from ..registry import Kwarg, comma_list
@@ -49,7 +50,7 @@ KNEE_THRESHOLD = 2.0
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(PlainData):
     """One tournament column: a topology builder plus its arguments."""
 
     name: str
@@ -58,7 +59,7 @@ class TopologySpec:
 
 
 @dataclass(frozen=True)
-class SchemeEntry:
+class SchemeEntry(PlainData):
     """One tournament row: a scheme with its path-selection policy."""
 
     routing: str
@@ -67,7 +68,7 @@ class SchemeEntry:
 
 
 @dataclass(frozen=True)
-class TournamentCell:
+class TournamentCell(PlainData):
     """One (scheme, topology, pattern) measurement."""
 
     routing: str
@@ -98,8 +99,9 @@ class TournamentCell:
 
 
 @dataclass(frozen=True)
-class TournamentReport:
-    """Full tournament outcome: the cross product of the three axes."""
+class TournamentReport(PlainData):
+    """Full tournament outcome: the cross product of the three axes;
+    its plain-data form is ``repro experiment tournament --json``."""
 
     schemes: Tuple[SchemeEntry, ...]
     topologies: Tuple[TopologySpec, ...]
@@ -117,17 +119,6 @@ class TournamentReport:
                                                     pattern):
                 return c
         raise KeyError((label, topology, pattern))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe artifact (``repro experiment tournament --json``)."""
-        return {
-            "schemes": [asdict(s) for s in self.schemes],
-            "topologies": [asdict(t) for t in self.topologies],
-            "patterns": list(self.patterns),
-            "seed": self.seed,
-            "failures": self.failures,
-            "cells": [asdict(c) for c in self.cells],
-        }
 
 
 def default_entries(schemes: Optional[Sequence[str]] = None

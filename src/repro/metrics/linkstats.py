@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from math import fsum
 from typing import List
 
+from ..canon import PlainData
 from ..config import MyrinetParams
 from ..sim.base import NetworkModel
 
 
 @dataclass(frozen=True)
-class LinkUtilization:
+class LinkUtilization(PlainData):
     """Utilisation snapshot over one measurement window."""
 
     window_ps: int
@@ -62,27 +63,6 @@ class LinkUtilization:
         u = self.utilization
         order = sorted(range(len(u)), key=lambda i: (-u[i], i))[:k]
         return [(u[i], *self.channel_ends[i]) for i in order]
-
-    def to_dict(self) -> dict:
-        """JSON-safe form (arrays become lists)."""
-        return {
-            "window_ps": self.window_ps,
-            "channel_ends": [list(e) for e in self.channel_ends],
-            "utilization": self.utilization.tolist(),
-            "reserved": self.reserved.tolist(),
-            "per_link": self.per_link.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LinkUtilization":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            window_ps=data["window_ps"],
-            channel_ends=[tuple(e) for e in data["channel_ends"]],
-            utilization=array("d", data["utilization"]),
-            reserved=array("d", data["reserved"]),
-            per_link=array("d", data["per_link"]),
-        )
 
 
 def collect_link_stats(network: NetworkModel, window_ps: int,

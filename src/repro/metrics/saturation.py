@@ -21,8 +21,9 @@ exercise it with synthetic response curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
+from ..canon import PlainData
 from .summary import RunSummary
 
 RunAt = Callable[[float], RunSummary]
@@ -119,8 +120,10 @@ def knee_throughput(runs: Sequence[RunSummary]) -> float:
 
 
 @dataclass(frozen=True)
-class SaturationResult:
-    """Outcome of a saturation search."""
+class SaturationResult(PlainData):
+    """Outcome of a saturation search (the ``saturation`` task kind's
+    result; the ``inf`` / ``nan`` rates travel as Python's JSON spells
+    them)."""
 
     #: highest accepted traffic observed (flits/ns/switch) -- the
     #: paper's "throughput"
@@ -138,22 +141,6 @@ class SaturationResult:
     #: ``max_rate``, or the downward ramp exhausted ``max_down_steps``
     #: with every probe saturated)
     converged: bool = True
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form (the ``saturation`` task kind's result); the
-        ``inf`` / ``nan`` rates travel as Python's JSON spells them."""
-        return {"throughput": self.throughput,
-                "last_stable_rate": self.last_stable_rate,
-                "first_saturated_rate": self.first_saturated_rate,
-                "runs": [r.to_dict() for r in self.runs],
-                "converged": self.converged}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SaturationResult":
-        """Inverse of :meth:`to_dict`."""
-        d = dict(data)
-        d["runs"] = [RunSummary.from_dict(r) for r in d["runs"]]
-        return cls(**d)
 
 
 def find_saturation(run_at: RunAt, start_rate: float,

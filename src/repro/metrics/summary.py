@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
+from ..canon import PlainData
 from ..config import SimConfig
 from .linkstats import LinkUtilization
 
 
 @dataclass(frozen=True)
-class RunSummary:
+class RunSummary(PlainData):
     """Everything the experiment harness needs from a finished run.
 
     ``accepted_flits_ns_switch`` is the paper's x-axis unit;
@@ -18,7 +19,8 @@ class RunSummary:
     *saturated* when accepted traffic falls measurably short of offered
     traffic -- the generation backlog grows without bound there, so
     latency figures at saturated points are window-dependent and only
-    the throughput is meaningful.
+    the throughput is meaningful.  Its :class:`~repro.canon.PlainData`
+    form is the result store's record.
     """
 
     config: SimConfig
@@ -93,57 +95,6 @@ class RunSummary:
         # count is too small for the 3-sigma test to see it
         return (self.avg_latency_ns is not None
                 and self.avg_latency_ns * 1_000 > self.config.measure_ps / 4)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form; ``config`` and ``link_utilization`` nest.
-
-        Floats survive a JSON round trip bit-exactly (Python's encoder
-        is repr-based), so a summary read back from the orchestrator's
-        result store compares equal to the freshly-computed one -- the
-        store is a faithful results-artifact format, not an
-        approximation.
-        """
-        return {
-            "config": self.config.to_dict(),
-            "offered_flits_ns_switch": self.offered_flits_ns_switch,
-            "accepted_flits_ns_switch": self.accepted_flits_ns_switch,
-            "messages_delivered": self.messages_delivered,
-            "messages_generated": self.messages_generated,
-            "avg_latency_ns": self.avg_latency_ns,
-            "avg_network_latency_ns": self.avg_network_latency_ns,
-            "max_latency_ns": self.max_latency_ns,
-            "avg_itbs_per_message": self.avg_itbs_per_message,
-            "itb_overflow_count": self.itb_overflow_count,
-            "itb_peak_bytes": self.itb_peak_bytes,
-            "link_utilization": (self.link_utilization.to_dict()
-                                 if self.link_utilization is not None
-                                 else None),
-            "backlog_growth": self.backlog_growth,
-            "messages_dropped": self.messages_dropped,
-            "dropped_in_flight": self.dropped_in_flight,
-            "dropped_unroutable": self.dropped_unroutable,
-            "retransmissions": self.retransmissions,
-            "duplicate_deliveries": self.duplicate_deliveries,
-            "permanent_losses": self.permanent_losses,
-            "recovered_messages": self.recovered_messages,
-            "reconfigurations": self.reconfigurations,
-            "time_to_recover_ns": self.time_to_recover_ns,
-            "p99_latency_ns": self.p99_latency_ns,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunSummary":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        d = dict(data)
-        d["config"] = SimConfig.from_dict(d["config"])
-        links = d.get("link_utilization")
-        d["link_utilization"] = (LinkUtilization.from_dict(links)
-                                 if links is not None else None)
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown RunSummary fields {sorted(unknown)}")
-        return cls(**d)
 
     def oneline(self) -> str:
         """Compact human-readable summary for reports and examples."""

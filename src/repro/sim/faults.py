@@ -29,11 +29,13 @@ like every other run parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
+
+from ..canon import PlainData
 
 
 @dataclass(frozen=True)
-class LinkFault:
+class LinkFault(PlainData):
     """One cable failing at one instant."""
 
     #: simulation time the cable dies, picoseconds
@@ -49,7 +51,7 @@ class LinkFault:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(PlainData):
     """A schedule of link failures, ordered by time."""
 
     faults: Tuple[LinkFault, ...]
@@ -87,15 +89,3 @@ class FaultPlan:
     def link_ids(self) -> Tuple[int, ...]:
         """All cables the plan kills, in failure order."""
         return tuple(f.link_id for f in self.faults)
-
-    def to_dict(self) -> dict:
-        return {"faults": [{"t_ps": f.t_ps, "link_id": f.link_id}
-                           for f in self.faults]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultPlan":
-        unknown = set(d) - {"faults"}
-        if unknown:
-            raise ValueError(f"unknown FaultPlan keys: {sorted(unknown)}")
-        return cls(tuple(LinkFault(f["t_ps"], f["link_id"])
-                         for f in d["faults"]))

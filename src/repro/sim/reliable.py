@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from ..canon import PlainData
 from ..routing.schemes import compute_tables
 from ..topology.mutate import without_links_mapped
 from ..units import ns
@@ -53,7 +54,7 @@ RECONFIG_POLICIES = ("reconfigure", "blacklist")
 
 
 @dataclass(frozen=True)
-class ReliableParams:
+class ReliableParams(PlainData):
     """Tuning of the retransmission protocol (all times picoseconds)."""
 
     #: base retransmission timeout for a message's first attempt
@@ -80,24 +81,9 @@ class ReliableParams:
         if self.ack_delay_ps < 0:
             raise ValueError("ack_delay_ps must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {"timeout_ps": self.timeout_ps, "backoff": self.backoff,
-                "max_attempts": self.max_attempts,
-                "failover_after": self.failover_after,
-                "ack_delay_ps": self.ack_delay_ps}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReliableParams":
-        unknown = set(d) - {"timeout_ps", "backoff", "max_attempts",
-                            "failover_after", "ack_delay_ps"}
-        if unknown:
-            raise ValueError(
-                f"unknown ReliableParams keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class ReconfigParams:
+class ReconfigParams(PlainData):
     """Tuning of the online reconfiguration policy."""
 
     #: how to react to a link death: ``"reconfigure"`` recomputes and
@@ -115,18 +101,6 @@ class ReconfigParams:
                 f"expected one of {RECONFIG_POLICIES}")
         if self.detection_latency_ps < 0:
             raise ValueError("detection_latency_ps must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {"policy": self.policy,
-                "detection_latency_ps": self.detection_latency_ps}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReconfigParams":
-        unknown = set(d) - {"policy", "detection_latency_ps"}
-        if unknown:
-            raise ValueError(
-                f"unknown ReconfigParams keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 class _Message:

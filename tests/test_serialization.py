@@ -4,21 +4,30 @@ The orchestrator's result store persists ``SimConfig`` and
 ``RunSummary`` as JSON; these tests pin the contract that a full
 ``to_dict -> json -> from_dict`` round trip is *exact* (Python's JSON
 float encoding is repr-based), so stored results compare equal to
-freshly computed ones.
+freshly computed ones.  Every record is a :class:`repro.canon.PlainData`;
+``TestRecordCodec`` round-trips each of them and pins the format a
+stored record has.
 """
 
 import json
+from array import array
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from repro.canon import canonical_json, digest, freeze
+from repro.canon import PlainData, canonical_json, digest, freeze
 from repro.config import MyrinetParams, SimConfig
+from repro.experiments.adversary import StabilityCell, StabilityReport
 from repro.experiments.runner import run_simulation
+from repro.experiments.tournament import (SchemeEntry, TopologySpec,
+                                          TournamentCell, TournamentReport)
+from repro.metrics.linkstats import LinkUtilization
+from repro.metrics.saturation import SaturationResult
 from repro.metrics.summary import RunSummary
 from repro.orchestrator import Executor, Point, ResultStore
 from repro.orchestrator.pool import POINT_TASK_FN
-from repro.sim import FaultPlan, ReconfigParams, ReliableParams
+from repro.sim import FaultPlan, LinkFault, ReconfigParams, ReliableParams
 from repro.units import ns
 from tests.conftest import small_config
 
@@ -162,3 +171,215 @@ class TestFaultPlanThroughStore:
         without = Point(point_id="b", config=cfg)
         assert store.key(fn, with_plan.payload()) != \
             store.key(fn, without.payload())
+
+
+# -- one record codec -------------------------------------------------------
+
+#: every field off its default
+PARAMS = MyrinetParams(
+    flit_cycle_ps=5_000, link_prop_ps=40_000, routing_delay_ps=120_000,
+    slack_buffer_bytes=96, stop_threshold_bytes=80, go_threshold_bytes=48,
+    itb_detect_ps=250_000, itb_dma_setup_ps=180_000, itb_pool_bytes=4096,
+    itb_overflow_penalty_ps=1_000_000, nic_memory_bytes=1 << 20,
+    switch_ports=8, max_routes_per_pair=4)
+CONFIG = SimConfig(
+    topology="torus-express",
+    topology_kwargs={"rows": 4, "cols": 4, "hosts_per_switch": 2},
+    routing="itb", policy="rr", traffic="hotspot",
+    traffic_kwargs={"hotspot": 3, "fraction": 0.1},
+    arrival="onoff", arrival_kwargs={"on_fraction": 0.5},
+    injection_rate=0.0125, message_bytes=64, params=PARAMS, seed=7,
+    warmup_ps=1_000, measure_ps=5_000, max_messages=100, engine="array")
+LINKS = LinkUtilization(5_000, [(0, 1, 0), (1, 0, 0)],
+                        array("d", [0.25, 0.5]),
+                        array("d", [0.375, 0.625]), array("d", [0.5]))
+SUMMARY = RunSummary(
+    config=CONFIG, offered_flits_ns_switch=0.0125,
+    accepted_flits_ns_switch=0.011, messages_delivered=40,
+    messages_generated=42, avg_latency_ns=950.25,
+    avg_network_latency_ns=812.5, max_latency_ns=2000.0,
+    avg_itbs_per_message=0.25, itb_overflow_count=1, itb_peak_bytes=4096,
+    link_utilization=LINKS, backlog_growth=2, messages_dropped=3,
+    dropped_in_flight=2, dropped_unroutable=1, retransmissions=4,
+    duplicate_deliveries=1, permanent_losses=1, recovered_messages=2,
+    reconfigurations=1, time_to_recover_ns=12.5, p99_latency_ns=1500.0)
+CELL = TournamentCell(
+    routing="itb", policy="rr", label="ITB-RR", topology="4x4 torus",
+    pattern="uniform", supported=True, throughput=0.05, converged=True,
+    knee_offered=0.01, knee_latency_ns=900.0, knee_bracketed=True,
+    probe_rate=0.008, p99_latency_ns=1200.0, avg_latency_ns=800.0,
+    degraded_throughput=0.04, retention=0.8)
+STABILITY_CELL = StabilityCell(
+    routing="updown", policy="sp", label="UD", fraction=0.6, rate=0.006,
+    accepted=0.0059, avg_latency_ns=None, backlog_growth=3,
+    messages_generated=120, stable=True)
+
+#: one instance per record class
+RECORDS = [
+    PARAMS, CONFIG, LINKS, SUMMARY,
+    SaturationResult(0.011, 0.01, float("inf"), [SUMMARY],
+                     converged=False),
+    ReliableParams(timeout_ps=ns(7_000), backoff=1.5, max_attempts=5,
+                   failover_after=3, ack_delay_ps=ns(50)),
+    ReconfigParams(policy="blacklist", detection_latency_ps=ns(2_000)),
+    LinkFault(ns(20_000), 3),
+    FaultPlan.at((ns(30_000), 7), (ns(20_000), 3)),
+    TopologySpec("torus", {"rows": 4, "cols": 4}, "4x4 torus"),
+    SchemeEntry("itb", "rr", "ITB-RR"),
+    CELL,
+    TournamentReport(
+        schemes=(SchemeEntry("itb", "rr", "ITB-RR"),),
+        topologies=(TopologySpec("torus", {"rows": 4}, "4x4 torus"),),
+        patterns=("uniform", "hotspot"), seed=3, failures=2,
+        cells=(CELL,)),
+    STABILITY_CELL,
+    StabilityReport(
+        topology="torus", topology_label="4x4 torus", seed=3, burst=8,
+        fractions=(0.3, 0.6), saturation={"UD": 0.02},
+        stable_rate={"UD": 0.015}, cells=(STABILITY_CELL,)),
+]
+
+
+def _record_id(record):
+    return type(record).__name__
+
+
+class TestRecordCodec:
+    def test_every_record_class_has_a_sample(self):
+        assert {type(r) for r in RECORDS} == set(PlainData.__subclasses__())
+
+    @pytest.mark.parametrize("record", RECORDS, ids=_record_id)
+    def test_samples_leave_no_field_at_its_default(self, record):
+        for f in fields(record):
+            default = (f.default if f.default_factory is MISSING
+                       else f.default_factory())
+            if default is not MISSING:
+                assert getattr(record, f.name) != default, f.name
+
+    @pytest.mark.parametrize("record", RECORDS, ids=_record_id)
+    def test_json_round_trip_is_exact(self, record):
+        cls = type(record)
+        assert cls.from_dict(_json_round(record.to_dict())) == record
+
+    @pytest.mark.parametrize("record", RECORDS, ids=_record_id)
+    def test_unknown_key_names_the_class(self, record):
+        cls = type(record)
+        data = dict(record.to_dict(), bogus=1)
+        with pytest.raises(ValueError, match=f"unknown {cls.__name__}"):
+            cls.from_dict(data)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=_record_id)
+    def test_non_mapping_is_refused(self, record):
+        cls = type(record)
+        with pytest.raises(ValueError, match=cls.__name__):
+            cls.from_dict([1, 2])
+        # and wherever the record nests a mapping or another record
+        data = record.to_dict()
+        for name, value in data.items():
+            if isinstance(value, dict):
+                with pytest.raises(ValueError, match="mapping"):
+                    cls.from_dict(dict(data, **{name: 3}))
+
+    def test_missing_required_field_is_a_value_error(self):
+        with pytest.raises(ValueError, match="LinkFault.*link_id"):
+            FaultPlan.from_dict({"faults": [{"t_ps": 1}]})
+
+    def test_format_is_pinned(self):
+        """The exact dict a stored record has; a record written before
+        the codec was shared reads back to an equal summary."""
+        summary = RunSummary(
+            config=SimConfig(
+                topology="torus",
+                topology_kwargs={"rows": 4, "cols": 4,
+                                 "hosts_per_switch": 2},
+                routing="itb", policy="rr", traffic="hotspot",
+                traffic_kwargs={"hotspot": 3, "fraction": 0.1},
+                arrival="onoff", arrival_kwargs={"on_fraction": 0.5},
+                injection_rate=0.0125, message_bytes=64,
+                params=MyrinetParams(slack_buffer_bytes=96,
+                                     stop_threshold_bytes=80,
+                                     switch_ports=8),
+                seed=7, warmup_ps=1_000, measure_ps=5_000,
+                max_messages=100, engine="array"),
+            offered_flits_ns_switch=0.0125, accepted_flits_ns_switch=0.011,
+            messages_delivered=40, messages_generated=42,
+            avg_latency_ns=None, avg_network_latency_ns=812.5,
+            max_latency_ns=2000.0, avg_itbs_per_message=0.25,
+            itb_overflow_count=1, itb_peak_bytes=4096,
+            link_utilization=LINKS, backlog_growth=2, messages_dropped=3,
+            dropped_in_flight=2, dropped_unroutable=1, retransmissions=4,
+            duplicate_deliveries=1, permanent_losses=1,
+            recovered_messages=2, reconfigurations=1,
+            time_to_recover_ns=None, p99_latency_ns=1500.0)
+        search = SaturationResult(0.011, 0.01, float("inf"), [summary],
+                                  converged=False)
+        assert summary.to_dict() == PINNED_SUMMARY
+        assert list(summary.to_dict()) == list(PINNED_SUMMARY)
+        assert search.to_dict() == {
+            "throughput": 0.011, "last_stable_rate": 0.01,
+            "first_saturated_rate": float("inf"),
+            "runs": [PINNED_SUMMARY], "converged": False}
+        assert RunSummary.from_dict(PINNED_SUMMARY) == summary
+        assert SaturationResult.from_dict(
+            json.loads(json.dumps(search.to_dict()))) == search
+
+
+#: ``RunSummary.to_dict()`` of ``test_format_is_pinned``'s summary, as
+#: the hand-written codec wrote it
+PINNED_SUMMARY = {
+    "config": {
+        "topology": "torus",
+        "topology_kwargs": {"rows": 4, "cols": 4, "hosts_per_switch": 2},
+        "routing": "itb",
+        "policy": "rr",
+        "traffic": "hotspot",
+        "traffic_kwargs": {"hotspot": 3, "fraction": 0.1},
+        "arrival": "onoff",
+        "arrival_kwargs": {"on_fraction": 0.5},
+        "injection_rate": 0.0125,
+        "message_bytes": 64,
+        "params": {"flit_cycle_ps": 6250,
+                   "link_prop_ps": 49200,
+                   "routing_delay_ps": 150000,
+                   "slack_buffer_bytes": 96,
+                   "stop_threshold_bytes": 80,
+                   "go_threshold_bytes": 40,
+                   "itb_detect_ps": 275000,
+                   "itb_dma_setup_ps": 200000,
+                   "itb_pool_bytes": 92160,
+                   "itb_overflow_penalty_ps": 2000000,
+                   "nic_memory_bytes": 4194304,
+                   "switch_ports": 8,
+                   "max_routes_per_pair": 10},
+        "seed": 7,
+        "warmup_ps": 1000,
+        "measure_ps": 5000,
+        "max_messages": 100,
+        "engine": "array"},
+    "offered_flits_ns_switch": 0.0125,
+    "accepted_flits_ns_switch": 0.011,
+    "messages_delivered": 40,
+    "messages_generated": 42,
+    "avg_latency_ns": None,
+    "avg_network_latency_ns": 812.5,
+    "max_latency_ns": 2000.0,
+    "avg_itbs_per_message": 0.25,
+    "itb_overflow_count": 1,
+    "itb_peak_bytes": 4096,
+    "link_utilization": {"window_ps": 5000,
+                         "channel_ends": [[0, 1, 0], [1, 0, 0]],
+                         "utilization": [0.25, 0.5],
+                         "reserved": [0.375, 0.625],
+                         "per_link": [0.5]},
+    "backlog_growth": 2,
+    "messages_dropped": 3,
+    "dropped_in_flight": 2,
+    "dropped_unroutable": 1,
+    "retransmissions": 4,
+    "duplicate_deliveries": 1,
+    "permanent_losses": 1,
+    "recovered_messages": 2,
+    "reconfigurations": 1,
+    "time_to_recover_ns": None,
+    "p99_latency_ns": 1500.0,
+}

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.config import SimConfig
-from repro.orchestrator import ReproServer, ResultStore
+from repro.orchestrator import Point, ReproServer, ResultStore
 from repro.orchestrator.serve import points_from_spec
 from tests.conftest import UNDECLARED_RUN_OPTIONS, small_config
 
@@ -111,6 +111,45 @@ class TestRunOptionsAreDeclared:
         status, lines = _request(server, "POST", "/campaign", spec)
         assert status == 200 and lines[-1]["event"] == "done"
         assert lines[-1]["results"][0]["link_utilization"] is not None
+
+
+#: run options with a declared name and a value that cannot decode
+MALFORMED_RUN_OPTIONS = [
+    {"fault_plan": {"faults": [{"t_ps": 1}]}},
+    {"reliable": {"bogus": 1}},
+    {"reconfig": {"policy": "nope"}},
+    {"fault_plan": {"faults": 3}},
+    {"reliable": 5},
+]
+MALFORMED_IDS = ["fault-without-link", "reliable-unknown-key",
+                 "reconfig-unknown-policy", "faults-not-a-list",
+                 "reliable-not-an-object"]
+
+
+class TestMalformedRunOptions:
+    """A declared run option whose value cannot decode is refused when
+    the spec is parsed, not as a traceback inside the worker."""
+
+    @pytest.mark.parametrize("kwargs", MALFORMED_RUN_OPTIONS,
+                             ids=MALFORMED_IDS)
+    def test_point_refuses_it(self, kwargs):
+        with pytest.raises(ValueError):
+            Point("p", small_config(), kwargs)
+
+    @pytest.mark.parametrize("kwargs", MALFORMED_RUN_OPTIONS,
+                             ids=MALFORMED_IDS)
+    def test_is_a_400_before_any_point_runs(self, server, kwargs):
+        spec = {"config": small_config().to_dict(), "rates": [0.004],
+                "runner_kwargs": kwargs}
+        status, lines = _request(server, "POST", "/campaign", spec)
+        assert status == 400
+        assert [set(line) for line in lines] == [{"error"}]   # no events
+        assert server.cache_info()["entries"] == 0    # nothing ran
+
+    def test_well_formed_records_pass(self):
+        Point("p", small_config(), {
+            "fault_plan": {"faults": [{"t_ps": 1, "link_id": 0}]},
+            "reliable": True, "reconfig": {"policy": "blacklist"}})
 
 
 class TestMalformedSpecs:
