@@ -11,9 +11,14 @@ NIC injection channels use the same class with a single key, which
 degenerates to plain FIFO (the NIC serialises its own sends and
 re-injections in request order).
 
-A key joins the round-robin order on its first request, granted or
-not, but gets its FIFO (a plain list) only when one of its requests
-waits: arbitration state grows with contention, not with fabric size.
+A request is two steps, so that the hot path pays for a callback only
+when a request really waits: :meth:`RoundRobinArbiter.take` grants a
+free resource on the spot (the caller then runs its grant body
+directly), and :meth:`RoundRobinArbiter.enqueue` queues the grant body
+for a later :meth:`RoundRobinArbiter.release`.  A key joins the
+round-robin order on its first request, granted or not, but gets its
+FIFO (a plain list) only when one of its requests waits: arbitration
+state grows with contention, not with fabric size.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ class RoundRobinArbiter:
     """Grants exclusive ownership of one resource among keyed requesters."""
 
     __slots__ = ("_queues", "_order", "_key_index", "_last_key",
-                 "_nwaiting", "owner")
+                 "nwaiting", "owner")
 
     def __init__(self) -> None:
         #: FIFOs of the keys that have ever had a request wait
@@ -36,7 +41,8 @@ class RoundRobinArbiter:
         self._order: List[Hashable] = []       # keys in first-seen order
         self._key_index: Dict[Hashable, int] = {}
         self._last_key: Optional[Hashable] = None  # key of the last grantee
-        self._nwaiting: int = 0
+        #: queued (ungranted) requests
+        self.nwaiting: int = 0
         self.owner: Optional[object] = None
 
     @property
@@ -45,7 +51,7 @@ class RoundRobinArbiter:
 
     def waiting(self) -> int:
         """Number of queued (ungranted) requests."""
-        return self._nwaiting
+        return self.nwaiting
 
     def waiting_tokens(self) -> List[object]:
         """The queued (ungranted) tokens in key order, without mutating
@@ -54,34 +60,43 @@ class RoundRobinArbiter:
         queues = self._queues
         return [e[0] for key in self._order for e in queues.get(key, ())]
 
-    def request(self, key: Hashable, token: object,
-                grant: GrantCallback, *args) -> bool:
-        """Request ownership for ``token`` arriving on input ``key``.
-
-        If the resource is free ``grant(*args)`` fires synchronously
-        and ``True`` is returned; otherwise the request queues and the
-        callback fires on a later :meth:`release`.  Pass the grant
-        context through ``args`` rather than a capturing closure --
-        requests sit on the arbitration hot path.
-        """
+    def take(self, key: Hashable, token: object) -> bool:
+        """First step of a request for ``token`` arriving on input
+        ``key``: if the resource is free, ``token`` owns it on return
+        and the answer is ``True`` -- the caller runs its grant body
+        itself.  Otherwise nothing is queued yet and the caller goes on
+        to :meth:`enqueue`."""
         if key not in self._key_index:
             self._key_index[key] = len(self._order)
             self._order.append(key)
-        if self.owner is None and self._nwaiting == 0:
-            self._grant(key, token, grant, args)
+        if self.owner is None and self.nwaiting == 0:
+            self.owner = token
+            self._last_key = key
             return True
+        return False
+
+    def enqueue(self, key: Hashable, token: object,
+                grant: GrantCallback, args: tuple = ()) -> None:
+        """Second step, after :meth:`take` refused: queue the request;
+        ``grant(*args)`` runs on the :meth:`release` that hands
+        ``token`` the resource.  Pass the grant context through
+        ``args`` rather than a capturing closure."""
         q = self._queues.get(key)
         if q is None:
             q = self._queues[key] = []
         q.append((token, grant, args))
-        self._nwaiting += 1
-        return False
+        self.nwaiting += 1
 
-    def _grant(self, key: Hashable, token: object,
-               grant: GrantCallback, args: tuple) -> None:
-        self.owner = token
-        self._last_key = key
-        grant(*args)
+    def request(self, key: Hashable, token: object,
+                grant: GrantCallback, *args) -> bool:
+        """Both steps in one call: ``grant(*args)`` fires now and
+        ``True`` is returned if the resource is free, otherwise the
+        request queues and ``False`` is returned."""
+        if self.take(key, token):
+            grant(*args)
+            return True
+        self.enqueue(key, token, grant, args)
+        return False
 
     def cancel_waiting(self) -> List[object]:
         """Drop every queued (ungranted) request; the current owner is
@@ -92,7 +107,7 @@ class RoundRobinArbiter:
         tokens = self.waiting_tokens()
         for q in self._queues.values():
             q.clear()
-        self._nwaiting = 0
+        self.nwaiting = 0
         return tokens
 
     def cancel(self, token: object) -> int:
@@ -104,7 +119,7 @@ class RoundRobinArbiter:
             if len(kept) != len(q):
                 removed += len(q) - len(kept)
                 q[:] = kept
-        self._nwaiting -= removed
+        self.nwaiting -= removed
         return removed
 
     def release(self, token: object) -> None:
@@ -113,7 +128,7 @@ class RoundRobinArbiter:
         if self.owner is not token:
             raise RuntimeError("release by non-owner")
         self.owner = None
-        if self._nwaiting == 0:
+        if self.nwaiting == 0:
             return
         order = self._order
         queues = self._queues
@@ -128,7 +143,9 @@ class RoundRobinArbiter:
             q = queues.get(key)
             if q:
                 nxt_token, nxt_grant, nxt_args = q.pop(0)
-                self._nwaiting -= 1
-                self._grant(key, nxt_token, nxt_grant, nxt_args)
+                self.nwaiting -= 1
+                self.owner = nxt_token
+                self._last_key = key
+                nxt_grant(*nxt_args)
                 return
         raise AssertionError("waiting count out of sync with queues")

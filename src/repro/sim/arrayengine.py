@@ -132,7 +132,7 @@ class ArrayNetwork(NetworkModel):
         self._work: list = []
         #: (t_tail, seq, info, injected): batch-sink deliveries
         self._pending: list = []
-        self._seq = 0
+        self._work_seq = 0
         #: next tick already on the simulator heap (None = engine idle)
         self._next_tick_at: Optional[int] = None
 
@@ -147,8 +147,9 @@ class ArrayNetwork(NetworkModel):
     def _inject(self, pkt: Packet) -> None:
         info = (pkt.route, pkt.src_host, pkt.dst_host, pkt.payload_bytes,
                 pkt.alt_index, pkt.pid, pkt.created_ps, pkt)
-        heappush(self._work, (self.sim.now, self._seq, _WALK, info, 0, None))
-        self._seq += 1
+        heappush(self._work,
+                 (self.sim.now, self._work_seq, _WALK, info, 0, None))
+        self._work_seq += 1
         self._ensure_tick(self.sim.now)
 
     def _reset_engine_stats(self) -> None:
@@ -274,7 +275,7 @@ class ArrayNetwork(NetworkModel):
         # admission and delivery counters live in locals and are written
         # back before anything outside this loop (a delivery callback,
         # which may audit or send()) can read them
-        pid, seq, done = self._next_pid, self._seq, 0
+        pid, seq, done = self._next_pid, self._work_seq, 0
         end = T + 1
         t_s = sched_t[i] if i < n else end
         try:
@@ -299,9 +300,9 @@ class ArrayNetwork(NetworkModel):
                     t, _, kind, info, leg_idx, injected = heappop(work)
                     if kind == _DELIVER:
                         self.generated += pid - self._next_pid
-                        self._next_pid, self._seq = pid, seq
+                        self._next_pid, self._work_seq = pid, seq
                         complete(info, injected, t)
-                        pid, seq = self._next_pid, self._seq
+                        pid, seq = self._next_pid, self._work_seq
                         continue
                 else:
                     break
@@ -367,7 +368,7 @@ class ArrayNetwork(NetworkModel):
         finally:
             self._sched_i = i
             self.generated += pid - self._next_pid
-            self._next_pid, self._seq = pid, seq
+            self._next_pid, self._work_seq = pid, seq
             self.delivered += done
             self.delivered_since_check += done
         if pending and pending[0][0] <= T:

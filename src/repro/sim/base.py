@@ -520,7 +520,8 @@ class NetworkModel(ABC):
         pkt.delivered_ps = t_ps
         self.delivered += 1
         self.delivered_since_check += 1
-        self._trace("deliver", pkt.pid, pkt.dst_host, pkt.num_legs - 1,
-                    t_ps=t_ps)
+        if self._tracer is not None:
+            self._trace("deliver", pkt.pid, pkt.dst_host,
+                        pkt.num_legs - 1, t_ps=t_ps)
         for cb in self._delivery_callbacks:
             cb(pkt)

@@ -15,6 +15,11 @@ figures: ``transfer_flits`` (flits actually moved -- utilisation) and
 wormhole network exceeds transfer time whenever packets block
 downstream; the paper's "links idle due to flow control" remark is the
 difference between the two).
+
+The packet engine may leave a channel's release *deferred*: recorded
+on the channel (:attr:`Channel.deferred`) instead of scheduled, and
+applied by whoever next reads or requests the channel (see
+:mod:`repro.sim.network`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ class Channel:
     """One directed channel plus its arbiter and statistics."""
 
     __slots__ = ("cid", "kind", "src", "dst", "link_id", "arbiter",
-                 "transfer_flits", "reserved_ps", "last_reset_ps", "dead")
+                 "transfer_flits", "reserved_ps", "last_reset_ps", "dead",
+                 "deferred")
 
     def __init__(self, cid: int, kind: int, src: int, dst: int,
                  link_id: int = -1) -> None:
@@ -50,6 +56,11 @@ class Channel:
         #: cable killed by a dynamic fault plan; headers arriving at a
         #: dead channel drop instead of requesting it
         self.dead = False
+        #: the owner's release, when nobody waited for it as it was
+        #: due: ``(rel_ps, seq, pkt, wire, granted_ps)``, ``seq`` being
+        #: the event sequence number the release reserved (packet
+        #: engine only; None otherwise)
+        self.deferred = None
 
     def record_passage(self, flits: int, granted_ps: int,
                        released_ps: int, flit_cycle_ps: int = 0) -> None:

@@ -2,15 +2,34 @@
 
 A binary-heap event queue over integer picosecond timestamps.  Events
 are callables plus pre-bound positional arguments; ties are broken by
-insertion order, which makes every simulation fully deterministic for
-a given seed.
+a sequence number drawn when the event is scheduled, which makes every
+simulation fully deterministic for a given seed.
 
-Passing the arguments through :meth:`Simulator.at` instead of closing
-over them is the engine's hot-path contract: the network models
-schedule millions of events per run, and a ``(fn, args)`` heap entry
-costs one tuple, whereas a capturing lambda costs a code object lookup
-plus one cell per free variable.  ``at(t, fn)`` with no arguments
-still works unchanged.
+The hot-path contract
+---------------------
+
+The network models schedule millions of events per run, so the
+simulator exposes its queue instead of hiding it behind a call:
+
+* :attr:`Simulator.heap` is the event list itself -- ``(t_ps, seq, fn,
+  args)`` entries under :mod:`heapq` -- and the run loops alias it;
+* :attr:`Simulator.next_seq` is the bound sequence counter
+  (``itertools.count(1).__next__``) that :meth:`Simulator.at` draws
+  from too;
+* :attr:`Simulator.cur_seq` is the ``seq`` of the event being executed,
+  and infinite between runs, when everything at or before ``now`` has
+  run.
+
+An engine's hot path pushes ``(t, next_seq(), fn, args)`` itself.  It
+may also draw a ``seq`` now and push the entry later (or never): an
+entry keeps the place in the ``(t, seq)`` order it reserved, and
+``(t, seq) < (now, cur_seq)`` says whether it would already have run.
+That is how the packet engine defers channel releases nobody waits
+for and how the traffic process keeps its ticks off the heap, with
+every event still running in the order plain :meth:`Simulator.at`
+calls would give.  Pass arguments through the entry rather than a
+closure: a ``(fn, args)`` entry costs one tuple, a capturing lambda a
+code-object lookup plus one cell per free variable.
 
 The engine knows nothing about networks.  It offers a *progress
 watchdog* hook: a callback invoked at a fixed interval that may raise
@@ -24,11 +43,17 @@ from __future__ import annotations
 
 import heapq
 import json
+from itertools import count
 from time import perf_counter as _perf_counter
 from typing import Callable, List, Optional, Tuple
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+
+#: :attr:`Simulator.cur_seq` outside the run loops: every event at or
+#: before ``now`` has run, so any reserved ``(t, seq)`` with ``t <= now``
+#: compares as past
+_BETWEEN_RUNS = float("inf")
 
 
 class DeadlockError(RuntimeError):
@@ -60,8 +85,8 @@ class DeadlockError(RuntimeError):
 class Simulator:
     """Event queue with integer picosecond time."""
 
-    __slots__ = ("now", "events", "wall_s", "_heap", "_seq", "_watchdog",
-                 "_watchdog_interval")
+    __slots__ = ("now", "events", "wall_s", "heap", "next_seq", "cur_seq",
+                 "_watchdog", "_watchdog_interval", "_watchdog_gen")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -69,10 +94,16 @@ class Simulator:
         self.events: int = 0
         #: wall-clock seconds spent inside the run loops
         self.wall_s: float = 0.0
-        self._heap: List[Tuple[int, int, Callable[..., None], tuple]] = []
-        self._seq: int = 0
+        #: the event queue: ``(t_ps, seq, fn, args)`` under heapq
+        self.heap: List[Tuple[int, int, Callable[..., None], tuple]] = []
+        #: draws the next tie-breaking sequence number
+        self.next_seq: Callable[[], int] = count(1).__next__
+        #: ``seq`` of the event being executed; infinite between runs
+        self.cur_seq: float = _BETWEEN_RUNS
         self._watchdog: Optional[Callable[[], None]] = None
         self._watchdog_interval: int = 0
+        #: bumped by every set_watchdog; a tick of an older chain ends it
+        self._watchdog_gen: int = 0
 
     @property
     def events_per_s(self) -> float:
@@ -80,17 +111,11 @@ class Simulator:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
     def at(self, time_ps: int, fn: Callable[..., None], *args) -> None:
-        """Schedule ``fn(*args)`` at absolute time ``time_ps`` (>= now).
-
-        Prefer passing arguments here over capturing them in a closure:
-        the heap entry then carries a plain tuple and the hot loop stays
-        allocation-free.
-        """
+        """Schedule ``fn(*args)`` at absolute time ``time_ps`` (>= now)."""
         if time_ps < self.now:
             raise ValueError(f"cannot schedule in the past "
                              f"({time_ps} < {self.now})")
-        self._seq += 1
-        _heappush(self._heap, (time_ps, self._seq, fn, args))
+        _heappush(self.heap, (time_ps, self.next_seq(), fn, args))
 
     def after(self, delay_ps: int, fn: Callable[..., None], *args) -> None:
         """Schedule ``fn(*args)`` at ``now + delay_ps``."""
@@ -101,18 +126,22 @@ class Simulator:
         """Run ``check()`` every ``interval_ps`` of simulated time.
 
         The check runs as an ordinary event; raising from it aborts the
-        simulation (used for deadlock detection).
+        simulation (used for deadlock detection).  A later call
+        replaces the check and its interval: only the newest tick chain
+        survives.
         """
         if interval_ps <= 0:
             raise ValueError("watchdog interval must be positive")
         self._watchdog = check
         self._watchdog_interval = interval_ps
-        self.after(interval_ps, self._watchdog_tick)
+        self._watchdog_gen += 1
+        self.after(interval_ps, self._watchdog_tick, self._watchdog_gen)
 
-    def _watchdog_tick(self) -> None:
-        assert self._watchdog is not None
+    def _watchdog_tick(self, gen: int) -> None:
+        if gen != self._watchdog_gen or self._watchdog is None:
+            return
         self._watchdog()
-        self.after(self._watchdog_interval, self._watchdog_tick)
+        self.after(self._watchdog_interval, self._watchdog_tick, gen)
 
     def clear(self) -> None:
         """Drop every pending event and the watchdog (end of a run).
@@ -125,38 +154,39 @@ class Simulator:
         array and schedule it references) is freed by reference count
         as soon as its owner lets go.
         """
-        self._heap.clear()          # in place: the run loops alias it
+        self.heap.clear()           # in place: the run loops alias it
         self._watchdog = None
 
     @property
     def pending_events(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next event, or None when idle."""
-        return self._heap[0][0] if self._heap else None
+        return self.heap[0][0] if self.heap else None
 
     def run_until(self, t_end_ps: int) -> None:
         """Process every event with time <= ``t_end_ps``; leave
         ``now == t_end_ps`` afterwards."""
-        heap = self._heap
+        heap = self.heap
         pop = _heappop
         done = 0
         t0 = _perf_counter()
         try:
             while heap and heap[0][0] <= t_end_ps:
-                time_ps, _seq, fn, args = pop(heap)
+                time_ps, self.cur_seq, fn, args = pop(heap)
                 self.now = time_ps
                 fn(*args)
                 done += 1
         finally:
+            self.cur_seq = _BETWEEN_RUNS
             self.events += done
             self.wall_s += _perf_counter() - t0
         self.now = max(self.now, t_end_ps)
 
     def run_until_idle(self, max_time_ps: Optional[int] = None) -> None:
         """Process events until the queue is empty (or ``max_time_ps``)."""
-        heap = self._heap
+        heap = self.heap
         pop = _heappop
         done = 0
         t0 = _perf_counter()
@@ -165,10 +195,11 @@ class Simulator:
                 if max_time_ps is not None and heap[0][0] > max_time_ps:
                     self.now = max_time_ps
                     return
-                time_ps, _seq, fn, args = pop(heap)
+                time_ps, self.cur_seq, fn, args = pop(heap)
                 self.now = time_ps
                 fn(*args)
                 done += 1
         finally:
+            self.cur_seq = _BETWEEN_RUNS
             self.events += done
             self.wall_s += _perf_counter() - t0

@@ -269,8 +269,12 @@ class _OutputPort(_TxPort):
         self.dead = False
 
     def request(self, buf: _RxBuffer, pkt: Packet, leg_idx: int) -> None:
-        self.arbiter.request(buf.channel_key, pkt,
-                             self._granted, buf, pkt, leg_idx)
+        arb = self.arbiter
+        if arb.take(buf.channel_key, pkt):
+            self._granted(buf, pkt, leg_idx)
+        else:
+            arb.enqueue(buf.channel_key, pkt, self._granted,
+                        (buf, pkt, leg_idx))
 
     def _granted(self, buf: _RxBuffer, pkt: Packet, leg_idx: int) -> None:
         self.packet = pkt

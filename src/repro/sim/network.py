@@ -33,10 +33,25 @@ Everything engine-independent (message creation, route selection,
 delivery callbacks, the watchdog itself) lives in
 :class:`~repro.sim.base.NetworkModel`; this module implements only the
 wormhole timing model.
+
+The hot path follows the simulator's contract
+(:mod:`repro.sim.engine`): an uncontended hop is one push of ``(t,
+next_seq(), fn, args)`` onto ``sim.heap``, and every request goes
+through one request body (:meth:`WormholeNetwork._head_at`) and every
+grant, immediate or queued, traced or not, through one grant body
+(:meth:`WormholeNetwork._granted`).  A channel release that nobody
+waits for when the tail wave computes it is not scheduled: it reserves
+its sequence number and stays on the channel
+(:attr:`~repro.sim.channel.Channel.deferred`) until something reads or
+requests the channel, which *settles* it -- applies it if it would
+already have run, else pushes the event with the reserved number
+(:meth:`WormholeNetwork._settle`).  Releases that credit an in-transit
+pool, or that a queued request waits for, stay events.
 """
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from typing import Dict, List, Tuple
 
 from .base import (CAP_DYNAMIC_FAULTS, CAP_ITB_POOL, CAP_RELIABLE_DELIVERY,
@@ -62,10 +77,11 @@ class _LegTransit:
         #: RouteLeg.dir_hops; the delivery channel is per-packet and
         #: resolved at the last hop)
         self.dirs: Tuple[int, ...] = ()
-        #: channels still held and not yet scheduled for release:
-        #: (channel, grant_time_ps).  A scheduled release removes its
-        #: entry, so a dynamic-fault drop releases exactly the
-        #: complement -- never a channel twice.
+        #: channels still held and whose release is not yet scheduled
+        #: or deferred: (channel, grant_time_ps).  Scheduling or
+        #: deferring a release removes its entry, so a dynamic-fault
+        #: drop releases exactly the complement -- never a channel
+        #: twice.
         self.holds: List[Tuple[Channel, int]] = []
         #: NIC whose in-transit pool must be credited when the
         #: injection channel of this leg is released (-1 = none);
@@ -95,6 +111,14 @@ class WormholeNetwork(NetworkModel):
     # -- construction ------------------------------------------------------
 
     def _build(self) -> None:
+        sim, params = self.sim, self.params
+        #: the simulator's event list and sequence counter (hot path)
+        self._events = sim.heap
+        self._next_seq = sim.next_seq
+        self._prop_ps = params.link_prop_ps
+        self._flit_cycle_ps = params.flit_cycle_ps
+        #: a granted header's routing decision plus one cable
+        self._hop_ps = params.routing_delay_ps + params.link_prop_ps
         #: pid -> transit whose header is still progressing (removed
         #: once the header commits at its leg-target NIC); the dynamic
         #: fault path walks this to find worms stranded on a dead link
@@ -123,7 +147,8 @@ class WormholeNetwork(NetworkModel):
         # requests still queued at a saturated run's end carry bound
         # grant callbacks of this network
         for ch in self.channels:
-            ch.arbiter.cancel_waiting()
+            if ch.arbiter.nwaiting:
+                ch.arbiter.cancel_waiting()
 
     def _new_channel(self, kind: int, src: int, dst: int,
                      link_id: int = -1) -> Channel:
@@ -137,6 +162,7 @@ class WormholeNetwork(NetworkModel):
         self._start_leg(pkt, 0, self.sim.now)
 
     def _reset_engine_stats(self) -> None:
+        self._settle_all()
         now = self.sim.now
         for ch in self.channels:
             ch.reset_stats(now)
@@ -144,6 +170,7 @@ class WormholeNetwork(NetworkModel):
             nic.reset_stats()
 
     def link_flit_counts(self) -> List[LinkChannelStats]:
+        self._settle_all()
         return [LinkChannelStats(ch.src, ch.dst, ch.link_id,
                                  ch.transfer_flits, ch.reserved_ps)
                 for ch in self.channels if ch.kind == NET]
@@ -165,70 +192,78 @@ class WormholeNetwork(NetworkModel):
         transit = _LegTransit(pkt, leg_idx, pool_host, pool_bytes, short)
         transit.dirs = pkt.route.legs[leg_idx].dir_hops(self.graph)
         self._active[pkt.pid] = transit
-        if leg_idx == 0:
-            host = pkt.src_host
-        else:
-            host = pkt.route.itb_hosts[leg_idx - 1]
-        inj = self.nics[host].inj
         if t_ready <= self.sim.now:
-            self._request_injection(transit, inj)
+            self._head_at(transit, -1)
         else:
-            self.sim.at(t_ready, self._request_injection, transit, inj)
+            _heappush(self._events, (t_ready, self._next_seq(),
+                                     self._head_at, (transit, -1)))
 
-    def _request_injection(self, transit: _LegTransit,
-                           inj: Channel) -> None:
-        if transit.dropped:
-            return
-        if not inj.arbiter.request(0, transit.pkt,
-                                   self._injection_granted, transit, inj):
-            transit.pending = inj.arbiter
-
-    def _injection_granted(self, transit: _LegTransit, inj: Channel) -> None:
-        g = self.sim.now
-        transit.pending = None
-        transit.holds.append((inj, g))
-        pkt = transit.pkt
-        if transit.leg_idx == 0 and pkt.injected_ps is None:
-            pkt.injected_ps = g
-        if self._tracer is not None:
-            self._trace("inject" if transit.leg_idx == 0 else "reinject",
-                        pkt.pid, inj.src, transit.leg_idx)
-        if transit.short:
-            # whole packet leaves the NIC wire-length flit cycles later
-            transit.tail_cross_ps = (g + pkt.wire_bytes(transit.leg_idx)
-                                     * self.params.flit_cycle_ps)
-        self.sim.at(g + self.params.link_prop_ps,
-                    self._head_at_switch, transit, 0)
-
-    def _head_at_switch(self, transit: _LegTransit, pos: int) -> None:
-        """Packet header reaches position ``pos`` of the leg's switch path
-        and requests the next output port."""
+    def _head_at(self, transit: _LegTransit, pos: int) -> None:
+        """The header requests the next channel of its leg: at ``pos``
+        -1 the NIC's injection channel, at ``0 .. len(dirs) - 1`` the
+        output port of that hop's switch, at ``len(dirs)`` the leg
+        target's delivery channel.  Output ports are arbitrated
+        demand-slotted round-robin per input port."""
         if transit.dropped:
             return
         pkt = transit.pkt
-        dirs = transit.dirs
-        if pos == len(dirs):              # past the last NET hop
-            target = self._leg_target_host(pkt, transit.leg_idx)
-            out = self.nics[target].dlv
+        if pos < 0:
+            host = (pkt.src_host if transit.leg_idx == 0
+                    else pkt.route.itb_hosts[transit.leg_idx - 1])
+            out = self.nics[host].inj
+            key = 0
         else:
-            out = self._net_by_dir[dirs[pos]]
-            if out.dead:
-                # header ran into a link that died after the route was
-                # selected: the worm is stranded and drops here
-                self._drop_transit(transit)
-                return
-        in_key = transit.holds[-1][0].cid  # demand-slotted RR per input port
-        if not out.arbiter.request(
-                in_key, pkt, self._port_granted, transit, pos, out):
-            transit.pending = out.arbiter
+            dirs = transit.dirs
+            if pos == len(dirs):          # past the last NET hop
+                itb_hosts = pkt.route.itb_hosts
+                leg_idx = transit.leg_idx
+                out = self.nics[itb_hosts[leg_idx]
+                                if leg_idx < len(itb_hosts)
+                                else pkt.dst_host].dlv
+            else:
+                out = self._net_by_dir[dirs[pos]]
+                if out.dead:
+                    # header ran into a link that died after the route
+                    # was selected: the worm is stranded and drops here
+                    self._drop_transit(transit)
+                    return
+            key = transit.holds[-1][0].cid
+        if out.deferred is not None:
+            self._settle(out)
+        arb = out.arbiter
+        if arb.take(key, pkt):
+            self._granted(transit, pos, out)
+        else:
+            arb.enqueue(key, pkt, self._granted, (transit, pos, out))
+            transit.pending = arb
 
-    def _port_granted(self, transit: _LegTransit, pos: int,
-                      out: Channel) -> None:
+    def _granted(self, transit: _LegTransit, pos: int,
+                 out: Channel) -> None:
+        """The one grant body: ``transit`` owns ``out`` from now on.
+        Called directly on an immediate grant and by the arbiter on a
+        queued one; ``pos`` is as for :meth:`_head_at`."""
         g = self.sim.now
         transit.pending = None
         transit.holds.append((out, g))
+        pkt = transit.pkt
+        if pos < 0:
+            if transit.leg_idx == 0 and pkt.injected_ps is None:
+                pkt.injected_ps = g
+            if self._tracer is not None:
+                self._trace("inject" if transit.leg_idx == 0
+                            else "reinject", pkt.pid, out.src,
+                            transit.leg_idx)
+            if transit.short:
+                # whole packet leaves the NIC wire-length flit cycles
+                # later
+                transit.tail_cross_ps = (
+                    g + pkt.wire_bytes(transit.leg_idx)
+                    * self._flit_cycle_ps)
+            _heappush(self._events, (g + self._prop_ps, self._next_seq(),
+                                     self._head_at, (transit, 0)))
+            return
         if self._tracer is not None:
-            self._trace("grant", transit.pkt.pid, out.src, transit.leg_idx)
+            self._trace("grant", pkt.pid, out.src, transit.leg_idx)
         if transit.short:
             # virtual-cut-through regime: the whole packet fits in the
             # slack buffer just vacated, so the channel *behind* it can
@@ -239,41 +274,40 @@ class WormholeNetwork(NetworkModel):
             # pool credit, which belongs to the first-released channel:
             # the leg's injection channel) so a later drop releases
             # only what is still unscheduled.
-            pkt = transit.pkt
             wire = pkt.wire_bytes(transit.leg_idx)
-            cross = max(transit.tail_cross_ps + self.params.link_prop_ps,
+            cross = max(transit.tail_cross_ps + self._prop_ps,
                         g + self.params.routing_delay_ps
-                        + wire * self.params.flit_cycle_ps)
+                        + wire * self._flit_cycle_ps)
             transit.tail_cross_ps = cross
             prev_ch, prev_g = transit.holds[0]
             pool_host, pool_bytes = transit.pool_host, transit.pool_bytes
             transit.pool_host = -1
-            self.sim.at(cross, self._do_release, prev_ch, pkt, wire,
-                        prev_g, cross, pool_host, pool_bytes)
+            self._release_at(prev_ch, pkt, wire, prev_g, cross,
+                             pool_host, pool_bytes)
             del transit.holds[0]
-        t_next = g + self.params.routing_delay_ps + self.params.link_prop_ps
         if out.kind == NET:
-            self.sim.at(t_next, self._head_at_switch, transit, pos + 1)
+            _heappush(self._events, (g + self._hop_ps, self._next_seq(),
+                                     self._head_at, (transit, pos + 1)))
         else:
-            self.sim.at(t_next, self._head_at_nic, transit)
+            _heappush(self._events, (g + self._hop_ps, self._next_seq(),
+                                     self._head_at_nic, (transit,)))
 
     def _head_at_nic(self, transit: _LegTransit) -> None:
         """Header fully at the leg's target NIC; compute the tail wave,
-        schedule channel releases, and deliver or forward."""
+        release the channels, and deliver or forward."""
         if transit.dropped:
             return
-        sim = self.sim
         pkt = transit.pkt
         params = self.params
-        t_head = sim.now
+        t_head = self.sim.now
         wire = pkt.wire_bytes(transit.leg_idx)
         holds = transit.holds
         n = len(holds)
-        prop = params.link_prop_ps
+        prop = self._prop_ps
         # the cut-through transfer is committed: the tail streams out
         # even if a link on the path dies from here on, so the transit
         # leaves the active (droppable) set and its remaining releases
-        # are all scheduled below
+        # are all settled below
         self._active.pop(pkt.pid, None)
 
         if transit.short:
@@ -283,31 +317,34 @@ class WormholeNetwork(NetworkModel):
             # pool credit already -- pool_host is -1 here).
             t_tail = transit.tail_cross_ps + prop
             ch, g = holds[0]
-            pool_host, pool_bytes = transit.pool_host, transit.pool_bytes
-            sim.at(t_tail, self._do_release, ch, pkt, wire, g, t_tail,
-                   pool_host, pool_bytes)
+            self._release_at(ch, pkt, wire, g, t_tail, transit.pool_host,
+                             transit.pool_bytes)
         else:
             # wormhole regime: the worm held its whole path; the tail
-            # wave sweeps the releases from source to NIC.
-            transfer = wire * params.flit_cycle_ps
+            # wave sweeps the releases from source to NIC, one cable
+            # apart (the _release_at rule, inlined: one call per
+            # channel saved on every packet)
+            transfer = wire * self._flit_cycle_ps
             t_tail = t_head + transfer
-            do_release = self._do_release
-            now = sim.now
-            for j, (ch, g) in enumerate(holds):
-                rel = max(t_tail - (n - 1 - j) * prop, g + transfer, now)
-                if j == 0 and transit.pool_host >= 0:
-                    pool_host, pool_bytes = (transit.pool_host,
-                                             transit.pool_bytes)
+            wave = t_tail - (n - 1) * prop
+            pool_host, pool_bytes = transit.pool_host, transit.pool_bytes
+            events, next_seq = self._events, self._next_seq
+            for ch, g in holds:
+                rel = max(wave, g + transfer, t_head)
+                wave += prop
+                if pool_host >= 0 or ch.arbiter.nwaiting:
+                    _heappush(events, (
+                        rel, next_seq(), self._do_release,
+                        (ch, pkt, wire, g, rel, pool_host, pool_bytes)))
                 else:
-                    pool_host, pool_bytes = -1, 0
-                sim.at(rel, do_release, ch, pkt, wire, g, rel,
-                       pool_host, pool_bytes)
+                    ch.deferred = (rel, next_seq(), pkt, wire, g)
+                pool_host = -1
         transit.pool_host = -1
         transit.holds = []
 
-        last_leg = transit.leg_idx == pkt.num_legs - 1
-        if last_leg:
-            sim.at(t_tail, self._finish_delivery, pkt, t_tail)
+        if transit.leg_idx == len(pkt.route.itb_hosts):   # last leg
+            _heappush(self._events, (t_tail, self._next_seq(),
+                                     self._finish_delivery, (pkt, t_tail)))
         else:
             host = pkt.route.itb_hosts[transit.leg_idx]
             if self._tracer is not None:
@@ -322,13 +359,52 @@ class WormholeNetwork(NetworkModel):
             self._start_leg(pkt, transit.leg_idx + 1, t_ready,
                             pool_host=host, pool_bytes=wire)
 
+    # -- channel releases --------------------------------------------------
+
+    def _release_at(self, ch: Channel, pkt: Packet, wire: int,
+                    granted: int, rel: int, pool_host: int,
+                    pool_bytes: int) -> None:
+        """Release ``ch`` at ``rel``: an event when the release credits
+        an in-transit pool or grants a queued request, otherwise
+        deferred on the channel under the sequence number the event
+        would have drawn."""
+        if pool_host >= 0 or ch.arbiter.nwaiting:
+            _heappush(self._events, (
+                rel, self._next_seq(), self._do_release,
+                (ch, pkt, wire, granted, rel, pool_host, pool_bytes)))
+        else:
+            ch.deferred = (rel, self._next_seq(), pkt, wire, granted)
+
     def _do_release(self, ch: Channel, pkt: Packet, wire: int,
                     granted: int, rel: int, pool_host: int,
                     pool_bytes: int) -> None:
-        ch.record_passage(wire, granted, rel, self.params.flit_cycle_ps)
+        ch.record_passage(wire, granted, rel, self._flit_cycle_ps)
         if pool_host >= 0:
             self.nics[pool_host].itb_release(pool_bytes)
         ch.arbiter.release(pkt)
+
+    def _settle(self, ch: Channel) -> None:
+        """Resolve ``ch``'s deferred release before anyone reads or
+        requests the channel: apply it now if its reserved ``(t, seq)``
+        is already past, else schedule it under that ``(t, seq)`` --
+        either way exactly when its event would have run."""
+        rel, seq, pkt, wire, granted = ch.deferred
+        ch.deferred = None
+        sim = self.sim
+        if (rel, seq) < (sim.now, sim.cur_seq):
+            # _do_release without a pool credit, one call less: most
+            # requests settle the release of the channel's last owner
+            ch.record_passage(wire, granted, rel, self._flit_cycle_ps)
+            ch.arbiter.release(pkt)
+        else:
+            _heappush(self._events, (rel, seq, self._do_release,
+                                     (ch, pkt, wire, granted, rel, -1, 0)))
+
+    def _settle_all(self) -> None:
+        """Settle every deferred release (before a whole-fabric read)."""
+        for ch in self.channels:
+            if ch.deferred is not None:
+                self._settle(ch)
 
     # -- runtime invariants --------------------------------------------------
 
@@ -337,6 +413,7 @@ class WormholeNetwork(NetworkModel):
         return f"{KIND_NAMES[ch.kind]} {ch.src}->{ch.dst}{tag}"
 
     def _audit_engine(self, check) -> None:
+        self._settle_all()
         now = self.sim.now
         for ch in self.channels:
             arb = ch.arbiter
@@ -375,6 +452,7 @@ class WormholeNetwork(NetworkModel):
                   f"accounts only {nic.itb_bytes}")
 
     def _audit_drained(self, check) -> None:
+        self._settle_all()
         check(not self._active,
               f"drained: {len(self._active)} transits still active")
         for ch in self.channels:
@@ -387,6 +465,7 @@ class WormholeNetwork(NetworkModel):
                   f"{nic.itb_bytes} bytes")
 
     def _stall_snapshot(self) -> Dict:
+        self._settle_all()
         arb_channel = {id(ch.arbiter): ch for ch in self.channels}
         owners = []
         for ch in self.channels:
@@ -436,6 +515,8 @@ class WormholeNetwork(NetworkModel):
         chans = (self._net[(link_id, 0)], self._net[(link_id, 1)])
         for ch in chans:
             ch.dead = True
+            if ch.deferred is not None:
+                self._settle(ch)
         active = self._active
         for ch in chans:
             arb = ch.arbiter

@@ -17,10 +17,14 @@ still to be traversed plus one ITB mark per remaining in-transit host
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..config import MyrinetParams
 from ..routing.routes import SourceRoute
+
+#: (interned per-leg header overheads, payload + type bytes) -> per-leg
+#: wire lengths: a handful of values serve every packet of every run
+_WIRE_BYTES: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
 
 
 class Packet:
@@ -48,14 +52,19 @@ class Packet:
         self.delivered_ps: Optional[int] = None
         self.itb_overflows = 0
         # the per-leg header overhead depends only on the route and is
-        # stashed on the (shared, table-cached) route object; each
-        # packet just adds its payload
+        # stashed (interned) on the shared route object; the wire
+        # lengths then depend only on that tuple and the payload, so
+        # packets share one tuple per distinct pair
         try:
             overheads = route._leg_overheads
         except AttributeError:
             overheads = route.leg_overheads
         base = payload_bytes + params.header_type_bytes
-        self._leg_wire_bytes = tuple(base + oh for oh in overheads)
+        key = (overheads, base)
+        wires = _WIRE_BYTES.get(key)
+        if wires is None:
+            wires = _WIRE_BYTES[key] = tuple(base + oh for oh in overheads)
+        self._leg_wire_bytes = wires
 
     @property
     def num_legs(self) -> int:

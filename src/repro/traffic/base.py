@@ -54,6 +54,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from array import array
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import floordiv, mod
 from typing import (TYPE_CHECKING, Iterable, Iterator, List, Optional,
@@ -63,7 +64,8 @@ from ..topology.graph import NetworkGraph
 from ..units import PS_PER_NS
 
 if TYPE_CHECKING:  # imported for annotations only: the traffic layer
-    # is sim-core independent (it only calls network.send / sim.at)
+    # is sim-core independent (it calls network.send and pushes onto
+    # the simulator's heap under its sequence counter)
     from ..sim.base import NetworkModel
     from ..sim.engine import Simulator
 
@@ -233,18 +235,37 @@ class TrafficProcess:
         self.generated = 0
         self._started = False
         self._stopped = False
+        #: pending firings, ``(t, seq, host, dest_rng, arr_rng)`` (heap)
+        self._calendar: List[tuple] = []
 
     def start(self) -> None:
-        """Schedule the first message of every active host."""
+        """Schedule the first message of every active host.
+
+        The hosts' next firings live in the process's own calendar, a
+        heap of ``(t, seq, host, dest_rng, arr_rng)``, not on the
+        simulator's: the simulator holds one entry, carrying the
+        earliest firing's own ``(t, seq)``.  Each ``seq`` is drawn from
+        the simulator's counter exactly where scheduling the firing as
+        an event would draw it, so firings interleave with every other
+        event as they would on the simulator heap, while the heap the
+        network's events share stays as short as the work in flight.
+        """
         if self._started:
             raise RuntimeError("traffic process already started")
         self._started = True
+        sim = self.sim
+        now = sim.now
+        calendar = self._calendar
         for host in self.pattern.active_hosts():
             dest_rng = random.Random(f"{self.seed}:{host}")
             arr_rng = random.Random(f"{self.seed}:arrival:{host}")
-            t = self.arrivals.next_fire_ps(host, self.sim.now, arr_rng)
-            self.sim.at(max(t, self.sim.now), self._tick,
-                        host, dest_rng, arr_rng)
+            t = self.arrivals.next_fire_ps(host, now, arr_rng)
+            calendar.append((max(t, now), sim.next_seq(), host, dest_rng,
+                             arr_rng))
+        heapify(calendar)
+        if calendar:
+            t, seq = calendar[0][:2]
+            heappush(sim.heap, (t, seq, self._fire, ()))
 
     def stop(self) -> None:
         """Cease generation; in-flight messages drain normally."""
@@ -255,7 +276,7 @@ class TrafficProcess:
         scheduling anything on the simulator.
 
         Produces exactly the message set the event-driven path
-        (:meth:`start` + ``_tick``) would generate: each host's
+        (:meth:`start` + ``_fire``) would generate: each host's
         destination and arrival streams are seeded identically and
         consumed in the same order (see "RNG discipline" in the module
         docstring), and both streams are independent of simulator
@@ -328,16 +349,24 @@ class TrafficProcess:
         self._started = True
         self.generated = len(schedule)
 
-    def _tick(self, host: int, dest_rng: random.Random,
-              arr_rng: random.Random) -> None:
-        if self._stopped:
+    def _fire(self) -> None:
+        """The calendar's earliest firing: one message of its host, then
+        that host's next firing, then the simulator entry for whichever
+        firing is now earliest."""
+        calendar = self._calendar
+        if self._stopped or (self.max_messages
+                             and self.generated >= self.max_messages):
+            calendar.clear()        # neither condition ever reverts
             return
-        if self.max_messages and self.generated >= self.max_messages:
-            return
+        host, dest_rng, arr_rng = heappop(calendar)[2:]
         dst = self.pattern.destination(host, dest_rng)
         if dst is not None and dst != host:
             self.network.send(host, dst)
             self.generated += 1
-        t = self.arrivals.next_fire_ps(host, self.sim.now, arr_rng)
-        self.sim.at(max(t, self.sim.now), self._tick,
-                    host, dest_rng, arr_rng)
+        sim = self.sim
+        now = sim.now
+        t = self.arrivals.next_fire_ps(host, now, arr_rng)
+        heappush(calendar, (t if t > now else now, sim.next_seq(), host,
+                            dest_rng, arr_rng))
+        t, seq = calendar[0][:2]
+        heappush(sim.heap, (t, seq, self._fire, ()))

@@ -1,5 +1,7 @@
 """Discrete-event engine semantics."""
 
+import heapq
+
 import pytest
 
 from repro.sim.engine import DeadlockError, Simulator
@@ -125,3 +127,72 @@ def test_watchdog_bad_interval():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.set_watchdog(0, lambda: None)
+
+
+def test_watchdog_reinstall_replaces_the_chain():
+    """A second set_watchdog replaces the check and its interval; the
+    first chain ends instead of calling the new check on its own
+    beat."""
+    sim = Simulator()
+    first, second = [], []
+    sim.set_watchdog(10, lambda: first.append(sim.now))
+    sim.run_until(5)
+    sim.set_watchdog(10, lambda: second.append(sim.now))
+    sim.run_until(40)
+    assert first == []
+    assert second == [15, 25, 35]
+    sim.set_watchdog(4, lambda: second.append(sim.now))
+    sim.run_until(50)
+    assert second == [15, 25, 35, 44, 48]
+
+
+def test_entry_pushed_late_runs_in_its_reserved_order():
+    """An entry keeps the (t, seq) place it reserved however late it
+    is pushed: ties at one instant run by seq, not by push order."""
+    sim = Simulator()
+    log = []
+    reserved = sim.next_seq()
+    sim.at(10, log.append, "scheduled after the reservation")
+
+    def push_reserved():
+        heapq.heappush(sim.heap, (10, reserved, log.append, ("reserved",)))
+
+    sim.at(5, push_reserved)
+    sim.run_until(20)
+    assert log == ["reserved", "scheduled after the reservation"]
+
+
+def test_at_draws_from_the_public_counter():
+    sim = Simulator()
+    before = sim.next_seq()
+    sim.at(3, lambda: None)
+    assert sim.heap[0][1] == before + 1
+    assert sim.next_seq() == before + 2
+
+
+def test_cur_seq_inside_an_event_and_between_runs():
+    sim = Simulator()
+    assert sim.cur_seq == float("inf")
+    seen = []
+    sim.at(3, lambda: seen.append(sim.cur_seq))
+    seq = sim.heap[0][1]
+    sim.run_until(10)
+    assert seen == [seq]
+    # between runs every reserved (t, seq) with t <= now is past
+    assert sim.cur_seq == float("inf")
+    assert (sim.now, sim.next_seq()) < (sim.now, sim.cur_seq)
+    sim.at(12, lambda: seen.append(sim.cur_seq))
+    sim.run_until_idle()
+    assert seen[-1] > seq and sim.cur_seq == float("inf")
+
+
+def test_cur_seq_reset_when_an_event_raises():
+    sim = Simulator()
+
+    def boom():
+        raise DeadlockError("stuck")
+
+    sim.at(1, boom)
+    with pytest.raises(DeadlockError):
+        sim.run_until(5)
+    assert sim.cur_seq == float("inf")

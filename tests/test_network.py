@@ -229,3 +229,172 @@ class TestDeadlock:
             warmup_ps=ns(500_000), measure_ps=ns(2_000_000), seed=3)
         summary = run_simulation(cfg, watchdog_ps=ns(100_000))
         assert summary.messages_delivered > 0
+
+
+class TestDeferredReleases:
+    """A release nobody waits for is recorded on its channel with the
+    sequence number its event would have drawn, and settled before
+    anyone reads or requests the channel.  Every observable must equal
+    eager (one event per release) accounting."""
+
+    # host 0 (switch 0) -> host 2 (switch 1): holds inj, NET 0->1, dlv
+    HOPS = 1
+    WIRE = 512 + P.header_type_bytes + HOPS
+    TRANSFER = WIRE * P.flit_cycle_ps
+    #: header at the destination NIC: inject, then two routed hops
+    T_HEAD = P.link_prop_ps + 2 * (P.routing_delay_ps + P.link_prop_ps)
+    T_TAIL = T_HEAD + TRANSFER
+    #: the tail wave releases channel j of n one cable earlier per hop
+    REL_INJ = T_TAIL - 2 * P.link_prop_ps
+    REL_NET = T_TAIL - P.link_prop_ps
+    GRANT_NET = P.link_prop_ps
+
+    def test_hand_computed_release_times(self, ring4, ring4_tables):
+        sim, net = make_network(ring4, ring4_tables)
+        pkt = net.send(0, 2)
+        inj = net.nics[0].inj
+        sim.run_until(self.T_HEAD)
+        rel, _seq, owner, wire, granted = inj.deferred
+        assert (rel, owner, wire, granted) == (self.REL_INJ, pkt,
+                                               self.WIRE, 0)
+        assert inj.arbiter.owner is pkt          # not released yet
+        sim.run_until_idle()
+        assert pkt.delivered_ps == self.T_TAIL
+        assert inj.deferred is not None          # nobody asked since
+
+    @pytest.mark.parametrize("release_first", [True, False])
+    def test_request_at_the_release_instant(self, ring4, ring4_tables,
+                                            release_first):
+        """A second packet from host 0 is sent at exactly the instant
+        the first one's injection channel is released.  Whether the
+        release's seq comes before or after the sending event decides
+        whether the send finds the channel free or queues behind it --
+        as with one event per release -- and either way the grant
+        happens at that instant."""
+        sim, net = make_network(ring4, ring4_tables)
+        inj = net.nics[0].inj
+        seen = {}
+
+        def second_send():
+            seen["pkt"] = net.send(0, 2)
+            seen["owner"] = inj.arbiter.owner
+            seen["waiting"] = inj.arbiter.waiting()
+
+        first = net.send(0, 2)
+        if release_first:
+            # the tail wave (at T_HEAD) draws the release's seq first
+            sim.run_until(self.T_HEAD)
+            assert inj.deferred is not None
+            sim.at(self.REL_INJ, second_send)
+        else:
+            sim.at(self.REL_INJ, second_send)
+            sim.run_until(self.T_HEAD)
+            assert inj.deferred is not None
+            assert inj.deferred[1] > sim.heap[0][1]
+        sim.run_until_idle()
+        second = seen["pkt"]
+        if release_first:
+            assert (seen["owner"], seen["waiting"]) == (second, 0)
+        else:
+            assert (seen["owner"], seen["waiting"]) == (first, 1)
+        assert second.injected_ps == self.REL_INJ
+        assert second.delivered_ps == self.REL_INJ + self.T_TAIL
+
+    @pytest.mark.parametrize("reset_at", [
+        P.link_prop_ps // 2,                 # before the NET grant
+        P.link_prop_ps + 1,                  # held, tail wave not yet
+        T_HEAD + 1,                          # release deferred, future
+        REL_NET,                             # release due at the reset
+        REL_NET + 1])                        # release due, not settled
+    def test_hold_straddling_the_warmup_reset(self, ring4, ring4_tables,
+                                              reset_at):
+        sim, net = make_network(ring4, ring4_tables)
+        net.send(0, 2)
+        sim.run_until(reset_at)
+        net.reset_stats()
+        sim.run_until_idle()
+        # eager accounting: the hold is clamped to the reset and flits
+        # stream at link rate up to the release
+        if reset_at >= self.REL_NET:
+            expected = (0, 0)
+        elif reset_at <= self.GRANT_NET:
+            expected = (self.WIRE, self.REL_NET - self.GRANT_NET)
+        else:
+            window = self.REL_NET - reset_at
+            expected = (min(self.WIRE, window // P.flit_cycle_ps), window)
+        counts = {(c.src, c.dst): (c.flits, c.reserved_ps)
+                  for c in net.link_flit_counts()}
+        assert counts.pop((0, 1)) == expected
+        assert set(counts.values()) == {(0, 0)}
+
+    def test_drained_audit_settles_every_channel(self, ring4, ring4_tables):
+        from repro.sim.invariants import audit
+        sim, net = make_network(ring4, ring4_tables)
+        for i in range(20):
+            net.send(i % 8, (i + 3) % 8)
+        sim.run_until_idle()
+        assert net.in_flight == 0 and sim.pending_events == 0
+        assert any(ch.deferred is not None for ch in net.channels)
+        audit(net, drained=True).raise_if_failed()
+        assert all(ch.deferred is None and ch.arbiter.owner is None
+                   for ch in net.channels)
+
+    @pytest.mark.parametrize("kill_at", [T_HEAD + 1, REL_NET + 1])
+    def test_kill_link_under_a_deferred_release(self, ring4, ring4_tables,
+                                                kill_at):
+        """The worm committed at its NIC before the cable died: it
+        streams out and releases normally, whether its release is
+        still ahead (kill_at before REL_NET) or already due."""
+        from repro.sim import FaultPlan
+        from repro.sim.invariants import audit
+        sim, net = make_network(ring4, ring4_tables)
+        pkt = net.send(0, 2)
+        link = pkt.route.legs[0].links[0]
+        net.install_fault_plan(FaultPlan.at((kill_at, link)))
+        sim.run_until(kill_at - 1)
+        net_ch = net._net_by_dir[pkt.route.legs[0].dir_hops(ring4)[0]]
+        assert net_ch.deferred is not None
+        sim.run_until_idle()
+        assert net.dropped == 0 and pkt.delivered_ps == self.T_TAIL
+        assert net_ch.dead and net_ch.arbiter.owner is None
+        counts = {(c.src, c.dst): (c.flits, c.reserved_ps)
+                  for c in net.link_flit_counts()}
+        assert counts[(0, 1)] == (self.WIRE, self.REL_NET - self.GRANT_NET)
+        audit(net, drained=True).raise_if_failed()
+
+    def test_stall_snapshot_names_only_live_owners(self, ring4):
+        """The deadlocking ring: every owner the diagnosis names still
+        holds its channel -- a worm still progressing, or a committed
+        one whose release is not due yet."""
+        from repro.routing.updown import orient_links
+        from repro.traffic import TrafficProcess, make_workload
+        n = ring4.num_switches
+        routes = {}
+        for s in range(n):
+            for d in range(n):
+                path = [s]
+                while path[-1] != d:
+                    path.append((path[-1] + 1) % n)
+                routes[(s, d)] = (SourceRoute.single_leg(ring4, tuple(path)),)
+        t = RoutingTables("itb", 0, orient_links(ring4, 0), routes)
+        sim, net = make_network(ring4, t)
+        pattern, arrivals = make_workload(ring4, "uniform", {}, "constant",
+                                          {}, ns(200))
+        TrafficProcess(sim, net, pattern, arrivals, seed=3).start()
+        net.install_watchdog(ns(100_000))
+        with pytest.raises(DeadlockError) as err:
+            sim.run_until(ns(5_000_000))
+        diagnosis = err.value.diagnosis
+        assert diagnosis["wait_for_cycle"]
+        pending = {args[0].cid: t_ps for t_ps, _s, fn, args in sim.heap
+                   if getattr(fn, "__name__", "") == "_do_release"}
+        by_name = {net._channel_name(ch): ch for ch in net.channels}
+        for entry in diagnosis["channel_owners"]:
+            ch = by_name[entry["channel"]]
+            assert ch.deferred is None
+            if entry["owner"] is None:
+                continue
+            tr = net._active.get(entry["owner"])
+            if tr is not None and any(h[0] is ch for h in tr.holds):
+                continue
+            assert pending.get(ch.cid, -1) >= diagnosis["t_ps"], entry

@@ -228,6 +228,23 @@ class TestBenchRegressionGate:
         assert res.returncode == 1
         assert "events" in res.stdout and "REGRESSED" in res.stdout
 
+    def test_event_driven_point_gates_its_event_count(self, tmp_path):
+        # events/s is gated with a tolerance, the event count exactly:
+        # a release drifting back onto the heap adds events and may
+        # even raise events/s, so only the count shows it
+        base = self._bench_file(tmp_path / "base.json", events=1000,
+                                a=100.0)
+        fewer = self._bench_file(tmp_path / "fewer.json", events=700,
+                                 a=(75.0, 20.0))
+        res = self._run(fewer, base)
+        assert res.returncode == 0, res.stdout + res.stderr
+        more = self._bench_file(tmp_path / "more.json", events=1001,
+                                a=(120.0, 20.0))
+        res = self._run(more, base)
+        assert res.returncode == 1
+        assert [line.split()[1] for line in res.stdout.splitlines()
+                if "REGRESSED" in line] == ["events"]
+
     def test_missing_point_fails(self, tmp_path):
         base = self._bench_file(tmp_path / "base.json", a=100.0, b=200.0)
         cur = self._bench_file(tmp_path / "cur.json", a=100.0)

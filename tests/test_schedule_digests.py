@@ -18,6 +18,15 @@ hooks and the columnar ``Schedule`` landed; regenerate them only for an
 intentional change of the traffic itself::
 
     PYTHONPATH=src python tests/test_schedule_digests.py --regen
+
+The listings above are sorted, so they cannot see the order in which
+the event-driven path fires equal-time messages.  Two more digests per
+registered arrival process pin that tie order (:data:`EVENT_GOLDEN`):
+the *unsorted* ``(t, src, dst)`` send list of
+``TrafficProcess.start()``, and the ``RunSummary`` of a 4x4-torus
+``itb``/rr packet-engine run, whose every timestamp depends on which
+of two simultaneous events runs first.  They were captured before the
+traffic calendar moved pending ticks off the simulator heap.
 """
 
 import functools
@@ -25,7 +34,10 @@ import hashlib
 
 import pytest
 
+from repro.canon import digest
+from repro.config import SimConfig
 from repro.experiments.profiles import PAPER, TEST
+from repro.experiments.runner import run_simulation
 from repro.sim.engine import Simulator
 from repro.topology import build
 from repro.traffic import (ARRIVALS, PATTERNS, TrafficProcess, make_workload,
@@ -171,6 +183,69 @@ GOLDEN = {
 CASES = cases()
 
 
+class _RecordingNetwork:
+    """The one method ``TrafficProcess`` calls on a network."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.sent = []
+
+    def send(self, src, dst):
+        self.sent.append((self.sim.now, src, dst))
+
+
+def send_order_digest(arrival: str) -> str:
+    """sha-256 of what ``start()`` sends, in the order it sends it."""
+    g = _graph("torus-4x4-h4")
+    interval = per_host_interval_ps(0.3, MESSAGE_BYTES, g)
+    pattern, arrivals = make_workload(g, "uniform", {}, arrival, {},
+                                      interval)
+    sim = Simulator()
+    net = _RecordingNetwork(sim)
+    TrafficProcess(sim, net, pattern, arrivals, seed=3).start()
+    sim.run_until(TEST.warmup_ps + TEST.measure_ps)
+    listing = "".join(f"{t} {s} {d}\n" for t, s, d in net.sent)
+    return f"{len(net.sent)}:" + hashlib.sha256(listing.encode()).hexdigest()
+
+
+def run_summary_digest(arrival: str) -> str:
+    """sha-256 of the canonical ``RunSummary`` of a contended packet
+    run on the 4x4 torus."""
+    config = SimConfig(engine="packet", topology="torus",
+                       topology_kwargs={"rows": 4, "cols": 4,
+                                        "hosts_per_switch": 2},
+                       routing="itb", policy="rr", traffic="uniform",
+                       arrival=arrival, injection_rate=0.06,
+                       message_bytes=MESSAGE_BYTES, seed=5,
+                       warmup_ps=TEST.warmup_ps,
+                       measure_ps=TEST.measure_ps)
+    return digest(run_simulation(config).to_dict())
+
+
+EVENT_GOLDEN = {
+    'adversarial': {
+        'sends': '1024:3b105d4b983200d675dcaf3f53207f4c758f11d0561527404ce9'
+                 '19ce107c3d44',
+        'summary': '90d1001f5056a755a5eec3fb43c1f75a8871134b34616239169aeb'
+                   '81c2f150c6'},
+    'constant': {
+        'sends': '758:4d3ac3d6ff04f1fb8581937f3b7bc8f8d128a4bb65ac7f06da269'
+                 '5f7b878493f',
+        'summary': '3367e995dfa8472ed67a25637df5378e5cff015aae39cc3e31090c'
+                   'b759e5efc1'},
+    'onoff': {
+        'sends': '778:8af8c94cda7b93c20977506d6724ad32354570215a1a186a9a4f2'
+                 '6a53d71a301',
+        'summary': '957bb5d6821f6fc1520b935675ed4a4f1980338d456bb126014993'
+                   'cd19800cc7'},
+    'poisson': {
+        'sends': '733:bd72e0e3d65d1d98a9ff443db6de28bd03a5237ed95a2b734bf0'
+                 '11661adaaa95',
+        'summary': 'bf7cc28b6c5558004c87d06438dcc17c16f4b956db2339ebbc28d3'
+                   '84a78fc7bc'},
+}
+
+
 @pytest.mark.parametrize("label", list(CASES))
 def test_schedule_digest(label):
     assert schedule_digest(CASES[label]) == GOLDEN[label]
@@ -180,6 +255,20 @@ def test_every_registered_spec_is_pinned():
     assert set(CASES) == set(GOLDEN)
 
 
+@pytest.mark.parametrize("arrival", ARRIVALS.names())
+def test_event_path_send_order(arrival):
+    assert send_order_digest(arrival) == EVENT_GOLDEN[arrival]["sends"]
+
+
+@pytest.mark.parametrize("arrival", ARRIVALS.names())
+def test_event_path_run_summary(arrival):
+    assert run_summary_digest(arrival) == EVENT_GOLDEN[arrival]["summary"]
+
+
+def test_every_arrival_process_is_pinned_on_the_event_path():
+    assert set(ARRIVALS.names()) == set(EVENT_GOLDEN)
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     import pprint
     import sys
@@ -187,3 +276,6 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
     if "--regen" in sys.argv:
         pprint.pprint({k: schedule_digest(c) for k, c in CASES.items()},
                       sort_dicts=False)
+        pprint.pprint({a: {"sends": send_order_digest(a),
+                           "summary": run_summary_digest(a)}
+                       for a in ARRIVALS.names()}, sort_dicts=False)

@@ -284,6 +284,43 @@ class TestTrafficProcess:
         with pytest.raises(TypeError):
             TrafficProcess(sim, net, UniformTraffic(g), "constant", 1)
 
+    def test_ticks_interleave_with_equal_time_events_in_seq_order(self, g):
+        """Every host fires at k * I, and each send schedules an echo
+        event one interval later -- at its host's next firing.  With
+        one event per tick, host h's echo was scheduled just before
+        h's next tick, so each instant runs echo h0, send h0, echo h1,
+        send h1, ...; the calendar must keep exactly that order."""
+        interval = 1_000
+
+        class Lockstep(ConstantArrivals):
+            def next_fire_ps(self, host, now_ps, rng):
+                return now_ps + self.interval_ps
+
+        sim = Simulator()
+        log = []
+
+        class EchoNetwork:
+            def send(self, src, dst):
+                log.append(("send", sim.now, src))
+                sim.at(sim.now + interval, log.append,
+                       ("echo", sim.now + interval, src))
+
+        hosts = [0, 3, 5]
+
+        class ThreeHosts(UniformTraffic):
+            def active_hosts(self):
+                return hosts
+
+        TrafficProcess(sim, EchoNetwork(), ThreeHosts(g), Lockstep(interval),
+                       seed=1).start()
+        sim.run_until(3 * interval)
+        expected = [("send", interval, h) for h in hosts]
+        for k in (2, 3):
+            for h in hosts:
+                expected += [("echo", k * interval, h),
+                             ("send", k * interval, h)]
+        assert log == expected
+
 
 # -- registry-wide property suite --------------------------------------------
 
