@@ -168,7 +168,21 @@ def _add_exec_options(p: argparse.ArgumentParser) -> None:
 
 
 def _executor_kwargs(args: argparse.Namespace) -> dict:
-    """:class:`Executor` keyword arguments from ``_add_exec_options``."""
+    """:class:`Executor` keyword arguments from ``_add_exec_options``;
+    a value the executor would refuse or clamp is a
+    :class:`UsageError` here, before anything runs."""
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if args.task_timeout is not None and not args.task_timeout > 0:
+        raise UsageError(
+            f"--task-timeout must be positive, got {args.task_timeout}")
+    if args.retries < 0:
+        raise UsageError(f"--retries must be >= 0, got {args.retries}")
+    if not args.retry_backoff >= 0:
+        raise UsageError(
+            f"--retry-backoff must be >= 0, got {args.retry_backoff}")
+    if args.tls_ca is not None and args.fabric is None:
+        raise UsageError("--tls-ca applies to --fabric workers only")
     return dict(workers=args.workers,
                 store=None if args.no_cache else ResultStore(args.cache_dir),
                 timeout_s=args.task_timeout, retries=args.retries,

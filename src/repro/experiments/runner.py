@@ -17,11 +17,11 @@ that still costs ~0.05 s for ``updown`` and ~0.06 s for ``itb`` --
 several times the array engine's whole event loop -- so both are
 memoised per (topology, scheme, root, cap) and a latency sweep pays the
 cost once (``repro run --perf`` prints it as ``tables``).  The traffic
-a batch engine is primed with is memoised too, keyed by what it is a
-function of -- topology, workload spec, interval, seed, horizon; *not*
-scheme, policy or engine -- so every curve of a figure is offered one
-shared
-:class:`~repro.traffic.base.Schedule` (``--perf``: ``schedule``).
+of every run is memoised too, keyed by what it is a function of --
+topology, workload spec, interval, seed, horizon; *not* scheme, policy
+or engine -- so every curve of a figure is offered one shared
+:class:`~repro.traffic.base.Schedule` (``--perf``: ``schedule``),
+which a batch engine is primed with and any other run replays.
 Caches are explicit and clearable for tests.
 
 A run ends by tearing itself down (``Simulator.clear`` +
@@ -73,18 +73,19 @@ _GRAPH_CACHE: Dict[Tuple, NetworkGraph] = {}
 _GRAPH_CACHE_MAX = 32
 _TABLE_CACHE: Dict[Tuple, RoutingTables] = {}
 _TABLE_CACHE_MAX = 32
-#: memoised pregenerated schedules (batch-inject path): a schedule is a
-#: pure function of (topology, workload spec, interval, seed, horizon)
-#: -- not of the routing scheme, policy or engine -- so every run that
-#: offers the same traffic (the schemes of a curve, a panel, a campaign
-#: or a tournament row; benchmark repeats) adopts one shared, read-only
-#: :class:`~repro.traffic.base.Schedule` instead of re-drawing two RNG
-#: streams per host.  Bounded by *messages held*, oldest evicted first
-#: (all 8-12 rates of a curve must survive until the next scheme asks,
-#: whatever their sizes): 2 M messages x 16 B of columns = 32 MB; the
-#: largest committed working set, Figure 7 at 4x windows, is 27
-#: schedules of ~0.55 M messages.  A schedule over the bound by itself
-#: is not kept.
+#: memoised pregenerated schedules, every run's one traffic source: a
+#: schedule is a pure function of (topology, workload spec, interval,
+#: seed, horizon) -- not of the routing scheme, policy or engine -- so
+#: every run that offers the same traffic (the schemes of a curve, a
+#: panel, a campaign or a tournament row; benchmark repeats) primes or
+#: replays one shared, read-only :class:`~repro.traffic.base.Schedule`
+#: instead of re-drawing two RNG streams per host.  Bounded by
+#: *messages held*, oldest evicted first (all 8-12 rates of a curve
+#: must survive until the next scheme asks, whatever their sizes): 2 M
+#: messages x 16 B of columns = 32 MB, plus 4 B per message of a
+#: replayed schedule's chain column; the largest committed working
+#: set, Figure 7 at 4x windows, is 27 schedules of ~0.55 M messages.
+#: A schedule over the bound by itself is not kept.
 _SCHEDULE_CACHE: Dict[Tuple, Schedule] = {}
 _SCHEDULE_CACHE_MAX_MESSAGES = 2_000_000
 
@@ -296,27 +297,30 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
             else:
                 network.add_delivery_callback(tracker.on_delivered)
 
-        t_setup_done = t_loop_start = _now()
-        if (CAP_BATCH_INJECT in caps and transport is None
-                and not config.max_messages):
-            # batch engines take the whole deterministic schedule up front
-            # (identical RNG streams, see TrafficProcess.pregenerate) so no
-            # per-message generation events hit the heap
-            t_end = config.warmup_ps + config.measure_ps
-            skey = (topo_key, config.traffic,
-                    _freeze_kwargs(config.traffic_kwargs),
-                    config.arrival, _freeze_kwargs(config.arrival_kwargs),
-                    interval, config.seed, t_end)
-            schedule = _SCHEDULE_CACHE.get(skey)
-            if schedule is None:
-                schedule = traffic.pregenerate(t_end)
-                _memoise_schedule(skey, schedule)
-            else:
-                traffic.adopt_schedule(schedule)
-            t_loop_start = _now()
+        t_setup_done = _now()
+        # every run offers the memoised traffic of its (topology,
+        # workload, interval, seed, horizon): drawn once in bulk (see
+        # TrafficProcess.pregenerate), then primed into a batch engine
+        # -- no per-message generation events on the heap -- or
+        # replayed, event for event as TrafficProcess.start would send it
+        t_end = config.warmup_ps + config.measure_ps
+        skey = (topo_key, config.traffic,
+                _freeze_kwargs(config.traffic_kwargs),
+                config.arrival, _freeze_kwargs(config.arrival_kwargs),
+                interval, config.seed, t_end)
+        batch = (CAP_BATCH_INJECT in caps and transport is None
+                 and not config.max_messages)
+        schedule = _SCHEDULE_CACHE.get(skey)
+        if schedule is None:
+            schedule = traffic.pregenerate(t_end)
+            _memoise_schedule(skey, schedule)
+        elif batch:
+            traffic.adopt_schedule(schedule)
+        t_loop_start = _now()
+        if batch:
             network.prime_schedule(schedule)
         else:
-            traffic.start()
+            traffic.replay(schedule)
         sim.run_until(config.warmup_ps)
         # engine first: batch engines flush work at or before the warm-up
         # boundary into the collector, which the reset below then discards

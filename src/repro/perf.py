@@ -37,10 +37,11 @@ class PerfReport:
     preceded it; ``tables_wall_s`` the part of set-up spent obtaining
     the routing tables (a full table build when cold, ~0 on a memo hit
     or when the caller passed tables in); ``schedule_wall_s`` the time
-    between set-up and loop spent obtaining the traffic schedule of a
-    batch engine (``TrafficProcess.pregenerate`` when cold, ~0 on a
-    memo hit, 0 on an event-driven engine, which generates inside the
-    loop); ``wall_s`` the whole ``run_simulation`` call.  ``events`` and
+    between set-up and loop spent obtaining the run's traffic schedule
+    (``TrafficProcess.pregenerate`` when cold, ~0 on a memo hit, on
+    every engine: a batch engine is primed with it, any other run
+    replays it in the loop); ``wall_s`` the whole ``run_simulation``
+    call.  ``events`` and
     ``messages_delivered`` count the full run, so the rates are
     loop-throughput figures, not measurement-window statistics.
     """

@@ -117,11 +117,6 @@ class ArrayNetwork(NetworkModel):
         #: one flit cycle, so reserved time is derived from it)
         self._flits: List[int] = [0] * self._n_chan
 
-        #: host id -> switch id (admission fast path)
-        self._hsw: List[int] = [0] * g.num_hosts
-        for h in g.hosts:
-            self._hsw[h.id] = g.host_switch(h.id)
-
         # primed schedule (the Schedule's columns, shared) + cursor
         self._sched_t: Sequence[int] = ()
         self._sched_src: Sequence[int] = ()
@@ -261,7 +256,7 @@ class ArrayNetwork(NetworkModel):
         inj0, del0 = self._inj0, self._del0
         # the tables cannot be swapped mid-run: swap_tables requires
         # the reliable-delivery capability this engine declines
-        routes_map, hsw = self.tables.routes, self._hsw
+        routes_map, hsw = self.tables.routes, self._host_switch
         select_index = self.policy.select_index
         nbytes, graph = self.message_bytes, self.graph
         callbacks = self._delivery_callbacks

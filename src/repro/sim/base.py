@@ -146,6 +146,9 @@ class NetworkModel(ABC):
         self.policy = policy
         self.params = params
         self.message_bytes = message_bytes
+        #: switch of each host id (route selection reads it per
+        #: message, the array engine's admission once per drain)
+        self._host_switch = [h.switch for h in graph.hosts]
 
         self.generated = 0
         self.delivered = 0
@@ -479,9 +482,10 @@ class NetworkModel(ABC):
         """The route for the next packet of a pair and its alternative
         index (carried on the packet for policy feedback), or ``None``
         when every alternative crosses a dead link."""
-        src_sw = self.graph.host_switch(src_host)
-        dst_sw = self.graph.host_switch(dst_host)
-        alts = self.tables.alternatives(src_sw, dst_sw)
+        host_switch = self._host_switch
+        src_sw = host_switch[src_host]
+        dst_sw = host_switch[dst_host]
+        alts = self.tables.routes[(src_sw, dst_sw)]
         if route_index is not None:
             # forced selection (reliability-layer failover): no
             # blacklist filtering -- the retransmission itself is the

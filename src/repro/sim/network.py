@@ -65,14 +65,17 @@ from .packet import Packet
 class _LegTransit:
     """Mutable per-leg traversal state of one packet."""
 
-    __slots__ = ("pkt", "leg_idx", "holds", "pool_host", "pool_bytes",
-                 "short", "tail_cross_ps", "dirs", "dropped", "pending")
+    __slots__ = ("pkt", "leg_idx", "wire", "holds", "pool_host",
+                 "pool_bytes", "short", "tail_cross_ps", "dirs", "dropped",
+                 "pending")
 
-    def __init__(self, pkt: Packet, leg_idx: int,
+    def __init__(self, pkt: Packet, leg_idx: int, wire: int,
                  pool_host: int = -1, pool_bytes: int = 0,
                  short: bool = False) -> None:
         self.pkt = pkt
         self.leg_idx = leg_idx
+        #: flits on the wire during this leg
+        self.wire = wire
         #: pre-resolved directed-channel index per hop of the leg (see
         #: RouteLeg.dir_hops; the delivery channel is per-packet and
         #: resolved at the last hop)
@@ -117,6 +120,7 @@ class WormholeNetwork(NetworkModel):
         self._next_seq = sim.next_seq
         self._prop_ps = params.link_prop_ps
         self._flit_cycle_ps = params.flit_cycle_ps
+        self._slack_bytes = params.slack_buffer_bytes
         #: a granted header's routing decision plus one cable
         self._hop_ps = params.routing_delay_ps + params.link_prop_ps
         #: pid -> transit whose header is still progressing (removed
@@ -187,10 +191,14 @@ class WormholeNetwork(NetworkModel):
     def _start_leg(self, pkt: Packet, leg_idx: int, t_ready: int,
                    pool_host: int = -1, pool_bytes: int = 0) -> None:
         """Queue the packet for (re-)injection at ``t_ready``."""
-        short = (pkt.wire_bytes(leg_idx)
-                 <= self.params.slack_buffer_bytes)
-        transit = _LegTransit(pkt, leg_idx, pool_host, pool_bytes, short)
-        transit.dirs = pkt.route.legs[leg_idx].dir_hops(self.graph)
+        wire = pkt._leg_wire_bytes[leg_idx]
+        transit = _LegTransit(pkt, leg_idx, wire, pool_host, pool_bytes,
+                              wire <= self._slack_bytes)
+        leg = pkt.route.legs[leg_idx]
+        try:
+            transit.dirs = leg._dir_hops
+        except AttributeError:          # first packet on this leg
+            transit.dirs = leg.dir_hops(self.graph)
         self._active[pkt.pid] = transit
         if t_ready <= self.sim.now:
             self._head_at(transit, -1)
@@ -257,8 +265,7 @@ class WormholeNetwork(NetworkModel):
                 # whole packet leaves the NIC wire-length flit cycles
                 # later
                 transit.tail_cross_ps = (
-                    g + pkt.wire_bytes(transit.leg_idx)
-                    * self._flit_cycle_ps)
+                    g + transit.wire * self._flit_cycle_ps)
             _heappush(self._events, (g + self._prop_ps, self._next_seq(),
                                      self._head_at, (transit, 0)))
             return
@@ -274,7 +281,7 @@ class WormholeNetwork(NetworkModel):
             # pool credit, which belongs to the first-released channel:
             # the leg's injection channel) so a later drop releases
             # only what is still unscheduled.
-            wire = pkt.wire_bytes(transit.leg_idx)
+            wire = transit.wire
             cross = max(transit.tail_cross_ps + self._prop_ps,
                         g + self.params.routing_delay_ps
                         + wire * self._flit_cycle_ps)
@@ -300,7 +307,7 @@ class WormholeNetwork(NetworkModel):
         pkt = transit.pkt
         params = self.params
         t_head = self.sim.now
-        wire = pkt.wire_bytes(transit.leg_idx)
+        wire = transit.wire
         holds = transit.holds
         n = len(holds)
         prop = self._prop_ps

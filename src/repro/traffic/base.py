@@ -38,15 +38,35 @@ destination sequences, which is what makes paired comparisons across
 rates meaningful.
 
 It is also what lets a whole schedule be drawn in bulk
-(:meth:`TrafficProcess.pregenerate`): the event-driven path alternates
-one destination draw and one timing draw per message, but since the
-two streams never meet, drawing *all* of a host's fire times
-(:meth:`ArrivalProcess.fire_times`) and then *all* of its destinations
-(:meth:`TrafficPattern.destinations`) consumes each stream in exactly
-the same order.  An override of either bulk hook must keep that
-property -- same values, same number of draws from ``rng`` -- and is
-pinned against the scalar method by ``tests/test_properties.py`` and
-the golden listings of ``tests/test_schedule_digests.py``.
+(:meth:`TrafficProcess.pregenerate`): the scalar reference path
+(:meth:`TrafficProcess.start`) alternates one destination draw and one
+timing draw per message, but since the two streams never meet, drawing
+*all* of a host's fire times (:meth:`ArrivalProcess.fire_times`) and
+then *all* of its destinations (:meth:`TrafficPattern.destinations`)
+consumes each stream in exactly the same order.  An override of either
+bulk hook must keep that property -- same values, same number of draws
+from ``rng`` -- and is pinned against the scalar method by
+``tests/test_properties.py`` and the golden listings of
+``tests/test_schedule_digests.py``.
+
+One draw path
+-------------
+
+A run takes its traffic from one :class:`Schedule`, drawn in bulk and
+shared by every run offering the same traffic (the runner memoises
+it).  A batch engine is primed with it; any other run *replays* it
+(:meth:`TrafficProcess.replay`) through the same calendar and the same
+firing body as :meth:`~TrafficProcess.start`, drawing every event
+sequence number where ``start()`` draws it -- so a replayed run is
+event for event the run ``start()`` drives, and its loop holds no RNG.
+That equivalence needs every firing of an active host to send (no
+``None`` or self destination) and each host's fire times to increase
+strictly: the schedule keeps neither silent firings nor the draw order
+of one host's same-instant messages.  Every shipped pattern and arrival
+process has both properties, and :meth:`~TrafficProcess.replay`
+refuses a schedule that counted silent firings (``Schedule.silent``);
+``start()`` stays the reference the bulk hooks and the replay are
+pinned against.
 """
 
 from __future__ import annotations
@@ -151,26 +171,35 @@ class ArrivalProcess(ABC):
 
 class Schedule:
     """One run's offered traffic: every ``(t_ps, src, dst)`` message of
-    every host, sorted by ``(t, src, dst)``, as three parallel columns.
+    every host up to ``horizon_ps``, sorted by ``(t, src, dst)``, as
+    three parallel columns.
 
     A schedule exists independently of the routing scheme and engine
     under test, so one instance is shared read-only by every run that
     offers the same traffic (the runner memoises them; batch engines
-    read the columns in place).  The columns are stdlib arrays --
-    ``t`` 64-bit, ``src`` / ``dst`` 32-bit -- i.e. 16 bytes per message
-    and nothing for the garbage collector to walk.  ``len()`` and
-    iteration (as ``(t, src, dst)`` triples) make it a drop-in for the
-    list of tuples it replaces.
+    read the columns in place, every other engine replays them).  The
+    columns are stdlib arrays -- ``t`` 64-bit, ``src`` / ``dst`` 32-bit
+    -- i.e. 16 bytes per message and nothing for the garbage collector
+    to walk.  ``len()`` and iteration (as ``(t, src, dst)`` triples)
+    make it a drop-in for the list of tuples it replaces.
     """
 
-    __slots__ = ("t", "src", "dst")
+    __slots__ = ("t", "src", "dst", "horizon_ps", "silent", "_chains")
 
-    def __init__(self, t: array, src: array, dst: array) -> None:
+    def __init__(self, t: array, src: array, dst: array,
+                 horizon_ps: Optional[int] = None, silent: int = 0) -> None:
         if not len(t) == len(src) == len(dst):
             raise ValueError("schedule columns differ in length")
         self.t = t
         self.src = src
         self.dst = dst
+        #: the schedule lists every message up to this time, none after
+        #: it (default: the last message's time)
+        self.horizon_ps = (horizon_ps if horizon_ps is not None
+                           else t[-1] if len(t) else 0)
+        #: firings of active hosts that sent nothing (a ``None`` or
+        #: self destination), which the columns do not list
+        self.silent = silent
 
     @classmethod
     def from_triples(cls, triples: Iterable[Tuple[int, int, int]]
@@ -187,6 +216,27 @@ class Schedule:
     def __iter__(self) -> Iterator[Tuple[int, int, int]]:
         return zip(self.t, self.src, self.dst)
 
+    def chains(self) -> Tuple[array, array]:
+        """Each source's messages as a chain: ``first[src]`` is the
+        index of its first message (-1: none; hosts past the largest
+        source id have none either), ``nxt[i]`` that of the next
+        message of ``src[i]`` (-1 after its last).  Built on the first
+        call and kept, so every run replaying the schedule shares two
+        4-byte columns."""
+        try:
+            return self._chains
+        except AttributeError:
+            pass
+        src = self.src
+        n = len(src)
+        nxt = array("i", [-1]) * n
+        first = array("i", [-1]) * (max(src) + 1 if n else 0)
+        for i, s in zip(range(n - 1, -1, -1), reversed(src)):
+            nxt[i] = first[s]
+            first[s] = i
+        self._chains = (first, nxt)
+        return self._chains
+
 
 def per_host_interval_ps(rate_flits_ns_switch: float, message_bytes: int,
                          graph: NetworkGraph) -> int:
@@ -202,6 +252,62 @@ def per_host_interval_ps(rate_flits_ns_switch: float, message_bytes: int,
                               / graph.num_hosts)
     interval_ns = message_bytes / rate_per_host_flits_ns
     return max(1, round(interval_ns * PS_PER_NS))
+
+
+class _Draws:
+    """Where :meth:`TrafficProcess.start` takes a host's firings from:
+    its destination and arrival streams, one draw each per message."""
+
+    __slots__ = ("pattern", "arrivals", "seed")
+
+    def __init__(self, pattern: TrafficPattern, arrivals: ArrivalProcess,
+                 seed: int) -> None:
+        self.pattern = pattern
+        self.arrivals = arrivals
+        self.seed = seed
+
+    def first(self, host: int, now: int) -> Tuple[int, tuple]:
+        """The host's first fire time and its cursor (its two streams)."""
+        dest_rng = random.Random(f"{self.seed}:{host}")
+        arr_rng = random.Random(f"{self.seed}:arrival:{host}")
+        return (self.arrivals.next_fire_ps(host, now, arr_rng),
+                (dest_rng, arr_rng))
+
+    def advance(self, host: int, cursor: tuple, now: int) -> tuple:
+        """``(dst, next fire time, next cursor)`` of the firing at
+        ``cursor``."""
+        dest_rng, arr_rng = cursor
+        return (self.pattern.destination(host, dest_rng),
+                self.arrivals.next_fire_ps(host, now, arr_rng), cursor)
+
+
+class _Replay:
+    """Where :meth:`TrafficProcess.replay` takes them from: a
+    schedule's columns, along each host's chain of messages.  A host
+    whose chain has ended waits past the horizon and never sends."""
+
+    __slots__ = ("t", "dst", "first_index", "nxt", "beyond")
+
+    def __init__(self, schedule: Schedule) -> None:
+        if schedule.silent:
+            raise ValueError(
+                f"cannot replay a schedule with {schedule.silent} silent "
+                f"firings: start() draws a sequence number for each")
+        self.first_index, self.nxt = schedule.chains()
+        self.t = schedule.t
+        self.dst = schedule.dst
+        self.beyond = schedule.horizon_ps + 1
+
+    def first(self, host: int, now: int) -> Tuple[int, int]:
+        first_index = self.first_index
+        i = first_index[host] if host < len(first_index) else -1
+        return (self.t[i] if i >= 0 else self.beyond), i
+
+    def advance(self, host: int, i: int, now: int) -> tuple:
+        if i < 0:
+            return None, None, i
+        j = self.nxt[i]
+        return self.dst[i], (self.t[j] if j >= 0 else self.beyond), j
 
 
 class TrafficProcess:
@@ -233,39 +339,65 @@ class TrafficProcess:
         self.seed = seed
         self.max_messages = max_messages
         self.generated = 0
+        #: the RNG streams are spoken for (start, replay, pregenerate,
+        #: adopt_schedule)
         self._started = False
         self._stopped = False
-        #: pending firings, ``(t, seq, host, dest_rng, arr_rng)`` (heap)
+        #: where firings come from once sending (_Draws or _Replay)
+        self._source = None
+        #: pending firings, ``(t, seq, host, cursor)`` (heap)
         self._calendar: List[tuple] = []
 
     def start(self) -> None:
-        """Schedule the first message of every active host.
+        """Schedule the first message of every active host, drawing
+        each message from the host's RNG streams as it fires.
 
-        The hosts' next firings live in the process's own calendar, a
-        heap of ``(t, seq, host, dest_rng, arr_rng)``, not on the
-        simulator's: the simulator holds one entry, carrying the
-        earliest firing's own ``(t, seq)``.  Each ``seq`` is drawn from
-        the simulator's counter exactly where scheduling the firing as
-        an event would draw it, so firings interleave with every other
-        event as they would on the simulator heap, while the heap the
-        network's events share stays as short as the work in flight.
-        """
+        The scalar reference path: :meth:`replay` of this process's
+        :meth:`pregenerate` result drives the same run, and is what
+        the runner uses."""
         if self._started:
             raise RuntimeError("traffic process already started")
         self._started = True
+        self._send_from(_Draws(self.pattern, self.arrivals, self.seed))
+
+    def replay(self, schedule: Schedule) -> None:
+        """Send ``schedule`` -- which this process's workload drew, by
+        :meth:`pregenerate` here or on another process of the same
+        workload -- event for event as :meth:`start` would send it,
+        applying ``max_messages`` in fire order.  The process may have
+        drawn or adopted ``schedule`` first; it must not be sending."""
+        if self._source is not None:
+            raise RuntimeError("traffic process already sending")
+        self._started = True
+        self.generated = 0
+        self._send_from(_Replay(schedule))
+
+    def _send_from(self, source) -> None:
+        """Enter every active host's first firing into the calendar.
+
+        The hosts' next firings live in the process's own calendar, a
+        heap of ``(t, seq, host, cursor)``, not on the simulator's: the
+        simulator holds one entry, carrying the earliest firing's own
+        ``(t, seq)``.  Each ``seq`` is drawn from the simulator's
+        counter exactly where scheduling the firing as an event would
+        draw it -- the first firings in ``active_hosts()`` order, each
+        later one right after its predecessor's ``send`` -- so firings
+        interleave with every other event as they would on the
+        simulator heap, while the heap the network's events share stays
+        as short as the work in flight.
+        """
+        self._source = source
         sim = self.sim
         now = sim.now
         calendar = self._calendar
         for host in self.pattern.active_hosts():
-            dest_rng = random.Random(f"{self.seed}:{host}")
-            arr_rng = random.Random(f"{self.seed}:arrival:{host}")
-            t = self.arrivals.next_fire_ps(host, now, arr_rng)
-            calendar.append((max(t, now), sim.next_seq(), host, dest_rng,
-                             arr_rng))
+            t, cursor = source.first(host, now)
+            calendar.append((t if t > now else now, sim.next_seq(), host,
+                             cursor))
         heapify(calendar)
         if calendar:
-            t, seq = calendar[0][:2]
-            heappush(sim.heap, (t, seq, self._fire, ()))
+            due = calendar[0]
+            heappush(sim.heap, (due[0], due[1], self._fire, ()))
 
     def stop(self) -> None:
         """Cease generation; in-flight messages drain normally."""
@@ -275,27 +407,23 @@ class TrafficProcess:
         """The full :class:`Schedule` up to ``t_end_ps``, without
         scheduling anything on the simulator.
 
-        Produces exactly the message set the event-driven path
-        (:meth:`start` + ``_fire``) would generate: each host's
-        destination and arrival streams are seeded identically and
-        consumed in the same order (see "RNG discipline" in the module
-        docstring), and both streams are independent of simulator
-        state, so replaying them off-line -- in bulk, all of a host's
-        times then all of its destinations -- is equivalent.  Batch
-        engines (:data:`~repro.sim.base.CAP_BATCH_INJECT`) consume the
-        result through ``network.prime_schedule``.
+        Produces exactly the message set :meth:`start` would send:
+        each host's destination and arrival streams are seeded
+        identically and consumed in the same order (see "RNG
+        discipline" in the module docstring), and both streams are
+        independent of simulator state, so drawing them off-line -- in
+        bulk, all of a host's times then all of its destinations -- is
+        equivalent.  Batch engines (:data:`~repro.sim.base
+        .CAP_BATCH_INJECT`) consume the result through
+        ``network.prime_schedule``, every other engine through
+        :meth:`replay`.
 
-        ``max_messages`` caps generation *globally* in the event-driven
-        path (the count depends on cross-host delivery interleaving),
-        which an off-line replay cannot reproduce -- callers must fall
-        back to :meth:`start` in that case.
+        The schedule is the uncapped traffic: a ``max_messages`` cap
+        keeps the first messages in fire order, which only depends on
+        the traffic, and :meth:`replay` applies it as it sends.
         """
         if self._started:
             raise RuntimeError("traffic process already started")
-        if self.max_messages:
-            raise RuntimeError(
-                "pregenerate() cannot honour a global max_messages cap; "
-                "use start()")
         self._started = True
         now0 = self.sim.now
         seed = self.seed
@@ -308,6 +436,7 @@ class TrafficProcess:
         hosts_sq = hosts * hosts
         valid = frozenset(range(hosts)) | {None}
         keys: List[int] = []
+        fired = 0
         for host in self.pattern.active_hosts():
             dest_rng = random.Random(f"{seed}:{host}")
             arr_rng = random.Random(f"{seed}:arrival:{host}")
@@ -318,6 +447,7 @@ class TrafficProcess:
                     f"pattern {self.pattern.name!r} sent host {host} to a "
                     f"destination outside [0, {hosts})")
             base = host * hosts
+            fired += len(times)
             keys.extend([t * hosts_sq + base + d
                          for t, d in zip(times, dsts)
                          if d is not None and d != host])
@@ -326,12 +456,14 @@ class TrafficProcess:
         schedule = Schedule(
             array("q", map(floordiv, t_src, repeat(hosts))),
             array("i", map(mod, t_src, repeat(hosts))),
-            array("i", map(mod, keys, repeat(hosts))))
+            array("i", map(mod, keys, repeat(hosts))),
+            horizon_ps=t_end_ps, silent=fired - len(keys))
         self.generated = len(schedule)
         return schedule
 
     def adopt_schedule(self, schedule: Schedule) -> None:
-        """Account for a schedule this process *would* have produced.
+        """Account for a schedule this process *would* have produced
+        and a batch engine is primed with.
 
         Deterministic workloads are pure functions of their
         configuration, so the runner memoises :meth:`pregenerate`
@@ -339,7 +471,9 @@ class TrafficProcess:
         benchmark repeats).  On a cache hit it calls this instead: the
         process marks itself started -- the schedule's RNG draws are
         morally consumed -- and reports the schedule's size as its
-        generation count, exactly as the fresh call would have.
+        generation count, exactly as the fresh call would have.  A
+        primed engine takes the whole schedule, so a ``max_messages``
+        cap is refused here (a capped run replays).
         """
         if self._started:
             raise RuntimeError("traffic process already started")
@@ -352,21 +486,25 @@ class TrafficProcess:
     def _fire(self) -> None:
         """The calendar's earliest firing: one message of its host, then
         that host's next firing, then the simulator entry for whichever
-        firing is now earliest."""
+        firing is now earliest.  The one firing body of :meth:`start`
+        and :meth:`replay`; only their source of a host's next
+        (destination, time) differs."""
         calendar = self._calendar
         if self._stopped or (self.max_messages
                              and self.generated >= self.max_messages):
             calendar.clear()        # neither condition ever reverts
             return
-        host, dest_rng, arr_rng = heappop(calendar)[2:]
-        dst = self.pattern.destination(host, dest_rng)
+        due = heappop(calendar)
+        host = due[2]
+        sim = self.sim
+        now = sim.now
+        dst, t, cursor = self._source.advance(host, due[3], now)
         if dst is not None and dst != host:
             self.network.send(host, dst)
             self.generated += 1
-        sim = self.sim
-        now = sim.now
-        t = self.arrivals.next_fire_ps(host, now, arr_rng)
-        heappush(calendar, (t if t > now else now, sim.next_seq(), host,
-                            dest_rng, arr_rng))
-        t, seq = calendar[0][:2]
-        heappush(sim.heap, (t, seq, self._fire, ()))
+        if t is not None:
+            heappush(calendar, (t if t > now else now, sim.next_seq(), host,
+                                cursor))
+        if calendar:
+            due = calendar[0]
+            heappush(sim.heap, (due[0], due[1], self._fire, ()))

@@ -423,7 +423,7 @@ class TestScheduleSharing:
     @pytest.fixture
     def calls(self, monkeypatch):
         from repro.traffic import TrafficProcess
-        counts = {"pregenerate": 0, "adopt_schedule": 0}
+        counts = {"pregenerate": 0, "adopt_schedule": 0, "replay": 0}
         for name in counts:
             real = getattr(TrafficProcess, name)
 
@@ -442,7 +442,25 @@ class TestScheduleSharing:
                 base.with_overrides(routing=routing, policy=policy),
                 self.RATES, stop_after_saturation=len(self.RATES))
             assert len(sweep.runs) == len(self.RATES)
-        assert calls == {"pregenerate": 10, "adopt_schedule": 20}
+        assert calls == {"pregenerate": 10, "adopt_schedule": 20,
+                         "replay": 0}
+        assert len(runner._SCHEDULE_CACHE) == 10
+
+    def test_packet_engine_replays_the_shared_schedules(self, calls):
+        """The packet engine's twin: every run replays the memo, so a
+        panel draws its traffic once, not once per scheme -- 10 draws,
+        20 memo hits -- and the replay is the run start() would drive."""
+        clear_caches()
+        base = SimConfig(**{**TestScheduleMemoisation.CFG,
+                            "engine": "packet"})
+        for routing, policy in (("updown", "sp"), ("itb", "sp"),
+                                ("itb", "rr")):
+            sweep = sweep_rates(
+                base.with_overrides(routing=routing, policy=policy),
+                self.RATES, stop_after_saturation=len(self.RATES))
+            assert len(sweep.runs) == len(self.RATES)
+        assert calls == {"pregenerate": 10, "adopt_schedule": 0,
+                         "replay": 30}
         assert len(runner._SCHEDULE_CACHE) == 10
 
     def test_memo_is_bounded_by_messages_held(self, calls, monkeypatch):

@@ -399,6 +399,29 @@ class TestOrchestratorCommands:
                            if not ln.startswith("points:")]
         assert strip(first) == strip(second)
 
+    @pytest.mark.parametrize("option,says", [
+        (["--workers", "0"], "--workers must be >= 1"),
+        (["--workers", "-2"], "--workers must be >= 1"),
+        (["--task-timeout", "0"], "--task-timeout must be positive"),
+        (["--retries", "-1"], "--retries must be >= 0"),
+        (["--retry-backoff", "-1"], "--retry-backoff must be >= 0"),
+        (["--tls-ca", "x.pem"], "--tls-ca applies to --fabric"),
+    ])
+    @pytest.mark.parametrize("verb", ["sweep", "experiment", "serve"])
+    def test_bad_exec_options_are_refused_in_a_line(self, verb, option,
+                                                    says, capsys):
+        """Refused before anything runs: no traceback from the pool,
+        no silent clamp to one worker."""
+        argv = {"sweep": self.SWEEP + ["--no-cache"],
+                "experiment": ["experiment", "fig7a", "--profile", "test",
+                               "--no-cache"],
+                "serve": ["serve", "--port", "0"]}[verb]
+        assert main(argv + option) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro: error: ") and says in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_sweep_parallel_workers(self, tmp_path, capsys):
         cache = ["--cache-dir", str(tmp_path / "cache")]
         assert main(self.SWEEP + ["--workers", "2"] + cache) == 0

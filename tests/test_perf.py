@@ -50,10 +50,10 @@ class TestPerfRecorder:
                 f"(tables {cold.tables_wall_s:.3f}s)") in cold.oneline()
 
     def test_report_names_the_schedule(self):
-        """``schedule_wall_s`` is ``pregenerate`` on a batch engine:
-        real for the first scheme of a comparison, ~0 for every later
-        scheme offered the same traffic (memo hit), exactly 0 on an
-        event-driven engine -- and no longer booked to the loop."""
+        """``schedule_wall_s`` is ``pregenerate``: real for the first
+        scheme of a comparison, ~0 for every later scheme offered the
+        same traffic (memo hit), whatever the engine -- and no longer
+        booked to the loop."""
         reports = []
         for routing, policy in (("updown", "sp"), ("itb", "sp"),
                                 ("itb", "rr")):
@@ -73,8 +73,8 @@ class TestPerfRecorder:
         assert (f"(tables {first.tables_wall_s:.3f}s) "
                 f"+ schedule {first.schedule_wall_s:.3f}s "
                 f"+ loop {first.sim_wall_s:.3f}s") in first.oneline()
-        run_simulation(CFG, perf=reports.append)   # packet: event-driven
-        assert reports[-1].schedule_wall_s == 0.0
+        run_simulation(CFG, perf=reports.append)   # packet: replays it
+        assert reports[-1].schedule_wall_s < first.schedule_wall_s / 10
 
     def test_perf_does_not_change_results(self):
         plain = run_simulation(CFG)

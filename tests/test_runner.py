@@ -94,14 +94,16 @@ class TestTeardown:
 
     @pytest.fixture
     def networks(self, monkeypatch):
+        """Weak references to each run's network and traffic process."""
         refs = []
-        real = runner.make_network
+        for name in ("make_network", "TrafficProcess"):
+            real = getattr(runner, name)
 
-        def spy(*args, **kwargs):
-            net = real(*args, **kwargs)
-            refs.append(weakref.ref(net))
-            return net
-        monkeypatch.setattr(runner, "make_network", spy)
+            def spy(*args, _real=real, **kwargs):
+                made = _real(*args, **kwargs)
+                refs.append(weakref.ref(made))
+                return made
+            monkeypatch.setattr(runner, name, spy)
         gc.collect()
         gc.disable()
         yield refs
@@ -128,8 +130,11 @@ class TestTeardown:
         summary = run_simulation(small_config(engine=engine, **overrides),
                                  **kwargs)
         assert summary.messages_delivered > 0
-        (ref,) = networks
-        assert ref() is None
+        # the traffic process too: a bound method of it kept on itself
+        # would be a process -> method -> process cycle outliving the run
+        network, traffic = networks
+        assert network() is None
+        assert traffic() is None
         assert gc.collect() == 0
 
     def test_simulator_clear(self):

@@ -17,7 +17,7 @@ from repro.routing.policies import SinglePathPolicy
 from repro.routing import compute_tables
 from repro.sim.engine import Simulator
 from repro.sim.network import WormholeNetwork
-from repro.topology import build_torus
+from repro.topology import build as build_topology, build_torus
 from repro.traffic import make_pattern
 from repro.traffic.arrivals import (AdversarialArrivals, ConstantArrivals,
                                     OnOffArrivals, PoissonArrivals)
@@ -273,6 +273,48 @@ class TestTrafficProcess:
         proc.start()
         with pytest.raises(RuntimeError):
             proc.start()
+
+    def test_replay_guards(self, g):
+        """A process may replay what it drew itself, once, and cannot
+        start() once it replays."""
+        _, _, proc = self.make(g)
+        schedule = proc.pregenerate(3_000_000)
+        proc.replay(schedule)
+        with pytest.raises(RuntimeError):
+            proc.replay(schedule)
+        with pytest.raises(RuntimeError):
+            proc.start()
+
+    def test_replay_refuses_silent_firings(self, g):
+        """A firing of an active host that sends nothing still draws a
+        sequence number under start(); the schedule cannot list it, so
+        replaying would reorder events.  It is counted and refused."""
+        class SilentHostZero(UniformTraffic):
+            def destinations(self, src_host, rng, n):
+                dsts = super().destinations(src_host, rng, n)
+                return [None] * n if src_host == 0 else dsts
+
+        sim, net, _ = self.make(g)
+        proc = TrafficProcess(sim, net, SilentHostZero(g), 200_000, 1)
+        schedule = proc.pregenerate(3_000_000)
+        assert schedule.silent > 0 and 0 not in set(schedule.src)
+        with pytest.raises(ValueError, match="silent"):
+            TrafficProcess(sim, net, SilentHostZero(g), 200_000,
+                           1).replay(schedule)
+        _, _, clean = self.make(g)
+        assert clean.pregenerate(3_000_000).silent == 0
+
+    def test_replay_sends_the_schedule_then_falls_silent(self, g):
+        sim, net, proc = self.make(g)
+        schedule = proc.pregenerate(3_000_000)
+        proc.replay(schedule)
+        sim.run_until(3_000_000)
+        assert proc.generated == net.generated == len(schedule) > 0
+        # every host waits past the horizon, as under start() ...
+        assert sim.pending_events
+        sim.run_until_idle()
+        # ... and sends nothing more when run beyond it
+        assert net.generated == len(schedule)
 
     def test_bad_interval(self, g):
         sim, net, _ = self.make(g)
@@ -569,3 +611,93 @@ class TestRegistryGating:
             cfg = SimConfig(arrival=arrival)
             cfg.validate()
             assert SimConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# -- replay == start() --------------------------------------------------------
+
+
+#: the fabrics TestReplayIsTheScalarRun runs on (64 and 16 hosts)
+REPLAY_FABRICS = {
+    "packet": ("torus", {"rows": 4, "cols": 4, "hosts_per_switch": 4}),
+    "flit": ("mesh", {"rows": 2, "cols": 2, "hosts_per_switch": 4}),
+}
+#: every registered pattern both of them support (all of them: both
+#: host counts are powers of four)
+REPLAY_PATTERNS = sorted(
+    set(PATTERNS.names()).intersection(
+        *(PATTERNS.supported(build_topology(name, **kwargs))
+          for name, kwargs in REPLAY_FABRICS.values())))
+
+
+class TestReplayIsTheScalarRun:
+    """``run_simulation`` replays the memoised schedule.  A run that
+    draws every message from the RNG streams as it fires instead
+    (``start()``, the scalar reference) must send the same messages in
+    the same order, run the same number of events and end in the same
+    summary: the replay draws every event sequence number where
+    ``start()`` draws it."""
+
+    #: engine -> the rate and windows it runs in reasonable time
+    WINDOWS = {
+        "packet": dict(injection_rate=0.06,
+                       warmup_ps=20_000_000, measure_ps=60_000_000),
+        "flit": dict(injection_rate=0.1,
+                     warmup_ps=5_000_000, measure_ps=15_000_000),
+    }
+    FAULTS = {"faults": [{"t_ps": 30_000_000, "link_id": 3}]}
+
+    def both(self, monkeypatch, engine, overrides=None, **options):
+        """The replayed run's summary and send list, after asserting
+        the scalar run sent and ran the same."""
+        from repro.experiments.runner import clear_caches, run_simulation
+        from repro.sim.base import NetworkModel
+
+        topology, topology_kwargs = REPLAY_FABRICS[engine]
+        cfg = SimConfig(engine=engine, routing="itb", policy="rr", seed=5,
+                        topology=topology, topology_kwargs=topology_kwargs,
+                        **{**self.WINDOWS[engine], **(overrides or {})})
+        sent = []
+        send = NetworkModel.send
+
+        def recording(net, src, dst, *args, **kwargs):
+            sent.append((net.sim.now, src, dst))
+            return send(net, src, dst, *args, **kwargs)
+        monkeypatch.setattr(NetworkModel, "send", recording)
+        reports = []
+        clear_caches()
+        # cold: the schedule is drawn in bulk, memoised and replayed
+        replayed = run_simulation(cfg, perf=reports.append, **options)
+        replayed_sends = list(sent)
+        sent.clear()
+        with monkeypatch.context() as m:
+            # warm: a memo hit draws nothing, so start() gets the
+            # process's untouched streams and draws as it fires
+            m.setattr(TrafficProcess, "replay",
+                      lambda self, schedule: self.start())
+            scalar = run_simulation(cfg, perf=reports.append, **options)
+        assert replayed_sends and sent == replayed_sends
+        assert reports[0].events == reports[1].events
+        assert replayed.to_dict() == scalar.to_dict()
+        return replayed, replayed_sends
+
+    @pytest.mark.parametrize("engine", ["packet", "flit"])
+    @pytest.mark.parametrize("arrival", ARRIVALS.names())
+    @pytest.mark.parametrize("traffic", REPLAY_PATTERNS)
+    def test_every_arrival_process(self, monkeypatch, engine, arrival,
+                                   traffic):
+        self.both(monkeypatch, engine, {"arrival": arrival,
+                                        "traffic": traffic})
+
+    def test_max_messages_applies_in_fire_order(self, monkeypatch):
+        _, sends = self.both(monkeypatch, "packet",
+                             {"max_messages": 150, "injection_rate": 0.2})
+        assert len(sends) == 150
+
+    def test_reliable_transport(self, monkeypatch):
+        replayed, _ = self.both(monkeypatch, "packet", reliable=True)
+        assert replayed.messages_delivered > 0
+
+    def test_fault_plan(self, monkeypatch):
+        replayed, _ = self.both(monkeypatch, "packet",
+                                fault_plan=self.FAULTS)
+        assert replayed.messages_delivered > 0
