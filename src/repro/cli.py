@@ -58,7 +58,8 @@ invocation of a completed campaign is served entirely from the store.
 
 A value the run cannot be described with -- an unknown registered
 name, an undeclared or mistyped ``KEY=VALUE``, an unparsable comma
-list -- is reported as ``repro: error: ...`` with exit status 2.
+list, an execution setting its pool refuses -- is reported as
+``repro: error: ...`` with exit status 2.
 
 Examples::
 
@@ -138,56 +139,55 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="hosts per switch, likewise")
 
 
+#: execution flags -> keyword arguments of :class:`Executor` (each
+#: flag's argparse ``dest``).  Only the flags given are forwarded: the
+#: pool that uses a setting holds its default and its bound, and
+#: refuses a bad value -- or a flag that does not apply, ``--tls-ca``
+#: without ``--fabric``, ``--workers`` with it -- with a
+#: :class:`UsageError`, before anything runs
+_EXEC_FLAGS = {
+    "--workers": dict(dest="workers", type=int,
+                      help="parallel local simulation workers (1 = "
+                           "in-process); a fabric has one per address"),
+    "--task-timeout": dict(dest="timeout_s", type=float,
+                           metavar="SECONDS",
+                           help="per-attempt timeout (hung workers are "
+                                "killed and the point retried)"),
+    "--retries": dict(dest="retries", type=int,
+                      help="extra attempts for crashed/hung points"),
+    "--retry-backoff": dict(dest="retry_backoff_s", type=float,
+                            metavar="SECONDS",
+                            help="base delay before re-running a failed "
+                                 "point (doubled per attempt, with "
+                                 "jitter)"),
+    "--fabric": dict(dest="fabric", metavar="HOST:PORT,...",
+                     help="lease points to remote fabric workers "
+                          "(started with 'repro fabric worker') instead "
+                          "of local processes"),
+    "--tls-ca": dict(dest="tls_ca", metavar="PEM",
+                     help="pin fabric worker connections to this CA "
+                          "bundle (workers must serve the matching "
+                          "certificate via --tls)"),
+}
+
+
 def _add_exec_options(p: argparse.ArgumentParser) -> None:
     """Orchestrator knobs: worker pool + result store."""
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel simulation workers (1 = in-process)")
+    for flag, spec in _EXEC_FLAGS.items():
+        p.add_argument(flag, default=argparse.SUPPRESS, **spec)
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                    help="result-store directory (checkpoint/resume)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the on-disk result store")
-    p.add_argument("--task-timeout", type=float, default=None,
-                   help="per-point timeout in seconds (hung workers are "
-                        "killed and the point retried)")
-    p.add_argument("--retries", type=int, default=1,
-                   help="extra attempts for crashed/hung points")
-    p.add_argument("--retry-backoff", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="base delay before re-running a failed point "
-                        "(doubled per attempt, with jitter; 0 = retry "
-                        "immediately)")
-    p.add_argument("--fabric", default=None, metavar="HOST:PORT,...",
-                   help="lease points to remote fabric workers "
-                        "(started with 'repro fabric worker') instead "
-                        "of local processes; --task-timeout becomes "
-                        "the lease timeout")
-    p.add_argument("--tls-ca", default=None, metavar="PEM",
-                   help="pin fabric worker connections to this CA "
-                        "bundle (workers must serve the matching "
-                        "certificate via --tls)")
 
 
 def _executor_kwargs(args: argparse.Namespace) -> dict:
-    """:class:`Executor` keyword arguments from ``_add_exec_options``;
-    a value the executor would refuse or clamp is a
-    :class:`UsageError` here, before anything runs."""
-    if args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    if args.task_timeout is not None and not args.task_timeout > 0:
-        raise UsageError(
-            f"--task-timeout must be positive, got {args.task_timeout}")
-    if args.retries < 0:
-        raise UsageError(f"--retries must be >= 0, got {args.retries}")
-    if not args.retry_backoff >= 0:
-        raise UsageError(
-            f"--retry-backoff must be >= 0, got {args.retry_backoff}")
-    if args.tls_ca is not None and args.fabric is None:
-        raise UsageError("--tls-ca applies to --fabric workers only")
-    return dict(workers=args.workers,
-                store=None if args.no_cache else ResultStore(args.cache_dir),
-                timeout_s=args.task_timeout, retries=args.retries,
-                retry_backoff_s=args.retry_backoff,
-                fabric=args.fabric, tls_ca=args.tls_ca)
+    """:class:`Executor` keyword arguments: the store, and the
+    execution flags given (:data:`_EXEC_FLAGS`)."""
+    given = {spec["dest"]: getattr(args, spec["dest"])
+             for spec in _EXEC_FLAGS.values() if spec["dest"] in args}
+    return dict(given,
+                store=None if args.no_cache else ResultStore(args.cache_dir))
 
 
 def _print_point(event: dict) -> None:

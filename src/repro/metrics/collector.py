@@ -34,14 +34,12 @@ class LatencyCollector:
         #: retain every latency sample (ns-precision percentiles) --
         #: off by default to keep long runs lean
         self.keep_samples = keep_samples
-        self.active = True
         self.messages = 0
         self.payload_flits = 0
         self.sum_latency_ps = 0
         self.sum_network_latency_ps = 0
         self.max_latency_ps = 0
         self.sum_itbs = 0
-        self.sum_itb_overflows = 0
         self.samples_ps: List[int] = []
         #: sorted view of ``samples_ps``, rebuilt lazily by
         #: :meth:`percentile_ns` and dropped on every new sample --
@@ -50,8 +48,6 @@ class LatencyCollector:
         self._sorted_samples: Optional[List[int]] = None
 
     def on_delivered(self, pkt: Packet) -> None:
-        if not self.active:
-            return
         lat = pkt.latency_ps()
         self.messages += 1
         self.payload_flits += pkt.payload_bytes
@@ -60,7 +56,6 @@ class LatencyCollector:
         if lat > self.max_latency_ps:
             self.max_latency_ps = lat
         self.sum_itbs += pkt.num_itbs
-        self.sum_itb_overflows += pkt.itb_overflows
         if self.keep_samples:
             self.samples_ps.append(lat)
             self._sorted_samples = None
@@ -68,12 +63,11 @@ class LatencyCollector:
     def record_batch(self, latency_ps: Sequence[int],
                      network_latency_ps: Sequence[int],
                      payload_bytes: Sequence[int],
-                     itbs: Sequence[int],
-                     itb_overflows: Sequence[int]) -> None:
+                     itbs: Sequence[int]) -> None:
         """Record one delivery cohort (parallel sequences, one entry per
         message).  Semantically identical to calling :meth:`on_delivered`
         once per message, without materialising packets."""
-        if not self.active or not len(latency_ps):
+        if not len(latency_ps):
             return
         self.messages += len(latency_ps)
         self.payload_flits += sum(payload_bytes)
@@ -83,7 +77,6 @@ class LatencyCollector:
         if batch_max > self.max_latency_ps:
             self.max_latency_ps = batch_max
         self.sum_itbs += sum(itbs)
-        self.sum_itb_overflows += sum(itb_overflows)
         if self.keep_samples:
             self.samples_ps.extend(int(v) for v in latency_ps)
             self._sorted_samples = None
@@ -96,7 +89,6 @@ class LatencyCollector:
         self.sum_network_latency_ps = 0
         self.max_latency_ps = 0
         self.sum_itbs = 0
-        self.sum_itb_overflows = 0
         self.samples_ps.clear()
         self._sorted_samples = None
 

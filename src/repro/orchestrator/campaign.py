@@ -28,7 +28,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..config import SimConfig, check_run_options
 from ..metrics.summary import RunSummary
+from ..registry import UsageError
 from .fabric import FabricPool
+from .lease import LeasePool
 from .pool import POINT_TASK_FN, Task, TaskResult, WorkerPool
 from .store import ResultStore
 
@@ -113,42 +115,37 @@ class ExecutorStats:
 class Executor:
     """Cache-aware parallel task runner (the orchestrator's front door).
 
-    ``workers=1`` (the default) degrades to in-process execution, still
-    with store lookups; ``store=None`` disables caching entirely.
-    ``on_point``, when given, receives each finished point's event
+    ``store=None`` disables caching entirely.  ``on_point``, when
+    given, receives each finished point's event
     (:meth:`ExecutorStats.record`) the moment the point finishes.
 
-    ``fabric="host:port,..."`` leases to remote fabric workers
-    (:class:`~repro.orchestrator.fabric.FabricPool`) instead of forked
-    local ones (:class:`~repro.orchestrator.pool.WorkerPool`);
-    ``timeout_s``, ``retries`` and ``retry_backoff_s`` mean the same
-    either way -- both are one scheduler.
-    ``tls_ca`` (fabric only) pins every worker connection to the given
-    PEM CA bundle -- workers must serve the matching certificate
-    (``repro fabric worker --tls ...``).  Everything above this class
-    -- sweeps, experiments, tournaments, the CLI -- is oblivious to
-    which pool executes the points.
+    Every other keyword goes to the pool, which defaults and checks it:
+    without ``fabric`` a :class:`~repro.orchestrator.pool.WorkerPool`
+    (``workers``, default 1 -- in-process, still with store lookups);
+    with ``fabric="host:port,..."`` a
+    :class:`~repro.orchestrator.fabric.FabricPool`, one worker per
+    address, whose ``tls_ca`` pins every worker connection to the
+    given PEM CA bundle -- workers must serve the matching certificate
+    (``repro fabric worker --tls ...``).  Naming ``tls_ca`` without
+    ``fabric``, or ``workers`` with it, is refused.  ``timeout_s``,
+    ``retries`` and ``retry_backoff_s`` mean the same either way --
+    both are one scheduler.  Everything above this class -- sweeps,
+    experiments, tournaments, the CLI -- is oblivious to which pool
+    executes the points.
     """
 
-    def __init__(self, workers: int = 1,
-                 store: Optional[ResultStore] = None,
-                 timeout_s: Optional[float] = None,
-                 retries: int = 1,
-                 retry_backoff_s: float = 0.0,
+    def __init__(self, store: Optional[ResultStore] = None,
                  on_point: Optional[Callable[[Dict[str, Any]], None]] = None,
-                 fabric: Optional[str] = None,
-                 tls_ca: Optional[str] = None):
-        if tls_ca is not None and fabric is None:
-            raise ValueError("tls_ca applies to fabric workers only")
-        if fabric is not None:
-            self.pool = FabricPool(fabric, lease_timeout_s=timeout_s,
-                                   retries=retries,
-                                   retry_backoff_s=retry_backoff_s,
-                                   tls_ca=tls_ca)
+                 fabric: Optional[str] = None, **pool_kwargs: Any):
+        if fabric is None:
+            if "tls_ca" in pool_kwargs:
+                raise UsageError("tls_ca applies to fabric workers only")
+            self.pool: LeasePool = WorkerPool(**pool_kwargs)
         else:
-            self.pool = WorkerPool(workers, timeout_s=timeout_s,
-                                   retries=retries,
-                                   retry_backoff_s=retry_backoff_s)
+            if "workers" in pool_kwargs:
+                raise UsageError("workers applies to local workers only; "
+                                 "a fabric runs one per address")
+            self.pool = FabricPool(fabric, **pool_kwargs)
         self.store = store
         self.on_point = on_point
         self.stats = ExecutorStats(slots=self.pool.workers)

@@ -33,7 +33,9 @@ import ssl
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..registry import UsageError
 from .lease import LeasePool, Lost, Task, execute, task_frame
+from .store import code_version
 from .wire import (WIRE_FORMAT, FrameError, format_addr, parse_addrs,
                    recv_frame, send_frame)
 
@@ -43,11 +45,6 @@ __all__ = ["FabricPool", "FabricWorker", "LocalSlot", "serve_session",
 #: seconds a local worker gets to exit after its shutdown frame
 #: before it is killed
 _EXIT_WAIT_S = 1.0
-
-
-def _code_version() -> str:
-    from .. import __version__
-    return __version__
 
 
 def _close_quietly(sock: Optional[socket.socket]) -> None:
@@ -67,7 +64,7 @@ def serve_session(conn: socket.socket) -> None:
     conn.settimeout(None)
     try:
         send_frame(conn, {"type": "hello", "pid": os.getpid(),
-                          "version": _code_version(),
+                          "version": code_version(),
                           "wire": WIRE_FORMAT})
         while True:
             try:
@@ -235,13 +232,13 @@ class _FrameSlot:
             raise FrameError(f"{self.name} speaks wire format "
                              f"{hello.get('wire')}, coordinator "
                              f"{WIRE_FORMAT}")
-        if hello.get("version") != _code_version():
+        if hello.get("version") != code_version():
             # results are content-addressed by code version; a
             # mismatched worker would silently compute under
             # different sources
             raise FrameError(f"{self.name} runs repro "
                              f"{hello.get('version')}, coordinator "
-                             f"{_code_version()}")
+                             f"{code_version()}")
 
     def lease(self, task: Task, attempt: int,
               timeout_s: Optional[float]) -> Dict[str, Any]:
@@ -355,12 +352,13 @@ class FabricPool(LeasePool):
     """The scheduler over remote fabric workers.
 
     ``addrs`` is ``"host:port,..."`` or a list of ``(host, port)``
-    tuples.  ``lease_timeout_s`` bounds one attempt on one worker
-    (``None`` = unbounded: worker *death* is still detected promptly
-    via connection loss, only a live-but-hung worker can then stall
-    the campaign).  An address that refuses ``connect_attempts`` dials
-    or deliveries in a row, ``connect_backoff_s`` longer apart each
-    time, is given up on.
+    tuples.  ``timeout_s`` bounds one attempt on one worker (``None``
+    = unbounded: worker *death* is still detected promptly via
+    connection loss, only a live-but-hung worker can then stall the
+    campaign); it and every other keyword but ``tls_ca`` are the
+    scheduler's (:class:`~repro.orchestrator.lease.LeasePool`).  An
+    address that refuses ``connect_attempts`` dials or deliveries in a
+    row, ``connect_backoff_s`` longer apart each time, is given up on.
 
     ``tls_ca`` (a PEM bundle path) turns every dial into a TLS
     handshake verified against exactly that bundle (CA pinning --
@@ -369,27 +367,23 @@ class FabricPool(LeasePool):
     handshake, which counts as a dial failure like a refused connection.
     """
 
-    def __init__(self, addrs, lease_timeout_s: Optional[float] = None,
-                 retries: int = 1, retry_backoff_s: float = 0.0,
-                 retry_jitter: float = 0.5,
-                 connect_attempts: int = 5,
-                 connect_backoff_s: float = 0.2,
-                 tls_ca: Optional[str] = None):
+    def __init__(self, addrs, tls_ca: Optional[str] = None, **schedule: Any):
         if isinstance(addrs, str):
             addrs = parse_addrs(addrs)
         self.addrs: List[Tuple[str, int]] = list(addrs)
         if not self.addrs:
-            raise ValueError("fabric needs at least one worker address")
-        super().__init__(lease_timeout_s, retries, retry_backoff_s,
-                         retry_jitter)
-        self.connect_attempts = max(1, connect_attempts)
-        self.connect_backoff_s = connect_backoff_s
+            raise UsageError("fabric needs at least one worker address")
+        super().__init__(**schedule)
         self._tls: Optional[ssl.SSLContext] = None
         if tls_ca is not None:
             self._tls = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
             self._tls.check_hostname = False   # workers addressed by IP
             self._tls.verify_mode = ssl.CERT_REQUIRED
-            self._tls.load_verify_locations(cafile=tls_ca)
+            try:
+                self._tls.load_verify_locations(cafile=tls_ca)
+            except (OSError, ssl.SSLError) as exc:
+                raise UsageError(f"tls_ca {tls_ca!r} is not a readable "
+                                 f"PEM bundle: {exc}") from exc
 
     @property
     def workers(self) -> int:

@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..registry import Registry
+from ..registry import Registry, UsageError
 
 __all__ = ["InlineSlot", "LeasePool", "Lost", "TASKS", "Task",
            "TaskResult", "execute", "idle_wait_s", "retry_delay_s",
@@ -186,27 +186,30 @@ class LeasePool:
     2**(n-1)`` seconds after attempt ``n`` was lost, stretched by up to
     ``retry_jitter``; the default 0 retries immediately, a machine
     whose workers die from memory pressure wants a second or two.
+    These three are every pool's keywords, defaulted and checked here
+    alone: a value out of range is a :class:`~repro.registry.UsageError`
+    naming the setting.
     """
 
     #: consecutive undelivered leases after which a slot is given up
     #: on, and the (linearly growing) pause between them
     connect_attempts = 5
     connect_backoff_s = 0.2
+    #: the random share a retry delay is stretched by (0.5: up to 50 %)
+    retry_jitter = 0.5
 
     def __init__(self, timeout_s: Optional[float] = None, retries: int = 1,
-                 retry_backoff_s: float = 0.0, retry_jitter: float = 0.5):
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
-        if retry_jitter < 0:
-            raise ValueError("retry_jitter must be >= 0")
+                 retry_backoff_s: float = 0.0):
+        if timeout_s is not None and not timeout_s > 0:
+            raise UsageError(f"timeout_s must be positive, got {timeout_s}")
+        if not retries >= 0:
+            raise UsageError(f"retries must be >= 0, got {retries}")
+        if not retry_backoff_s >= 0:
+            raise UsageError(
+                f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         self.timeout_s = timeout_s
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
-        self.retry_jitter = retry_jitter
         self._rng = random.Random()
 
     def _open_slots(self, n_tasks: int) -> List[Any]:

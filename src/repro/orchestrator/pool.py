@@ -4,7 +4,7 @@ Fans independent simulation tasks out across cores.  Queue, retries
 and fault policy are :mod:`~repro.orchestrator.lease`'s; this module
 only chooses the slots:
 
-* ``workers <= 1`` -- one inline slot: tasks run in the calling process
+* ``workers=1`` -- one inline slot: tasks run in the calling process
   and thread, no multiprocessing at all, so single-core environments
   and debuggers see ordinary stack traces;
 * otherwise -- up to ``workers`` forked children
@@ -24,8 +24,9 @@ format reach any worker.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
+from ..registry import UsageError
 from .fabric import LocalSlot
 from .lease import InlineSlot, LeasePool, Task, TaskResult, retry_delay_s
 
@@ -39,19 +40,19 @@ POINT_TASK_FN = "point"
 
 class WorkerPool(LeasePool):
     """``workers`` local processes (or, at 1, the caller itself, which
-    cannot enforce ``timeout_s``); every parameter is the scheduler's
-    (:class:`~repro.orchestrator.lease.LeasePool`)."""
+    cannot enforce ``timeout_s``); every other keyword is the
+    scheduler's (:class:`~repro.orchestrator.lease.LeasePool`)."""
 
-    def __init__(self, workers: int = 1, timeout_s: Optional[float] = None,
-                 retries: int = 1, retry_backoff_s: float = 0.0,
-                 retry_jitter: float = 0.5):
-        super().__init__(timeout_s, retries, retry_backoff_s, retry_jitter)
-        self.workers = max(1, int(workers))
+    def __init__(self, workers: int = 1, **schedule: Any):
+        if not (isinstance(workers, int) and workers >= 1):
+            raise UsageError(f"workers must be >= 1, got {workers!r}")
+        super().__init__(**schedule)
+        self.workers = workers
 
     def describe_fleet(self) -> str:
         return f"{self.workers} local workers"
 
     def _open_slots(self, n_tasks: int) -> List[Any]:
-        if self.workers <= 1:
+        if self.workers == 1:
             return [InlineSlot()]
         return [LocalSlot() for _ in range(min(self.workers, n_tasks))]

@@ -14,7 +14,9 @@ Endpoints
 ---------
 
 ``GET /healthz``
-    ``{"ok": true, "store": {...}, "fabric": ..., "workers": N}``.
+    ``{"ok": true, "store": {...}, "fabric": ..., "workers": N,
+    "fleet": ...}``: the size and description of the pool the server's
+    executors run on (a fabric's addresses, or ``N local workers``).
 
 ``GET /cache``
     The store summary (entry count, bytes).
@@ -196,7 +198,8 @@ class ReproServer(ThreadingHTTPServer):
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  verbose: bool = False, **executor_kwargs: Any):
         self.executor_kwargs = executor_kwargs
-        self.make_executor()   # a misspelt keyword fails here
+        # a misspelt or out-of-range setting fails here, before binding
+        self._pool = self.make_executor().pool
         super().__init__((host, port), _Handler)
         self.verbose = verbose
 
@@ -211,7 +214,8 @@ class ReproServer(ThreadingHTTPServer):
 
     def health(self) -> Dict[str, Any]:
         return {"ok": True, "fabric": self.executor_kwargs.get("fabric"),
-                "workers": self.executor_kwargs.get("workers", 1),
+                "workers": self._pool.workers,
+                "fleet": self._pool.describe_fleet(),
                 "store": self.cache_info()}
 
     def cache_info(self) -> Dict[str, Any]:

@@ -61,7 +61,9 @@ STORE_FORMAT = 1
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 
-def _code_version() -> str:
+def code_version() -> str:
+    """The running sources' version: part of every store key, and
+    what a fabric worker's hello must match."""
     # imported lazily: repro/__init__ imports this module
     from .. import __version__
     return __version__
@@ -109,7 +111,7 @@ class ResultStore:
         return digest({
             "format": STORE_FORMAT,
             "kind": kind,
-            "code_version": _code_version(),
+            "code_version": code_version(),
             "payload": payload,
         })
 
@@ -136,7 +138,7 @@ class ResultStore:
         record = {
             "key": key,
             "kind": kind,
-            "code_version": _code_version(),
+            "code_version": code_version(),
             "format": STORE_FORMAT,
             "created": time.time(),
             "elapsed_s": elapsed_s,

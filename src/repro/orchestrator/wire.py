@@ -35,6 +35,8 @@ import socket
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..registry import UsageError
+
 __all__ = ["FrameError", "MAX_FRAME_BYTES", "WIRE_FORMAT",
            "format_addr", "parse_addrs", "recv_frame", "recv_raw_frame",
            "send_frame"]
@@ -122,19 +124,20 @@ def recv_raw_frame(sock: socket.socket) -> Optional[bytes]:
 
 
 def parse_addrs(spec: str) -> List[Tuple[str, int]]:
-    """``"host:port,host:port"`` -> ``[(host, port), ...]``."""
+    """``"host:port,host:port"`` -> ``[(host, port), ...]``; anything
+    else is a :class:`~repro.registry.UsageError`."""
     addrs: List[Tuple[str, int]] = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         host, sep, port = part.rpartition(":")
-        if not sep or not host:
-            raise ValueError(f"fabric address must be host:port, "
+        if not sep or not host or not port.isdigit():
+            raise UsageError(f"fabric address must be host:port, "
                              f"got {part!r}")
         addrs.append((host, int(port)))
     if not addrs:
-        raise ValueError(f"no fabric worker addresses in {spec!r}")
+        raise UsageError(f"no fabric worker addresses in {spec!r}")
     return addrs
 
 

@@ -79,14 +79,13 @@ def orient_links_ordered(g: NetworkGraph,
 
 
 def build_updown_opt_tables(g: NetworkGraph, root: int = 0,
-                            max_routes_per_pair: int = 10,
-                            sort_by_itbs: bool = False) -> RoutingTables:
+                            max_routes_per_pair: int = 10) -> RoutingTables:
     """Optimized up*/down* tables: centre root + ordered orientation.
 
     Route selection is the same weight-balanced ``simple_routes`` pass
     as the baseline, run on the better orientation; one route per pair.
     """
-    del root, max_routes_per_pair, sort_by_itbs  # root is heuristic-chosen
+    del root, max_routes_per_pair  # root is heuristic-chosen
     centre = select_root(g)
     tree = build_spanning_tree(g, centre)
     ud = orient_links_ordered(g, tree)

@@ -77,8 +77,7 @@ def compute_dor_tables(g: NetworkGraph, rows: int, cols: int,
 
 
 def _build_dor_tables(g: NetworkGraph, root: int = 0,
-                      max_routes_per_pair: int = 10,
-                      sort_by_itbs: bool = False) -> RoutingTables:
+                      max_routes_per_pair: int = 10) -> RoutingTables:
     """Registry builder: DOR on the graph's declared grid geometry.
 
     Only mesh geometry is accepted through the registry (the scheme's
@@ -86,7 +85,7 @@ def _build_dor_tables(g: NetworkGraph, root: int = 0,
     the deliberately-unsafe torus configuration stays reachable only
     through :func:`compute_dor_tables` directly.
     """
-    del root, max_routes_per_pair, sort_by_itbs  # single fixed path
+    del root, max_routes_per_pair  # single fixed path
     grid = g.grid
     if grid is None or grid.wrap:
         raise ValueError(

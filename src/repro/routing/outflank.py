@@ -113,14 +113,10 @@ def candidate_paths(grid: GridGeometry, src: int, dst: int
 
 
 def build_outflank_tables(g: NetworkGraph, root: int = 0,
-                          max_routes_per_pair: int = 10,
-                          sort_by_itbs: bool = False) -> RoutingTables:
+                          max_routes_per_pair: int = 10) -> RoutingTables:
     """OutFlank tables: minimal + flanking alternatives per pair, each
-    split into legal up*/down* legs at in-transit hosts.
-
-    ``sort_by_itbs`` reorders a pair's alternatives by in-transit count
-    (fewest first) as for ITB routing; the default keeps minimal paths
-    first and flanks after, the OFR preference order.
+    split into legal up*/down* legs at in-transit hosts, minimal paths
+    first and flanks after (the OFR preference order).
     """
     grid = g.grid
     if grid is None:
@@ -138,7 +134,7 @@ def build_outflank_tables(g: NetworkGraph, root: int = 0,
                 yield (src, dst), [(p, g.path_links(p)) for p in paths]
 
     return RoutingTables("outflank", root, ud,
-                         assemble_itb_routes(g, ud, candidates(), sort_by_itbs))
+                         assemble_itb_routes(g, ud, candidates()))
 
 
 SCHEMES.register(Scheme(

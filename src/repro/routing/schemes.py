@@ -15,7 +15,7 @@ one call::
         name="my-scheme",
         description="...",
         label=lambda policy: "MY",
-        build=my_table_builder,            # (g, root, max_routes, sort)
+        build=my_table_builder,            # (g, root, max_routes)
         multipath=False,
         supports=lambda g: True,
     ))
@@ -38,7 +38,7 @@ import gc
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..registry import Registry
+from ..registry import Registry, UsageError
 from ..topology.graph import NetworkGraph
 from .itb import build_itb_routes
 from .simple_routes import simple_route_table
@@ -46,8 +46,8 @@ from .spanning_tree import build_spanning_tree
 from .table import RoutingTables
 from .updown import orient_links
 
-#: builder signature: (graph, root, max_routes_per_pair, sort_by_itbs)
-TableBuilder = Callable[[NetworkGraph, int, int, bool], RoutingTables]
+#: builder signature: (graph, root, max_routes_per_pair)
+TableBuilder = Callable[[NetworkGraph, int, int], RoutingTables]
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,11 @@ def compute_tables(g: NetworkGraph, scheme: str, root: int = 0,
     scheme, root).  An unknown scheme, or one that declares it cannot
     route this graph (a grid-geometry scheme handed an irregular
     network), is a :class:`~repro.registry.UsageError` naming what is
-    available / required.  ``sort_by_itbs`` orders ITB alternatives by
-    in-transit hops before the pass that balances the first ones, which
-    already breaks its ties that way, so the runner never sets it (the
-    paper's SP does not optimise this; ``tests/test_itb.py`` studies it
-    on unbalanced tables).
+    available / required.  ``sort_by_itbs`` is accepted only as
+    ``False``, for callers of the five-argument form: no scheme sorts
+    its alternatives by in-transit hops (the paper's SP does not
+    optimise this); :func:`~repro.routing.itb.build_itb_routes` does,
+    and ``tests/test_itb.py`` studies it there.
 
     The builder runs with the cyclic garbage collector paused: a build
     allocates hundreds of thousands of containers and no reference
@@ -101,11 +101,14 @@ def compute_tables(g: NetworkGraph, scheme: str, root: int = 0,
     nothing.  The collector is left as it was found, also when the
     builder raises; one the caller had disabled stays disabled.
     """
+    if sort_by_itbs:
+        raise UsageError("no registered scheme sorts by in-transit hops; "
+                         "build_itb_routes(sort_by_itbs=True) does")
     build = SCHEMES.supporting(scheme, g).build
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return build(g, root, max_routes_per_pair, sort_by_itbs)
+        return build(g, root, max_routes_per_pair)
     finally:
         if was_enabled:
             gc.enable()
@@ -115,22 +118,20 @@ def compute_tables(g: NetworkGraph, scheme: str, root: int = 0,
 
 
 def build_updown_tables(g: NetworkGraph, root: int = 0,
-                        max_routes_per_pair: int = 10,
-                        sort_by_itbs: bool = False) -> RoutingTables:
+                        max_routes_per_pair: int = 10) -> RoutingTables:
     """The UP/DOWN baseline: one balanced legal route per pair."""
-    del max_routes_per_pair, sort_by_itbs  # single fixed path per pair
+    del max_routes_per_pair  # single fixed path per pair
     tree = build_spanning_tree(g, root)
     ud = orient_links(g, root, tree)
     return RoutingTables("updown", root, ud, simple_route_table(g, ud))
 
 
 def build_itb_tables(g: NetworkGraph, root: int = 0,
-                     max_routes_per_pair: int = 10,
-                     sort_by_itbs: bool = False) -> RoutingTables:
+                     max_routes_per_pair: int = 10) -> RoutingTables:
     """Minimal routing with in-transit buffers (the paper's scheme)."""
     tree = build_spanning_tree(g, root)
     ud = orient_links(g, root, tree)
-    routes = build_itb_routes(g, ud, max_routes_per_pair, sort_by_itbs)
+    routes = build_itb_routes(g, ud, max_routes_per_pair)
     return RoutingTables("itb", root, ud, routes)
 
 

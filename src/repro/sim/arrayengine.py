@@ -411,7 +411,7 @@ class ArrayNetwork(NetworkModel):
         if self._delivery_sink is not None:
             self._delivery_sink.record_batch(
                 self._sink_lat, self._sink_netlat, self._sink_payload,
-                self._sink_itbs, [0] * len(self._sink_lat))
+                self._sink_itbs)
         self._sink_lat = []
         self._sink_netlat = []
         self._sink_payload = []

@@ -55,8 +55,8 @@ def worker_addr():
 def _run_under(addr, plan, n=6):
     """Run n double_tasks through a chaos proxy; return (results, fabric)."""
     with ChaosFabric(addr, plan) as chaos:
-        pool = FabricPool(chaos.addrs, retries=10, lease_timeout_s=1.0,
-                          connect_attempts=40, connect_backoff_s=0.02)
+        pool = FabricPool(chaos.addrs, retries=10, timeout_s=1.0)
+        pool.connect_attempts, pool.connect_backoff_s = 40, 0.02
         tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(n)]
         results = pool.run(tasks)
@@ -99,7 +99,7 @@ class TestChaosProxyRecovery:
         that did would cut every task longer than the dial, unlogged."""
         monkeypatch.setattr("tests.chaos.DIAL_TIMEOUT_S", 0.2)
         with ChaosFabric(worker_addr, ChaosPlan.quiet()) as chaos:
-            pool = FabricPool(chaos.addrs, retries=2, lease_timeout_s=10.0)
+            pool = FabricPool(chaos.addrs, retries=2, timeout_s=10.0)
             results = pool.run([Task("t", "sleep_task", {"seconds": 0.6})])
         assert results[0].ok and results[0].attempts == 1, results[0].error
         assert chaos.log.total == 0
@@ -142,8 +142,8 @@ class TestChaosProxyRecovery:
         """A proxy whose backend is gone refuses the dial instead of
         accepting and wedging the coordinator."""
         with ChaosFabric("127.0.0.1:1", ChaosPlan.quiet()) as chaos:
-            pool = FabricPool(chaos.addrs, connect_attempts=2,
-                              connect_backoff_s=0.02)
+            pool = FabricPool(chaos.addrs)
+            pool.connect_attempts, pool.connect_backoff_s = 2, 0.02
             results = pool.run([Task("t", "double_task",
                                      {"x": 1})])
         assert not results[0].ok

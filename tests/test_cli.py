@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _executor_kwargs, build_parser, main
+from repro.orchestrator import Executor, FabricPool, WorkerPool
+from repro.registry import UsageError
 
 
 def test_cli_import_is_stdlib_only():
@@ -45,11 +47,16 @@ class TestParser:
             build_parser().parse_args(["info", "hypercube"])
 
     def test_sweep_orchestrator_defaults(self):
+        """No execution flag given, none is forwarded: the defaults
+        are the pool's own."""
         args = build_parser().parse_args(["sweep"])
-        assert args.workers == 1
         assert args.cache_dir == ".repro_cache"
         assert args.no_cache is False
-        assert args.retries == 1
+        kwargs = _executor_kwargs(args)
+        assert set(kwargs) == {"store"}
+        ex = Executor(**kwargs)
+        assert ex.workers == 1 and ex.pool.retries == 1
+        assert ex.pool.timeout_s is None and ex.pool.retry_backoff_s == 0
 
     def test_experiment_accepts_workers(self):
         args = build_parser().parse_args(
@@ -60,8 +67,7 @@ class TestParser:
         args = build_parser().parse_args(
             ["sweep", "--fabric", "127.0.0.1:9001,127.0.0.1:9002"])
         assert args.fabric == "127.0.0.1:9001,127.0.0.1:9002"
-        args = build_parser().parse_args(["sweep"])
-        assert args.fabric is None
+        assert "fabric" not in build_parser().parse_args(["sweep"])
 
     def test_fabric_worker_subcommand(self):
         args = build_parser().parse_args(["fabric", "worker"])
@@ -399,19 +405,37 @@ class TestOrchestratorCommands:
                            if not ln.startswith("points:")]
         assert strip(first) == strip(second)
 
-    @pytest.mark.parametrize("option,says", [
-        (["--workers", "0"], "--workers must be >= 1"),
-        (["--workers", "-2"], "--workers must be >= 1"),
-        (["--task-timeout", "0"], "--task-timeout must be positive"),
-        (["--retries", "-1"], "--retries must be >= 0"),
-        (["--retry-backoff", "-1"], "--retry-backoff must be >= 0"),
-        (["--tls-ca", "x.pem"], "--tls-ca applies to --fabric"),
-    ])
+    #: (flags, the same settings as Executor keywords, what the
+    #: refusal says -- it names the setting, as its owner does)
+    BAD_EXEC = [
+        (["--workers", "0"], dict(workers=0), "workers must be >= 1"),
+        (["--workers", "-2"], dict(workers=-2), "workers must be >= 1"),
+        (["--task-timeout", "0"], dict(timeout_s=0.0),
+         "timeout_s must be positive"),
+        (["--retries", "-1"], dict(retries=-1), "retries must be >= 0"),
+        (["--retry-backoff", "-1"], dict(retry_backoff_s=-1.0),
+         "retry_backoff_s must be >= 0"),
+        (["--tls-ca", "x.pem"], dict(tls_ca="x.pem"),
+         "tls_ca applies to fabric workers only"),
+        (["--workers", "2", "--fabric", "127.0.0.1:1"],
+         dict(workers=2, fabric="127.0.0.1:1"),
+         "workers applies to local workers only"),
+        (["--fabric", "garbage"], dict(fabric="garbage"),
+         "fabric address must be host:port"),
+        (["--fabric", "127.0.0.1:1", "--tls-ca", "missing.pem"],
+         dict(fabric="127.0.0.1:1", tls_ca="missing.pem"),
+         "tls_ca 'missing.pem' is not a readable PEM bundle"),
+    ]
+    BAD_EXEC_IDS = [f"option{i}-{' '.join(flags)}"
+                    for i, (flags, _, _) in enumerate(BAD_EXEC)]
+
+    @pytest.mark.parametrize("option,kwargs,says", BAD_EXEC,
+                             ids=BAD_EXEC_IDS)
     @pytest.mark.parametrize("verb", ["sweep", "experiment", "serve"])
     def test_bad_exec_options_are_refused_in_a_line(self, verb, option,
-                                                    says, capsys):
+                                                    kwargs, says, capsys):
         """Refused before anything runs: no traceback from the pool,
-        no silent clamp to one worker."""
+        no silent clamp to one worker, no fabric size overridden."""
         argv = {"sweep": self.SWEEP + ["--no-cache"],
                 "experiment": ["experiment", "fig7a", "--profile", "test",
                                "--no-cache"],
@@ -421,6 +445,23 @@ class TestOrchestratorCommands:
         assert out == ""
         assert err.startswith("repro: error: ") and says in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("option,kwargs,says", BAD_EXEC,
+                             ids=BAD_EXEC_IDS)
+    def test_bad_exec_settings_are_refused_by_their_owner(self, option,
+                                                          kwargs, says):
+        """The API side of the same refusals: the Executor, and each
+        pool a setting reaches, raise the UsageError the CLI prints.
+        ``workers=0`` is refused, not run on one worker."""
+        with pytest.raises(UsageError, match=says):
+            Executor(**kwargs)
+        if {"fabric", "tls_ca"} & set(kwargs):
+            return     # which pool a setting reaches is the Executor's call
+        with pytest.raises(UsageError, match=says):
+            WorkerPool(**kwargs)
+        if "workers" not in kwargs:
+            with pytest.raises(UsageError, match=says):
+                FabricPool("127.0.0.1:1", **kwargs)
 
     def test_sweep_parallel_workers(self, tmp_path, capsys):
         cache = ["--cache-dir", str(tmp_path / "cache")]

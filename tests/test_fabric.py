@@ -198,7 +198,7 @@ class TestFabricPool:
         on the idle worker (the hung one is still wedged)."""
         (a1, _), (a2, _) = fleet(2)
         flag = str(tmp_path / "flag")
-        pool = FabricPool(f"{a1},{a2}", lease_timeout_s=0.5, retries=1)
+        pool = FabricPool(f"{a1},{a2}", timeout_s=0.5, retries=1)
         t0 = time.monotonic()
         results = pool.run([Task("t", "hang_once_task",
                                  {"flag": flag})])
@@ -210,16 +210,16 @@ class TestFabricPool:
     def test_unreachable_worker_does_not_stall_fleet(self, fleet):
         ((addr, _),) = fleet(1)
         # port 1 refuses immediately; the dead address burns no attempts
-        pool = FabricPool(f"127.0.0.1:1,{addr}",
-                          connect_attempts=2, connect_backoff_s=0.05)
+        pool = FabricPool(f"127.0.0.1:1,{addr}")
+        pool.connect_attempts, pool.connect_backoff_s = 2, 0.05
         tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(5)]
         results = pool.run(tasks)
         assert all(r.ok and r.attempts == 1 for r in results)
 
     def test_all_workers_unreachable_fails_loudly(self):
-        pool = FabricPool("127.0.0.1:1", connect_attempts=2,
-                          connect_backoff_s=0.05)
+        pool = FabricPool("127.0.0.1:1")
+        pool.connect_attempts, pool.connect_backoff_s = 2, 0.05
         results = pool.run([Task("t", "double_task", {"x": 1})])
         assert not results[0].ok
         assert "no reachable fabric workers" in results[0].error
@@ -243,7 +243,8 @@ class TestFabricPool:
         thread = threading.Thread(target=impostor, daemon=True)
         thread.start()
         try:
-            pool = FabricPool(addr, connect_attempts=1)
+            pool = FabricPool(addr)
+            pool.connect_attempts = 1
             results = pool.run([Task("t", "double_task",
                                      {"x": 1})])
             assert not results[0].ok
@@ -353,8 +354,8 @@ class TestPerAddressGiveUp:
         ((good, _),) = fleet(1)
         flaky, accepts = accept_then_die
         budget = 3
-        pool = FabricPool(f"{flaky},{good}", connect_attempts=budget,
-                          connect_backoff_s=0.02)
+        pool = FabricPool(f"{flaky},{good}")
+        pool.connect_attempts, pool.connect_backoff_s = budget, 0.02
         tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(6)]
         results = pool.run(tasks)
@@ -372,8 +373,8 @@ class TestPerAddressGiveUp:
         attempt once it reaches a real worker."""
         ((good, _),) = fleet(1)
         flaky, _accepts = accept_then_die
-        pool = FabricPool(f"{flaky},{good}", retries=0,
-                          connect_attempts=2, connect_backoff_s=0.02)
+        pool = FabricPool(f"{flaky},{good}", retries=0)
+        pool.connect_attempts, pool.connect_backoff_s = 2, 0.02
         tasks = [Task(str(i), "double_task", {"x": i})
                  for i in range(6)]
         results = pool.run(tasks)
@@ -411,8 +412,8 @@ class TestFabricTls:
         """A worker serving a certificate the pinned bundle does not
         vouch for must fail the handshake and count as unreachable --
         no task is ever sent to it."""
-        pool = FabricPool(tls_worker, tls_ca=CERT_B,
-                          connect_attempts=2, connect_backoff_s=0.02)
+        pool = FabricPool(tls_worker, tls_ca=CERT_B)
+        pool.connect_attempts, pool.connect_backoff_s = 2, 0.02
         results = pool.run([Task("t", "double_task", {"x": 1})])
         assert not results[0].ok
         assert "no reachable fabric workers" in results[0].error
@@ -422,7 +423,8 @@ class TestFabricTls:
                               {"x": 2})])[0].value == {"value": 4}
 
     def test_plaintext_coordinator_rejected(self, tls_worker):
-        pool = FabricPool(tls_worker, connect_attempts=1)
+        pool = FabricPool(tls_worker)
+        pool.connect_attempts = 1
         results = pool.run([Task("t", "double_task", {"x": 1})])
         assert not results[0].ok
 

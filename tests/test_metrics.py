@@ -117,7 +117,7 @@ class TestPercentileCacheAndBatch:
             samples = [rng.randrange(1, 10**9) for _ in range(101)]
             c = LatencyCollector(keep_samples=True)
             c.record_batch(samples, samples, [512] * len(samples),
-                           [0] * len(samples), [0] * len(samples))
+                           [0] * len(samples))
             cuts = statistics.quantiles(samples, n=100,
                                         method="inclusive")
             for i in range(1, 100):
@@ -134,7 +134,7 @@ class TestPercentileCacheAndBatch:
             n = rng.randrange(1, 40)
             samples = [rng.randrange(1, 10**6) for _ in range(n)]
             c = LatencyCollector(keep_samples=True)
-            c.record_batch(samples, samples, [512] * n, [0] * n, [0] * n)
+            c.record_batch(samples, samples, [512] * n, [0] * n)
             q = rng.random()
             r_ns = c.percentile_ns(q)
             matches = [s for s in samples if s / 1_000 == r_ns]
@@ -156,13 +156,13 @@ class TestPercentileCacheAndBatch:
         assert c.percentile_ns(1.0) == 5.0  # populates the cache
         c.on_delivered(mk_packet(0, 0, 9_000))
         assert c.percentile_ns(1.0) == 9.0
-        c.record_batch([11_000], [11_000], [512], [0], [0])
+        c.record_batch([11_000], [11_000], [512], [0])
         assert c.percentile_ns(1.0) == 11.0
         assert c.percentile_ns(0.0) == 1.0
         fresh = LatencyCollector(keep_samples=True)
         fresh.record_batch([5_000, 1_000, 9_000, 11_000],
                            [5_000, 1_000, 9_000, 11_000],
-                           [512] * 4, [0] * 4, [0] * 4)
+                           [512] * 4, [0] * 4)
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert c.percentile_ns(q) == fresh.percentile_ns(q)
 
@@ -187,20 +187,17 @@ class TestPercentileCacheAndBatch:
         batch.record_batch([p.latency_ps() for p in pkts],
                            [p.network_latency_ps() for p in pkts],
                            [p.payload_bytes for p in pkts],
-                           [p.num_itbs for p in pkts],
-                           [p.itb_overflows for p in pkts])
+                           [p.num_itbs for p in pkts])
         for field in ("messages", "payload_flits", "sum_latency_ps",
                       "sum_network_latency_ps", "max_latency_ps",
-                      "sum_itbs", "sum_itb_overflows", "samples_ps"):
+                      "sum_itbs", "samples_ps"):
             assert getattr(seq, field) == getattr(batch, field)
 
-    def test_record_batch_empty_and_inactive(self):
+    def test_record_batch_empty_is_a_no_op(self):
         c = LatencyCollector(keep_samples=True)
-        c.record_batch([], [], [], [], [])
-        assert c.messages == 0
-        c.active = False
-        c.record_batch([1_000], [900], [512], [0], [0])
-        assert c.messages == 0
+        c.record_batch([], [], [], [])
+        assert c.messages == 0 and c.max_latency_ps == 0
+        assert c.samples_ps == []
 
 
 def synthetic_run_at(capacity, window_messages=1000):

@@ -28,6 +28,7 @@ from repro.orchestrator import (CampaignError, Executor, ExecutorStats,
                                 FabricPool, FabricWorker, Point,
                                 ResultStore, Task, WorkerPool)
 from repro.orchestrator.lease import LeasePool, retry_delay_s
+from repro.registry import UsageError
 from repro.units import ns
 from tests.conftest import small_config, task_kinds
 
@@ -169,7 +170,7 @@ class _TcpSlots:
         ctx = mp.get_context("fork")
         procs = []
 
-        def make(timeout_s=None, **kwargs):
+        def make(**kwargs):
             addrs = []
             for _ in range(2):
                 worker = FabricWorker()
@@ -178,8 +179,7 @@ class _TcpSlots:
                 proc.start()
                 worker._sock.close()   # parent's copy; the child serves
                 procs.append(proc)
-            return FabricPool(",".join(addrs), lease_timeout_s=timeout_s,
-                              **kwargs)
+            return FabricPool(",".join(addrs), **kwargs)
 
         yield make
         for proc in procs:
@@ -407,8 +407,8 @@ class TestBackoffIdleSleep:
             return waits[-1]
 
         monkeypatch.setattr(lease_mod, "idle_wait_s", recording)
-        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=0.6,
-                          retry_jitter=0.0)
+        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=0.6)
+        pool.retry_jitter = 0.0
         flag = str(tmp_path / "flag")
         results = pool.run([Task("t", "crash_once_task",
                                  {"flag": flag})])
@@ -438,14 +438,13 @@ class TestRetryBackoff:
         assert retry_delay_s(1.0, 0.0, 3, rng) == 4.0
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError, match="retry_backoff_s"):
-            WorkerPool(retry_backoff_s=-1.0)
-        with pytest.raises(ValueError, match="retry_jitter"):
-            WorkerPool(retry_jitter=-0.1)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(UsageError, match="retry_backoff_s"):
+                WorkerPool(retry_backoff_s=bad)
 
     def test_crash_retry_waits_out_the_backoff(self, tmp_path):
-        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=0.5,
-                          retry_jitter=0.0)
+        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=0.5)
+        pool.retry_jitter = 0.0
         flag = str(tmp_path / "flag")
         t0 = time.monotonic()
         results = pool.run([Task("t", "crash_once_task",
@@ -457,8 +456,8 @@ class TestRetryBackoff:
     def test_backoff_does_not_stall_other_tasks(self, tmp_path):
         """While one task sits out its backoff, fresh tasks keep
         launching."""
-        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=1.0,
-                          retry_jitter=0.0)
+        pool = WorkerPool(workers=2, retries=1, retry_backoff_s=1.0)
+        pool.retry_jitter = 0.0
         flag = str(tmp_path / "flag")
         tasks = [Task("crash", "crash_once_task",
                       {"flag": flag})] + \

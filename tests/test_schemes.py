@@ -35,6 +35,7 @@ from repro.routing.updown import orient_links
 from repro.sim import Simulator, make_network
 from repro.topology import build_mesh
 from tests.conftest import small_config
+from tests.test_table_digests import table_digest
 
 #: the schemes this PR ships (the paper's two plus three rivals)
 EXPECTED = {"updown", "itb", "updown-opt", "outflank", "dor"}
@@ -102,6 +103,14 @@ class TestRegistry:
             assert {"updown", "itb", "updown-opt"} <= \
                 set(SCHEMES.supported(g))
 
+    def test_no_scheme_sorts_by_itbs(self, torus44):
+        """Builders take (g, root, max_routes_per_pair); the five-argument
+        form of compute_tables accepts ``False`` only."""
+        assert table_digest(compute_tables(torus44, "itb", 0, 10, False)) \
+            == table_digest(compute_tables(torus44, "itb"))
+        with pytest.raises(ValueError, match="build_itb_routes"):
+            compute_tables(torus44, "itb", 0, 10, True)
+
     def test_unsupported_build_raises_with_topology_note(self, irregular16):
         with pytest.raises(ValueError, match="does not support"):
             compute_tables(irregular16, "outflank")
@@ -132,7 +141,7 @@ class TestCollectorLeftAsFound:
     def test_enabled_again_after_a_builder_raises(self, torus44):
         seen = []
 
-        def broken(g, root, max_routes_per_pair, sort_by_itbs):
+        def broken(g, root, max_routes_per_pair):
             seen.append(gc.isenabled())
             raise ValueError("broken builder")
 

@@ -68,6 +68,27 @@ class TestEndpoints:
         assert health["store"]["enabled"] is True
         assert health["store"]["entries"] == 0
 
+    def test_healthz_reports_the_fleet_it_runs_on(self):
+        """The size and description come from the pool the server's
+        executors use, not from the keywords it was started with."""
+        srv = ReproServer(fabric="127.0.0.1:1,127.0.0.1:2")
+        srv.start_background()
+        try:
+            status, (health,) = _request(srv, "GET", "/healthz")
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        assert status == 200
+        assert health["workers"] == 2
+        assert health["fleet"] == "127.0.0.1:1,127.0.0.1:2"
+        assert health["store"] == {"enabled": False}
+        local = ReproServer(workers=3)
+        try:
+            assert local.health()["workers"] == 3
+            assert local.health()["fleet"] == "3 local workers"
+        finally:
+            local.server_close()
+
     def test_unknown_path_404(self, server):
         status, (body,) = _request(server, "GET", "/nope")
         assert status == 404 and "unknown path" in body["error"]

@@ -8,7 +8,9 @@ sha-256 of the canonical listing
     (pair, [([(leg.switches, leg.links), ...], itb_hosts), ...])
 
 for every registered scheme on six fabrics at ``root=0,
-max_routes_per_pair=10`` (plus ``sort_by_itbs=True`` for ``itb``).
+max_routes_per_pair=10`` (plus, for ``itb``, the fewest-ITBs-first
+order, built through :func:`~repro.routing.itb.build_itb_routes` with
+``sort_by_itbs=True``: no registered scheme sorts).
 The header of the listing carries the table's root and the
 orientation's ``up_end`` so a changed tree shows up too.  The same
 matrix is where deadlock freedom is proved for every shipped scheme:
@@ -26,7 +28,9 @@ import hashlib
 
 import pytest
 
-from repro.routing import SCHEMES, compute_tables
+from repro.routing import (SCHEMES, RoutingTables, build_itb_routes,
+                           build_spanning_tree, compute_tables,
+                           orient_links)
 from repro.topology import build
 
 #: label -> (registered topology, builder kwargs)
@@ -46,8 +50,13 @@ def _graph(fabric: str):
 
 
 def _tables(fabric: str, scheme: str, sort_by_itbs: bool = False):
-    return compute_tables(_graph(fabric), scheme, root=0,
-                          max_routes_per_pair=10, sort_by_itbs=sort_by_itbs)
+    g = _graph(fabric)
+    if not sort_by_itbs:
+        return compute_tables(g, scheme, root=0, max_routes_per_pair=10)
+    # the itb scheme's own steps, with its alternatives sorted
+    ud = orient_links(g, 0, build_spanning_tree(g, 0))
+    return RoutingTables(scheme, 0, ud, build_itb_routes(
+        g, ud, max_routes_per_pair=10, sort_by_itbs=True))
 
 
 def table_digest(tables) -> str:

@@ -119,11 +119,10 @@ class TestDegradedFabric:
     def test_builder_error_on_the_broken_fabric_is_loud(self):
         """A scheme that declares it supports the degraded graph and
         then fails to build on it is a bug to surface, not a ``--``."""
-        def build(g, root, max_routes_per_pair, sort_by_itbs):
+        def build(g, root, max_routes_per_pair):
             if g.num_links < 18:       # a 3x3 torus with a cable down
                 raise ValueError("cannot route a fabric with dead links")
-            return build_updown_tables(g, root, max_routes_per_pair,
-                                       sort_by_itbs)
+            return build_updown_tables(g, root, max_routes_per_pair)
         SCHEMES.register(Scheme(
             name="brittle", description="fails on degraded fabrics",
             label=lambda policy: "BRITTLE", build=build,
