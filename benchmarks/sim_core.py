@@ -98,7 +98,8 @@ def bench_sim_core(repeats: int = 3) -> dict:
 
     The first repeat of each point runs with cleared memo caches, so its
     ``cold_wall_s`` includes graph + routing-table construction -- the
-    cost every fresh worker process pays.  ``events_per_s`` comes from
+    cost every fresh worker process pays -- and its ``tables_wall_s``
+    is the table build alone.  ``events_per_s`` comes from
     the best repeat's event-loop wall clock, the steady-state figure the
     CI regression gate watches.  ``run_peak_kb`` (:func:`run_peak_kb`)
     and ``route_legs`` (:func:`route_legs`) are measured after the timed
@@ -118,6 +119,7 @@ def bench_sim_core(repeats: int = 3) -> dict:
             "name": name,
             "engine": cfg.engine,
             "cold_wall_s": round(cold.wall_s, 4),
+            "tables_wall_s": round(cold.tables_wall_s, 4),
             "best_loop_wall_s": round(best.sim_wall_s, 4),
             "events": best.events,
             "events_per_s": round(best.events_per_s, 1),
@@ -133,11 +135,13 @@ def render_bench_core(data: dict) -> str:
     lines = [f"sim-core benchmark (best of {data['repeats']}, cold run "
              "includes table build):",
              f"  {'point':14s} {'engine':8s} {'cold [s]':>9s} "
-             f"{'loop [s]':>9s} {'events':>8s} {'events/s':>10s} "
-             f"{'msgs/s':>8s} {'peak kB':>8s} {'legs':>6s}"]
+             f"{'tables':>7s} {'loop [s]':>9s} {'events':>8s} "
+             f"{'events/s':>10s} {'msgs/s':>8s} {'peak kB':>8s} "
+             f"{'legs':>6s}"]
     for p in data["points"]:
         lines.append(f"  {p['name']:14s} {p['engine']:8s} "
-                     f"{p['cold_wall_s']:9.3f} {p['best_loop_wall_s']:9.3f} "
+                     f"{p['cold_wall_s']:9.3f} {p['tables_wall_s']:7.3f} "
+                     f"{p['best_loop_wall_s']:9.3f} "
                      f"{p['events']:8d} {p['events_per_s']:10,.0f} "
                      f"{p['messages_per_s']:8,.0f} {p['run_peak_kb']:8d} "
                      f"{p['route_legs']:6d}")

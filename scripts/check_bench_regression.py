@@ -27,6 +27,10 @@ committed baseline and exits non-zero when:
   Loose on purpose: the figure is single-shot and noisy, but table
   construction sliding back from per-destination to per-pair
   enumeration costs 4x on the ``updown`` point;
+* any point's ``tables_wall_s`` -- the routing-table build inside that
+  cold run -- exceeds 2x the baseline + 50 ms, the same rule: the
+  build is most of a cold run, and this names it when it is the part
+  that slid back;
 * any point's ``route_legs`` -- the distinct leg objects in its fully
   looked-up routing table -- exceeds the baseline at all.  The count
   is deterministic, so it is gated exactly: a table that stops sharing
@@ -58,7 +62,8 @@ import sys
 #: throughput axes gated per point (fractional-drop tolerance applies
 #: to each independently; events/s on event-driven points only)
 GATED_METRICS = ("events_per_s", "messages_per_s")
-#: cold (first-run) wall clock may grow to FACTOR x baseline + GRACE_S
+#: cold (first-run) wall clock, and the table build inside it, may
+#: grow to FACTOR x baseline + GRACE_S
 COLD_WALL_FACTOR = 2.0
 COLD_WALL_GRACE_S = 0.05
 #: a warm run's traced peak may grow to FACTOR x baseline
@@ -81,7 +86,8 @@ def load_points(path: str) -> dict:
                  f"format written by benchmarks/sim_core.py")
     points = {}
     for i, p in enumerate(data["points"]):
-        missing = [k for k in ("name", "cold_wall_s", "route_legs",
+        missing = [k for k in ("name", "cold_wall_s", "tables_wall_s",
+                               "route_legs",
                                "run_peak_kb", "events",
                                "messages_delivered")
                    + GATED_METRICS if k not in p]
@@ -132,14 +138,14 @@ def main() -> int:
                   f"{'ok' if ok else 'REGRESSED'}")
             if not ok and name not in failed:
                 failed.append(name)
-        ceiling = (base["cold_wall_s"] * COLD_WALL_FACTOR
-                   + COLD_WALL_GRACE_S)
-        ok = cur["cold_wall_s"] <= ceiling
-        print(f"{name:14s} {'cold_wall_s':14s} {cur['cold_wall_s']:12.3f} "
-              f"vs baseline {base['cold_wall_s']:12.3f} "
-              f"(ceiling {ceiling:.3f}) {'ok' if ok else 'REGRESSED'}")
-        if not ok and name not in failed:
-            failed.append(name)
+        for metric in ("cold_wall_s", "tables_wall_s"):
+            ceiling = base[metric] * COLD_WALL_FACTOR + COLD_WALL_GRACE_S
+            ok = cur[metric] <= ceiling
+            print(f"{name:14s} {metric:14s} {cur[metric]:12.3f} "
+                  f"vs baseline {base[metric]:12.3f} "
+                  f"(ceiling {ceiling:.3f}) {'ok' if ok else 'REGRESSED'}")
+            if not ok and name not in failed:
+                failed.append(name)
         ok = cur["route_legs"] <= base["route_legs"]
         print(f"{name:14s} {'route_legs':14s} {cur['route_legs']:12d} "
               f"vs baseline {base['route_legs']:12d} "
@@ -161,8 +167,8 @@ def main() -> int:
 
     if failed:
         print(f"FAIL: throughput regressed beyond "
-              f"{args.tolerance:.0%}, cold run slower than "
-              f"{COLD_WALL_FACTOR:g}x baseline, more route legs or "
+              f"{args.tolerance:.0%}, cold run or table build slower "
+              f"than {COLD_WALL_FACTOR:g}x baseline, more route legs or "
               f"events than baseline, run peak above "
               f"{RUN_PEAK_FACTOR:g}x baseline, or point missing on: "
               f"{', '.join(failed)}",

@@ -10,19 +10,22 @@ follows a minimal path end to end.
 
 :func:`split_path_at_violations` performs the split for one path.
 :func:`assemble_itb_routes` is the one recipe that turns candidate
-``(path, link_ids)`` pairs into a table; :func:`build_itb_routes` (the
-paper's scheme) and :mod:`repro.routing.outflank` differ only in the
-candidates they feed it.  :func:`build_itb_routes` lists them per
-destination, not per pair: one BFS gives the shortest-path DAG toward
-the destination and one pass over it
-(:func:`repro.routing.minimal.minimal_path_links_to`) lists every
-source's capped minimal paths together with the link ids they cross.
+``(path, link_ids, cut_indices)`` triples into a table;
+:func:`build_itb_routes` (the paper's scheme) and
+:mod:`repro.routing.outflank` differ only in the candidates they feed
+it.  :func:`build_itb_routes` lists them per destination, not per pair:
+one BFS gives the shortest-path DAG toward the destination and one pass
+over it (:func:`repro.routing.minimal.minimal_path_links_to`) lists
+every source's capped minimal paths together with the link ids they
+cross and where they must be cut, carried along the walk instead of
+found by rescanning each path (:func:`_cut_indices`, which outflank's
+candidates and :func:`split_path_at_violations` still use).
 
 The assembler does eagerly what needs the whole table: every
-alternative's cut indices, its in-transit hosts (cycled through the
-hosts of each switch in one global order, so the ITB workload is spread
-over all NICs attached to it), the optional fewest-ITBs-first order and
-the balancing of first alternatives.  What needs one pair only -- the
+alternative's in-transit hosts (cycled through the hosts of each
+switch in one global order, so the ITB workload is spread over all NICs
+attached to it), the optional fewest-ITBs-first order and the balancing
+of first alternatives.  What needs one pair only -- the
 :class:`RouteLeg` / :class:`SourceRoute` objects, slices of the
 ``(path, link_ids)`` pair -- is built on that pair's first lookup
 (:class:`repro.routing.table.RouteMap`): a run builds the routes it
@@ -34,11 +37,14 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..topology.graph import NetworkGraph
-from .minimal import PathLinks, minimal_path_links_to
+from .minimal import minimal_path_links_to
 from .routes import RouteLeg, SourceRoute
 from .table import Pair, RouteMap
 from .updown import UpDownOrientation
 
+#: one candidate path as its producer hands it to the assembler:
+#: ``(switch_path, link_ids, cut_indices)``
+Candidate = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 #: one alternative, as the assembler keeps it until first lookup:
 #: ``(switch_path, link_ids, cut_indices, itb_hosts)``
 Record = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...],
@@ -84,29 +90,6 @@ def split_path_at_violations(g: NetworkGraph, ud: UpDownOrientation,
     """
     cuts = _cut_indices(path, g.path_links(path), ud.up_end)
     return [tuple(path[s:e + 1]) for s, e in _segments(cuts, len(path) - 1)]
-
-
-class _ItbHostCycler:
-    """Round-robin assignment of in-transit hosts per switch.
-
-    Spreading consecutive ITB assignments over all hosts of a switch
-    avoids turning a single NIC into an artificial hotspot during route
-    construction (the paper only requires "a host connected to the
-    intermediate switch").
-    """
-
-    def __init__(self, g: NetworkGraph) -> None:
-        self._g = g
-        self._next: Dict[int, int] = {}
-
-    def take(self, switch: int) -> int:
-        hosts = self._g.hosts_at(switch)
-        if not hosts:
-            raise ValueError(
-                f"switch {switch} has no host to act as in-transit buffer")
-        i = self._next.get(switch, 0)
-        self._next[switch] = (i + 1) % len(hosts)
-        return hosts[i]
 
 
 def _route_builder(g: NetworkGraph) -> Callable[[Tuple[Record, ...]],
@@ -168,15 +151,22 @@ def _balance_first_alternatives(g: NetworkGraph,
     RR behaviour is unaffected (it cycles the whole set).
     """
     weight = [0] * g.num_links
+    cost = weight.__getitem__
     n = g.num_switches
     pairs = sorted((p for p in records if p[0] != p[1]),
                    key=lambda p: ((p[0] + p[1]) % n, p[0], p[1]))
     for pair in pairs:
         alts = records[pair]
         if len(alts) > 1:
-            costs = [(sum(map(weight.__getitem__, lids)), len(hosts))
-                     for _path, lids, _cuts, hosts in alts]
-            best = costs.index(min(costs))
+            # the first strict minimum of (weight, in-transit hosts)
+            best = 0
+            low = sum(map(cost, alts[0][1]))
+            few = len(alts[0][3])
+            for k in range(1, len(alts)):
+                _path, lids, _cuts, hosts = alts[k]
+                w = sum(map(cost, lids))
+                if w < low or (w == low and len(hosts) < few):
+                    best, low, few = k, w, len(hosts)
             if best:
                 alts = (alts[best],) + alts[:best] + alts[best + 1:]
                 records[pair] = alts
@@ -184,31 +174,46 @@ def _balance_first_alternatives(g: NetworkGraph,
             weight[lid] += 1
 
 
-def assemble_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
-                        candidates: Iterable[Tuple[Pair, Sequence[PathLinks]]],
+def assemble_itb_routes(g: NetworkGraph,
+                        candidates: Iterable[Tuple[Pair, Sequence[Candidate]]],
                         sort_by_itbs: bool = False,
                         balance_sp: bool = True) -> RouteMap:
-    """Split every candidate path into legal legs joined at in-transit
-    hosts; the table keeps the pairs in the order ``candidates`` lists
-    them.
+    """Join every candidate path's legal legs at in-transit hosts; the
+    table keeps the pairs in the order ``candidates`` lists them.
 
-    ``candidates`` yields ``(pair, [(path, link_ids), ...])``, a pair's
-    paths in its preference order (a self pair lists ``((s,), ())``).
-    In-transit hosts are taken in exactly that order, so the same
-    candidates always get the same hosts.  ``sort_by_itbs`` reorders a
-    pair's alternatives fewest-ITBs-first (stable, ties by path);
+    ``candidates`` yields ``(pair, [(path, link_ids, cut_indices),
+    ...])``, a pair's paths in its preference order with the switch
+    indices its producer cuts them at (:func:`_cut_indices`; a self
+    pair lists ``((s,), (), ())``).  In-transit hosts are taken
+    round-robin over each switch's hosts, in exactly that order, so the
+    same candidates always get the same hosts and ITB duty is spread
+    over all NICs of a switch (the paper only requires "a host
+    connected to the intermediate switch").  ``sort_by_itbs`` reorders
+    a pair's alternatives fewest-ITBs-first (stable, ties by path);
     ``balance_sp`` then promotes a load-balancing first alternative.
     """
-    up_end = ud.up_end
-    take = _ItbHostCycler(g).take  # shared so ITB duty rotates over all NICs
+    hosts_at = [g.hosts_at(s) for s in g.switches()]
+    turn = [0] * g.num_switches     # each switch's next in-transit host
     records: Dict[Pair, Tuple[Record, ...]] = {}
     # equal in-transit host tuples are one object, like equal legs
     host_tuples: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for pair, paths in candidates:
         alts: List[Record] = []
-        for path, lids in paths:
-            cuts = _cut_indices(path, lids, up_end)
-            hosts = tuple([take(path[i]) for i in cuts])
+        for path, lids, cuts in paths:
+            if not cuts:
+                alts.append((path, lids, cuts, ()))
+                continue
+            hosts = []
+            for i in cuts:
+                s = path[i]
+                at = hosts_at[s]
+                if not at:
+                    raise ValueError(f"switch {s} has no host to act as "
+                                     f"in-transit buffer")
+                k = turn[s]
+                hosts.append(at[k])
+                turn[s] = (k + 1) % len(at)
+            hosts = tuple(hosts)
             alts.append((path, lids, cuts,
                          host_tuples.setdefault(hosts, hosts)))
         if sort_by_itbs:
@@ -235,12 +240,25 @@ def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
     ``sort_by_itbs=True``, studied in ``tests/test_itb.py`` -- gives 0.22).
     """
     def candidates():
+        # (hops, cuts counted from the end) -> cut indices, one tuple each
+        as_indices: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
         for dst in g.switches():
             # one BFS, one DAG and one enumeration pass per destination,
-            # shared by every source (the pass lists dst's own ((dst,), ()))
-            paths_to_dst = minimal_path_links_to(
-                g, dst, g.shortest_distances(dst), max_routes_per_pair)
+            # shared by every source (the pass lists dst's own entry);
+            # the pass carries each path's cuts, counted from dst
+            to_dst = minimal_path_links_to(
+                g, dst, g.shortest_distances(dst), max_routes_per_pair,
+                ud.up_end)
             for src in g.switches():
-                yield (src, dst), paths_to_dst.get(src, ())
+                paths = []
+                for path, lids, cuts, _down in to_dst.get(src, ()):
+                    if cuts:
+                        key = (len(lids), cuts)
+                        cuts = as_indices.get(key)
+                        if cuts is None:
+                            cuts = as_indices[key] = tuple(
+                                [key[0] - r for r in key[1]])
+                    paths.append((path, lids, cuts))
+                yield (src, dst), paths
 
-    return assemble_itb_routes(g, ud, candidates(), sort_by_itbs, balance_sp)
+    return assemble_itb_routes(g, candidates(), sort_by_itbs, balance_sp)

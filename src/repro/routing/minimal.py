@@ -20,12 +20,17 @@ property the tests pin.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..topology.graph import NetworkGraph
 
 #: one enumerated path: ``(switch_path, link_ids)``
 PathLinks = Tuple[Tuple[int, ...], Tuple[int, ...]]
+#: one enumerated path with its cut positions counted from the
+#: destination (:func:`shared_suffix_paths`): ``(switch_path, link_ids,
+#: fresh, down)``
+CutPath = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...],
+                 Tuple[int, ...]]
 
 
 def minimal_dag_successors(g: NetworkGraph,
@@ -45,8 +50,10 @@ def minimal_dag_successors(g: NetworkGraph,
 
 def shared_suffix_paths(order: Iterable[Tuple[int, int]],
                         succ: List[List[Tuple[int, int]]],
-                        paths: Dict[int, List[PathLinks]],
-                        cap: int) -> Dict[int, List[PathLinks]]:
+                        paths: Dict[int, List[tuple]],
+                        cap: int,
+                        up_end: Optional[Sequence[int]] = None,
+                        ) -> Dict[int, List[tuple]]:
     """Capped path lists of every state of a DAG toward one sink.
 
     ``paths`` arrives seeded with the sink state(s) and comes back with
@@ -61,29 +68,53 @@ def shared_suffix_paths(order: Iterable[Tuple[int, int]],
     switch, ``succ`` is :func:`minimal_dag_successors`) and the
     up*/down* DAG (a state is a (switch, phase) pair,
     :func:`repro.routing.updown.legal_dag_to`).
+
+    Given the orientation's ``up_end``, each entry also carries where
+    the path must be cut into legal up*/down* legs:
+    ``(switch_path, link_ids, fresh, down)`` (:data:`CutPath`), the
+    cut positions counted from the destination (``r`` is switch index
+    ``len(link_ids) - r``), when the path is entered on a fresh leg and
+    right after a down hop.  Prefixing a down hop passes ``down`` on for
+    both; an up hop passes ``fresh`` on for a fresh entry and cuts
+    right before itself after a down hop -- the greedy rule of
+    :func:`repro.routing.itb._cut_indices`, without rescanning a path.
+    The sinks are seeded with ``(path, (), (), ())``.
     """
     for state, s in order:
         head = (s,)
-        out: List[PathLinks] = []
+        out: List[tuple] = []
         for nxt, lid in succ[state]:
             room = cap - len(out)
             if room <= 0:
                 break
             first = (lid,)
-            out.extend([(head + p, first + lids)
-                        for p, lids in paths[nxt][:room]])
+            suffixes = paths[nxt][:room]
+            if up_end is None:
+                out.extend([(head + p, first + lids)
+                            for p, lids in suffixes])
+            elif up_end[lid] != s:      # up hop
+                out.extend([(head + p, first + lids, fresh,
+                             (len(lids) + 1,) + fresh)
+                            for p, lids, fresh, _down in suffixes])
+            else:                       # down hop
+                out.extend([(head + p, first + lids, down, down)
+                            for p, lids, _fresh, down in suffixes])
         paths[state] = out
     return paths
 
 
 def minimal_path_links_to(g: NetworkGraph, dst: int,
                           dist_to_dst: List[int], max_paths: int = 10,
-                          ) -> Dict[int, List[PathLinks]]:
+                          up_end: Optional[Sequence[int]] = None,
+                          ) -> Dict[int, List[tuple]]:
     """Every switch's capped minimal ``(switch_path, link_ids)`` list
     toward ``dst`` (``dst`` itself lists ``((dst,), ())``; a switch that
-    cannot reach it has no entry), from one pass over the DAG."""
+    cannot reach it has no entry), from one pass over the DAG.  Given
+    ``up_end``, the entries are :data:`CutPath` and carry their cuts
+    (:func:`shared_suffix_paths`)."""
     order = [(s, s) for s in sorted(range(g.num_switches),
                                     key=dist_to_dst.__getitem__)
              if dist_to_dst[s] > 0]
+    sink = ((dst,), ()) if up_end is None else ((dst,), (), (), ())
     return shared_suffix_paths(order, minimal_dag_successors(g, dist_to_dst),
-                               {dst: [((dst,), ())]}, max_paths)
+                               {dst: [sink]}, max_paths, up_end)

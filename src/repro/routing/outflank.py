@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 
 from ..topology.graph import GridGeometry, NetworkGraph
 from .dor import _ring_step
-from .itb import assemble_itb_routes
+from .itb import _cut_indices, assemble_itb_routes
 from .schemes import SCHEMES, Scheme
 from .spanning_tree import build_spanning_tree
 from .table import RoutingTables
@@ -126,15 +126,19 @@ def build_outflank_tables(g: NetworkGraph, root: int = 0,
     tree = build_spanning_tree(g, root)
     ud = orient_links(g, root, tree)
 
+    def cut(path: Tuple[int, ...]):
+        lids = g.path_links(path)
+        return path, lids, _cut_indices(path, lids, ud.up_end)
+
     def candidates():
         for src in g.switches():
             for dst in g.switches():
                 paths = ([(src,)] if src == dst else
                          candidate_paths(grid, src, dst)[:max_routes_per_pair])
-                yield (src, dst), [(p, g.path_links(p)) for p in paths]
+                yield (src, dst), [cut(p) for p in paths]
 
     return RoutingTables("outflank", root, ud,
-                         assemble_itb_routes(g, ud, candidates()))
+                         assemble_itb_routes(g, candidates()))
 
 
 SCHEMES.register(Scheme(

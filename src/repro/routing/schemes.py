@@ -100,6 +100,14 @@ def compute_tables(g: NetworkGraph, scheme: str, root: int = 0,
     8x8 torus ``itb`` build, a few of them full) scans and frees
     nothing.  The collector is left as it was found, also when the
     builder raises; one the caller had disabled stays disabled.
+
+    A finished build then moves every tracked object to the oldest
+    generation (``gc.freeze()`` + ``gc.unfreeze()``, O(1)), so the next
+    young-generation passes do not scan the table just built either.
+    The move is process-wide: whatever the caller allocated before the
+    build moves too, so young cyclic garbage of the caller's waits for
+    the next full collection (which still sees everything; nothing
+    stays frozen).
     """
     if sort_by_itbs:
         raise UsageError("no registered scheme sorts by in-transit hops; "
@@ -108,7 +116,10 @@ def compute_tables(g: NetworkGraph, scheme: str, root: int = 0,
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return build(g, root, max_routes_per_pair)
+        tables = build(g, root, max_routes_per_pair)
+        gc.freeze()
+        gc.unfreeze()
+        return tables
     finally:
         if was_enabled:
             gc.enable()

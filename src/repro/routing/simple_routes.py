@@ -58,19 +58,19 @@ def simple_route_links(g: NetworkGraph, ud: UpDownOrientation,
                     if src != dst),
                    key=lambda p: ((p[0] + p[1]) % g.num_switches, p[0], p[1]))
 
+    cost = weight.__getitem__
     for src, dst in pairs:
         cands = candidates[dst][src]
         if not cands:  # cannot happen on a connected graph
             raise RuntimeError(f"no legal up*/down* path {src}->{dst}")
-        best = None
-        best_key = None
-        for cand in cands:
-            path, lids = cand
-            key = (sum(map(weight.__getitem__, lids)), path)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = cand
-        assert best is not None
+        # candidates arrive in ascending path order, so the first one
+        # with the lowest weight is the (weight, path) minimum
+        best = cands[0]
+        low = sum(map(cost, best[1]))
+        for k in range(1, len(cands)):
+            w = sum(map(cost, cands[k][1]))
+            if w < low:
+                best, low = cands[k], w
         routes[(src, dst)] = best
         for lid in best[1]:
             weight[lid] += 1

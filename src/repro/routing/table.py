@@ -224,8 +224,10 @@ class RoutingTables:
         return find_cycle(self.channel_dependencies(g))
 
     def validate(self, g: NetworkGraph) -> None:
-        """Assert structural soundness of every route and deadlock
-        freedom of the table as a whole.
+        """Check structural soundness of every route and deadlock
+        freedom of the table as a whole; the first violation raises
+        :class:`AssertionError` (an explicit raise, so ``python -O``
+        checks too).
 
         Structural checks: endpoints match the pair key, every hop's
         link id names the cable that joins its two switches (builders
@@ -238,27 +240,32 @@ class RoutingTables:
         """
         ends = [link.endpoints() for link in g.links]   # (lo, hi) per id
         for (src, dst), alts in self.routes.items():
-            assert alts, f"no route for pair ({src}, {dst})"
+            if not alts:
+                raise AssertionError(f"no route for pair ({src}, {dst})")
             for route in alts:
-                assert route.src == src and route.dst == dst, (
-                    f"route endpoints {route.src}->{route.dst} do not match "
-                    f"pair ({src}, {dst})")
+                if route.src != src or route.dst != dst:
+                    raise AssertionError(
+                        f"route endpoints {route.src}->{route.dst} do not "
+                        f"match pair ({src}, {dst})")
                 for leg in route.legs:
                     hops = zip(leg.links, leg.switches, leg.switches[1:])
                     for lid, a, b in hops:
-                        assert (0 <= lid < len(ends) and ends[lid]
-                                == ((a, b) if a < b else (b, a))), (
-                            f"link {lid} does not join switches {a} and "
-                            f"{b} in route {src}->{dst}")
+                        if not (0 <= lid < len(ends) and ends[lid]
+                                == ((a, b) if a < b else (b, a))):
+                            raise AssertionError(
+                                f"link {lid} does not join switches {a} "
+                                f"and {b} in route {src}->{dst}")
                 for host, (prev, nxt) in zip(route.itb_hosts,
                                              zip(route.legs, route.legs[1:])):
-                    assert g.host_switch(host) == prev.end == nxt.start, (
-                        f"in-transit host {host} not at boundary switch of "
-                        f"route {src}->{dst}")
+                    if not g.host_switch(host) == prev.end == nxt.start:
+                        raise AssertionError(
+                            f"in-transit host {host} not at boundary "
+                            f"switch of route {src}->{dst}")
         cycle = self.dependency_cycle(g)
-        assert cycle is None, (
-            f"{self.scheme!r} tables can deadlock: channel dependency "
-            f"cycle " + ", ".join(_channel_name(g, c) for c in cycle))
+        if cycle is not None:
+            raise AssertionError(
+                f"{self.scheme!r} tables can deadlock: channel dependency "
+                f"cycle " + ", ".join(_channel_name(g, c) for c in cycle))
 
 
 def _channel_name(g: NetworkGraph, channel: int) -> str:

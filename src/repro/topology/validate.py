@@ -16,38 +16,51 @@ from .graph import NetworkGraph
 
 
 def check_topology(g: NetworkGraph) -> None:
-    """Raise :class:`AssertionError` describing the first violated invariant."""
-    assert g.frozen, "topology must be frozen before use"
-    assert g.is_connected(), f"{g.name}: switch graph is not connected"
-    assert g.num_hosts > 0, f"{g.name}: no hosts attached"
+    """Raise :class:`AssertionError` describing the first violated
+    invariant (an explicit raise, so ``python -O`` checks too)."""
+    if not g.frozen:
+        raise AssertionError("topology must be frozen before use")
+    if not g.is_connected():
+        raise AssertionError(f"{g.name}: switch graph is not connected")
+    if not g.num_hosts > 0:
+        raise AssertionError(f"{g.name}: no hosts attached")
 
     # port accounting
     for s in g.switches():
         used = g.degree(s) + len(g.hosts_at(s))
-        assert used == g.ports_used(s), (
-            f"{g.name}: switch {s} port bookkeeping mismatch "
-            f"({used} != {g.ports_used(s)})")
-        assert used <= g.switch_ports, (
-            f"{g.name}: switch {s} uses {used} ports > {g.switch_ports}")
+        if used != g.ports_used(s):
+            raise AssertionError(
+                f"{g.name}: switch {s} port bookkeeping mismatch "
+                f"({used} != {g.ports_used(s)})")
+        if used > g.switch_ports:
+            raise AssertionError(
+                f"{g.name}: switch {s} uses {used} ports > {g.switch_ports}")
 
     # adjacency <-> link list consistency
     seen_from_adj = set()
     for s in g.switches():
         for nb, lid in g.neighbors(s):
             link = g.links[lid]
-            assert {link.a, link.b} == {s, nb}, (
-                f"{g.name}: adjacency of switch {s} disagrees with link {lid}")
+            if {link.a, link.b} != {s, nb}:
+                raise AssertionError(
+                    f"{g.name}: adjacency of switch {s} disagrees with "
+                    f"link {lid}")
             seen_from_adj.add(lid)
-    assert seen_from_adj == set(range(g.num_links)), (
-        f"{g.name}: some links missing from adjacency lists")
+    if seen_from_adj != set(range(g.num_links)):
+        raise AssertionError(
+            f"{g.name}: some links missing from adjacency lists")
 
     for link in g.links:
-        assert g.link_between(link.a, link.b) == link.id, (
-            f"{g.name}: link index broken for link {link.id}")
+        if g.link_between(link.a, link.b) != link.id:
+            raise AssertionError(
+                f"{g.name}: link index broken for link {link.id}")
 
     # hosts
     for host in g.hosts:
-        assert 0 <= host.switch < g.num_switches, (
-            f"{g.name}: host {host.id} attached to invalid switch")
-        assert host.id in g.hosts_at(host.switch), (
-            f"{g.name}: host {host.id} missing from hosts_at({host.switch})")
+        if not 0 <= host.switch < g.num_switches:
+            raise AssertionError(
+                f"{g.name}: host {host.id} attached to invalid switch")
+        if host.id not in g.hosts_at(host.switch):
+            raise AssertionError(
+                f"{g.name}: host {host.id} missing from "
+                f"hosts_at({host.switch})")

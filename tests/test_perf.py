@@ -114,6 +114,7 @@ class TestBenchRegressionGate:
 
     @staticmethod
     def _bench_file(path: Path, cold_wall_s: float = 1.0,
+                    tables_wall_s: float = 0.5,
                     route_legs: int = 100, events: int = 1000,
                     run_peak_kb: int = 1000, **rates) -> Path:
         """Synthetic bench JSON; a point's value is its events/s (its
@@ -125,6 +126,7 @@ class TestBenchRegressionGate:
             ev, msgs = rate if isinstance(rate, tuple) else (rate, rate / 5)
             points.append({"name": name, "engine": "packet",
                            "cold_wall_s": cold_wall_s,
+                           "tables_wall_s": tables_wall_s,
                            "best_loop_wall_s": 0.5,
                            "events": events, "events_per_s": ev,
                            "messages_delivered": 10,
@@ -184,6 +186,20 @@ class TestBenchRegressionGate:
         cur = self._bench_file(tmp_path / "cur.json", cold_wall_s=0.03,
                                a=100.0)
         assert self._run(cur, base).returncode == 0
+
+    def test_table_build_doubling_fails(self, tmp_path):
+        # the cold run within its ceiling, but its table build beyond
+        # 2x + 50 ms: the part of it that slid back is named
+        base = self._bench_file(tmp_path / "base.json", a=100.0)
+        within = self._bench_file(tmp_path / "within.json",
+                                  tables_wall_s=1.04, a=100.0)
+        assert self._run(within, base).returncode == 0
+        more = self._bench_file(tmp_path / "more.json", tables_wall_s=1.06,
+                                a=100.0)
+        res = self._run(more, base)
+        assert res.returncode == 1
+        assert [line.split()[1] for line in res.stdout.splitlines()
+                if "REGRESSED" in line] == ["tables_wall_s"]
 
     def test_one_more_route_leg_fails(self, tmp_path):
         # the leg count is deterministic: fewer passes, any growth (a
@@ -268,6 +284,8 @@ class TestBenchRegressionGate:
         assert all(p["events_per_s"] > 0 for p in data["points"])
         assert all(p["messages_per_s"] > 0 for p in data["points"])
         assert all(p["route_legs"] > 0 for p in data["points"])
+        assert all(0 < p["tables_wall_s"] < p["cold_wall_s"]
+                   for p in data["points"])
         assert all(p["run_peak_kb"] > 0 for p in data["points"])
         assert {"packet", "flit", "array"} == {p["engine"]
                                               for p in data["points"]}

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.routing import SCHEMES, compute_tables
-from repro.routing.itb import build_itb_routes, split_path_at_violations
+from repro.routing.itb import (_cut_indices, assemble_itb_routes,
+                               build_itb_routes, split_path_at_violations)
 from repro.routing.minimal import minimal_path_links_to
 from repro.routing.reference import (count_minimal_paths,
                                      enumerate_legal_paths,
@@ -236,6 +237,83 @@ def test_per_destination_minimal_paths_equal_per_pair_dfs(g, cap):
             assert by_src[src] == enumerate_minimal_path_links(
                 g, src, dst, dist, max_paths=cap)
             assert all(_links_join(g, p, lids) for p, lids in by_src[src])
+
+
+@given(graphs16, roots, st.sampled_from([1, 3, 32]))
+@SLOW
+def test_candidate_lists_ascend_by_switch_path(g, root_raw, cap):
+    """Both per-destination kernels list a source's candidates in
+    ascending switch-path order: the greedy passes rely on it, keeping
+    the first of equal-weight candidates as the ``(weight, path)``
+    minimum."""
+    ud = orient_links(g, root_raw % g.num_switches)
+    for dst in g.switches():
+        for by_src in (legal_path_links_to(g, ud, dst, cap),
+                       minimal_path_links_to(
+                           g, dst, g.shortest_distances(dst), cap)):
+            for cands in by_src.values():
+                paths = [p for p, _lids in cands]
+                assert all(a <= b for a, b in zip(paths, paths[1:]))
+
+
+def _cuts_after_a_down_hop(path, lids, up_end):
+    """:func:`_cut_indices` of a path entered right after a down hop."""
+    cuts, gone_down = [], True
+    for i, lid in enumerate(lids):
+        if up_end[lid] == path[i + 1]:
+            if gone_down:
+                cuts.append(i)
+                gone_down = False
+        else:
+            gone_down = True
+    return tuple(cuts)
+
+
+@given(graphs16, roots, st.sampled_from([1, 3, 10]))
+@SLOW
+def test_carried_cuts_equal_a_rescan_of_every_path(g, root_raw, cap):
+    """The minimal pass carries each path's cuts, counted from the
+    destination, for a fresh entry and for one after a down hop; both
+    equal what the greedy rescan of the finished path finds."""
+    ud = orient_links(g, root_raw % g.num_switches)
+    up_end = ud.up_end
+    for dst in g.switches():
+        dist = g.shortest_distances(dst)
+        plain = minimal_path_links_to(g, dst, dist, cap)
+        carried = minimal_path_links_to(g, dst, dist, cap, up_end)
+        assert sorted(carried) == sorted(plain)
+        for src, entries in carried.items():
+            assert [(p, lids) for p, lids, _f, _d in entries] == plain[src]
+            for path, lids, fresh, down in entries:
+                n = len(lids)
+                assert (tuple(n - r for r in fresh)
+                        == _cut_indices(path, lids, up_end))
+                assert (tuple(n - r for r in down)
+                        == _cuts_after_a_down_hop(path, lids, up_end))
+
+
+@given(graphs16, roots, st.sampled_from([1, 3, 10]), st.booleans())
+@SLOW
+def test_itb_records_equal_the_generic_assembly(g, root_raw, cap,
+                                                sort_by_itbs):
+    """:func:`build_itb_routes` (cuts carried by the minimal pass) holds
+    exactly the records -- paths, link ids, cuts, in-transit hosts, pair
+    and alternative order, balanced first alternatives -- that the
+    assembler makes of plain minimal candidates cut by a rescan."""
+    ud = orient_links(g, root_raw % g.num_switches)
+
+    def rescanned():
+        for dst in g.switches():
+            by_src = minimal_path_links_to(g, dst, g.shortest_distances(dst),
+                                           cap)
+            for src in g.switches():
+                yield (src, dst), [
+                    (p, lids, _cut_indices(p, lids, ud.up_end))
+                    for p, lids in by_src.get(src, ())]
+
+    built = build_itb_routes(g, ud, cap, sort_by_itbs)
+    generic = assemble_itb_routes(g, rescanned(), sort_by_itbs)
+    assert list(built._records.items()) == list(generic._records.items())
 
 
 @given(st.integers(min_value=0, max_value=511),

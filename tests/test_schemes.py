@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from collections import Counter
 import gc
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
+import textwrap
+import weakref
 
 import pytest
 
@@ -36,6 +42,8 @@ from repro.sim import Simulator, make_network
 from repro.topology import build_mesh
 from tests.conftest import small_config
 from tests.test_table_digests import table_digest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: the schemes this PR ships (the paper's two plus three rivals)
 EXPECTED = {"updown", "itb", "updown-opt", "outflank", "dor"}
@@ -300,6 +308,78 @@ class TestDisciplineChecks:
                 r"1->2 \(link 2\), 2->3 \(link 4\), 3->0 \(link 6\)")):
             RoutingTables("itb", 0, ud, unsplit).validate(g)
         RoutingTables("itb", 0, ud, split).validate(g)
+
+
+class TestBuiltTableIsOld:
+    """A finished build leaves the young generations at once: the next
+    gen-0 and gen-1 passes do not scan the table it just built, nothing
+    stays frozen, and a full collection still sees everything."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_the_table_is_in_no_young_generation(self, torus44):
+        tables = compute_tables(torus44, "itb")
+        records = list(tables.routes._records.values())
+        young = {id(o) for gen in (0, 1)
+                 for o in gc.get_objects(generation=gen)}
+        assert id(tables.routes) not in young
+        assert not any(id(r) in young for alts in records for r in alts)
+        assert gc.get_freeze_count() == 0
+
+    def test_earlier_cyclic_garbage_is_still_collected(self, torus44):
+        class Node:
+            pass
+
+        gc.disable()    # keep the cycle young until the build
+        a, b = Node(), Node()
+        a.other, b.other = b, a
+        gone = weakref.ref(a)
+        del a, b
+        compute_tables(torus44, "updown")
+        assert gone() is not None       # moved on, not collected yet
+        gc.collect()
+        assert gone() is None
+
+
+class TestChecksSurviveOptimisation:
+    """``python -O`` strips ``assert`` statements; the table and
+    topology checks raise explicitly, so they still refuse."""
+
+    def test_a_cyclic_table_fails_validate_under_O(self):
+        # an unfrozen graph fails check_topology on the way
+        script = textwrap.dedent("""
+            from repro.routing import (RoutingTables, build_itb_routes,
+                                       build_spanning_tree, orient_links)
+            from repro.routing.routes import SourceRoute
+            from repro.topology import (NetworkGraph, build_torus,
+                                        check_topology)
+
+            assert False, "-O strips this statement"
+            try:
+                check_topology(NetworkGraph(2))
+            except AssertionError as e:
+                print(e)
+            g = build_torus(rows=4, cols=4, hosts_per_switch=2)
+            ud = orient_links(g, 0, build_spanning_tree(g, 0))
+            unsplit = {
+                pair: tuple(SourceRoute.single_leg(g, r.switch_path)
+                            for r in alts)
+                for pair, alts in build_itb_routes(g, ud, 10).items()}
+            try:
+                RoutingTables("itb", 0, ud, unsplit).validate(g)
+            except AssertionError as e:
+                print(e)
+            """)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+            check=True).stdout
+        assert "topology must be frozen before use" in out
+        assert "'itb' tables can deadlock" in out
 
 
 class TestAngara:
