@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import tracemalloc
+from statistics import median
 
 from repro.config import SimConfig
 from repro.experiments.runner import clear_caches, get_tables, run_simulation
@@ -93,6 +94,29 @@ def run_peak_kb(cfg: SimConfig) -> int:
         tracemalloc.stop()
 
 
+def array_speedup(repeats: int) -> float:
+    """Median over ``repeats`` of the ratio of ``array-paper`` to
+    ``packet-paper`` messages/s (each over its run's loop), the two
+    run back to back in each repeat, which goes first alternating.
+
+    One ratio per repeat: two best-of-N figures taken minutes apart on
+    a shared host drift apart by more than the engines differ in
+    speed from one regeneration to the next."""
+    configs = dict(BENCH_CORE_CONFIGS)
+    pair = [SimConfig(**configs["packet-paper"]),
+            SimConfig(**configs["array-paper"])]
+    ratios = []
+    for i in range(repeats):
+        order = pair if i % 2 == 0 else pair[::-1]
+        reports = []
+        for cfg in order:
+            run_simulation(cfg, perf=reports.append)
+        rate = {cfg.engine: r.messages_per_s
+                for cfg, r in zip(order, reports)}
+        ratios.append(rate["array"] / rate["packet"])
+    return median(ratios)
+
+
 def bench_sim_core(repeats: int = 3) -> dict:
     """Time the benchmark matrix; best-of-``repeats`` per point.
 
@@ -104,7 +128,8 @@ def bench_sim_core(repeats: int = 3) -> dict:
     CI regression gate watches.  ``run_peak_kb`` (:func:`run_peak_kb`)
     and ``route_legs`` (:func:`route_legs`) are measured after the timed
     repeats, so neither tracing nor looking every pair up slows or
-    warms them.
+    warms them; ``array_speedup`` (:func:`array_speedup`) after every
+    point.
     """
     points = []
     for name, kw in BENCH_CORE_CONFIGS:
@@ -128,7 +153,8 @@ def bench_sim_core(repeats: int = 3) -> dict:
             "run_peak_kb": run_peak_kb(cfg),
             "route_legs": route_legs(cfg),
         })
-    return {"schema": 1, "repeats": repeats, "points": points}
+    return {"schema": 1, "repeats": repeats, "points": points,
+            "array_speedup": round(array_speedup(repeats), 2)}
 
 
 def render_bench_core(data: dict) -> str:
@@ -145,6 +171,9 @@ def render_bench_core(data: dict) -> str:
                      f"{p['events']:8d} {p['events_per_s']:10,.0f} "
                      f"{p['messages_per_s']:8,.0f} {p['run_peak_kb']:8d} "
                      f"{p['route_legs']:6d}")
+    lines.append(f"  array-paper / packet-paper msgs/s: "
+                 f"{data['array_speedup']:.2f}x (median of "
+                 f"{data['repeats']} paired repeats)")
     return "\n".join(lines)
 
 

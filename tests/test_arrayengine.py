@@ -427,9 +427,9 @@ class TestScheduleSharing:
         for name in counts:
             real = getattr(TrafficProcess, name)
 
-            def counted(self, arg, _real=real, _name=name):
+            def counted(self, *args, _real=real, _name=name):
                 counts[_name] += 1
-                return _real(self, arg)
+                return _real(self, *args)
             monkeypatch.setattr(TrafficProcess, name, counted)
         return counts
 
