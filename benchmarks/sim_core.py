@@ -24,7 +24,7 @@ import tracemalloc
 from statistics import median
 
 from repro.config import SimConfig
-from repro.experiments.runner import clear_caches, get_tables, run_simulation
+from repro.runner import clear_caches, get_tables, run_simulation
 from repro.units import ns
 
 #: validation-size network used for cross-engine checks (DESIGN.md

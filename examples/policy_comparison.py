@@ -52,7 +52,7 @@ def curves() -> None:
 
 def traced_packet() -> None:
     print("=== one in-transit packet, hop by hop ===\n")
-    from repro.experiments.runner import get_graph, get_tables
+    from repro.runner import get_graph, get_tables
     from repro.routing.policies import SinglePathPolicy
     from repro.sim import PacketTracer, Simulator, WormholeNetwork, \
         format_trace

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import SimConfig, run_simulation
-from repro.experiments.runner import get_graph, get_tables
+from repro.runner import get_graph, get_tables
 from repro.routing import route_statistics
 from repro.units import ns
 

@@ -86,25 +86,24 @@ import json
 import sys
 from typing import List, Optional
 
+# what the parser and every simulating verb need; a verb imports the
+# rest of its own stack (the study catalogue, the sweep, the pools, the
+# store), so a fresh ``repro run`` loads the run path and nothing else
 from .config import SimConfig
-from .experiments.figures import LinkMapResult, grid_shape, render_link_map
-from .experiments.profiles import BENCH, PAPER, TEST, Profile
-from .experiments.registry import (EXPERIMENTS, render_claims,
-                                   run_experiment)
-from .experiments.runner import get_graph, get_tables, run_simulation
-from .experiments.sweep import sweep_rates
-from .orchestrator import DEFAULT_CACHE_DIR, Executor, ResultStore
+from .orchestrator.store import DEFAULT_CACHE_DIR
 from .registry import UsageError, comma_list
-from .routing.analysis import route_statistics
 from .routing.policies import POLICIES
 from .routing.schemes import SCHEMES
+from .runner import get_graph, get_tables, run_simulation
 from .sim.engines import ENGINES
 from .topology import TOPOLOGIES, size_kwargs, sized_topologies
 from .traffic.defaults import DEFAULT_ARRIVAL, DEFAULT_PATTERN
 from .traffic.registry import ARRIVALS, PATTERNS
 from .units import ns
 
-PROFILES = {"bench": BENCH, "paper": PAPER, "test": TEST}
+#: ``--profile`` choices: the names of the profiles in
+#: :mod:`repro.experiments.profiles`, which ``experiment`` imports
+PROFILES = ("bench", "paper", "test")
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -184,6 +183,7 @@ def _add_exec_options(p: argparse.ArgumentParser) -> None:
 def _executor_kwargs(args: argparse.Namespace) -> dict:
     """:class:`Executor` keyword arguments: the store, and the
     execution flags given (:data:`_EXEC_FLAGS`)."""
+    from .orchestrator.store import ResultStore
     given = {spec["dest"]: getattr(args, spec["dest"])
              for spec in _EXEC_FLAGS.values() if spec["dest"] in args}
     return dict(given,
@@ -198,7 +198,8 @@ def _print_point(event: dict) -> None:
           f"{event['status']}{took}{eta}", file=sys.stderr, flush=True)
 
 
-def _make_executor(args: argparse.Namespace) -> Executor:
+def _make_executor(args: argparse.Namespace):
+    from .orchestrator.campaign import Executor
     return Executor(on_point=_print_point, **_executor_kwargs(args))
 
 
@@ -218,6 +219,7 @@ def _config_from(args: argparse.Namespace, rate: float) -> SimConfig:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from .routing.analysis import route_statistics
     spec = TOPOLOGIES.get(args.topology)
     g = get_graph(args.topology, {})
     print(f"{g.name}: {g.num_switches} switches, {g.num_hosts} hosts, "
@@ -252,14 +254,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary = run_simulation(cfg, collect_links=args.links,
                              perf=reports.append, profile_path=args.profile)
     print(summary.oneline())
-    print(f"  network latency {summary.avg_network_latency_ns:.0f} ns, "
-          f"max {summary.max_latency_ns:.0f} ns, "
+    print(f"  network latency {_ns(summary.avg_network_latency_ns)}, "
+          f"max {_ns(summary.max_latency_ns)}, "
           f"{summary.messages_delivered} delivered "
           f"/ {summary.messages_generated} generated")
     if summary.itb_peak_bytes:
         print(f"  in-transit pool peak {summary.itb_peak_bytes} B, "
               f"{summary.itb_overflow_count} overflows")
     if args.links and summary.link_utilization is not None:
+        from .experiments.figures import (LinkMapResult, grid_shape,
+                                          render_link_map)
         res = LinkMapResult("run", cfg.label(), cfg.label(),
                             cfg.injection_rate, summary.link_utilization,
                             summary)
@@ -273,6 +277,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .experiments.sweep import sweep_rates
     rates = comma_list(args.rates, float, "--rates")
     base = _config_from(args, rates[0])
     executor = _make_executor(args)
@@ -290,7 +295,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    profile: Profile = PROFILES[args.profile]
+    from .experiments.profiles import BENCH, PAPER, TEST
+    from .experiments.registry import (EXPERIMENTS, render_claims,
+                                       run_experiment)
+    profile = {p.name: p for p in (BENCH, PAPER, TEST)}[args.profile]
     exp = EXPERIMENTS.get(args.exp_id)
     kwargs = EXPERIMENTS.parse_kwargs(args.exp_id, args.arg)
     if args.json and exp.to_json is None:
@@ -323,6 +331,11 @@ def cmd_schemes(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _ns(value: Optional[float]) -> str:
+    """A latency in ns, or ``n/a`` when nothing was delivered."""
+    return "n/a" if value is None else f"{value:.0f} ns"
+
+
 def _kwarg_line(kwargs) -> str:
     return ", ".join(k.describe() for k in kwargs) or "none"
 
@@ -343,6 +356,7 @@ def cmd_traffic(_args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    from .orchestrator.store import ResultStore
     store = ResultStore(args.cache_dir)
     if args.cache_cmd == "info":
         print(store.info().oneline())
@@ -355,6 +369,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_fabric(args: argparse.Namespace) -> int:
+    from . import experiments  # noqa: F401  (registers both task kinds)
     from .orchestrator.fabric import worker_main
     if args.fabric_cmd == "worker":
         if args.tls and not (args.tls_cert and args.tls_key):
@@ -375,6 +390,7 @@ def cmd_fabric(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from . import experiments  # noqa: F401  (registers both task kinds)
     from .orchestrator.serve import serve_main
     serve_main(args.host, args.port,
                announce=lambda addr: print(
@@ -385,6 +401,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
+    from .experiments.registry import EXPERIMENTS
     for exp_id, exp in EXPERIMENTS.items():
         print(f"{exp_id:14s} {exp.kind:16s} {exp.description}")
         if exp.kwargs:
@@ -423,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="regenerate a paper artefact")
     p.add_argument("exp_id")
-    p.add_argument("--profile", default="bench", choices=sorted(PROFILES))
+    p.add_argument("--profile", default="bench", choices=PROFILES)
     p.add_argument("--arg", action="append", default=[],
                    metavar="KEY=VALUE",
                    help="a parameter the experiment declares "

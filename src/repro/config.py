@@ -216,7 +216,7 @@ class SimConfig(PlainData):
         return replace(self, **kw)
 
 
-#: the options of :func:`repro.experiments.runner.run_simulation` that
+#: the options of :func:`repro.runner.run_simulation` that
 #: are plain data: with a :class:`SimConfig` they describe a point in
 #: full, so they may cross a process, disk or socket boundary (a
 #: ``Point``'s ``runner_kwargs``, a store key, a ``task`` frame, a

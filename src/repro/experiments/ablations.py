@@ -31,7 +31,7 @@ from ..topology.mutated import mutated_kwargs
 from .figures import ratio_claim
 from .profiles import Profile
 from .registry import EXPERIMENTS, Claim, Experiment
-from .runner import get_graph
+from ..runner import get_graph
 from .sweep import resolve_executor
 
 #: one row of a study: (label, run description, runner kwargs)

@@ -39,7 +39,7 @@ from ..config import SimConfig
 from ..traffic.base import per_host_interval_ps
 from .profiles import Profile
 from .registry import EXPERIMENTS, Experiment
-from .runner import get_graph
+from ..runner import get_graph
 from .sweep import resolve_executor, search_all
 
 #: fractions of the last stable (constant-arrivals) rate probed under

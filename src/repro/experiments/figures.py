@@ -36,7 +36,7 @@ from ..routing.schemes import ITB_RR, PAPER_SCHEMES, UPDOWN
 from .plot import render_curves
 from .profiles import Profile
 from .registry import EXPERIMENTS, Claim, Experiment
-from .runner import get_graph
+from ..runner import get_graph
 from .sweep import SweepResult, resolve_executor, sweep_rates
 
 #: (routing, policy, label), as :data:`~repro.routing.schemes.PAPER_SCHEMES`

@@ -28,7 +28,7 @@ from ..metrics.summary import RunSummary
 from ..orchestrator import Executor, Point
 from ..orchestrator.lease import TASKS
 from .profiles import Profile
-from .runner import run_simulation
+from ..runner import run_simulation
 
 #: task kind of :func:`saturation_task`
 SATURATION_TASK_FN = "saturation"
@@ -86,7 +86,7 @@ def saturation_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     :func:`~repro.metrics.saturation.find_saturation`; the result is
     the ``SaturationResult`` dict, every probe run included.  The
     payload may have come off a socket, so the options are checked
-    here again, as :func:`~.runner.run_point_task` does.
+    here again, as :func:`~repro.runner.run_point_task` does.
     """
     options = payload.get("runner_kwargs") or {}
     check_run_options(options)
@@ -144,7 +144,7 @@ def sweep_rates(base: SimConfig, rates: Sequence[float],
     at the early-stop point.  ``runner_kwargs`` may name only the
     plain-data run options (:data:`repro.config.RUN_OPTIONS`); a live
     ``tables=`` object goes to
-    :func:`~repro.experiments.runner.run_simulation` directly.
+    :func:`~repro.runner.run_simulation` directly.
     """
     executor = resolve_executor(executor)
     ordered = sorted(rates)

@@ -22,7 +22,7 @@ from ..routing.schemes import PAPER_SCHEMES
 from .figures import bound_claim, ratio_claim
 from .profiles import Profile
 from .registry import EXPERIMENTS, Claim, Experiment
-from .runner import get_graph
+from ..runner import get_graph
 from .sweep import search_all
 
 #: the columns of a table, in the paper's order

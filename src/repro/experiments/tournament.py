@@ -42,7 +42,7 @@ from ..topology.mutated import mutated_kwargs
 from ..traffic.registry import PATTERNS, parse_workload
 from .profiles import Profile
 from .registry import EXPERIMENTS, Experiment
-from .runner import get_graph
+from ..runner import get_graph
 from .sweep import resolve_executor, search_all
 
 #: latency multiple (over zero-load) that defines the knee

@@ -32,31 +32,25 @@ Layers, composable and individually testable:
 The package is a leaf: it imports :mod:`repro.config`,
 :mod:`repro.metrics`, :mod:`repro.canon` and :mod:`repro.registry`,
 never the simulator or the experiments, which import *it* and register
-their task kinds.
+their task kinds.  Each name below is imported on its first access, so
+the runner, which needs only :data:`~repro.orchestrator.lease.TASKS`,
+loads neither the pools nor sockets, TLS and HTTP.
 """
 
 from __future__ import annotations
 
-from .campaign import CampaignError, Executor, ExecutorStats, Point
-from .fabric import FabricPool, FabricWorker
-from .pool import Task, TaskResult, WorkerPool
-from .serve import ReproServer
-from .store import (CompactStats, DEFAULT_CACHE_DIR, ResultStore,
-                    StoreInfo)
+from .. import _lazy_exports
 
-__all__ = [
-    "CampaignError",
-    "CompactStats",
-    "DEFAULT_CACHE_DIR",
-    "Executor",
-    "ExecutorStats",
-    "FabricPool",
-    "FabricWorker",
-    "Point",
-    "ReproServer",
-    "ResultStore",
-    "StoreInfo",
-    "Task",
-    "TaskResult",
-    "WorkerPool",
-]
+#: submodule -> the public names it lends the package (PEP 562)
+_EXPORTS = {
+    ".campaign": ("CampaignError", "Executor", "ExecutorStats", "Point"),
+    ".fabric": ("FabricPool", "FabricWorker"),
+    ".pool": ("Task", "TaskResult", "WorkerPool"),
+    ".serve": ("ReproServer",),
+    ".store": ("CompactStats", "DEFAULT_CACHE_DIR", "ResultStore",
+               "StoreInfo"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -44,16 +44,21 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..registry import Registry, UsageError
 
-__all__ = ["InlineSlot", "LeasePool", "Lost", "TASKS", "Task",
-           "TaskResult", "execute", "idle_wait_s", "retry_delay_s",
+__all__ = ["InlineSlot", "LeasePool", "Lost", "POINT_TASK_FN", "TASKS",
+           "Task", "TaskResult", "execute", "idle_wait_s", "retry_delay_s",
            "task_frame"]
 
 #: everything a worker will run: task kind -> worker function, one
 #: JSON-safe payload dict in, one JSON-safe result out.  A function
-#: registers itself where it is defined; ``import repro`` loads every
-#: shipped one, so a fresh worker process knows them all.  A frame
+#: registers itself where it is defined; importing
+#: :mod:`repro.experiments` loads every shipped one, which ``repro
+#: fabric worker`` and ``repro serve`` do before they listen.  A frame
 #: selects among these by name and can name nothing else.
 TASKS: Registry[Callable[[Dict[str, Any]], Any]] = Registry("task kind")
+
+#: kind of one simulation point; its worker function,
+#: :func:`repro.runner.run_point_task`, registers under it
+POINT_TASK_FN = "point"
 
 
 @dataclass(frozen=True)

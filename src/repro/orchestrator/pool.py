@@ -28,14 +28,11 @@ from typing import Any, List
 
 from ..registry import UsageError
 from .fabric import LocalSlot
-from .lease import InlineSlot, LeasePool, Task, TaskResult, retry_delay_s
+from .lease import (POINT_TASK_FN, InlineSlot, LeasePool, Task, TaskResult,
+                    retry_delay_s)
 
 __all__ = ["POINT_TASK_FN", "Task", "TaskResult", "WorkerPool",
            "retry_delay_s"]
-
-#: kind of one simulation point; its worker function,
-#: :func:`repro.experiments.runner.run_point_task`, registers under it
-POINT_TASK_FN = "point"
 
 
 class WorkerPool(LeasePool):

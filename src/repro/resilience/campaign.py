@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..config import SimConfig
 from ..experiments.profiles import Profile
 from ..experiments.registry import EXPERIMENTS, Experiment
-from ..experiments.runner import get_graph, get_tables
+from ..runner import get_graph, get_tables
 from ..experiments.sweep import resolve_executor, search_all
 from ..registry import Kwarg, comma_list
 from ..routing.analysis import route_statistics

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..config import SimConfig
 from ..experiments.profiles import Profile
 from ..experiments.registry import EXPERIMENTS, Claim, Experiment
-from ..experiments.runner import get_graph
+from ..runner import get_graph
 from ..experiments.sweep import resolve_executor
 from ..orchestrator import Point
 from ..registry import Kwarg, comma_list

@@ -41,32 +41,31 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ..canon import freeze
-from ..config import SimConfig, check_run_options
-from ..metrics.collector import LatencyCollector
-from ..metrics.linkstats import collect_link_stats
-from ..metrics.recovery import RecoveryTracker
-from ..metrics.summary import RunSummary
-from ..orchestrator.lease import TASKS
-from ..orchestrator.pool import POINT_TASK_FN
-from ..perf import PerfReport, now as _now, profile_to
-from ..routing.policies import make_policy
-from ..routing.schemes import compute_tables
-from ..routing.table import RoutingTables
-from ..sim.base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT,
-                        CAP_ITB_POOL, NO_ITB_STATS)
-from ..sim.engine import Simulator
-from ..sim.engines import make_network
-from ..sim.faults import FaultPlan
-from ..sim.invariants import audit as audit_invariants
-from ..sim.reliable import (ReconfigParams, ReconfigurationManager,
-                            ReliableParams, ReliableTransport)
-from ..topology import build as build_topology
-from ..topology.graph import NetworkGraph
-from ..topology.validate import check_topology
-from ..traffic.base import (DestinationStreams, Schedule, TrafficProcess,
-                            per_host_interval_ps)
-from ..traffic.registry import make_workload
+from .canon import freeze
+from .config import SimConfig, check_run_options
+from .metrics.collector import LatencyCollector
+from .metrics.linkstats import collect_link_stats
+from .metrics.recovery import RecoveryTracker
+from .metrics.summary import RunSummary
+from .orchestrator.lease import POINT_TASK_FN, TASKS
+from .perf import PerfReport, now as _now, profile_to
+from .routing.policies import make_policy
+from .routing.schemes import compute_tables
+from .routing.table import RoutingTables
+from .sim.base import (CAP_BATCH_DELIVERY, CAP_BATCH_INJECT,
+                       CAP_ITB_POOL, NO_ITB_STATS)
+from .sim.engine import Simulator
+from .sim.engines import make_network
+from .sim.faults import FaultPlan
+from .sim.invariants import audit as audit_invariants
+from .sim.reliable import (ReconfigParams, ReconfigurationManager,
+                           ReliableParams, ReliableTransport)
+from .topology import build as build_topology
+from .topology.graph import NetworkGraph
+from .topology.validate import check_topology
+from .traffic.base import (DestinationStreams, Schedule, TrafficProcess,
+                           per_host_interval_ps)
+from .traffic.registry import make_workload
 
 #: memoised topologies and routing tables, capped FIFO: a long-lived
 #: worker fed a resilience campaign would otherwise keep one graph and

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.runner import clear_caches
+from repro.runner import clear_caches
 from repro.orchestrator import Executor
 from repro.orchestrator.lease import TASKS
 from repro.sim import NetworkModel

@@ -150,7 +150,7 @@ class TestAdaptivePolicy:
 class TestEndToEnd:
     def test_adaptive_runs_and_learns(self):
         from tests.conftest import small_config
-        from repro.experiments.runner import run_simulation
+        from repro.runner import run_simulation
         s = run_simulation(small_config(policy="adaptive",
                                         injection_rate=0.03))
         assert s.messages_delivered > 0

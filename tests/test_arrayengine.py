@@ -27,9 +27,9 @@ import random
 import pytest
 
 from repro.config import PAPER_PARAMS, SimConfig
-from repro.experiments import runner
+from repro import runner
 from repro.experiments.profiles import PAPER
-from repro.experiments.runner import clear_caches, run_simulation
+from repro.runner import clear_caches, run_simulation
 from repro.experiments.sweep import sweep_rates
 from repro.metrics.collector import LatencyCollector
 from repro.routing.policies import make_policy

@@ -136,6 +136,15 @@ class TestCommands:
         assert "offered=0.0100" in out
         assert "delivered" in out
 
+    def test_run_that_delivers_nothing(self, capsys):
+        """A window too short for any delivery has no latency to
+        format: the run prints ``n/a``, as ``sweep`` does."""
+        rc = main(["run", "--rate", "0.01", "--warmup-ns", "0",
+                   "--measure-ns", "1000"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "network latency n/a, max n/a, 0 delivered" in out
+
     def test_run_with_links(self, capsys):
         rc = main(["run", "--topology", "irregular", "--rate", "0.01",
                    "--warmup-ns", "20000", "--measure-ns", "80000",

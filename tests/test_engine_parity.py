@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.config import PAPER_PARAMS
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.routing.policies import make_policy
 from repro.routing.routes import RouteLeg, SourceRoute
 from repro.routing import RoutingTables, compute_tables

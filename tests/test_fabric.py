@@ -11,11 +11,15 @@ import multiprocessing as mp
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.sweep import SATURATION_TASK_FN, sweep_rates
 from repro.orchestrator import Executor, FabricPool, FabricWorker, ResultStore
 from repro.orchestrator.pool import POINT_TASK_FN, Task
@@ -312,6 +316,40 @@ class TestRawTaskFrames:
         assert reply["status"] == "err"
         assert "not plain-data run options" in reply["value"]
         assert not target.exists()
+
+
+class TestSpawnedWorker:
+    """The ``fleet`` workers are forked, so they inherit this process's
+    registrations.  A worker started as its own interpreter knows the
+    shipped kinds only because ``repro fabric worker`` imports them
+    before it announces its address."""
+
+    def test_knows_both_shipped_kinds(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fabric", "worker",
+             "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            announced = proc.stdout.readline()
+            assert "listening on" in announced, proc.wait(timeout=5)
+            addr = announced.split()[-1]
+            payload = {"config": small_config().to_dict(),
+                       "runner_kwargs": {}}
+            point = TestRawTaskFrames._send(addr, POINT_TASK_FN, payload)
+            search = TestRawTaskFrames._send(
+                addr, SATURATION_TASK_FN,
+                dict(payload, search={"start_rate": 0.3,
+                                      "refine_steps": 1}))
+        finally:
+            proc.kill()
+            proc.wait(timeout=5)
+            proc.stdout.close()
+        assert point["status"] == "ok", point["value"]
+        assert point["value"]["messages_delivered"] > 0
+        assert search["status"] == "ok", search["value"]
+        assert search["value"]["runs"]
 
 
 class TestPerAddressGiveUp:

@@ -9,7 +9,7 @@ Section 5).
 import pytest
 
 from repro.config import PAPER_PARAMS
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.routing.policies import SinglePathPolicy
 from repro.routing import compute_tables
 from repro.sim.engine import Simulator

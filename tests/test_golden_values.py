@@ -22,7 +22,7 @@ import hashlib
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.units import ns
 
 #: the fixed-seed matrix: (label, engine, routing, policy)

@@ -9,7 +9,7 @@ checks the actual factors)."""
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.units import ns
 
 WINDOW = dict(warmup_ps=ns(60_000), measure_ps=ns(250_000))

@@ -7,7 +7,7 @@ that hold regardless of load."""
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.runner import get_graph, get_tables, run_simulation
+from repro.runner import get_graph, get_tables, run_simulation
 from repro.routing.policies import make_policy
 from repro.sim.engine import Simulator
 from repro.sim.network import WormholeNetwork

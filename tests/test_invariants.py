@@ -16,7 +16,7 @@ Three angles:
 import pytest
 
 from repro.config import PAPER_PARAMS, SimConfig
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.routing.policies import SinglePathPolicy
 from repro.routing.routes import SourceRoute
 from repro.routing import RoutingTables, compute_tables

@@ -189,7 +189,7 @@ class TestSpSelectionNeedsBalancing:
     def runs(self):
         from repro.config import SimConfig
         from repro.experiments.profiles import BENCH
-        from repro.experiments.runner import run_simulation
+        from repro.runner import run_simulation
         from repro.routing.table import RoutingTables
         g = build_torus()
         ud = orient_links(g, root=0)
@@ -316,7 +316,7 @@ class TestLazyTables:
 
         from repro.config import SimConfig
         from repro.experiments.profiles import PAPER
-        from repro.experiments.runner import run_simulation
+        from repro.runner import run_simulation
         g = build_torus()
         cfg = SimConfig(topology="torus", routing="itb", policy="rr",
                         injection_rate=0.010, engine="array", seed=1,

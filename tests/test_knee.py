@@ -78,12 +78,12 @@ class TestKneeFromRuns:
 
 class TestP99Plumbing:
     def test_percentiles_off_by_default(self):
-        from repro.experiments.runner import run_simulation
+        from repro.runner import run_simulation
         s = run_simulation(small_config(injection_rate=0.004))
         assert s.p99_latency_ns is None
 
     def test_percentiles_collected_on_request(self):
-        from repro.experiments.runner import run_simulation
+        from repro.runner import run_simulation
         s = run_simulation(small_config(injection_rate=0.004),
                            collect_percentiles=True)
         assert s.messages_delivered > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.routing.dor import compute_dor_tables, dor_path
 from repro.sim.engine import DeadlockError
 from repro.topology import build_mesh, build_torus, check_topology
@@ -92,7 +92,7 @@ class TestDeadlockBehaviour:
         reason Myrinet cannot just use dimension-order routing and the
         motivation for deadlock-free schemes like up*/down* + ITB."""
         g_kwargs = {"rows": 1, "cols": 4, "hosts_per_switch": 2}
-        from repro.experiments.runner import get_graph
+        from repro.runner import get_graph
         g = get_graph("torus", g_kwargs)
         tables = compute_dor_tables(g, 1, 4, wrap=True)
         with pytest.raises(AssertionError,

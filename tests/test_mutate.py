@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.routing.analysis import route_statistics
 from repro.routing import compute_tables
 from repro.topology import build_mutated, build_torus, check_topology

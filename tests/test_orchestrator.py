@@ -21,7 +21,7 @@ from collections import deque
 
 import pytest
 
-import repro.experiments.runner as runner_mod
+import repro.runner as runner_mod
 import repro.orchestrator.lease as lease_mod
 from repro.experiments.sweep import sweep_rates
 from repro.orchestrator import (CampaignError, Executor, ExecutorStats,

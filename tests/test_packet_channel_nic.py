@@ -129,7 +129,7 @@ class TestChannel:
         long holds straddle the boundary, no channel reports more
         reserved time than the measurement window."""
         from repro.config import SimConfig
-        from repro.experiments.runner import run_simulation
+        from repro.runner import run_simulation
         from repro.units import ns
         for engine in ("packet", "flit"):
             cfg = SimConfig(

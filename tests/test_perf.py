@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from repro.config import SimConfig
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.perf import PerfReport, profile_to
 from repro.units import ns
 

@@ -651,7 +651,7 @@ class TestDestinationStreamMemo:
                          warmup_ps=20_000_000, measure_ps=300_000_000)
 
     def test_rates_share_one_key_and_a_new_key_replaces_it(self):
-        from repro.experiments import runner
+        from repro import runner
         runner.clear_caches()
         try:
             runner.run_simulation(self._config(1, 0.01))
@@ -669,7 +669,7 @@ class TestDestinationStreamMemo:
         # two campaigns of one key at once, as two handler threads of
         # ``repro serve`` run them: each schedule the memo builds is
         # the schedule a fresh draw gives
-        from repro.experiments import runner
+        from repro import runner
         rates = [0.01 + 0.01 * i for i in range(6)]
         runner.clear_caches()
         switch = sys.getswitchinterval()
@@ -700,7 +700,7 @@ class TestDestinationStreamMemo:
             runner.clear_caches()
 
     def test_clear_caches_empties_the_memo(self):
-        from repro.experiments import runner
+        from repro import runner
         runner.run_simulation(self._config(1))
         assert runner._STREAMS[1].drawn
         runner.clear_caches()

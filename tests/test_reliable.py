@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import PAPER_PARAMS
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.metrics.recovery import RecoveryTracker
 from repro.routing.policies import make_policy
 from repro.routing import RoutingTables, compute_tables

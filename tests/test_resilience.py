@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.experiments.profiles import TEST
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.orchestrator import Executor
 from repro.resilience import (render_resilience_table, run_recovery,
                               run_resilience, sample_failed_links)

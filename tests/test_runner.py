@@ -7,11 +7,11 @@ import weakref
 import pytest
 
 from repro.config import RUN_OPTIONS, SimConfig
-from repro.experiments import runner
-from repro.experiments.runner import (_freeze_kwargs, _GRAPH_CACHE,
-                                      _TABLE_CACHE, clear_caches,
-                                      get_graph, get_tables,
-                                      run_point_task, run_simulation)
+from repro import runner
+from repro.runner import (_freeze_kwargs, _GRAPH_CACHE,
+                          _TABLE_CACHE, clear_caches,
+                          get_graph, get_tables,
+                          run_point_task, run_simulation)
 from repro.units import ns
 from tests.conftest import UNDECLARED_RUN_OPTIONS, small_config
 

@@ -37,7 +37,7 @@ import pytest
 from repro.canon import digest
 from repro.config import SimConfig
 from repro.experiments.profiles import PAPER, TEST
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.sim.engine import Simulator
 from repro.topology import build
 from repro.traffic import (ARRIVALS, PATTERNS, TrafficProcess, make_workload,

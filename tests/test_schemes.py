@@ -442,7 +442,7 @@ class TestOutFlank:
     def test_runs_under_simconfig(self):
         cfg = small_config(routing="outflank", policy="rr",
                            injection_rate=0.005)
-        from repro.experiments.runner import run_simulation
+        from repro.runner import run_simulation
         s = run_simulation(cfg)
         assert s.messages_delivered > 0
         assert s.config.label() == "OFR-RR"

@@ -19,7 +19,7 @@ import pytest
 from repro.canon import PlainData, canonical_json, digest, freeze
 from repro.config import MyrinetParams, SimConfig
 from repro.experiments.adversary import StabilityCell, StabilityReport
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.experiments.tournament import (SchemeEntry, TopologySpec,
                                           TournamentCell, TournamentReport)
 from repro.metrics.linkstats import LinkUtilization

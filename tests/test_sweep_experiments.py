@@ -6,12 +6,12 @@ import math
 
 import pytest
 
-import repro.experiments.runner as runner_mod
+import repro.runner as runner_mod
 from repro.config import PAPER_PARAMS, SimConfig
 from repro.experiments import adversary, tournament
 from repro.experiments.profiles import BENCH, PAPER, TEST, Profile
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.experiments.runner import run_simulation
+from repro.runner import run_simulation
 from repro.experiments.sweep import (SATURATION_TASK_FN, saturation_task,
                                      search_all, sweep_rates)
 from repro.experiments.tables import pick_hotspots

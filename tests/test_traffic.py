@@ -649,7 +649,7 @@ class TestReplayIsTheScalarRun:
     def both(self, monkeypatch, engine, overrides=None, **options):
         """The replayed run's summary and send list, after asserting
         the scalar run sent and ran the same."""
-        from repro.experiments.runner import clear_caches, run_simulation
+        from repro.runner import clear_caches, run_simulation
         from repro.sim.base import NetworkModel
 
         topology, topology_kwargs = REPLAY_FABRICS[engine]
