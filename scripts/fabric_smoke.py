@@ -31,9 +31,6 @@ from repro.config import SimConfig  # noqa: E402
 from repro.orchestrator import (Executor, FabricPool, Point,  # noqa: E402
                                 ResultStore)
 from repro.orchestrator.pool import POINT_TASK_FN, Task  # noqa: E402
-# the sequential baseline runs its points in this process, so this
-# process must know the `point` kind: the runner registers it
-import repro.runner  # noqa: E402,F401
 
 CONFIG = {
     "topology": "torus",

@@ -87,10 +87,10 @@ import sys
 from typing import List, Optional
 
 # what the parser and every simulating verb need; a verb imports the
-# rest of its own stack (the study catalogue, the sweep, the pools, the
-# store), so a fresh ``repro run`` loads the run path and nothing else
+# rest of its own stack (the study catalogue, the sweep, the pools), so
+# a fresh ``repro run`` loads the run path and nothing else
 from .config import SimConfig
-from .orchestrator.store import DEFAULT_CACHE_DIR
+from .orchestrator.store import DEFAULT_CACHE_DIR, ResultStore
 from .registry import UsageError, comma_list
 from .routing.policies import POLICIES
 from .routing.schemes import SCHEMES
@@ -183,7 +183,6 @@ def _add_exec_options(p: argparse.ArgumentParser) -> None:
 def _executor_kwargs(args: argparse.Namespace) -> dict:
     """:class:`Executor` keyword arguments: the store, and the
     execution flags given (:data:`_EXEC_FLAGS`)."""
-    from .orchestrator.store import ResultStore
     given = {spec["dest"]: getattr(args, spec["dest"])
              for spec in _EXEC_FLAGS.values() if spec["dest"] in args}
     return dict(given,
@@ -356,7 +355,6 @@ def cmd_traffic(_args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from .orchestrator.store import ResultStore
     store = ResultStore(args.cache_dir)
     if args.cache_cmd == "info":
         print(store.info().oneline())
@@ -369,7 +367,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_fabric(args: argparse.Namespace) -> int:
-    from . import experiments  # noqa: F401  (registers both task kinds)
     from .orchestrator.fabric import worker_main
     if args.fabric_cmd == "worker":
         if args.tls and not (args.tls_cert and args.tls_key):
@@ -390,7 +387,6 @@ def cmd_fabric(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from . import experiments  # noqa: F401  (registers both task kinds)
     from .orchestrator.serve import serve_main
     serve_main(args.host, args.port,
                announce=lambda addr: print(

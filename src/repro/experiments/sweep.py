@@ -11,27 +11,22 @@ A *search* (:func:`search_all`) finds each configuration's saturation
 throughput (:func:`repro.metrics.saturation.find_saturation`).  It is
 adaptive -- every rate depends on the previous outcome -- so a whole
 search is one task of the executor, the ``saturation`` kind
-(:func:`saturation_task`), and the only unit of study work besides a
-simulation point: a study is searches plus points, and both are
-cached, resumable and fanned out the same way.
+(:func:`repro.runner.saturation_task`), and the only unit of study
+work besides a simulation point: a study is searches plus points, and
+both are cached, resumable and fanned out the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
-from ..config import SimConfig, check_run_options
-from ..metrics.saturation import (SaturationResult, find_saturation,
-                                  knee_throughput)
+from ..config import SimConfig
+from ..metrics.saturation import SaturationResult, knee_throughput
 from ..metrics.summary import RunSummary
 from ..orchestrator import Executor, Point
-from ..orchestrator.lease import TASKS
 from .profiles import Profile
-from ..runner import run_simulation
-
-#: task kind of :func:`saturation_task`
-SATURATION_TASK_FN = "saturation"
+from ..runner import SATURATION_TASK_FN
 
 
 @dataclass(frozen=True)
@@ -75,29 +70,6 @@ def resolve_executor(executor):
     if executor is None:
         executor = Executor()
     return executor
-
-
-def saturation_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker function of the ``saturation`` task kind: one search.
-
-    ``payload`` is a point's payload (``config``, the whole
-    :class:`SimConfig` with only its rate varied by the search, and
-    ``runner_kwargs``) plus ``search``, the keyword arguments of
-    :func:`~repro.metrics.saturation.find_saturation`; the result is
-    the ``SaturationResult`` dict, every probe run included.  The
-    payload may have come off a socket, so the options are checked
-    here again, as :func:`~repro.runner.run_point_task` does.
-    """
-    options = payload.get("runner_kwargs") or {}
-    check_run_options(options)
-    base = SimConfig.from_dict(payload["config"])
-    return find_saturation(
-        lambda rate: run_simulation(
-            base.with_overrides(injection_rate=rate), **options),
-        **payload["search"]).to_dict()
-
-
-TASKS.register(saturation_task, SATURATION_TASK_FN)
 
 
 def search_all(bases: Sequence[SimConfig], profile: Profile,

@@ -50,9 +50,8 @@ __all__ = ["InlineSlot", "LeasePool", "Lost", "POINT_TASK_FN", "TASKS",
 
 #: everything a worker will run: task kind -> worker function, one
 #: JSON-safe payload dict in, one JSON-safe result out.  A function
-#: registers itself where it is defined; importing
-#: :mod:`repro.experiments` loads every shipped one, which ``repro
-#: fabric worker`` and ``repro serve`` do before they listen.  A frame
+#: registers itself where it is defined; both shipped ones are in
+#: :mod:`repro.runner`, which :func:`execute` imports.  A frame
 #: selects among these by name and can name nothing else.
 TASKS: Registry[Callable[[Dict[str, Any]], Any]] = Registry("task kind")
 
@@ -112,6 +111,11 @@ def execute(msg: Dict[str, Any]) -> Dict[str, Any]:
     ``KeyboardInterrupt`` and ``SystemExit`` propagate and take the
     worker down -- a lost lease, re-run elsewhere.
     """
+    # the orchestrator's one import of a layer above it: the runner
+    # registers both shipped kinds, so every process that runs tasks
+    # knows them however it was started (a fixed module -- nothing a
+    # frame names is imported)
+    from .. import runner  # noqa: F401
     t0 = time.monotonic()
     try:
         status, value = "ok", TASKS.get(msg["fn"])(msg["payload"])

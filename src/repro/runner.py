@@ -32,9 +32,12 @@ A run ends by tearing itself down (``Simulator.clear`` +
 ``NetworkModel.close``): the network of a finished run is freed by
 reference count when ``run_simulation`` returns.
 
-:func:`run_point_task` is the orchestrator's ``point`` task kind: the
-one door where a payload that crossed a process, disk or socket
-boundary becomes a ``run_simulation`` call.
+:func:`run_point_task` and :func:`saturation_task` are the two shipped
+task kinds, ``point`` and ``saturation``: the doors where a payload
+that crossed a process, disk or socket boundary becomes
+``run_simulation`` calls.  Importing this module registers both, which
+is what lets :func:`repro.orchestrator.lease.execute` know them in any
+fresh process.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .config import SimConfig, check_run_options
 from .metrics.collector import LatencyCollector
 from .metrics.linkstats import collect_link_stats
 from .metrics.recovery import RecoveryTracker
+from .metrics.saturation import find_saturation
 from .metrics.summary import RunSummary
 from .orchestrator.lease import POINT_TASK_FN, TASKS
 from .perf import PerfReport, now as _now, profile_to
@@ -468,3 +472,29 @@ def run_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 TASKS.register(run_point_task, POINT_TASK_FN)
+
+#: task kind of :func:`saturation_task`
+SATURATION_TASK_FN = "saturation"
+
+
+def saturation_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker function of the ``saturation`` task kind: one search.
+
+    ``payload`` is a point's payload (``config``, the whole
+    :class:`SimConfig` with only its rate varied by the search, and
+    ``runner_kwargs``) plus ``search``, the keyword arguments of
+    :func:`~repro.metrics.saturation.find_saturation`; the result is
+    the ``SaturationResult`` dict, every probe run included.  The
+    payload may have come off a socket, so the options are checked
+    here again, as :func:`run_point_task` does.
+    """
+    options = payload.get("runner_kwargs") or {}
+    check_run_options(options)
+    base = SimConfig.from_dict(payload["config"])
+    return find_saturation(
+        lambda rate: run_simulation(
+            base.with_overrides(injection_rate=rate), **options),
+        **payload["search"]).to_dict()
+
+
+TASKS.register(saturation_task, SATURATION_TASK_FN)

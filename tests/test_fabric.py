@@ -20,11 +20,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.experiments.sweep import SATURATION_TASK_FN, sweep_rates
+from repro.experiments.sweep import sweep_rates
 from repro.orchestrator import Executor, FabricPool, FabricWorker, ResultStore
 from repro.orchestrator.pool import POINT_TASK_FN, Task
 from repro.orchestrator.wire import (WIRE_FORMAT, FrameError, parse_addrs,
                                      recv_frame, send_frame)
+from repro.runner import SATURATION_TASK_FN
 from tests.conftest import (UNDECLARED_RUN_OPTIONS, small_config,
                             task_kinds)
 
@@ -320,9 +321,9 @@ class TestRawTaskFrames:
 
 class TestSpawnedWorker:
     """The ``fleet`` workers are forked, so they inherit this process's
-    registrations.  A worker started as its own interpreter knows the
-    shipped kinds only because ``repro fabric worker`` imports them
-    before it announces its address."""
+    registrations.  A worker started as its own interpreter has
+    imported neither shipped kind when it announces its address; it
+    knows both because ``lease.execute`` imports the runner."""
 
     def test_knows_both_shipped_kinds(self):
         env = dict(os.environ,

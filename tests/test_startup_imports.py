@@ -6,10 +6,12 @@ and loads no submodule; ``import repro.cli`` and a whole ``repro run``
 load the simulator and the run-description registries, but neither the
 study catalogue (``repro.experiments``, ``repro.resilience``) nor the
 pools with their sockets, TLS and HTTP.  A verb that needs those
-imports them itself (DESIGN.md section 10, "Start-up").
+imports them itself (DESIGN.md section 10, "Start-up").  The shipped
+task kinds still reach every process that runs tasks: an ``Executor``
+in a fresh interpreter runs points inline and on forked workers.
 
-Run as a script -- ``python tests/test_startup_imports.py`` -- it makes
-the same checks without pytest and exits 1 if any fails.
+The checks run as a script -- ``python tests/test_startup_imports.py``
+exits 1 if any fails -- and pytest runs that same script body once.
 """
 
 import os
@@ -83,6 +85,18 @@ from repro.orchestrator.lease import TASKS
 assert len(EXPERIMENTS) == 26, EXPERIMENTS.names()
 assert TASKS.names() == ("point", "saturation"), TASKS.names()
 """,
+    "a fresh Executor runs points forked and inline": """
+from repro import Executor, SimConfig
+cfgs = [SimConfig(topology="torus",
+                  topology_kwargs={"rows": 4, "cols": 4,
+                                   "hosts_per_switch": 2},
+                  injection_rate=0.01, warmup_ps=20_000_000,
+                  measure_ps=60_000_000, seed=seed) for seed in (1, 2)]
+# forked workers first, so the parent has imported no task kind yet
+for workers in (2, 1):
+    for summary in Executor(workers=workers).run_configs(cfgs):
+        assert summary.messages_delivered > 0, summary
+""",
 }
 
 
@@ -92,34 +106,13 @@ def run_check(name: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env)
 
 
-def _assert_passes(name: str) -> None:
-    res = run_check(name)
-    assert res.returncode == 0, res.stderr
-
-
-def test_import_repro_loads_no_submodule():
-    _assert_passes("import repro loads no submodule")
-
-
-def test_import_cli_loads_the_run_path_only():
-    _assert_passes("import repro.cli loads the run path only")
-
-
-def test_repro_run_loads_the_run_path_only():
-    _assert_passes("repro run loads the run path only")
-
-
-def test_every_exported_name_resolves():
-    _assert_passes("every exported name resolves")
-
-
-def test_resilience_first_sees_the_whole_catalogue():
-    _assert_passes("the resilience package sees the whole catalogue")
-
-
 def test_shipped_counts_match_test_registry():
     from tests.test_registry import AXES
     assert SHIPPED == {axis: len(AXES[axis].shipped) for axis in SHIPPED}
+
+
+def test_fresh_processes():
+    assert main() == 0
 
 
 def main() -> int:

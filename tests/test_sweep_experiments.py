@@ -11,9 +11,9 @@ from repro.config import PAPER_PARAMS, SimConfig
 from repro.experiments import adversary, tournament
 from repro.experiments.profiles import BENCH, PAPER, TEST, Profile
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.runner import run_simulation
-from repro.experiments.sweep import (SATURATION_TASK_FN, saturation_task,
-                                     search_all, sweep_rates)
+from repro.runner import (SATURATION_TASK_FN, run_simulation,
+                          saturation_task)
+from repro.experiments.sweep import search_all, sweep_rates
 from repro.experiments.tables import pick_hotspots
 from repro.metrics.saturation import SaturationResult, find_saturation
 from repro.orchestrator import CampaignError, Executor, ResultStore
