@@ -19,12 +19,15 @@ Usage:  python benchmarks/sim_core.py [--repeats N] [--out FILE]
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import tracemalloc
 from statistics import median
 
 from repro.config import SimConfig
-from repro.runner import clear_caches, get_tables, run_simulation
+from repro.routing import compute_tables
+from repro.routing.routes import route_legs as legs_of
+from repro.runner import clear_caches, get_graph, get_tables, run_simulation
 from repro.units import ns
 
 #: validation-size network used for cross-engine checks (DESIGN.md
@@ -72,13 +75,31 @@ BENCH_CORE_CONFIGS = [
 
 
 def route_legs(cfg: SimConfig) -> int:
-    """Distinct :class:`~repro.routing.routes.RouteLeg` objects in the
-    point's (memoised) table once every pair has been looked up -- a
-    deterministic measure of how much of the table is shared."""
+    """Distinct leg tuples in the point's (memoised) table once every
+    pair has been looked up -- a deterministic measure of how much of
+    the table is shared."""
     tables = get_tables(cfg.topology, cfg.topology_kwargs, cfg.routing,
                         max_routes_per_pair=cfg.params.max_routes_per_pair)
     return len({id(leg) for alts in tables.routes.values()
-                for route in alts for leg in route.legs})
+                for route in alts for leg in legs_of(route)})
+
+
+def table_kb(cfg: SimConfig) -> int:
+    """``tracemalloc`` size, in kB, of the point's table fully looked
+    up: built afresh on the memoised graph, every pair looked up, and
+    what is still allocated once the build's transients are gone --
+    what a process holds for it for as long as it keeps the table."""
+    g = get_graph(cfg.topology, cfg.topology_kwargs)
+    gc.collect()        # a full collection also empties the free lists
+    tracemalloc.start()
+    try:
+        tables = compute_tables(g, cfg.routing, 0,
+                                cfg.params.max_routes_per_pair)
+        tables.routes.values()
+        gc.collect()    # ... which would keep the build's transients
+        return tracemalloc.get_traced_memory()[0] // 1024
+    finally:
+        tracemalloc.stop()
 
 
 def run_peak_kb(cfg: SimConfig) -> int:
@@ -125,11 +146,11 @@ def bench_sim_core(repeats: int = 3) -> dict:
     cost every fresh worker process pays -- and its ``tables_wall_s``
     is the table build alone.  ``events_per_s`` comes from
     the best repeat's event-loop wall clock, the steady-state figure the
-    CI regression gate watches.  ``run_peak_kb`` (:func:`run_peak_kb`)
-    and ``route_legs`` (:func:`route_legs`) are measured after the timed
-    repeats, so neither tracing nor looking every pair up slows or
-    warms them; ``array_speedup`` (:func:`array_speedup`) after every
-    point.
+    CI regression gate watches.  ``run_peak_kb`` (:func:`run_peak_kb`),
+    ``route_legs`` (:func:`route_legs`) and ``table_kb``
+    (:func:`table_kb`) are measured after the timed repeats, so neither
+    tracing nor looking every pair up slows or warms them;
+    ``array_speedup`` (:func:`array_speedup`) after every point.
     """
     points = []
     for name, kw in BENCH_CORE_CONFIGS:
@@ -152,6 +173,7 @@ def bench_sim_core(repeats: int = 3) -> dict:
             "messages_per_s": round(best.messages_per_s, 1),
             "run_peak_kb": run_peak_kb(cfg),
             "route_legs": route_legs(cfg),
+            "table_kb": table_kb(cfg),
         })
     return {"schema": 1, "repeats": repeats, "points": points,
             "array_speedup": round(array_speedup(repeats), 2)}
@@ -163,14 +185,14 @@ def render_bench_core(data: dict) -> str:
              f"  {'point':14s} {'engine':8s} {'cold [s]':>9s} "
              f"{'tables':>7s} {'loop [s]':>9s} {'events':>8s} "
              f"{'events/s':>10s} {'msgs/s':>8s} {'peak kB':>8s} "
-             f"{'legs':>6s}"]
+             f"{'legs':>6s} {'table kB':>8s}"]
     for p in data["points"]:
         lines.append(f"  {p['name']:14s} {p['engine']:8s} "
                      f"{p['cold_wall_s']:9.3f} {p['tables_wall_s']:7.3f} "
                      f"{p['best_loop_wall_s']:9.3f} "
                      f"{p['events']:8d} {p['events_per_s']:10,.0f} "
                      f"{p['messages_per_s']:8,.0f} {p['run_peak_kb']:8d} "
-                     f"{p['route_legs']:6d}")
+                     f"{p['route_legs']:6d} {p['table_kb']:8d}")
     lines.append(f"  array-paper / packet-paper msgs/s: "
                  f"{data['array_speedup']:.2f}x (median of "
                  f"{data['repeats']} paired repeats)")

@@ -31,7 +31,7 @@ committed baseline and exits non-zero when:
   cold run -- exceeds 2x the baseline + 50 ms, the same rule: the
   build is most of a cold run, and this names it when it is the part
   that slid back;
-* any point's ``route_legs`` -- the distinct leg objects in its fully
+* any point's ``route_legs`` -- the distinct leg tuples in its fully
   looked-up routing table -- exceeds the baseline at all.  The count
   is deterministic, so it is gated exactly: a table that stops sharing
   the legs its pairs have in common shows up here before it shows up
@@ -40,7 +40,12 @@ committed baseline and exits non-zero when:
   run, tables and schedule memoised -- exceeds the baseline by more
   than 25 %.  It is near-deterministic (same seed, same allocations),
   so the bound only absorbs interpreter-version drift: per-key state
-  that grows with fabric size instead of contention shows up here.
+  that grows with fabric size instead of contention shows up here;
+* any point's ``table_kb`` -- the ``tracemalloc`` size of its routing
+  table fully looked up -- exceeds the baseline by more than that same
+  25 %.  The table is what a sweep holds longest, and the only
+  structure that grows as pairs x alternatives x hops: an object per
+  route or per leg growing back shows up here.
 
 The throughput gate is deliberately loose: both axes are
 machine-dependent and CI runners are noisy, so only a large, consistent
@@ -66,7 +71,8 @@ GATED_METRICS = ("events_per_s", "messages_per_s")
 #: grow to FACTOR x baseline + GRACE_S
 COLD_WALL_FACTOR = 2.0
 COLD_WALL_GRACE_S = 0.05
-#: a warm run's traced peak may grow to FACTOR x baseline
+#: a warm run's traced peak, and a fully looked-up table's traced
+#: size, may grow to FACTOR x baseline
 RUN_PEAK_FACTOR = 1.25
 
 
@@ -87,7 +93,7 @@ def load_points(path: str) -> dict:
     points = {}
     for i, p in enumerate(data["points"]):
         missing = [k for k in ("name", "cold_wall_s", "tables_wall_s",
-                               "route_legs",
+                               "route_legs", "table_kb",
                                "run_peak_kb", "events",
                                "messages_delivered")
                    + GATED_METRICS if k not in p]
@@ -152,13 +158,14 @@ def main() -> int:
               f"{'ok' if ok else 'REGRESSED'}")
         if not ok and name not in failed:
             failed.append(name)
-        ceiling = base["run_peak_kb"] * RUN_PEAK_FACTOR
-        ok = cur["run_peak_kb"] <= ceiling
-        print(f"{name:14s} {'run_peak_kb':14s} {cur['run_peak_kb']:12d} "
-              f"vs baseline {base['run_peak_kb']:12d} "
-              f"(ceiling {ceiling:,.0f}) {'ok' if ok else 'REGRESSED'}")
-        if not ok and name not in failed:
-            failed.append(name)
+        for metric in ("run_peak_kb", "table_kb"):
+            ceiling = base[metric] * RUN_PEAK_FACTOR
+            ok = cur[metric] <= ceiling
+            print(f"{name:14s} {metric:14s} {cur[metric]:12d} "
+                  f"vs baseline {base[metric]:12d} "
+                  f"(ceiling {ceiling:,.0f}) {'ok' if ok else 'REGRESSED'}")
+            if not ok and name not in failed:
+                failed.append(name)
     extra = sorted(set(current) - set(baseline))
     if extra:
         print(f"FAIL: points not in baseline: {', '.join(extra)}; "
@@ -169,7 +176,7 @@ def main() -> int:
         print(f"FAIL: throughput regressed beyond "
               f"{args.tolerance:.0%}, cold run or table build slower "
               f"than {COLD_WALL_FACTOR:g}x baseline, more route legs or "
-              f"events than baseline, run peak above "
+              f"events than baseline, run peak or table size above "
               f"{RUN_PEAK_FACTOR:g}x baseline, or point missing on: "
               f"{', '.join(failed)}",
               file=sys.stderr)

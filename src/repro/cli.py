@@ -261,8 +261,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  in-transit pool peak {summary.itb_peak_bytes} B, "
               f"{summary.itb_overflow_count} overflows")
     if args.links and summary.link_utilization is not None:
-        from .experiments.figures import (LinkMapResult, grid_shape,
-                                          render_link_map)
+        from .metrics.linkmap import (LinkMapResult, grid_shape,
+                                      render_link_map)
         res = LinkMapResult("run", cfg.label(), cfg.label(),
                             cfg.injection_rate, summary.link_utilization,
                             summary)

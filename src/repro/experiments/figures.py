@@ -7,7 +7,9 @@ declared row -- what is run, what the paper reports of it, what the
 paper claims of it -- handed to the one function of its kind and
 registered in :data:`~.registry.EXPERIMENTS`; the result types and
 their ASCII renderers (what ``repro experiment`` prints and
-EXPERIMENTS.md quotes) sit beside them.
+EXPERIMENTS.md quotes) sit beside them, except the link map's, which
+:mod:`repro.metrics.linkmap` holds so that ``repro run --links`` prints
+one without loading this catalogue.
 
 Rate grids are chosen to bracket the paper's reported saturation points
 with headroom, so the curves show both the flat region and the vertical
@@ -29,8 +31,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..config import SimConfig
-from ..metrics.linkstats import LinkUtilization
-from ..metrics.summary import RunSummary
+from ..metrics.linkmap import LinkMapResult, grid_shape, render_link_map
 from ..registry import Kwarg
 from ..routing.schemes import ITB_RR, PAPER_SCHEMES, UPDOWN
 from .plot import render_curves
@@ -56,18 +57,6 @@ class FigureResult:
 
     def measured_throughput(self) -> Dict[str, float]:
         return {s.label: s.throughput() for s in self.series}
-
-
-@dataclass(frozen=True)
-class LinkMapResult:
-    """One link-utilisation snapshot (a panel of Figures 8/9/11)."""
-
-    fig_id: str
-    title: str
-    label: str
-    rate: float
-    utilization: LinkUtilization
-    summary: RunSummary
 
 
 # -- rendering ----------------------------------------------------------------
@@ -96,46 +85,6 @@ def render_figure(fig: FigureResult) -> str:
 
 def _plot_panel(fig: FigureResult) -> str:
     return render_curves(fig.series, title=fig.title)
-
-
-def render_link_map(res: LinkMapResult,
-                    grid: Optional[Tuple[int, int]] = None) -> str:
-    """Link-utilisation snapshot; with ``grid=(rows, cols)`` also an
-    RxC per-switch heat map (percent utilisation: the mean of the
-    channels leaving each switch), which makes the paper's "hot around
-    the root" vs "balanced" contrast visible in a terminal."""
-    u = res.utilization
-    s = u.summary()
-    lines = [
-        f"== {res.fig_id}: {res.title} ==",
-        f"rate={res.rate} flits/ns/switch, window={u.window_ps} ps",
-        (f"link utilisation: max={s['max']:.1%} mean={s['mean']:.1%} "
-         f"min={s['min']:.1%}; {s['frac_below_10pct']:.0%} of links <10%, "
-         f"{s['frac_above_30pct']:.0%} >30%"),
-        "hottest directed channels (util, src->dst switch):",
-    ]
-    for util, src, dst, _lid in u.hottest(5):
-        lines.append(f"   {util:6.1%}  {src:3d} -> {dst:3d}")
-    if grid is not None:
-        rows, cols = grid
-        totals = [0.0] * (rows * cols)
-        counts = [0] * (rows * cols)
-        for (src, _dst, _lid), util in zip(u.channel_ends, u.utilization):
-            totals[src] += util
-            counts[src] += 1
-        per_switch = [t / (c or 1) for t, c in zip(totals, counts)]
-        lines.append("mean outgoing-channel utilisation per switch (%):")
-        for r in range(rows):
-            row = " ".join(f"{per_switch[r * cols + c] * 100:5.1f}"
-                           for c in range(cols))
-            lines.append("   " + row)
-    return "\n".join(lines)
-
-
-def grid_shape(config: SimConfig) -> Optional[Tuple[int, int]]:
-    """(rows, cols) of the configured topology, None when it is no grid."""
-    grid = get_graph(config.topology, config.topology_kwargs).grid
-    return (grid.rows, grid.cols) if grid is not None else None
 
 
 def render_link_maps(panels: Sequence[LinkMapResult]) -> str:

@@ -14,7 +14,8 @@ The pipeline mirrors Section 2--3 of the paper:
    searches the tests compare the per-destination kernels against.
 5. :mod:`itb` splits minimal paths that violate the up*/down* rule into
    legal sub-routes joined at in-transit hosts, producing the ITB routes.
-6. :mod:`table` holds per-pair route tables (:class:`RouteMap` builds a
+6. :mod:`table` holds per-pair route tables (:class:`RouteStore`, the
+   directed-hop form of :mod:`routes` every engine reads, builds a
    pair's routes on its first lookup);
    :mod:`policies` implements the SP / RR (and extension: random)
    path-selection policies.

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..topology.graph import NetworkGraph
+from .routes import route_hops
 from .table import RoutingTables
 
 
@@ -69,14 +70,15 @@ def route_statistics(g: NetworkGraph, tables: RoutingTables) -> RouteStats:
         sum_alts += len(alts)
         dmin = dist_rows[src][dst]
         sum_min += dmin
-        first = alts[0]
-        if first.switch_hops == dmin:
+        hops = [route_hops(r) for r in alts]
+        itbs = [len(r[1]) for r in alts]
+        if hops[0] == dmin:
             n_minimal += 1
-        sum_sp += first.switch_hops
-        sum_itb_sp += first.num_itbs
-        sum_rr += sum(r.switch_hops for r in alts) / len(alts)
-        sum_itb_rr += sum(r.num_itbs for r in alts) / len(alts)
-        max_itbs = max(max_itbs, max(r.num_itbs for r in alts))
+        sum_sp += hops[0]
+        sum_itb_sp += itbs[0]
+        sum_rr += sum(hops) / len(alts)
+        sum_itb_rr += sum(itbs) / len(alts)
+        max_itbs = max(max_itbs, max(itbs))
     if pairs == 0:
         raise ValueError("network has a single switch; no pairs to analyse")
     return RouteStats(

@@ -19,7 +19,7 @@ from typing import Dict, Tuple
 
 from ..topology.graph import NetworkGraph
 from ..topology.torus import switch_coords, switch_id
-from .routes import SourceRoute
+from .routes import make_route, path_hops
 from .schemes import SCHEMES, Scheme
 from .spanning_tree import build_spanning_tree
 from .table import RoutingTables
@@ -68,11 +68,11 @@ def compute_dor_tables(g: NetworkGraph, rows: int, cols: int,
                          f"{g.num_switches} switches")
     tree = build_spanning_tree(g, 0)
     ud = orient_links(g, 0, tree)   # orientation kept for diagnostics
-    routes: Dict[Tuple[int, int], Tuple[SourceRoute, ...]] = {}
+    routes: Dict[Tuple[int, int], tuple] = {}
     for src in g.switches():
         for dst in g.switches():
             path = dor_path(g, src, dst, rows, cols, wrap)
-            routes[(src, dst)] = (SourceRoute.single_leg(g, path),)
+            routes[(src, dst)] = (make_route((path_hops(g, path),)),)
     return RoutingTables("dor", 0, ud, routes)
 
 

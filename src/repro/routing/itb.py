@@ -10,45 +10,61 @@ follows a minimal path end to end.
 
 :func:`split_path_at_violations` performs the split for one path.
 :func:`assemble_itb_routes` is the one recipe that turns candidate
-``(path, link_ids, cut_indices)`` triples into a table;
-:func:`build_itb_routes` (the paper's scheme) and
-:mod:`repro.routing.outflank` differ only in the candidates they feed
-it.  :func:`build_itb_routes` lists them per destination, not per pair:
-one BFS gives the shortest-path DAG toward the destination and one pass
-over it (:func:`repro.routing.minimal.minimal_path_links_to`) lists
-every source's capped minimal paths together with the link ids they
-cross and where they must be cut, carried along the walk instead of
-found by rescanning each path (:func:`_cut_indices`, which outflank's
-candidates and :func:`split_path_at_violations` still use).
+``(hops, cut_indices)`` pairs into a table; :func:`build_itb_routes`
+(the paper's scheme) and :mod:`repro.routing.outflank` differ only in
+the candidates they feed it.  :func:`build_itb_routes` lists them per
+destination, not per pair: one BFS gives the shortest-path DAG toward
+the destination and one pass over it
+(:func:`repro.routing.minimal.minimal_hops_to`) lists every source's
+capped minimal paths as the directed hops they cross, together with
+where they must be cut, carried along the walk instead of found by
+rescanning each path (:func:`_cut_indices`, which outflank's candidates
+and :func:`split_path_at_violations` still use).
 
 The assembler does eagerly what needs the whole table: every
 alternative's in-transit hosts (cycled through the hosts of each
 switch in one global order, so the ITB workload is spread over all NICs
 attached to it), the optional fewest-ITBs-first order and the balancing
-of first alternatives.  What needs one pair only -- the
-:class:`RouteLeg` / :class:`SourceRoute` objects, slices of the
-``(path, link_ids)`` pair -- is built on that pair's first lookup
-(:class:`repro.routing.table.RouteMap`): a run builds the routes it
-sends on, and a leg that many pairs share is one object.
+of first alternatives.  What it keeps of a candidate is its hops, a few
+bytes each in a flat array, and a small per-pair record
+(:data:`Record`).  The store-form routes -- slices of those hops -- are
+built on the pair's first lookup (:class:`repro.routing.table.RouteStore`):
+a run builds the routes it sends on, and a leg that many pairs share is
+one tuple.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..topology.graph import NetworkGraph
-from .minimal import minimal_path_links_to
-from .routes import RouteLeg, SourceRoute
-from .table import Pair, RouteMap
+from .minimal import minimal_hops_to
+from .routes import Leg, hop_array, hop_ints, leg_overheads
+from .table import Pair, RouteStore, interleaved_pairs
 from .updown import UpDownOrientation
 
-#: one candidate path as its producer hands it to the assembler:
-#: ``(switch_path, link_ids, cut_indices)``
-Candidate = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
-#: one alternative, as the assembler keeps it until first lookup:
-#: ``(switch_path, link_ids, cut_indices, itb_hosts)``
-Record = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...],
-               Tuple[int, ...]]
+#: one pair's candidates as their producer hands them to the assembler:
+#: ``(pair, paths, cuts)``, each path the tuple of its directed hops and
+#: ``cuts[i]`` where path ``i`` is cut, as the hops still to go at each
+#: cut switch (descending; a path of ``n`` hops cut at ``r`` ejects at
+#: its switch index ``n - r``)
+Candidates = Tuple[Pair, Sequence[Tuple[int, ...]],
+                   Sequence[Tuple[int, ...]]]
+#: one pair's alternatives as the assembler keeps them until first
+#: lookup: ``(chunk, start, lens, cuts, itb_hosts)`` -- alternative ``i``
+#: is the ``lens[i]`` hops following alternative ``i - 1``'s in the
+#: assembler's hop array number ``chunk`` (the first from ``start``
+#: on), cut at ``cuts[i]`` (counted from the end, as in
+#: :data:`Candidates`) and joined at the hosts ``itb_hosts[i]``
+Record = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, ...], ...],
+               Tuple[Tuple[int, ...], ...]]
+
+#: hops an assembler array takes before the next pair starts a new one
+#: (bounds the copy when an array grows; a table holds the same bytes)
+_CHUNK = 1 << 16
 
 
 def _cut_indices(path: Sequence[int], lids: Sequence[int],
@@ -92,52 +108,52 @@ def split_path_at_violations(g: NetworkGraph, ud: UpDownOrientation,
     return [tuple(path[s:e + 1]) for s, e in _segments(cuts, len(path) - 1)]
 
 
-def _route_builder(g: NetworkGraph) -> Callable[[Tuple[Record, ...]],
-                                                Tuple[SourceRoute, ...]]:
-    """The function that builds one pair's alternatives on its first
-    lookup, keeping one :class:`RouteLeg` per distinct leg for the whole
+def _route_builder(g: NetworkGraph, chunks: List[array]
+                   ) -> Callable[[Record], tuple]:
+    """The function that builds one pair's store-form alternatives on
+    its first lookup, keeping one tuple per distinct leg for the whole
     table.
 
-    Legs are slices of a record's ``(path, link_ids)`` pair, so the
-    graph is never probed again.  Many pairs reuse the same legs (on
-    the 8x8 torus ``itb`` table, 39 352 legs are 9 027 distinct ones),
-    so a leg already built is handed out again, with the ``dir_hops``
-    it stashed.  A leg is known by its first switch and its link ids:
-    the links fix every later switch, and keep parallel cables apart.
+    Legs are slices of a record's hops.  Many pairs reuse the same legs
+    (on the 8x8 torus ``itb`` table, 39 352 legs are 8 964 distinct
+    ones), so a leg already built is handed out again: its hops name
+    it, since a link and a direction fix both switches.  A new leg
+    takes the graph's shared hop ints
+    (:func:`~repro.routing.routes.hop_ints`).
     """
-    known: List[Dict[Tuple[int, ...], RouteLeg]] = [
-        {} for _ in range(g.num_switches)]
+    get = hop_ints(g.num_links).__getitem__
+    known: Dict[Leg, Leg] = {}
+    # the overheads of a one-leg route, by its hop count
+    single = [leg_overheads((n,)) for n in range(g.num_switches)]
 
-    def leg(path: Tuple[int, ...], lids: Tuple[int, ...],
-            s: int, e: int) -> RouteLeg:
-        links = lids[s:e]
-        by_links = known[path[s]]
-        out = by_links.get(links)
+    def intern(leg: Leg) -> Leg:
+        out = known.get(leg)
         if out is None:
-            out = by_links[links] = RouteLeg(path[s:e + 1], links)
+            out = known[leg] = tuple(map(get, leg))
         return out
 
-    def alternatives(records: Tuple[Record, ...]
-                     ) -> Tuple[SourceRoute, ...]:
+    def alternatives(record: Record) -> tuple:
+        chunk, a, lens, cuts, itb_hosts = record
+        hops = chunks[chunk]
         routes = []
-        for path, lids, cuts, hosts in records:
-            if not cuts:  # already legal -- the common case
-                only = leg(path, lids, 0, len(lids))
-                route = SourceRoute((only,))
-                route._link_ids = only.links   # the leg's own tuple
+        for n, cut, itb in zip(lens, cuts, itb_hosts):
+            if not cut:  # already legal -- the common case
+                routes.append((single[n], (), intern(tuple(hops[a:a + n]))))
             else:
-                route = SourceRoute(
-                    tuple([leg(path, lids, s, e)
-                           for s, e in _segments(cuts, len(lids))]), hosts)
-            routes.append(route)
+                legs = []
+                s = a
+                for e in [a + n - r for r in cut] + [a + n]:
+                    legs.append(intern(tuple(hops[s:e])))
+                    s = e
+                routes.append((leg_overheads(tuple(map(len, legs))), itb,
+                               *legs))
+            a += n
         return tuple(routes)
 
     return alternatives
 
 
-def _balance_first_alternatives(g: NetworkGraph,
-                                records: Dict[Pair, Tuple[Record, ...]]
-                                ) -> None:
+def _balance_first_alternatives(g: NetworkGraph, pending: List) -> None:
     """Reorder each pair's alternatives so the *first* one balances load.
 
     The SP policy always uses a pair's first table entry.  Plain
@@ -149,86 +165,121 @@ def _balance_first_alternatives(g: NetworkGraph,
     accumulated link weight (ties: fewest in-transit hosts, then
     earliest) to the front, and charge one weight unit to its links.
     RR behaviour is unaffected (it cycles the whole set).
+
+    ``pending[k]`` is a pair's ``(paths, cuts, itb_hosts)``.  Weights
+    are kept per directed hop, both directions charged, so the sum over
+    a path's hops is its link weight.
     """
-    weight = [0] * g.num_links
+    weight = [0] * (2 * g.num_links)
     cost = weight.__getitem__
-    n = g.num_switches
-    pairs = sorted((p for p in records if p[0] != p[1]),
-                   key=lambda p: ((p[0] + p[1]) % n, p[0], p[1]))
-    for pair in pairs:
-        alts = records[pair]
-        if len(alts) > 1:
+    for k in interleaved_pairs(g.num_switches):
+        entry = pending[k]
+        if entry is None:
+            continue
+        paths, cuts, itb_hosts = entry
+        if len(paths) > 1:
             # the first strict minimum of (weight, in-transit hosts)
             best = 0
-            low = sum(map(cost, alts[0][1]))
-            few = len(alts[0][3])
-            for k in range(1, len(alts)):
-                _path, lids, _cuts, hosts = alts[k]
-                w = sum(map(cost, lids))
-                if w < low or (w == low and len(hosts) < few):
-                    best, low, few = k, w, len(hosts)
+            low = sum(map(cost, paths[0]))
+            few = len(itb_hosts[0])
+            for i in range(1, len(paths)):
+                w = sum(map(cost, paths[i]))
+                if w < low or (w == low and len(itb_hosts[i]) < few):
+                    best, low, few = i, w, len(itb_hosts[i])
             if best:
-                alts = (alts[best],) + alts[:best] + alts[best + 1:]
-                records[pair] = alts
-        for lid in alts[0][1]:
-            weight[lid] += 1
+                pending[k] = entry = tuple(
+                    (t[best], *t[:best], *t[best + 1:])
+                    for t in (paths, cuts, itb_hosts))
+        for h in entry[0][0]:
+            weight[h] += 1
+            weight[h ^ 1] += 1
 
 
-def assemble_itb_routes(g: NetworkGraph,
-                        candidates: Iterable[Tuple[Pair, Sequence[Candidate]]],
+def assemble_itb_routes(g: NetworkGraph, candidates: Iterable[Candidates],
                         sort_by_itbs: bool = False,
-                        balance_sp: bool = True) -> RouteMap:
+                        balance_sp: bool = True) -> RouteStore:
     """Join every candidate path's legal legs at in-transit hosts; the
     table keeps the pairs in the order ``candidates`` lists them.
 
-    ``candidates`` yields ``(pair, [(path, link_ids, cut_indices),
-    ...])``, a pair's paths in its preference order with the switch
-    indices its producer cuts them at (:func:`_cut_indices`; a self
-    pair lists ``((s,), (), ())``).  In-transit hosts are taken
+    ``candidates`` yields ``(pair, paths, cuts)`` (:data:`Candidates`):
+    a pair's paths as directed hops in its preference order, and where
+    its producer cuts each (:func:`_cut_indices`, counted from the end;
+    a self pair lists the path ``()``).  In-transit hosts are taken
     round-robin over each switch's hosts, in exactly that order, so the
     same candidates always get the same hosts and ITB duty is spread
     over all NICs of a switch (the paper only requires "a host
     connected to the intermediate switch").  ``sort_by_itbs`` reorders
-    a pair's alternatives fewest-ITBs-first (stable, ties by path);
-    ``balance_sp`` then promotes a load-balancing first alternative.
+    a pair's alternatives fewest-ITBs-first (stable, so ties keep the
+    producer's order, ascending by switch path for the minimal
+    producer); ``balance_sp`` then promotes a load-balancing first
+    alternative.  Last, each pair's hops move into flat arrays and the
+    pair keeps a :data:`Record` of where they are.
     """
+    n = g.num_switches
     hosts_at = [g.hosts_at(s) for s in g.switches()]
-    turn = [0] * g.num_switches     # each switch's next in-transit host
-    records: Dict[Pair, Tuple[Record, ...]] = {}
-    # equal in-transit host tuples are one object, like equal legs
-    host_tuples: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    for pair, paths in candidates:
-        alts: List[Record] = []
-        for path, lids, cuts in paths:
-            if not cuts:
-                alts.append((path, lids, cuts, ()))
-                continue
-            hosts = []
-            for i in cuts:
-                s = path[i]
-                at = hosts_at[s]
-                if not at:
-                    raise ValueError(f"switch {s} has no host to act as "
-                                     f"in-transit buffer")
-                k = turn[s]
-                hosts.append(at[k])
-                turn[s] = (k + 1) % len(at)
-            hosts = tuple(hosts)
-            alts.append((path, lids, cuts,
-                         host_tuples.setdefault(hosts, hosts)))
-        if sort_by_itbs:
-            alts.sort(key=lambda r: (len(r[3]), r[0]))
-        records[pair] = tuple(alts)
+    turn = [0] * n                  # each switch's next in-transit host
+    # the switch hop h leaves: a link's hop 0 leaves its lower end
+    leaves = [s for link in g.links for s in (link.a, link.b)]
+    # key -> (paths, cuts, itb_hosts) until the hops are flattened,
+    # then the pair's Record
+    records: List = [None] * (n * n)
+    order = array("i")
+    # equal alternative-length and no-host tuples are one object each
+    shared: Dict[tuple, tuple] = {}
+    for (src, dst), paths, cuts in candidates:
+        if any(cuts):
+            itb_hosts = []
+            for path, cut in zip(paths, cuts):
+                itb = []
+                for r in cut:
+                    s = leaves[path[len(path) - r]]
+                    at = hosts_at[s]
+                    if not at:
+                        raise ValueError(f"switch {s} has no host to act "
+                                         f"as in-transit buffer")
+                    j = turn[s]
+                    itb.append(at[j])
+                    turn[s] = (j + 1) % len(at)
+                itb_hosts.append(tuple(itb))
+            if sort_by_itbs:
+                by_itbs = sorted(range(len(paths)),
+                                 key=lambda i: len(itb_hosts[i]))
+                paths = [paths[i] for i in by_itbs]
+                cuts = [cuts[i] for i in by_itbs]
+                itb_hosts = [itb_hosts[i] for i in by_itbs]
+            itb_hosts = tuple(itb_hosts)
+            cuts = tuple(cuts)
+        else:           # no cut, no host: both are k empty tuples
+            itb_hosts = ((),) * len(paths)
+            itb_hosts = cuts = shared.setdefault(itb_hosts, itb_hosts)
+        k = src * n + dst
+        records[k] = (paths, cuts, itb_hosts)
+        order.append(k)
     if balance_sp:
         _balance_first_alternatives(g, records)
-    return RouteMap(records, _route_builder(g))
+    chunks: List[array] = []
+    flat: List[int] = []
+    for k in order:
+        if len(flat) > _CHUNK:
+            chunks.append(hop_array(g.num_links))
+            chunks[-1].fromlist(flat)
+            flat = []
+        paths, cuts, itb_hosts = records[k]
+        lens = tuple(map(len, paths))
+        records[k] = (len(chunks), len(flat), shared.setdefault(lens, lens),
+                      cuts, itb_hosts)
+        flat.extend(chain.from_iterable(paths))
+    chunks.append(hop_array(g.num_links))
+    chunks[-1].fromlist(flat)
+    return RouteStore(n, order, records=records,
+                      build=_route_builder(g, chunks))
 
 
 def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
                      max_routes_per_pair: int = 10,
                      sort_by_itbs: bool = False,
                      balance_sp: bool = True,
-                     ) -> RouteMap:
+                     ) -> RouteStore:
     """Minimal ITB routes for every ordered switch pair.
 
     Alternatives per pair are the (capped) minimal paths, each split into
@@ -240,25 +291,17 @@ def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,
     ``sort_by_itbs=True``, studied in ``tests/test_itb.py`` -- gives 0.22).
     """
     def candidates():
-        # (hops, cuts counted from the end) -> cut indices, one tuple each
-        as_indices: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
+        hops, fresh = itemgetter(0), itemgetter(1)
         for dst in g.switches():
             # one BFS, one DAG and one enumeration pass per destination,
             # shared by every source (the pass lists dst's own entry);
             # the pass carries each path's cuts, counted from dst
-            to_dst = minimal_path_links_to(
+            to_dst = minimal_hops_to(
                 g, dst, g.shortest_distances(dst), max_routes_per_pair,
                 ud.up_end)
             for src in g.switches():
-                paths = []
-                for path, lids, cuts, _down in to_dst.get(src, ()):
-                    if cuts:
-                        key = (len(lids), cuts)
-                        cuts = as_indices.get(key)
-                        if cuts is None:
-                            cuts = as_indices[key] = tuple(
-                                [key[0] - r for r in key[1]])
-                    paths.append((path, lids, cuts))
-                yield (src, dst), paths
+                entries = to_dst.get(src, ())
+                yield ((src, dst), list(map(hops, entries)),
+                       list(map(fresh, entries)))
 
     return assemble_itb_routes(g, candidates(), sort_by_itbs, balance_sp)

@@ -8,8 +8,8 @@ edge ``u -> v`` is on some shortest path to ``d`` exactly when
 
 Table construction works **per destination, not per pair**: one BFS
 gives ``dist_d``, :func:`minimal_dag_successors` derives the DAG once,
-and :func:`minimal_path_links_to` enumerates every source's capped
-alternatives from it in a single pass (:func:`shared_suffix_paths`:
+and :func:`minimal_hops_to` enumerates every source's capped
+alternatives from it in a single pass (:func:`shared_suffix_hops`:
 states in increasing distance, each state's list assembled from its
 successors' lists, so path suffixes are walked once however many
 sources share them).  It explores neighbours in ascending switch id and
@@ -27,10 +27,8 @@ from ..topology.graph import NetworkGraph
 #: one enumerated path: ``(switch_path, link_ids)``
 PathLinks = Tuple[Tuple[int, ...], Tuple[int, ...]]
 #: one enumerated path with its cut positions counted from the
-#: destination (:func:`shared_suffix_paths`): ``(switch_path, link_ids,
-#: fresh, down)``
-CutPath = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...],
-                 Tuple[int, ...]]
+#: destination (:func:`shared_suffix_hops`): ``(hops, fresh, down)``
+CutPath = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
 
 def minimal_dag_successors(g: NetworkGraph,
@@ -48,73 +46,73 @@ def minimal_dag_successors(g: NetworkGraph,
             for s in range(g.num_switches)]
 
 
-def shared_suffix_paths(order: Iterable[Tuple[int, int]],
-                        succ: List[List[Tuple[int, int]]],
-                        paths: Dict[int, List[tuple]],
-                        cap: int,
-                        up_end: Optional[Sequence[int]] = None,
-                        ) -> Dict[int, List[tuple]]:
+def shared_suffix_hops(order: Iterable[Tuple[int, int]],
+                       succ: List[List[Tuple[int, int]]],
+                       paths: Dict[int, List[tuple]],
+                       cap: int,
+                       up_end: Optional[Sequence[int]] = None,
+                       ) -> Dict[int, List[tuple]]:
     """Capped path lists of every state of a DAG toward one sink.
 
     ``paths`` arrives seeded with the sink state(s) and comes back with
-    an entry per state of ``order``: up to ``cap`` ``(switch_path,
-    link_ids)`` pairs, in the order a depth-first walk that follows
-    ``succ`` edges in list order would emit them -- the first ``cap`` of
-    ``[(s,) + p for nxt in succ[state] for p in paths[nxt]]``.
+    an entry per state of ``order``: up to ``cap`` paths, each the tuple
+    of directed hops it crosses (:func:`repro.routing.routes.hop`), in
+    the order a depth-first walk that follows ``succ`` edges in list
+    order would emit them -- the first ``cap`` of ``[(h,) + p for nxt,
+    h in succ[state] for p in paths[nxt]]``.  A path is known by its
+    hops alone: its first switch is the state's, and the links fix the
+    rest.
 
     ``order`` lists ``(state, switch)`` with every state after all its
     successors (increasing distance to the sink); ``succ[state]`` holds
-    ``(next_state, link_id)``.  Shared by the minimal DAG (a state is a
-    switch, ``succ`` is :func:`minimal_dag_successors`) and the
-    up*/down* DAG (a state is a (switch, phase) pair,
-    :func:`repro.routing.updown.legal_dag_to`).
+    ``(next_state, hop)``.  Shared by the minimal DAG (a state is a
+    switch, :func:`minimal_hops_to`) and the up*/down* DAG (a state is a
+    (switch, phase) pair, :func:`repro.routing.updown.legal_dag_to`).
 
     Given the orientation's ``up_end``, each entry also carries where
-    the path must be cut into legal up*/down* legs:
-    ``(switch_path, link_ids, fresh, down)`` (:data:`CutPath`), the
-    cut positions counted from the destination (``r`` is switch index
-    ``len(link_ids) - r``), when the path is entered on a fresh leg and
-    right after a down hop.  Prefixing a down hop passes ``down`` on for
-    both; an up hop passes ``fresh`` on for a fresh entry and cuts
-    right before itself after a down hop -- the greedy rule of
-    :func:`repro.routing.itb._cut_indices`, without rescanning a path.
-    The sinks are seeded with ``(path, (), (), ())``.
+    the path must be cut into legal up*/down* legs: ``(hops, fresh,
+    down)`` (:data:`CutPath`), the cut positions counted from the
+    destination (``r`` is switch index ``len(hops) - r``), when the
+    path is entered on a fresh leg and right after a down hop.
+    Prefixing a down hop passes ``down`` on for both; an up hop passes
+    ``fresh`` on for a fresh entry and cuts right before itself after a
+    down hop -- the greedy rule of :func:`repro.routing.itb._cut_indices`,
+    without rescanning a path.  The sinks are seeded with ``((), (),
+    ())``.
     """
     for state, s in order:
-        head = (s,)
         out: List[tuple] = []
-        for nxt, lid in succ[state]:
+        for nxt, h in succ[state]:
             room = cap - len(out)
             if room <= 0:
                 break
-            first = (lid,)
+            first = (h,)
             suffixes = paths[nxt][:room]
             if up_end is None:
-                out.extend([(head + p, first + lids)
-                            for p, lids in suffixes])
-            elif up_end[lid] != s:      # up hop
-                out.extend([(head + p, first + lids, fresh,
-                             (len(lids) + 1,) + fresh)
-                            for p, lids, fresh, _down in suffixes])
+                out.extend([first + p for p in suffixes])
+            elif up_end[h >> 1] != s:   # up hop
+                out.extend([(first + p, fresh, (len(p) + 1,) + fresh)
+                            for p, fresh, _down in suffixes])
             else:                       # down hop
-                out.extend([(head + p, first + lids, down, down)
-                            for p, lids, _fresh, down in suffixes])
+                out.extend([(first + p, down, down)
+                            for p, _fresh, down in suffixes])
         paths[state] = out
     return paths
 
 
-def minimal_path_links_to(g: NetworkGraph, dst: int,
-                          dist_to_dst: List[int], max_paths: int = 10,
-                          up_end: Optional[Sequence[int]] = None,
-                          ) -> Dict[int, List[tuple]]:
-    """Every switch's capped minimal ``(switch_path, link_ids)`` list
-    toward ``dst`` (``dst`` itself lists ``((dst,), ())``; a switch that
-    cannot reach it has no entry), from one pass over the DAG.  Given
-    ``up_end``, the entries are :data:`CutPath` and carry their cuts
-    (:func:`shared_suffix_paths`)."""
+def minimal_hops_to(g: NetworkGraph, dst: int, dist_to_dst: List[int],
+                    max_paths: int = 10,
+                    up_end: Optional[Sequence[int]] = None,
+                    ) -> Dict[int, List[tuple]]:
+    """Every switch's capped minimal paths toward ``dst``, as hop tuples
+    (``dst`` itself lists ``()``; a switch that cannot reach it has no
+    entry), from one pass over the DAG.  Given ``up_end``, the entries
+    are :data:`CutPath` and carry their cuts
+    (:func:`shared_suffix_hops`)."""
     order = [(s, s) for s in sorted(range(g.num_switches),
                                     key=dist_to_dst.__getitem__)
              if dist_to_dst[s] > 0]
-    sink = ((dst,), ()) if up_end is None else ((dst,), (), (), ())
-    return shared_suffix_paths(order, minimal_dag_successors(g, dist_to_dst),
-                               {dst: [sink]}, max_paths, up_end)
+    succ = [[(nb, (lid << 1) | (s > nb)) for nb, lid in out]   # hop s -> nb
+            for s, out in enumerate(minimal_dag_successors(g, dist_to_dst))]
+    sink = () if up_end is None else ((), (), ())
+    return shared_suffix_hops(order, succ, {dst: [sink]}, max_paths, up_end)

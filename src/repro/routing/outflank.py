@@ -20,8 +20,8 @@ existing engines run it unchanged:
   (:func:`repro.routing.itb.assemble_itb_routes`), which cuts each at
   its up*/down* violations and joins the pieces through in-transit
   hosts, so each leg is a legal up*/down* sub-path, the first
-  alternatives are load-balanced, and a pair's ``SourceRoute`` objects
-  are built on its first lookup;
+  alternatives are load-balanced, and a pair's routes are built on its
+  first lookup;
 * the alternative sets feed the existing RR / adaptive selection
   policies, which supply OFR's adaptivity at the source.
 
@@ -36,6 +36,7 @@ from typing import List, Optional, Tuple
 from ..topology.graph import GridGeometry, NetworkGraph
 from .dor import _ring_step
 from .itb import _cut_indices, assemble_itb_routes
+from .routes import hop
 from .schemes import SCHEMES, Scheme
 from .spanning_tree import build_spanning_tree
 from .table import RoutingTables
@@ -128,14 +129,18 @@ def build_outflank_tables(g: NetworkGraph, root: int = 0,
 
     def cut(path: Tuple[int, ...]):
         lids = g.path_links(path)
-        return path, lids, _cut_indices(path, lids, ud.up_end)
+        return (tuple(map(hop, lids, path, path[1:])),
+                tuple(len(lids) - i
+                      for i in _cut_indices(path, lids, ud.up_end)))
 
     def candidates():
         for src in g.switches():
             for dst in g.switches():
                 paths = ([(src,)] if src == dst else
                          candidate_paths(grid, src, dst)[:max_routes_per_pair])
-                yield (src, dst), [cut(p) for p in paths]
+                cut_paths = [cut(p) for p in paths]
+                yield ((src, dst), [p for p, _c in cut_paths],
+                       [c for _p, c in cut_paths])
 
     return RoutingTables("outflank", root, ud,
                          assemble_itb_routes(g, candidates()))

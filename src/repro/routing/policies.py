@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 from ..registry import Registry
-from .routes import SourceRoute
+from .routes import Route
 
 
 class PathSelectionPolicy(ABC):
@@ -38,7 +38,7 @@ class PathSelectionPolicy(ABC):
 
     @abstractmethod
     def select_index(self, src_host: int, dst_host: int,
-                     alternatives: Sequence[SourceRoute]) -> int:
+                     alternatives: Sequence[Route]) -> int:
         """Index of the alternative the next packet from ``src_host``
         to ``dst_host`` should take.
 
@@ -48,7 +48,7 @@ class PathSelectionPolicy(ABC):
         rebuilt (route *objects* are not stable identifiers)."""
 
     def select(self, src_host: int, dst_host: int,
-               alternatives: Sequence[SourceRoute]) -> SourceRoute:
+               alternatives: Sequence[Route]) -> Route:
         """Pick the route for the next packet from ``src_host`` to
         ``dst_host`` (convenience wrapper around :meth:`select_index`)."""
         return alternatives[self.select_index(src_host, dst_host,
@@ -66,7 +66,7 @@ class SinglePathPolicy(PathSelectionPolicy):
     name = "sp"
 
     def select_index(self, src_host: int, dst_host: int,
-                     alternatives: Sequence[SourceRoute]) -> int:
+                     alternatives: Sequence[Route]) -> int:
         return 0
 
 
@@ -89,7 +89,7 @@ class RoundRobinPolicy(PathSelectionPolicy):
         self._staggered = staggered_start
 
     def select_index(self, src_host: int, dst_host: int,
-                     alternatives: Sequence[SourceRoute]) -> int:
+                     alternatives: Sequence[Route]) -> int:
         key = (src_host, dst_host)
         i = self._next.get(key)
         if i is None:
@@ -117,7 +117,7 @@ class RandomPolicy(PathSelectionPolicy):
         self._rng = random.Random(seed)
 
     def select_index(self, src_host: int, dst_host: int,
-                     alternatives: Sequence[SourceRoute]) -> int:
+                     alternatives: Sequence[Route]) -> int:
         return self._rng.randrange(len(alternatives))
 
 
@@ -153,7 +153,7 @@ class AdaptivePolicy(PathSelectionPolicy):
         self._ewma: Dict[Tuple[int, int], list] = {}
 
     def register(self, src_host: int, dst_host: int,
-                 alternatives: Sequence[SourceRoute]) -> list:
+                 alternatives: Sequence[Route]) -> list:
         """Initialise (or fetch) the pair's estimate table.
 
         Called implicitly by :meth:`select_index`; feedback for a pair
@@ -168,7 +168,7 @@ class AdaptivePolicy(PathSelectionPolicy):
         return ewma
 
     def select_index(self, src_host: int, dst_host: int,
-                     alternatives: Sequence[SourceRoute]) -> int:
+                     alternatives: Sequence[Route]) -> int:
         ewma = self.register(src_host, dst_host, alternatives)
         if self._rng.random() < self.epsilon:
             return self._rng.randrange(len(alternatives))

@@ -20,79 +20,145 @@ cycle search in ``src/``, shared with the runtime stall diagnosis in
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Set, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from ..topology.graph import NetworkGraph
-from .routes import RouteLeg, SourceRoute
+from .routes import SourceRoute, hop_ints
 from .updown import UpDownOrientation
 
 Pair = Tuple[int, int]
 
 
-class RouteMap(dict):
-    """Pair -> route alternatives, each pair's built on first lookup.
+class RouteStore:
+    """Pair -> route alternatives in store form: the one table every
+    engine reads (:mod:`repro.routing.routes` describes the form).
 
-    A builder hands over one *record* per pair, in build order, and the
-    function that turns a record into the pair's alternatives.  The
-    ``dict`` storage starts empty: a lookup of a pair not yet stored
-    lands in :meth:`__missing__`, which builds, stores and returns it,
-    so every later hit is the plain C-level ``dict`` lookup the engines'
-    hot paths make.  A run that sends on a tenth of the pairs builds a
-    tenth of the ``SourceRoute`` objects.
+    Pair ``(src, dst)`` lives at key ``k = src * n + dst`` of the flat
+    list :attr:`alts`; the engines index it directly and call
+    :meth:`lookup` on a ``None`` slot.  A builder may hand over one
+    *record* per pair instead, with the function that turns a record
+    into the pair's alternatives: a pair is then built on its first
+    lookup and its record dropped, so a run that sends on a tenth of
+    the pairs builds a tenth of the routes, and once every pair is
+    built the records and the builder go.
 
-    The laziness is invisible to readers: ``len``, ``in``, iteration,
-    ``keys`` and ``get`` cover every pair in build order, ``values`` /
-    ``items`` / ``==`` build what they return, and ``dict(m)`` copies
-    every pair.  An unknown pair raises :class:`KeyError`.  It is a
-    read-only mapping: nothing mutates a built table.
+    Readers see a read-only mapping keyed by pair, in build order:
+    ``len``, ``in``, iteration, ``keys`` and ``get`` cover every pair
+    without building any; ``values`` / ``items`` / ``==`` build what
+    they return.  An unknown pair raises :class:`KeyError`.
     """
 
-    __slots__ = ("_records", "_build")
+    __slots__ = ("n", "alts", "_order", "_records", "_build", "_pending")
 
-    def __init__(self, records: Dict[Pair, Any],
-                 build: Callable[[Any], Tuple[SourceRoute, ...]]) -> None:
-        super().__init__()
+    def __init__(self, n: int, order: Sequence[int],
+                 alts: Optional[List[Optional[tuple]]] = None,
+                 records: Optional[List[Any]] = None,
+                 build: Optional[Callable[[Any], tuple]] = None) -> None:
+        self.n = n
+        #: key -> the pair's alternatives, ``None`` until built
+        self.alts: List[Optional[tuple]] = (
+            alts if alts is not None else [None] * (n * n))
+        self._order = order
         self._records = records
         self._build = build
+        self._pending = (0 if records is None else
+                         sum(r is not None for r in records))
+        if not self._pending:
+            self._records = self._build = None
 
-    def __missing__(self, pair: Pair) -> Tuple[SourceRoute, ...]:
+    @classmethod
+    def from_mapping(cls, n: int, routes: Mapping[Pair, Sequence[Any]]
+                     ) -> "RouteStore":
+        """A store holding ``routes``: alternatives in store form or as
+        :class:`SourceRoute` values (a hand-written table)."""
+        alts: List[Optional[tuple]] = [None] * (n * n)
+        order = array("i")
+        for (src, dst), pair_alts in routes.items():
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(f"pair ({src}, {dst}) outside a "
+                                 f"{n}-switch table")
+            k = src * n + dst
+            alts[k] = tuple(r.to_store() if isinstance(r, SourceRoute)
+                            else r for r in pair_alts)
+            order.append(k)
+        return cls(n, order, alts)
+
+    def lookup(self, k: int) -> tuple:
+        """The alternatives at key ``k``, built on its first lookup;
+        :class:`KeyError` for a pair the table does not hold."""
+        alts = self.alts[k]
+        if alts is not None:
+            return alts
         records = self._records
-        alts = self._build(records[pair])    # KeyError for an unknown pair
-        dict.__setitem__(self, pair, alts)
-        records[pair] = None                 # built once; the key stays
+        record = None if records is None else records[k]
+        if record is None:
+            raise KeyError(divmod(k, self.n))
+        alts = self.alts[k] = self._build(record)
+        records[k] = None
+        self._pending -= 1
+        if not self._pending:
+            self._records = self._build = None
         return alts
 
-    def __len__(self) -> int:
-        return len(self._records)
+    def _key(self, pair: Pair) -> int:
+        src, dst = pair
+        n = self.n
+        if 0 <= src < n and 0 <= dst < n:
+            return src * n + dst
+        raise KeyError(pair)
 
-    def __iter__(self) -> Iterator[Pair]:
-        return iter(self._records)
+    def __getitem__(self, pair: Pair) -> tuple:
+        return self.lookup(self._key(pair))
 
     def __contains__(self, pair: object) -> bool:
-        return pair in self._records
+        try:
+            k = self._key(pair)             # type: ignore[arg-type]
+        except (KeyError, TypeError, ValueError):
+            return False
+        return (self.alts[k] is not None or (self._records is not None
+                                             and self._records[k] is not None))
 
-    def keys(self):
-        return self._records.keys()
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self) -> Iterator[Pair]:
+        n = self.n
+        return (divmod(k, n) for k in self._order)
+
+    def keys(self) -> List[Pair]:
+        return list(self)
 
     def get(self, pair: Pair, default: Any = None) -> Any:
-        return self[pair] if pair in self._records else default
+        return self[pair] if pair in self else default
 
-    def values(self) -> List[Tuple[SourceRoute, ...]]:
-        return [self[pair] for pair in self._records]
+    def values(self) -> List[tuple]:
+        return [self.lookup(k) for k in self._order]
 
-    def items(self) -> List[Tuple[Pair, Tuple[SourceRoute, ...]]]:
-        return [(pair, self[pair]) for pair in self._records]
+    def items(self) -> List[Tuple[Pair, tuple]]:
+        n = self.n
+        return [(divmod(k, n), self.lookup(k)) for k in self._order]
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, dict):
+        if not isinstance(other, (RouteStore, dict)):
             return NotImplemented
         return dict(self.items()) == dict(other.items())
 
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+
+def interleaved_pairs(n: int) -> Iterator[int]:
+    """Keys ``src * n + dst`` of every pair of distinct switches, by
+    ``((src + dst) % n, src)``: the order the balancing passes charge
+    link weights in.  Interleaving by destination (rather than
+    iterating all destinations of switch 0 first) avoids
+    systematically biasing early, low-weight picks toward low-id
+    sources."""
+    for r in range(n):
+        for src in range(n):
+            dst = (r - src) % n
+            if dst != src:
+                yield src * n + dst
 
 
 def find_cycle(successors: Mapping[int, Iterable[int]]
@@ -138,20 +204,33 @@ def find_cycle(successors: Mapping[int, Iterable[int]]
 class RoutingTables:
     """All routes of one network under one scheme.
 
-    ``routes`` is a plain ``dict`` or a :class:`RouteMap` (the ITB
-    recipe's tables, which build a pair's routes on its first lookup);
-    readers cannot tell them apart.
+    ``routes`` is the :class:`RouteStore` the engines read.  Any other
+    mapping handed in -- a hand-written ``{pair: (SourceRoute, ...)}``
+    table, or a copy of another table's routes -- is normalised into
+    one, so every table reaches the engines in the same form.
     """
 
     scheme: str
     root: int
     orientation: UpDownOrientation
-    routes: Dict[Tuple[int, int], Tuple[SourceRoute, ...]]
+    routes: RouteStore
 
-    def alternatives(self, src_switch: int, dst_switch: int
-                     ) -> Tuple[SourceRoute, ...]:
-        """Route alternatives for an ordered switch pair."""
+    def __post_init__(self) -> None:
+        if not isinstance(self.routes, RouteStore):
+            n = len(self.orientation.tree.level)
+            object.__setattr__(self, "routes",
+                               RouteStore.from_mapping(n, self.routes))
+
+    def alternatives(self, src_switch: int, dst_switch: int) -> tuple:
+        """Route alternatives (store form) for an ordered switch pair."""
         return self.routes[(src_switch, dst_switch)]
+
+    def source_routes(self, g: NetworkGraph, src_switch: int,
+                      dst_switch: int) -> Tuple[SourceRoute, ...]:
+        """The pair's alternatives as switch-level :class:`SourceRoute`
+        views (built on each call; nothing keeps them)."""
+        return tuple(SourceRoute.from_store(g, src_switch, r)
+                     for r in self.routes[(src_switch, dst_switch)])
 
     def max_alternatives(self) -> int:
         return max(len(alts) for alts in self.routes.values())
@@ -167,53 +246,60 @@ class RoutingTables:
         old->new mapping); before a running engine built on the
         *original* graph can use them, link ids must be translated
         back.  Switch and host ids are preserved by the mutation, so
-        only ``links`` tuples and the orientation's per-link "up" ends
+        only the hops' link ids (a hop's direction bit compares the
+        same two switches) and the orientation's per-link "up" ends
         change.  Ids absent from the map (the dead cables, in the
         reconfiguration case) get an impossible up end of ``-1`` -- no
         remapped route crosses them, so legality checks never consult
         those slots.  Raises :class:`KeyError` when a route crosses a
         link the map does not cover.
         """
-        leg_cache: Dict[RouteLeg, RouteLeg] = {}
+        ints = hop_ints(max(link_map.values()) + 1 if link_map else 0)
+        leg_cache: Dict[tuple, tuple] = {}
 
-        def remap_leg(leg: RouteLeg) -> RouteLeg:
+        def remap(leg: tuple) -> tuple:
             out = leg_cache.get(leg)
             if out is None:
-                out = RouteLeg(leg.switches,
-                               tuple(link_map[l] for l in leg.links))
-                leg_cache[leg] = out
+                out = leg_cache[leg] = tuple([
+                    ints[link_map[h >> 1] << 1 | (h & 1)] for h in leg])
             return out
 
-        routes = {
-            pair: tuple(SourceRoute(tuple(remap_leg(leg)
-                                          for leg in r.legs),
-                                    r.itb_hosts)
-                        for r in alts)
-            for pair, alts in self.routes.items()}
+        store = self.routes
+        alts: List[Optional[tuple]] = [None] * len(store.alts)
+        for k in store._order:
+            alts[k] = tuple((r[0], r[1], *map(remap, r[2:]))
+                            for r in store.lookup(k))
         up_end = [-1] * (max(link_map.values()) + 1 if link_map else 0)
         for cur, out in link_map.items():
             up_end[out] = self.orientation.up_end[cur]
         orientation = UpDownOrientation(self.orientation.tree,
                                         tuple(up_end))
-        return RoutingTables(self.scheme, self.root, orientation, routes)
+        return RoutingTables(self.scheme, self.root, orientation,
+                             RouteStore(store.n, store._order, alts))
 
     def channel_dependencies(self, g: NetworkGraph) -> Dict[int, List[int]]:
         """The channel-dependency graph of these tables.
 
-        Nodes are directed channels, as the ``link_id << 1 | dir``
-        indices of :meth:`RouteLeg.dir_hops`; an edge ``a -> b`` means
-        some leg crosses ``b`` right after ``a``, i.e. a packet may hold
-        ``a`` while it waits for ``b``.  Legs are the unit: ejection at
-        an in-transit host ends a leg and with it the chain.  Successor
-        lists are sorted so the graph (and any cycle found in it) does
-        not depend on the order routes were built in.
+        Nodes are directed channels, as the hop numbers the legs are
+        made of (``link_id << 1 | dir``, :func:`~repro.routing.routes
+        .hop`); an edge ``a -> b`` means some leg crosses ``b`` right
+        after ``a``, i.e. a packet may hold ``a`` while it waits for
+        ``b``.  Legs are the unit: ejection at an in-transit host ends
+        a leg and with it the chain.  Successor lists are sorted so the
+        graph (and any cycle found in it) does not depend on the order
+        routes were built in.  The hops are graph-level facts, so ``g``
+        is not consulted.
         """
+        del g
         deps: Dict[int, Set[int]] = {}
+        seen: Set[int] = set()
         for alts in self.routes.values():
             for route in alts:
-                for leg in route.legs:
-                    hops = leg.dir_hops(g)
-                    for held, wanted in zip(hops, hops[1:]):
+                for leg in route[2:]:
+                    if id(leg) in seen:     # interned: shared legs once
+                        continue
+                    seen.add(id(leg))
+                    for held, wanted in zip(leg, leg[1:]):
                         deps.setdefault(held, set()).add(wanted)
         return {held: sorted(deps[held]) for held in sorted(deps)}
 
@@ -229,38 +315,54 @@ class RoutingTables:
         :class:`AssertionError` (an explicit raise, so ``python -O``
         checks too).
 
-        Structural checks: endpoints match the pair key, every hop's
-        link id names the cable that joins its two switches (builders
-        carry link ids instead of re-probing the graph, so this is what
-        guards them), in-transit hosts sit on the leg-boundary
-        switches.  Then the one scheme-independent property: the
-        channel-dependency graph of the legs is acyclic
-        (:meth:`dependency_cycle`); a failure names the cycle hop by
-        hop.
+        Structural checks, walking each route's hops from the pair's
+        source switch: every hop's link leaves the switch the route has
+        reached, in the direction its bit says (builders carry hops
+        instead of re-probing the graph, so this is what guards them),
+        in-transit hosts sit on the leg-boundary switches, and the walk
+        ends at the pair's destination.  Then the one
+        scheme-independent property: the channel-dependency graph of
+        the legs is acyclic (:meth:`dependency_cycle`); a failure names
+        the cycle hop by hop.
         """
-        ends = [link.endpoints() for link in g.links]   # (lo, hi) per id
+        links = g.links
+        num_links = len(links)
+        host_switch = [h.switch for h in g.hosts]
         for (src, dst), alts in self.routes.items():
             if not alts:
                 raise AssertionError(f"no route for pair ({src}, {dst})")
             for route in alts:
-                if route.src != src or route.dst != dst:
+                hosts = route[1]
+                if len(hosts) != len(route) - 3:
                     raise AssertionError(
-                        f"route endpoints {route.src}->{route.dst} do not "
-                        f"match pair ({src}, {dst})")
-                for leg in route.legs:
-                    hops = zip(leg.links, leg.switches, leg.switches[1:])
-                    for lid, a, b in hops:
-                        if not (0 <= lid < len(ends) and ends[lid]
-                                == ((a, b) if a < b else (b, a))):
-                            raise AssertionError(
-                                f"link {lid} does not join switches {a} "
-                                f"and {b} in route {src}->{dst}")
-                for host, (prev, nxt) in zip(route.itb_hosts,
-                                             zip(route.legs, route.legs[1:])):
-                    if not g.host_switch(host) == prev.end == nxt.start:
+                        f"{len(route) - 2} legs need {len(route) - 3} "
+                        f"in-transit hosts in route {src}->{dst}, got "
+                        f"{len(hosts)}")
+                at = src
+                for i, leg in enumerate(route[2:]):
+                    if i and not (0 <= hosts[i - 1] < len(host_switch)
+                                  and host_switch[hosts[i - 1]] == at):
                         raise AssertionError(
-                            f"in-transit host {host} not at boundary "
-                            f"switch of route {src}->{dst}")
+                            f"in-transit host {hosts[i - 1]} not at "
+                            f"boundary switch of route {src}->{dst}")
+                    for h in leg:
+                        lid = h >> 1
+                        link = links[lid] if lid < num_links else None
+                        if link is None or at not in (link.a, link.b):
+                            raise AssertionError(
+                                f"link {lid} does not join switch {at} "
+                                f"to the next switch of route "
+                                f"{src}->{dst}")
+                        frm, to = ((link.b, link.a) if h & 1
+                                   else (link.a, link.b))
+                        if frm != at:
+                            raise AssertionError(
+                                f"hop {h} crosses link {lid} toward "
+                                f"switch {at} in route {src}->{dst}")
+                        at = to
+                if at != dst:
+                    raise AssertionError(
+                        f"route {src}->{dst} ends at switch {at}")
         cycle = self.dependency_cycle(g)
         if cycle is not None:
             raise AssertionError(

@@ -22,8 +22,8 @@ Table construction works **per destination, not per pair**:
 * :func:`legal_dag_to` -- keeps the edges ``state -> next`` with
   ``h[state] == 1 + h[next]``: the DAG of *all* shortest legal paths to
   that destination, shared by every source;
-* :func:`legal_path_links_to` -- every source's capped candidate list
-  ``(switch_path, link_ids)`` from one pass over that DAG.
+* :func:`legal_hops_to` -- every source's capped candidate list, each
+  path the tuple of its directed hops, from one pass over that DAG.
 
 The per-pair machinery the tests compare those kernels against lives in
 :mod:`repro.routing.reference`.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..topology.graph import NetworkGraph
-from .minimal import PathLinks, shared_suffix_paths
+from .minimal import shared_suffix_hops
 from .spanning_tree import SpanningTree, build_spanning_tree
 
 #: phases of the layered legality graph
@@ -137,7 +137,8 @@ def legal_dag_to(g: NetworkGraph, ud: UpDownOrientation, dest: int,
     """Shortest-legal-path DAG toward ``dest`` over (switch, phase) states.
 
     Returns ``(h, succ)``: ``h`` is :func:`legal_distances_to` and
-    ``succ[2 * s + phase]`` lists ``(next_state, link_id)`` with
+    ``succ[2 * s + phase]`` lists ``(next_state, hop)`` (the directed
+    hop of :func:`repro.routing.routes.hop`) with
     ``next_state = 2 * neighbour + next_phase`` for every legal hop
     that lies on a shortest legal continuation (``h[s][phase] == 1 +
     h[neighbour][next_phase]``), neighbours ascending.  The phase
@@ -155,34 +156,35 @@ def legal_dag_to(g: NetworkGraph, ud: UpDownOrientation, dest: int,
         from_up: List[Tuple[int, int]] = []
         from_down: List[Tuple[int, int]] = []
         for nb, lid in g.sorted_neighbors(s):
+            step = (lid << 1) | (s > nb)        # the hop s -> nb
             if up_end[lid] == nb:       # up hop: only while still UP
                 if h_up == 1 + h[nb][UP]:
-                    from_up.append((2 * nb + UP, lid))
+                    from_up.append((2 * nb + UP, step))
             else:                       # down hop: lands in DOWN
                 d = 1 + h[nb][DOWN]
                 if h_up == d:
-                    from_up.append((2 * nb + DOWN, lid))
+                    from_up.append((2 * nb + DOWN, step))
                 if h_down == d:
-                    from_down.append((2 * nb + DOWN, lid))
+                    from_down.append((2 * nb + DOWN, step))
         succ.append(from_up)
         succ.append(from_down)
     return h, succ
 
 
-def legal_path_links_to(g: NetworkGraph, ud: UpDownOrientation, dest: int,
-                        max_paths: int = 32) -> Dict[int, List[PathLinks]]:
-    """Shortest legal ``(switch_path, link_ids)`` candidates of every
-    source toward ``dest``, from one BFS and one DAG: for each ``src !=
-    dest`` the same paths, in the same order, as the per-pair bounded
-    DFS of :mod:`repro.routing.reference` with ``max_len =
+def legal_hops_to(g: NetworkGraph, ud: UpDownOrientation, dest: int,
+                  max_paths: int = 32) -> Dict[int, List[Tuple[int, ...]]]:
+    """Shortest legal candidates of every source toward ``dest``, each
+    the tuple of its directed hops, from one BFS and one DAG: for each
+    ``src != dest`` the same paths, in the same order, as the per-pair
+    bounded DFS of :mod:`repro.routing.reference` with ``max_len =
     h[src][UP]``."""
     h, succ = legal_dag_to(g, ud, dest)
     to_go = [d for per_phase in h for d in per_phase]   # by state
     order = [(state, state >> 1)
              for state in sorted(range(len(to_go)), key=to_go.__getitem__)
              if state >> 1 != dest]     # unreachable states just stay empty
-    sink = [((dest,), ())]
-    by_state = shared_suffix_paths(
+    sink = [()]
+    by_state = shared_suffix_hops(
         order, succ, {2 * dest + UP: sink, 2 * dest + DOWN: sink}, max_paths)
     return {s: by_state[2 * s + UP] for s in range(g.num_switches)
             if s != dest}

@@ -256,9 +256,10 @@ class ArrayNetwork(NetworkModel):
         inj0, del0 = self._inj0, self._del0
         # the tables cannot be swapped mid-run: swap_tables requires
         # the reliable-delivery capability this engine declines
-        routes_map, hsw = self.tables.routes, self._host_switch
+        store, hsw = self.tables.routes, self._host_switch
+        slots, nsw = store.alts, store.n
         select_index = self.policy.select_index
-        nbytes, graph = self.message_bytes, self.graph
+        nbytes = self.message_bytes
         callbacks = self._delivery_callbacks
         complete = self._complete
         # batch sink: a primed message delivered by T goes straight into
@@ -285,7 +286,10 @@ class ArrayNetwork(NetworkModel):
                     t, src, dst = t_s, srcs[i], dsts[i]
                     i += 1
                     t_s = sched_t[i] if i < n else end
-                    alts = routes_map[(hsw[src], hsw[dst])]
+                    k = hsw[src] * nsw + hsw[dst]
+                    alts = slots[k]
+                    if alts is None:
+                        alts = store.lookup(k)
                     alt = (0 if len(alts) == 1
                            else select_index(src, dst, alts))
                     info = (alts[alt], src, dst, nbytes, alt, pid, t, None)
@@ -306,15 +310,11 @@ class ArrayNetwork(NetworkModel):
                 # injection channel, each directed hop and the delivery
                 # channel, then queue the re-injection or delivery
                 route = info[_ROUTE]
-                legs = route.legs
-                try:
-                    ovh = route._leg_overheads
-                except AttributeError:
-                    ovh = route.leg_overheads
-                wire = info[_PAYLOAD] + hdr + ovh[leg_idx]
+                itb = route[1]
+                wire = info[_PAYLOAD] + hdr + route[0][leg_idx]
                 hold = wire * fc
                 c = inj0 + (info[_SRC] if leg_idx == 0
-                            else route.itb_hosts[leg_idx - 1])
+                            else itb[leg_idx - 1])
                 b = busy[c]
                 g = b if b > t else t
                 busy[c] = g + hold
@@ -322,20 +322,15 @@ class ArrayNetwork(NetworkModel):
                 if leg_idx == 0:        # a message's first leg walks once
                     injected = g
                 a = g + lp
-                leg = legs[leg_idx]
-                try:
-                    dirs = leg._dir_hops
-                except AttributeError:
-                    dirs = leg.dir_hops(graph)
+                dirs = route[2 + leg_idx]
                 for d in dirs:
                     b = busy[d]
                     g = b if b > a else a
                     busy[d] = g + hold
                     flits[d] += wire
                     a = g + rdlp
-                last_leg = leg_idx == len(legs) - 1
-                c = del0 + (info[_DST] if last_leg
-                            else route.itb_hosts[leg_idx])
+                last_leg = leg_idx == len(itb)
+                c = del0 + (info[_DST] if last_leg else itb[leg_idx])
                 b = busy[c]
                 g = b if b > a else a
                 busy[c] = g + hold
@@ -354,7 +349,7 @@ class ArrayNetwork(NetworkModel):
                     lat_a(t - info[_CREATED])
                     net_a(t - injected)
                     pay_a(info[_PAYLOAD])
-                    itb_a(len(route.itb_hosts))
+                    itb_a(len(itb))
                 else:
                     # due after T, or a send() whose Packet needs
                     # _complete's bookkeeping
@@ -380,7 +375,7 @@ class ArrayNetwork(NetworkModel):
                 lat_a(t - info[_CREATED])
                 net_a(t - injected)
                 pay_a(info[_PAYLOAD])
-                itb_a(len(info[_ROUTE].itb_hosts))
+                itb_a(len(info[_ROUTE][1]))
             self.delivered += done
             self.delivered_since_check += done
         self._flush_sink()
@@ -403,7 +398,7 @@ class ArrayNetwork(NetworkModel):
             self._sink_lat.append(t_tail - info[_CREATED])
             self._sink_netlat.append(t_tail - injected)
             self._sink_payload.append(info[_PAYLOAD])
-            self._sink_itbs.append(len(info[_ROUTE].itb_hosts))
+            self._sink_itbs.append(len(info[_ROUTE][1]))
 
     def _flush_sink(self) -> None:
         if not self._sink_lat:
@@ -425,7 +420,7 @@ class ArrayNetwork(NetworkModel):
         for e in self._work:
             yield e[3], e[4], e[2]
         for e in self._pending:
-            yield e[2], len(e[2][_ROUTE].legs) - 1, _DELIVER
+            yield e[2], len(e[2][_ROUTE]) - 3, _DELIVER
 
     def _audit_engine(self, check) -> None:
         work, pending = self._work, self._pending
@@ -443,7 +438,7 @@ class ArrayNetwork(NetworkModel):
         pids = set()
         for info, leg, kind in self._entries():
             pids.add(info[_PID])
-            legs = len(info[_ROUTE].legs)
+            legs = len(info[_ROUTE]) - 2
             check(0 <= leg < legs and (kind == _WALK or leg == legs - 1),
                   f"pid {info[_PID]}: leg index {leg} outside its "
                   f"{legs}-leg route")

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..config import MyrinetParams
 from ..routing.policies import PathSelectionPolicy
-from ..routing.routes import SourceRoute
+from ..routing.routes import Route, leg_switches, route_links
 from ..routing.table import RoutingTables
 from ..topology.graph import NetworkGraph
 from .engine import DeadlockError, Simulator
@@ -165,10 +165,10 @@ class NetworkModel(ABC):
         #: replaces the tables instead of filtering them
         #: (:class:`~repro.sim.reliable.ReconfigurationManager`)
         self.blacklist_on_fault = True
-        #: (src_sw, dst_sw) -> surviving alternatives; rebuilt lazily
-        #: and flushed on every link death
+        #: (src_sw, dst_sw) -> surviving alternatives and their table
+        #: indices; rebuilt lazily and flushed on every link death
         self._routable_cache: Dict[Tuple[int, int],
-                                   List[SourceRoute]] = {}
+                                   Tuple[List[Route], List[int]]] = {}
         self._next_pid = 0
         self._delivery_callbacks: List[DeliveryCallback] = []
         self._drop_callbacks: List[DropCallback] = []
@@ -478,14 +478,18 @@ class NetworkModel(ABC):
 
     def _select_route(self, src_host: int, dst_host: int,
                       route_index: Optional[int] = None,
-                      ) -> Optional[Tuple[SourceRoute, int]]:
+                      ) -> Optional[Tuple[Route, int]]:
         """The route for the next packet of a pair and its alternative
         index (carried on the packet for policy feedback), or ``None``
         when every alternative crosses a dead link."""
         host_switch = self._host_switch
         src_sw = host_switch[src_host]
         dst_sw = host_switch[dst_host]
-        alts = self.tables.routes[(src_sw, dst_sw)]
+        store = self.tables.routes
+        k = src_sw * store.n + dst_sw
+        alts = store.alts[k]
+        if alts is None:
+            alts = store.lookup(k)
         if route_index is not None:
             # forced selection (reliability-layer failover): no
             # blacklist filtering -- the retransmission itself is the
@@ -498,26 +502,34 @@ class NetworkModel(ABC):
             i = self.policy.select_index(src_host, dst_host, alts)
             return alts[i], i
         pair = (src_sw, dst_sw)
-        live = self._routable_cache.get(pair)
-        if live is None:
+        cached = self._routable_cache.get(pair)
+        if cached is None:
             dead = self.dead_links
-            live = [r for r in alts if not dead.intersection(r.link_ids)]
-            self._routable_cache[pair] = live
+            index = [i for i, r in enumerate(alts)
+                     if dead.isdisjoint(route_links(r))]
+            cached = ([alts[i] for i in index], index)
+            self._routable_cache[pair] = cached
+        live, index = cached
         if not live:
             return None
-        if len(live) == 1:
-            route = live[0]
-        else:
-            route = live[self.policy.select_index(src_host, dst_host, live)]
+        j = (0 if len(live) == 1
+             else self.policy.select_index(src_host, dst_host, live))
         # policy feedback keys on the index among the *original* table
         # alternatives, which stays stable across blacklist changes
-        return route, alts.index(route)
+        return live[j], index[j]
 
     def _leg_target_host(self, pkt: Packet, leg_idx: int) -> int:
         """The NIC a leg ends at: an in-transit host, or the destination."""
-        if leg_idx == pkt.num_legs - 1:
-            return pkt.dst_host
-        return pkt.route.itb_hosts[leg_idx]
+        itb_hosts = pkt.route[1]
+        return itb_hosts[leg_idx] if leg_idx < len(itb_hosts) else pkt.dst_host
+
+    def _leg_switches(self, pkt: Packet, leg_idx: int) -> List[int]:
+        """The switches leg ``leg_idx`` of ``pkt`` visits (a stall
+        report's view of the leg)."""
+        start = (pkt.src_host if leg_idx == 0
+                 else pkt.route[1][leg_idx - 1])
+        return list(leg_switches(self.graph, self._host_switch[start],
+                                 pkt.route[2 + leg_idx]))
 
     def _finish_delivery(self, pkt: Packet, t_ps: int) -> None:
         """Common delivery bookkeeping, run at the delivery instant."""

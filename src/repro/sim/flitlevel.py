@@ -403,13 +403,12 @@ class FlitLevelNetwork(NetworkModel):
         self._itb_pools: List[ItbPool] = []
         #: per (pid, leg): flits of that leg received at its ITB host
         self._itb_rx: Dict[Tuple[int, int], int] = {}
-        #: id(leg) -> (leg, {switch: output port | None for the leg's
-        #: last switch}); resolved once per route leg instead of
-        #: scanning leg.switches per arriving header (the leg reference
-        #: keeps the key's object alive -- no id() reuse)
+        #: id(leg) -> (leg, {switch: its output port on the leg}) for a
+        #: store-form leg (a hop tuple); resolved once per route leg
+        #: instead of per arriving header (the leg reference keeps the
+        #: key's object alive -- no id() reuse)
         self._leg_ports: Dict[int, Tuple[object,
-                                         Dict[int,
-                                              Optional[_OutputPort]]]] = {}
+                                         Dict[int, _OutputPort]]] = {}
         #: delivery output port per host id
         self._dlv_ports: List[_OutputPort] = []
         #: end-of-warm-up timestamp (clamps in-progress reservations)
@@ -495,24 +494,20 @@ class FlitLevelNetwork(NetworkModel):
 
     # -- internal event handlers -------------------------------------------
 
-    def _leg_port_map(self, leg) -> Dict[int, Optional[_OutputPort]]:
+    def _leg_port_map(self, leg) -> Dict[int, _OutputPort]:
         """switch -> next output port for ``leg``, resolved once per leg
-        (``None`` marks the last switch: delivery is per-packet)."""
+        (the leg's last switch has none: delivery is per-packet)."""
         entry = self._leg_ports.get(id(leg))
         if entry is not None:
             return entry[1]
-        sws = leg.switches
-        ports: Dict[int, Optional[_OutputPort]] = {
-            sw: self._out_ports[(sw, sws[i + 1])]
-            for i, sw in enumerate(sws[:-1])}
-        ports[sws[-1]] = None
+        chans = self._net_channels      # indexed by directed hop
+        ports = {chans[h][2]: chans[h][1] for h in leg}
         self._leg_ports[id(leg)] = (leg, ports)
         return ports
 
     def _header_at_switch(self, buf: _RxBuffer, pkt: Packet,
                           leg_idx: int) -> None:
-        leg = pkt.route.legs[leg_idx]
-        port = self._leg_port_map(leg)[buf.switch]
+        port = self._leg_port_map(pkt.route[2 + leg_idx]).get(buf.switch)
         if port is None:
             port = self._dlv_ports[self._leg_target_host(pkt, leg_idx)]
         elif port.dead:
@@ -622,7 +617,8 @@ class FlitLevelNetwork(NetworkModel):
         worms = [{
             "pid": pid,
             "src": pkt.src_host, "dst": pkt.dst_host,
-            "route_legs": [list(leg.switches) for leg in pkt.route.legs],
+            "route_legs": [self._leg_switches(pkt, i)
+                           for i in range(pkt.num_legs)],
             "waits_on": name}
             for pid, (pkt, name) in sorted(blocked.items())]
         backlog = {inj.host: len(inj.jobs)
@@ -676,7 +672,7 @@ class FlitLevelNetwork(NetworkModel):
         # being received (admit happened with the leg's first flit)
         for key in [k for k in self._itb_rx if k[0] == pkt.pid]:
             del self._itb_rx[key]
-            host = pkt.route.itb_hosts[key[1]]
+            host = pkt.route[1][key[1]]
             self._itb_pools[host].itb_release(pkt.wire_bytes(key[1]))
         self._finish_drop(pkt, self.sim.now)
 

@@ -76,9 +76,9 @@ class _LegTransit:
         self.leg_idx = leg_idx
         #: flits on the wire during this leg
         self.wire = wire
-        #: pre-resolved directed-channel index per hop of the leg (see
-        #: RouteLeg.dir_hops; the delivery channel is per-packet and
-        #: resolved at the last hop)
+        #: directed-channel index per hop of the leg (the leg itself, in
+        #: the store form of :mod:`repro.routing.routes`; the delivery
+        #: channel is per-packet and resolved at the last hop)
         self.dirs: Tuple[int, ...] = ()
         #: channels still held and whose release is not yet scheduled
         #: or deferred: (channel, grant_time_ps).  Scheduling or
@@ -131,7 +131,7 @@ class WormholeNetwork(NetworkModel):
         #: (link_id, 0 for a->b / 1 for b->a) -> NET channel
         self._net: Dict[Tuple[int, int], Channel] = {}
         #: NET channel by directed-hop index ``link_id << 1 | dir``
-        #: (the leg hop encoding of ``RouteLeg.dir_hops``)
+        #: (the hops a store-form leg is made of)
         self._net_by_dir: List[Channel] = []
         self.nics: List[Nic] = []
         g = self.graph
@@ -194,11 +194,7 @@ class WormholeNetwork(NetworkModel):
         wire = pkt._leg_wire_bytes[leg_idx]
         transit = _LegTransit(pkt, leg_idx, wire, pool_host, pool_bytes,
                               wire <= self._slack_bytes)
-        leg = pkt.route.legs[leg_idx]
-        try:
-            transit.dirs = leg._dir_hops
-        except AttributeError:          # first packet on this leg
-            transit.dirs = leg.dir_hops(self.graph)
+        transit.dirs = pkt.route[2 + leg_idx]
         self._active[pkt.pid] = transit
         if t_ready <= self.sim.now:
             self._head_at(transit, -1)
@@ -217,13 +213,13 @@ class WormholeNetwork(NetworkModel):
         pkt = transit.pkt
         if pos < 0:
             host = (pkt.src_host if transit.leg_idx == 0
-                    else pkt.route.itb_hosts[transit.leg_idx - 1])
+                    else pkt.route[1][transit.leg_idx - 1])
             out = self.nics[host].inj
             key = 0
         else:
             dirs = transit.dirs
             if pos == len(dirs):          # past the last NET hop
-                itb_hosts = pkt.route.itb_hosts
+                itb_hosts = pkt.route[1]
                 leg_idx = transit.leg_idx
                 out = self.nics[itb_hosts[leg_idx]
                                 if leg_idx < len(itb_hosts)
@@ -349,11 +345,11 @@ class WormholeNetwork(NetworkModel):
         transit.pool_host = -1
         transit.holds = []
 
-        if transit.leg_idx == len(pkt.route.itb_hosts):   # last leg
+        if transit.leg_idx == len(pkt.route[1]):   # last leg
             _heappush(self._events, (t_tail, self._next_seq(),
                                      self._finish_delivery, (pkt, t_tail)))
         else:
-            host = pkt.route.itb_hosts[transit.leg_idx]
+            host = pkt.route[1][transit.leg_idx]
             if self._tracer is not None:
                 self._trace("eject", pkt.pid, host, transit.leg_idx,
                             t_ps=t_head)
@@ -487,12 +483,11 @@ class WormholeNetwork(NetworkModel):
         worms, wait_for = [], []
         for pid, tr in sorted(self._active.items()):
             pkt = tr.pkt
-            leg = pkt.route.legs[tr.leg_idx]
             entry = {
                 "pid": pid,
                 "src": pkt.src_host, "dst": pkt.dst_host,
                 "leg": tr.leg_idx,
-                "route_switches": list(leg.switches),
+                "route_switches": self._leg_switches(pkt, tr.leg_idx),
                 "holds": [self._channel_name(ch) for ch, _g in tr.holds],
                 "waits_on": None}
             if tr.pending is not None:

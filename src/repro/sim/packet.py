@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..config import MyrinetParams
-from ..routing.routes import SourceRoute
+from ..routing.routes import Route, route_hops
 
 #: (interned per-leg header overheads, payload + type bytes) -> per-leg
 #: wire lengths: a handful of values serve every packet of every run
@@ -28,14 +28,16 @@ _WIRE_BYTES: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
 
 
 class Packet:
-    """One message travelling along a :class:`SourceRoute`."""
+    """One message travelling along a store-form route
+    (:mod:`repro.routing.routes`: ``(overheads, itb_hosts, leg_0,
+    ...)``)."""
 
     __slots__ = ("pid", "src_host", "dst_host", "payload_bytes", "route",
                  "alt_index", "created_ps", "injected_ps", "delivered_ps",
                  "itb_overflows", "_leg_wire_bytes")
 
     def __init__(self, pid: int, src_host: int, dst_host: int,
-                 payload_bytes: int, route: SourceRoute,
+                 payload_bytes: int, route: Route,
                  created_ps: int, params: MyrinetParams,
                  alt_index: int = 0) -> None:
         self.pid = pid
@@ -45,20 +47,16 @@ class Packet:
         self.route = route
         #: index of ``route`` among the pair's routing-table
         #: alternatives -- the stable identifier adaptive policies key
-        #: their feedback on (route objects change when tables rebuild)
+        #: their feedback on (a rebuilt table holds other tuples)
         self.alt_index = alt_index
         self.created_ps = created_ps
         self.injected_ps: Optional[int] = None
         self.delivered_ps: Optional[int] = None
         self.itb_overflows = 0
-        # the per-leg header overhead depends only on the route and is
-        # stashed (interned) on the shared route object; the wire
-        # lengths then depend only on that tuple and the payload, so
-        # packets share one tuple per distinct pair
-        try:
-            overheads = route._leg_overheads
-        except AttributeError:
-            overheads = route.leg_overheads
+        # the wire lengths depend only on the route's interned per-leg
+        # header overheads and the payload, so packets share one tuple
+        # per distinct pair
+        overheads = route[0]
         base = payload_bytes + params.header_type_bytes
         key = (overheads, base)
         wires = _WIRE_BYTES.get(key)
@@ -68,11 +66,16 @@ class Packet:
 
     @property
     def num_legs(self) -> int:
-        return len(self.route.legs)
+        return len(self.route) - 2
 
     @property
     def num_itbs(self) -> int:
-        return self.route.num_itbs
+        return len(self.route[1])
+
+    @property
+    def switch_hops(self) -> int:
+        """Inter-switch cables the route crosses."""
+        return route_hops(self.route)
 
     def wire_bytes(self, leg_idx: int) -> int:
         """Flits on the wire while traversing leg ``leg_idx``."""

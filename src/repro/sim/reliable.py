@@ -311,7 +311,7 @@ class ReliableTransport:
         """Out-of-band ACK flight time: NIC processing plus one header
         crossing back along the delivery route."""
         p = self.network.params
-        hops = pkt.route.switch_hops
+        hops = pkt.switch_hops
         return (self.params.ack_delay_ps
                 + (hops + 2) * p.link_prop_ps
                 + (hops + 1) * p.routing_delay_ps)

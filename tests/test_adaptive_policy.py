@@ -16,7 +16,7 @@ def g():
 
 @pytest.fixture(scope="module")
 def alts(g):
-    return tuple(SourceRoute.single_leg(g, p)
+    return tuple(SourceRoute.single_leg(g, p).to_store()
                  for p in [(0, 1, 5), (0, 4, 5), (0, 3, 7, 6, 5)])
 
 
@@ -115,7 +115,7 @@ class TestAdaptivePolicy:
         deliver(p, alts[0], 0, 10, 9_000_000, alt_index=0)
         deliver(p, alts[2], 0, 10, 9_000_000, alt_index=2)
         # rebuild: fresh route objects, same paths, new ids
-        rebuilt = tuple(SourceRoute.single_leg(g, path)
+        rebuilt = tuple(SourceRoute.single_leg(g, path).to_store()
                         for path in [(0, 1, 5), (0, 4, 5),
                                      (0, 3, 7, 6, 5)])
         assert all(a is not b for a, b in zip(alts, rebuilt))

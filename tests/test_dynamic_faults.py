@@ -17,7 +17,7 @@ import pytest
 from repro.config import PAPER_PARAMS
 from repro.runner import run_simulation
 from repro.routing.policies import make_policy
-from repro.routing.routes import RouteLeg, SourceRoute
+from repro.routing.routes import RouteLeg, SourceRoute, route_links
 from repro.routing import RoutingTables, compute_tables
 from repro.sim import (FaultPlan, LinkFault,
                        ReliableParams, ReliableTransport, Simulator,
@@ -117,7 +117,7 @@ class TestMidRunKill:
         dst = torus44_graph.hosts_at(10)[0]  # 4 switch-hops away
         pkt = net.send(src, dst)
         assert pkt is not None
-        victim = pkt.route.link_ids[0]
+        victim = route_links(pkt.route)[0]
         net.install_fault_plan(FaultPlan.at((ns(400), victim)))
         # a hang would leave the worm in flight past any plausible
         # drain horizon; the bound turns it into an assertion failure
@@ -132,7 +132,7 @@ class TestMidRunKill:
         # any pair avoids it
         pkt2 = net.send(src, dst)
         if pkt2 is not None:
-            assert victim not in pkt2.route.link_ids
+            assert victim not in route_links(pkt2.route)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_waiters_on_dead_link_dropped(self, engine, torus44_graph):
@@ -145,9 +145,9 @@ class TestMidRunKill:
         dst = torus44_graph.hosts_at(10)[0]
         pkts = [net.send(s, dst) for s in srcs]
         assert all(p is not None for p in pkts)
-        shared = set(pkts[0].route.link_ids)
+        shared = set(route_links(pkts[0].route))
         for p in pkts[1:]:
-            shared &= set(p.route.link_ids)
+            shared &= set(route_links(p.route))
         assert shared, "both worms must share a cable for the collision"
         net.install_fault_plan(FaultPlan.at((ns(400), min(shared))))
         sim.run_until_idle(max_time_ps=ns(10_000_000))
@@ -168,7 +168,7 @@ class TestBlacklisting:
         custom[(0, 2)] = (only,)
         tables = RoutingTables("updown", 0, base.orientation, custom)
         sim, net = make_engine(engine, torus44_graph, tables)
-        net.install_fault_plan(FaultPlan.at((0, only.link_ids[0])))
+        net.install_fault_plan(FaultPlan.at((0, route_links(only)[0])))
         sim.run_until_idle()  # fire the fault
         assert net.send(0, 4) is None
         assert net.generated == 1
@@ -195,7 +195,7 @@ class TestBlacklisting:
                 sel = net._select_route(src, dst)
                 if sel is not None:
                     sent += 1
-                    assert 0 not in sel[0].link_ids
+                    assert 0 not in route_links(sel[0])
         assert sent > 0
         for src, dst in [(0, 9), (3, 17), (8, 30), (12, 1), (21, 5)]:
             assert net.send(src, dst) is not None

@@ -18,7 +18,7 @@ import pytest
 from repro.config import PAPER_PARAMS
 from repro.runner import run_simulation
 from repro.routing.policies import make_policy
-from repro.routing.routes import RouteLeg, SourceRoute
+from repro.routing.routes import RouteLeg, SourceRoute, route_links
 from repro.routing import RoutingTables, compute_tables
 from repro.sim import (CAP_DYNAMIC_FAULTS, CAP_ITB_POOL,
                        CAP_RELIABLE_DELIVERY, CAP_TRACE, ENGINES,
@@ -408,4 +408,4 @@ class TestMutatedTopologyParity:
             for route in alts:
                 # link ids are renumbered: every id is in range, and the
                 # endpoint pairs never include the removed cables' ends
-                assert all(lid < g.num_links for lid in route.link_ids)
+                assert all(lid < g.num_links for lid in route_links(route))

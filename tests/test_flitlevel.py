@@ -55,7 +55,7 @@ class TestExactTiming:
     def test_one_hop(self, ring4, ring4_tables):
         sim, net = make_flit_network(ring4, ring4_tables)
         pkt = net.send(0, 2)
-        assert pkt.route.switch_hops == 1
+        assert pkt.switch_hops == 1
         sim.run_until_idle()
         assert pkt.delivered_ps == flit_zero_load_delivery_ps(1, 512)
 
@@ -68,7 +68,7 @@ class TestExactTiming:
     def test_two_hops(self, ring4, ring4_tables):
         sim, net = make_flit_network(ring4, ring4_tables)
         pkt = net.send(0, 4)  # switch 0 -> switch 2
-        assert pkt.route.switch_hops == 2
+        assert pkt.switch_hops == 2
         sim.run_until_idle()
         assert pkt.delivered_ps == flit_zero_load_delivery_ps(2, 512)
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.routing.itb import build_itb_routes, split_path_at_violations
 from repro.routing.reference import enumerate_minimal_paths
+from repro.routing.routes import (SourceRoute, hop_ints, leg_overheads,
+                                  route_legs, route_links)
 from repro.routing.updown import orient_links
 from repro.topology import build_torus
 
@@ -85,10 +87,16 @@ class TestSplit:
             split_path_at_violations(g88, ud88, [0, 9])
 
 
+def views(g, store):
+    """A table's routes as switch-level :class:`SourceRoute` views."""
+    return {pair: tuple(SourceRoute.from_store(g, pair[0], r) for r in alts)
+            for pair, alts in store.items()}
+
+
 class TestBuildItbRoutes:
     @pytest.fixture(scope="class")
     def routes(self, g88, ud88):
-        return build_itb_routes(g88, ud88, max_routes_per_pair=4)
+        return views(g88, build_itb_routes(g88, ud88, max_routes_per_pair=4))
 
     def test_every_pair_covered(self, g88, routes):
         n = g88.num_switches
@@ -136,7 +144,7 @@ class TestBuildItbRoutes:
         routes = build_itb_routes(g88, ud88, max_routes_per_pair=6,
                                   sort_by_itbs=True, balance_sp=False)
         for alts in routes.values():
-            itbs = [r.num_itbs for r in alts]
+            itbs = [len(r[1]) for r in alts]
             assert itbs == sorted(itbs)
 
 
@@ -166,7 +174,7 @@ class TestBalanceFirstAlternatives:
             for (s, d), alts in routes.items():
                 if s == d:
                     continue
-                for lid in alts[0].iter_links():
+                for lid in route_links(alts[0]):
                     load[lid] += 1
             return max(load)
 
@@ -219,9 +227,9 @@ class TestSpSelectionNeedsBalancing:
 
 
 class TestLazyTables:
-    """ITB-style tables build a pair's ``SourceRoute`` objects on its
-    first lookup: nothing a reader can ask of the table shows it, and a
-    sub-knee run builds a fraction of them."""
+    """ITB-style tables build a pair's routes on its first lookup:
+    nothing a reader can ask of the table shows it, and a sub-knee run
+    builds a fraction of them."""
 
     @staticmethod
     def _fresh(g, scheme):
@@ -230,8 +238,8 @@ class TestLazyTables:
 
     @staticmethod
     def _built(routes):
-        """Pairs whose routes exist (the ``dict`` storage proper)."""
-        return dict.__len__(routes)
+        """Pairs whose routes exist (the store's built slots)."""
+        return sum(alts is not None for alts in routes.alts)
 
     @pytest.mark.parametrize("scheme", ["itb", "outflank"])
     def test_a_fresh_table_has_built_nothing(self, g88, scheme):
@@ -285,29 +293,27 @@ class TestLazyTables:
     def test_a_table_holds_each_distinct_leg_once(self, request, fabric,
                                                    scheme):
         """Pairs reuse each other's legs; a fully looked-up table holds
-        one leg object per distinct ``(switches, links)``, one
-        ``leg_overheads`` tuple per distinct value, and a remapped
+        one leg tuple per distinct hop sequence, made of the shared hop
+        ints, one overheads tuple per distinct value, and a remapped
         copy keeps the sharing."""
         g = request.getfixturevalue(fabric)
         tables = self._fresh(g, scheme)
         routes = [r for alts in tables.routes.values() for r in alts]
-        legs = {id(leg): leg for r in routes for leg in r.legs}
-        assert len(legs) == len({(leg.switches, leg.links)
-                                 for leg in legs.values()})
-        assert len(legs) < sum(len(r.legs) for r in routes)
+        legs = {id(leg): leg for r in routes for leg in route_legs(r)}
+        assert len(legs) == len(set(legs.values()))
+        assert len(legs) < sum(len(route_legs(r)) for r in routes)
+        ints = hop_ints(g.num_links)
+        assert all(h is ints[h] for leg in legs.values() for h in leg)
         overheads = {}
-        cut = [r for r in routes if r.num_itbs]
+        cut = [r for r in routes if r[1]]
         assert cut
         for r in routes:
-            assert overheads.setdefault(r.leg_overheads,
-                                        r.leg_overheads) is r.leg_overheads
-        for r in cut:
-            assert r.link_ids == tuple(lid for leg in r.legs
-                                       for lid in leg.links)
+            assert overheads.setdefault(r[0], r[0]) is r[0]
+            assert r[0] is leg_overheads(tuple(map(len, route_legs(r))))
         identity = {lid: lid for lid in range(g.num_links)}
         remapped = tables.with_remapped_links(identity)
         assert len({id(leg) for alts in remapped.routes.values()
-                    for r in alts for leg in r.legs}) == len(legs)
+                    for r in alts for leg in route_legs(r)}) == len(legs)
 
     def test_a_sub_knee_point_builds_a_quarter_of_the_pairs_or_less(self):
         """The benchmark's cold torus point: what it sends on is what

@@ -15,7 +15,7 @@ from repro.sim.packet import Packet
 
 
 def mk_packet(created, injected, delivered, payload=512, pid=0):
-    route = SourceRoute((RouteLeg((0,), ()),))
+    route = SourceRoute((RouteLeg((0,), ()),)).to_store()
     p = Packet(pid, 0, 1, payload, route, created, PAPER_PARAMS)
     p.injected_ps = injected
     p.delivered_ps = delivered

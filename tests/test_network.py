@@ -6,7 +6,7 @@ import pytest
 from repro.config import PAPER_PARAMS, SimConfig
 from repro.runner import run_simulation
 from repro.routing.policies import SinglePathPolicy
-from repro.routing.routes import RouteLeg, SourceRoute
+from repro.routing.routes import RouteLeg, SourceRoute, route_legs
 from repro.routing import RoutingTables, compute_tables
 from repro.routing.updown import orient_links
 from repro.sim.engine import DeadlockError, Simulator
@@ -54,7 +54,7 @@ class TestSinglePacketTiming:
         sim, net = make_network(ring4, ring4_tables)
         # host 0 on switch 0 -> host 2 on switch 1 (adjacent)
         pkt = net.send(0, 2)
-        assert pkt.route.switch_hops == 1
+        assert pkt.switch_hops == 1
         sim.run_until_idle()
         assert pkt.delivered
         assert pkt.injected_ps == 0
@@ -63,7 +63,7 @@ class TestSinglePacketTiming:
     def test_same_switch_delivery_time(self, ring4, ring4_tables):
         sim, net = make_network(ring4, ring4_tables)
         pkt = net.send(0, 1)  # both hosts on switch 0
-        assert pkt.route.switch_hops == 0
+        assert pkt.switch_hops == 0
         sim.run_until_idle()
         assert pkt.delivered_ps == zero_load_delivery_ps(0, 512)
 
@@ -349,10 +349,10 @@ class TestDeferredReleases:
         from repro.sim.invariants import audit
         sim, net = make_network(ring4, ring4_tables)
         pkt = net.send(0, 2)
-        link = pkt.route.legs[0].links[0]
-        net.install_fault_plan(FaultPlan.at((kill_at, link)))
+        first_hop = route_legs(pkt.route)[0][0]
+        net.install_fault_plan(FaultPlan.at((kill_at, first_hop >> 1)))
         sim.run_until(kill_at - 1)
-        net_ch = net._net_by_dir[pkt.route.legs[0].dir_hops(ring4)[0]]
+        net_ch = net._net_by_dir[first_hop]
         assert net_ch.deferred is not None
         sim.run_until_idle()
         assert net.dropped == 0 and pkt.delivered_ps == self.T_TAIL

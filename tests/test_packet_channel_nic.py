@@ -22,7 +22,7 @@ def two_leg_packet(g, payload=512):
     leg1 = RouteLeg.from_switch_path(g, (0, 1, 2))
     leg2 = RouteLeg.from_switch_path(g, (2, 3))
     via = g.hosts_at(2)[0]
-    route = SourceRoute((leg1, leg2), (via,))
+    route = SourceRoute((leg1, leg2), (via,)).to_store()
     return Packet(0, g.hosts_at(0)[0], g.hosts_at(3)[0], payload, route,
                   created_ps=0, params=P)
 
@@ -39,7 +39,7 @@ class TestPacketWireBytes:
         assert pkt.wire_bytes(1) == 512 + 2 + 1
 
     def test_single_leg(self, g):
-        route = SourceRoute.single_leg(g, (0, 1))
+        route = SourceRoute.single_leg(g, (0, 1)).to_store()
         pkt = Packet(1, 0, 2, 100, route, 0, P)
         assert pkt.wire_bytes(0) == 100 + 2 + 1
 

@@ -116,7 +116,8 @@ class TestBenchRegressionGate:
     def _bench_file(path: Path, cold_wall_s: float = 1.0,
                     tables_wall_s: float = 0.5,
                     route_legs: int = 100, events: int = 1000,
-                    run_peak_kb: int = 1000, **rates) -> Path:
+                    run_peak_kb: int = 1000, table_kb: int = 2000,
+                    **rates) -> Path:
         """Synthetic bench JSON; a point's value is its events/s (its
         messages/s then scales with it) or an explicit
         ``(events_per_s, messages_per_s)`` pair.  Each point delivers
@@ -132,7 +133,8 @@ class TestBenchRegressionGate:
                            "messages_delivered": 10,
                            "messages_per_s": msgs,
                            "route_legs": route_legs,
-                           "run_peak_kb": run_peak_kb})
+                           "run_peak_kb": run_peak_kb,
+                           "table_kb": table_kb})
         path.write_text(json.dumps(
             {"schema": 1, "repeats": 1, "points": points}))
         return path
@@ -227,6 +229,20 @@ class TestBenchRegressionGate:
         assert res.returncode == 1
         assert "run_peak_kb" in res.stdout and "REGRESSED" in res.stdout
 
+    def test_grown_table_fails(self, tmp_path):
+        # a fully looked-up table's traced size: +25 % passes, more
+        # fails -- a route or leg object per entry grows it 2-3x
+        base = self._bench_file(tmp_path / "base.json", a=100.0)
+        within = self._bench_file(tmp_path / "within.json",
+                                  table_kb=2500, a=100.0)
+        assert self._run(within, base).returncode == 0
+        more = self._bench_file(tmp_path / "more.json", table_kb=2501,
+                                a=100.0)
+        res = self._run(more, base)
+        assert res.returncode == 1
+        assert [line.split()[1] for line in res.stdout.splitlines()
+                if "REGRESSED" in line] == ["table_kb"]
+
     def test_batch_point_gates_its_event_count(self, tmp_path):
         # fewer events than messages: events/s measures nothing (one
         # drain covers many messages) and may collapse, but the exact
@@ -287,6 +303,7 @@ class TestBenchRegressionGate:
         assert all(0 < p["tables_wall_s"] < p["cold_wall_s"]
                    for p in data["points"])
         assert all(p["run_peak_kb"] > 0 for p in data["points"])
+        assert all(p["table_kb"] > 0 for p in data["points"])
         assert {"packet", "flit", "array"} == {p["engine"]
                                               for p in data["points"]}
 

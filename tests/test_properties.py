@@ -14,10 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.routing import SCHEMES, compute_tables
+from repro.routing import SCHEMES, RoutingTables, compute_tables
 from repro.routing.itb import (_cut_indices, assemble_itb_routes,
                                build_itb_routes, split_path_at_violations)
-from repro.routing.minimal import minimal_path_links_to
+from repro.routing.minimal import minimal_hops_to
 from repro.routing.reference import (count_minimal_paths,
                                      enumerate_legal_paths,
                                      enumerate_minimal_path_links,
@@ -25,8 +25,9 @@ from repro.routing.reference import (count_minimal_paths,
                                      legal_shortest_distances)
 from repro.routing.simple_routes import compute_simple_routes
 from repro.routing.spanning_tree import build_spanning_tree
-from repro.routing.updown import (UP, legal_dag_to, legal_path_links_to,
-                                  orient_links)
+from repro.routing.routes import (SourceRoute, hop, leg_switches,
+                                  path_hops, route_legs)
+from repro.routing.updown import UP, legal_dag_to, legal_hops_to, orient_links
 from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.engine import Simulator
 from repro.topology import build_irregular, check_topology
@@ -119,6 +120,7 @@ def test_itb_routes_minimal_and_boundary_hosts_correct(g):
         dist = g.shortest_distances(dst)
         for src in g.switches():
             for r in routes[(src, dst)]:
+                r = SourceRoute.from_store(g, src, r)
                 assert r.switch_hops == max(dist[src], 0)
                 for host, (a, b) in zip(r.itb_hosts,
                                         zip(r.legs, r.legs[1:])):
@@ -210,24 +212,33 @@ def _links_join(g, path, lids):
                     for lid, a, b in zip(lids, path, path[1:])))
 
 
+def _as_hops(path_links):
+    """A reference enumerator's ``(path, link_ids)`` as directed hops."""
+    path, lids = path_links
+    return tuple(map(hop, lids, path, path[1:]))
+
+
 @given(graphs16, roots, st.sampled_from([2, 32]))
 @SLOW
 def test_per_destination_legal_candidates_equal_per_pair_dfs(g, root_raw,
                                                              cap):
     """One backward BFS + one DAG per destination lists, for every
     source, exactly what the per-pair bounded DFS lists -- same paths,
-    same order, same cap -- and carries the right link ids."""
+    same order, same cap -- and carries the right directed hops."""
     ud = orient_links(g, root_raw % g.num_switches)
     forward = [legal_shortest_distances(g, ud, s) for s in g.switches()]
     for dst in g.switches():
         h, _succ = legal_dag_to(g, ud, dst)
-        by_src = legal_path_links_to(g, ud, dst, cap)
+        by_src = legal_hops_to(g, ud, dst, cap)
         assert sorted(by_src) == [s for s in g.switches() if s != dst]
         for src, cands in by_src.items():
             assert h[src][UP] == forward[src][dst]
-            assert [p for p, _lids in cands] == enumerate_legal_paths(
+            paths = [leg_switches(g, src, hops) for hops in cands]
+            assert paths == enumerate_legal_paths(
                 g, ud, src, dst, forward[src][dst], cap)
-            assert all(_links_join(g, p, lids) for p, lids in cands)
+            assert cands == [path_hops(g, p) for p in paths]
+            assert all(_links_join(g, p, tuple(h >> 1 for h in hops))
+                       for p, hops in zip(paths, cands))
 
 
 @given(graphs16, st.sampled_from([1, 3, 10]))
@@ -235,11 +246,14 @@ def test_per_destination_legal_candidates_equal_per_pair_dfs(g, root_raw,
 def test_per_destination_minimal_paths_equal_per_pair_dfs(g, cap):
     for dst in g.switches():
         dist = g.shortest_distances(dst)
-        by_src = minimal_path_links_to(g, dst, dist, cap)
+        by_src = minimal_hops_to(g, dst, dist, cap)
         for src in g.switches():
-            assert by_src[src] == enumerate_minimal_path_links(
+            reference = enumerate_minimal_path_links(
                 g, src, dst, dist, max_paths=cap)
-            assert all(_links_join(g, p, lids) for p, lids in by_src[src])
+            assert by_src[src] == [_as_hops(p) for p in reference]
+            assert ([leg_switches(g, src, hops) for hops in by_src[src]]
+                    == [p for p, _lids in reference])
+            assert all(_links_join(g, p, lids) for p, lids in reference)
 
 
 @given(graphs16, roots, st.sampled_from([1, 3, 32]))
@@ -251,11 +265,11 @@ def test_candidate_lists_ascend_by_switch_path(g, root_raw, cap):
     minimum."""
     ud = orient_links(g, root_raw % g.num_switches)
     for dst in g.switches():
-        for by_src in (legal_path_links_to(g, ud, dst, cap),
-                       minimal_path_links_to(
+        for by_src in (legal_hops_to(g, ud, dst, cap),
+                       minimal_hops_to(
                            g, dst, g.shortest_distances(dst), cap)):
-            for cands in by_src.values():
-                paths = [p for p, _lids in cands]
+            for src, cands in by_src.items():
+                paths = [leg_switches(g, src, hops) for hops in cands]
                 assert all(a <= b for a, b in zip(paths, paths[1:]))
 
 
@@ -282,12 +296,14 @@ def test_carried_cuts_equal_a_rescan_of_every_path(g, root_raw, cap):
     up_end = ud.up_end
     for dst in g.switches():
         dist = g.shortest_distances(dst)
-        plain = minimal_path_links_to(g, dst, dist, cap)
-        carried = minimal_path_links_to(g, dst, dist, cap, up_end)
+        plain = minimal_hops_to(g, dst, dist, cap)
+        carried = minimal_hops_to(g, dst, dist, cap, up_end)
         assert sorted(carried) == sorted(plain)
         for src, entries in carried.items():
-            assert [(p, lids) for p, lids, _f, _d in entries] == plain[src]
-            for path, lids, fresh, down in entries:
+            assert [hops for hops, _f, _d in entries] == plain[src]
+            for hops, fresh, down in entries:
+                path = leg_switches(g, src, hops)
+                lids = tuple(h >> 1 for h in hops)
                 n = len(lids)
                 assert (tuple(n - r for r in fresh)
                         == _cut_indices(path, lids, up_end))
@@ -300,23 +316,55 @@ def test_carried_cuts_equal_a_rescan_of_every_path(g, root_raw, cap):
 def test_itb_records_equal_the_generic_assembly(g, root_raw, cap,
                                                 sort_by_itbs):
     """:func:`build_itb_routes` (cuts carried by the minimal pass) holds
-    exactly the records -- paths, link ids, cuts, in-transit hosts, pair
-    and alternative order, balanced first alternatives -- that the
+    exactly the records -- hops, cuts, in-transit hosts, pair and
+    alternative order, balanced first alternatives -- that the
     assembler makes of plain minimal candidates cut by a rescan."""
     ud = orient_links(g, root_raw % g.num_switches)
 
     def rescanned():
         for dst in g.switches():
-            by_src = minimal_path_links_to(g, dst, g.shortest_distances(dst),
-                                           cap)
+            by_src = minimal_hops_to(g, dst, g.shortest_distances(dst), cap)
             for src in g.switches():
-                yield (src, dst), [
-                    (p, lids, _cut_indices(p, lids, ud.up_end))
-                    for p, lids in by_src.get(src, ())]
+                paths = by_src.get(src, [])
+                cuts = []
+                for hops in paths:
+                    lids = tuple(h >> 1 for h in hops)
+                    cuts.append(tuple(
+                        len(lids) - i for i in _cut_indices(
+                            leg_switches(g, src, hops), lids, ud.up_end)))
+                yield (src, dst), paths, cuts
 
     built = build_itb_routes(g, ud, cap, sort_by_itbs)
     generic = assemble_itb_routes(g, rescanned(), sort_by_itbs)
-    assert list(built._records.items()) == list(generic._records.items())
+    assert built._records == generic._records
+    assert list(built._order) == list(generic._order)
+    assert built.items() == generic.items()
+
+
+@given(graphs16, st.sampled_from([1, 3, 10]))
+@SLOW
+def test_the_store_is_what_its_switch_level_views_say(g, cap):
+    """Every scheme's table, every alternative: the hops the engines
+    read are the directed hops of its switch-level view, its in-transit
+    hosts and header overheads are the view's, the view names cables
+    that join its switches, and a table spelled from its own views
+    normalises back to the same store, pairs in the same order."""
+    for scheme in SCHEMES.supported(g):
+        tables = compute_tables(g, scheme, 0, cap)
+        views = {}
+        for (src, dst), alts in tables.routes.items():
+            views[(src, dst)] = tables.source_routes(g, src, dst)
+            for route, view in zip(alts, views[(src, dst)]):
+                assert view.src == src and view.dst == dst
+                assert route_legs(route) == tuple(
+                    leg.dir_hops for leg in view.legs)
+                assert route[1] == view.itb_hosts
+                assert route[0] == view.leg_overheads
+                assert all(_links_join(g, leg.switches, leg.links)
+                           for leg in view.legs)
+        again = RoutingTables(scheme, tables.root, tables.orientation,
+                              views)
+        assert list(again.routes.items()) == list(tables.routes.items())
 
 
 @given(st.integers(min_value=0, max_value=511),

@@ -18,6 +18,7 @@ from repro.runner import run_simulation
 from repro.metrics.recovery import RecoveryTracker
 from repro.routing.policies import make_policy
 from repro.routing import RoutingTables, compute_tables
+from repro.routing.routes import route_links
 from repro.sim import (FaultPlan, MessageSequencer,
                        ReconfigParams, ReconfigurationManager,
                        ReliableParams, ReliableTransport, Simulator,
@@ -186,7 +187,7 @@ class TestRetransmission:
         assert msg.attempts == 1
         # kill the first cable of the live attempt's route
         net.install_fault_plan(FaultPlan.at((ns(400),
-                                             pkt.route.link_ids[0])))
+                                             route_links(pkt.route)[0])))
         sim.run_until_idle(max_time_ps=ns(50_000_000))
         assert msg.acked
         assert transport.delivered == 1
@@ -209,7 +210,7 @@ class TestRetransmission:
             transport, net, torus44_graph.hosts_at(0)[0],
             torus44_graph.hosts_at(10)[0])
         net.install_fault_plan(FaultPlan.at((ns(400),
-                                             pkt.route.link_ids[0])))
+                                             route_links(pkt.route)[0])))
         sim.run_until_idle(max_time_ps=ns(50_000_000))
         assert msg.acked
         assert msg.forced_index is not None
@@ -227,7 +228,7 @@ class TestRetransmission:
         sim, net = make_engine(engine, torus44_graph, tables)
         transport = ReliableTransport(
             net, ReliableParams(timeout_ps=ns(1_000), max_attempts=3))
-        net.install_fault_plan(FaultPlan.at((0, only.link_ids[0])))
+        net.install_fault_plan(FaultPlan.at((0, route_links(only)[0])))
         sim.run_until_idle()  # fire the fault
         msg = transport.send(0, 4)
         sim.run_until_idle(max_time_ps=ns(50_000_000))
@@ -255,7 +256,7 @@ class TestHotSwap:
         # ...and no route touches the dead cable
         for alts in net.tables.routes.values():
             for route in alts:
-                assert 0 not in route.link_ids
+                assert 0 not in route_links(route)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_one_swap_covers_simultaneous_faults(self, engine,

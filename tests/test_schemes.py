@@ -27,7 +27,7 @@ import weakref
 import pytest
 
 from repro.config import PAPER_PARAMS, SimConfig
-from repro.routing.routes import RouteLeg, SourceRoute
+from repro.routing.routes import RouteLeg, SourceRoute, route_hops
 from repro.routing.schemes import (SCHEMES, Scheme, build_updown_tables,
                                    scheme_label)
 from repro.routing.angara import select_root
@@ -114,8 +114,9 @@ class TestRegistry:
     def test_no_scheme_sorts_by_itbs(self, torus44):
         """Builders take (g, root, max_routes_per_pair); the five-argument
         form of compute_tables accepts ``False`` only."""
-        assert table_digest(compute_tables(torus44, "itb", 0, 10, False)) \
-            == table_digest(compute_tables(torus44, "itb"))
+        assert table_digest(compute_tables(torus44, "itb", 0, 10, False),
+                            torus44) \
+            == table_digest(compute_tables(torus44, "itb"), torus44)
         with pytest.raises(ValueError, match="build_itb_routes"):
             compute_tables(torus44, "itb", 0, 10, True)
 
@@ -237,8 +238,8 @@ class TestDisciplineChecks:
         # fact about those builders, under the orientation they return
         for name in ("updown", "itb", "updown-opt", "outflank"):
             tables = compute_tables(g, name)
-            for alts in tables.routes.values():
-                for route in alts:
+            for pair in tables.routes:
+                for route in tables.source_routes(g, *pair):
                     for leg in route.legs:
                         assert tables.orientation.path_is_legal(
                             g, leg.switches), (name, leg.switches)
@@ -257,7 +258,8 @@ class TestDisciplineChecks:
         # but it is not what DOR emits: every route is the one X-then-Y
         # leg of dor_path
         assert dor_path(g, yx[0], yx[-1], 4, 4, False) != yx
-        for (src, dst), (route,) in good.routes.items():
+        for (src, dst) in good.routes:
+            (route,) = good.source_routes(g, src, dst)
             assert route.switch_path == dor_path(g, src, dst, 4, 4, False)
             assert route.num_itbs == 0
 
@@ -265,7 +267,7 @@ class TestDisciplineChecks:
         g = mesh44
         good = compute_tables(g, "dor")
         pair = (g.grid.switch(0, 0), g.grid.switch(1, 1))
-        (leg,) = good.routes[pair][0].legs
+        (leg,) = good.source_routes(g, *pair)[0].legs
         swapped = SourceRoute((RouteLeg(leg.switches, leg.links[::-1]),))
         bad = RoutingTables("dor", good.root, good.orientation,
                             {**good.routes, pair: (swapped,)})
@@ -299,7 +301,8 @@ class TestDisciplineChecks:
         ud = orient_links(g, 0, build_spanning_tree(g, 0))
         split = build_itb_routes(g, ud, 10, False)
         unsplit = {
-            pair: tuple(SourceRoute.single_leg(g, r.switch_path)
+            pair: tuple(SourceRoute.single_leg(
+                g, SourceRoute.from_store(g, pair[0], r).switch_path)
                         for r in alts)
             for pair, alts in split.items()}
         # the first ring of the torus, all the way round
@@ -323,11 +326,12 @@ class TestBuiltTableIsOld:
 
     def test_the_table_is_in_no_young_generation(self, torus44):
         tables = compute_tables(torus44, "itb")
-        records = list(tables.routes._records.values())
+        records = [r for r in tables.routes._records if r is not None]
         young = {id(o) for gen in (0, 1)
                  for o in gc.get_objects(generation=gen)}
         assert id(tables.routes) not in young
-        assert not any(id(r) in young for alts in records for r in alts)
+        assert not any(id(o) in young
+                       for r in records for o in (r, *r[2:]))
         assert gc.get_freeze_count() == 0
 
     def test_earlier_cyclic_garbage_is_still_collected(self, torus44):
@@ -366,7 +370,8 @@ class TestChecksSurviveOptimisation:
             g = build_torus(rows=4, cols=4, hosts_per_switch=2)
             ud = orient_links(g, 0, build_spanning_tree(g, 0))
             unsplit = {
-                pair: tuple(SourceRoute.single_leg(g, r.switch_path)
+                pair: tuple(SourceRoute.single_leg(
+                    g, SourceRoute.from_store(g, pair[0], r).switch_path)
                             for r in alts)
                 for pair, alts in build_itb_routes(g, ud, 10).items()}
             try:
@@ -408,8 +413,7 @@ class TestOutFlank:
             if src == dst:
                 continue
             d = g.shortest_distances(src)[dst]
-            hops = [sum(len(leg.switches) - 1 for leg in r.legs)
-                    for r in alts]
+            hops = [route_hops(r) for r in alts]
             assert min(hops) == d  # a minimal path is always offered
             longer += sum(1 for h in hops if h > d)
         assert longer > 0  # and flanking detours actually exist

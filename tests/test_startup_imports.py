@@ -70,6 +70,17 @@ try:
 except SystemExit as e:
     assert not e.code, e.code
 """ + _OFF_PATH,
+    "repro run --links loads the run path only": """
+import runpy
+import sys
+sys.argv = ["repro", "run", "--rows", "4", "--cols", "4",
+            "--hosts-per-switch", "2", "--warmup-ns", "20000",
+            "--measure-ns", "60000", "--links"]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    assert not e.code, e.code
+""" + _OFF_PATH,
     "every exported name resolves": """
 import repro
 import repro.orchestrator

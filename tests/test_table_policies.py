@@ -39,7 +39,7 @@ class TestComputeTables:
         """A leg whose ``links`` do not join its ``switches`` must not
         validate: builders carry link ids instead of re-probing the
         graph, so this is the check that guards them."""
-        (route,) = updown44.routes[(0, 5)]
+        (route,) = updown44.source_routes(g44, 0, 5)
         (leg,) = route.legs
         assert len(leg.links) == 2
         swapped = SourceRoute((RouteLeg(leg.switches, leg.links[::-1]),))
@@ -56,10 +56,11 @@ class TestComputeTables:
         t = compute_tables(g44, "itb", max_routes_per_pair=3)
         assert t.max_alternatives() <= 3
 
-    def test_alternatives_lookup(self, itb44):
+    def test_alternatives_lookup(self, g44, itb44):
         alts = itb44.alternatives(0, 5)
         assert alts
-        assert all(r.src == 0 and r.dst == 5 for r in alts)
+        assert all(r.src == 0 and r.dst == 5
+                   for r in itb44.source_routes(g44, 0, 5))
 
     def test_root_parameter(self, g44):
         t0 = compute_tables(g44, "updown", root=0)

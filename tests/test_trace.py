@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import PAPER_PARAMS
 from repro.routing.policies import SinglePathPolicy
-from repro.routing.routes import RouteLeg, SourceRoute
+from repro.routing.routes import RouteLeg, SourceRoute, route_links
 from repro.routing import RoutingTables, compute_tables
 from repro.sim.engine import Simulator
 from repro.sim.network import WormholeNetwork
@@ -75,7 +75,7 @@ class TestTracedSimulation:
         # then deliver
         assert events[0] == "inject"
         assert events[-1] == "deliver"
-        assert events.count("grant") == pkt.route.switch_hops + 1
+        assert events.count("grant") == pkt.switch_hops + 1
         assert "eject" not in events
 
     def test_itb_lifecycle(self, ring4):
@@ -149,7 +149,7 @@ class TestTracedSimulation:
         sim, net = traced_network(ring4, tables, tracer)
         pkt = net.send(0, 4)
         net.install_fault_plan(FaultPlan.at((ns(400),
-                                             pkt.route.link_ids[0])))
+                                             route_links(pkt.route)[0])))
         sim.run_until_idle(max_time_ps=ns(10_000_000))
         events = {e.event for e in tracer.events}
         assert "link_down" in events
