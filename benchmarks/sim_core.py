@@ -26,7 +26,6 @@ from statistics import median
 
 from repro.config import SimConfig
 from repro.routing import compute_tables
-from repro.routing.routes import route_legs as legs_of
 from repro.runner import clear_caches, get_graph, get_tables, run_simulation
 from repro.units import ns
 
@@ -81,7 +80,7 @@ def route_legs(cfg: SimConfig) -> int:
     tables = get_tables(cfg.topology, cfg.topology_kwargs, cfg.routing,
                         max_routes_per_pair=cfg.params.max_routes_per_pair)
     return len({id(leg) for alts in tables.routes.values()
-                for route in alts for leg in legs_of(route)})
+                for route in alts for leg in route[2:]})
 
 
 def table_kb(cfg: SimConfig) -> int:

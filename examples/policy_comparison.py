@@ -54,6 +54,7 @@ def traced_packet() -> None:
     print("=== one in-transit packet, hop by hop ===\n")
     from repro.runner import get_graph, get_tables
     from repro.routing.policies import SinglePathPolicy
+    from repro.routing.routes import SourceRoute
     from repro.sim import PacketTracer, Simulator, WormholeNetwork, \
         format_trace
     from repro.config import PAPER_PARAMS
@@ -66,13 +67,14 @@ def traced_packet() -> None:
     # find a pair whose route needs an in-transit host
     pkt = None
     for (src, dst), alts in tables.routes.items():
-        if alts[0].num_itbs >= 1:
+        if alts[0][1]:  # store form: route[1] is the in-transit hosts
             pkt = net.send(g.hosts_at(src)[0], g.hosts_at(dst)[0])
             break
     assert pkt is not None
     sim.run_until_idle()
-    print(f"route: switches {pkt.route.switch_path}, "
-          f"in-transit hosts {pkt.route.itb_hosts}")
+    view = SourceRoute.from_store(g, src, pkt.route)
+    print(f"route: switches {view.switch_path}, "
+          f"in-transit hosts {view.itb_hosts}")
     print(format_trace(net.tracer, pkt.pid))
     print("\nNote the eject/reinject pair: the packet leaves the network"
           "\nentirely at the in-transit host (paying 275 + 200 ns) and"

@@ -25,24 +25,23 @@ The assembler does eagerly what needs the whole table: every
 alternative's in-transit hosts (cycled through the hosts of each
 switch in one global order, so the ITB workload is spread over all NICs
 attached to it), the optional fewest-ITBs-first order and the balancing
-of first alternatives.  What it keeps of a candidate is its hops, a few
-bytes each in a flat array, and a small per-pair record
-(:data:`Record`).  The store-form routes -- slices of those hops -- are
-built on the pair's first lookup (:class:`repro.routing.table.RouteStore`):
-a run builds the routes it sends on, and a leg that many pairs share is
-one tuple.
+of first alternatives.  What it keeps of a pair is the record
+(:data:`Record`) those passes worked on: the candidates' hop tuples,
+their cuts and their hosts.  The store-form routes -- slices of those
+hops -- are built on the pair's first lookup
+(:class:`repro.routing.table.RouteStore`): a run builds the routes it
+sends on, and a leg that many pairs share is one tuple.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..topology.graph import NetworkGraph
 from .minimal import minimal_hops_to
-from .routes import Leg, hop_array, hop_ints, leg_overheads
+from .routes import Leg, hop_ints, make_route
 from .table import Pair, RouteStore, interleaved_pairs
 from .updown import UpDownOrientation
 
@@ -54,17 +53,11 @@ from .updown import UpDownOrientation
 Candidates = Tuple[Pair, Sequence[Tuple[int, ...]],
                    Sequence[Tuple[int, ...]]]
 #: one pair's alternatives as the assembler keeps them until first
-#: lookup: ``(chunk, start, lens, cuts, itb_hosts)`` -- alternative ``i``
-#: is the ``lens[i]`` hops following alternative ``i - 1``'s in the
-#: assembler's hop array number ``chunk`` (the first from ``start``
-#: on), cut at ``cuts[i]`` (counted from the end, as in
+#: lookup: ``(paths, cuts, itb_hosts)`` -- alternative ``i`` crosses the
+#: hops ``paths[i]``, is cut at ``cuts[i]`` (counted from the end, as in
 #: :data:`Candidates`) and joined at the hosts ``itb_hosts[i]``
-Record = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, ...], ...],
-               Tuple[Tuple[int, ...], ...]]
-
-#: hops an assembler array takes before the next pair starts a new one
-#: (bounds the copy when an array grows; a table holds the same bytes)
-_CHUNK = 1 << 16
+Record = Tuple[Sequence[Tuple[int, ...]], Sequence[Tuple[int, ...]],
+               Sequence[Tuple[int, ...]]]
 
 
 def _cut_indices(path: Sequence[int], lids: Sequence[int],
@@ -108,8 +101,7 @@ def split_path_at_violations(g: NetworkGraph, ud: UpDownOrientation,
     return [tuple(path[s:e + 1]) for s, e in _segments(cuts, len(path) - 1)]
 
 
-def _route_builder(g: NetworkGraph, chunks: List[array]
-                   ) -> Callable[[Record], tuple]:
+def _route_builder(g: NetworkGraph) -> Callable[[Record], tuple]:
     """The function that builds one pair's store-form alternatives on
     its first lookup, keeping one tuple per distinct leg for the whole
     table.
@@ -123,8 +115,6 @@ def _route_builder(g: NetworkGraph, chunks: List[array]
     """
     get = hop_ints(g.num_links).__getitem__
     known: Dict[Leg, Leg] = {}
-    # the overheads of a one-leg route, by its hop count
-    single = [leg_overheads((n,)) for n in range(g.num_switches)]
 
     def intern(leg: Leg) -> Leg:
         out = known.get(leg)
@@ -133,21 +123,16 @@ def _route_builder(g: NetworkGraph, chunks: List[array]
         return out
 
     def alternatives(record: Record) -> tuple:
-        chunk, a, lens, cuts, itb_hosts = record
-        hops = chunks[chunk]
         routes = []
-        for n, cut, itb in zip(lens, cuts, itb_hosts):
+        for path, cut, itb in zip(*record):
             if not cut:  # already legal -- the common case
-                routes.append((single[n], (), intern(tuple(hops[a:a + n]))))
+                routes.append(make_route((intern(path),)))
             else:
-                legs = []
-                s = a
-                for e in [a + n - r for r in cut] + [a + n]:
-                    legs.append(intern(tuple(hops[s:e])))
-                    s = e
-                routes.append((leg_overheads(tuple(map(len, legs))), itb,
-                               *legs))
-            a += n
+                ends = [len(path) - r for r in cut]
+                routes.append(make_route(
+                    [intern(path[s:e])
+                     for s, e in zip([0, *ends], [*ends, len(path)])],
+                    itb))
         return tuple(routes)
 
     return alternatives
@@ -166,7 +151,7 @@ def _balance_first_alternatives(g: NetworkGraph, pending: List) -> None:
     earliest) to the front, and charge one weight unit to its links.
     RR behaviour is unaffected (it cycles the whole set).
 
-    ``pending[k]`` is a pair's ``(paths, cuts, itb_hosts)``.  Weights
+    ``pending[k]`` is a pair's :data:`Record`.  Weights
     are kept per directed hop, both directions charged, so the sum over
     a path's hops is its link weight.
     """
@@ -212,19 +197,17 @@ def assemble_itb_routes(g: NetworkGraph, candidates: Iterable[Candidates],
     a pair's alternatives fewest-ITBs-first (stable, so ties keep the
     producer's order, ascending by switch path for the minimal
     producer); ``balance_sp`` then promotes a load-balancing first
-    alternative.  Last, each pair's hops move into flat arrays and the
-    pair keeps a :data:`Record` of where they are.
+    alternative.  A pair keeps its :data:`Record` until its first
+    lookup.
     """
     n = g.num_switches
     hosts_at = [g.hosts_at(s) for s in g.switches()]
     turn = [0] * n                  # each switch's next in-transit host
     # the switch hop h leaves: a link's hop 0 leaves its lower end
     leaves = [s for link in g.links for s in (link.a, link.b)]
-    # key -> (paths, cuts, itb_hosts) until the hops are flattened,
-    # then the pair's Record
-    records: List = [None] * (n * n)
+    records: List[Optional[Record]] = [None] * (n * n)
     order = array("i")
-    # equal alternative-length and no-host tuples are one object each
+    # equal no-host tuples are one object
     shared: Dict[tuple, tuple] = {}
     for (src, dst), paths, cuts in candidates:
         if any(cuts):
@@ -257,22 +240,7 @@ def assemble_itb_routes(g: NetworkGraph, candidates: Iterable[Candidates],
         order.append(k)
     if balance_sp:
         _balance_first_alternatives(g, records)
-    chunks: List[array] = []
-    flat: List[int] = []
-    for k in order:
-        if len(flat) > _CHUNK:
-            chunks.append(hop_array(g.num_links))
-            chunks[-1].fromlist(flat)
-            flat = []
-        paths, cuts, itb_hosts = records[k]
-        lens = tuple(map(len, paths))
-        records[k] = (len(chunks), len(flat), shared.setdefault(lens, lens),
-                      cuts, itb_hosts)
-        flat.extend(chain.from_iterable(paths))
-    chunks.append(hop_array(g.num_links))
-    chunks[-1].fromlist(flat)
-    return RouteStore(n, order, records=records,
-                      build=_route_builder(g, chunks))
+    return RouteStore(n, order, records=records, build=_route_builder(g))
 
 
 def build_itb_routes(g: NetworkGraph, ud: UpDownOrientation,

@@ -110,11 +110,6 @@ def make_route(legs: Sequence[Leg], itb_hosts: Tuple[int, ...] = ()
     return (leg_overheads(tuple(map(len, legs))), itb_hosts, *legs)
 
 
-def route_legs(route: Route) -> Tuple[Leg, ...]:
-    """The legs of a store-form route."""
-    return route[2:]
-
-
 def route_hops(route: Route) -> int:
     """Inter-switch cables a store-form route crosses, over all legs."""
     return sum(map(len, route[2:]))

@@ -43,7 +43,7 @@ from itertools import accumulate, chain
 from typing import Dict, List, Tuple
 
 from ..topology.graph import NetworkGraph
-from .routes import Leg, hop_array, hop_ints, leg_overheads, leg_switches
+from .routes import Leg, hop_array, hop_ints, leg_switches, make_route
 from .table import Pair, RouteStore, interleaved_pairs
 from .updown import UpDownOrientation, legal_hops_to
 
@@ -134,6 +134,6 @@ def simple_route_table(g: NetworkGraph, ud: UpDownOrientation) -> RouteStore:
     order = array("i")
     for (src, dst), leg in simple_route_hops(g, ud).items():
         k = src * n + dst
-        alts[k] = ((leg_overheads((len(leg),)), (), leg),)
+        alts[k] = (make_route((leg,)),)
         order.append(k)
     return RouteStore(n, order, alts)

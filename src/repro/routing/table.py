@@ -26,7 +26,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from ..topology.graph import NetworkGraph
-from .routes import SourceRoute, hop_ints
+from .routes import SourceRoute, hop_ints, make_route
 from .updown import UpDownOrientation
 
 Pair = Tuple[int, int]
@@ -267,7 +267,7 @@ class RoutingTables:
         store = self.routes
         alts: List[Optional[tuple]] = [None] * len(store.alts)
         for k in store._order:
-            alts[k] = tuple((r[0], r[1], *map(remap, r[2:]))
+            alts[k] = tuple(make_route(list(map(remap, r[2:])), r[1])
                             for r in store.lookup(k))
         up_end = [-1] * (max(link_map.values()) + 1 if link_map else 0)
         for cur, out in link_map.items():

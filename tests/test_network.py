@@ -6,7 +6,7 @@ import pytest
 from repro.config import PAPER_PARAMS, SimConfig
 from repro.runner import run_simulation
 from repro.routing.policies import SinglePathPolicy
-from repro.routing.routes import RouteLeg, SourceRoute, route_legs
+from repro.routing.routes import RouteLeg, SourceRoute
 from repro.routing import RoutingTables, compute_tables
 from repro.routing.updown import orient_links
 from repro.sim.engine import DeadlockError, Simulator
@@ -349,7 +349,7 @@ class TestDeferredReleases:
         from repro.sim.invariants import audit
         sim, net = make_network(ring4, ring4_tables)
         pkt = net.send(0, 2)
-        first_hop = route_legs(pkt.route)[0][0]
+        first_hop = pkt.route[2][0]
         net.install_fault_plan(FaultPlan.at((kill_at, first_hop >> 1)))
         sim.run_until(kill_at - 1)
         net_ch = net._net_by_dir[first_hop]

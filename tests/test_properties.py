@@ -26,7 +26,7 @@ from repro.routing.reference import (count_minimal_paths,
 from repro.routing.simple_routes import compute_simple_routes
 from repro.routing.spanning_tree import build_spanning_tree
 from repro.routing.routes import (SourceRoute, hop, leg_switches,
-                                  path_hops, route_legs)
+                                  path_hops)
 from repro.routing.updown import UP, legal_dag_to, legal_hops_to, orient_links
 from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.engine import Simulator
@@ -356,7 +356,7 @@ def test_the_store_is_what_its_switch_level_views_say(g, cap):
             views[(src, dst)] = tables.source_routes(g, src, dst)
             for route, view in zip(alts, views[(src, dst)]):
                 assert view.src == src and view.dst == dst
-                assert route_legs(route) == tuple(
+                assert route[2:] == tuple(
                     leg.dir_hops for leg in view.legs)
                 assert route[1] == view.itb_hosts
                 assert route[0] == view.leg_overheads

@@ -8,7 +8,7 @@ import pytest
 
 from repro.routing import RoutingTables, compute_tables
 from repro.routing.routes import (RouteLeg, SourceRoute, hop, leg_switches,
-                                  route_hops, route_legs, route_links)
+                                  route_hops, route_links)
 from repro.routing.table import RouteStore
 from repro.runner import run_simulation
 from repro.topology import build_torus
@@ -100,7 +100,7 @@ class TestStoreForm:
         leg2 = RouteLeg.from_switch_path(g44, (2, 3))
         view = SourceRoute((leg1, leg2), (g44.hosts_at(2)[0],))
         route = view.to_store()
-        assert route_legs(route) == (leg1.dir_hops, leg2.dir_hops)
+        assert route[2:] == (leg1.dir_hops, leg2.dir_hops)
         assert route[1] == view.itb_hosts
         assert route[0] == view.leg_overheads == (4, 1)
         assert route_hops(route) == view.switch_hops == 3
@@ -164,8 +164,8 @@ class TestEveryTableIsOneStore:
                 assert new[:2] == old[:2]
                 assert route_links(new) == tuple(swap[lid] for lid
                                                  in route_links(old))
-                assert ([h & 1 for leg in route_legs(new) for h in leg]
-                        == [h & 1 for leg in route_legs(old) for h in leg])
+                assert ([h & 1 for leg in new[2:] for h in leg]
+                        == [h & 1 for leg in old[2:] for h in leg])
 
 
 class TestTableMemory:
