@@ -105,7 +105,11 @@ def run_peak_kb(cfg: SimConfig) -> int:
     """``tracemalloc`` peak, in kB, of one more run of ``cfg`` -- with
     its tables and schedule already memoised, so this is what the run
     itself allocates: the network, its arbitration state, the packets
-    in flight and the metrics."""
+    in flight and the metrics.  A full collection first empties the
+    free lists, as in :func:`table_kb`: allocations served from lists
+    that earlier work filled would otherwise escape the trace, and the
+    peak would depend on what ran before."""
+    gc.collect()
     tracemalloc.start()
     try:
         run_simulation(cfg)

@@ -18,7 +18,7 @@ Run:  python examples/custom_topology.py
 
 from repro import (DeadlockError, NetworkGraph, SimConfig, check_topology,
                    compute_tables, route_statistics, run_simulation)
-from repro.routing.routes import SourceRoute
+from repro.routing.routes import make_route, path_hops
 from repro.routing.table import RoutingTables
 from repro.registry import Kwarg
 from repro.topology import TOPOLOGIES, Topology
@@ -54,7 +54,7 @@ def clockwise_ring_tables(g, tables):
             while path[-1] != dst:
                 step = 3 if dst > path[-1] else -3
                 path.append(path[-1] + step)
-            routes[(src, dst)] = (SourceRoute.single_leg(g, tuple(path)),)
+            routes[(src, dst)] = (make_route([path_hops(g, path)]),)
     return RoutingTables("itb", 0, tables.orientation, routes)
 
 

@@ -54,7 +54,7 @@ def traced_packet() -> None:
     print("=== one in-transit packet, hop by hop ===\n")
     from repro.runner import get_graph, get_tables
     from repro.routing.policies import SinglePathPolicy
-    from repro.routing.routes import SourceRoute
+    from repro.routing.routes import route_switches
     from repro.sim import PacketTracer, Simulator, WormholeNetwork, \
         format_trace
     from repro.config import PAPER_PARAMS
@@ -72,9 +72,9 @@ def traced_packet() -> None:
             break
     assert pkt is not None
     sim.run_until_idle()
-    view = SourceRoute.from_store(g, src, pkt.route)
-    print(f"route: switches {view.switch_path}, "
-          f"in-transit hosts {view.itb_hosts}")
+    legs = " | ".join("->".join(map(str, switches))
+                      for switches in route_switches(g, src, pkt.route))
+    print(f"route legs: {legs}, in-transit hosts {pkt.route[1]}")
     print(format_trace(net.tracer, pkt.pid))
     print("\nNote the eject/reinject pair: the packet leaves the network"
           "\nentirely at the in-transit host (paying 275 + 200 ns) and"

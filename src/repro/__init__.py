@@ -38,8 +38,8 @@ _EXPORTS = {
                  "SaturationResult", "collect_link_stats",
                  "find_saturation"),
     ".perf": ("PerfReport", "profile_to"),
-    ".routing": ("RoutingTables", "SourceRoute", "compute_tables",
-                 "make_policy", "route_statistics"),
+    ".routing": ("RoutingTables", "compute_tables", "make_policy",
+                 "route_statistics"),
     ".sim": ("DeadlockError", "Packet", "PacketTracer", "format_trace",
              "Simulator", "NetworkModel", "UnsupportedCapability",
              "LinkChannelStats", "ItbStats", "make_network",

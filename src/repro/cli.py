@@ -238,7 +238,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         tables = get_tables(args.topology, {}, scheme)
         st = route_statistics(g, tables)
         tables.validate(g)      # a table that can deadlock stops here
-        deps = sum(map(len, tables.channel_dependencies(g).values()))
+        deps = sum(map(len, tables.channel_dependencies().values()))
         print(f"{scheme:7s}: {st.fraction_minimal:6.1%} minimal, "
               f"avg distance {st.avg_distance_sp:.2f}, "
               f"{st.avg_alternatives:.1f} alternatives/pair, "

@@ -14,9 +14,10 @@ The pipeline mirrors Section 2--3 of the paper:
    searches the tests compare the per-destination kernels against.
 5. :mod:`itb` splits minimal paths that violate the up*/down* rule into
    legal sub-routes joined at in-transit hosts, producing the ITB routes.
-6. :mod:`table` holds per-pair route tables (:class:`RouteStore`, the
-   directed-hop form of :mod:`routes` every engine reads, builds a
-   pair's routes on its first lookup);
+6. :mod:`table` holds per-pair route tables (:class:`RouteStore`:
+   routes in the directed-hop form of :mod:`routes`, the one spelling
+   of a route and the one every engine reads, each pair's built on its
+   first lookup);
    :mod:`policies` implements the SP / RR (and extension: random)
    path-selection policies.
 7. :mod:`analysis` computes the route-quality statistics quoted in the
@@ -40,7 +41,6 @@ graph is acyclic.
 
 from __future__ import annotations
 
-from .routes import RouteLeg, SourceRoute
 from .spanning_tree import SpanningTree, build_spanning_tree
 from .updown import UpDownOrientation, orient_links
 from .simple_routes import compute_simple_routes
@@ -56,8 +56,6 @@ from .policies import (POLICIES, PathSelectionPolicy, PolicySpec,
 from .analysis import route_statistics, RouteStats
 
 __all__ = [
-    "RouteLeg",
-    "SourceRoute",
     "SpanningTree",
     "build_spanning_tree",
     "UpDownOrientation",

@@ -30,17 +30,17 @@ one object each (a table interns them), and the hop numbers are the
 interned ints of :func:`hop_ints`.  A leg does not name its switches:
 the pair key gives the first, and the links fix every later one.
 
-:class:`RouteLeg` and :class:`SourceRoute` are the switch-level *view*
-of a route, built on demand (:meth:`SourceRoute.from_store`) for
-readers that name switches -- a test, a digest, a stall report -- and
-the way a hand-written table is spelled (:meth:`SourceRoute.to_store`).
-Nothing on a simulation's run path holds one.
+This is the only spelling of a route.  A hand-written table spells
+each leg from its switch path with :func:`path_hops` and joins the
+legs with :func:`make_route`; a reader that names switches -- a test,
+a digest, a stall report -- walks the hops back with
+:func:`leg_switches` / :func:`route_switches`.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..topology.graph import NetworkGraph
 
@@ -67,7 +67,8 @@ def hop(link_id: int, frm: int, to: int) -> int:
 
 
 def path_hops(g: NetworkGraph, path: Sequence[int]) -> Leg:
-    """The directed hops along switch path ``path`` of ``g``."""
+    """The directed hops along switch path ``path`` of ``g``;
+    :class:`ValueError` where no link joins two consecutive switches."""
     return tuple(map(hop, g.path_links(path), path, path[1:]))
 
 
@@ -130,166 +131,12 @@ def leg_switches(g: NetworkGraph, start: int, leg: Leg) -> Tuple[int, ...]:
     return tuple(out)
 
 
-class RouteLeg:
-    """One deadlock-free sub-path: ``switches[i] -> switches[i+1]`` over
-    ``links[i]``.  A leg with a single switch and no links is valid (the
-    source and target of the leg share a switch).
-
-    A value object: readers get one from :meth:`SourceRoute.from_store`,
-    and a hand-written table builds its routes from them.
-    """
-
-    __slots__ = ("switches", "links")
-
-    def __init__(self, switches: Tuple[int, ...],
-                 links: Tuple[int, ...]) -> None:
-        if not switches:
-            raise ValueError("a leg must contain at least one switch")
-        if len(links) != len(switches) - 1:
-            raise ValueError(
-                f"leg with {len(switches)} switches needs "
-                f"{len(switches) - 1} links, got {len(links)}")
-        self.switches = switches
-        self.links = links
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is RouteLeg:
-            return (self.switches == other.switches
-                    and self.links == other.links)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.switches, self.links))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RouteLeg(switches={self.switches!r}, links={self.links!r})"
-
-    @property
-    def hops(self) -> int:
-        """Number of inter-switch cables crossed."""
-        return len(self.links)
-
-    @property
-    def start(self) -> int:
-        return self.switches[0]
-
-    @property
-    def end(self) -> int:
-        return self.switches[-1]
-
-    @property
-    def dir_hops(self) -> Leg:
-        """The leg in store form: the directed hop (:func:`hop`) of each
-        cable crossed."""
-        sw = self.switches
-        return tuple(map(hop, self.links, sw, sw[1:]))
-
-    @staticmethod
-    def from_switch_path(g: NetworkGraph, path: Tuple[int, ...]) -> "RouteLeg":
-        """Build a leg from a switch sequence, resolving link ids."""
-        return RouteLeg(tuple(path), g.path_links(path))
-
-
-class SourceRoute:
-    """A complete switch-to-switch route, possibly via in-transit hosts.
-
-    ``itb_hosts[i]`` is the host where the packet is ejected between
-    ``legs[i]`` and ``legs[i+1]``; it must be attached to
-    ``legs[i].end == legs[i+1].start``.  The switch-level view of a
-    store-form route (see the module docstring); a value object.
-    """
-
-    __slots__ = ("legs", "itb_hosts")
-
-    def __init__(self, legs: Tuple[RouteLeg, ...],
-                 itb_hosts: Tuple[int, ...] = ()) -> None:
-        if not legs:
-            raise ValueError("a route needs at least one leg")
-        if len(itb_hosts) != len(legs) - 1:
-            raise ValueError(
-                f"{len(legs)} legs need {len(legs) - 1} "
-                f"in-transit hosts, got {len(itb_hosts)}")
-        prev = legs[0]
-        for nxt in legs[1:]:
-            if prev.end != nxt.start:
-                raise ValueError(
-                    f"legs do not chain: {prev.end} != {nxt.start}")
-            prev = nxt
-        self.legs = legs
-        self.itb_hosts = itb_hosts
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is SourceRoute:
-            return (self.legs == other.legs
-                    and self.itb_hosts == other.itb_hosts)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.legs, self.itb_hosts))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SourceRoute(legs={self.legs!r}, "
-                f"itb_hosts={self.itb_hosts!r})")
-
-    @property
-    def src(self) -> int:
-        return self.legs[0].start
-
-    @property
-    def dst(self) -> int:
-        return self.legs[-1].end
-
-    @property
-    def num_itbs(self) -> int:
-        """Number of in-transit buffer hops (ejection/re-injection points)."""
-        return len(self.itb_hosts)
-
-    @property
-    def switch_hops(self) -> int:
-        """Total inter-switch cables crossed, summed over legs."""
-        return sum(leg.hops for leg in self.legs)
-
-    @property
-    def switch_path(self) -> Tuple[int, ...]:
-        """Flattened switch sequence (in-transit switches appear once)."""
-        path = list(self.legs[0].switches)
-        for leg in self.legs[1:]:
-            path.extend(leg.switches[1:])
-        return tuple(path)
-
-    @property
-    def link_ids(self) -> Tuple[int, ...]:
-        """All link ids crossed, in order."""
-        return tuple(l for leg in self.legs for l in leg.links)
-
-    @property
-    def leg_overheads(self) -> Tuple[int, ...]:
-        """Header bytes carried during each leg (:func:`leg_overheads`)."""
-        return leg_overheads(tuple(leg.hops for leg in self.legs))
-
-    def iter_links(self) -> Iterator[int]:
-        """All link ids crossed, in order."""
-        for leg in self.legs:
-            yield from leg.links
-
-    def to_store(self) -> Route:
-        """This route in store form."""
-        return make_route([leg.dir_hops for leg in self.legs],
-                          tuple(self.itb_hosts))
-
-    @staticmethod
-    def from_store(g: NetworkGraph, src: int, route: Route) -> "SourceRoute":
-        """The switch-level view of store-form ``route`` leaving switch
-        ``src`` of ``g``."""
-        legs = []
-        at = src
-        for leg in route[2:]:
-            switches = leg_switches(g, at, leg)
-            legs.append(RouteLeg(switches, tuple(h >> 1 for h in leg)))
-            at = switches[-1]
-        return SourceRoute(tuple(legs), route[1])
-
-    @staticmethod
-    def single_leg(g: NetworkGraph, path: Tuple[int, ...]) -> "SourceRoute":
-        """Convenience: a route that is one plain up*/down* path."""
-        return SourceRoute((RouteLeg.from_switch_path(g, path),))
+def route_switches(g: NetworkGraph, src: int, route: Route
+                   ) -> Tuple[Tuple[int, ...], ...]:
+    """The switches each leg of store-form ``route`` visits: the first
+    leg leaves switch ``src``, each later one the switch the one
+    before it reached (where its in-transit host sits)."""
+    out: List[Tuple[int, ...]] = []
+    for leg in route[2:]:
+        out.append(leg_switches(g, out[-1][-1] if out else src, leg))
+    return tuple(out)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import PAPER_PARAMS
 from repro.routing.policies import AdaptivePolicy, make_policy
-from repro.routing.routes import SourceRoute
+from repro.routing.routes import make_route, path_hops
 from repro.sim.packet import Packet
 from repro.topology import build_torus
 
@@ -16,7 +16,7 @@ def g():
 
 @pytest.fixture(scope="module")
 def alts(g):
-    return tuple(SourceRoute.single_leg(g, p).to_store()
+    return tuple(make_route([path_hops(g, p)])
                  for p in [(0, 1, 5), (0, 4, 5), (0, 3, 7, 6, 5)])
 
 
@@ -115,7 +115,7 @@ class TestAdaptivePolicy:
         deliver(p, alts[0], 0, 10, 9_000_000, alt_index=0)
         deliver(p, alts[2], 0, 10, 9_000_000, alt_index=2)
         # rebuild: fresh route objects, same paths, new ids
-        rebuilt = tuple(SourceRoute.single_leg(g, path).to_store()
+        rebuilt = tuple(make_route([path_hops(g, path)])
                         for path in [(0, 1, 5), (0, 4, 5),
                                      (0, 3, 7, 6, 5)])
         assert all(a is not b for a, b in zip(alts, rebuilt))

@@ -17,7 +17,7 @@ import pytest
 from repro.config import PAPER_PARAMS
 from repro.runner import run_simulation
 from repro.routing.policies import make_policy
-from repro.routing.routes import RouteLeg, SourceRoute, route_links
+from repro.routing.routes import make_route, path_hops, route_links
 from repro.routing import RoutingTables, compute_tables
 from repro.sim import (FaultPlan, LinkFault,
                        ReliableParams, ReliableTransport, Simulator,
@@ -309,9 +309,8 @@ class TestItbLegDrop:
     def test_pool_credited_back(self, engine, torus44_graph):
         base = compute_tables(torus44_graph, "updown")
         via = torus44_graph.hosts_at(1)[0]
-        forced = SourceRoute(
-            (RouteLeg.from_switch_path(torus44_graph, (0, 1)),
-             RouteLeg.from_switch_path(torus44_graph, (1, 2))), (via,))
+        forced = make_route([path_hops(torus44_graph, (0, 1)),
+                             path_hops(torus44_graph, (1, 2))], (via,))
         custom = dict(base.routes)
         custom[(0, 2)] = (forced,)  # switch-pair key; host 4 sits on sw 2
         tables = RoutingTables("itb", 0, base.orientation, custom)
@@ -321,7 +320,7 @@ class TestItbLegDrop:
         # kill the second leg's cable while the worm is still on leg 0
         # (header needs > 150 ns routing + injection DMA to clear it)
         net.install_fault_plan(
-            FaultPlan.at((ns(400), forced.legs[1].links[0])))
+            FaultPlan.at((ns(400), route_links(forced)[1])))
         sim.run_until_idle(max_time_ps=ns(10_000_000))
         assert net.delivered + net.dropped == 1
         assert net.in_flight == 0

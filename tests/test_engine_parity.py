@@ -18,7 +18,7 @@ import pytest
 from repro.config import PAPER_PARAMS
 from repro.runner import run_simulation
 from repro.routing.policies import make_policy
-from repro.routing.routes import RouteLeg, SourceRoute, route_links
+from repro.routing.routes import make_route, path_hops, route_links
 from repro.routing import RoutingTables, compute_tables
 from repro.sim import (CAP_DYNAMIC_FAULTS, CAP_ITB_POOL,
                        CAP_RELIABLE_DELIVERY, CAP_TRACE, ENGINES,
@@ -177,9 +177,9 @@ class TestDrainedParity:
         tables = compute_tables(torus44_graph, "updown")
         via = torus44_graph.hosts_at(1)[0]
         custom = dict(tables.routes)
-        custom[(0, 2)] = (SourceRoute(
-            (RouteLeg.from_switch_path(torus44_graph, (0, 1)),
-             RouteLeg.from_switch_path(torus44_graph, (1, 2))), (via,)),)
+        custom[(0, 2)] = (make_route([path_hops(torus44_graph, (0, 1)),
+                                      path_hops(torus44_graph, (1, 2))],
+                                     (via,)),)
         t = RoutingTables("itb", 0, tables.orientation, custom)
         sequences = {}
         for name in EVENT_ENGINES:

@@ -123,14 +123,13 @@ class TestStopAndGo:
 class TestInTransit:
     def test_itb_flows_end_to_end(self, ring4):
         """Force a 2-leg ITB route and verify flit-level forwarding."""
-        from repro.routing.routes import RouteLeg, SourceRoute
+        from repro.routing.routes import make_route, path_hops
         from repro.routing.table import RoutingTables
         tables = compute_tables(ring4, "updown")
         via = ring4.hosts_at(1)[0]
-        leg1 = RouteLeg.from_switch_path(ring4, (0, 1))
-        leg2 = RouteLeg.from_switch_path(ring4, (1, 2))
         custom = dict(tables.routes)
-        custom[(0, 2)] = (SourceRoute((leg1, leg2), (via,)),)
+        custom[(0, 2)] = (make_route([path_hops(ring4, (0, 1)),
+                                      path_hops(ring4, (1, 2))], (via,)),)
         t = RoutingTables("itb", 0, tables.orientation, custom)
         sim, net = make_flit_network(ring4, t)
         pkt = net.send(0, 4)
@@ -143,14 +142,13 @@ class TestInTransit:
             + P.itb_dma_setup_ps
 
     def test_itb_counters_cleaned_up(self, ring4):
-        from repro.routing.routes import RouteLeg, SourceRoute
+        from repro.routing.routes import make_route, path_hops
         from repro.routing.table import RoutingTables
         tables = compute_tables(ring4, "updown")
         via = ring4.hosts_at(1)[0]
         custom = dict(tables.routes)
-        custom[(0, 2)] = (SourceRoute(
-            (RouteLeg.from_switch_path(ring4, (0, 1)),
-             RouteLeg.from_switch_path(ring4, (1, 2))), (via,)),)
+        custom[(0, 2)] = (make_route([path_hops(ring4, (0, 1)),
+                                      path_hops(ring4, (1, 2))], (via,)),)
         t = RoutingTables("itb", 0, tables.orientation, custom)
         sim, net = make_flit_network(ring4, t)
         net.send(0, 4)

@@ -18,7 +18,7 @@ import pytest
 from repro.config import PAPER_PARAMS, SimConfig
 from repro.runner import run_simulation
 from repro.routing.policies import SinglePathPolicy
-from repro.routing.routes import SourceRoute
+from repro.routing.routes import make_route, path_hops
 from repro.routing import RoutingTables, compute_tables
 from repro.routing.updown import orient_links
 from repro.sim.base import NetworkModel
@@ -131,8 +131,7 @@ class TestDeadlockDiagnosis:
                 path = [s]
                 while path[-1] != d:
                     path.append((path[-1] + 1) % n)
-                routes[(s, d)] = (
-                    SourceRoute.single_leg(ring, tuple(path)),)
+                routes[(s, d)] = (make_route([path_hops(ring, path)]),)
         tables = RoutingTables("itb", 0, ud, routes)
         # the static proof refuses the table the run is about to wedge on
         with pytest.raises(AssertionError,

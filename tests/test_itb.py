@@ -4,8 +4,8 @@ import pytest
 
 from repro.routing.itb import build_itb_routes, split_path_at_violations
 from repro.routing.reference import enumerate_minimal_paths
-from repro.routing.routes import (SourceRoute, hop_ints, leg_overheads,
-                                  route_links)
+from repro.routing.routes import (hop_ints, leg_overheads, route_hops,
+                                  route_links, route_switches)
 from repro.routing.updown import orient_links
 from repro.topology import build_torus
 
@@ -87,16 +87,10 @@ class TestSplit:
             split_path_at_violations(g88, ud88, [0, 9])
 
 
-def views(g, store):
-    """A table's routes as switch-level :class:`SourceRoute` views."""
-    return {pair: tuple(SourceRoute.from_store(g, pair[0], r) for r in alts)
-            for pair, alts in store.items()}
-
-
 class TestBuildItbRoutes:
     @pytest.fixture(scope="class")
     def routes(self, g88, ud88):
-        return views(g88, build_itb_routes(g88, ud88, max_routes_per_pair=4))
+        return build_itb_routes(g88, ud88, max_routes_per_pair=4)
 
     def test_every_pair_covered(self, g88, routes):
         n = g88.num_switches
@@ -107,7 +101,7 @@ class TestBuildItbRoutes:
             dist = g88.shortest_distances(dst)
             for src in g88.switches():
                 for r in routes[(src, dst)]:
-                    assert r.switch_hops == dist[src]
+                    assert route_hops(r) == dist[src]
 
     def test_cap_respected(self, routes):
         assert all(1 <= len(alts) <= 4 for alts in routes.values())
@@ -115,26 +109,24 @@ class TestBuildItbRoutes:
     def test_itb_hosts_on_boundary_switches(self, g88, routes):
         for (src, dst), alts in routes.items():
             for r in alts:
-                for host, (a, b) in zip(r.itb_hosts,
-                                        zip(r.legs, r.legs[1:])):
-                    assert g88.host_switch(host) == a.end == b.start
+                legs = route_switches(g88, src, r)
+                for host, (a, b) in zip(r[1], zip(legs, legs[1:])):
+                    assert g88.host_switch(host) == a[-1] == b[0]
 
     def test_legs_individually_legal(self, g88, ud88, routes):
         """The deadlock-freedom requirement of Section 3."""
-        for alts in routes.values():
+        for (src, _dst), alts in routes.items():
             for r in alts:
-                for leg in r.legs:
-                    assert ud88.path_is_legal(g88, leg.switches)
+                for leg in route_switches(g88, src, r):
+                    assert ud88.path_is_legal(g88, leg)
 
     def test_some_routes_need_itbs(self, routes):
-        assert any(r.num_itbs > 0
-                   for alts in routes.values() for r in alts)
+        assert any(r[1] for alts in routes.values() for r in alts)
 
     def test_itb_duty_spread_over_hosts(self, g88, routes):
         """The shared host cycler should not put every in-transit stop
         on host 0 of each switch."""
-        used = {h for alts in routes.values() for r in alts
-                for h in r.itb_hosts}
+        used = {h for alts in routes.values() for r in alts for h in r[1]}
         switches_used = {g88.host_switch(h) for h in used}
         # at least one switch has more than one of its hosts on ITB duty
         assert any(len([h for h in used if g88.host_switch(h) == s]) > 1

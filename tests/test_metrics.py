@@ -10,12 +10,12 @@ from repro.metrics.collector import LatencyCollector
 from repro.metrics.linkstats import LinkUtilization
 from repro.metrics.saturation import find_saturation
 from repro.metrics.summary import RunSummary
-from repro.routing.routes import RouteLeg, SourceRoute
+from repro.routing.routes import make_route
 from repro.sim.packet import Packet
 
 
 def mk_packet(created, injected, delivered, payload=512, pid=0):
-    route = SourceRoute((RouteLeg((0,), ()),)).to_store()
+    route = make_route([()])
     p = Packet(pid, 0, 1, payload, route, created, PAPER_PARAMS)
     p.injected_ps = injected
     p.delivered_ps = delivered

@@ -6,7 +6,7 @@ import pytest
 from repro.config import PAPER_PARAMS, SimConfig
 from repro.runner import run_simulation
 from repro.routing.policies import SinglePathPolicy
-from repro.routing.routes import RouteLeg, SourceRoute
+from repro.routing.routes import make_route, path_hops
 from repro.routing import RoutingTables, compute_tables
 from repro.routing.updown import orient_links
 from repro.sim.engine import DeadlockError, Simulator
@@ -126,9 +126,8 @@ class TestContention:
 
 def itb_route(g, via_host):
     """Two-leg route 0 -> 2 with an in-transit stop at switch 1."""
-    leg1 = RouteLeg.from_switch_path(g, (0, 1))
-    leg2 = RouteLeg.from_switch_path(g, (1, 2))
-    return SourceRoute((leg1, leg2), (via_host,))
+    return make_route([path_hops(g, (0, 1)), path_hops(g, (1, 2))],
+                      (via_host,))
 
 
 class TestInTransitBuffers:
@@ -206,7 +205,7 @@ class TestDeadlock:
                 path = [s]
                 while path[-1] != d:
                     path.append((path[-1] + 1) % n)
-                routes[(s, d)] = (SourceRoute.single_leg(ring4, tuple(path)),)
+                routes[(s, d)] = (make_route([path_hops(ring4, path)]),)
         t = RoutingTables("itb", 0, ud, routes)
         with pytest.raises(AssertionError,
                            match="channel dependency cycle"):
@@ -375,7 +374,7 @@ class TestDeferredReleases:
                 path = [s]
                 while path[-1] != d:
                     path.append((path[-1] + 1) % n)
-                routes[(s, d)] = (SourceRoute.single_leg(ring4, tuple(path)),)
+                routes[(s, d)] = (make_route([path_hops(ring4, path)]),)
         t = RoutingTables("itb", 0, orient_links(ring4, 0), routes)
         sim, net = make_network(ring4, t)
         pattern, arrivals = make_workload(ring4, "uniform", {}, "constant",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import PAPER_PARAMS
-from repro.routing.routes import RouteLeg, SourceRoute
+from repro.routing.routes import make_route, path_hops
 from repro.sim.channel import Channel, DEL, INJ, NET
 from repro.sim.nic import Nic
 from repro.sim.packet import Packet
@@ -19,10 +19,10 @@ def g():
 
 def two_leg_packet(g, payload=512):
     """0 ->(2 hops) 2 | itb | 2 ->(1 hop) 3 route, as a packet."""
-    leg1 = RouteLeg.from_switch_path(g, (0, 1, 2))
-    leg2 = RouteLeg.from_switch_path(g, (2, 3))
+    leg1 = path_hops(g, (0, 1, 2))
+    leg2 = path_hops(g, (2, 3))
     via = g.hosts_at(2)[0]
-    route = SourceRoute((leg1, leg2), (via,)).to_store()
+    route = make_route([leg1, leg2], (via,))
     return Packet(0, g.hosts_at(0)[0], g.hosts_at(3)[0], payload, route,
                   created_ps=0, params=P)
 
@@ -39,7 +39,7 @@ class TestPacketWireBytes:
         assert pkt.wire_bytes(1) == 512 + 2 + 1
 
     def test_single_leg(self, g):
-        route = SourceRoute.single_leg(g, (0, 1)).to_store()
+        route = make_route([path_hops(g, (0, 1))])
         pkt = Packet(1, 0, 2, 100, route, 0, P)
         assert pkt.wire_bytes(0) == 100 + 2 + 1
 

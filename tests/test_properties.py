@@ -25,8 +25,8 @@ from repro.routing.reference import (count_minimal_paths,
                                      legal_shortest_distances)
 from repro.routing.simple_routes import compute_simple_routes
 from repro.routing.spanning_tree import build_spanning_tree
-from repro.routing.routes import (SourceRoute, hop, leg_switches,
-                                  path_hops)
+from repro.routing.routes import (hop, leg_overheads, leg_switches,
+                                  path_hops, route_hops, route_switches)
 from repro.routing.updown import UP, legal_dag_to, legal_hops_to, orient_links
 from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.engine import Simulator
@@ -120,11 +120,10 @@ def test_itb_routes_minimal_and_boundary_hosts_correct(g):
         dist = g.shortest_distances(dst)
         for src in g.switches():
             for r in routes[(src, dst)]:
-                r = SourceRoute.from_store(g, src, r)
-                assert r.switch_hops == max(dist[src], 0)
-                for host, (a, b) in zip(r.itb_hosts,
-                                        zip(r.legs, r.legs[1:])):
-                    assert g.host_switch(host) == a.end == b.start
+                assert route_hops(r) == max(dist[src], 0)
+                legs = route_switches(g, src, r)
+                for host, (a, b) in zip(r[1], zip(legs, legs[1:])):
+                    assert g.host_switch(host) == a[-1] == b[0]
 
 
 @given(graphs)
@@ -344,26 +343,21 @@ def test_itb_records_equal_the_generic_assembly(g, root_raw, cap,
 @given(graphs16, st.sampled_from([1, 3, 10]))
 @SLOW
 def test_the_store_is_what_its_switch_level_views_say(g, cap):
-    """Every scheme's table, every alternative: the hops the engines
-    read are the directed hops of its switch-level view, its in-transit
-    hosts and header overheads are the view's, the view names cables
-    that join its switches, and a table spelled from its own views
-    normalises back to the same store, pairs in the same order."""
+    """Every scheme's table, read from the store alone: it passes
+    ``validate`` (each hop leaves the switch its walk has reached, the
+    in-transit hosts sit on the leg boundaries, the walk ends at the
+    pair's destination, no dependency cycle), every route carries the
+    header overheads its leg lengths give, and a table spelled from
+    its own items normalises back to the same store, pairs in the same
+    order."""
     for scheme in SCHEMES.supported(g):
         tables = compute_tables(g, scheme, 0, cap)
-        views = {}
-        for (src, dst), alts in tables.routes.items():
-            views[(src, dst)] = tables.source_routes(g, src, dst)
-            for route, view in zip(alts, views[(src, dst)]):
-                assert view.src == src and view.dst == dst
-                assert route[2:] == tuple(
-                    leg.dir_hops for leg in view.legs)
-                assert route[1] == view.itb_hosts
-                assert route[0] == view.leg_overheads
-                assert all(_links_join(g, leg.switches, leg.links)
-                           for leg in view.legs)
+        tables.validate(g)
+        for alts in tables.routes.values():
+            for route in alts:
+                assert route[0] == leg_overheads(tuple(map(len, route[2:])))
         again = RoutingTables(scheme, tables.root, tables.orientation,
-                              views)
+                              dict(tables.routes.items()))
         assert list(again.routes.items()) == list(tables.routes.items())
 
 

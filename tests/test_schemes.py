@@ -27,7 +27,8 @@ import weakref
 import pytest
 
 from repro.config import PAPER_PARAMS, SimConfig
-from repro.routing.routes import RouteLeg, SourceRoute, route_hops
+from repro.routing.routes import (leg_switches, make_route, path_hops,
+                                  route_hops, route_switches)
 from repro.routing.schemes import (SCHEMES, Scheme, build_updown_tables,
                                    scheme_label)
 from repro.routing.angara import select_root
@@ -232,17 +233,17 @@ class TestDisciplineChecks:
         # one illegal leg alone closes no dependency cycle: the table
         # is deadlock-free in fact, and validate says so
         RoutingTables("updown", 0, ud,
-                      {(src, dst): (SourceRoute.single_leg(g, path),)}
+                      {(src, dst): (make_route([path_hops(g, path)]),)}
                       ).validate(g)
         # that no builder of the up*/down* family emits such a leg is a
         # fact about those builders, under the orientation they return
         for name in ("updown", "itb", "updown-opt", "outflank"):
             tables = compute_tables(g, name)
-            for pair in tables.routes:
-                for route in tables.source_routes(g, *pair):
-                    for leg in route.legs:
+            for (src, _dst), alts in tables.routes.items():
+                for route in alts:
+                    for leg in route_switches(g, src, route):
                         assert tables.orientation.path_is_legal(
-                            g, leg.switches), (name, leg.switches)
+                            g, leg), (name, leg)
 
     def test_dimension_order_check_catches_yx_route(self, mesh44):
         g = mesh44
@@ -253,22 +254,22 @@ class TestDisciplineChecks:
         # adding it to the table closes no cycle (deadlock-free in fact)
         RoutingTables("dor", good.root, good.orientation,
                       {**good.routes,
-                       (yx[0], yx[-1]): (SourceRoute.single_leg(g, yx),)}
+                       (yx[0], yx[-1]): (make_route([path_hops(g, yx)]),)}
                       ).validate(g)
         # but it is not what DOR emits: every route is the one X-then-Y
         # leg of dor_path
         assert dor_path(g, yx[0], yx[-1], 4, 4, False) != yx
-        for (src, dst) in good.routes:
-            (route,) = good.source_routes(g, src, dst)
-            assert route.switch_path == dor_path(g, src, dst, 4, 4, False)
-            assert route.num_itbs == 0
+        for (src, dst), (route,) in good.routes.items():
+            assert route[1] == () and len(route) == 3
+            assert (leg_switches(g, src, route[2])
+                    == dor_path(g, src, dst, 4, 4, False))
 
     def test_dimension_order_tables_get_the_hop_check(self, mesh44):
         g = mesh44
         good = compute_tables(g, "dor")
         pair = (g.grid.switch(0, 0), g.grid.switch(1, 1))
-        (leg,) = good.source_routes(g, *pair)[0].legs
-        swapped = SourceRoute((RouteLeg(leg.switches, leg.links[::-1]),))
+        (leg,) = good.routes[pair][0][2:]
+        swapped = make_route([leg[::-1]])
         bad = RoutingTables("dor", good.root, good.orientation,
                             {**good.routes, pair: (swapped,)})
         with pytest.raises(AssertionError, match="does not join"):
@@ -282,9 +283,9 @@ class TestDisciplineChecks:
         a, b = g.grid.switch(0, 0), g.grid.switch(0, 1)
         zig = (a, b, a, b)
         routes = dict(good.routes)
-        routes[(zig[0], zig[-1])] = (SourceRoute.single_leg(g, zig),)
+        routes[(zig[0], zig[-1])] = (make_route([path_hops(g, zig)]),)
         bad = RoutingTables("dor", good.root, good.orientation, routes)
-        cycle = bad.dependency_cycle(g)
+        cycle = bad.dependency_cycle()
         lid = g.link_between(a, b)
         assert sorted(cycle) == [lid << 1, lid << 1 | 1]
         with pytest.raises(AssertionError, match=(
@@ -300,11 +301,8 @@ class TestDisciplineChecks:
         g = torus44
         ud = orient_links(g, 0, build_spanning_tree(g, 0))
         split = build_itb_routes(g, ud, 10, False)
-        unsplit = {
-            pair: tuple(SourceRoute.single_leg(
-                g, SourceRoute.from_store(g, pair[0], r).switch_path)
-                        for r in alts)
-            for pair, alts in split.items()}
+        unsplit = {pair: tuple(make_route([sum(r[2:], ())]) for r in alts)
+                   for pair, alts in split.items()}
         # the first ring of the torus, all the way round
         with pytest.raises(AssertionError, match=(
                 r"channel dependency cycle 0->1 \(link 0\), "
@@ -358,7 +356,7 @@ class TestChecksSurviveOptimisation:
         script = textwrap.dedent("""
             from repro.routing import (RoutingTables, build_itb_routes,
                                        build_spanning_tree, orient_links)
-            from repro.routing.routes import SourceRoute
+            from repro.routing.routes import make_route
             from repro.topology import (NetworkGraph, build_torus,
                                         check_topology)
 
@@ -370,9 +368,7 @@ class TestChecksSurviveOptimisation:
             g = build_torus(rows=4, cols=4, hosts_per_switch=2)
             ud = orient_links(g, 0, build_spanning_tree(g, 0))
             unsplit = {
-                pair: tuple(SourceRoute.single_leg(
-                    g, SourceRoute.from_store(g, pair[0], r).switch_path)
-                            for r in alts)
+                pair: tuple(make_route([sum(r[2:], ())]) for r in alts)
                 for pair, alts in build_itb_routes(g, ud, 10).items()}
             try:
                 RoutingTables("itb", 0, ud, unsplit).validate(g)

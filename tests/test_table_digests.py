@@ -5,7 +5,7 @@ builders (per-destination kernels, carried link ids) must leave every
 ``pair -> alternatives`` entry byte-identical.  This suite pins the
 sha-256 of the canonical listing
 
-    (pair, [([(leg.switches, leg.links), ...], itb_hosts), ...])
+    (pair, [([(leg_switches, leg_links), ...], itb_hosts), ...])
 
 for every registered scheme on six fabrics at ``root=0,
 max_routes_per_pair=10`` (plus, for ``itb``, the fewest-ITBs-first
@@ -31,6 +31,7 @@ import pytest
 from repro.routing import (SCHEMES, RoutingTables, build_itb_routes,
                            build_spanning_tree, compute_tables,
                            orient_links)
+from repro.routing.routes import route_switches
 from repro.topology import build
 
 #: label -> (registered topology, builder kwargs)
@@ -63,9 +64,10 @@ def table_digest(tables, g) -> str:
     listing = [(tables.root, tables.orientation.up_end)]
     for pair in sorted(tables.routes):
         listing.append((pair, [
-            ([(leg.switches, leg.links) for leg in route.legs],
-             route.itb_hosts)
-            for route in tables.source_routes(g, *pair)]))
+            (list(zip(route_switches(g, pair[0], route),
+                      (tuple(h >> 1 for h in leg) for leg in route[2:]))),
+             route[1])
+            for route in tables.routes[pair]]))
     return hashlib.sha256(repr(listing).encode()).hexdigest()
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import PAPER_PARAMS
 from repro.routing.policies import SinglePathPolicy
-from repro.routing.routes import RouteLeg, SourceRoute, route_links
+from repro.routing.routes import make_route, path_hops, route_links
 from repro.routing import RoutingTables, compute_tables
 from repro.sim.engine import Simulator
 from repro.sim.network import WormholeNetwork
@@ -82,9 +82,8 @@ class TestTracedSimulation:
         tables = compute_tables(ring4, "updown")
         via = ring4.hosts_at(1)[0]
         custom = dict(tables.routes)
-        custom[(0, 2)] = (SourceRoute(
-            (RouteLeg.from_switch_path(ring4, (0, 1)),
-             RouteLeg.from_switch_path(ring4, (1, 2))), (via,)),)
+        custom[(0, 2)] = (make_route([path_hops(ring4, (0, 1)),
+                                      path_hops(ring4, (1, 2))], (via,)),)
         t = RoutingTables("itb", 0, tables.orientation, custom)
         tracer = PacketTracer()
         sim, net = traced_network(ring4, t, tracer)

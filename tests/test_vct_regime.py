@@ -11,7 +11,7 @@ import pytest
 
 from repro.config import PAPER_PARAMS
 from repro.routing.policies import SinglePathPolicy
-from repro.routing.routes import SourceRoute
+from repro.routing.routes import make_route, path_hops
 from repro.routing import RoutingTables, compute_tables
 from repro.sim.engine import Simulator
 from repro.sim.network import WormholeNetwork
@@ -36,7 +36,7 @@ def forced_tables(g):
             path = tuple(range(lo, hi + 1))
             if s > d:
                 path = path[::-1]
-            routes[(s, d)] = (SourceRoute.single_leg(g, path),)
+            routes[(s, d)] = (make_route([path_hops(g, path)]),)
     return RoutingTables("updown", 0, ud, routes)
 
 
