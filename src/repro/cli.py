@@ -42,9 +42,9 @@ Commands
 ``fabric worker``
     A remote campaign worker: listens on ``--listen host:port`` and
     executes tasks leased to it by a coordinator (any command run with
-    ``--fabric``).  With ``--tls --tls-cert PEM --tls-key PEM`` every
-    session is TLS-wrapped; the coordinator pins the matching bundle
-    with ``--tls-ca PEM``.
+    ``--fabric``).  With ``--tls-cert PEM --tls-key PEM`` every session
+    is TLS-wrapped; the coordinator pins the matching bundle with
+    ``--tls-ca PEM``.
 
 ``serve``
     Long-running HTTP service: accepts campaign specs on
@@ -166,7 +166,7 @@ _EXEC_FLAGS = {
     "--tls-ca": dict(dest="tls_ca", metavar="PEM",
                      help="pin fabric worker connections to this CA "
                           "bundle (workers must serve the matching "
-                          "certificate via --tls)"),
+                          "certificate via --tls-cert)"),
 }
 
 
@@ -369,14 +369,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def cmd_fabric(args: argparse.Namespace) -> int:
     from .orchestrator.fabric import worker_main
     if args.fabric_cmd == "worker":
-        if args.tls and not (args.tls_cert and args.tls_key):
-            print("--tls requires --tls-cert and --tls-key",
-                  file=sys.stderr)
-            return 2
         try:
             worker_main(args.listen, max_sessions=args.max_sessions,
-                        tls_cert=args.tls_cert if args.tls else None,
-                        tls_key=args.tls_key if args.tls else None,
+                        tls_cert=args.tls_cert, tls_key=args.tls_key,
                         announce=lambda addr: print(
                             f"fabric worker listening on {addr}",
                             flush=True))
@@ -479,12 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sessions", type=int, default=None,
                    help="exit after serving N coordinator sessions "
                         "(default: run forever)")
-    p.add_argument("--tls", action="store_true",
-                   help="serve sessions over TLS (requires --tls-cert "
-                        "and --tls-key; coordinators pin the matching "
-                        "bundle with --tls-ca)")
     p.add_argument("--tls-cert", default=None, metavar="PEM",
-                   help="certificate chain served to coordinators")
+                   help="serve sessions over TLS with this certificate "
+                        "chain (requires --tls-key; coordinators pin "
+                        "the matching bundle with --tls-ca)")
     p.add_argument("--tls-key", default=None, metavar="PEM",
                    help="private key for --tls-cert")
     p.set_defaults(fn=cmd_fabric)

@@ -114,7 +114,7 @@ class FabricWorker:
         (self._host, self._port), = parse_addrs(bind)
         self.max_sessions = max_sessions
         if (tls_cert is None) != (tls_key is None):
-            raise ValueError("tls_cert and tls_key must be given together")
+            raise UsageError("tls_cert and tls_key must be given together")
         self._tls: Optional[ssl.SSLContext] = None
         if tls_cert is not None:
             self._tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)

@@ -81,18 +81,11 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
 def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     """Read one frame; ``None`` on clean EOF (peer closed between
     frames).  Raises :class:`FrameError` on truncation or garbage."""
-    header = _recv_exact(sock, _LEN.size)
-    if header is None:
+    frame = recv_raw_frame(sock)
+    if frame is None:
         return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds "
-                         f"{MAX_FRAME_BYTES} (not a fabric peer?)")
-    body = _recv_exact(sock, length)
-    if body is None:
-        raise FrameError("connection closed before frame body")
     try:
-        message = json.loads(body.decode("utf-8"))
+        message = json.loads(frame[_LEN.size:].decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise FrameError(f"undecodable frame: {exc}") from exc
     if not isinstance(message, dict):
@@ -104,11 +97,11 @@ def recv_raw_frame(sock: socket.socket) -> Optional[bytes]:
     """Read one frame as raw bytes (length prefix included), without
     decoding the payload; ``None`` on clean EOF at a frame boundary.
 
-    This is the tap a frame-aware relay pumps through (the test
-    suite's chaos proxy, ``tests/chaos.py``): it preserves frame
-    boundaries, so faults injected between reads (drops, delays,
-    duplicates, torn frames) act on whole protocol messages rather
-    than an opaque byte stream.
+    :func:`recv_frame` decodes what this reads.  It is also the tap a
+    frame-aware relay pumps through (the test suite's chaos proxy,
+    ``tests/chaos.py``): it preserves frame boundaries, so faults
+    injected between reads (drops, delays, duplicates, torn frames)
+    act on whole protocol messages rather than an opaque byte stream.
     """
     header = _recv_exact(sock, _LEN.size)
     if header is None:

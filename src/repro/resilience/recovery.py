@@ -111,13 +111,14 @@ def run_recovery(topology: str, profile: Profile,
     if detection_latency_ps is None:
         detection_latency_ps = ReconfigParams().detection_latency_ps
 
+    # the blacklist rows run without the mapper: the engine then keeps
+    # filtering the original tables
+    blacklist = {"root": root, "fault_plan": fault_plan.to_dict(),
+                 "reliable": reliable.to_dict()}
     runner_kwargs = {
-        mode: {"root": root, "fault_plan": fault_plan.to_dict(),
-               "reliable": reliable.to_dict(),
-               "reconfig": ReconfigParams(
-                   policy=mode,
-                   detection_latency_ps=detection_latency_ps).to_dict()}
-        for mode in ("blacklist", "reconfigure")}
+        "blacklist": blacklist,
+        "reconfigure": {**blacklist, "reconfig": ReconfigParams(
+            detection_latency_ps=detection_latency_ps).to_dict()}}
     specs = [(routing, policy, label, mode, rate)
              for routing, policy, label in SCHEMES
              for mode in runner_kwargs

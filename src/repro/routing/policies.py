@@ -47,13 +47,6 @@ class PathSelectionPolicy(ABC):
         be attributed to the alternative even after routing tables are
         rebuilt (route *objects* are not stable identifiers)."""
 
-    def select(self, src_host: int, dst_host: int,
-               alternatives: Sequence[Route]) -> Route:
-        """Pick the route for the next packet from ``src_host`` to
-        ``dst_host`` (convenience wrapper around :meth:`select_index`)."""
-        return alternatives[self.select_index(src_host, dst_host,
-                                              alternatives)]
-
     def feedback(self, pkt) -> None:
         """Delivery notification (called by the network for every
         delivered packet).  Stateless policies ignore it; adaptive ones
@@ -73,20 +66,19 @@ class SinglePathPolicy(PathSelectionPolicy):
 class RoundRobinPolicy(PathSelectionPolicy):
     """Cycle through alternatives per source-destination host pair (ITB-RR).
 
-    The first packet of a pair starts at a pair-dependent offset
-    (``staggered_start``, default on) rather than always at alternative
-    0: with 512 hosts and uniform traffic most pairs exchange only a
-    handful of messages per run, and a zero start would collapse RR into
-    SP.  The stagger reproduces the paper's reported behaviour (0.54
-    in-transit buffers per message for RR on the torus, i.e. the mean
-    over all alternatives) while remaining strictly round-robin per pair.
+    The first packet of a pair starts at a pair-dependent offset rather
+    than always at alternative 0: with 512 hosts and uniform traffic
+    most pairs exchange only a handful of messages per run, and a zero
+    start would collapse RR into SP.  The stagger reproduces the
+    paper's reported behaviour (0.54 in-transit buffers per message for
+    RR on the torus, i.e. the mean over all alternatives) while
+    remaining strictly round-robin per pair.
     """
 
     name = "rr"
 
-    def __init__(self, staggered_start: bool = True) -> None:
+    def __init__(self) -> None:
         self._next: Dict[Tuple[int, int], int] = {}
-        self._staggered = staggered_start
 
     def select_index(self, src_host: int, dst_host: int,
                      alternatives: Sequence[Route]) -> int:
@@ -97,12 +89,9 @@ class RoundRobinPolicy(PathSelectionPolicy):
             # traffic -- most pairs send once -- on every engine's
             # admission hot path): a deterministic integer mix, since
             # Python's hash() is salted per run
-            if self._staggered:
-                x = src_host * 2654435761 ^ dst_host * 2246822519
-                x ^= x >> 13
-                i = x & 0x7FFFFFFF
-            else:
-                i = 0
+            x = src_host * 2654435761 ^ dst_host * 2246822519
+            x ^= x >> 13
+            i = x & 0x7FFFFFFF
         i %= len(alternatives)
         self._next[key] = i + 1
         return i

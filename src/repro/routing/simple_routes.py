@@ -47,6 +47,10 @@ from .routes import Leg, hop_array, hop_ints, leg_switches, make_route
 from .table import Pair, RouteStore, interleaved_pairs
 from .updown import UpDownOrientation, legal_hops_to
 
+#: legal paths of the shortest legal length kept per pair for the
+#: weighted choice
+MAX_CANDIDATES = 32
+
 
 class _Candidates:
     """One destination's candidates, flat: source ``s`` has ``count[s]``
@@ -55,9 +59,9 @@ class _Candidates:
 
     __slots__ = ("hops", "start", "count")
 
-    def __init__(self, g: NetworkGraph, ud: UpDownOrientation, dst: int,
-                 cap: int) -> None:
-        by_src = legal_hops_to(g, ud, dst, cap)
+    def __init__(self, g: NetworkGraph, ud: UpDownOrientation,
+                 dst: int) -> None:
+        by_src = legal_hops_to(g, ud, dst, MAX_CANDIDATES)
         lists = [by_src.get(src, ()) for src in range(g.num_switches)]
         self.count = array("i", map(len, lists))
         self.start = array("i", accumulate(
@@ -67,13 +71,12 @@ class _Candidates:
             chain.from_iterable(lists))))
 
 
-def simple_route_hops(g: NetworkGraph, ud: UpDownOrientation,
-                      max_candidates: int = 32) -> Dict[Pair, Leg]:
+def simple_route_hops(g: NetworkGraph,
+                      ud: UpDownOrientation) -> Dict[Pair, Leg]:
     """:func:`compute_simple_routes` as each chosen path's directed
     hops: ``(src, dst) -> hops`` (the hop ints shared, a self pair
     ``()``), in the pass's pair order."""
-    candidates = [_Candidates(g, ud, dst, max_candidates)
-                  for dst in g.switches()]
+    candidates = [_Candidates(g, ud, dst) for dst in g.switches()]
     # per directed hop, the weight of its link: choosing a path charges
     # both directions, so a path's hop weights sum to its link weights
     weight = [0] * (2 * g.num_links)
@@ -108,8 +111,7 @@ def simple_route_hops(g: NetworkGraph, ud: UpDownOrientation,
     return routes
 
 
-def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
-                          max_candidates: int = 32,
+def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation
                           ) -> Dict[Tuple[int, int], Tuple[int, ...]]:
     """One balanced legal up*/down* path per ordered switch pair.
 
@@ -124,7 +126,7 @@ def compute_simple_routes(g: NetworkGraph, ud: UpDownOrientation,
     minimal path at all).
     """
     return {(src, dst): leg_switches(g, src, hops) for (src, dst), hops
-            in simple_route_hops(g, ud, max_candidates).items()}
+            in simple_route_hops(g, ud).items()}
 
 
 def simple_route_table(g: NetworkGraph, ud: UpDownOrientation) -> RouteStore:

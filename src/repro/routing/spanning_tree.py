@@ -13,7 +13,7 @@ parameter so the root-placement ablation can move it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..topology.graph import NetworkGraph
 

@@ -20,10 +20,10 @@ any engine declaring :data:`~repro.sim.base.CAP_RELIABLE_DELIVERY`:
   detection latency following each link death it recomputes the whole
   routing stack (spanning tree, up*/down* orientation, UP/DOWN or ITB
   tables) on the surviving graph and hot-swaps the NIC tables mid-run
-  (:meth:`~repro.sim.base.NetworkModel.swap_tables`).  PR 4's static
-  blacklist survives as the ``"blacklist"`` policy; when a failure
-  partitions the fabric the manager falls back to it, since routing is
-  undefined across a partition.
+  (:meth:`~repro.sim.base.NetworkModel.swap_tables`).  A run without
+  the manager keeps PR 4's static blacklist; when a failure partitions
+  the fabric the manager falls back to it, since routing is undefined
+  across a partition.
 
 Simplifications, stated openly: ACKs travel out-of-band (they occupy
 no channel bandwidth and are never lost -- GM piggybacks ACKs on tiny
@@ -48,9 +48,6 @@ from .nic import MessageSequencer
 from .packet import Packet
 
 MessageCallback = Callable[[Packet], None]
-
-#: policies for reacting to a link death
-RECONFIG_POLICIES = ("reconfigure", "blacklist")
 
 
 @dataclass(frozen=True)
@@ -84,21 +81,13 @@ class ReliableParams(PlainData):
 
 @dataclass(frozen=True)
 class ReconfigParams(PlainData):
-    """Tuning of the online reconfiguration policy."""
+    """Tuning of the online reconfiguration manager."""
 
-    #: how to react to a link death: ``"reconfigure"`` recomputes and
-    #: hot-swaps the tables, ``"blacklist"`` keeps PR 4's static
-    #: filtering of the original tables
-    policy: str = "reconfigure"
     #: delay between a link dying and the recomputed tables landing in
     #: the NICs (mapper detection + table distribution)
     detection_latency_ps: int = ns(5_000)
 
     def __post_init__(self) -> None:
-        if self.policy not in RECONFIG_POLICIES:
-            raise ValueError(
-                f"unknown reconfiguration policy {self.policy!r}; "
-                f"expected one of {RECONFIG_POLICIES}")
         if self.detection_latency_ps < 0:
             raise ValueError("detection_latency_ps must be non-negative")
 
@@ -320,17 +309,16 @@ class ReliableTransport:
 class ReconfigurationManager:
     """The mapper: recompute and hot-swap routing tables after faults.
 
-    Under the ``"reconfigure"`` policy the manager switches the engine
-    out of PR 4's blacklist filtering (the tables themselves become the
-    source of truth again) and, one detection latency after each link
-    death, rebuilds the full routing stack on the surviving graph.  The
-    recomputed tables live in the mutated graph's renumbered link-id
-    space; they are translated back through the removal's id map before
-    the swap, so the running engine keeps addressing its original
-    cables.  A failure that partitions the switch graph cannot be
-    routed around -- the manager then re-enables the blacklist and
-    leaves the last good tables in place (severed pairs fail at the
-    source; surviving pairs keep working).
+    The manager switches the engine out of PR 4's blacklist filtering
+    (the tables themselves become the source of truth again) and, one
+    detection latency after each link death, rebuilds the full routing
+    stack on the surviving graph.  The recomputed tables live in the
+    mutated graph's renumbered link-id space; they are translated back
+    through the removal's id map before the swap, so the running engine
+    keeps addressing its original cables.  A failure that partitions the
+    switch graph cannot be routed around -- the manager then re-enables
+    the blacklist and leaves the last good tables in place (severed
+    pairs fail at the source; surviving pairs keep working).
     """
 
     def __init__(self, network: NetworkModel,
@@ -349,9 +337,8 @@ class ReconfigurationManager:
         #: dead-link set the current tables were computed for
         self._reconfigured_for: FrozenSet[int] = frozenset()
 
-        if self.params.policy == "reconfigure":
-            network.blacklist_on_fault = False
-            network.add_link_death_callback(self._on_link_death)
+        network.blacklist_on_fault = False
+        network.add_link_death_callback(self._on_link_death)
 
     def _on_link_death(self, link_id: int, t_ps: int) -> None:
         self.network.sim.at(t_ps + self.params.detection_latency_ps,

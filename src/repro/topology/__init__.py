@@ -83,9 +83,7 @@ TOPOLOGIES.register(Topology(
     build_mutated,
     (Kwarg("base", str, REQUIRED, "registered base topology"),
      Kwarg("base_kwargs", dict, None, "kwargs of the base builder"),
-     Kwarg("failed_links", list, (), "link ids of the base graph"),
-     Kwarg("require_connected", bool, True,
-           "reject failure sets that partition the fabric"))))
+     Kwarg("failed_links", list, (), "link ids of the base graph"))))
 
 
 def sized_topologies() -> List[str]:

@@ -17,7 +17,7 @@ duplicate a torus link and is skipped.
 from __future__ import annotations
 
 from .graph import GridGeometry, NetworkGraph
-from .torus import switch_id
+from .torus import add_grid_links
 
 
 def build_torus_express(rows: int = 8, cols: int = 8, hosts_per_switch: int = 8,
@@ -35,30 +35,10 @@ def build_torus_express(rows: int = 8, cols: int = 8, hosts_per_switch: int = 8,
     # the underlying ring structure is a torus: geometry-aware schemes
     # may route over the +1 rings and simply not use the express cables
     g.grid = GridGeometry(rows, cols, wrap=True)
-    # regular torus links first (same ordering as build_torus)
-    for r in range(rows):
-        for c in range(cols):
-            s = switch_id(r, c, cols)
-            if cols > 1:
-                east = switch_id(r, (c + 1) % cols, cols)
-                if g.link_between(s, east) is None:
-                    g.add_link(s, east)
-            if rows > 1:
-                south = switch_id((r + 1) % rows, c, cols)
-                if g.link_between(s, south) is None:
-                    g.add_link(s, south)
-    # express channels to second-order neighbours
-    for r in range(rows):
-        for c in range(cols):
-            s = switch_id(r, c, cols)
-            if cols > 2:
-                east2 = switch_id(r, (c + 2) % cols, cols)
-                if east2 != s and g.link_between(s, east2) is None:
-                    g.add_link(s, east2)
-            if rows > 2:
-                south2 = switch_id((r + 2) % rows, c, cols)
-                if south2 != s and g.link_between(s, south2) is None:
-                    g.add_link(s, south2)
+    # regular torus links first (same ordering as build_torus), then
+    # the express channels to second-order neighbours
+    add_grid_links(g, rows, cols, 1, wrap=True)
+    add_grid_links(g, rows, cols, 2, wrap=True)
     for s in range(n):
         g.add_hosts(s, hosts_per_switch)
     return g.freeze()

@@ -13,7 +13,7 @@ have).
 from __future__ import annotations
 
 from .graph import GridGeometry, NetworkGraph
-from .torus import switch_id
+from .torus import add_grid_links
 
 
 def build_mesh(rows: int = 8, cols: int = 8, hosts_per_switch: int = 8,
@@ -24,13 +24,7 @@ def build_mesh(rows: int = 8, cols: int = 8, hosts_per_switch: int = 8,
     n = rows * cols
     g = NetworkGraph(n, switch_ports, name=f"mesh-{rows}x{cols}")
     g.grid = GridGeometry(rows, cols, wrap=False)
-    for r in range(rows):
-        for c in range(cols):
-            s = switch_id(r, c, cols)
-            if c + 1 < cols:
-                g.add_link(s, switch_id(r, c + 1, cols))
-            if r + 1 < rows:
-                g.add_link(s, switch_id(r + 1, c, cols))
+    add_grid_links(g, rows, cols, 1, wrap=False)
     for s in range(n):
         g.add_hosts(s, hosts_per_switch)
     return g.freeze()

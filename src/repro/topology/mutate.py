@@ -34,14 +34,14 @@ class LinkRemoval:
     link_map: Dict[int, int]
 
 
-def without_links_mapped(g: NetworkGraph, link_ids: Iterable[int],
-                         require_connected: bool = True) -> LinkRemoval:
+def without_links_mapped(g: NetworkGraph,
+                         link_ids: Iterable[int]) -> LinkRemoval:
     """A copy of ``g`` with the given cables removed, plus the id map.
 
     Link ids are renumbered (they are positional); switch and host ids
-    are preserved.  With ``require_connected`` (default) a failure that
-    would partition the switch graph raises :class:`ValueError` --
-    routing is undefined across a partition.
+    are preserved.  A failure that would partition the switch graph
+    raises :class:`ValueError` -- routing is undefined across a
+    partition.
     """
     dead: Set[int] = set(link_ids)
     for lid in dead:
@@ -56,13 +56,12 @@ def without_links_mapped(g: NetworkGraph, link_ids: Iterable[int],
     for host in g.hosts:
         out.add_host(host.switch)
     out.freeze()
-    if require_connected and not out.is_connected():
+    if not out.is_connected():
         raise ValueError(
             f"removing links {sorted(dead)} partitions the network")
     return LinkRemoval(out, link_map)
 
 
-def without_links(g: NetworkGraph, link_ids: Iterable[int],
-                  require_connected: bool = True) -> NetworkGraph:
+def without_links(g: NetworkGraph, link_ids: Iterable[int]) -> NetworkGraph:
     """Like :func:`without_links_mapped` but returns just the graph."""
-    return without_links_mapped(g, link_ids, require_connected).graph
+    return without_links_mapped(g, link_ids).graph

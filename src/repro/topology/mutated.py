@@ -37,8 +37,7 @@ def mutated_kwargs(base: str, base_kwargs: Mapping[str, Any],
 
 def build_mutated(base: str,
                   base_kwargs: Optional[Dict[str, Any]] = None,
-                  failed_links: Iterable[int] = (),
-                  require_connected: bool = True) -> NetworkGraph:
+                  failed_links: Iterable[int] = ()) -> NetworkGraph:
     """Build ``base`` and remove the given links."""
     from . import build  # late import: this module is part of the registry
     if base == "mutated":
@@ -46,5 +45,5 @@ def build_mutated(base: str,
     g = build(base, **(base_kwargs or {}))
     failed = tuple(failed_links)
     if failed:
-        g = without_links(g, failed, require_connected=require_connected)
+        g = without_links(g, failed)
     return g

@@ -22,6 +22,25 @@ def switch_coords(switch: int, cols: int) -> tuple[int, int]:
     return divmod(switch, cols)
 
 
+def add_grid_links(g: NetworkGraph, rows: int, cols: int, step: int,
+                   wrap: bool) -> None:
+    """Cable every switch to the one ``step`` columns east, then to the
+    one ``step`` rows south (around the ring if ``wrap``, else only
+    inside the grid), skipping the switch itself and any pair already
+    cabled."""
+    for r in range(rows):
+        for c in range(cols):
+            s = switch_id(r, c, cols)
+            for r2, c2 in ((r, c + step), (r + step, c)):
+                if wrap:
+                    r2, c2 = r2 % rows, c2 % cols
+                elif r2 >= rows or c2 >= cols:
+                    continue
+                t = switch_id(r2, c2, cols)
+                if t != s and g.link_between(s, t) is None:
+                    g.add_link(s, t)
+
+
 def build_torus(rows: int = 8, cols: int = 8, hosts_per_switch: int = 8,
                 switch_ports: int = 16) -> NetworkGraph:
     """Build a ``rows`` x ``cols`` 2-D torus.
@@ -43,17 +62,7 @@ def build_torus(rows: int = 8, cols: int = 8, hosts_per_switch: int = 8,
             f"hosts plus {needed - hosts_per_switch} torus links")
     g = NetworkGraph(n, switch_ports, name=f"torus-{rows}x{cols}")
     g.grid = GridGeometry(rows, cols, wrap=True)
-    for r in range(rows):
-        for c in range(cols):
-            s = switch_id(r, c, cols)
-            if cols > 1:
-                east = switch_id(r, (c + 1) % cols, cols)
-                if g.link_between(s, east) is None:
-                    g.add_link(s, east)
-            if rows > 1:
-                south = switch_id((r + 1) % rows, c, cols)
-                if g.link_between(s, south) is None:
-                    g.add_link(s, south)
+    add_grid_links(g, rows, cols, 1, wrap=True)
     for s in range(n):
         g.add_hosts(s, hosts_per_switch)
     return g.freeze()

@@ -142,6 +142,23 @@ class TrafficPattern(ABC):
         return [destination(src_host, rng) for _ in range(n)]
 
 
+class PermutationTraffic(TrafficPattern):
+    """A fixed permutation: host ``h`` always sends to ``dest[h]``; a
+    host the permutation maps to itself stays silent."""
+
+    def __init__(self, graph: NetworkGraph, dest: List[int]) -> None:
+        super().__init__(graph)
+        self._dest = dest
+
+    def destination(self, src_host: int,
+                    rng: random.Random) -> Optional[int]:
+        dst = self._dest[src_host]
+        return None if dst == src_host else dst
+
+    def active_hosts(self) -> list[int]:
+        return [h for h, dst in enumerate(self._dest) if dst != h]
+
+
 class ArrivalProcess(ABC):
     """Per-host message timing for one run (the *when* axis).
 
@@ -394,22 +411,14 @@ class TrafficProcess:
     Depends only on the abstract :class:`~repro.sim.base.NetworkModel`
     interface (it just calls ``send``), so it works unchanged with any
     registered engine.
-
-    ``arrivals`` may be an :class:`ArrivalProcess` or a plain ``int``
-    interval in picoseconds, which is wrapped in the constant-rate
-    process (the paper's load model and the historical signature).
     """
 
     def __init__(self, sim: Simulator, network: NetworkModel,
-                 pattern: TrafficPattern, arrivals, seed: int,
-                 max_messages: int = 0) -> None:
-        if isinstance(arrivals, int):
-            from .arrivals import ConstantArrivals
-            arrivals = ConstantArrivals(arrivals)
+                 pattern: TrafficPattern, arrivals: ArrivalProcess,
+                 seed: int, max_messages: int = 0) -> None:
         if not isinstance(arrivals, ArrivalProcess):
-            raise TypeError(
-                f"arrivals must be an ArrivalProcess or an int interval, "
-                f"got {type(arrivals).__name__}")
+            raise TypeError(f"arrivals must be an ArrivalProcess, "
+                            f"got {type(arrivals).__name__}")
         self.sim = sim
         self.network = network
         self.pattern = pattern

@@ -10,11 +10,8 @@ paper's 9-bit id space).
 
 from __future__ import annotations
 
-import random
-from typing import Optional
-
 from ..topology.graph import NetworkGraph
-from .base import TrafficPattern
+from .base import PermutationTraffic
 
 
 def reverse_bits(value: int, width: int) -> int:
@@ -28,27 +25,18 @@ def reverse_bits(value: int, width: int) -> int:
     return out
 
 
-class BitReversalTraffic(TrafficPattern):
+class BitReversalTraffic(PermutationTraffic):
     """Fixed permutation: ``dst = bit_reverse(src)``."""
 
     name = "bit-reversal"
 
     def __init__(self, graph: NetworkGraph) -> None:
-        super().__init__(graph)
         n = graph.num_hosts
         if n < 2 or n & (n - 1):
             raise ValueError(
                 f"bit-reversal needs a power-of-two host count, got {n}")
-        self.width = n.bit_length() - 1
-        self._dest = [reverse_bits(h, self.width) for h in range(n)]
-
-    def destination(self, src_host: int, rng: random.Random) -> Optional[int]:
-        dst = self._dest[src_host]
-        return None if dst == src_host else dst
-
-    def active_hosts(self) -> list[int]:
-        return [h for h in range(self.graph.num_hosts)
-                if self._dest[h] != h]
+        width = n.bit_length() - 1
+        super().__init__(graph, [reverse_bits(h, width) for h in range(n)])
 
 
 def _register() -> None:

@@ -8,14 +8,11 @@ permutations.
 
 from __future__ import annotations
 
-import random
-from typing import Optional
-
 from ..topology.graph import NetworkGraph
-from .base import TrafficPattern
+from .base import PermutationTraffic
 
 
-class TransposeTraffic(TrafficPattern):
+class TransposeTraffic(PermutationTraffic):
     """``dst`` swaps the high and low halves of the source id bits.
 
     Requires a host count that is a power of four (even bit width).
@@ -24,7 +21,6 @@ class TransposeTraffic(TrafficPattern):
     name = "transpose"
 
     def __init__(self, graph: NetworkGraph) -> None:
-        super().__init__(graph)
         n = graph.num_hosts
         if n < 4 or n & (n - 1):
             raise ValueError("transpose needs a power-of-two host count")
@@ -34,30 +30,21 @@ class TransposeTraffic(TrafficPattern):
                 "transpose needs an even id width (power-of-four hosts)")
         half = width // 2
         mask = (1 << half) - 1
-        self._dest = [((h & mask) << half) | (h >> half) for h in range(n)]
-
-    def destination(self, src_host: int, rng: random.Random) -> Optional[int]:
-        dst = self._dest[src_host]
-        return None if dst == src_host else dst
-
-    def active_hosts(self) -> list[int]:
-        return [h for h in range(self.graph.num_hosts) if self._dest[h] != h]
+        super().__init__(graph, [((h & mask) << half) | (h >> half)
+                                 for h in range(n)])
 
 
-class ComplementTraffic(TrafficPattern):
-    """``dst = ~src``: every bit of the source id flipped."""
+class ComplementTraffic(PermutationTraffic):
+    """``dst = ~src``: every bit of the source id flipped (no host maps
+    to itself, so every host sends)."""
 
     name = "complement"
 
     def __init__(self, graph: NetworkGraph) -> None:
-        super().__init__(graph)
         n = graph.num_hosts
         if n < 2 or n & (n - 1):
             raise ValueError("complement needs a power-of-two host count")
-        self._mask = n - 1
-
-    def destination(self, src_host: int, rng: random.Random) -> Optional[int]:
-        return src_host ^ self._mask
+        super().__init__(graph, [h ^ (n - 1) for h in range(n)])
 
 
 def _register() -> None:

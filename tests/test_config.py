@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import MyrinetParams, PAPER_PARAMS, SimConfig
+from repro.config import PAPER_PARAMS, SimConfig
 from repro.units import ns
 
 

@@ -25,6 +25,7 @@ from repro.orchestrator import Executor, FabricPool, FabricWorker, ResultStore
 from repro.orchestrator.pool import POINT_TASK_FN, Task
 from repro.orchestrator.wire import (WIRE_FORMAT, FrameError, parse_addrs,
                                      recv_frame, send_frame)
+from repro.registry import UsageError
 from repro.runner import SATURATION_TASK_FN
 from tests.conftest import (UNDECLARED_RUN_OPTIONS, small_config,
                             task_kinds)
@@ -319,6 +320,17 @@ class TestRawTaskFrames:
         assert not target.exists()
 
 
+def spawn_worker(*flags):
+    """``repro fabric worker`` as its own interpreter, on a free port;
+    its first stdout line announces the address."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "fabric", "worker",
+         "--listen", "127.0.0.1:0", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+
+
 class TestSpawnedWorker:
     """The ``fleet`` workers are forked, so they inherit this process's
     registrations.  A worker started as its own interpreter has
@@ -326,12 +338,7 @@ class TestSpawnedWorker:
     knows both because ``lease.execute`` imports the runner."""
 
     def test_knows_both_shipped_kinds(self):
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "fabric", "worker",
-             "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE, text=True, env=env)
+        proc = spawn_worker()
         try:
             announced = proc.stdout.readline()
             assert "listening on" in announced, proc.wait(timeout=5)
@@ -347,6 +354,7 @@ class TestSpawnedWorker:
             proc.kill()
             proc.wait(timeout=5)
             proc.stdout.close()
+            proc.stderr.close()
         assert point["status"] == "ok", point["value"]
         assert point["value"]["messages_delivered"] > 0
         assert search["status"] == "ok", search["value"]
@@ -468,8 +476,43 @@ class TestFabricTls:
         assert not results[0].ok
 
     def test_worker_requires_cert_and_key_together(self):
-        with pytest.raises(ValueError, match="together"):
+        with pytest.raises(UsageError, match="together"):
             FabricWorker(tls_cert=CERT_A)
+
+    def test_cli_worker_serves_tls_given_cert_and_key(self):
+        """A certificate and its key are what turn TLS on: the worker
+        serves a pinned coordinator one lease, with no other switch."""
+        proc = spawn_worker("--tls-cert", CERT_A, "--tls-key", KEY_A,
+                            "--max-sessions", "1")
+        try:
+            announced = proc.stdout.readline()
+            assert "listening on" in announced, proc.stderr.read()
+            pool = FabricPool(announced.split()[-1], tls_ca=CERT_A)
+            pool.connect_attempts = 2
+            results = pool.run([Task("t", POINT_TASK_FN, {
+                "config": small_config().to_dict(), "runner_kwargs": {}})])
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=5)
+            proc.stdout.close()
+            proc.stderr.close()
+        assert results[0].ok, results[0].error
+        assert results[0].value["messages_delivered"] > 0
+
+    def test_cli_worker_refuses_cert_without_key(self):
+        proc = spawn_worker("--tls-cert", CERT_A)
+        try:
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 2
+        assert err.splitlines() == [
+            "repro: error: tls_cert and tls_key must be given together"]
+        assert out == ""
 
     def test_executor_threads_tls_ca(self, tls_worker):
         ex = Executor(fabric=tls_worker, tls_ca=CERT_A)

@@ -82,7 +82,7 @@ class TestExactTiming:
             self, ring4, ring4_tables):
         """At zero load the two engines differ by exactly the tail
         fence-post (one flit cycle)."""
-        from tests.test_network import make_network, zero_load_delivery_ps
+        from tests.test_network import zero_load_delivery_ps
         for hops, dst in ((1, 2), (2, 4)):
             sim, net = make_flit_network(ring4, ring4_tables)
             pkt = net.send(0, dst)

@@ -12,6 +12,7 @@ from repro.routing.policies import make_policy
 from repro.sim.engine import Simulator
 from repro.sim.network import WormholeNetwork
 from repro.traffic import make_pattern
+from repro.traffic.arrivals import ConstantArrivals
 from repro.traffic.base import TrafficProcess, per_host_interval_ps
 from repro.units import ns
 
@@ -26,8 +27,9 @@ def run_raw(topology, routing, policy, traffic, rate, horizon_ps,
                           __import__("repro.config",
                                      fromlist=["PAPER_PARAMS"]).PAPER_PARAMS)
     pattern = make_pattern(traffic, g, **(traffic_kwargs or {}))
-    proc = TrafficProcess(sim, net, pattern,
-                          per_host_interval_ps(rate, 512, g), seed)
+    proc = TrafficProcess(
+        sim, net, pattern,
+        ConstantArrivals(per_host_interval_ps(rate, 512, g)), seed)
     proc.start()
     sim.run_until(horizon_ps)
     return sim, net, proc

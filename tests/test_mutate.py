@@ -42,11 +42,6 @@ class TestWithoutLinks:
         with pytest.raises(ValueError, match="partitions"):
             without_links(g, [0])
 
-    def test_partition_allowed_when_requested(self):
-        g = build_torus(rows=1, cols=2, hosts_per_switch=1, switch_ports=4)
-        g2 = without_links(g, [0], require_connected=False)
-        assert not g2.is_connected()
-
     def test_out_of_range(self, torus44):
         with pytest.raises(ValueError):
             without_links(torus44, [999])

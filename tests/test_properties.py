@@ -130,7 +130,7 @@ def test_itb_routes_minimal_and_boundary_hosts_correct(g):
 @SLOW
 def test_simple_routes_all_legal_and_complete(g):
     ud = orient_links(g, 0)
-    routes = compute_simple_routes(g, ud, max_candidates=8)
+    routes = compute_simple_routes(g, ud)
     n = g.num_switches
     assert len(routes) == n * n
     for (src, dst), path in routes.items():

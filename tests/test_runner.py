@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from repro.config import RUN_OPTIONS, SimConfig
+from repro.config import RUN_OPTIONS
 from repro import runner
 from repro.runner import (_freeze_kwargs, _GRAPH_CACHE,
                           _TABLE_CACHE, clear_caches,

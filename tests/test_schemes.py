@@ -26,7 +26,7 @@ import weakref
 
 import pytest
 
-from repro.config import PAPER_PARAMS, SimConfig
+from repro.config import PAPER_PARAMS
 from repro.routing.routes import (leg_switches, make_route, path_hops,
                                   route_hops, route_switches)
 from repro.routing.schemes import (SCHEMES, Scheme, build_updown_tables,

@@ -221,7 +221,7 @@ RECORDS = [
                      converged=False),
     ReliableParams(timeout_ps=ns(7_000), backoff=1.5, max_attempts=5,
                    failover_after=3, ack_delay_ps=ns(50)),
-    ReconfigParams(policy="blacklist", detection_latency_ps=ns(2_000)),
+    ReconfigParams(detection_latency_ps=ns(2_000)),
     LinkFault(ns(20_000), 3),
     FaultPlan.at((ns(30_000), 7), (ns(20_000), 3)),
     TopologySpec("torus", {"rows": 4, "cols": 4}, "4x4 torus"),

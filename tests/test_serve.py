@@ -141,10 +141,13 @@ MALFORMED_RUN_OPTIONS = [
     {"reconfig": {"policy": "nope"}},
     {"fault_plan": {"faults": 3}},
     {"reliable": 5},
+    # the mapper always reconfigures; a static blacklist is a run
+    # without reconfig, so ReconfigParams has no policy field
+    {"reconfig": {"policy": "blacklist"}},
 ]
 MALFORMED_IDS = ["fault-without-link", "reliable-unknown-key",
                  "reconfig-unknown-policy", "faults-not-a-list",
-                 "reliable-not-an-object"]
+                 "reliable-not-an-object", "reconfig-names-policy"]
 
 
 class TestMalformedRunOptions:
@@ -170,7 +173,7 @@ class TestMalformedRunOptions:
     def test_well_formed_records_pass(self):
         Point("p", small_config(), {
             "fault_plan": {"faults": [{"t_ps": 1, "link_id": 0}]},
-            "reliable": True, "reconfig": {"policy": "blacklist"}})
+            "reliable": True, "reconfig": {"detection_latency_ps": 1}})
 
 
 class TestMalformedSpecs:

@@ -116,20 +116,22 @@ class TestPolicies:
     def test_sp_always_first(self, g44):
         alts = _mk_alts(g44, 3)
         p = SinglePathPolicy()
-        assert all(p.select(0, 1, alts) is alts[0] for _ in range(10))
+        assert all(p.select_index(0, 1, alts) == 0 for _ in range(10))
 
     def test_rr_cycles(self, g44):
         alts = _mk_alts(g44, 3)
-        p = RoundRobinPolicy(staggered_start=False)
-        picks = [p.select(4, 9, alts) for _ in range(6)]
-        assert picks == [alts[0], alts[1], alts[2]] * 2
+        p = RoundRobinPolicy()
+        picks = [p.select_index(4, 9, alts) for _ in range(6)]
+        assert picks == [(picks[0] + k) % 3 for k in range(6)]
 
     def test_rr_independent_pairs(self, g44):
         alts = _mk_alts(g44, 3)
-        p = RoundRobinPolicy(staggered_start=False)
-        p.select(4, 9, alts)
-        # a different pair starts its own cycle
-        assert p.select(5, 9, alts) is alts[0]
+        p = RoundRobinPolicy()
+        p.select_index(4, 9, alts)
+        # a different pair starts its own cycle, where a fresh policy
+        # would start it
+        assert (p.select_index(5, 9, alts)
+                == RoundRobinPolicy().select_index(5, 9, alts))
 
     def test_rr_staggered_start_spreads(self, g44):
         """With many pairs sending one message each, the staggered RR
@@ -138,15 +140,14 @@ class TestPolicies:
         alts = _mk_alts(g44, 3)
         assert len(alts) == 3
         p = RoundRobinPolicy()
-        used = {id(p.select(s, d, alts))
+        used = {p.select_index(s, d, alts)
                 for s in range(20) for d in range(20) if s != d}
-        assert len(used) == 3
+        assert used == {0, 1, 2}
 
     def test_rr_staggered_still_cycles(self, g44):
         alts = _mk_alts(g44, 3)
         p = RoundRobinPolicy()
-        seq = [p.select(2, 3, alts) for _ in range(6)]
-        idx = [alts.index(r) for r in seq]
+        idx = [p.select_index(2, 3, alts) for _ in range(6)]
         assert idx[3:] == idx[:3]
         assert sorted(idx[:3]) == [0, 1, 2]
 
@@ -154,15 +155,15 @@ class TestPolicies:
         alts = _mk_alts(g44, 3)
         a = RandomPolicy(seed=3)
         b = RandomPolicy(seed=3)
-        sa = [a.select(0, 1, alts) for _ in range(20)]
-        sb = [b.select(0, 1, alts) for _ in range(20)]
+        sa = [a.select_index(0, 1, alts) for _ in range(20)]
+        sb = [b.select_index(0, 1, alts) for _ in range(20)]
         assert sa == sb
 
     def test_random_uses_all(self, g44):
         alts = _mk_alts(g44, 3)
         p = RandomPolicy(seed=1)
-        used = {id(p.select(0, 1, alts)) for _ in range(100)}
-        assert len(used) == 3
+        used = {p.select_index(0, 1, alts) for _ in range(100)}
+        assert used == {0, 1, 2}
 
     def test_make_policy(self):
         assert make_policy("sp").name == "sp"

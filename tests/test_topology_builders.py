@@ -3,8 +3,8 @@
 import networkx as nx
 import pytest
 
-from repro.topology import (TOPOLOGIES, build, build_cplant, build_irregular,
-                            build_torus, build_torus_express, check_topology)
+from repro.topology import (TOPOLOGIES, build, build_irregular, build_torus,
+                            build_torus_express, check_topology)
 from repro.topology.cplant import (GROUP_SIZE, NUM_GROUPS,
                                    group_neighbour_pairs, group_switch)
 from repro.topology.torus import switch_coords, switch_id

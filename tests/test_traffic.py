@@ -241,8 +241,8 @@ class TestTrafficProcess:
         net = WormholeNetwork(sim, g, tables, SinglePathPolicy(),
                               PAPER_PARAMS, message_bytes=64)
         pat = UniformTraffic(g)
-        proc = TrafficProcess(sim, net, pat, interval, seed,
-                              max_messages=max_messages)
+        proc = TrafficProcess(sim, net, pat, ConstantArrivals(interval),
+                              seed, max_messages=max_messages)
         return sim, net, proc
 
     def test_constant_rate(self, g):
@@ -295,12 +295,13 @@ class TestTrafficProcess:
                 return [None] * n if src_host == 0 else dsts
 
         sim, net, _ = self.make(g)
-        proc = TrafficProcess(sim, net, SilentHostZero(g), 200_000, 1)
+        proc = TrafficProcess(sim, net, SilentHostZero(g),
+                              ConstantArrivals(200_000), 1)
         schedule = proc.pregenerate(3_000_000)
         assert schedule.silent > 0 and 0 not in set(schedule.src)
         with pytest.raises(ValueError, match="silent"):
-            TrafficProcess(sim, net, SilentHostZero(g), 200_000,
-                           1).replay(schedule)
+            TrafficProcess(sim, net, SilentHostZero(g),
+                           ConstantArrivals(200_000), 1).replay(schedule)
         _, _, clean = self.make(g)
         assert clean.pregenerate(3_000_000).silent == 0
 
@@ -317,14 +318,16 @@ class TestTrafficProcess:
         assert net.generated == len(schedule)
 
     def test_bad_interval(self, g):
-        sim, net, _ = self.make(g)
         with pytest.raises(ValueError):
-            TrafficProcess(sim, net, UniformTraffic(g), 0, 1)
+            ConstantArrivals(0)
 
     def test_non_process_arrivals_rejected(self, g):
+        """An arrival process is an ArrivalProcess; a bare interval is
+        not wrapped in one."""
         sim, net, _ = self.make(g)
-        with pytest.raises(TypeError):
-            TrafficProcess(sim, net, UniformTraffic(g), "constant", 1)
+        for arrivals in ("constant", 200_000):
+            with pytest.raises(TypeError, match="ArrivalProcess"):
+                TrafficProcess(sim, net, UniformTraffic(g), arrivals, 1)
 
     def test_ticks_interleave_with_equal_time_events_in_seq_order(self, g):
         """Every host fires at k * I, and each send schedules an echo

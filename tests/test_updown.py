@@ -1,14 +1,10 @@
 """Up*/down* orientation, legality and legal-path machinery."""
 
-from itertools import permutations
-
 import pytest
 
 from repro.routing.reference import (enumerate_legal_paths,
                                      legal_shortest_distances)
-from repro.routing.spanning_tree import build_spanning_tree
-from repro.routing.updown import (DOWN, UP, legal_distances_to,
-                                  orient_links)
+from repro.routing.updown import UP, legal_distances_to, orient_links
 from repro.topology import build_torus
 from repro.topology.graph import NetworkGraph
 
