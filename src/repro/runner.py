@@ -22,10 +22,11 @@ topology, workload spec, interval, seed, horizon; *not* scheme, policy
 or engine -- so every curve of a figure is offered one shared
 :class:`~repro.traffic.base.Schedule` (``--perf``: ``schedule``),
 which a batch engine is primed with and any other run replays.  A
-schedule the memo misses reads its destinations from the per-process
-destination-stream memo, keyed by topology, pattern and seed alone, so
-the rates of a sweep share each host's destination stream instead of
-re-seeding it per rate.
+schedule the memo misses reads its destinations and replays its
+arrival draws from the per-process host-stream memo, keyed by
+topology, pattern and seed alone, so the rates of a sweep share each
+host's destination stream and arrival generator outputs instead of
+re-seeding both per rate.
 Caches are explicit and clearable for tests.
 
 A run ends by tearing itself down (``Simulator.clear`` +
@@ -42,6 +43,7 @@ fresh process.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .canon import freeze
@@ -67,7 +69,7 @@ from .sim.reliable import (ReconfigParams, ReconfigurationManager,
 from .topology import build as build_topology
 from .topology.graph import NetworkGraph
 from .topology.validate import check_topology
-from .traffic.base import (DestinationStreams, Schedule, TrafficProcess,
+from .traffic.base import (HostStreams, Schedule, TrafficProcess,
                            per_host_interval_ps)
 from .traffic.registry import make_workload
 
@@ -95,14 +97,20 @@ _TABLE_CACHE_MAX = 32
 #: A schedule over the bound by itself is not kept.
 _SCHEDULE_CACHE: Dict[Tuple, Schedule] = {}
 _SCHEDULE_CACHE_MAX_MESSAGES = 2_000_000
-#: the destination streams a schedule miss draws from, for the one key
-#: read last: a host's destinations are a function of (topology,
-#: pattern, pattern kwargs, seed) -- not of the arrival process,
-#: interval or horizon -- so every schedule of one key reads a prefix
-#: of the same streams (:class:`~repro.traffic.base.DestinationStreams`,
-#: drawn destinations only, no generators).  A new key replaces the
+#: held while the schedule memo is summed, evicted from, inserted into
+#: or cleared: threads of one process (``repro serve``'s handlers) run
+#: at once, and a sum over the memo that another thread inserts into
+#: mid-iteration raises
+_SCHEDULE_LOCK = threading.Lock()
+#: the host streams a schedule miss draws from, for the one key read
+#: last: a host's destinations are a function of (topology, pattern,
+#: pattern kwargs, seed) and its arrival generator one of the seed --
+#: neither of the arrival process, interval or horizon -- so every
+#: schedule of one key reads a prefix of the same streams
+#: (:class:`~repro.traffic.base.HostStreams`: drawn destinations and
+#: arrival generator outputs, no generators).  A new key replaces the
 #: held one: a sweep or a search works on one key at a time.
-_STREAMS: Tuple[Tuple, DestinationStreams] = ((), DestinationStreams())
+_STREAMS: Tuple[Tuple, HostStreams] = ((), HostStreams())
 
 
 def _memoise(cache: Dict, cap: int, key: Tuple, value: Any) -> None:
@@ -117,20 +125,21 @@ def _memoise_schedule(key: Tuple, schedule: Schedule) -> None:
     room = _SCHEDULE_CACHE_MAX_MESSAGES - len(schedule)
     if room < 0:
         return
-    held = sum(map(len, _SCHEDULE_CACHE.values()))
-    while held > room:
-        held -= len(_SCHEDULE_CACHE.pop(next(iter(_SCHEDULE_CACHE))))
-    _SCHEDULE_CACHE[key] = schedule
+    with _SCHEDULE_LOCK:
+        held = sum(map(len, _SCHEDULE_CACHE.values()))
+        while held > room:
+            held -= len(_SCHEDULE_CACHE.pop(next(iter(_SCHEDULE_CACHE))))
+        _SCHEDULE_CACHE[key] = schedule
 
 
-def _destination_streams(key: Tuple) -> DestinationStreams:
-    """The destination streams of ``key``, replacing the held ones if
-    they are another key's.  Threads may race here: each gets streams
-    of its own key, and streams are safe to share (see there)."""
+def _host_streams(key: Tuple) -> HostStreams:
+    """The host streams of ``key``, replacing the held ones if they
+    are another key's.  Threads may race here: each gets streams of its
+    own key, and streams are safe to share (see there)."""
     global _STREAMS
     held, streams = _STREAMS
     if held != key:
-        streams = DestinationStreams()
+        streams = HostStreams()
         _STREAMS = (key, streams)
     return streams
 
@@ -174,13 +183,15 @@ def get_tables(topology: str, topology_kwargs: Mapping[str, Any],
 
 
 def clear_caches() -> None:
-    """Drop memoised graphs, tables, schedules and destination streams
-    (tests use this)."""
+    """Drop memoised graphs, tables, schedules and host streams (each
+    host's destinations and arrival generator outputs; tests use
+    this)."""
     global _STREAMS
     _GRAPH_CACHE.clear()
     _TABLE_CACHE.clear()
-    _SCHEDULE_CACHE.clear()
-    _STREAMS = ((), DestinationStreams())
+    with _SCHEDULE_LOCK:
+        _SCHEDULE_CACHE.clear()
+    _STREAMS = ((), HostStreams())
 
 
 def _coerce(value: Any, cls: type) -> Any:
@@ -342,7 +353,7 @@ def run_simulation(config: SimConfig, collect_links: bool = False,
                  and not config.max_messages)
         schedule = _SCHEDULE_CACHE.get(skey)
         if schedule is None:
-            schedule = traffic.pregenerate(t_end, _destination_streams(
+            schedule = traffic.pregenerate(t_end, _host_streams(
                 skey[:3] + (config.seed,)))
             _memoise_schedule(skey, schedule)
         elif batch:

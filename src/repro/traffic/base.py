@@ -50,12 +50,17 @@ from ``rng`` -- and is pinned against the scalar method by
 ``tests/test_schedule_digests.py``.
 
 It also makes a host's destination stream a function of (fabric,
-pattern, seed) alone, the same at every rate and horizon: a schedule
-reads a *prefix* of it.  :class:`DestinationStreams` holds each host's
-stream as drawn so far, so the schedules of one key (the rates of a
-sweep, the probes of a saturation search) seed each host's destination
-stream O(log n) times for its longest prefix n, not once per schedule
-(see there).
+pattern, seed) alone and its arrival stream one of (seed) alone, the
+same at every rate, horizon and arrival process: a schedule reads a
+*prefix* of each.  :class:`HostStreams` holds each host's destinations
+as drawn so far and the 32-bit outputs its arrival generator has
+produced, which a :class:`random.Random` subclass replays to the
+arrival process exactly as the seeded generator would draw them; so
+the schedules of one key (the rates of a sweep, the probes of a
+saturation search) seed each host's streams O(log n) times for the
+longest prefix n, not once per schedule (see there).  The scalar
+reference, :meth:`TrafficProcess.start`, keeps live generators, which
+is what pins the replay to CPython's generator.
 
 One draw path
 -------------
@@ -103,7 +108,7 @@ class TrafficPattern(ABC):
 
     A pattern keeps no state between calls: a destination is a function
     of the source and the draws from ``rng`` alone, which is what lets
-    :class:`DestinationStreams` share one host's stream between the
+    :class:`HostStreams` share one host's stream between the
     pattern instances of every run of its key.
     """
 
@@ -285,35 +290,47 @@ def per_host_interval_ps(rate_flits_ns_switch: float, message_bytes: int,
     return max(1, round(interval_ns * PS_PER_NS))
 
 
-class DestinationStreams:
-    """Every host's destination stream of one (fabric, pattern, seed),
-    as drawn so far: what a schedule needs of a stream is a prefix.
+class HostStreams:
+    """Every host's two streams of one (fabric, pattern, seed) as drawn
+    so far: what a schedule needs of a stream is a prefix.
 
     A host's destinations never depend on the arrival process, the
-    interval or the horizon (see "RNG discipline" in the module
+    interval or the horizon, and its arrival generator never depends on
+    anything but seed and host (see "RNG discipline" in the module
     docstring), so every schedule of one key reads the same streams
     and only how far differs.  :meth:`take` hands out a host's first
     ``n`` destinations and draws only when the stream held is shorter;
-    a host with no firing in the horizon costs nothing.
+    :attr:`outputs` holds the 32-bit outputs each host's arrival
+    generator has produced, which :meth:`TrafficProcess.pregenerate`
+    replays (:class:`_ArrivalReplay`) and seeds the generator only past.
+    A host with no firing in the horizon costs nothing.
 
-    No generator is kept.  A stream is first drawn as deep as its
-    schedule needs, so a key read once costs what a fresh draw costs.
+    No generator is kept.  A destination stream is first drawn as deep
+    as its schedule needs, so a key read once costs what a fresh draw
+    costs.  An arrival stream is not recorded on its first schedule,
+    which draws from the seeded generator itself, at a fresh draw's
+    cost, and leaves an empty record: recording what a draw consumes
+    costs a cold schedule more than the seeding it saves a warm one.
     A stream too short is re-seeded and redrawn from its start, to at
     least twice its length and at least :data:`_DRAW_AHEAD` deep, so a
     stream that grows to ``n`` draws costs O(log n) seedings and O(n)
     draws, and short schedules (a sweep's low rates) seed each host at
-    most twice.  A stored stream is replaced, never extended, so
-    threads sharing the streams need no lock: whichever redraw lands
-    last, every stream held is a prefix of the one seeded draw.  A
-    stream is the list the pattern drew, silent ``None`` draws
-    included.
+    most twice; an arrival process that draws nothing (``adversarial``)
+    seeds no generator after the first schedule.  A stored stream is
+    replaced, never extended, so threads sharing the streams need no
+    lock: whichever redraw lands last, every stream held is a prefix of
+    the one seeded draw.  A destination stream is the list the pattern
+    drew, silent ``None`` draws included; an arrival stream is one
+    ``array('I')``.
     """
 
-    __slots__ = ("drawn", "_valid")
+    __slots__ = ("drawn", "outputs", "_valid")
 
     def __init__(self) -> None:
         #: host -> its destinations drawn so far
         self.drawn: Dict[int, List[Optional[int]]] = {}
+        #: host -> the outputs its arrival generator produced so far
+        self.outputs: Dict[int, array] = {}
         #: what a draw may return: the fabric's hosts and None (built
         #: when the first draw is checked)
         self._valid: frozenset = frozenset()
@@ -341,12 +358,109 @@ class DestinationStreams:
 
 #: what a host with nothing drawn holds
 _NO_DRAWS = ()
+#: what a host whose arrival generator has been read once holds
+_NO_OUTPUTS = array("I")
 #: a stream that grows is redrawn at least this deep: eight uniform
 #: draws cost a fifth of the seeding before them (1.8 vs 10 us on
 #: CPython 3.11), and under the paper's constant load a paper-window
 #: schedule on the 8x8 torus fires at most seven times per host up to
-#: saturation, so a sweep there seeds each host's stream at most twice
+#: saturation, so a sweep there seeds each host's destination stream
+#: at most twice; eight arrival outputs are one constant phase and
+#: seven rejected draws (a rejection is at most an even chance), so a
+#: sweep seeds each host's arrival generator twice as a rule
 _DRAW_AHEAD = 8
+#: 2 ** -53, the scale of CPython's ``random()``
+_TO_UNIT = 1.0 / 9007199254740992.0
+
+
+class _ArrivalReplay(random.Random):
+    """Each host's arrival generator, ``Random(f"{seed}:arrival:{host}")``,
+    replayed from the outputs :attr:`HostStreams.outputs` holds.
+
+    ``random()`` and ``getrandbits()`` are what every other method of
+    :class:`random.Random` draws through (the extension point the
+    standard library documents for subclasses), and each is spelled
+    here as CPython's Mersenne Twister builds it from its 32-bit
+    outputs, so ``randrange``, ``expovariate``, ``random`` and the rest
+    return exactly what the seeded generator returns.  :meth:`at` points
+    the generator at a host, or hands out the seeded generator itself
+    to a host with no record yet (see :class:`HostStreams`).  The
+    host's generator is seeded only when a draw runs past the outputs
+    held: it redraws them from the start, at least twice as deep and
+    :data:`_DRAW_AHEAD` deep, and a schedule that needs still more
+    doubles what it drew.  Each growth stores a new array for the host:
+    the one held is replaced, never extended.  One instance serves one
+    schedule, on one thread.
+    """
+
+    def __new__(cls, *args):
+        # the base constructor takes a seed at most (CPython 3.10 checks)
+        return super().__new__(cls)
+
+    def __init__(self, held: Dict[int, array], seed: int) -> None:
+        # no base __init__: it would seed the state no draw here reads
+        self.gauss_next = None
+        self._held = held
+        self._seed = seed
+        self._host = -1
+        self._words = _NO_OUTPUTS
+        self._next = 0
+        self._live: Optional[random.Random] = None
+
+    def at(self, host: int) -> random.Random:
+        """``host``'s arrival generator, drawing from its start."""
+        words = self._held.get(host)
+        if words is None:
+            # the host's first schedule here: the seeded generator, at
+            # a fresh draw's cost, and an empty record for the next one
+            self._held.setdefault(host, _NO_OUTPUTS)
+            return random.Random(f"{self._seed}:arrival:{host}")
+        self._host = host
+        self._words = words
+        self._next = 0
+        self._live = None
+        return self
+
+    def _more(self, end: int) -> array:
+        """The host's outputs, at least ``end`` of them."""
+        words = self._words
+        live = self._live
+        if live is None:
+            live = self._live = random.Random(
+                f"{self._seed}:arrival:{self._host}")
+            words = array("I", map(live.getrandbits, repeat(
+                32, max(end, 2 * len(words), _DRAW_AHEAD))))
+        else:
+            words = words + array("I", map(live.getrandbits, repeat(
+                32, max(end, 2 * len(words)) - len(words))))
+        self._words = self._held[self._host] = words
+        return words
+
+    def random(self) -> float:
+        i = self._next
+        end = self._next = i + 2
+        words = self._words
+        if end > len(words):
+            words = self._more(end)
+        return ((words[i] >> 5) * 67108864.0 + (words[i + 1] >> 6)) * _TO_UNIT
+
+    def getrandbits(self, k: int) -> int:
+        # the first output is the least significant word, and the last
+        # keeps only its high k % 32 bits
+        n = -(-k // 32)
+        if n <= 0:
+            if k < 0:
+                raise ValueError("number of bits must be non-negative")
+            return 0
+        i = self._next
+        end = self._next = i + n
+        words = self._words
+        if end > len(words):
+            words = self._more(end)
+        x = words[end - 1] >> (32 * n - k)
+        for j in range(end - 2, i - 1, -1):
+            x = x << 32 | words[j]
+        return x
 
 
 class _Draws:
@@ -491,7 +605,7 @@ class TrafficProcess:
         self._stopped = True
 
     def pregenerate(self, t_end_ps: int,
-                    streams: Optional[DestinationStreams] = None
+                    streams: Optional[HostStreams] = None
                     ) -> Schedule:
         """The full :class:`Schedule` up to ``t_end_ps``, without
         scheduling anything on the simulator.
@@ -507,11 +621,11 @@ class TrafficProcess:
         ``network.prime_schedule``, every other engine through
         :meth:`replay`.
 
-        ``streams`` -- the :class:`DestinationStreams` the caller keeps
-        for this process's (fabric, pattern, seed), shared by every
-        schedule of that key -- supplies the destinations; without it
-        they are drawn afresh.  The arrival streams are seeded per
-        schedule.
+        ``streams`` -- the :class:`HostStreams` the caller keeps for
+        this process's (fabric, pattern, seed), shared by every
+        schedule of that key -- supplies the destinations and replays
+        each host's arrival generator (:class:`_ArrivalReplay`); without
+        it both are drawn afresh.
 
         The schedule is the uncapped traffic: a ``max_messages`` cap
         keeps the first messages in fire order, which only depends on
@@ -524,7 +638,9 @@ class TrafficProcess:
         seed = self.seed
         pattern = self.pattern
         hosts = pattern.graph.num_hosts
-        take = (streams or DestinationStreams()).take
+        streams = streams or HostStreams()
+        take = streams.take
+        arrival_rng = _ArrivalReplay(streams.outputs, seed).at
         fire_times = self.arrivals.fire_times
         # one sortable int per message, (t * H + src) * H + dst: the
         # (t, src, dst) order of the schedule is the order of the keys,
@@ -533,8 +649,7 @@ class TrafficProcess:
         keys: List[int] = []
         fired = 0
         for host in pattern.active_hosts():
-            times = fire_times(host, now0, t_end_ps,
-                               random.Random(f"{seed}:arrival:{host}"))
+            times = fire_times(host, now0, t_end_ps, arrival_rng(host))
             base = host * hosts
             fired += len(times)
             keys.extend([t * hosts_sq + base + d

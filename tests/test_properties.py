@@ -9,6 +9,8 @@ topologies.
 import random
 import sys
 import threading
+from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,7 +35,8 @@ from repro.sim.engine import Simulator
 from repro.topology import build_irregular, check_topology
 from repro.traffic import (ARRIVALS, PATTERNS, ArrivalProcess, Schedule,
                            TrafficPattern, TrafficProcess, make_workload)
-from repro.traffic.base import DestinationStreams
+from repro.traffic.arrivals import _geometric
+from repro.traffic.base import HostStreams, _ArrivalReplay
 from repro.traffic.bitreversal import reverse_bits
 
 # keep generated networks small: every property walks all pairs
@@ -566,7 +569,7 @@ def _columns(schedule):
 def _check_memo_against_fresh(build, seed, pairs):
     """Schedules drawn through one memo equal fresh draws, column for
     column; ``build(interval)`` -> a fresh (pattern, arrivals) pair."""
-    streams = DestinationStreams()
+    streams = HostStreams()
     for interval, t_end in pairs:
         memo = TrafficProcess(Simulator(), None, *build(interval),
                               seed=seed).pregenerate(t_end, streams)
@@ -577,7 +580,7 @@ def _check_memo_against_fresh(build, seed, pairs):
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "repeated"])
-@pytest.mark.parametrize("arrival", ["constant", "poisson"])
+@pytest.mark.parametrize("arrival", ARRIVALS.names())
 @pytest.mark.parametrize("traffic", PATTERNS.names())
 @given(workload_graphs, windows, seeds)
 @FAST
@@ -599,11 +602,84 @@ def test_memoised_silent_draws_equal_fresh_draws(order, g, pairs, seed):
     _check_memo_against_fresh(build, seed, _in_order(pairs, order))
 
 
-def _draw(streams, g, interval, t_end, seed=3):
-    pattern, arrivals = make_workload(g, "uniform", {}, "constant", {},
+# -- the arrival replay: stored outputs, read as the seeded generator ---------
+
+#: one draw an arrival process may make, as (method, argument)
+draws = st.one_of(
+    st.tuples(st.just("randrange"), st.integers(1, 2 ** 70)),
+    st.tuples(st.just("random"), st.none()),
+    st.tuples(st.just("expovariate"),
+              st.floats(1e-6, 1e3, allow_nan=False)),
+    st.tuples(st.just("getrandbits"), st.integers(0, 99)),
+    st.tuples(st.just("geometric"), st.integers(0, 50)),
+)
+
+
+def _apply(rng, script):
+    out = []
+    for method, arg in script:
+        if method == "random":
+            out.append(rng.random())
+        elif method == "geometric":
+            out.append(_geometric(arg, rng))
+        else:
+            out.append(getattr(rng, method)(arg))
+    return out
+
+
+@given(seeds, st.integers(0, 63), st.lists(draws, max_size=60),
+       st.integers(0, 300))
+@SLOW
+def test_the_arrival_replay_is_the_seeded_generator(seed, host, script,
+                                                    held):
+    """Fed the first ``held`` outputs of ``Random(key)`` -- none, fewer
+    than the draws need, or more -- the replay makes every draw the
+    seeded generator makes (``randrange`` past 2**32 takes several
+    words per ``getrandbits``), and what it stores is still a prefix of
+    that generator's outputs."""
+    key = f"{seed}:arrival:{host}"
+    source = random.Random(key)
+    outputs = {host: array("I", [source.getrandbits(32)
+                                 for _ in range(held)])}
+    replay = _ArrivalReplay(outputs, seed).at(host)
+    assert isinstance(replay, _ArrivalReplay)
+    assert _apply(replay, script) == _apply(random.Random(key), script)
+    source = random.Random(key)
+    assert list(outputs[host]) == [source.getrandbits(32)
+                                   for _ in outputs[host]]
+
+
+def test_a_first_schedule_draws_from_the_seeded_generator():
+    """A host the memo has not seen gets its generator itself, as a
+    fresh draw does, and an empty record: the next schedule records."""
+    outputs = {}
+    rng = _ArrivalReplay(outputs, 5).at(3)
+    assert type(rng) is random.Random
+    assert rng.getstate() == random.Random("5:arrival:3").getstate()
+    assert outputs == {3: array("I")}
+
+
+def test_the_arrival_replay_refuses_negative_bits():
+    with pytest.raises(ValueError):
+        _ArrivalReplay({}, 1).at(0).getrandbits(-1)
+
+
+def _draw(streams, g, interval, t_end, seed=3, arrival="constant"):
+    pattern, arrivals = make_workload(g, "uniform", {}, arrival, {},
                                       interval)
     return TrafficProcess(Simulator(), None, pattern, arrivals,
                           seed=seed).pregenerate(t_end, streams)
+
+
+def _catching(errors, target):
+    """``target``, appending what it raises to ``errors`` (an exception
+    in a thread would otherwise only reach pytest as a warning)."""
+    def run(*args):
+        try:
+            target(*args)
+        except Exception as exc:
+            errors.append(exc)
+    return run
 
 
 class TestDestinationStreamGrowth:
@@ -614,7 +690,7 @@ class TestDestinationStreamGrowth:
                         max_switch_links=3, seed=1)
 
     def test_a_shorter_schedule_draws_nothing(self):
-        streams = DestinationStreams()
+        streams = HostStreams()
         _draw(streams, self.g, 20_000, 1_000_000)
         held = dict(streams.drawn)
         _draw(streams, self.g, 50_000, 1_000_000)
@@ -622,13 +698,13 @@ class TestDestinationStreamGrowth:
         assert all(streams.drawn[h] is d for h, d in held.items())
 
     def test_a_first_draw_is_as_deep_as_its_schedule(self):
-        streams = DestinationStreams()
+        streams = HostStreams()
         schedule = _draw(streams, self.g, 100_000, 1_000_000)
         assert {h: len(d) for h, d in streams.drawn.items()} == {
             h: list(schedule.src).count(h) for h in streams.drawn}
 
     def test_a_longer_schedule_redraws_at_least_twice_as_deep(self):
-        streams = DestinationStreams()
+        streams = HostStreams()
         _draw(streams, self.g, 100_000, 1_000_000)
         held = dict(streams.drawn)
         _draw(streams, self.g, 10_000, 1_000_000)
@@ -644,7 +720,7 @@ class TestDestinationStreamGrowth:
     def test_a_host_without_firings_is_not_seeded(self):
         # a horizon of half the interval: only the hosts whose random
         # phase lands in it fire, once each
-        streams = DestinationStreams()
+        streams = HostStreams()
         schedule = _draw(streams, self.g, 400_000, 200_000)
         assert set(streams.drawn) == set(schedule.src)
         assert 0 < len(streams.drawn) < self.g.num_hosts
@@ -655,8 +731,8 @@ class TestDestinationStreamGrowth:
         intervals = [10_000 + 7_000 * i for i in range(12)]
         fresh = {i: _columns(_draw(None, self.g, i, 2_000_000))
                  for i in intervals}
-        streams = DestinationStreams()
-        wrong = []
+        streams = HostStreams()
+        wrong, errors = [], []
 
         def work(order):
             for interval in order:
@@ -667,16 +743,128 @@ class TestDestinationStreamGrowth:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(order,))
+            threads = [threading.Thread(target=_catching(errors, work),
+                                        args=(order,))
                        for order in (intervals, intervals[::-1],
                                      intervals[::2] + intervals[1::2])]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=120)
         finally:
             sys.setswitchinterval(switch)
-        assert not wrong
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and not wrong
+
+
+class TestArrivalStreams:
+    """What the memo holds of each host's arrival generator: its
+    outputs, replayed by every schedule of the key, so a sweep seeds
+    the generator only where a schedule needs more than is held."""
+
+    g = build_irregular(num_switches=8, hosts_per_switch=2,
+                        max_switch_links=3, seed=1)
+
+    @staticmethod
+    def _count_seedings(monkeypatch):
+        """host -> how often its arrival generator is seeded."""
+        from repro.traffic import base
+        seeded = {}
+
+        def counting(key):
+            if ":arrival:" in key:
+                host = int(key.rsplit(":", 1)[1])
+                seeded[host] = seeded.get(host, 0) + 1
+            return random.Random(key)
+        monkeypatch.setattr(base, "random", SimpleNamespace(Random=counting))
+        return seeded
+
+    def test_a_sweep_seeds_each_arrival_generator_at_most_twice(
+            self, monkeypatch):
+        # the campaign's twelve rates on a 4x4 torus, paper windows
+        from repro import runner
+        from repro.experiments.profiles import PAPER
+        from repro.traffic.base import per_host_interval_ps
+        g = runner.get_graph("torus", {"rows": 4, "cols": 4})
+        t_end = PAPER.warmup_ps + PAPER.measure_ps
+        intervals = [per_host_interval_ps(0.004 + 0.003 * i, 512, g)
+                     for i in range(12)]
+        seeded = self._count_seedings(monkeypatch)
+        for interval in intervals:
+            _draw(None, g, interval, t_end, seed=1)
+        assert seeded == {h: 12 for h in range(g.num_hosts)}
+        seeded.clear()
+        streams = HostStreams()
+        for interval in intervals:
+            _draw(streams, g, interval, t_end, seed=1)
+        assert set(seeded) == set(range(g.num_hosts))
+        assert max(seeded.values()) <= 2
+
+    def test_a_process_that_draws_nothing_seeds_only_its_first_schedule(
+            self, monkeypatch):
+        seeded = self._count_seedings(monkeypatch)
+        streams = HostStreams()
+        for interval in (20_000, 50_000, 80_000):
+            schedule = _draw(streams, self.g, interval, 2_000_000,
+                             arrival="adversarial")
+            assert len(schedule)
+        assert seeded == {h: 1 for h in range(self.g.num_hosts)}
+        assert all(len(w) == 0 for w in streams.outputs.values())
+
+    def test_a_longer_schedule_replaces_the_outputs_held(self):
+        streams = HostStreams()
+        # the first schedule records nothing, the second what it reads
+        _draw(streams, self.g, 100_000, 1_000_000, arrival="poisson")
+        assert all(len(w) == 0 for w in streams.outputs.values())
+        _draw(streams, self.g, 100_000, 1_000_000, arrival="poisson")
+        held = dict(streams.outputs)
+        assert all(len(w) >= 8 for w in held.values())
+        assert all(isinstance(w, array) and w.typecode == "I"
+                   for w in held.values())
+        _draw(streams, self.g, 10_000, 1_000_000, arrival="poisson")
+        grown = 0
+        for host, words in streams.outputs.items():
+            old = held.get(host, ())
+            if words is not old:
+                grown += 1
+                assert len(words) >= max(2 * len(old), 8)
+                assert words[:len(old)] == old
+        assert grown
+        # a shorter one reads what is held and stores nothing
+        held = dict(streams.outputs)
+        _draw(streams, self.g, 50_000, 1_000_000, arrival="poisson")
+        assert all(streams.outputs[h] is w for h, w in held.items())
+
+    def test_same_key_sweeps_on_threads_draw_the_seeded_streams(self):
+        # poisson arrivals grow the stored outputs within a schedule;
+        # two sweeps of one key at once must still draw each schedule
+        # as a fresh draw does
+        intervals = [10_000 + 9_000 * i for i in range(8)]
+        fresh = {i: _columns(_draw(None, self.g, i, 2_000_000,
+                                   arrival="poisson")) for i in intervals}
+        streams = HostStreams()
+        wrong, errors = [], []
+
+        def work(order):
+            for interval in order:
+                if _columns(_draw(streams, self.g, interval, 2_000_000,
+                                  arrival="poisson")) != fresh[interval]:
+                    wrong.append(interval)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=_catching(errors, work),
+                                        args=(order,))
+                       for order in (intervals, intervals[::-1])]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and wrong == []
 
 
 class TestDestinationStreamMemo:
@@ -713,27 +901,33 @@ class TestDestinationStreamMemo:
         # the schedule a fresh draw gives
         from repro import runner
         rates = [0.01 + 0.01 * i for i in range(6)]
+        errors = []
         runner.clear_caches()
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(
-                target=lambda order: [runner.run_simulation(
-                    self._config(1, rate)) for rate in order],
+                target=_catching(errors, lambda order: [
+                    runner.run_simulation(self._config(1, rate))
+                    for rate in order]),
                 args=(order,)) for order in (rates, rates[::-1])]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=120)
         finally:
             sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        # a thread that raised lost its runs (a memo mutated while
+        # another thread iterated it, say)
+        assert errors == []
         memoised = dict(runner._SCHEDULE_CACHE)
         runner.clear_caches()
         try:
             assert len(memoised) == len(rates)
             # a fresh memo per rate: each schedule is a first draw
             for rate in rates:
-                runner._STREAMS = ((), DestinationStreams())
+                runner._STREAMS = ((), HostStreams())
                 runner.run_simulation(self._config(1, rate))
             for key, schedule in memoised.items():
                 assert _columns(runner._SCHEDULE_CACHE[key]) == _columns(
