@@ -16,10 +16,10 @@ Commands
 
 ``experiment <id>``
     Regenerate one registered artefact (``fig7a`` ... ``table3``, the
-    ablations, the ``resilience`` / ``recovery`` / ``tournament`` /
-    ``adversary`` studies; see ``list``) under a profile and print the
-    rendered report -- under the bench and paper profiles, ending with
-    the verdict on each claim made about it.  ``--arg KEY=VALUE``
+    ablations, the ``resilience`` / ``recovery`` / ``tournament``
+    studies; see ``list``) under a profile and print the rendered
+    report -- under the bench and paper profiles, ending with the
+    verdict on each claim made about it.  ``--arg KEY=VALUE``
     (repeatable) sets a parameter the experiment declares (``list``
     shows them); ``--json FILE`` also writes the result as JSON, for
     the experiments that declare a JSON form.

@@ -11,8 +11,8 @@
 * :mod:`registry` holds :data:`EXPERIMENTS`: experiment id (``fig7a``
   ... ``table3``, the studies) -> its function, declared parameters,
   renderer and claims, run by :func:`run_experiment`;
-* :mod:`figures`, :mod:`tables`, :mod:`ablations`, :mod:`tournament`
-  and :mod:`adversary` define the artefacts -- result type, ASCII
+* :mod:`figures`, :mod:`tables`, :mod:`ablations` and
+  :mod:`tournament` define the artefacts -- result type, ASCII
   renderer, claims -- and register each beside its definition
   (:mod:`repro.resilience` registers its two studies the same way).
 
@@ -28,7 +28,7 @@ from .sweep import sweep_rates, SweepResult
 from .profiles import Profile, BENCH, PAPER
 from .registry import EXPERIMENTS, run_experiment
 # imported for their registrations
-from . import ablations, adversary, figures, tables, tournament  # noqa: F401
+from . import ablations, figures, tables, tournament  # noqa: F401
 from .. import resilience  # noqa: F401
 
 __all__ = [

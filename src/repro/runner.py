@@ -97,11 +97,11 @@ _TABLE_CACHE_MAX = 32
 #: A schedule over the bound by itself is not kept.
 _SCHEDULE_CACHE: Dict[Tuple, Schedule] = {}
 _SCHEDULE_CACHE_MAX_MESSAGES = 2_000_000
-#: held while the schedule memo is summed, evicted from, inserted into
-#: or cleared: threads of one process (``repro serve``'s handlers) run
-#: at once, and a sum over the memo that another thread inserts into
-#: mid-iteration raises
-_SCHEDULE_LOCK = threading.Lock()
+#: held while any of the three memos is evicted from, inserted into,
+#: summed or cleared: ``repro serve``'s handler threads run at once,
+#: two evictions may pop the same oldest key (the second raises), and a
+#: sum over a memo that another thread inserts into mid-iteration raises
+_MEMO_LOCK = threading.Lock()
 #: the host streams a schedule miss draws from, for the one key read
 #: last: a host's destinations are a function of (topology, pattern,
 #: pattern kwargs, seed) and its arrival generator one of the seed --
@@ -115,9 +115,10 @@ _STREAMS: Tuple[Tuple, HostStreams] = ((), HostStreams())
 
 def _memoise(cache: Dict, cap: int, key: Tuple, value: Any) -> None:
     """Insert, evicting the oldest entry once ``cap`` are held."""
-    if len(cache) >= cap:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
+    with _MEMO_LOCK:
+        if len(cache) >= cap:
+            cache.pop(next(iter(cache)))
+        cache[key] = value
 
 
 def _memoise_schedule(key: Tuple, schedule: Schedule) -> None:
@@ -125,7 +126,7 @@ def _memoise_schedule(key: Tuple, schedule: Schedule) -> None:
     room = _SCHEDULE_CACHE_MAX_MESSAGES - len(schedule)
     if room < 0:
         return
-    with _SCHEDULE_LOCK:
+    with _MEMO_LOCK:
         held = sum(map(len, _SCHEDULE_CACHE.values()))
         while held > room:
             held -= len(_SCHEDULE_CACHE.pop(next(iter(_SCHEDULE_CACHE))))
@@ -187,9 +188,9 @@ def clear_caches() -> None:
     host's destinations and arrival generator outputs; tests use
     this)."""
     global _STREAMS
-    _GRAPH_CACHE.clear()
-    _TABLE_CACHE.clear()
-    with _SCHEDULE_LOCK:
+    with _MEMO_LOCK:
+        _GRAPH_CACHE.clear()
+        _TABLE_CACHE.clear()
         _SCHEDULE_CACHE.clear()
     _STREAMS = ((), HostStreams())
 

@@ -21,7 +21,7 @@ burstiness responding to the network, never a hidden rate change.
   in one aligned volley, so the injection in any window [s, t] is
   bounded by r(t - s) + b while the instantaneous load is maximal.
   Below saturation a stable schedule must keep the backlog bounded;
-  the ``adversary`` experiment checks exactly that.
+  a run's ``RunSummary.backlog_growth`` measures that backlog.
 
 Every process registers in :mod:`repro.traffic.registry` with its
 declared kwargs, so ``SimConfig(arrival="onoff",
@@ -188,6 +188,8 @@ def _geometric(mean: float, rng: random.Random) -> int:
     # inverse-CDF sampling: floor(ln(1-u) / ln(1-p))
     p = 1.0 / (1.0 + mean)
     u = rng.random()
+    if p == 1.0:  # a mean below ~1e-16: log1p(-1) has no value
+        return 0
     return min(int(math.log1p(-u) / math.log1p(-p)), 1_000_000)
 
 

@@ -125,6 +125,17 @@ class BareNetwork(NetworkModel):
         return {}
 
 
+def catching(errors, target):
+    """``target``, appending what it raises to ``errors`` (an exception
+    in a thread would otherwise only reach pytest as a warning)."""
+    def run(*args):
+        try:
+            target(*args)
+        except Exception as exc:
+            errors.append(exc)
+    return run
+
+
 def small_config(**overrides) -> SimConfig:
     """A fast 4x4-torus run description for integration tests."""
     base = dict(

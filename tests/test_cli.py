@@ -239,7 +239,7 @@ class TestCommands:
          "'torus-3x3' (requires: power-of-two host count)"),
         (["experiment", "route-cap", "--json", "route-cap.json"],
          "experiment 'route-cap' has no JSON form; --json is for: "
-         "adversary, tournament"),
+         "tournament"),
     ], ids=["traffic-arg", "scheme", "comma-list", "topology",
             "experiment-arg", "mistyped-arg", "rates",
             "scheme-on-topology", "pattern-on-topology", "json"])

@@ -34,6 +34,10 @@ def test_every_paper_artefact_and_study_carries_claims():
     assert CLAIMED == [exp_id for exp_id, exp in EXPERIMENTS.items()
                        if exp.kind in kinds]
     assert len(CLAIMED) == 23
+    # a study states a verdict or leaves the catalogue: these two are
+    # what is left without one
+    assert {exp_id for exp_id, exp in EXPERIMENTS.items()
+            if exp.claims is None} == {"tournament", "resilience"}
 
 
 @pytest.mark.parametrize("exp_id", CLAIMED)
@@ -64,7 +68,7 @@ def test_verdicts_are_given_from_the_bench_windows_up():
         assert len(lines) == 1 + len(exp.claims(result))
         assert all(line.split()[0] in ("holds", "FAILS")
                    for line in lines[1:])
-    assert render_claims(EXPERIMENTS.get("adversary"), None, BENCH) is None
+    assert render_claims(EXPERIMENTS.get("tournament"), None, BENCH) is None
 
 
 def test_a_violated_claim_quotes_what_was_measured():

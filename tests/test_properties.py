@@ -38,6 +38,7 @@ from repro.traffic import (ARRIVALS, PATTERNS, ArrivalProcess, Schedule,
 from repro.traffic.arrivals import _geometric
 from repro.traffic.base import HostStreams, _ArrivalReplay
 from repro.traffic.bitreversal import reverse_bits
+from tests.conftest import catching
 
 # keep generated networks small: every property walks all pairs
 graphs = st.builds(
@@ -671,17 +672,6 @@ def _draw(streams, g, interval, t_end, seed=3, arrival="constant"):
                           seed=seed).pregenerate(t_end, streams)
 
 
-def _catching(errors, target):
-    """``target``, appending what it raises to ``errors`` (an exception
-    in a thread would otherwise only reach pytest as a warning)."""
-    def run(*args):
-        try:
-            target(*args)
-        except Exception as exc:
-            errors.append(exc)
-    return run
-
-
 class TestDestinationStreamGrowth:
     """What the memo holds: each host's drawn destinations, replaced --
     never extended -- when a schedule needs more."""
@@ -743,7 +733,7 @@ class TestDestinationStreamGrowth:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=_catching(errors, work),
+            threads = [threading.Thread(target=catching(errors, work),
                                         args=(order,))
                        for order in (intervals, intervals[::-1],
                                      intervals[::2] + intervals[1::2])]
@@ -854,7 +844,7 @@ class TestArrivalStreams:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=_catching(errors, work),
+            threads = [threading.Thread(target=catching(errors, work),
                                         args=(order,))
                        for order in (intervals, intervals[::-1])]
             for t in threads:
@@ -907,7 +897,7 @@ class TestDestinationStreamMemo:
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(
-                target=_catching(errors, lambda order: [
+                target=catching(errors, lambda order: [
                     runner.run_simulation(self._config(1, rate))
                     for rate in order]),
                 args=(order,)) for order in (rates, rates[::-1])]

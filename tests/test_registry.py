@@ -133,7 +133,7 @@ AXES = {
                    "table1", "table2", "table3", "irregular", "mesh-dor",
                    "itb-overhead", "route-cap", "root-placement",
                    "msglen", "adaptive", "link-failure",
-                   "resilience", "recovery", "tournament", "adversary"})),
+                   "resilience", "recovery", "tournament"})),
     "task": Axis(
         TASKS, lambda: _tmp_task, None, None, "",
         frozenset({"point", "saturation"})),
@@ -266,7 +266,7 @@ class TestExperimentDeclarations:
             capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
         assert set(res.stdout.split()) == AXES["experiment"].shipped
-        assert len(AXES["experiment"].shipped) == 26
+        assert len(AXES["experiment"].shipped) == 25
 
     def test_the_index_imports_no_study_module(self):
         """``experiments/registry.py`` is what the study modules

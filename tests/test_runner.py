@@ -2,6 +2,8 @@
 
 import gc
 import inspect
+import threading
+import time
 import weakref
 
 import pytest
@@ -13,7 +15,7 @@ from repro.runner import (_freeze_kwargs, _GRAPH_CACHE,
                           get_graph, get_tables,
                           run_point_task, run_simulation)
 from repro.units import ns
-from tests.conftest import UNDECLARED_RUN_OPTIONS, small_config
+from tests.conftest import UNDECLARED_RUN_OPTIONS, catching, small_config
 
 
 class TestRunSimulation:
@@ -210,6 +212,39 @@ class TestCaches:
         again = get_tables("torus", kw, "itb", max_routes_per_pair=caps[0])
         assert again is not tables[0]
         assert again.routes == tables[0].routes
+
+    @pytest.mark.parametrize("memo", ["_GRAPH_CACHE", "_TABLE_CACHE"])
+    def test_threads_evicting_at_once_lose_no_run(self, memo, monkeypatch):
+        """Two ``repro serve`` handler threads that miss a full memo at
+        once must not both evict the same oldest entry (the second pop
+        raised ``KeyError``).  The memo sleeps between listing its keys
+        and handing out the oldest, so every thread is inside that
+        window together."""
+        class SlowIteration(dict):
+            def __iter__(self):
+                for key in list(super().__iter__()):
+                    time.sleep(0.05)
+                    yield key
+
+        monkeypatch.setattr(runner, memo, SlowIteration(
+            {("held", i): None for i in range(2)}))
+        monkeypatch.setattr(runner, memo + "_MAX", 2)
+        start, errors = threading.Barrier(4), []
+
+        def work(n):
+            start.wait()
+            get_tables("torus", {"rows": 3, "cols": 2 + n,
+                                 "hosts_per_switch": 1}, "updown")
+
+        threads = [threading.Thread(target=catching(errors, work),
+                                    args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(getattr(runner, memo)) == 2
 
     def test_freeze_kwargs_nested_values_hashable(self):
         # nested dict/list topology kwargs used to raise

@@ -18,7 +18,6 @@ import pytest
 
 from repro.canon import PlainData, canonical_json, digest, freeze
 from repro.config import MyrinetParams, SimConfig
-from repro.experiments.adversary import StabilityCell, StabilityReport
 from repro.runner import run_simulation
 from repro.experiments.tournament import (SchemeEntry, TopologySpec,
                                           TournamentCell, TournamentReport)
@@ -209,10 +208,6 @@ CELL = TournamentCell(
     knee_offered=0.01, knee_latency_ns=900.0, knee_bracketed=True,
     probe_rate=0.008, p99_latency_ns=1200.0, avg_latency_ns=800.0,
     degraded_throughput=0.04, retention=0.8)
-STABILITY_CELL = StabilityCell(
-    routing="updown", policy="sp", label="UD", fraction=0.6, rate=0.006,
-    accepted=0.0059, avg_latency_ns=None, backlog_growth=3,
-    messages_generated=120, stable=True)
 
 #: one instance per record class
 RECORDS = [
@@ -232,11 +227,6 @@ RECORDS = [
         topologies=(TopologySpec("torus", {"rows": 4}, "4x4 torus"),),
         patterns=("uniform", "hotspot"), seed=3, failures=2,
         cells=(CELL,)),
-    STABILITY_CELL,
-    StabilityReport(
-        topology="torus", topology_label="4x4 torus", seed=3, burst=8,
-        fractions=(0.3, 0.6), saturation={"UD": 0.02},
-        stable_rate={"UD": 0.015}, cells=(STABILITY_CELL,)),
 ]
 
 

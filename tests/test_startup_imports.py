@@ -93,7 +93,7 @@ for package in (repro, repro.orchestrator):
 from repro.resilience import run_resilience
 from repro.experiments.registry import EXPERIMENTS
 from repro.orchestrator.lease import TASKS
-assert len(EXPERIMENTS) == 26, EXPERIMENTS.names()
+assert len(EXPERIMENTS) == 25, EXPERIMENTS.names()
 assert TASKS.names() == ("point", "saturation"), TASKS.names()
 """,
     "a fresh Executor runs points forked and inline": """

@@ -8,7 +8,7 @@ import pytest
 
 import repro.runner as runner_mod
 from repro.config import PAPER_PARAMS, SimConfig
-from repro.experiments import adversary, tournament
+from repro.experiments import tournament
 from repro.experiments.profiles import BENCH, PAPER, TEST, Profile
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.runner import (SATURATION_TASK_FN, run_simulation,
@@ -120,9 +120,6 @@ STUDIES = {
     "tournament": lambda ex: tournament.run_tournament(
         tournament.default_entries(["itb"]), (TORUS33,),
         ("uniform+onoff",), TEST, failures=1, executor=ex),
-    "adversary": lambda ex: adversary.run_adversary_study(
-        (("itb", "rr"),), "torus", T33, "torus 3x3", TEST, burst=4,
-        fractions=(0.5,), executor=ex),
     "resilience": lambda ex: resilience.run_resilience(
         "torus", TEST, ks=(1,), topology_kwargs=T33, start_rate=0.01,
         executor=ex),
@@ -250,7 +247,7 @@ class TestRegistry:
                     "table1", "table2", "table3", "irregular", "mesh-dor",
                     "itb-overhead", "route-cap", "root-placement",
                     "msglen", "adaptive", "link-failure",
-                    "resilience", "recovery", "tournament", "adversary"}
+                    "resilience", "recovery", "tournament"}
         assert set(EXPERIMENTS) == expected
 
     def test_kinds(self):
@@ -262,8 +259,7 @@ class TestRegistry:
         kinds = [exp.kind for _, exp in EXPERIMENTS.items()]
         assert set(kinds) == {
             "latency-panel", "link-map", "hotspot-table", "point-table",
-            "resilience-table", "recovery-table", "tournament-table",
-            "stability-table"}
+            "resilience-table", "recovery-table", "tournament-table"}
         assert kinds.count("point-table") == 6
 
     def test_unknown_experiment(self):

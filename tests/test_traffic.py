@@ -20,7 +20,8 @@ from repro.sim.network import WormholeNetwork
 from repro.topology import build as build_topology, build_torus
 from repro.traffic import make_pattern
 from repro.traffic.arrivals import (AdversarialArrivals, ConstantArrivals,
-                                    OnOffArrivals, PoissonArrivals)
+                                    OnOffArrivals, PoissonArrivals,
+                                    _geometric)
 from repro.traffic.base import TrafficProcess, per_host_interval_ps
 from repro.traffic.bitreversal import BitReversalTraffic, reverse_bits
 from repro.traffic.collective import IncastTraffic
@@ -504,6 +505,17 @@ class TestArrivalProcesses:
     def test_adversarial_infeasible_volley_rejected(self):
         with pytest.raises(ValueError):
             AdversarialArrivals(100, burst=16, spacing_ps=200)
+
+    @pytest.mark.parametrize("mean", [1e-300, 1e-17, 0.5, 7])
+    def test_geometric_makes_one_draw_for_any_positive_mean(self, mean):
+        """Every positive mean takes exactly one random(); one so small
+        that 1 / (1 + mean) rounds to 1 draws 0."""
+        rng, twin = random.Random(3), random.Random(3)
+        n = _geometric(mean, rng)
+        twin.random()
+        assert rng.getstate() == twin.getstate()
+        if mean < 1e-16:
+            assert n == 0
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
